@@ -3,7 +3,8 @@
 Dense power iteration with a compiled SciPy CSR matvec — the tightest
 "native" formulation available to a Python harness.  Semantics match the
 GAP spec (and therefore :func:`repro.lagraph.pagerank_gap`): dangling-node
-mass is dropped, scores are scaled contributions pulled through Aᵀ.
+mass is dropped, scores are scaled contributions pulled through the
+*pattern* of Aᵀ (edge weights play no part in PageRank).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ...lagraph.graph import Graph
 
@@ -21,7 +23,9 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-4,
              itermax: int = 100) -> Tuple[np.ndarray, int]:
     """Return ``(rank, iterations)``; GAP-spec semantics."""
     n = g.n
-    at = g.A.T.to_scipy().astype(np.float64)
+    at = g.A.T.to_scipy()
+    at = sp.csr_matrix((np.ones(at.nnz), at.indices, at.indptr),
+                       shape=at.shape)
     out_deg = np.diff(g.A.indptr).astype(np.float64)
     nonzero = out_deg > 0
     teleport = (1.0 - damping) / n

@@ -346,7 +346,6 @@ def masked_dot_reduce(
     """The value stage of :func:`masked_dot`: multiply + ⊕-reduce the
     structural hits resolved by :func:`masked_dot_probe`."""
     t, apos, bpos = probe
-    rows_size = n_mask
     mult_name = semiring.mult.name
 
     # Per-hit multiply.  Within one mask entry, hits arrive in ascending-k
@@ -364,7 +363,13 @@ def masked_dot_reduce(
         else:
             mult = (a_values[apos].astype(dt, copy=False)
                     * bt_values[bpos].astype(dt, copy=False))
-        return _sequential_group_sums(t, mult, rows_size)
+        if np.issubdtype(dt, np.inexact):
+            # SciPy's compiled CSR matmul accumulates each output with a
+            # plain sequential loop, and reduceat switches to pairwise
+            # summation on longer segments, which changes the last bits of
+            # a float sum: replay the sequential order in the accumulator
+            return PLUS_MONOID.reduce_dense(t, mult, n_mask)
+        return PLUS_MONOID.reduce_groups(t, mult, n_mask)
     if mult_name == "pair":
         mult = np.ones(t.size, dtype=np.uint64)
     elif mult_name == "first":
@@ -375,31 +380,4 @@ def masked_dot_reduce(
         mult = semiring.mult(bv, bv)
     else:
         mult = semiring.mult(a_values[apos], bt_values[bpos])
-    return semiring.add.reduce_groups(t, mult)
-
-
-def _sequential_group_sums(t: np.ndarray, mult: np.ndarray, n_groups: int):
-    """Per-group ``+`` reduction in strict input order.
-
-    SciPy's compiled CSR matmul accumulates each output with a plain
-    sequential loop; ``np.add.reduceat`` switches to pairwise summation on
-    longer segments, which changes the last bits of float sums.  To stay
-    bit-identical to the fast path this replays the sequential order:
-    ``np.bincount``/``np.add.at`` both add contributions in array order.
-    Integer sums are order-independent (wrapping ``+`` is associative), so
-    they take the cheaper sorted ``reduceat`` route.
-    """
-    if t.size == 0:
-        return t, mult
-    dt = mult.dtype
-    if np.issubdtype(dt, np.inexact):
-        seen = np.zeros(n_groups, dtype=bool)
-        seen[t] = True
-        hit = np.flatnonzero(seen).astype(np.int64)
-        if dt == np.float64:
-            sums = np.bincount(t, weights=mult, minlength=n_groups)
-            return hit, sums[hit]
-        buf = np.zeros(n_groups, dtype=dt)
-        np.add.at(buf, t, mult)
-        return hit, buf[hit]
-    return PLUS_MONOID.reduce_groups(t, mult)
+    return semiring.add.reduce_groups(t, mult, n_mask)

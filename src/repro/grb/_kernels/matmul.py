@@ -51,6 +51,7 @@ def vxm_sparse(
     indptr: np.ndarray,
     indices: np.ndarray,
     values: Optional[np.ndarray],
+    ncols: int,
     semiring: Semiring,
 ):
     """``wᵀ = uᵀ ⊕.⊗ A`` with ``A`` in CSR.  Returns ``(w_idx, w_vals)``.
@@ -63,7 +64,7 @@ def vxm_sparse(
     uv = u_vals[row_rep]
     i = np.zeros(k.size, dtype=np.int64)
     mult = _multiply(semiring, uv, a_vals, i, k, cols)
-    return semiring.add.reduce_groups(cols, mult)
+    return semiring.add.reduce_groups(cols, mult, ncols)
 
 
 @profiled("mxv_gather")
@@ -91,18 +92,7 @@ def mxv_gather(
     uv = u_dense[cols]
     j = np.zeros(i.size, dtype=np.int64)
     mult = _multiply(semiring, a_vals, uv, i, cols, j)
-    return semiring.add.reduce_groups(i, mult)
-
-
-#: Dense-accumulator guard for pick-one (``any``) reductions in
-#: ``mxm_expand``: use the O(flops + grid) scatter instead of the
-#: O(flops log flops) sort when the output grid is not much larger than the
-#: flop count.  Mirrors SS:GrB's sparse→bitmap format switch (Sec. VI-A of
-#: the paper) — the case that matters is a *tall frontier matrix* (batched
-#: multi-source BFS) whose per-level products are huge but whose output grid
-#: ``ns × n`` is small.
-DENSE_ANY_GRID_SLACK = 8  # cost: mechanism-cap (sparse-to-bitmap format switch inside mxm expand)
-DENSE_ANY_GRID_FLOOR = 1 << 20  # cost: mechanism-cap (sparse-to-bitmap format switch inside mxm expand)
+    return semiring.add.reduce_groups(i, mult, indptr.size - 1)
 
 
 @profiled("mxm_expand")
@@ -133,16 +123,16 @@ def mxm_expand(
     ``rows`` limits the expansion to a subset of A's rows — the rows the
     mask can still write — skipping dead rows entirely (``a_rows`` is
     ignored when given); ``key_keep`` is a ``keys -> bool`` predicate
-    applied to the linearised output coordinates *before* the multiply and
+    applied to the linearised output coordinates *before* the
     group-reduce, so contributions the mask would discard in the write-back
     never pay the reduction sort.  Both default to off, in which case the
     result is the seed kernel bit for bit.
 
-    Pick-one (``any``) monoids take a sort-free path when the output grid
-    ``a_nrows × b_ncols`` is affordable: a reversed dense scatter keeps the
-    *first* contribution per output position in expansion order — exactly
-    what ``Monoid.reduce_groups`` returns from its stable sort, at a
-    fraction of the cost for the heavy levels of a batched BFS.
+    The ⊕-reduce runs over the output grid ``a_nrows × b_ncols``; when
+    ``Monoid.reduce_groups`` takes its sort-free path there (the heavy
+    levels of a batched BFS: huge products, small ``ns × n`` grid) there
+    is no sort to spare, so ``key_keep`` is skipped and the write-back
+    discards the mask-dead entries.
     """
     if rows is not None:
         row_rep, a_cols, a_vals_sub = csr_gather_rows(
@@ -159,33 +149,14 @@ def mxm_expand(
     k = a_cols[ent_rep]
     keys = i * np.int64(b_ncols) + j
     grid = int(a_nrows) * int(b_ncols)
-    use_scatter = (semiring.add.ufunc is None and keys.size
-                   and grid <= max(DENSE_ANY_GRID_SLACK * keys.size,
-                                   DENSE_ANY_GRID_FLOOR))
-    if key_keep is not None and not use_scatter:
-        # drop mask-dead contributions before the (sorting) reduce; the
-        # scatter path is already sort-free, so filtering there would only
-        # add membership-test cost
-        keep = key_keep(keys)
-        keys = keys[keep]
-        i = i[keep]
-        k = k[keep]
-        j = j[keep]
-        ent_rep = ent_rep[keep]
-        if b_vals_g is not None:
-            b_vals_g = b_vals_g[keep]
     av = a_vals_sub[ent_rep] if a_vals_sub is not None else None
     mult = _multiply(semiring, av, b_vals_g, i, k, j)
-    if use_scatter:
-        buf = np.empty(grid, dtype=mult.dtype)
-        seen = np.zeros(grid, dtype=bool)
-        # reversed writes: the first contribution per key wins, matching the
-        # stable-sort semantics of the generic group reduce
-        buf[keys[::-1]] = mult[::-1]
-        seen[keys] = True
-        out_keys = np.flatnonzero(seen).astype(np.int64)
-        return out_keys, buf[out_keys]
-    return semiring.add.reduce_groups(keys, mult)
+    if key_keep is not None and not semiring.add.sort_free(
+            mult.dtype, keys.size, grid):
+        keep = key_keep(keys)
+        keys = keys[keep]
+        mult = mult[keep]
+    return semiring.add.reduce_groups(keys, mult, grid)
 
 
 #: Probe rounds before :func:`mxv_pull_probe` falls back to a ragged gather.

@@ -124,8 +124,12 @@ def write_matrix(c: Matrix, t_keys, t_vals, mask: Optional[Mask], accum,
 # epilogue application
 # ---------------------------------------------------------------------------
 
-def _epilogue_arrays(ep, keys, vals, is_vector: bool, ncols: int):
-    """Run one epilogue directly on raw output arrays (the fused path)."""
+def _epilogue_arrays(ep, keys, vals, is_vector: bool, ncols: int,
+                     nrows: Optional[int] = None):
+    """Run one epilogue directly on raw output arrays (the fused path).
+
+    ``nrows`` — the row count of the product the arrays describe (a
+    vector's size) — is the key bound a ``reduce_rowwise`` needs."""
     if ep.kind == "apply":
         out = _selectops.eval_unary(
             ep.op, vals, ep.thunk,
@@ -150,7 +154,7 @@ def _epilogue_arrays(ep, keys, vals, is_vector: bool, ncols: int):
         return keys[keep], vals[keep]
     if ep.kind == "reduce_rowwise":
         rows = keys if is_vector else keys // np.int64(ncols)
-        return ep.op.reduce_groups(rows, vals)
+        return ep.op.reduce_groups(rows, vals, nrows)
     if ep.kind == "reduce_scalar":
         return ep.op.reduce_all(np.abs(vals) if ep.absolute else vals)
     raise ValueError(f"unknown epilogue kind {ep.kind!r}")
@@ -220,8 +224,9 @@ def finish(plan: Plan, keys, vals, *, is_vector: bool, size=None,
             if ep.kind == "reduce_rowwise":
                 # the chain becomes a vector of per-row values
                 if fused:
-                    keys, vals = _epilogue_arrays(ep, keys, vals, is_vector,
-                                                  ncols)
+                    keys, vals = _epilogue_arrays(
+                        ep, keys, vals, is_vector, ncols,
+                        size if is_vector else nrows)
                 else:
                     keys, vals = _epilogue_materialised(
                         ep, keys, vals, is_vector, size, nrows, ncols)
@@ -779,7 +784,7 @@ class _VxmSparsePush:
     def run(plan: Plan, detail: dict):
         u, a = plan.args
         idx, vals = vxm_sparse(u._idx, u._vals, a.indptr, a.indices,
-                               a.values, plan.operator)
+                               a.values, a.ncols, plan.operator)
         return finish(plan, idx, vals, is_vector=True, size=a.ncols)
 
 

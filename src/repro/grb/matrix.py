@@ -42,6 +42,7 @@ from ..obs import memory as _obsmem
 from ..obs import metrics as _metrics
 from ._kernels import apply_select as _selectops
 from ._kernels.ewise import merge_objects, union_merge
+from ._kernels.gather import expand_rows
 from .errors import DimensionMismatch, IndexOutOfBounds, InvalidValue, NoValue
 from .ops.binary import BinaryOp
 from .ops.monoid import Monoid
@@ -322,11 +323,24 @@ class Matrix:
         indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         indices = cols.astype(np.int64, copy=False)
         values = vals.astype(self.type.dtype, copy=False)
+        self._install(keys, counts, indptr, indices, values)
+
+    def _set_from_csr(self, indptr: np.ndarray, indices: np.ndarray,
+                      values: np.ndarray):
+        """:meth:`_set_from_keys` for a producer that already holds the
+        canonical CSR triple (takes ownership): same format-policy
+        boundary, no key div/mod round-trip."""
+        self._install(None, np.diff(indptr), indptr, indices, values)
+
+    def _install(self, keys, counts, indptr, indices, values):
         fmt = self._format
         if fmt == "auto":
             fmt = _policy.select_matrix_format(
-                self.nrows, self.ncols, keys.size,
+                self.nrows, self.ncols, indices.size,
                 _policy.observed_live_rows(counts))
+        if keys is None and fmt == "bitmap":
+            keys = expand_rows(indptr, self.nrows) * np.int64(self.ncols) \
+                + indices
         self._store = _policy.matrix_store_from_keys(
             fmt, keys, counts, indptr, indices, values,
             self.nrows, self.ncols)
@@ -678,14 +692,18 @@ class Matrix:
 
         Value-only predicates skip the per-entry row expansion entirely —
         the format-aware fast path in
-        :mod:`repro.grb._kernels.apply_select`.
+        :mod:`repro.grb._kernels.apply_select` — and the output CSR is cut
+        straight out of the input's: the surviving entries in place, row
+        pointers from the running count of survivors at each row boundary.
         """
         if isinstance(op, str):
             op = _selectops.by_name(op)
         st = self._S()
-        keep = _selectops.eval_select(op, st.csr()[2], st, thunk)
+        indptr, indices, values = st.csr()
+        keep = _selectops.eval_select(op, values, st, thunk)
+        kept = np.concatenate(([0], np.cumsum(keep)))
         out = Matrix(self.type, self.nrows, self.ncols)
-        out._set_from_keys(self.keys()[keep], self.values[keep])
+        out._set_from_csr(kept[indptr], indices[keep], values[keep])
         try:
             hash(thunk)
         except TypeError:
@@ -751,14 +769,15 @@ class Matrix:
     # ------------------------------------------------------------------
     def reduce_rowwise(self, monoid: Monoid) -> Vector:
         """``w = [⊕ⱼ A(:, j)]``: per-row reduction to a column vector."""
-        idx, vals = monoid.reduce_groups(self._S().entry_rows(), self.values)
+        idx, vals = monoid.reduce_groups(self._S().entry_rows(), self.values,
+                                          self.nrows)
         w = Vector(from_dtype(vals.dtype) if vals.size else self.type, self.nrows)
         w._set_sparse(idx, vals)
         return w
 
     def reduce_colwise(self, monoid: Monoid) -> Vector:
         """Per-column reduction (``[⊕ᵢ A(i, :)]``)."""
-        idx, vals = monoid.reduce_groups(self.indices, self.values)
+        idx, vals = monoid.reduce_groups(self.indices, self.values, self.ncols)
         w = Vector(from_dtype(vals.dtype) if vals.size else self.type, self.ncols)
         w._set_sparse(idx, vals)
         return w

@@ -5,7 +5,9 @@ A monoid supplies three things our kernels need:
 * the pairwise combine function (for eWiseAdd-style merges),
 * an identity for the given dtype (what empty reductions return),
 * a *grouped reduction*: given values tagged with integer group keys, reduce
-  each group with ⊕.  This is the workhorse behind every semiring matmul.
+  each group with ⊕.  This is the workhorse behind every semiring matmul:
+  a dense accumulator over the key range when that is affordable and
+  cannot change a bit, a stable sort otherwise (:meth:`Monoid.reduce_groups`).
 
 The ``any`` monoid — introduced by SS:GrB for the BFS benign race (Sec. IV-A
 of the paper) — reduces a group by simply picking one member.  We pick the
@@ -15,6 +17,7 @@ first in storage order, which is deterministic and therefore testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,6 +66,14 @@ def _max_identity(dtype: np.dtype):
     return np.iinfo(dtype).min
 
 
+#: Dense-accumulator guard of :meth:`Monoid.reduce_groups`: the sort-free
+#: path runs when the key range is at most this many times the contribution
+#: count.  Measured break-even is a range/count ratio of 50-130 (2x ahead
+#: at 26, 20-30x at <= 1); 16 also caps the accumulator at ~2x the bytes the
+#: contributions themselves occupy in the multiply that produced them.
+DENSE_REDUCE_SLACK = 16  # cost: mechanism-cap (sparse-to-bitmap accumulator switch inside the group reduce)
+
+
 @dataclass(frozen=True)
 class Monoid:
     """A commutative, associative reduction operator with identity.
@@ -107,14 +118,44 @@ class Monoid:
             return values[0]
         return self.ufunc.reduce(values)
 
-    def reduce_groups(self, keys: np.ndarray, values: np.ndarray):
-        """Reduce ``values`` grouped by integer ``keys``.
+    def sort_free(self, dtype: np.dtype, m: int, bound: int) -> bool:
+        """Whether :meth:`reduce_groups` reduces ``m`` contributions of
+        ``dtype`` over keys in ``[0, bound)`` without sorting them.
+
+        Two conditions, both read off the input alone.  The key range must
+        be affordable against the contribution count
+        (:data:`DENSE_REDUCE_SLACK`), and ⊕ must give the same value
+        whatever order it folds a group in: every monoid but ``eq``
+        qualifies, except ``plus``/``times`` on floats, whose rounding
+        depends on the association order (``reduceat`` sums long segments
+        pairwise, a dense accumulator sums them left to right).
+        """
+        if not 0 < bound <= DENSE_REDUCE_SLACK * m or self.ufunc is np.equal:
+            return False
+        return (self.ufunc not in (np.add, np.multiply)
+                or np.dtype(dtype).kind in "biu")
+
+    def reduce_groups(self, keys: np.ndarray, values: np.ndarray, bound: int):
+        """Reduce ``values`` grouped by integer ``keys`` in ``[0, bound)``.
 
         Returns ``(unique_keys, reduced_values)`` with ``unique_keys`` sorted
-        ascending.  ``keys`` need not be sorted.
+        ascending.  ``keys`` need not be sorted.  ``bound`` is the size of
+        the key space — the caller's output dimension, never scanned for.
+
+        Where :meth:`sort_free` allows, the groups are folded into a
+        ``bound``-sized accumulator (:meth:`reduce_dense` — SS:GrB's
+        Gustavson/bitmap accumulator, Sec. VI-A of the paper) in
+        O(m + bound); otherwise by a stable sort and one ``reduceat`` per
+        run.  The two paths agree bit for bit with one exception neither
+        defines: the sign of a zero ``min``/``max`` over a group holding
+        both ``+0.0`` and ``-0.0`` (``np.minimum`` breaks that tie by
+        operand order, and ``reduceat`` itself folds long and short
+        segments in different orders).
         """
         if keys.size == 0:
             return keys[:0].astype(np.int64), values[:0]
+        if self.sort_free(values.dtype, keys.size, bound):
+            return self.reduce_dense(keys, values, bound)
         order = np.argsort(keys, kind="stable")
         sk = keys[order]
         sv = values[order]
@@ -128,8 +169,50 @@ class Monoid:
         reduced = self.ufunc.reduceat(sv, starts)
         return ukeys, reduced
 
+    def reduce_dense(self, keys: np.ndarray, values: np.ndarray, bound: int):
+        """:meth:`reduce_groups` through a dense accumulator, unconditionally.
+
+        Contributions are folded into a ``bound``-sized buffer in strict
+        array order, a ``seen`` bitmap records which keys occurred, and the
+        groups are read back in ascending key order.  Callers that *need*
+        the left-to-right order (float sums replaying SciPy's sequential
+        CSR loop) call this directly; everyone else goes through
+        :meth:`reduce_groups`, which takes this path only when it cannot
+        change a bit.  The result dtype is ``reduceat``'s (small integers
+        widen under ``plus``/``times``, logical monoids return bool).
+        """
+        if keys.size == 0:
+            return keys[:0].astype(np.int64), values[:0]
+        seen = np.zeros(bound, dtype=bool)
+        seen[keys] = True
+        ukeys = np.flatnonzero(seen)
+        if self.ufunc is None:
+            # "any": reversed writes leave the first contribution in
+            # storage order in place, the stable sort's pick
+            buf = np.empty(bound, dtype=values.dtype)
+            buf[keys[::-1]] = values[::-1]
+            return ukeys, buf[ukeys]
+        dtype, identity = _accumulator(self, values.dtype)
+        buf = np.full(bound, identity, dtype=dtype)
+        values = values.astype(dtype, copy=False)
+        if dtype.kind == "f":
+            # min/max meeting a NaN: reduceat is silent too
+            with np.errstate(invalid="ignore"):
+                self.ufunc.at(buf, keys, values)
+        else:
+            self.ufunc.at(buf, keys, values)
+        return ukeys, buf[ukeys]
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Monoid({self.name})"
+
+
+@lru_cache(maxsize=None)
+def _accumulator(monoid: Monoid, dtype: np.dtype):
+    """``(dtype, identity)`` of the dense accumulator for ``dtype`` input:
+    whatever ``reduceat`` would return, so the two paths cannot drift."""
+    out = monoid.ufunc.reduceat(np.empty(1, dtype=dtype), [0]).dtype
+    return out, monoid.identity(out)
 
 
 PLUS_MONOID = Monoid("plus", PLUS, lambda dt: dt.type(0), np.add)

@@ -168,7 +168,7 @@ def bfs_parent_auto(g: Graph, source: int) -> Vector:
         if push:
             idx, par = vxm_sparse(frontier,
                                   np.zeros(frontier.size, dtype=np.int64),
-                                  a.indptr, a.indices, None, _ANY_SECONDI)
+                                  a.indptr, a.indices, None, n, _ANY_SECONDI)
             fresh = ~visited[idx]
             idx, par = idx[fresh], par[fresh]
         else:

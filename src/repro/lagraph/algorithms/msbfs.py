@@ -119,15 +119,9 @@ def _fused_expand(a: Matrix, f_keys: np.ndarray, n: int,
     keys = rows[rep] * np.int64(n) + j
     par = cols[rep]
     # frontier entries are enumerated in storage order (k ascending within a
-    # row), so the stable sort keeps the smallest k first within each key —
-    # exactly Monoid.reduce_groups' "any" pick
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    par = par[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    par = par[first]
+    # row), so the "any" pick — first in storage order — is the smallest k
+    keys, par = grb.monoid.ANY_MONOID.reduce_groups(keys, par,
+                                                   visited_bits.size)
     fresh = ~visited_bits[keys]
     return keys[fresh], par[fresh]
 

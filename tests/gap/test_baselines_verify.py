@@ -60,6 +60,20 @@ class TestBaselinePR:
         np.testing.assert_allclose(rank, [ref[i] for i in range(n)],
                                    atol=1e-9)
 
+    def test_ignores_edge_weights(self):
+        """PageRank is structural: on a weighted adjacency the reference
+        must agree with ``pagerank_gap`` (it used to multiply by the stored
+        weights and diverge to 1e178 on weighted kron)."""
+        from repro.gap import datasets
+        g = datasets.build("kron", "tiny", weighted=True)
+        g.cache_all()
+        rank, _ = baselines.pagerank(g)
+        assert np.isfinite(rank).all() and rank.max() <= 1.0
+        ours, _ = lg.pagerank_gap(g)
+        assert verify.verify_pr(g, ours, tol=1e-4)
+        plain, _ = baselines.pagerank(datasets.build("kron", "tiny"))
+        np.testing.assert_array_equal(rank, plain)
+
 
 class TestBaselineBC:
     def test_matches_networkx(self, rng):

@@ -137,6 +137,32 @@ class TestStructural:
         a = grb.Matrix.from_coo([0, 0], [0, 1], [1.0, 5.0], 2, 2)
         assert a.select("valuegt", 2.0).nvals == 1
 
+    @pytest.mark.parametrize("thunk,fmt", [(0.5, "bitmap"), (0.0, "bitmap"),
+                                           (0.9, "csr"), (2.0, "csr")])
+    def test_select_consults_format_policy(self, thunk, fmt, rng):
+        """``select`` cuts the output CSR out of the input's; the store it
+        lands in — and every view of it — must be the one the key
+        round-trip through ``_set_from_keys`` would have produced."""
+        a = grb.Matrix.from_dense(rng.random((64, 64)))
+        out = a.select("valuegt", thunk)
+        keep = a.values > thunk
+        twin = grb.Matrix(a.type, 64, 64)
+        twin._set_from_keys(a.keys()[keep], a.values[keep])
+        assert out._store.fmt == twin._store.fmt == fmt
+        assert out.isequal(twin)
+        np.testing.assert_array_equal(out.keys(), twin.keys())
+        np.testing.assert_array_equal(out.to_dense(), twin.to_dense())
+
+    def test_select_to_hypersparse(self, rng):
+        dense = np.zeros((256, 8))
+        dense[rng.integers(0, 256, 150), rng.integers(0, 8, 150)] = 0.5
+        dense[[3, 77, 200]] = rng.random((3, 8)) + 1.0
+        out = grb.Matrix.from_dense(dense).select("valuegt", 0.75)
+        assert out._store.fmt == "hypersparse" and out.nvals == 24
+        np.testing.assert_array_equal(out.to_dense(), np.where(dense > 0.75, dense, 0))
+        np.testing.assert_array_equal(np.flatnonzero(np.diff(out.indptr)),
+                                      [3, 77, 200])
+
     def test_is_symmetric_pattern(self):
         sym = grb.Matrix.from_coo([0, 1], [1, 0], [1.0, 2.0], 2, 2)
         assert sym.is_symmetric_pattern()
