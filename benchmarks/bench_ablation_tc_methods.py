@@ -3,16 +3,17 @@
 Times all six LAGraph TC methods plus the presort on/off choice, on the
 skewed Kron graph where the ascending-degree permutation matters most.
 
-``test_tc_chooser_mispredictions`` additionally replays every method with
-the :mod:`repro.grb.telemetry` hook installed and reports how often the
+``test_tc_chooser_mispredictions`` additionally replays every method
+under ``obs.tracing()`` + ``obs.profiling()`` and reports how often the
 masked-SpGEMM chooser picked the slower path (judged against the *exact*
-work counts the events carry) — mispredictions surface in the test output
-instead of hiding as silent slow paths.
+work counts the decision records carry under deep profiling) —
+mispredictions surface in the test output instead of hiding as silent
+slow paths.
 """
 
 import pytest
 
-from repro.grb import telemetry
+from repro import obs
 from repro.grb.engine import cost
 from repro.lagraph import algorithms as alg
 from repro.lagraph.algorithms.tc import METHODS
@@ -50,13 +51,12 @@ def test_tc_chooser_mispredictions(suite, monkeypatch, capsys):
     sampling, made visible.  The event schema itself is asserted."""
     monkeypatch.setattr(cost, "MASKED_MIN_NNZ", 0)   # observe every decision
     g = suite["kron"]
-    events = []
-    with telemetry.capture(events.append):
+    with obs.tracing() as trace, obs.profiling():
         for method in METHODS:
             alg.triangle_count(g, method=method, presort=None)
-    # every dispatch records a decision now; the chooser events are the
-    # mxm ones carrying the probe/flop analysis
-    events = [e for e in events if e["op"] == "mxm" and "dot_probes" in e]
+    # every dispatch records a decision; the chooser records are the mxm
+    # ones carrying the probe/flop analysis
+    events = [e for e in trace.decisions("mxm") if "dot_probes" in e]
     assert events, "masked multiplies should record chooser decisions"
     judged = [_judged(e) for e in events]
     for e in judged:

@@ -38,8 +38,7 @@ from repro.lagraph.algorithms import bc
 
 
 def _engine_off(monkeypatch):
-    monkeypatch.setattr(cost, "DOT_ENABLED", False)
-    monkeypatch.setattr(cost, "MASK_RESTRICT_ENABLED", False)
+    monkeypatch.setattr(cost, "MASKED_MIN_NNZ", float("inf"))
 
 
 def _force_dot(monkeypatch):
@@ -126,9 +125,7 @@ def test_acceptance_masked_tc_3x(monkeypatch):
     tc_expand = alg.triangle_count(g, method="sandia_lut", presort=None)
     t_expand = best_of(
         lambda: alg.triangle_count(g, method="sandia_lut", presort=None))
-    monkeypatch.setattr(cost, "DOT_ENABLED", True)
-    monkeypatch.setattr(cost, "MASK_RESTRICT_ENABLED", True)
-    _force_dot(monkeypatch)
+    _force_dot(monkeypatch)             # re-engages the masked engine
     tc_dot = alg.triangle_count(g, method="sandia_lut", presort=None)
     t_dot = best_of(
         lambda: alg.triangle_count(g, method="sandia_lut", presort=None))

@@ -1,7 +1,7 @@
 """Observability overhead: the no-subscriber cost of always-on hooks.
 
-The :mod:`repro.obs` cost contract is that with no trace sink, no
-telemetry hook, and no deep profiling, the instrumentation riding in the
+The :mod:`repro.obs` cost contract is that with no trace sink and no
+deep profiling, the instrumentation riding in the
 engine and serve hot paths costs at most a flag read per site — the
 always-on metrics bumps plus one ``ContextVar`` read per span point.
 

@@ -190,31 +190,31 @@ def test_report_plan_cache_counters(suite, capsys):
     """Plan-cache observability: serve the same analytics query repeatedly
     (memoization off, so every request re-dispatches) and surface the
     engine's keyed plan cache counters — the hit/miss/invalidation stream
-    that also flows through ``grb.telemetry`` (``plan_cache`` field on
-    decision events, ``op="plancache"`` invalidation events).  Repeats
+    that also rides on the planner's decision records (``plan_cache``
+    field, ``op="plancache"`` invalidation records).  Repeats
     after the first should hit: lineage signatures survive the per-query
     operand rebuild, and entries die with the adjacency's *store*
     version, so only an actual content mutation forces re-analysis."""
-    from repro.grb import telemetry
+    from repro import obs
     from repro.grb.engine import plancache
 
     g = suite["kron"]
     plancache.clear()
-    events = []
-    with telemetry.capture(events.append):
+    with obs.tracing() as trace:
         with serve.GraphService(max_workers=2, cache_capacity=0) as svc:
             svc.register("kron", g, warm=True)
             for _ in range(4):
                 svc.query("kron", serve.TriangleCount())
             stats = svc.plan_cache_stats()
-    decisions = [e.get("plan_cache") for e in events if "plan_cache" in e]
+    decisions = [e["plan_cache"] for e in trace.decisions()
+                 if "plan_cache" in e]
     with capsys.disabled():
         print(f"\n[plan-cache] serve 4x TriangleCount (memo off): "
               f"hits={stats.hits} misses={stats.misses} "
               f"invalidations={stats.invalidations} "
               f"hit_rate={stats.hit_rate:.2f} "
               f"feed_bytes={stats.feed_bytes} "
-              f"telemetry_marks={len(decisions)}")
+              f"decision_marks={len(decisions)}")
     assert stats.hits > 0, "repeated serve queries should hit the plan cache"
     assert "hit" in decisions and "miss" in decisions
 

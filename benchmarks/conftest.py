@@ -13,22 +13,13 @@ its CSR structures outside the timed region).
 
 from __future__ import annotations
 
-import importlib.util
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.gap import datasets
 
-
-def _load_history():
-    spec = importlib.util.spec_from_file_location(
-        "bench_history", Path(__file__).with_name("history.py"))
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 BENCH_SIZE = os.environ.get("REPRO_BENCH_SIZE", "tiny")
 GRAPHS = ("kron", "urand", "twitter", "web", "road")
@@ -89,87 +80,3 @@ def obs_artifact():
 
     with open(path, "w") as fh:
         json.dump(obs.json_snapshot(), fh, indent=2, default=str)
-
-
-# ---------------------------------------------------------------------------
-# benchmark history (tools/bench_compare.py regression tracking)
-# ---------------------------------------------------------------------------
-
-#: nodeid -> wall seconds of the passed call phase — the fallback timing
-#: for tests without the calibrated ``benchmark`` fixture (acceptance
-#: guards, smoke legs).
-_call_durations = {}
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_makereport(item, call):
-    outcome = yield
-    rep = outcome.get_result()
-    if rep.when == "call" and rep.passed:
-        _call_durations[item.nodeid] = rep.duration
-
-
-def _benchmark_stats(session):
-    """nodeid -> (group, stats) from pytest-benchmark, when it ran."""
-    bs = getattr(session.config, "_benchmarksession", None)
-    out = {}
-    for bench in getattr(bs, "benchmarks", ()) or ():
-        stats = getattr(bench, "stats", None)
-        stats = getattr(stats, "stats", stats)   # Metadata wraps Stats
-        if stats is None or not getattr(stats, "data", None):
-            continue
-        out[bench.fullname] = (getattr(bench, "group", None), stats)
-    return out
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Append one session record to ``$REPRO_BENCH_HISTORY``.
-
-    Each entry carries the calibrated pytest-benchmark stats where the
-    fixture ran, else the raw call duration (``rounds=1``); the record
-    also snapshots the run's plan-cache counters and store footprint so
-    a regression can be correlated with a behaviour change (lost cache
-    hits, a format-policy flip) and not just observed as time.
-    """
-    path = os.environ.get("REPRO_BENCH_HISTORY")
-    if not path or not _call_durations:
-        return
-    import dataclasses
-    from datetime import datetime, timezone
-
-    history = _load_history()
-    calibrated = _benchmark_stats(session)
-    entries = []
-    for nodeid, duration in _call_durations.items():
-        test_id = nodeid.split("/")[-1]          # benchmarks/x.py::t -> x.py::t
-        cal = calibrated.get(nodeid)
-        if cal is not None:
-            group, stats = cal
-            entries.append(history.make_entry(
-                test_id, group=group, min_s=stats.min, mean_s=stats.mean,
-                stddev_s=stats.stddev, rounds=stats.rounds))
-        else:
-            entries.append(history.make_entry(
-                test_id, min_s=duration, mean_s=duration, rounds=1))
-
-    obs_part = {}
-    try:
-        from repro import obs
-        from repro.grb.engine import plancache
-        from repro.grb import pool as grbpool
-        obs_part = {
-            "plan_cache": dataclasses.asdict(plancache.stats()),
-            "store_footprint": obs.memory.snapshot(),
-            # a scaling regression reads differently at 0 vs 4 workers —
-            # record the leg so bench_compare never cross-compares them
-            "pool": {"workers": grbpool.configured_workers()},
-        }
-    except Exception:
-        pass                                     # never fail the session
-
-    record = history.make_session(
-        entries, size=BENCH_SIZE,
-        recorded_at=datetime.now(timezone.utc).isoformat(),
-        sha=history.git_sha(str(Path(__file__).resolve().parents[1])),
-        obs=obs_part)
-    history.append(path, record)

@@ -89,15 +89,14 @@ from . import cancel
 from .cancel import CancelToken, Cancelled, DeadlineExceeded, \
     cancel_scope, checkpoint
 from . import storage
-from . import telemetry
 from . import engine
 from . import expr
 
 __all__ = [
     # objects
     "Matrix", "Vector", "Type", "Mask", "Descriptor", "Semiring",
-    # execution engine / storage engine / instrumentation / lazy layer
-    "engine", "storage", "telemetry", "expr",
+    # execution engine / storage engine / lazy layer
+    "engine", "storage", "expr",
     # cooperative cancellation
     "cancel", "CancelToken", "Cancelled", "DeadlineExceeded",
     "cancel_scope", "checkpoint",

@@ -6,9 +6,9 @@ target), then routed through the registered planner rules
 (:mod:`~repro.grb.engine.rules`) under one cost model
 (:mod:`~repro.grb.engine.cost`).  The scattered pre-engine choosers — the
 masked-mxm dot-vs-fallback decision, the Beamer push/pull heuristic, the
-per-kernel format fast paths — all live here now, as rules whose decisions
-share the :mod:`repro.grb.telemetry` event stream and whose constants are
-monkeypatchable in one module.
+per-kernel format fast paths — all live here now, as rules and choosers
+whose decisions share one record channel (:func:`repro.obs.decision`) and
+whose constants are monkeypatchable in one module.
 
 Quick tour::
 
@@ -34,15 +34,16 @@ sequence with materialised intermediates, the bit-identity reference.
 
 from __future__ import annotations
 
+from ...obs import profile as _profile
 from . import cost
 from . import plancache
+from .cost import choose_direction
 from .plan import (
     Epilogue,
     Plan,
     plan_apply,
     plan_assign,
     plan_assign_scalar,
-    plan_bfs_step,
     plan_ewise_add,
     plan_ewise_mult,
     plan_mxm,
@@ -70,7 +71,7 @@ __all__ = [
     "execute", "dispatch", "analyze",
     "plan_mxm", "plan_mxv", "plan_vxm", "plan_ewise_add", "plan_ewise_mult",
     "plan_apply", "plan_select", "plan_assign", "plan_assign_scalar",
-    "plan_update", "plan_bfs_step", "choose_direction", "preplan",
+    "plan_update", "choose_direction", "preplan",
     "Rule", "register", "rules_for", "force_rule", "PlanningError",
     "write_vector", "write_matrix",
 ]
@@ -79,19 +80,6 @@ __all__ = [
 def execute(plan: Plan):
     """Route a plan through the rule registry and run the claiming rule."""
     return dispatch(plan)
-
-
-def choose_direction(frontier_edges: float, unexplored_edges: float,
-                     frontier_nvals: int, n: int) -> str:
-    """``"push"`` or ``"pull"`` for one frontier-expansion step.
-
-    The Beamer chooser (GAP's alpha/beta heuristic), routed through the
-    ``bfs_step`` rule pair so the decision is forceable
-    (``cost.PUSHPULL_ALPHA`` / ``cost.PUSHPULL_BETA``) and shows up in the
-    telemetry stream like every other planner decision.
-    """
-    return dispatch(plan_bfs_step(frontier_edges, unexplored_edges,
-                                  frontier_nvals, n))
 
 
 def preplan(a, *, profile: str = "default", plans=()) -> dict:
@@ -107,12 +95,10 @@ def preplan(a, *, profile: str = "default", plans=()) -> dict:
     through the rule choosers (:func:`analyze`) **without executing**, so
     its claimed rule and operand feeds land in the keyed plan cache
     (:mod:`~repro.grb.engine.plancache`) and the first real dispatch of
-    the same shape is a hit.  Returns a summary dict (also recorded as a
-    ``preplan`` telemetry event when a hook is active).
+    the same shape is a hit.  Returns a summary dict (also delivered as an
+    ``op="preplan"`` decision record when something consumes them).
     """
     import numpy as np
-
-    from .. import telemetry
 
     st = a._S()
     st.csr()
@@ -127,6 +113,6 @@ def preplan(a, *, profile: str = "default", plans=()) -> dict:
         "nrows": a.nrows, "ncols": a.ncols, "nvals": a.nvals,
         "built": tuple(built), "warmed_rules": warmed,
     }
-    if telemetry.active():
-        telemetry.record(summary)
+    if _profile.deciding():
+        _profile.decision(summary)
     return summary

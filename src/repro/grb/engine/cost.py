@@ -9,7 +9,14 @@ re-routes every call that consults it — the same forcing idiom
 :mod:`repro.grb.storage.policy` established::
 
     monkeypatch.setattr(cost, "DOT_PROBE_COST", 0.0)   # force the dot kernel
+    monkeypatch.setattr(cost, "DOT_PROBE_COST", inf)   # ... or rule it out
+    monkeypatch.setattr(cost, "MASKED_MIN_NNZ", inf)   # masked engine off
+    monkeypatch.setattr(cost, "PUSHPULL_ALPHA", 0.0)   # BFS: push
     monkeypatch.setattr(cost, "FUSION_ENABLED", False) # decompose epilogues
+
+Only two behaviours have no constant to express them and keep a boolean:
+``FUSION_ENABLED`` (the decomposed test oracle) and ``PLAN_CACHE_ENABLED``
+(the cold baseline).
 
 Kernel *mechanism* caps (e.g. the dense-flag grid cap of the dot probe)
 stay next to their kernels: they tune how a chosen kernel executes, not
@@ -26,10 +33,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...obs import profile as _profile
+
 __all__ = [
     # switches
-    "DOT_ENABLED", "MASK_RESTRICT_ENABLED", "FUSION_ENABLED",
-    "MULTI_FUSION_ENABLED", "PLAN_CACHE_ENABLED",
+    "FUSION_ENABLED", "PLAN_CACHE_ENABLED",
     # masked-mxm chooser
     "DOT_PROBE_COST", "SCIPY_FLOP_COST", "EXPAND_FLOP_COST", "FLOP_SAMPLE",
     "MASKED_MIN_NNZ", "LIVE_ROW_FRACTION",
@@ -40,34 +48,25 @@ __all__ = [
     "MSBFS_AUTO_BATCH_THRESHOLD", "MSBFS_PROBE_DENSITY",
     "MSBFS_FUSE_FRONTIER_K",
     # frontier-direction (Beamer) chooser
-    "PUSHPULL_ALPHA", "PUSHPULL_BETA", "BFS_DO_MIN_AVG_DEGREE",
+    "PUSHPULL_ALPHA", "PUSHPULL_BETA",
     # worker-pool sharding (repro.grb.pool)
-    "POOL_MIN_WORK", "POOL_INLINE_LIMIT", "POOL_MULTIPLAN_ENABLED",
-    # estimators
+    "POOL_MIN_WORK", "POOL_INLINE_LIMIT",
+    # estimators and choosers
     "dot_probe_cost", "expand_flops_estimate", "expand_flops_exact",
-    "product_nnz_estimate", "choose_masked_method",
+    "product_nnz_estimate", "choose_masked_method", "choose_direction",
 ]
 
 # ---------------------------------------------------------------------------
 # master switches (ablation / bisection aids)
 # ---------------------------------------------------------------------------
 
-#: Master switch for the dot3 masked-SpGEMM kernel.
-DOT_ENABLED = True
-#: Master switch for mask-driven row restriction + pre-reduce filtering on
-#: the fallback (SciPy / expand) mxm paths.
-MASK_RESTRICT_ENABLED = True
-#: Master switch for epilogue fusion: with ``False`` every fused plan
-#: decomposes into the seed sequence (materialised intermediates between
-#: stages) — what ``benchmarks/bench_fused_epilogue.py`` measures against.
-#: Also gates multi-output fusion (below): off means *every* chain — single
-#: or multi consumer — replays the call-at-a-time reference.
+#: Master switch for fusion: with ``False`` every fused plan decomposes
+#: into the seed sequence (materialised intermediates between stages) —
+#: what ``benchmarks/bench_fused_epilogue.py`` measures against — and
+#: every :mod:`~repro.grb.engine.multiplan` group dispatches node by node:
+#: *every* chain, single or multi consumer, replays the call-at-a-time
+#: reference.
 FUSION_ENABLED = True
-#: Multi-output fusion in :mod:`repro.grb.engine.multiplan`: two consumers
-#: of one producer executing in the producer's single output pass.  Only
-#: effective when ``FUSION_ENABLED`` is also on; switch off independently
-#: to ablate just the DAG-level fusion while epilogues stay fused.
-MULTI_FUSION_ENABLED = True
 #: The keyed plan cache (:mod:`repro.grb.engine.plancache`): repeated
 #: identical dispatches skip the rule choosers and reuse the claimed
 #: rule's operand feeds.  ``False`` re-analyses every call (the cold
@@ -79,7 +78,7 @@ PLAN_CACHE_ENABLED = True
 # ---------------------------------------------------------------------------
 
 #: Relative cost of one dot probe lane (a flag gather / bounded or global
-#: searchsorted) ...
+#: searchsorted) — ``inf`` rules the dot3 kernel out ...
 DOT_PROBE_COST = 0.4
 #: ... versus one flop on SciPy's compiled CSR kernel ...
 SCIPY_FLOP_COST = 1.0
@@ -96,7 +95,8 @@ FALLBACK_WRITE_COST = 1.0
 
 #: Combined operand nnz below which the masked engine stands down entirely
 #: (no chooser, no row restriction): tiny products are cheaper to compute
-#: in full than to analyse.
+#: in full than to analyse.  ``inf`` stands it down for every product —
+#: the unrestricted reference the masked-mxm tests compare against.
 MASKED_MIN_NNZ = 1 << 15
 
 #: Row restriction only engages when the mask leaves at most this fraction
@@ -135,13 +135,10 @@ MSBFS_FUSE_FRONTIER_K = 8192
 
 #: Beamer heuristic constants (GAP uses alpha=15, beta=18): pull when the
 #: frontier's out-edges outnumber the unexplored edges / alpha, push while
-#: the frontier holds fewer than n / beta vertices.
+#: the frontier holds fewer than n / beta vertices.  Forcing: both ``inf``
+#: never pushes; ``ALPHA = 0`` pushes while any edge is unexplored.
 PUSHPULL_ALPHA = 15.0
 PUSHPULL_BETA = 18.0
-
-#: Average degree at/above which Basic-mode BFS opts into direction
-#: optimisation (the transpose build has to amortise).
-BFS_DO_MIN_AVG_DEGREE = 4.0
 
 # ---------------------------------------------------------------------------
 # worker-pool sharding (repro.grb.pool)
@@ -157,10 +154,6 @@ POOL_MIN_WORK = 1 << 16
 #: message instead of through a shared-memory placement: one pickle of a
 #: small frontier is cheaper than a segment create + attach round-trip.
 POOL_INLINE_LIMIT = 1 << 16
-#: Master switch for MultiPlan's concurrent dispatch of independent DAG
-#: nodes when the pool is enabled (the per-node sequential loop is the
-#: bit-identity reference either way — concurrency never regroups work).
-POOL_MULTIPLAN_ENABLED = True
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +186,7 @@ def expand_flops_estimate(a_indices: np.ndarray,
 
 def expand_flops_exact(a_indices: np.ndarray,
                        b_row_lengths: np.ndarray) -> int:
-    """Exact flop count of the unmasked product (telemetry only — O(nnz))."""
+    """Exact flop count of the unmasked product (profiler only — O(nnz))."""
     if a_indices.size == 0:
         return 0
     return int(b_row_lengths[a_indices].sum())
@@ -222,9 +215,31 @@ def choose_masked_method(cost_dot: float, est_flops: float, *,
     estimated full product and discards the non-mask part in the
     write-back.
     """
-    if not DOT_ENABLED:
-        return "fallback"
     flop_cost = SCIPY_FLOP_COST if scipy_path else EXPAND_FLOP_COST
     dot_total = cost_dot * DOT_PROBE_COST + mask_nvals * DOT_WRITE_COST
     fb_total = est_flops * flop_cost + est_out_nnz * FALLBACK_WRITE_COST
     return "dot" if dot_total <= fb_total else "fallback"
+
+
+def choose_direction(frontier_edges: float, unexplored_edges: float,
+                     frontier_nvals: int, n: int) -> str:
+    """``"push"`` or ``"pull"`` for one frontier-expansion step.
+
+    The Beamer chooser (GAP's alpha/beta heuristic): push while the
+    frontier is light — its out-edges times ``PUSHPULL_ALPHA`` stay below
+    the unexplored edges, or it holds fewer than ``n / PUSHPULL_BETA``
+    vertices — pull once it is heavy.  Forceable through those two
+    constants and observable as an ``op="bfs_step"`` decision record, like
+    every other chooser.
+    """
+    push = (frontier_edges * PUSHPULL_ALPHA < unexplored_edges
+            or frontier_nvals < n / PUSHPULL_BETA)
+    direction = "push" if push else "pull"
+    if _profile.deciding():
+        _profile.decision({
+            "op": "bfs_step", "rule": "bfs-" + direction,
+            "direction": direction,
+            "frontier_edges": float(frontier_edges),
+            "unexplored_edges": float(unexplored_edges),
+            "frontier_nvals": int(frontier_nvals), "n": int(n)})
+    return direction

@@ -18,7 +18,6 @@ This module is where the scattered pre-engine dispatch logic of
   arrays (value-only selects never expand coordinates — the
   ``apply_select`` fast path, now a visible rule).
 * ``assign`` / ``assign_scalar`` — the spec's sub-range write transaction.
-* ``bfs_step`` — the Beamer push/pull chooser as a planning-only rule pair.
 
 Every rule funnels its kernel's raw ``(keys, values)`` result through
 :func:`finish`, which applies any fused epilogues *before* the single
@@ -36,9 +35,9 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ...obs import profile as _profile
 from ...obs import trace as _trace
 from .. import cancel as _cancel
-from .. import telemetry
 from .._kernels import apply_select as _selectops
 from .._kernels import masked_matmul as _mm
 from .._kernels.ewise import (
@@ -389,7 +388,7 @@ def mask_live_rows(mask: Optional[Mask], nrows: int,
     blocks every position — BC's ``⟨¬s(P)⟩`` once a source has reached the
     whole graph).  Dead rows are sliced off before the product is computed.
     """
-    if mask is None or not cost.MASK_RESTRICT_ENABLED:
+    if mask is None:
         return None
     present = mask.allowed_present()
     if present is not None:
@@ -418,7 +417,7 @@ def mask_key_filter(mask: Optional[Mask]):
     allowed-key set (the same machinery :func:`masked_write` uses, so the
     selection is identical by construction).
     """
-    if mask is None or not cost.MASK_RESTRICT_ENABLED:
+    if mask is None:
         return None
     present = mask.allowed_present()
     if present is not None:
@@ -484,7 +483,7 @@ class _MxmMaskedDot:
         sr = plan.operator
         mask = plan.mask
         if (not _mask_engaged(plan) or mask.complemented
-                or not cost.DOT_ENABLED or not _mm.dot_supported(sr)
+                or not _mm.dot_supported(sr)
                 or not a.nvals or not b.nvals):
             return None
         allowed = mask.allowed_keys()
@@ -524,7 +523,7 @@ class _MxmMaskedDot:
             "est_out_nnz": float(est_out),
             "scipy_path": scipy_path,
         }
-        if telemetry.active():
+        if _profile.deep_active():
             decision["expand_flops"] = cost.expand_flops_exact(a_ix,
                                                                beff_lengths)
         if method != "dot":
@@ -1107,37 +1106,3 @@ class _AssignScalarRegion:
         if whole:
             return write_matrix(w, t_keys, t_vals, mask, accum, replace)
         return _region_write(w, t_keys, t_keys, t_vals, mask, accum, replace)
-
-
-# ---------------------------------------------------------------------------
-# frontier-direction rules (the Beamer chooser, registry-resident)
-# ---------------------------------------------------------------------------
-
-@register("bfs_step", "bfs-push")
-class _BfsPush:
-    """Push while the frontier is light: cost ∝ frontier out-degrees."""
-
-    @staticmethod
-    def applies(plan: Plan):
-        m = plan.meta
-        if (m["frontier_edges"] * cost.PUSHPULL_ALPHA < m["unexplored_edges"]
-                or m["frontier_nvals"] < m["n"] / cost.PUSHPULL_BETA):
-            return {"direction": "push"}
-        return None
-
-    @staticmethod
-    def run(plan: Plan, detail: dict):
-        return "push"
-
-
-@register("bfs_step", "bfs-pull")
-class _BfsPull:
-    """Pull once the frontier is heavy: cost ∝ unvisited in-degrees."""
-
-    @staticmethod
-    def applies(plan: Plan):
-        return {"direction": "pull"}
-
-    @staticmethod
-    def run(plan: Plan, detail: dict):
-        return "pull"

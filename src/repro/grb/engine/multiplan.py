@@ -17,9 +17,8 @@ Shipped rules
     calls of Alg. 1's BFS level.  The kernel's raw output writes the
     frontier directly (the replace write-back degenerates to a plain set)
     and the parents take one disjoint union merge, skipping the update's
-    full mask-resolution pass.  This is the engine-resident form of the
-    hand fusion ``bfs_parent_fused`` used to perform outside the plan
-    layer.
+    full mask-resolution pass — the level body of every parents BFS in
+    :mod:`repro.lagraph.algorithms.bfs`.
 ``fused-improve-merge``
     A ``vxm``/``mxv`` relaxation into ``x`` with *two* consumers — a
     ``select`` (the strict-improvement filter picking the next frontier)
@@ -28,11 +27,11 @@ Shipped rules
 
 Every fused group replays the decomposed sequence bit for bit: a rule only
 claims patterns whose write-backs it can reproduce exactly, and with
-:data:`~repro.grb.engine.cost.FUSION_ENABLED` or
-:data:`~repro.grb.engine.cost.MULTI_FUSION_ENABLED` switched off the nodes
+:data:`~repro.grb.engine.cost.FUSION_ENABLED` switched off the nodes
 simply dispatch one at a time — the identity reference the parity suite
-pins.  Each fused group emits one ``grb.telemetry`` decision event
-(``op="multiplan"``) naming the rule and the ops it consumed.
+pins.  Each fused group emits one decision record (``op="multiplan"``,
+attached to the ``multiplan`` span) naming the rule and the ops it
+consumed.
 """
 
 from __future__ import annotations
@@ -43,9 +42,10 @@ from typing import Callable, List
 import numpy as np
 
 from ...obs import metrics as _metrics
+from ...obs import profile as _profile
 from ...obs import trace as _trace
-from .. import telemetry
 from .. import cancel as _cancel
+from .. import pool as _pool
 from ..expr import _DONE
 from .._kernels.ewise import setdiff_keys, union_merge
 from ..vector import Vector
@@ -98,7 +98,7 @@ class MultiPlan:
             self._execute(nodes)
 
     def _execute(self, nodes):
-        fuse = cost.FUSION_ENABLED and cost.MULTI_FUSION_ENABLED
+        fuse = cost.FUSION_ENABLED
         i = 0
         while i < len(nodes):
             # the engine executor's per-node cancellation checkpoint: a
@@ -110,17 +110,14 @@ class MultiPlan:
                 for name, rule in _FUSIONS:  # cancel: checkpoint-exempt (bounded by the registered-rule count; stepping loop checkpoints per node)
                     consumed = rule(nodes, i)
                     if consumed:
-                        # the fused group's kernel dispatches traced their
-                        # own spans; the instant marks which rule grouped
-                        # them (declined attempts stay silent — they are
-                        # a handful of attribute checks)
-                        if _trace.active():
-                            _trace.instant("fusion:" + name, cat="kernel",
-                                           consumed=consumed)
                         if _metrics.ENABLED:
                             _FUSED.labels(name).inc()
-                        if telemetry.active():
-                            telemetry.record({
+                        # the fused group's kernel dispatches traced their
+                        # own spans and records; this one names the rule
+                        # that grouped them (declined attempts stay silent
+                        # — they are a handful of attribute checks)
+                        if _profile.deciding():
+                            _profile.decision({
                                 "op": "multiplan", "rule": name,
                                 "fused_ops": tuple(
                                     n.plan.op for n in
@@ -130,7 +127,7 @@ class MultiPlan:
                 if consumed:
                     i += consumed
                     continue
-            if _concurrency_enabled():
+            if _pool.pool_enabled():
                 group = _ready_run(nodes, i)
                 if len(group) > 1:
                     _dispatch_concurrently(group)
@@ -145,13 +142,6 @@ class MultiPlan:
 # ---------------------------------------------------------------------------
 # concurrent dispatch of independent nodes (pool-enabled runs)
 # ---------------------------------------------------------------------------
-
-def _concurrency_enabled() -> bool:
-    if not cost.POOL_MULTIPLAN_ENABLED:
-        return False
-    from .. import pool as _pool
-    return _pool.pool_enabled()
-
 
 def _ready_run(nodes, i):
     """Maximal run of consecutive nodes whose dependencies are all done.
@@ -174,7 +164,7 @@ def _ready_run(nodes, i):
 
 def _dispatch_concurrently(group) -> None:
     """One thread per node, each in a copied context (cancel scope,
-    forced-rule and telemetry state survive the hop).  Results and states
+    forced-rule pins and the trace sink survive the hop).  Results and states
     land exactly as the sequential loop would set them; any failure is
     re-raised after every thread has parked, so no node is left half-run.
     """

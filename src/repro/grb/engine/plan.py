@@ -35,7 +35,7 @@ __all__ = [
     "Epilogue", "Plan",
     "plan_mxm", "plan_mxv", "plan_vxm", "plan_ewise_add", "plan_ewise_mult",
     "plan_apply", "plan_select", "plan_assign", "plan_assign_scalar",
-    "plan_update", "plan_bfs_step",
+    "plan_update",
 ]
 
 
@@ -64,7 +64,7 @@ class Plan:
     op:
         Operation kind (``"mxm"``, ``"mxv"``, ``"vxm"``, ``"ewise_add"``,
         ``"ewise_mult"``, ``"apply"``, ``"select"``, ``"assign"``,
-        ``"assign_scalar"``, ``"bfs_step"``).
+        ``"assign_scalar"``, ``"update"``).
     out:
         Output object, or ``None`` to return raw arrays / a scalar.
     args:
@@ -83,11 +83,11 @@ class Plan:
         Fused consumers, applied in order to the kernel's output arrays.
     meta:
         Planner scratch: rules that *decline* a plan leave their decision
-        detail here so the eventual telemetry event carries it (e.g. the
+        detail here so the eventual decision record carries it (e.g. the
         masked-mxm chooser's probe/flop estimates survive into the
-        fallback rule's event).  Keys starting with ``_`` are private
+        fallback rule's record).  Keys starting with ``_`` are private
         bookkeeping (builder operands, rule work arrays) and never reach
-        telemetry events.
+        decision records.
     """
 
     op: str
@@ -136,7 +136,7 @@ class Plan:
         return f"complement-{kind}" if m.complemented else kind
 
     def describe(self) -> dict:
-        """Compact telemetry payload describing the call shape."""
+        """Compact decision-record payload describing the call shape."""
         opname = getattr(self.operator, "name", None)
         return {
             "op": self.op,
@@ -280,19 +280,3 @@ def plan_assign_scalar(w, value, indices=None, *, mask=None, accum=None,
     """``w⟨m⟩(i)⊙= s`` — scalar assign to a sub-range (or everywhere)."""
     return Plan("assign_scalar", w, (), value, mask=as_mask(mask),
                 accum=accum, replace=replace, meta={"_indices": indices})
-
-
-def plan_bfs_step(frontier_edges: float, unexplored_edges: float,
-                  frontier_nvals: int, n: int) -> Plan:
-    """One frontier-expansion step of a direction-optimised traversal.
-
-    A *planning-only* plan: executing it returns ``"push"`` or ``"pull"``
-    (the Beamer chooser routed through the rule registry, so the decision
-    is forceable and telemetry-observable like every other planner rule).
-    """
-    return Plan("bfs_step", None, (), None, meta={
-        "frontier_edges": float(frontier_edges),
-        "unexplored_edges": float(unexplored_edges),
-        "frontier_nvals": int(frontier_nvals),
-        "n": int(n),
-    })

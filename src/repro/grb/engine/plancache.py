@@ -32,13 +32,11 @@ arrays, so feed reuse is keyed exactly: every operand of the plan,
 including the mask's object and the output, contributes its signature.
 Version keys make invalidation implicit; an entry whose shape matches but
 whose versions moved is overwritten (counted as an invalidation).
-Decision-only plans (``bfs_step``), whose *result* is the decision, are
-never cached.
 
 Counters (hits / misses / invalidations) are process-global and surfaced
-as ``grb.telemetry`` events — each cached dispatch's decision event
-carries ``plan_cache: "hit" | "miss"``, and invalidations emit their own
-``op="plancache"`` event.
+in the decision records (:func:`repro.obs.decision`) — each cached
+dispatch's record carries ``plan_cache: "hit" | "miss"``, and
+invalidations emit their own ``op="plancache"`` record.
 """
 
 from __future__ import annotations
@@ -50,7 +48,8 @@ from typing import Optional
 
 from ...obs import identity as _identity
 from ...obs import metrics as _metrics
-from .. import telemetry
+from ...obs import profile as _profile
+from .. import pool as _pool
 from . import cost
 
 __all__ = ["CacheEntry", "PlanCacheStats", "shape_key", "lookup", "store",
@@ -67,8 +66,7 @@ _EVENTS = _metrics.counter(
 #: counting, flop sampling, mask coordinate splits, live-row scans — all
 #: O(nnz)) dwarfs a cache probe.  Every other kind's ``applies`` chain is
 #: a handful of scalar checks, so keying it would cost more than it
-#: saves — and ``bfs_step`` must never be cached at all (its *result* is
-#: the decision).
+#: saves.
 CACHEABLE_OPS = frozenset({"mxm"})
 
 #: Private ``plan.meta`` keys holding rule-computed operand feeds that are
@@ -130,20 +128,23 @@ _invalidations = 0
 
 
 def _cost_fingerprint() -> tuple:
-    """The cost-model constants the cacheable rules consult.
+    """Everything besides the plan itself that decides which ``mxm`` rule
+    claims: the cost-model constants the rules consult and whether the
+    worker pool is up (the pool rules claim first when it is).
 
     Part of every key: a decision cached under one tuning must never be
     served under another — the parity suite *forces* paths by
     monkeypatching these, and a stale pin would silently measure the wrong
-    kernel.  The telemetry-active bit rides along because decision details
-    carry extra (exact-flop) fields only when a hook is installed.
+    kernel.  The deep-profiling bit rides along because cached decision
+    details carry the exact-flop field only when the profiler, which
+    re-judges them, was on at analysis time.
     """
-    return (cost.DOT_ENABLED, cost.MASK_RESTRICT_ENABLED,
-            cost.FUSION_ENABLED, cost.DOT_PROBE_COST, cost.SCIPY_FLOP_COST,
+    return (cost.FUSION_ENABLED, cost.DOT_PROBE_COST, cost.SCIPY_FLOP_COST,
             cost.EXPAND_FLOP_COST, cost.FLOP_SAMPLE, cost.MASKED_MIN_NNZ,
             cost.LIVE_ROW_FRACTION, cost.DOT_WRITE_COST,
             cost.FALLBACK_WRITE_COST, cost.DENSE_PULL_FRACTION,
-            telemetry.active())
+            cost.POOL_MIN_WORK, _pool.pool_enabled(),
+            _profile.deep_active())
 
 
 def _operand_sig(obj):
@@ -231,18 +232,16 @@ def lookup(key) -> Optional[CacheEntry]:
         _EVENTS.labels("miss").inc()
         if invalidated is not None:
             _EVENTS.labels("invalidate").inc()
-    # the user hook runs OUTSIDE the lock: a hook that itself dispatches
-    # (or reads stats()) must never re-enter it
-    if invalidated is not None and telemetry.active():
+    if invalidated is not None and _profile.deciding():
         # graph/shape_key make serve-side invalidation storms attributable:
         # the graph label is the registered owner of an operand identity in
         # the shape, the shape key a stable fingerprint for correlating
-        # repeated invalidations of one plan shape across events
-        telemetry.record({"op": "plancache", "event": "invalidate",
-                          "plan_op": shape[0], "rule": invalidated.rule,
-                          "graph": invalidated.graph,
-                          "shape_key": format(hash(shape) & 0xFFFFFFFFFFFF,
-                                              "012x")})
+        # repeated invalidations of one plan shape across records
+        _profile.decision({"op": "plancache", "event": "invalidate",
+                           "plan_op": shape[0], "rule": invalidated.rule,
+                           "graph": invalidated.graph,
+                           "shape_key": format(hash(shape) & 0xFFFFFFFFFFFF,
+                                               "012x")})
     return None
 
 

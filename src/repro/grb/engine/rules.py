@@ -5,15 +5,15 @@ rule list registered for its operation kind.  A rule inspects the plan
 (operand formats, mask kind, the cost model in
 :mod:`repro.grb.engine.cost`) and either *claims* it — returning a decision
 detail dict — or declines with ``None``.  The first claiming rule executes
-the plan; its name and detail become one :mod:`repro.grb.telemetry`
-decision event, so every chooser in the system is observable through the
-same hook.
+the plan; its name and detail become one decision record delivered to
+:func:`repro.obs.decision`, so every chooser in the system is observable
+through the same trace collector and profiler table.
 
 Rules are tried in registration order, most-specialised first; the last
 rule for each kind is an always-applicable reference strategy, so dispatch
 cannot fall through.  A rule that declines may stash partial analysis in
 ``plan.meta`` (e.g. the masked-mxm chooser's probe/flop counts) — dispatch
-merges it into whichever event is eventually emitted.
+merges it into whichever record is eventually emitted.
 
 Forcing
 -------
@@ -37,7 +37,6 @@ from ...obs import metrics as _metrics
 from ...obs import profile as _profile
 from ...obs import trace as _trace
 from ...testing import faults as _faults
-from .. import telemetry
 from .. import cancel as _cancel
 from . import cost, plancache
 from .plan import Plan
@@ -69,7 +68,7 @@ class Rule:
 
 
 _REGISTRY: Dict[str, List[Rule]] = {}
-# context-local like the telemetry hook: a force_rule block in one request
+# context-local like the trace sink: a force_rule block in one request
 # or thread can never reroute the plans of another (and nested blocks
 # restore cleanly — each block snapshots an immutable mapping)
 _forced_var: ContextVar[Mapping[str, str]] = ContextVar(
@@ -113,7 +112,6 @@ def force_rule(op: str, name: str):
 
 
 def _emit(plan: Plan, rule_name: str, detail: dict, cached=None):
-    # obs: gated-by-caller (every call site guards on telemetry.active())
     event = plan.describe()
     event.update(plan.meta)
     event.update(detail)
@@ -121,35 +119,36 @@ def _emit(plan: Plan, rule_name: str, detail: dict, cached=None):
     if cached is not None:
         event["plan_cache"] = cached
     # private planner scratch (underscore keys: builder operands,
-    # rule work arrays) never belongs in an event
+    # rule work arrays) never belongs in a record
     for k in [k for k in event if k.startswith("_")]:
         del event[k]
-    telemetry.record(event)
+    _profile.decision(event)  # obs: gated-by-caller (_claim's ``decide`` is dispatch's one read of the obs gates)
 
 
-def _claim(plan: Plan, *, cache_key):
+def _claim(plan: Plan, forced: Optional[str], cache_key, decide: bool):
     """Find the claiming rule; returns ``(rule, detail)``.
 
-    Consults the keyed plan cache first (unless a rule is forced for this
-    kind): on a hit the cached decision's operand feeds are re-attached to
-    ``plan.meta`` and no ``applies`` chain runs at all; on a miss the
-    claiming rule's decision and feeds are stored for the next identical
-    dispatch.
+    Consults the keyed plan cache first (``cache_key`` is ``None`` for an
+    uncacheable or pinned plan): on a hit the cached decision's operand
+    feeds are re-attached to ``plan.meta`` and no ``applies`` chain runs
+    at all; on a miss the claiming rule's decision and feeds are stored
+    for the next identical dispatch.  ``decide`` is the caller's reading
+    of :func:`repro.obs.deciding` — the decision record is built only when
+    something consumes it.
     """
     try:
         rules = _REGISTRY[plan.op]
     except KeyError:
         raise PlanningError(f"no rules registered for op {plan.op!r}") \
             from None
-    forced = _forced_var.get().get(plan.op)
-    if cache_key is not None and forced is None:
+    if cache_key is not None:
         hit = plancache.lookup(cache_key)
         if hit is not None:
             rule = next((r for r in rules if r.name == hit.rule), None)
             if rule is not None:
                 plan.meta.update(hit.feeds)
                 detail = dict(hit.detail)
-                if telemetry.active():
+                if decide:
                     _emit(plan, rule.name, detail, cached="hit")
                 return rule, detail
     for rule in rules:
@@ -161,26 +160,29 @@ def _claim(plan: Plan, *, cache_key):
                 raise PlanningError(
                     f"forced rule {forced!r} declined plan {plan.op!r}")
             continue
-        if cache_key is not None and forced is None:
+        if cache_key is not None:
             feeds = {k: plan.meta[k] for k in plancache.FEED_KEYS
                      if k in plan.meta}
             plancache.store(cache_key, rule.name, detail, feeds)
-        if telemetry.active():
+        if decide:
             _emit(plan, rule.name, detail,
                   cached="miss" if cache_key is not None else None)
         return rule, detail
     raise PlanningError(f"no rule claimed plan {plan.op!r}")
 
 
-def _cache_key(plan: Plan):
-    if cost.PLAN_CACHE_ENABLED and plan.op in plancache.CACHEABLE_OPS:
+def _cache_key(plan: Plan, forced: Optional[str]):
+    """The plan-cache key, or ``None``: a pinned kind neither reads nor
+    feeds the cache."""
+    if (forced is None and cost.PLAN_CACHE_ENABLED
+            and plan.op in plancache.CACHEABLE_OPS):
         return plancache.shape_key(plan)
     return None
 
 
-def _run_rule(plan: Plan, rule: Rule, detail: dict):
+def _run_rule(plan: Plan, rule: Rule, detail: dict, deep: bool):
     """Execute the claiming rule, timing it when deep profiling is on."""
-    if not _profile.deep_active():
+    if not deep:
         return rule.run(plan, detail)
     nnz_in = sum(int(getattr(a, "nvals", 0) or 0) for a in plan.args)
     cpu0 = time.process_time()
@@ -194,7 +196,7 @@ def _run_rule(plan: Plan, rule: Rule, detail: dict):
 
 
 def _feed_pickup(plan: Plan, cache_key) -> None:
-    if cache_key is not None and _forced_var.get().get(plan.op) is None:
+    if cache_key is not None:
         # post-run feed pickup: some feeds (the dot kernel's probe
         # resolution) are produced by the run itself
         feeds = {k: plan.meta[k] for k in plancache.FEED_KEYS
@@ -208,10 +210,12 @@ def dispatch(plan: Plan):
 
     Observability: every dispatch bumps ``grb_dispatch_total{op, rule}``;
     with a trace sink installed the dispatch becomes a ``plan:<op>`` span
-    wrapping a ``plan-choose`` span (cache probe + ``applies`` chain) and
-    a ``kernel:<rule>`` span (the rule's execution, epilogues and
-    write-back included — :func:`repro.grb.engine.executors.finish` opens
-    child spans for those stages).
+    wrapping a ``plan-choose`` span (cache probe + ``applies`` chain, and
+    the decision record attached to it) and a ``kernel:<rule>`` span (the
+    rule's execution, epilogues and write-back included —
+    :func:`repro.grb.engine.executors.finish` opens child spans for those
+    stages).  The two obs gates (trace sink, deep profiling) are each read
+    once here and handed down.
 
     Resilience: dispatch is a cooperative cancellation checkpoint (a
     deadline-carrying serve request aborts here between kernel steps,
@@ -222,23 +226,25 @@ def dispatch(plan: Plan):
     _cancel.checkpoint()
     if _faults.ACTIVE:
         _faults.fire("kernel", op=plan.op)
-    cache_key = _cache_key(plan)
+    forced = _forced_var.get().get(plan.op)
+    cache_key = _cache_key(plan, forced)
+    deep = _profile.deep_active()
     if _trace.active():
         with _trace.span("plan:" + plan.op, cat="plan", op=plan.op) as sp:
             with _trace.span("plan-choose", cat="plan"):
-                rule, detail = _claim(plan, cache_key=cache_key)
+                rule, detail = _claim(plan, forced, cache_key, True)
             sp.set(rule=rule.name)
             if _metrics.ENABLED:
                 _DISPATCHES.labels(plan.op, rule.name).inc()
             with _trace.span("kernel:" + rule.name, cat="kernel",
                              op=plan.op):
-                out = _run_rule(plan, rule, detail)
+                out = _run_rule(plan, rule, detail, deep)
             _feed_pickup(plan, cache_key)
             return out
-    rule, detail = _claim(plan, cache_key=cache_key)
+    rule, detail = _claim(plan, forced, cache_key, deep)
     if _metrics.ENABLED:
         _DISPATCHES.labels(plan.op, rule.name).inc()
-    out = _run_rule(plan, rule, detail)
+    out = _run_rule(plan, rule, detail, deep)
     _feed_pickup(plan, cache_key)
     return out
 
@@ -251,5 +257,7 @@ def analyze(plan: Plan) -> str:
     *decisions* (not just operand state): the analysed plan's cache entry
     makes the first real dispatch of the same shape a hit.
     """
-    rule, _ = _claim(plan, cache_key=_cache_key(plan))
+    forced = _forced_var.get().get(plan.op)
+    rule, _ = _claim(plan, forced, _cache_key(plan, forced),
+                     _profile.deciding())
     return rule.name

@@ -20,9 +20,8 @@ everything it transitively depends on, in record order — is handed to the
 engine as one :class:`~repro.grb.engine.multiplan.MultiPlan`, which may
 apply **multi-output fusion rules** (two consumers of one producer run in
 the producer's single output pass) before dispatching node by node.  With
-:data:`repro.grb.engine.cost.FUSION_ENABLED` (or
-``cost.MULTI_FUSION_ENABLED``) off, the same DAG decomposes into the
-bit-identical call-at-a-time sequence.
+:data:`repro.grb.engine.cost.FUSION_ENABLED` off, the same DAG decomposes
+into the bit-identical call-at-a-time sequence.
 
 Dependency tracking is exact: a node depends on the pending producers of
 every operand it reads (its arguments, its mask's object, and its own
@@ -65,7 +64,7 @@ __all__ = ["Deferred", "ExprGraph", "deferred", "evaluate", "submit",
 
 _PENDING, _DONE, _DISCARDED = 0, 1, 2
 
-# Context-local like the telemetry hook and force_rule: a deferred scope in
+# Context-local like the trace sink and force_rule: a deferred scope in
 # one request/thread never captures the calls of another.
 _scope_var: ContextVar[Optional["ExprGraph"]] = ContextVar(
     "repro_grb_expr_scope", default=None)

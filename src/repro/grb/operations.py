@@ -18,7 +18,7 @@ call records into the expression DAG instead and returns a
 themselves — the dot3 masked SpGEMM, the SciPy dense paths, the bitmap
 merges, the gather references — live in
 :mod:`repro.grb.engine.executors`; their decisions are observable through
-:mod:`repro.grb.telemetry`, forceable through the cost constants (or
+:func:`repro.obs.decision` records, forceable through the cost constants (or
 :func:`repro.grb.engine.force_rule`), and memoized across repeated
 identical dispatches by the keyed plan cache
 (:mod:`repro.grb.engine.plancache`).

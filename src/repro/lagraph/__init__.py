@@ -19,7 +19,6 @@ from .algorithms import (
     bfs_level,
     bfs_parent_auto,
     bfs_parent_do,
-    bfs_parent_fused,
     bfs_parent_push,
     betweenness_centrality,
     betweenness_centrality_batch,
@@ -55,7 +54,7 @@ __all__ = [
     "Graph", "Kind", "ADJACENCY_DIRECTED", "ADJACENCY_UNDIRECTED",
     "kind_name", "BOOLEAN_UNKNOWN",
     "algorithms", "experimental", "utils", "compat",
-    "bfs", "bfs_level", "bfs_parent_auto", "bfs_parent_do", "bfs_parent_fused",
+    "bfs", "bfs_level", "bfs_parent_auto", "bfs_parent_do",
     "bfs_parent_push",
     "betweenness_centrality", "betweenness_centrality_batch",
     "connected_components", "fastsv",

@@ -16,7 +16,7 @@ Every algorithm comes in the two user modes of Sec. II-B:
 
 from .bc import betweenness_centrality, betweenness_centrality_batch
 from .bfs import (bfs, bfs_level, bfs_parent_auto, bfs_parent_do,
-                  bfs_parent_fused, bfs_parent_push)
+                  bfs_parent_push)
 from .cc import connected_components, fastsv
 from .msbfs import msbfs, msbfs_levels, msbfs_parents
 from .pagerank import pagerank, pagerank_gap, pagerank_gx
@@ -29,7 +29,7 @@ from .tc import (
 )
 
 __all__ = [
-    "bfs", "bfs_level", "bfs_parent_auto", "bfs_parent_do", "bfs_parent_fused",
+    "bfs", "bfs_level", "bfs_parent_auto", "bfs_parent_do",
     "bfs_parent_push",
     "betweenness_centrality", "betweenness_centrality_batch",
     "connected_components", "fastsv",

@@ -5,18 +5,23 @@ The parent BFS rests on the ``any.secondi`` semiring: one ``vxm`` computes
 selection (``secondi`` yields the id of the frontier node that discovered
 each neighbour) and de-duplication (``any`` resolves the benign race by
 picking one parent) in a single step.  The follow-up
-``p⟨s(q)⟩ = q`` writes the new parents.
+``p⟨s(q)⟩ = q`` writes the new parents.  Algorithms 1 and 2 share one
+sweep whose level body records that pair into a
+:func:`repro.grb.deferred` scope — the non-blocking mode the paper
+anticipates (Sec. VI-B, item 2): the scope's flush hands the pair to the
+engine as a MultiPlan, where the ``fused-frontier-parent`` rule runs the
+expansion and the parent update in the producing kernel's single output
+pass.  With ``cost.FUSION_ENABLED`` off each level decomposes into
+exactly the two calls, the bit-identity oracle.
 
 Direction optimisation (Alg. 2): a *push* step costs the total out-degree
 of the frontier; a *pull* step (``AT any.secondi q`` restricted to the
 unvisited rows by the complemented structural mask) costs the total
 in-degree of the unvisited set.  The per-level push/pull decision is the
-Beamer-style heuristic the GAP benchmark uses, now resident in the
-execution engine's rule registry
-(:func:`repro.grb.engine.choose_direction`; constants
+Beamer-style heuristic the GAP benchmark uses, resident in the execution
+engine's cost model (:func:`repro.grb.engine.choose_direction`; constants
 ``PUSHPULL_ALPHA`` / ``PUSHPULL_BETA`` in :mod:`repro.grb.engine.cost`),
-so it is forceable and telemetry-observable like every other planner
-decision.
+so it is forceable and observable like every other planner decision.
 
 Advanced entry points follow Sec. II-B strictly: they never compute cached
 properties (``bfs_parent`` with ``direction_optimizing=True`` demands a
@@ -26,19 +31,18 @@ entry point computes whatever it needs and caches it on the graph.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ... import grb
 from ...grb import Vector, complement, engine, structure
 from ...grb import cancel as _cancel
-from ...grb.engine import cost as _cost
 from ..errors import PropertyMissing
 from ..graph import Graph
 
 __all__ = ["bfs", "bfs_parent_push", "bfs_parent_do", "bfs_parent_auto",
-           "bfs_parent_fused", "bfs_level"]
+           "bfs_level"]
 
 _ANY_SECONDI = grb.semiring("any", "secondi")
 _ANY_PAIR = grb.semiring("any", "pair")
@@ -50,6 +54,40 @@ def _check_source(g: Graph, source: int):
             f"source {source} out of range [0, {g.n})")
 
 
+def _parent_sweep(g: Graph, source: int,
+                  pull: Optional[Callable[[Vector], bool]] = None) -> Vector:
+    """The level loop of Alg. 1 and Alg. 2.
+
+    Each level expands the frontier ``q`` into the unvisited set — by
+    ``AT any.secondi q`` when ``pull(q)`` says so, else by
+    ``q any.secondi A`` — and writes the new parents, as one deferred pair.
+    """
+    a = g.A
+    n = g.n
+    p = Vector(grb.INT64, n)
+    q = Vector(grb.INT64, n)
+    p[source] = source
+    q[source] = source
+    # masks hold object references, not snapshots: resolution happens at
+    # execution time against the level's current state, so both can be
+    # hoisted out of the loop
+    unvisited = complement(structure(p))
+    s_q = structure(q)
+    for _level in range(1, n):
+        _cancel.checkpoint()        # deadline/cancel at the level boundary
+        pulling = pull is not None and pull(q)
+        with grb.deferred():
+            if pulling:
+                grb.mxv(q, g.AT, q, _ANY_SECONDI, mask=unvisited,
+                        replace=True)
+            else:
+                grb.vxm(q, q, a, _ANY_SECONDI, mask=unvisited, replace=True)
+            grb.update(p, q, mask=s_q)
+        if q.nvals == 0:
+            break
+    return p
+
+
 def bfs_parent_push(g: Graph, source: int) -> Vector:
     """Alg. 1 — push-only parents BFS (Advanced mode; needs nothing cached).
 
@@ -57,20 +95,7 @@ def bfs_parent_push(g: Graph, source: int) -> Vector:
     ``v``, with ``p[source] == source``; unreached nodes have no entry.
     """
     _check_source(g, source)
-    a = g.A
-    n = g.n
-    p = Vector(grb.INT64, n)
-    q = Vector(grb.INT64, n)
-    p[source] = source
-    q[source] = source
-    for _level in range(1, n):
-        _cancel.checkpoint()        # deadline/cancel at the level boundary
-        grb.vxm(q, q, a, _ANY_SECONDI,
-                mask=complement(structure(p)), replace=True)
-        if q.nvals == 0:
-            break
-        grb.update(p, q, mask=structure(q))
-    return p
+    return _parent_sweep(g, source)
 
 
 def bfs_parent_do(g: Graph, source: int) -> Vector:
@@ -85,34 +110,19 @@ def bfs_parent_do(g: Graph, source: int) -> Vector:
         raise PropertyMissing("bfs_parent_do requires cached G.AT")
     if g.row_degree is None:
         raise PropertyMissing("bfs_parent_do requires cached G.row_degree")
-    a = g.A
-    at = g.AT
-    n = g.n
     out_deg = g.row_degree.to_dense()
     total_edges = float(out_deg.sum())
+    scanned = 0.0
 
-    p = Vector(grb.INT64, n)
-    q = Vector(grb.INT64, n)
-    p[source] = source
-    q[source] = source
-    scanned = float(out_deg[source])
-    for _level in range(1, n):
-        _cancel.checkpoint()        # deadline/cancel at the level boundary
+    def pull(q: Vector) -> bool:
+        nonlocal scanned
         frontier_edges = float(out_deg[q.indices].sum())
-        unexplored = max(total_edges - scanned, 0.0)
-        push = engine.choose_direction(frontier_edges, unexplored,
-                                       q.nvals, n) == "push"
-        if push:
-            grb.vxm(q, q, a, _ANY_SECONDI,
-                    mask=complement(structure(p)), replace=True)
-        else:
-            grb.mxv(q, at, q, _ANY_SECONDI,
-                    mask=complement(structure(p)), replace=True)
-        if q.nvals == 0:
-            break
-        scanned += float(out_deg[q.indices].sum())
-        grb.update(p, q, mask=structure(q))
-    return p
+        scanned += frontier_edges       # edges out of every frontier so far
+        return engine.choose_direction(
+            frontier_edges, max(total_edges - scanned, 0.0),
+            q.nvals, g.n) == "pull"
+
+    return _parent_sweep(g, source, pull)
 
 
 def bfs_parent_auto(g: Graph, source: int) -> Vector:
@@ -186,46 +196,6 @@ def bfs_parent_auto(g: Graph, source: int) -> Vector:
     return Vector.from_coo(reached, parent_dense[reached], n)
 
 
-def bfs_parent_fused(g: Graph, source: int) -> Vector:
-    """The fused frontier step the paper anticipates (Sec. VI-B, item 2).
-
-    The spec's non-blocking mode lets an implementation run ``GrB_vxm``
-    and the follow-up parent assign as one pass.  This variant *is* that
-    mode: each level records the two calls of Alg. 1 into a
-    :func:`repro.grb.deferred` scope, and the scope's flush hands the pair
-    to the engine as a MultiPlan, where the ``fused-frontier-parent``
-    multi-output rule executes the frontier expansion and the parent
-    update in the producing kernel's single output pass — no intermediate
-    masked write-back for ``q``, no second mask resolution for ``p``.
-    (Earlier revisions hand-fused the two calls outside the plan layer;
-    the engine rule replaces that.)  Results are identical to
-    :func:`bfs_parent_push` — with ``cost.FUSION_ENABLED`` or
-    ``cost.MULTI_FUSION_ENABLED`` off, each level decomposes into exactly
-    that two-call sequence; the ablation benchmark measures what the
-    fusion buys.
-    """
-    _check_source(g, source)
-    a = g.A
-    n = g.n
-    p = Vector(grb.INT64, n)
-    q = Vector(grb.INT64, n)
-    p[source] = source
-    q[source] = source
-    # masks hold object references, not snapshots: resolution happens at
-    # execution time against the level's current state, so both can be
-    # hoisted out of the loop
-    unvisited = complement(structure(p))
-    s_q = structure(q)
-    for _level in range(1, n):
-        _cancel.checkpoint()        # deadline/cancel at the level boundary
-        with grb.deferred():
-            grb.vxm(q, q, a, _ANY_SECONDI, mask=unvisited, replace=True)
-            grb.update(p, q, mask=s_q)
-        if q.nvals == 0:
-            break
-    return p
-
-
 def bfs_level(g: Graph, source: int) -> Vector:
     """Level BFS: ``level[v]`` = BFS depth from the source (source = 0).
 
@@ -259,18 +229,15 @@ def bfs(g: Graph, source: int, *,
     variant needs, picks the variant, and returns ``(parent, level)``
     vectors (``None`` for whichever was not requested).
 
-    ``direction_optimizing=None`` lets the heuristic decide (it opts in for
-    graphs with enough edges to amortise the transpose); ``True``/``False``
-    force the choice.
+    Parents come from :func:`bfs_parent_auto` — which, transpose and
+    degree caching included, beats the push-only sweep on every input
+    measured, low-degree ones too — unless ``direction_optimizing=False``
+    forces push-only.
     """
     _check_source(g, source)
     p = lv = None
     if parent:
-        use_do = direction_optimizing
-        if use_do is None:
-            # dense enough for pull (and the transpose build) to pay off
-            use_do = g.nvals >= _cost.BFS_DO_MIN_AVG_DEGREE * g.n
-        if use_do:
+        if direction_optimizing is None or direction_optimizing:
             g.cache_at()          # Basic mode may compute properties
             g.cache_row_degree()
             p = bfs_parent_auto(g, source)

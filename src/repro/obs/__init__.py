@@ -22,11 +22,15 @@ locked):
       obs.report()
 
   exact wall/CPU/nnz/bytes per kernel and per rule, plus chooser
-  misprediction rates judged from the telemetry decision stream.
+  misprediction rates judged from the planner's decision records.
+
+Planner decisions have one channel: sites gated on :func:`deciding` hand
+one dict per decision to :func:`decision`; read them back with
+``trace.decisions()`` or, aggregated, ``profile.decision_table()``.
 
 This package is standalone: it never imports :mod:`repro.grb` at module
-level (``grb.telemetry`` imports *it*), so it is importable from any
-layer without cycles.  See ``docs/OBSERVABILITY.md`` for the full schema
+level (the engine imports *it*), so it is importable from any layer
+without cycles.  See ``docs/OBSERVABILITY.md`` for the full schema
 and cost model.
 """
 
@@ -35,14 +39,16 @@ from __future__ import annotations
 from . import export, http, identity, memory, metrics, profile, trace
 from .export import json_snapshot, prometheus_text
 from .http import TraceRing, start_server
-from .profile import deep_active, memory_active, profiled, profiling
+from .profile import (deciding, decision, deep_active, memory_active,
+                      profiled, profiling)
 from .report import report
-from .trace import TraceCollector, instant, span, tracing
+from .trace import TraceCollector, instant, propagate, span, tracing
 
 __all__ = [
     "metrics", "trace", "profile", "export", "identity", "memory", "http",
-    "span", "instant", "tracing", "TraceCollector",
+    "span", "instant", "tracing", "propagate", "TraceCollector",
     "profiling", "profiled", "deep_active", "memory_active",
+    "deciding", "decision",
     "prometheus_text", "json_snapshot",
     "TraceRing", "start_server",
     "report", "reset",

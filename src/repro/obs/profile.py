@@ -1,29 +1,32 @@
 """Deep kernel profiling: wall + CPU time, nnz, chooser mispredictions.
 
-Two cost tiers, mirroring the telemetry design:
+Two cost tiers:
 
 * **Off** (default): every :func:`profiled` kernel pays one ``ContextVar``
   read; nothing else happens.
-* **On** (inside a :func:`profiling` block, context-local like the
-  telemetry hook): kernel wrappers measure wall (``perf_counter``) and CPU
+* **On** (inside a :func:`profiling` block, context-local like the trace
+  sink): kernel wrappers measure wall (``perf_counter``) and CPU
   (``process_time``) time plus input/output nnz and bytes, rule dispatches
-  report per-rule timings, and decision events stream in through
-  :func:`on_event` — chooser decisions carrying exact work counts are
+  report per-rule timings, and planner decision records arrive through
+  :func:`decision` — chooser decisions carrying exact work counts are
   re-judged against the cost model, so the aggregate tables report a
   **misprediction rate** per rule, not just call counts.
 
-While profiling is active, ``grb.telemetry.active()`` reports True even
-with no hook installed: the decision events (and the exact-flop fields
-they gate) are materialised for the profiler sink instead.
+Decision records have one channel and one gate: a call site builds its
+dict only under :func:`deciding` (a trace sink *or* deep profiling is
+installed in this context) and hands it to :func:`decision`, which
+attaches it to the collector and folds it into the decision table.  The
+exact-count fields some records carry (``expand_flops``) cost O(nnz) and
+are gated on :func:`deep_active` alone — only the profiler re-judges.
 
 Aggregation is process-global and locked: concurrent profiled requests
 merge into one set of tables, read via :func:`kernel_table`,
 :func:`rule_table` and :func:`decision_table` (or the combined
 ``obs.report()``).
 
-This module must stay importable before :mod:`repro.grb` exists —
-``grb.telemetry`` imports it — so the cost model is imported lazily,
-inside the one function that needs it.
+This module must stay importable before :mod:`repro.grb` exists — the
+engine imports it — so the cost model is imported lazily, inside the one
+function that needs it.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from typing import Dict, Optional
 
 from . import trace as _trace
 
-__all__ = ["deep_active", "memory_active", "profiling", "profiled",
-           "record_kernel", "record_rule", "on_event", "kernel_table",
-           "rule_table", "decision_table", "reset"]
+__all__ = ["deep_active", "memory_active", "deciding", "decision",
+           "profiling", "profiled", "record_kernel", "record_rule",
+           "kernel_table", "rule_table", "decision_table", "reset"]
 
 _deep_var: ContextVar[bool] = ContextVar("repro_obs_deep", default=False)
 _mem_var: ContextVar[bool] = ContextVar("repro_obs_deep_mem", default=False)
@@ -50,6 +53,13 @@ def deep_active() -> bool:
     """Whether deep profiling is on in this context (kernel wrappers and
     expensive-field computation gate on this)."""
     return _deep_var.get()
+
+
+def deciding() -> bool:
+    """Whether anything in this context consumes planner decision records
+    (a trace sink or deep profiling) — the one predicate every site that
+    builds a record for :func:`decision` gates on."""
+    return _trace.active() or _deep_var.get()
 
 
 def memory_active() -> bool:
@@ -190,20 +200,23 @@ def reset() -> None:
 
 
 # ---------------------------------------------------------------------------
-# telemetry bridge
+# decision records
 # ---------------------------------------------------------------------------
 
-def on_event(event: dict) -> None:
-    """Fold one ``grb.telemetry`` decision event into the decision table.
+def decision(event: dict) -> None:
+    """Deliver one planner decision record: attached to the open span of
+    this context's trace collector, and — under deep profiling — folded
+    into the decision table.  Callers gate on :func:`deciding`.
 
-    ``mxm`` chooser events carrying exact work counts are re-judged: the
+    ``mxm`` chooser records carrying exact work counts are re-judged: the
     cost model is re-run on the recorded counts, and a decision whose
     chosen method differs from the judged ideal counts as a misprediction
     (the pattern ``benchmarks/bench_ablation_tc_methods.py`` established,
     running continuously instead of per-benchmark).
     """
+    _trace.decision(event)
     rule = event.get("rule")
-    if rule is None:
+    if rule is None or not _deep_var.get():
         return
     op = event.get("op", "?")
     verdict: Optional[bool] = None
@@ -266,8 +279,8 @@ def profiled(name: str):
 
     Inactive cost is one ``ContextVar`` read; active cost adds two clock
     pairs and the nnz/bytes scans of the positional array arguments —
-    exact per-call input/output work, gated exactly like telemetry's
-    expensive event fields.
+    exact per-call input/output work, gated exactly like the decision
+    records' exact-count fields.
     """
     def deco(fn):
         @functools.wraps(fn)

@@ -4,12 +4,15 @@ A *span* is a named, timed interval with a parent: together they form the
 tree of one request's execution — ``plan:mxm`` → ``plan-choose`` →
 ``kernel:mxm-masked-dot`` → ``epilogue:reduce_scalar`` → ``write``.  The
 current sink and the current span are both :mod:`contextvars`
-context-locals, exactly like the :mod:`repro.grb.telemetry` hook: with no
-sink installed, :func:`span` returns a shared no-op object and the hot
-path pays one ``ContextVar`` read; with one installed, spans record into a
-thread-safe :class:`TraceCollector` whose records export as Chrome
-trace-event JSON (load the file in Perfetto / ``chrome://tracing``) or
-JSONL.
+context-locals: with no sink installed, :func:`span` returns a shared
+no-op object and the hot path pays one ``ContextVar`` read; with one
+installed, spans record into a thread-safe :class:`TraceCollector` whose
+records export as Chrome trace-event JSON (load the file in Perfetto /
+``chrome://tracing``) or JSONL.  Planner decision records
+(:func:`repro.obs.decision`) land in the same collector, parented to the
+span that was open when the decision was made — ``plan-choose`` for a
+dispatch, ``multiplan`` for a fused group — and read back with
+:meth:`TraceCollector.decisions`.
 
 Context locality gives serve isolation for free: drain workers execute
 kernels under the submitting request's ``copy_context()`` snapshot
@@ -24,10 +27,13 @@ Usage::
         triangle_count(g)
     trace.to_chrome_trace()          # dict — json.dump it for Perfetto
     roots = trace.span_tree()        # nested {record, children} dicts
+    trace.decisions()                # the planner's decision dicts, in order
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import itertools
 import json
 import os
@@ -35,12 +41,16 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-__all__ = ["TraceCollector", "Span", "span", "instant", "tracing",
-           "active", "current_sink", "current_span_id"]
+__all__ = ["TraceCollector", "Span", "span", "instant", "decision",
+           "tracing", "propagate", "active", "current_sink",
+           "current_span_id"]
 
 _ids = itertools.count(1)
+
+#: Record name (and category) of a planner decision in a collector.
+DECISION = "decision"
 
 _sink_var: ContextVar[Optional["TraceCollector"]] = ContextVar(
     "repro_obs_trace_sink", default=None)
@@ -50,7 +60,7 @@ _span_var: ContextVar[Optional["Span"]] = ContextVar(
 
 def active() -> bool:
     """Whether a trace sink is installed in this context (call sites gate
-    attribute computation on this, like ``telemetry.active()``)."""
+    attribute computation on this)."""
     return _sink_var.get() is not None
 
 
@@ -107,6 +117,13 @@ class TraceCollector:
     def find(self, prefix: str) -> List[dict]:
         """All records whose name starts with ``prefix``."""
         return [r for r in self.records() if r["name"].startswith(prefix)]
+
+    def decisions(self, op: Optional[str] = None) -> List[dict]:
+        """The planner decision dicts delivered to this collector, in
+        delivery order (optionally only those of operation kind ``op``)."""
+        return [r["args"] for r in self.records()
+                if r["name"] == DECISION
+                and (op is None or r["args"].get("op") == op)]
 
     # ------------------------------------------------------------------
     # export
@@ -227,6 +244,20 @@ def span(name: str, cat: str = "engine", **attrs):
     return Span(sink, name, cat, attrs)
 
 
+def _add_instant(sink: TraceCollector, parent_id, name: str, cat: str,
+                 args: dict) -> None:
+    sink.add({
+        "type": "instant",
+        "name": name,
+        "cat": cat,
+        "ts": time.perf_counter(),
+        "span_id": next(_ids),
+        "parent_id": parent_id,
+        "tid": threading.get_ident(),
+        "args": args,
+    })
+
+
 def instant(name: str, cat: str = "engine", *, sink=None, parent_id=None,
             **attrs) -> None:
     """Record a zero-duration marker under the current span.
@@ -241,16 +272,16 @@ def instant(name: str, cat: str = "engine", *, sink=None, parent_id=None,
             return
         if parent_id is None:
             parent_id = current_span_id()
-    sink.add({
-        "type": "instant",
-        "name": name,
-        "cat": cat,
-        "ts": time.perf_counter(),
-        "span_id": next(_ids),
-        "parent_id": parent_id,
-        "tid": threading.get_ident(),
-        "args": attrs,
-    })
+    _add_instant(sink, parent_id, name, cat, attrs)
+
+
+def decision(record: dict) -> None:
+    """Attach one planner decision dict to the innermost open span of this
+    context's collector (nothing happens without one).  Call sites go
+    through :func:`repro.obs.decision`, which also feeds the profiler."""
+    sink = _sink_var.get()
+    if sink is not None:
+        _add_instant(sink, current_span_id(), DECISION, DECISION, record)
 
 
 @contextmanager
@@ -262,3 +293,38 @@ def tracing(collector: Optional[TraceCollector] = None):
         yield coll
     finally:
         _sink_var.reset(token)
+
+
+def propagate(fn: Callable) -> Callable:
+    """Wrap ``fn`` to run under a snapshot of the *caller's* context.
+
+    A plain ``threading.Thread`` starts with a fresh :mod:`contextvars`
+    context — no trace sink, by design — while serve drain workers run
+    each kernel under the submitting request's context snapshot.
+    ``propagate`` gives user-managed threads the same opt-in: the snapshot
+    is taken here, at wrapping time (i.e. on the submitting thread), and
+    every invocation of the wrapper runs under its own *copy* of that
+    snapshot, so concurrent calls never contend for one context (a
+    ``contextvars.Context`` cannot be entered twice) and sinks installed
+    inside ``fn`` never leak back out.
+
+    Usage::
+
+        with obs.tracing() as trace:
+            t = threading.Thread(target=obs.propagate(work))
+            t.start()          # work() reports into ``trace``
+
+    Works for any context-local state this package keeps — the trace
+    sink, deep profiling and :func:`repro.grb.engine.force_rule` pins
+    alike.  (Do not use it to share a live :func:`repro.grb.deferred`
+    scope across threads: an expression DAG is a single-threaded
+    recording structure.)
+    """
+    snapshot = contextvars.copy_context()
+
+    @functools.wraps(fn)
+    def runner(*args, **kwargs):
+        ctx = snapshot.run(contextvars.copy_context)  # fresh copy per call
+        return ctx.run(fn, *args, **kwargs)
+
+    return runner

@@ -47,7 +47,7 @@ class PendingRequest:
 
     ``ctx`` is the submitter's :mod:`contextvars` snapshot: drain workers
     execute kernels under it, so context-local state — in particular the
-    :mod:`repro.grb.telemetry` hook — follows the request onto the pool
+    :mod:`repro.obs` trace sink — follows the request onto the pool
     instead of leaking between concurrent submissions.
     """
 

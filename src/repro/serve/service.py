@@ -387,7 +387,7 @@ class GraphService:
     @staticmethod
     def _label_graph(name: str, graph: Graph) -> None:
         """Register the adjacency's plan signature under ``name`` so the
-        plan cache (and its invalidation telemetry) can attribute entries
+        plan cache (and its invalidation records) can attribute entries
         shaped from this graph's operands — including operands *derived*
         from the adjacency (``A.pattern().tril(-1)`` …), whose lineage
         signatures nest the registered identity."""
@@ -1148,8 +1148,9 @@ class GraphService:
         The cache is engine-global (every drain worker's dispatches share
         it), so this is a process-wide snapshot, not a per-service one —
         the serving analogue of ``stats()`` for planner decisions.  The
-        same counters stream as ``grb.telemetry`` events (``plan_cache``
-        field on decision events, ``op="plancache"`` invalidations).
+        same counters ride on the planner's decision records
+        (``plan_cache`` field, ``op="plancache"`` invalidations — see
+        :func:`repro.obs.decision`).
         """
         return engine.plancache.stats()
 

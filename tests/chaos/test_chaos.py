@@ -21,7 +21,7 @@ Knobs (read once at import, for the CI matrix):
     Builds services with ``isolation=False`` (no bisection).  The
     isolation tests then FAIL — CI runs this configuration expecting a
     non-zero exit, proving the suite actually detects broken isolation
-    (same pattern as ``bench_compare.py --inject-slowdown``).
+    (same pattern as ``bench.compare --selftest``).
 """
 
 import os

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import grb
-from repro.grb import engine, telemetry
+from repro import grb, obs
+from repro.grb import engine
 from repro.grb.engine import cost
 
 
@@ -42,13 +42,12 @@ def _run(a, u, sr_name, fused: bool):
     old = cost.FUSION_ENABLED
     cost.FUSION_ENABLED = fused
     try:
-        events = []
-        with telemetry.capture(events.append):
+        with obs.tracing() as trace:
             grb.mxv(w, a, u, grb.semiring_by_name(sr_name),
                     accum=grb.binary.PLUS)
     finally:
         cost.FUSION_ENABLED = old
-    return w, [e["rule"] for e in events if e.get("op") == "mxv"]
+    return w, [e["rule"] for e in trace.decisions("mxv")]
 
 
 @pytest.mark.parametrize("sr", ("plus.times", "plus.first", "plus.second",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import grb
+from repro import grb, obs
 from repro.grb import engine
 from repro.grb.engine import cost
 
@@ -50,8 +50,7 @@ def _mask_variants(mobj):
 def _seed(monkeypatch):
     """The pre-engine pipeline: reference rules, no masked engine, no
     fusion."""
-    monkeypatch.setattr(cost, "DOT_ENABLED", False)
-    monkeypatch.setattr(cost, "MASK_RESTRICT_ENABLED", False)
+    monkeypatch.setattr(cost, "MASKED_MIN_NNZ", float("inf"))
     monkeypatch.setattr(cost, "FUSION_ENABLED", False)
 
 
@@ -77,8 +76,10 @@ class TestRegistry:
         "assign": "assign-region",
         "assign_scalar": "assign-scalar-region",
         "update": "update-write",
-        "bfs_step": "bfs-pull",
     }
+
+    def test_decision_only_kind_is_gone(self):
+        assert engine.rules_for("bfs_step") == []
 
     def test_every_kind_ends_with_its_reference_rule(self):
         for kind, ref in self.REFERENCE_RULES.items():
@@ -103,7 +104,7 @@ class TestRegistry:
 
     def test_force_rule_is_context_local(self, rng):
         """A force_rule block in one thread never reroutes another thread's
-        plans (the pin lives in a ContextVar, like the telemetry hook)."""
+        plans (the pin lives in a ContextVar, like the trace sink)."""
         import threading
 
         a = _rand_matrix(rng, 12, 12)
@@ -420,103 +421,34 @@ class TestAlgorithmFusionParity:
     def test_bfs_direction_forcing(self, graphs, monkeypatch):
         from repro import lagraph as lg
         g = graphs["kron"]
+        g.cache_at()
+        g.cache_row_degree()
         ref = lg.bfs_parent_push(g, 0)
-        with engine.force_rule("bfs_step", "bfs-pull"):
-            assert lg.bfs_parent_auto(g, 0).isequal(ref)
-        # push forced through the cost constants (alpha=0 pushes while any
-        # edge is unexplored; the final drained level may still pull)
+
+        def directions(fn):
+            with obs.tracing() as trace:
+                assert fn(g, 0).isequal(ref)
+            return {e["direction"] for e in trace.decisions("bfs_step")}
+
+        # both thresholds at infinity: no level ever pushes
+        monkeypatch.setattr(cost, "PUSHPULL_ALPHA", float("inf"))
+        monkeypatch.setattr(cost, "PUSHPULL_BETA", float("inf"))
+        assert directions(lg.bfs_parent_auto) == {"pull"}
+        assert directions(lg.bfs_parent_do) == {"pull"}
+        # alpha=0 pushes while any edge is unexplored (the final drained
+        # level may still pull)
         monkeypatch.setattr(cost, "PUSHPULL_ALPHA", 0.0)
-        assert lg.bfs_parent_auto(g, 0).isequal(ref)
-
-
-class TestTelemetryDecisions:
-    def test_every_dispatch_emits_one_event(self, rng):
-        from repro.grb import telemetry
-        a = _rand_matrix(rng, 10, 10)
-        u = _rand_vector(rng, 10, density=0.9)
-        events = []
-        with telemetry.capture(events.append):
-            w = grb.Vector(grb.FP64, 10)
-            grb.mxv(w, a, u, grb.semiring_by_name("plus.times"))
-        assert len(events) == 1
-        e = events[0]
-        assert e["op"] == "mxv" and e["rule"].startswith("mxv-")
-        assert e["mask_kind"] == "none" and e["fused"] == 0
-
-    def test_bfs_step_decisions_observable(self):
-        from repro.grb import telemetry
-        events = []
-        with telemetry.capture(events.append):
-            assert engine.choose_direction(1.0, 1e9, 1, 1000) == "push"
-            assert engine.choose_direction(1e9, 1.0, 999, 1000) == "pull"
-        assert [e["direction"] for e in events] == ["push", "pull"]
-        assert all(e["op"] == "bfs_step" for e in events)
-
-    def test_context_local_hooks_do_not_leak_across_threads(self):
-        import threading
-
-        from repro.grb import telemetry
-        leaked = []
-        seen = []
-
-        def worker():
-            # fresh thread, fresh context: no hook installed here
-            assert not telemetry.active()
-            telemetry.record({"x": 1})     # must go nowhere
-
-        with telemetry.capture(leaked.append):
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-            telemetry.record({"mine": True})
-            seen = list(leaked)
-        assert seen == [{"mine": True}]
-
-    def test_serve_submissions_see_only_their_own_events(self):
-        """Two concurrent submitters with different hooks each observe
-        exactly their own query's planner decisions."""
-        import threading
-
-        from repro.gap import datasets
-        from repro.grb import telemetry
-        from repro.serve import GraphService, PageRank
-
-        g = datasets.build("kron", "tiny")
-        svc = GraphService(cache_capacity=0, max_workers=2)
-        svc.register("g", g)
-        out = {}
-        barrier = threading.Barrier(2)
-
-        def submit(tag, itermax):
-            events = []
-            with telemetry.capture(events.append):
-                barrier.wait()
-                fut = svc.submit("g", PageRank(itermax=itermax))
-                fut.result()
-            out[tag] = events
-
-        t1 = threading.Thread(target=submit, args=("a", 3))
-        t2 = threading.Thread(target=submit, args=("b", 5))
-        t1.start(), t2.start()
-        t1.join(), t2.join()
-        svc.shutdown()
-        # each submitter saw decisions (its kernel ran under its context)
-        # and the two event streams never interleaved: every event dict
-        # belongs to exactly one capture list
-        assert out["a"] and out["b"]
-        ids_a = {id(e) for e in out["a"]}
-        ids_b = {id(e) for e in out["b"]}
-        assert not (ids_a & ids_b)
+        monkeypatch.setattr(cost, "PUSHPULL_BETA", 18.0)
+        assert "push" in directions(lg.bfs_parent_auto)
+        assert "push" in directions(lg.bfs_parent_do)
 
 
 class TestPreplan:
     def test_preplan_builds_and_reports(self, rng):
-        from repro.grb import telemetry
         a = _rand_matrix(rng, 12, 12)
-        events = []
-        with telemetry.capture(events.append):
+        with obs.tracing() as trace:
             summary = engine.preplan(a, profile="msbfs")
         assert summary["op"] == "preplan"
         assert "transpose_csr" in summary["built"]
         assert "pattern_operand" in summary["built"]
-        assert events and events[-1]["op"] == "preplan"
+        assert trace.decisions() == [summary]

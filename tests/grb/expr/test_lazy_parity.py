@@ -192,7 +192,6 @@ def _algo_results(g, gw, gu):
 
     out = {}
     out["bfs_push"] = lg.bfs_parent_push(g, 0)
-    out["bfs_fused"] = lg.bfs_parent_fused(g, 0)
     out["bfs_level"] = lg.bfs_level(g, 0)
     out["sssp_bf"] = lg.sssp_bellman_ford(gw, 0)
     out["sssp_delta"] = lg.sssp_delta_stepping(gw, 0, 2.0)
@@ -204,10 +203,10 @@ def _algo_results(g, gw, gu):
     return out
 
 
-@pytest.mark.parametrize("multi_fusion", (True, False),
-                         ids=("multi-fused", "decomposed"))
+@pytest.mark.parametrize("fusion", (True, False),
+                         ids=("fused", "decomposed"))
 @pytest.mark.parametrize("cache", ("warm", "cold"))
-def test_algorithms_lazy_equals_eager(multi_fusion, cache, monkeypatch):
+def test_algorithms_lazy_equals_eager(fusion, cache, monkeypatch):
     rng = np.random.default_rng(11)
     g = random_graph_np(rng, n=36, p=0.12, directed=True)
     gw = random_graph_np(rng, n=36, p=0.12, directed=True, weighted=True)
@@ -218,7 +217,7 @@ def test_algorithms_lazy_equals_eager(multi_fusion, cache, monkeypatch):
 
     ref = _algo_results(g, gw, gu)        # eager defaults, fusion on
 
-    monkeypatch.setattr(cost, "MULTI_FUSION_ENABLED", multi_fusion)
+    monkeypatch.setattr(cost, "FUSION_ENABLED", fusion)
     if cache == "cold":
         monkeypatch.setattr(cost, "PLAN_CACHE_ENABLED", False)
     plancache.clear()
@@ -233,7 +232,7 @@ def test_algorithms_lazy_equals_eager(multi_fusion, cache, monkeypatch):
     for name in ref:
         for cand in (got, got2):
             r, c = ref[name], cand[name]
-            ctx = f"{name} fusion={multi_fusion} cache={cache}"
+            ctx = f"{name} fusion={fusion} cache={cache}"
             if isinstance(r, int):
                 assert r == c, ctx
             elif isinstance(r, grb.Matrix):
@@ -243,18 +242,20 @@ def test_algorithms_lazy_equals_eager(multi_fusion, cache, monkeypatch):
 
 
 def test_fusion_off_is_fully_decomposed(monkeypatch):
-    """FUSION_ENABLED=False must decompose multi-output chains too: no
-    multiplan telemetry event may fire."""
+    """FUSION_ENABLED=False must decompose multi-output chains too: the
+    level pair of the parents BFS fuses by default and emits no multiplan
+    decision record when switched off."""
     from repro import lagraph as lg
-    from repro.grb import telemetry
+    from repro import obs
 
     rng = np.random.default_rng(5)
     g = random_graph_np(rng, n=30, p=0.15)
-    ref = lg.bfs_parent_push(g, 0)
+    with obs.tracing() as trace:
+        ref = lg.bfs_parent_push(g, 0)
+    assert trace.decisions("multiplan")
 
-    events = []
     monkeypatch.setattr(cost, "FUSION_ENABLED", False)
-    with telemetry.capture(events.append):
-        p = lg.bfs_parent_fused(g, 0)
-    assert not [e for e in events if e.get("op") == "multiplan"]
+    with obs.tracing() as trace:
+        p = lg.bfs_parent_push(g, 0)
+    assert not trace.decisions("multiplan")
     assert_same_vector(p, ref)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import grb
-from repro.grb import engine, telemetry
+from repro import grb, obs
+from repro.grb import engine
 from repro.grb.engine import cost, plancache
 
 SR = grb.semiring_by_name("plus.pair")
@@ -63,10 +63,9 @@ class TestHitsAndInvalidation:
         rng = np.random.default_rng(1)
         a = _graphish(rng)
         b = a.dup()
-        events = []
-        with telemetry.capture(events.append):   # one telemetry state: the
-            _masked_mxm(a, b, a)                 # active-bit is part of the
-            c_before = _masked_mxm(a, b, a)      # cost fingerprint
+        with obs.tracing() as trace:
+            _masked_mxm(a, b, a)
+            c_before = _masked_mxm(a, b, a)
             assert plancache.stats().hits == 1
 
             v0 = b.store_version
@@ -77,9 +76,8 @@ class TestHitsAndInvalidation:
         st = plancache.stats()
         assert st.invalidations == 1
         assert st.hits == 1                # no stale service
-        assert [e for e in events
-                if e.get("op") == "plancache"
-                and e.get("event") == "invalidate"]
+        assert [e for e in trace.decisions("plancache")
+                if e.get("event") == "invalidate"]
         # content actually changed (pattern gained the (0,0) entry), so a
         # stale feed would have produced the old structure
         assert not c_after.isequal(c_before)
@@ -159,24 +157,23 @@ class TestSafety:
         rng = np.random.default_rng(6)
         a = _graphish(rng)
         _masked_mxm(a, a, a)               # cache the dot decision
-        events = []
-        with telemetry.capture(events.append):
+        with obs.tracing() as trace:
             with engine.force_rule("mxm", "mxm-expand"):
                 _masked_mxm(a, a, a)
-        rules = [e["rule"] for e in events if "rule" in e]
-        assert rules == ["mxm-expand"]     # pinned, not the cached claim
+        (e,) = trace.decisions()
+        assert e["rule"] == "mxm-expand"   # pinned, not the cached claim
+        assert "plan_cache" not in e       # ... and never looked up
 
     def test_cost_constant_change_misses(self, monkeypatch):
         """Monkeypatching a chooser constant must key a different entry —
         the forcing idiom of the parity suite survives the cache."""
         rng = np.random.default_rng(7)
         a = _graphish(rng)
-        events = []
-        with telemetry.capture(events.append):
+        with obs.tracing() as trace:
             _masked_mxm(a, a, a)
-            monkeypatch.setattr(cost, "DOT_ENABLED", False)
+            monkeypatch.setattr(cost, "DOT_PROBE_COST", float("inf"))
             _masked_mxm(a, a, a)
-        rules = [e["rule"] for e in events if "rule" in e]
+        rules = [e["rule"] for e in trace.decisions()]
         assert len(set(rules)) == 2        # dot claim, then a fallback
 
     def test_values_change_reaches_results(self):

@@ -3,9 +3,10 @@
 The process-global pool is deliberately left alive between tests (same
 worker count → same pool), so the spawn cost is paid once per pytest
 session; ``repro.grb.pool``'s atexit hook reaps it.  ``POOL_MIN_WORK``
-is zeroed so test-sized operands cross the sharding threshold, and the
-plan cache is disabled so a serial reference computed next to a sharded
-run can never reuse the other's claimed rule.
+is zeroed so test-sized operands cross the sharding threshold.  The plan
+cache stays on: the pool state and threshold are part of its key, so a
+serial reference computed next to a sharded run never reuses the other's
+claimed rule.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from repro.grb.engine import cost
 def pool_on(monkeypatch):
     monkeypatch.setenv("REPRO_POOL_WORKERS", "2")
     monkeypatch.setattr(cost, "POOL_MIN_WORK", 0)
-    monkeypatch.setattr(cost, "PLAN_CACHE_ENABLED", False)
     yield monkeypatch
 
 
 @pytest.fixture
 def pool_off(monkeypatch):
     monkeypatch.setenv("REPRO_POOL_WORKERS", "0")
-    monkeypatch.setattr(cost, "PLAN_CACHE_ENABLED", False)
     yield monkeypatch

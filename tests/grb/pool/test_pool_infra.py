@@ -72,6 +72,33 @@ class TestDisabledIsNoOp:
         assert grbpool.configured_workers() == want
 
 
+class TestPlanCacheSeesThePool:
+    def test_pool_threshold_and_state_key_the_cache(self, monkeypatch, rng):
+        """Whether a pool rule claims depends on ``POOL_MIN_WORK`` and on
+        the pool being up; a decision cached under one setting must not
+        be served under another (the fingerprint's own contract)."""
+        from repro import obs
+        from repro.grb.engine import plancache
+        monkeypatch.setenv("REPRO_POOL_WORKERS", "2")
+        plancache.clear()
+        a = _rand_matrix(rng, 60, 60)
+
+        def claim():
+            c = grb.Matrix(np.float64, 60, 60)
+            with obs.tracing() as trace:
+                grb.mxm(c, a, a, grb.semiring_by_name("plus.times"))
+            (e,) = trace.decisions("mxm")
+            return e["rule"], e["plan_cache"]
+
+        assert claim() == ("mxm-scipy", "miss")     # below the threshold
+        assert claim() == ("mxm-scipy", "hit")
+        monkeypatch.setattr(cost, "POOL_MIN_WORK", 0)
+        assert claim() == ("mxm-rowblock-pool", "miss")
+        monkeypatch.setenv("REPRO_POOL_WORKERS", "0")
+        assert claim() == ("mxm-scipy", "miss")     # the pool went away
+        plancache.clear()
+
+
 class TestOperandRefs:
     def test_small_operand_ships_inline(self, pool_on, rng):
         m = _rand_matrix(rng, 20, 20, density=0.1)
@@ -237,7 +264,7 @@ class TestMultiPlanConcurrency:
         grb.mxm(r1, a, b, grb.semiring_by_name("plus.times"))
         grb.mxm(r2, a, d, grb.semiring_by_name("plus.times"))
         assert c1.isequal(r1) and c2.isequal(r2)
-        if metrics.ENABLED and cost.POOL_MULTIPLAN_ENABLED:
+        if metrics.ENABLED:
             assert multiplan._CONCURRENT.labels().value > before
 
 

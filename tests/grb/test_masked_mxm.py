@@ -7,7 +7,7 @@ the result is **bit-identical**: same keys, same values, same dtype.
 Covered axes: semiring (⊗ ∈ {pair, times, first, second} × ⊕ ∈ {plus, min,
 any}), mask kind (structural / valued / complemented), replace, accum,
 operand transposition, storage format of every participant, and the
-chooser / telemetry machinery itself.
+chooser / decision-record machinery itself.
 
 ``_seed_path`` disables the whole engine, reproducing the pre-engine
 behaviour exactly; ``_force_dot`` zeroes the cost constants so every
@@ -19,9 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import grb
+from repro import grb, obs
 from repro.gap import datasets
-from repro.grb import telemetry
 from repro.grb._kernels import masked_matmul as mm
 from repro.grb.engine import cost
 from repro.lagraph import algorithms as alg
@@ -43,8 +42,8 @@ def _force_dot(monkeypatch):
 
 
 def _seed_path(monkeypatch):
-    monkeypatch.setattr(cost, "DOT_ENABLED", False)
-    monkeypatch.setattr(cost, "MASK_RESTRICT_ENABLED", False)
+    """The masked engine stands down: no chooser, no row restriction."""
+    monkeypatch.setattr(cost, "MASKED_MIN_NNZ", float("inf"))
 
 
 def _engine_default(monkeypatch):
@@ -233,7 +232,7 @@ class TestRestrictedFallbacks:
         ref = run()
         monkeypatch.undo()
         monkeypatch.setattr(cost, "MASKED_MIN_NNZ", 0)
-        monkeypatch.setattr(cost, "DOT_ENABLED", False)  # isolate restriction
+        monkeypatch.setattr(cost, "DOT_PROBE_COST", float("inf"))  # isolate restriction
         got = run()
         assert_same_matrix(got, ref, f"{name} c={complemented}")
 
@@ -332,22 +331,31 @@ class TestChooserAndTelemetry:
             10, 100, scipy_path=True, mask_nvals=10,
             est_out_nnz=10) == "dot"
 
-    def test_dot_disabled_forces_fallback(self, monkeypatch):
-        monkeypatch.setattr(cost, "DOT_ENABLED", False)
-        assert cost.choose_masked_method(0, 10**9,
-                                         scipy_path=True) == "fallback"
+    def test_infinite_probe_cost_forces_fallback(self, monkeypatch):
+        monkeypatch.setattr(cost, "DOT_PROBE_COST", float("inf"))
+        for probes in (0, 1, 10**6):
+            assert cost.choose_masked_method(probes, 10**9,
+                                             scipy_path=True) == "fallback"
 
-    def test_telemetry_records_decisions(self, monkeypatch):
+    def test_chooser_record_schema(self, monkeypatch):
+        """The masked-mxm chooser's decision record; the exact flop count
+        rides along under deep profiling only (it costs O(nnz))."""
         _engine_default(monkeypatch)
         rng = np.random.default_rng(19)
         a = _rand_matrix(rng, 30, 30, density=0.3)
-        events: list = []
-        with telemetry.capture(events.append):
+
+        def run():
             c = grb.Matrix(grb.INT64, 30, 30)
             grb.mxm(c, a, a, grb.semiring_by_name("plus.pair"),
                     mask=grb.structure(a))
-        assert len(events) == 1
-        e = events[0]
+
+        with obs.tracing() as trace:
+            run()
+        (e,) = trace.decisions()
+        assert "dot_probes" in e and "expand_flops" not in e
+        with obs.tracing() as trace, obs.profiling():
+            run()
+        (e,) = trace.decisions()
         assert e["op"] == "mxm" and e["method"] in ("dot", "fallback")
         assert e["rule"].startswith("mxm-")
         assert e["semiring"] == "plus.pair"
@@ -356,18 +364,7 @@ class TestChooserAndTelemetry:
         # estimate within sampling error of the exact count on this input
         assert e["expand_flops_est"] == pytest.approx(e["expand_flops"],
                                                       rel=0.5)
-        assert not telemetry.active()
-
-    def test_telemetry_off_records_nothing(self, monkeypatch):
-        _engine_default(monkeypatch)
-        rng = np.random.default_rng(23)
-        a = _rand_matrix(rng, 20, 20, density=0.3)
-        events: list = []
-        telemetry.clear_hook()
-        c = grb.Matrix(grb.INT64, 20, 20)
-        grb.mxm(c, a, a, grb.semiring_by_name("plus.pair"),
-                mask=grb.structure(a))
-        assert events == []
+        assert not obs.deciding()
 
 
 class TestScipyPathSatellites:

@@ -1,127 +1,119 @@
-"""tools/check_obs_gating.py: the lint-time observability cost contract."""
+"""The ``obs-gating`` reprolint rule: the lint-time observability cost
+contract (``tools.reprolint.checkers.obs_gating``)."""
 
-import importlib.util
+import sys
 from pathlib import Path
 
-import pytest
+_ROOT = Path(__file__).resolve().parents[2]
+if str(_ROOT) not in sys.path:
+    sys.path.insert(0, str(_ROOT))
 
-_TOOL = Path(__file__).resolve().parents[2] / "tools" / "check_obs_gating.py"
-
-
-@pytest.fixture(scope="module")
-def checker():
-    spec = importlib.util.spec_from_file_location("check_obs_gating", _TOOL)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from tools.reprolint.checkers.obs_gating import ObsGating  # noqa: E402
+from tools.reprolint.core import FileContext  # noqa: E402
 
 
-def test_repository_sources_pass(checker):
-    for path in checker.iter_default_files(_TOOL.parents[1]):
-        assert checker.check_file(path) == [], str(path)
+def check_file(path):
+    """``[(lineno, label), ...]`` of ungated observability calls."""
+    return ObsGating().violations(FileContext.parse(Path(path)))
 
 
-def test_obs_package_is_exempt(checker):
-    paths = list(checker.iter_default_files(_TOOL.parents[1]))
-    assert paths
-    assert not any(p.parent.name == "obs" for p in paths)
+def test_repository_sources_pass():
+    files = sorted((_ROOT / "src" / "repro").rglob("*.py"))
+    assert files
+    for path in files:
+        if ObsGating().interested(path.as_posix()):
+            assert check_file(path) == [], str(path)
 
 
-def test_ungated_record_flagged(checker, tmp_path):
+def test_obs_package_is_exempt():
+    assert not ObsGating().interested("src/repro/obs/profile.py")
+    assert ObsGating().interested("src/repro/grb/engine/rules.py")
+
+
+def test_ungated_record_flagged(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
         "def f(plan):\n"
-        "    telemetry.record({'op': plan.op})\n")
-    (violation,) = checker.check_file(bad)
-    assert violation == (2, "telemetry.record")
+        "    obs.decision({'op': plan.op})\n")
+    (violation,) = check_file(bad)
+    assert violation == (2, "obs.decision")
 
 
-def test_guarded_record_passes(checker, tmp_path):
+def test_guarded_record_passes(tmp_path):
     good = tmp_path / "good.py"
     good.write_text(
         "def f(plan):\n"
-        "    if telemetry.active():\n"
-        "        telemetry.record({'op': plan.op})\n")
-    assert checker.check_file(good) == []
+        "    if obs.deciding():\n"
+        "        obs.decision({'op': plan.op})\n")
+    assert check_file(good) == []
 
 
-def test_compound_guard_passes(checker, tmp_path):
+def test_compound_guard_passes(tmp_path):
     good = tmp_path / "good2.py"
     good.write_text(
         "def f(x):\n"
-        "    if x is not None and _telemetry.active():\n"
-        "        _telemetry.record(x)\n")
-    assert checker.check_file(good) == []
+        "    if x is not None and _profile.deciding():\n"
+        "        _profile.decision(x)\n")
+    assert check_file(good) == []
 
 
-def test_pragma_waives(checker, tmp_path):
+def test_pragma_waives(tmp_path):
     waived = tmp_path / "waived.py"
     waived.write_text(
         "def _emit(event):\n"
-        "    # obs: gated-by-caller (sites guard on telemetry.active())\n"
-        "    telemetry.record(event)\n")
-    assert checker.check_file(waived) == []
+        "    # obs: gated-by-caller (sites guard on obs.deciding())\n"
+        "    obs.decision(event)\n")
+    assert check_file(waived) == []
 
 
-def test_ungated_metric_bump_flagged(checker, tmp_path):
+def test_ungated_metric_bump_flagged(tmp_path):
     bad = tmp_path / "bump.py"
     bad.write_text(
         "def f(op, rule):\n"
         "    _DISPATCHES.labels(op, rule).inc()\n")
-    (violation,) = checker.check_file(bad)
+    (violation,) = check_file(bad)
     assert violation[0] == 2 and "inc" in violation[1]
 
 
-def test_enabled_flag_guard_passes(checker, tmp_path):
+def test_enabled_flag_guard_passes(tmp_path):
     good = tmp_path / "flag.py"
     good.write_text(
         "def f(op, rule):\n"
         "    if _metrics.ENABLED:\n"
         "        _DISPATCHES.labels(op, rule).inc()\n")
-    assert checker.check_file(good) == []
+    assert check_file(good) == []
 
 
-def test_lowercase_set_not_flagged(checker, tmp_path):
+def test_lowercase_set_not_flagged(tmp_path):
     ok = tmp_path / "lower.py"
     ok.write_text(
         "def f(msg, e):\n"
         "    msg.set(str(e))\n")
-    assert checker.check_file(ok) == []
+    assert check_file(ok) == []
 
 
-def test_ungated_instant_flagged(checker, tmp_path):
+def test_ungated_instant_flagged(tmp_path):
     bad = tmp_path / "inst.py"
     bad.write_text(
         "def f(name):\n"
         "    _trace.instant('x:' + name)\n")
-    (violation,) = checker.check_file(bad)
+    (violation,) = check_file(bad)
     assert violation == (2, "_trace.instant")
 
 
-def test_stripped_real_source_is_flagged(checker, tmp_path):
+def test_stripped_real_source_is_flagged(tmp_path):
     """Self-test against a real engine module: stripping its guards must
     make the checker fire — proves the check still *sees* the tree's
     actual call-site idioms, not just synthetic fixtures."""
-    real = _TOOL.parents[1] / "src" / "repro" / "grb" / "engine" / "multiplan.py"
+    real = _ROOT / "src" / "repro" / "grb" / "engine" / "multiplan.py"
     source = real.read_text()
     assert "if _metrics.ENABLED:" in source
-    assert checker.check_file(real) == []         # shipped file is gated
+    assert check_file(real) == []         # shipped file is gated
     stripped = source.replace("if _metrics.ENABLED:", "if _unguarded:")
     stripped = stripped.replace("obs: gated-by-caller", "obs pragma removed")
     variant = tmp_path / "multiplan_stripped.py"
     variant.write_text(stripped)
-    violations = checker.check_file(variant)
+    violations = check_file(variant)
     assert violations, "stripping guards must surface the metric bumps"
     assert all(isinstance(line, int) and isinstance(label, str)
                for line, label in violations)
-
-
-def test_main_exit_codes(checker, tmp_path, capsys):
-    good = tmp_path / "g.py"
-    good.write_text("x = 1\n")
-    bad = tmp_path / "b.py"
-    bad.write_text("telemetry.record({})\n")
-    assert checker.main([str(good)]) == 0
-    assert checker.main([str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "ungated observability call" in out

@@ -14,7 +14,6 @@ import pytest
 from helpers import random_graph_np
 from repro import grb, obs
 from repro import lagraph as lg
-from repro.grb import telemetry
 from repro.grb.engine import cost
 from repro.obs import profile
 
@@ -87,13 +86,15 @@ class TestEngineProfiling:
         assert rule_row["calls"] >= 1 and rule_row["nnz_in"] > 0
         assert profile.kernel_table()   # hot primitives reported too
 
-    def test_profiling_activates_telemetry_fields(self):
-        # deep profiling must make telemetry.active() true: decision
-        # events (and their exact-count fields) flow to the profiler
-        assert not telemetry.active()
+    def test_either_sink_opens_the_decision_gate(self):
+        # one predicate: a trace sink or deep profiling consumes decision
+        # records; the exact-count fields ride on deep profiling alone
+        assert not obs.deciding()
         with obs.profiling():
-            assert telemetry.active()
-        assert not telemetry.active()
+            assert obs.deciding() and obs.deep_active()
+        with obs.tracing():
+            assert obs.deciding() and not obs.deep_active()
+        assert not obs.deciding()
 
     def test_chooser_decisions_judged(self, tc_graph, monkeypatch):
         monkeypatch.setattr(cost, "MASKED_MIN_NNZ", 0)
@@ -105,14 +106,18 @@ class TestEngineProfiling:
         for row in decisions.values():
             assert 0.0 <= row["misprediction_rate"] <= 1.0
 
-    def test_hook_still_receives_typed_events(self, tc_graph):
-        events = []
-        with telemetry.capture(events.append):
+    def test_collector_and_profiler_see_the_same_records(self, tc_graph):
+        with obs.tracing() as tr, obs.profiling():
             lg.triangle_count(tc_graph, presort=None)
-        assert events
-        assert all(isinstance(e, telemetry.Event) for e in events)
-        mxm = [e for e in events if e.kind == "mxm"]
-        assert mxm and all(isinstance(e.rule, str) for e in mxm)
+        records = tr.decisions()
+        assert records and all(isinstance(e["rule"], str) for e in records)
+        table = profile.decision_table()
+        assert sum(row["calls"] for row in table.values()) == len(records)
+        assert set(table) == {f"{e['op']}/{e['rule']}" for e in records}
+        # each record hangs under the plan-choose span that made it
+        chooses = {r["span_id"] for r in tr.find("plan-choose")}
+        parents = {r["parent_id"] for r in tr.find("decision")}
+        assert parents <= chooses
 
 
 class TestTraceAcceptance:
@@ -167,9 +172,14 @@ class TestTraceAcceptance:
     def test_multiplan_spans_under_deferred(self, rng):
         g = random_graph_np(rng, n=40, p=0.1)
         with obs.tracing() as tr:
-            lg.bfs_parent_fused(g, 0)  # records levels in deferred scopes
+            lg.bfs_parent_push(g, 0)   # records levels in deferred scopes
         assert tr.find("multiplan")
         assert tr.find("record:")
+        # the fused group's record hangs under the multiplan span
+        groups = {r["span_id"] for r in tr.find("multiplan")}
+        fused = [r for r in tr.find("decision")
+                 if r["args"]["op"] == "multiplan"]
+        assert fused and {r["parent_id"] for r in fused} <= groups
 
 
 class TestTcFusedReduction:
@@ -184,10 +194,9 @@ class TestTcFusedReduction:
             assert lg.triangle_count(tc_graph, method=m, presort=None) == want
 
     def test_single_dispatch_carries_reduce_epilogue(self, tc_graph):
-        events = []
-        with telemetry.capture(events.append):
+        with obs.tracing() as tr:
             lg.triangle_count(tc_graph, presort=None)
-        mxm = [e for e in events if e.kind == "mxm"]
+        mxm = tr.decisions("mxm")
         # describe() reports the epilogue-chain length as ``fused``: the
         # TC multiply now carries its scalar reduction as an epilogue
         assert mxm and any(e["fused"] >= 1 for e in mxm)

@@ -3,11 +3,10 @@
 Satellite coverage for ISSUE 6:
 
 * two parallel ``submit_many`` bursts under separate trace sinks capture
-  *disjoint* span trees (the contextvars-isolation guarantee, extended
-  from telemetry to obs),
+  *disjoint* span trees (the contextvars-isolation guarantee),
 * ``GraphService.stats()`` — the locked snapshot with queue/batch/latency
   extensions,
-* plan-cache invalidation events carry ``graph``/``shape_key``.
+* plan-cache invalidation records carry ``graph``/``shape_key``.
 """
 
 import threading
@@ -18,7 +17,6 @@ import pytest
 from helpers import random_graph_np
 from repro import grb, obs, serve
 from repro import lagraph as lg
-from repro.grb import telemetry
 from repro.grb.engine import plancache
 from repro.obs import identity
 
@@ -164,14 +162,9 @@ class TestPlanCacheAttribution:
         plancache.clear()
         g = random_graph_np(rng, n=40, p=0.15, directed=False)
         svc = serve.GraphService(cache_capacity=0)   # memo off: recompute
-        events = []
         try:
             svc.register("attrib", g)
-            # both queries run under ONE telemetry state: the active-bit
-            # is part of the plan-cache cost fingerprint, so flipping it
-            # between queries would change the shape (a miss, not an
-            # invalidation)
-            with telemetry.capture(events.append):
+            with obs.tracing() as trace:
                 svc.query("attrib", serve.TriangleCount())
                 # mutate the adjacency (kept symmetric): versions move,
                 # shapes stay — the next identical query invalidates its
@@ -184,8 +177,8 @@ class TestPlanCacheAttribution:
             svc.flush()
             svc.shutdown()
             identity.clear()
-        inval = [e for e in events
-                 if e.kind == "plancache" and e["event"] == "invalidate"]
+        inval = [e for e in trace.decisions("plancache")
+                 if e["event"] == "invalidate"]
         assert inval, "mutated operands should invalidate cached plans"
         assert any(e["graph"] == "attrib" for e in inval)
         for e in inval:

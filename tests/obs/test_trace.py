@@ -76,9 +76,8 @@ class TestThreadIsolation:
         assert seen == [False]
 
     def test_propagate_carries_sink(self):
-        from repro.grb import telemetry
         with obs.tracing() as tr:
-            t = threading.Thread(target=telemetry.propagate(
+            t = threading.Thread(target=obs.propagate(
                 lambda: obs.instant("from-thread")))
             t.start()
             t.join()

@@ -1,5 +1,5 @@
 """obs-gating bad fixture: event dict built before any guard check."""
 
 
-def record_dispatch(plan, telemetry):
-    telemetry.record({"op": plan.op, "rule": plan.rule})
+def record_dispatch(plan, obs):
+    obs.decision({"op": plan.op, "rule": plan.rule})

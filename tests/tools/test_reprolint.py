@@ -132,18 +132,18 @@ def test_inner_pragma_does_not_waive_outer_loop(tmp_path):
 def test_universal_disable_pragma(tmp_path):
     f = tmp_path / "snippet.py"
     f.write_text(
-        "def emit(event, telemetry):\n"
+        "def emit(event, obs):\n"
         "    # reprolint: disable=obs-gating (callers hold the guard)\n"
-        "    telemetry.record(event)\n")
+        "    obs.decision(event)\n")
     assert _lint([f]) == []
 
 
 def test_universal_disable_is_per_rule(tmp_path):
     f = tmp_path / "snippet.py"
     f.write_text(
-        "def emit(event, telemetry):\n"
+        "def emit(event, obs):\n"
         "    # reprolint: disable=fault-gating (wrong rule named)\n"
-        "    telemetry.record(event)\n")
+        "    obs.decision(event)\n")
     assert [d.rule for d in _lint([f])] == ["obs-gating"]
 
 

@@ -1,7 +1,5 @@
-"""Repository tooling (``python -m tools.reprolint``, bench compare...).
+"""Repository tooling (``python -m tools.reprolint``).
 
 This package exists so the static-analysis framework under
-``tools/reprolint`` is importable as a module from the repository root —
-the standalone scripts (``bench_compare.py``, the ``check_obs_gating.py``
-shim) keep working as plain files.
+``tools/reprolint`` is importable as a module from the repository root.
 """

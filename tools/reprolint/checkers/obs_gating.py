@@ -5,7 +5,7 @@ The observability cost contract (``docs/OBSERVABILITY.md``) is that the
 if call sites never compute event dicts, span attributes, or metric label
 values before checking the guard.  Every
 
-* ``telemetry.record(...)`` call,
+* ``obs.decision(...)`` / ``_profile.decision(...)`` planner decision record,
 * ``trace.instant(...)`` / ``_trace.instant(...)`` call,
 * ``*mem*.account(...)`` footprint-accounting call,
 * bump (``inc``/``dec``/``set``/``observe``) on a module-level metric
@@ -13,13 +13,10 @@ values before checking the guard.  Every
 * delta-writer helper call handed a module-level metric handle
   (``_bump(SHM_BYTES, n)`` — the pool/footprint idiom)
 
-must sit under an ``if`` whose test calls ``active()``/``deep_active()``
-or reads an ``ENABLED`` flag.  Structurally-gated sites opt out with
-``# obs: gated-by-caller (reason)``.  The :mod:`repro.obs` package itself
-is exempt — it implements the guards.
-
-This is the original ``tools/check_obs_gating.py`` logic rehosted as a
-reprolint checker; the legacy script remains as a shim over this module.
+must sit under an ``if`` whose test calls ``deciding()``/``active()``/
+``deep_active()`` or reads an ``ENABLED`` flag.  Structurally-gated sites
+opt out with ``# obs: gated-by-caller (reason)``.  The :mod:`repro.obs`
+package itself is exempt — it implements the guards.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..core import Checker, Diagnostic, FileContext, guarded_by, root_name
 
-GUARD_CALLS = ("active", "deep_active")
+GUARD_CALLS = ("deciding", "active", "deep_active")
 GUARD_FLAGS = ("ENABLED",)
 BUMPS = {"inc", "dec", "set", "observe"}
 #: bare functions that mutate a metric handle passed as their first
@@ -50,8 +47,8 @@ def classify(call: ast.Call) -> Optional[str]:
     root = root_name(f.value)
     if root is None:
         return None
-    if f.attr == "record" and "telemetry" in root:
-        return f"{root}.record"
+    if f.attr == "decision" and root.lstrip("_") in ("obs", "profile"):
+        return f"{root}.decision"
     if f.attr == "instant" and "trace" in root:
         return f"{root}.instant"
     if f.attr == "account" and "mem" in root.lower():
@@ -64,9 +61,9 @@ def classify(call: ast.Call) -> Optional[str]:
 class ObsGating(Checker):
     rule_id = "obs-gating"
     pragma = "obs: gated-by-caller"
-    description = ("telemetry/span/metric call sites must gate on "
-                   "active()/deep_active()/ENABLED (one flag read when "
-                   "disabled)")
+    description = ("decision-record/span/metric call sites must gate on "
+                   "deciding()/active()/deep_active()/ENABLED (one flag "
+                   "read when disabled)")
     doc_anchor = "docs/LINTING.md#obs-gating"
 
     def interested(self, posix_path: str) -> bool:
@@ -85,7 +82,7 @@ class ObsGating(Checker):
         return out
 
     def violations(self, ctx: FileContext) -> List[Tuple[int, str]]:
-        """``[(lineno, label), ...]`` — the legacy shim's return shape."""
+        """``[(lineno, label), ...]`` of ungated observability calls."""
         found = []
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):

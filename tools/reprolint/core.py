@@ -59,7 +59,7 @@ class Diagnostic:
     col: int
     message: str
     #: Short machine label for the flagged construct (e.g. the metric
-    #: bump spelling) — the legacy ``check_obs_gating`` tuple rides here.
+    #: bump spelling).
     detail: str = ""
 
     def render(self) -> str:
