@@ -10,7 +10,10 @@ linearised ``i * ncols + j`` coordinates) — callers linearise first.
 Format-aware fast path: when both operands are bitmap-resident
 (:mod:`repro.grb.storage.bitmap`), the ``*_merge_bitmap`` variants merge
 the dense flag/value arrays directly — no sorted-key intersection — and
-return the same sorted sparse result, value for value.
+return the same sorted sparse result, value for value.  When only one side
+is, or a sparse mask bounds the result, :func:`intersect_probe` walks the
+small sorted side and looks the others up, so an intersection costs what
+its smallest participant holds, not what the grid does.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 from ...obs.profile import profiled
 
 __all__ = ["union_merge", "intersect_merge", "setdiff_keys",
-           "union_merge_bitmap", "intersect_merge_bitmap", "merge_objects"]
+           "union_merge_bitmap", "intersect_merge_bitmap", "intersect_probe",
+           "merge_objects"]
 
 
 @profiled("intersect_merge")
@@ -82,6 +86,41 @@ def intersect_merge_bitmap(present_a, dense_a, present_b, dense_b, op):
     """
     keys = np.flatnonzero(present_a & present_b).astype(np.int64)
     return keys, op(dense_a[keys], dense_b[keys])
+
+
+def _probe(view, keys):
+    """``(hit, values)``: which of the sorted ``keys`` one operand stores,
+    and its values at those.
+
+    ``view`` is the operand's ``(present, dense)`` pair over the grid
+    (told by the bool flags) or its sorted ``(keys, values)`` pair."""
+    first, second = view
+    if first.dtype == np.bool_:
+        hit = first[keys]
+        return hit, second[keys[hit]]
+    if first.size == 0:
+        return np.zeros(keys.size, dtype=bool), second
+    pos = np.minimum(np.searchsorted(first, keys), first.size - 1)
+    hit = first[pos] == keys
+    return hit, second[pos[hit]]
+
+
+@profiled("intersect_probe")
+def intersect_probe(keys, a, b, op):
+    """eWiseMult restricted to the sorted candidate ``keys``.
+
+    ``keys`` is any sorted unique superset of the wanted result — a sparse
+    operand's own keys, or the allowed keys of the mask the result is
+    about to be written through — and ``a`` / ``b`` are operand views as
+    :func:`_probe` takes them.  Bit-identical to :func:`intersect_merge`
+    restricted to ``keys``: the op sees the same operand values
+    element-wise, at O(|keys|) flag gathers per bitmap operand and a
+    binary search per sparse one.
+    """
+    hit, vals_a = _probe(a, keys)
+    keys = keys[hit]
+    hit, vals_b = _probe(b, keys)
+    return keys[hit], op(vals_a[hit], vals_b)
 
 
 @profiled("union_merge_bitmap")

@@ -63,7 +63,7 @@ from .rules import (
 )
 from . import executors  # noqa: F401  (imports register the rule set)
 from . import multiplan  # noqa: F401  (imports register the fusion rules)
-from .executors import write_matrix, write_vector
+from .executors import write_back
 from .multiplan import MultiPlan
 
 __all__ = [
@@ -73,7 +73,7 @@ __all__ = [
     "plan_apply", "plan_select", "plan_assign", "plan_assign_scalar",
     "plan_update", "choose_direction", "preplan",
     "Rule", "register", "rules_for", "force_rule", "PlanningError",
-    "write_vector", "write_matrix",
+    "write_back",
 ]
 
 

@@ -13,7 +13,9 @@ This module is where the scattered pre-engine dispatch logic of
   the sparse gather/push reference.
 * ``ewise_add`` / ``ewise_mult`` — bitmap-layout dense merge when both
   operands are bitmap-resident, sorted-key merge otherwise (the format
-  fast path that used to hide inside ``merge_objects``).
+  fast path that used to hide inside ``merge_objects``); ``ewise_mult``
+  first tries ``ewise-probe``, which walks the smallest sorted
+  participant and looks the bitmap ones up.
 * ``apply`` / ``select`` — entry-wise evaluation directly on the source's
   arrays (value-only selects never expand coordinates — the
   ``apply_select`` fast path, now a visible rule).
@@ -25,7 +27,9 @@ masked write-back — an ``apply``/``select`` riding on a multiply or merge
 never materialises an intermediate object (unless
 :data:`~repro.grb.engine.cost.FUSION_ENABLED` is off, in which case the
 chain decomposes into the seed sequence, which is the bit-identity
-reference).
+reference).  The write-back itself (:func:`write_back`) lands in place
+where the output's store and the transaction's shape allow, and rebuilds
+the store otherwise.
 """
 
 from __future__ import annotations
@@ -43,12 +47,13 @@ from .._kernels import masked_matmul as _mm
 from .._kernels.ewise import (
     intersect_merge,
     intersect_merge_bitmap,
+    intersect_probe,
     setdiff_keys,
     union_merge,
     union_merge_bitmap,
 )
 from .._kernels.gather import expand_rows
-from .._kernels.maskwrite import masked_write
+from .._kernels.maskwrite import delta_write, masked_write
 from .._kernels.matmul import mxm_expand, mxv_gather, vxm_sparse
 from ..mask import Mask
 from ..matrix import Matrix
@@ -65,7 +70,7 @@ from .rules import register
 # decline instantly when REPRO_POOL_WORKERS is unset)
 from . import pool_rules  # noqa: E402,F401  (import is the registration)
 
-__all__ = ["write_vector", "write_matrix", "finish", "scipy_mxm",
+__all__ = ["write_back", "finish", "scipy_mxm",
            "scipy_mxv", "mask_live_rows", "mask_key_filter"]
 
 # SciPy keeps explicit zeros produced by cancellation in sparse matmul; probe
@@ -95,28 +100,59 @@ def _mask_selection(mask: Optional[Mask]):
     return mask.allowed_keys(), None, mask.complemented
 
 
-def write_vector(w: Vector, t_idx, t_vals, mask: Optional[Mask], accum,
-                 replace: bool):
+def write_back(out, t_keys, t_vals, mask: Optional[Mask], accum,
+               replace: bool):
+    """The spec write-back ``out⟨mask⟩ ⊙= T`` — the one every rule, fused
+    pass and façade helper shares; one ``write`` span per transaction."""
     allowed, present, complemented = _mask_selection(mask)
-    keys, vals = masked_write(
-        w._idx, w._vals, t_idx, t_vals,
-        accum=accum, allowed_keys=allowed, allowed_present=present,
-        complement=complemented, replace=replace, out_dtype=w.type.dtype,
-    )
-    w._set_sparse(keys, vals)
-    return w
+    return _transact(out, t_keys, t_vals, allowed, present, complemented,
+                     accum, replace)
 
 
-def write_matrix(c: Matrix, t_keys, t_vals, mask: Optional[Mask], accum,
-                 replace: bool):
-    allowed, present, complemented = _mask_selection(mask)
-    keys, vals = masked_write(
-        c.keys(), c.values, t_keys, t_vals,
-        accum=accum, allowed_keys=allowed, allowed_present=present,
-        complement=complemented, replace=replace, out_dtype=c.type.dtype,
-    )
-    c._set_from_keys(keys, vals)
-    return c
+def _transact(out, t_keys, t_vals, allowed, present, complemented: bool,
+              accum, replace: bool):
+    """:func:`write_back` with the mask already resolved to its selection.
+
+    Two ways to land the same content.  A transaction that can only touch
+    entries it names — an accumulator without ``replace`` (``Z ⊇ C``), or
+    a plain assignment through a non-complemented mask without ``replace``
+    — into an output whose bitmap store may be written in place
+    (:meth:`~repro.grb.storage.bitmap.BitmapStore.writable`) scatters just
+    those entries (``delta=True`` on the span).  Everything else computes
+    the output's whole new content and rebuilds its store, reading the
+    old content only when it can reach the result.
+    """
+    is_vector = isinstance(out, Vector)
+    masked = allowed is not None or present is not None
+    # asked of every transaction, whatever its shape: looking at the store
+    # is the output's read boundary, where a pending lazy producer and
+    # staged setElement calls land — before this write, never on top of it
+    st = out._writable_bitmap()
+    if replace or (accum is None and (complemented or not masked)):
+        st = None
+    with _trace.span("write", cat="write", delta=st is not None,
+                     target="vector" if is_vector else "matrix"):
+        if st is not None:
+            delta_write(t_keys, t_vals, store=st, accum=accum,
+                        allowed_keys=allowed, allowed_present=present,
+                        complement=complemented)
+            out._wrote_in_place()
+            return out
+        if accum is None and (replace or not masked):
+            c_keys, c_vals = t_keys[:0], t_vals[:0]   # old content is dead
+        else:
+            c_keys, c_vals = out._mask_keys_values()
+        keys, vals = masked_write(
+            c_keys, c_vals, t_keys, t_vals,
+            accum=accum, allowed_keys=allowed, allowed_present=present,
+            complement=complemented, replace=replace,
+            out_dtype=out.type.dtype,
+        )
+        if is_vector:
+            out._set_sparse(keys, vals)
+        else:
+            out._set_from_keys(keys, vals)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +281,8 @@ def finish(plan: Plan, keys, vals, *, is_vector: bool, size=None,
                                                     ncols)
     if plan.out is None:
         return keys, vals
-    with _trace.span("write", cat="write",
-                     target="vector" if is_vector else "matrix"):
-        if is_vector:
-            return write_vector(plan.out, keys, vals, plan.mask, plan.accum,
-                                plan.replace)
-        return write_matrix(plan.out, keys, vals, plan.mask, plan.accum,
-                            plan.replace)
+    return write_back(plan.out, keys, vals, plan.mask, plan.accum,
+                      plan.replace)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +384,7 @@ def scipy_mxv(a: Matrix, u: Vector, semiring: Semiring, *,
         dt = semiring.mult_dtype(a.dtype, u.dtype)
     if dt == np.bool_:
         dt = np.dtype(np.int64)
-    present, dense = u.bitmap()
+    present, dense = u._store.bitmap()
     sa = _scipy_operand(a, use_a, dt)
     uvec = dense.astype(dt, copy=False) if use_b else present.astype(dt)
     w_dense = sa @ uvec
@@ -700,11 +731,11 @@ class _MxvFusedDenseAccum:
             dt = sr.mult_dtype(a.dtype, u.dtype)
         if dt == np.bool_:
             dt = np.dtype(np.int64)
-        present, dense = u.bitmap()
+        present, dense = u._store.bitmap()
         sa = _scipy_operand(a, use_a, dt)
         uvec = dense.astype(dt, copy=False) if use_b else present.astype(dt)
         t_dense = sa @ uvec
-        _, w_dense = w.bitmap()
+        _, w_dense = w._store.bitmap()
         out = (w_dense + t_dense).astype(w.type.dtype, copy=False)
         w._set_sparse(np.arange(w.size, dtype=np.int64), out)
         return w
@@ -746,7 +777,7 @@ class _MxvGather:
         rows = _mask_rows(plan.mask, a.nrows)
         if rows is None:
             rows = np.arange(a.nrows, dtype=np.int64)
-        present, dense = u.bitmap()
+        present, dense = u._store.bitmap()
         idx, vals = mxv_gather(a.indptr, a.indices, a.values,
                                present, dense, rows, plan.operator)
         return finish(plan, idx, vals, is_vector=True, size=a.nrows)
@@ -852,6 +883,52 @@ class _EwiseAddBitmap(_EwiseBitmapBase):
 @register("ewise_add", "ewise-sorted-merge")
 class _EwiseAddSorted(_EwiseSortedBase):
     union = True
+
+
+def _view(obj):
+    """An operand as :func:`intersect_probe` takes it: the bitmap pair
+    when bitmap-resident, the sorted ``(keys, values)`` pair otherwise."""
+    return obj._mask_present_dense() or obj._mask_keys_values()
+
+
+@register("ewise_mult", "ewise-probe")
+class _EwiseMultProbe:
+    """Intersection driven from its smallest sorted participant.
+
+    An intersection is a subset of each operand — and of a
+    non-complemented mask's allowed keys, when the result is only ever
+    seen through that mask.  With a bitmap-resident operand to look
+    entries up in, the smallest *sorted* key set among those (a sparse
+    operand, a sparse mask) is walked and every other participant probed:
+    ``W⟨s(S)⟩ = B div∩ P`` gathers ``B`` and ``P`` at the level's keys,
+    ``W ×∩ P`` gathers ``P`` at ``W``'s.  Declines when nothing is bitmap
+    (the sorted merge is the same work) or nothing is sorted (the bitmap
+    merge's flag scan is)."""
+
+    @staticmethod
+    def applies(plan: Plan):
+        sorted_sides = [(x.nvals, False, x) for x in plan.args
+                        if x.format != "bitmap"]
+        if len(sorted_sides) == 2:
+            return None
+        mask = plan.mask
+        if (mask is not None and not mask.complemented
+                and mask.obj.format != "bitmap"):
+            sorted_sides.append((mask.obj.nvals, True, mask.obj))
+        if not sorted_sides:
+            return None
+        _, by_mask, driver = min(sorted_sides, key=lambda side: side[0])
+        plan.meta["_driver"] = (driver, by_mask)
+        return {"layout": "probe", "driver": "mask" if by_mask else "operand"}
+
+    @staticmethod
+    def run(plan: Plan, detail: dict):
+        a, b = plan.args
+        driver, by_mask = plan.meta.pop("_driver")
+        keys = plan.mask.allowed_keys() if by_mask \
+            else driver._mask_keys_values()[0]
+        keys, vals = intersect_probe(keys, _view(a), _view(b), plan.operator)
+        return _ewise_run(plan, keys, vals)
 
 
 @register("ewise_mult", "ewise-bitmap-merge")
@@ -969,11 +1046,8 @@ class _UpdateWrite:
     @staticmethod
     def run(plan: Plan, detail: dict):
         t = plan.args[0]
-        if isinstance(plan.out, Vector):
-            return write_vector(plan.out, t._idx, t._vals, plan.mask,
-                                plan.accum, plan.replace)
-        return write_matrix(plan.out, t.keys(), t.values, plan.mask,
-                            plan.accum, plan.replace)
+        return write_back(plan.out, *t._mask_keys_values(), plan.mask,
+                          plan.accum, plan.replace)
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +1065,6 @@ def _region_write(out, region_keys, t_keys, t_vals, mask: Optional[Mask],
     ``replace=True`` entries inside the region but outside the mask are
     cleared (subassign-style replace).
     """
-    is_vec = isinstance(out, Vector)
     if mask is None:
         allowed = region_keys
     else:
@@ -1003,28 +1076,10 @@ def _region_write(out, region_keys, t_keys, t_vals, mask: Optional[Mask],
         allowed = region_keys[keep]
         if replace:
             # subassign replace: clear region entries the mask rejects
-            c_keys = out._idx if is_vec else out.keys()
-            c_vals = out._vals if is_vec else out.values
-            keys, vals = masked_write(
-                c_keys, c_vals, np.empty(0, np.int64),
-                np.empty(0, out.type.dtype), accum=None,
-                allowed_keys=region_keys[~keep], complement=False,
-                replace=False, out_dtype=out.type.dtype)
-            if is_vec:
-                out._set_sparse(keys, vals)
-            else:
-                out._set_from_keys(keys, vals)
-    c_keys = out._idx if is_vec else out.keys()
-    c_vals = out._vals if is_vec else out.values
-    keys, vals = masked_write(
-        c_keys, c_vals, t_keys, t_vals, accum=accum,
-        allowed_keys=allowed, complement=False, replace=False,
-        out_dtype=out.type.dtype)
-    if is_vec:
-        out._set_sparse(keys, vals)
-    else:
-        out._set_from_keys(keys, vals)
-    return out
+            _transact(out, np.empty(0, np.int64),
+                      np.empty(0, out.type.dtype), region_keys[~keep],
+                      None, False, None, False)
+    return _transact(out, t_keys, t_vals, allowed, None, False, accum, False)
 
 
 @register("assign", "assign-region")
@@ -1043,7 +1098,7 @@ class _AssignRegion:
         mask, accum, replace = plan.mask, plan.accum, plan.replace
         if isinstance(w, Vector):
             if indices is None:
-                return write_vector(w, u._idx, u._vals, mask, accum, replace)
+                return write_back(w, u._idx, u._vals, mask, accum, replace)
             indices = np.asarray(indices, dtype=np.int64)
             if u.size != indices.size:
                 raise DimensionMismatch("assign: index list size mismatch")
@@ -1065,8 +1120,8 @@ class _AssignRegion:
         t_keys = rows[ur] * np.int64(w.ncols) + cols[uc]
         order = np.argsort(t_keys, kind="stable")
         if whole:
-            return write_matrix(w, t_keys[order], uv[order], mask, accum,
-                                replace)
+            return write_back(w, t_keys[order], uv[order], mask, accum,
+                              replace)
         region = np.unique(
             (np.unique(rows)[:, None] * np.int64(w.ncols) +
              np.unique(cols)[None, :]).ravel())
@@ -1093,7 +1148,7 @@ class _AssignScalarRegion:
                 else np.unique(np.asarray(indices, dtype=np.int64))
             vals = np.full(idx.size, value, dtype=w.type.dtype)
             if whole:
-                return write_vector(w, idx, vals, mask, accum, replace)
+                return write_back(w, idx, vals, mask, accum, replace)
             return _region_write(w, idx, idx, vals, mask, accum, replace)
         rows, cols = (None, None) if indices is None else indices
         whole = rows is None and cols is None
@@ -1104,5 +1159,5 @@ class _AssignScalarRegion:
         t_keys = (rows[:, None] * np.int64(w.ncols) + cols[None, :]).ravel()
         t_vals = np.full(t_keys.size, value, dtype=w.type.dtype)
         if whole:
-            return write_matrix(w, t_keys, t_vals, mask, accum, replace)
+            return write_back(w, t_keys, t_vals, mask, accum, replace)
         return _region_write(w, t_keys, t_keys, t_vals, mask, accum, replace)

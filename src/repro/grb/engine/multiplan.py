@@ -217,7 +217,7 @@ def _simple_producer(plan) -> bool:
 
 
 def _set_raw(w: Vector, keys, vals):
-    """``w = raw`` exactly as ``write_vector`` would land it."""
+    """``w = raw`` exactly as ``write_back`` would land it."""
     w._set_sparse(keys.astype(np.int64, copy=False),
                   vals.astype(w.type.dtype, copy=False))
     return w
@@ -260,18 +260,13 @@ def _fuse_frontier_parent(nodes, i) -> int:
 
     p = cons.out
     q_idx, q_vals = q._idx, q._vals       # post-cast stored arrays
-    st = p._store
-    if st.fmt == "bitmap":
+    st = p._writable_bitmap()
+    if st is not None:
         # the output pass proper: O(|q|) scatter into the parents' flag /
-        # value grids — the decomposed update rebuilds p's O(n) sparse
-        # arrays per level instead (content identical; this is where the
-        # old hand fusion's dense-parents win now lives, engine-resident)
-        fresh = int(np.count_nonzero(~st.present[q_idx]))
-        st.present[q_idx] = True
-        st.dense[q_idx] = q_vals.astype(p.type.dtype, copy=False)
-        st._nvals += fresh
-        st._sp = None                     # cached sparse view is stale
-        p._version += 1
+        # value grids — the decomposed update's own in-place path, minus
+        # its mask resolution (every q entry is inside s(q))
+        st.scatter(q_idx, q_vals)
+        p._wrote_in_place()
     else:
         keep = setdiff_keys(p._idx, q_idx)  # p entries q doesn't overwrite
         m_keys = np.concatenate((q_idx, p._idx[keep]))

@@ -349,6 +349,23 @@ class Matrix:
         if _metrics.ENABLED:
             _obsmem.account(self, self._store)
 
+    def _writable_bitmap(self):
+        """The store, when the write-back may write entries into it in
+        place (bitmap-resident, buffers owned and never handed out)."""
+        st = self._S()
+        return st if st.fmt == "bitmap" and st.writable() else None
+
+    def _wrote_in_place(self):
+        """The mutation boundary of an in-place write: what
+        :meth:`_install` does minus the rebuild — same store, so the
+        footprint gauges stand; the density policy is re-read from the
+        store's maintained ``nvals``."""
+        self._invalidate()
+        st = self._store
+        if self._format == "auto" and not _policy.matrix_wants_bitmap(
+                self.nrows, self.ncols, st.nvals):
+            self._set_from_csr(*st.csr())
+
     def _invalidate(self):
         self._scipy = None
         self._pattern_scipy = None
@@ -681,9 +698,9 @@ class Matrix:
     def pattern(self, typ: Type = _types.BOOL) -> "Matrix":
         """``LAGraph_Pattern``: structure-only copy with unit values."""
         m = Matrix(typ, self.nrows, self.ncols)
-        m.indptr = self.indptr.copy()
-        m.indices = self.indices.copy()
-        m.values = np.ones(self.indices.size, dtype=typ.dtype)
+        indptr, indices, _ = self._S().csr()
+        m._set_from_csr(indptr.copy(), indices.copy(),
+                        np.ones(indices.size, dtype=typ.dtype))
         ident, version = self._plan_sig()
         return m._set_lineage(("pattern", typ.name, ident), version)
 

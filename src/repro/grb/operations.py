@@ -255,11 +255,11 @@ def extract(w, u, indices, *, mask=None, accum=None, replace: bool = False):
     mask = as_mask(mask)
     indices = np.asarray(indices, dtype=np.int64)
     _check(w.size == indices.size, "extract: output size mismatch")
-    present, dense = u.bitmap()
+    present, dense = u._store.bitmap()
     hit = present[indices]
     t_idx = np.flatnonzero(hit).astype(np.int64)
     t_vals = dense[indices[t_idx]]
-    return engine.write_vector(w, t_idx, t_vals, mask, accum, replace)
+    return engine.write_back(w, t_idx, t_vals, mask, accum, replace)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def reduce_rowwise(w: Vector, a: Matrix, monoid: Monoid, *, mask=None,
     """``w⟨m⟩⊙= [⊕ⱼ A(:, j)]``: per-row reduction into a vector."""
     _check(w.size == a.nrows, "reduce_rowwise: output size mismatch")
     t = a.reduce_rowwise(monoid)
-    return engine.write_vector(w, t._idx, t._vals, as_mask(mask), accum,
+    return engine.write_back(w, t._idx, t._vals, as_mask(mask), accum,
                                replace)
 
 
@@ -280,7 +280,7 @@ def reduce_colwise(w: Vector, a: Matrix, monoid: Monoid, *, mask=None,
     """``w⟨m⟩⊙= [⊕ᵢ A(i, :)]``: per-column reduction into a vector."""
     _check(w.size == a.ncols, "reduce_colwise: output size mismatch")
     t = a.reduce_colwise(monoid)
-    return engine.write_vector(w, t._idx, t._vals, as_mask(mask), accum,
+    return engine.write_back(w, t._idx, t._vals, as_mask(mask), accum,
                                replace)
 
 
@@ -290,7 +290,7 @@ def transpose(c: Matrix, a: Matrix, *, mask=None, accum=None,
     _check(c.nrows == a.ncols and c.ncols == a.nrows,
            f"transpose: C shape {c.shape} != ({a.ncols}, {a.nrows})")
     t = a.T
-    return engine.write_matrix(c, t.keys(), t.values, as_mask(mask), accum,
+    return engine.write_back(c, t.keys(), t.values, as_mask(mask), accum,
                                replace)
 
 

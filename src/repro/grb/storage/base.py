@@ -18,9 +18,13 @@ The contract every matrix format implements:
   converts once and caches (the storage-level analogue of LAGraph's
   ``G->AT`` property).
 
-Stores are internal, single-owner objects: the owning ``Matrix`` /
-``Vector`` replaces its store wholesale at mutation boundaries, so stores
-never mutate in place except through their owner.
+Stores are internal, single-owner objects.  The owning ``Matrix`` /
+``Vector`` replaces its store wholesale at mutation boundaries — with one
+exception, the bitmap stores, whose owner may also write entries into
+them in place (``scatter`` / ``erase`` / ``set_element``, see
+:mod:`~repro.grb.storage.bitmap`) while the store says it is ``writable()``:
+nobody else holds its buffers.  Nothing but the owner mutates a store
+(``tools/reprolint``'s ``store-mutation`` rule holds the line).
 """
 
 from __future__ import annotations

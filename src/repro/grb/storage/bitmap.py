@@ -17,6 +17,19 @@ What it buys:
 ``BitmapStore`` (matrices) keeps the flag/value arrays flat over the
 ``nrows × ncols`` grid — the same linearised-key space every kernel already
 uses — and is only auto-selected for grids the policy deems affordable.
+
+In-place writes
+---------------
+A bitmap is the one format whose entries can be written without moving any
+other entry, so both stores offer their *owner* :meth:`scatter` /
+:meth:`erase`: O(|keys|) updates of the flag and value arrays that keep
+``_nvals`` exact and drop the derived sparse caches.  The engine's
+write-back takes that path only while :meth:`writable` holds — the buffers
+are this store's own, writeable, and were never handed out.  Handing the
+arrays to code that may keep them (``Vector.bitmap()``,
+:meth:`export_buffers`) marks the store *exported*; its next write-back
+then rebuilds a fresh store, as every write did before, so what was handed
+out stays a snapshot of the content at that moment.
 """
 
 from __future__ import annotations
@@ -29,11 +42,69 @@ from .base import (MatrixStore, VectorStore, arrays_nbytes,
 __all__ = ["BitmapStore", "BitmapVec"]
 
 
-class BitmapStore(MatrixStore):
+class _InPlace:
+    """Owner-only in-place entry writes over ``(present, dense)``.
+
+    Mixed into both bitmap stores; ``_drop_caches`` is the store's own
+    (its derived sparse views differ)."""
+
+    __slots__ = ()
+
+    def writable(self) -> bool:
+        """Whether the write-back may write entries into the buffers.
+
+        They must be this store's own allocation (views into a shared-
+        memory segment or a caller's array are not), writeable (a frozen
+        buffer is somebody's cache) and held by nobody else: neither
+        handed out nor attached from another store's export."""
+        p, d = self.present.flags, self.dense.flags
+        return (not self._exported and p.owndata and p.writeable
+                and d.owndata and d.writeable)
+
+    def mark_exported(self):
+        """The buffers are about to be held by somebody else: from now on
+        they are a snapshot, and the next write-back rebuilds."""
+        self._exported = True
+
+    def scatter(self, keys, vals, accum=None):
+        """``self[keys] ⊙= vals`` in O(|keys|): insert absent keys,
+        overwrite present ones — or, with ``accum``, fold ``vals`` into
+        them as ``accum(old, new)``.  ``keys`` are unique.
+
+        The entries written take the rebuild path's cast chain
+        (:func:`~repro.grb._kernels.ewise.union_merge`'s promoted dtype —
+        skipped, there as here, when nothing is stored — then the cast to
+        the stored dtype) and come out bit-identical to it.  Entries the
+        write does not name are not touched at all, where the rebuild
+        carries them through that promoted dtype and back: the same bits
+        unless an integer beyond 2**53 meets a float ``vals``, which only
+        this path keeps exact."""
+        present, dense = self.present, self.dense
+        hit = present[keys]
+        if accum is not None and self._nvals:
+            both = accum(dense[keys[hit]], vals[hit])
+            vals = vals.astype(
+                np.result_type(both.dtype, dense.dtype, vals.dtype))
+            vals[hit] = both
+        dense[keys] = vals
+        present[keys] = True
+        self._nvals += int(keys.size - np.count_nonzero(hit))
+        self._drop_caches()
+
+    def erase(self, keys):
+        """Delete the entries at ``keys`` (absent ones are skipped)."""
+        keys = keys[self.present[keys]]
+        self.present[keys] = False
+        self.dense[keys] = 0
+        self._nvals -= int(keys.size)
+        self._drop_caches()
+
+
+class BitmapStore(_InPlace, MatrixStore):
     """Dense flat flag + value arrays over the matrix grid."""
 
     fmt = "bitmap"
-    __slots__ = ("present", "dense", "_nvals", "_csr", "_csc")
+    __slots__ = ("present", "dense", "_nvals", "_csr", "_csc", "_exported")
 
     def __init__(self, nrows: int, ncols: int, present, dense, nvals=None):
         self.nrows = int(nrows)
@@ -41,6 +112,11 @@ class BitmapStore(MatrixStore):
         self.present = present
         self.dense = dense
         self._nvals = int(present.sum()) if nvals is None else int(nvals)
+        self._csr = None
+        self._csc = None
+        self._exported = False
+
+    def _drop_caches(self):
         self._csr = None
         self._csc = None
 
@@ -108,14 +184,17 @@ class BitmapStore(MatrixStore):
         return arrays_nbytes((self._csr, self._csc))
 
     def export_buffers(self):
+        self.mark_exported()
         meta = {"fmt": self.fmt, "kind": "matrix", "nrows": self.nrows,
                 "ncols": self.ncols, "nvals": self._nvals}
         return meta, {"present": self.present, "dense": self.dense}
 
     @classmethod
     def attach_buffers(cls, meta: dict, components: dict) -> "BitmapStore":
-        return cls(meta["nrows"], meta["ncols"], components["present"],
-                   components["dense"], nvals=meta["nvals"])
+        st = cls(meta["nrows"], meta["ncols"], components["present"],
+                 components["dense"], nvals=meta["nvals"])
+        st.mark_exported()       # the buffers are the exporter's
+        return st
 
     def copy(self) -> "BitmapStore":
         st = BitmapStore(self.nrows, self.ncols, self.present.copy(),
@@ -123,17 +202,21 @@ class BitmapStore(MatrixStore):
         return st
 
 
-class BitmapVec(VectorStore):
+class BitmapVec(_InPlace, VectorStore):
     """Dense flag + value arrays for a vector; sparse view cached."""
 
     fmt = "bitmap"
-    __slots__ = ("present", "dense", "_nvals", "_sp")
+    __slots__ = ("present", "dense", "_nvals", "_sp", "_exported")
 
     def __init__(self, size: int, present, dense, nvals=None):
         self.size = int(size)
         self.present = present
         self.dense = dense
         self._nvals = int(present.sum()) if nvals is None else int(nvals)
+        self._sp = None
+        self._exported = False
+
+    def _drop_caches(self):
         self._sp = None
 
     @classmethod
@@ -182,14 +265,17 @@ class BitmapVec(VectorStore):
         return arrays_nbytes((self._sp,))
 
     def export_buffers(self):
+        self.mark_exported()
         meta = {"fmt": self.fmt, "kind": "vector", "size": self.size,
                 "nvals": self._nvals}
         return meta, {"present": self.present, "dense": self.dense}
 
     @classmethod
     def attach_buffers(cls, meta: dict, components: dict) -> "BitmapVec":
-        return cls(meta["size"], components["present"], components["dense"],
-                   nvals=meta["nvals"])
+        st = cls(meta["size"], components["present"], components["dense"],
+                 nvals=meta["nvals"])
+        st.mark_exported()       # the buffers are the exporter's
+        return st
 
     def copy(self) -> "BitmapVec":
         return BitmapVec(self.size, self.present.copy(), self.dense.copy(),

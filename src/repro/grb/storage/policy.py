@@ -67,12 +67,17 @@ _MATRIX_STORES = {
 }
 
 
+def matrix_wants_bitmap(nrows: int, ncols: int, nvals: int) -> bool:
+    """Whether the policy puts a matrix of this density in a bitmap."""
+    grid = int(nrows) * int(ncols)
+    return (MATRIX_BITMAP_MIN_GRID <= grid <= MATRIX_BITMAP_GRID_CAP
+            and nvals >= MATRIX_BITMAP_DENSITY * grid)
+
+
 def select_matrix_format(nrows: int, ncols: int, nvals: int,
                          live_rows: int) -> str:
     """Format for a matrix with the observed structure (auto mode)."""
-    grid = int(nrows) * int(ncols)
-    if (MATRIX_BITMAP_MIN_GRID <= grid <= MATRIX_BITMAP_GRID_CAP
-            and nvals >= MATRIX_BITMAP_DENSITY * grid):
+    if matrix_wants_bitmap(nrows, ncols, nvals):
         return "bitmap"
     if (nrows >= HYPER_MIN_ROWS and nvals
             and live_rows < HYPER_LIVE_FRACTION * nrows):

@@ -274,6 +274,22 @@ class Vector:
         if _metrics.ENABLED:
             _obsmem.account(self, self._st)
 
+    def _writable_bitmap(self):
+        """The store, when the write-back may write entries into it in
+        place (bitmap-resident, buffers owned and never handed out)."""
+        st = self._store
+        return st if st.fmt == "bitmap" and st.writable() else None
+
+    def _wrote_in_place(self):
+        """The mutation boundary of an in-place write: what
+        :meth:`_set_sparse` does minus the rebuild — same store, so the
+        footprint gauges stand; the density policy is re-read from the
+        store's maintained ``nvals``."""
+        self._version += 1
+        if self._format == "auto" and _policy.select_vector_format(
+                self.size, self._st.nvals) != "bitmap":
+            self._set_sparse(*self._st.sparse())
+
     def _mask_keys_values(self):
         """(keys, values) for mask resolution — shared protocol with Matrix."""
         return self._store.sparse()
@@ -317,12 +333,21 @@ class Vector:
 
     def bitmap(self):
         """The (present, dense) representation — the storage itself for
-        bitmap-resident vectors, a cache (until mutation) for sparse ones."""
-        return self._store.bitmap()
+        bitmap-resident vectors, a cache for sparse ones.
+
+        The arrays are a snapshot with respect to GraphBLAS operations:
+        handing them out marks a bitmap store exported, so the next
+        write-back builds a new store instead of writing into these
+        (``setElement`` / ``removeElement`` on a bitmap-resident vector
+        do write through, as they always have)."""
+        st = self._store
+        if st.fmt == "bitmap":
+            st.mark_exported()
+        return st.bitmap()
 
     def to_dense(self, fill=0) -> np.ndarray:
         """Dense value array with ``fill`` at absent positions."""
-        present, dense = self.bitmap()
+        present, dense = self._store.bitmap()
         if fill == 0:
             return dense.copy()
         out = np.full(self.size, fill, dtype=self.type.dtype)

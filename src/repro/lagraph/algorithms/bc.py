@@ -24,13 +24,19 @@ to ``i = 1``.)
 
 The GAP benchmark uses ``ns = 4`` sources per batch.
 
-Both phases lean on the mask-driven SpGEMM engine
-(:mod:`repro.grb._kernels.masked_matmul`) with zero call-site changes: the
-backward ``W⟨s(S[i-1])⟩`` levels are dot-eligible (structural,
-non-complemented masks), and the forward ``⟨¬s(P)⟩`` expansion gets the
-complemented-mask row restriction — rows whose ``P`` row is already full
-(a source that reached the whole graph) are never multiplied.  Results are
-bit-identical to the unmasked-then-write reference.
+The code below is the listing above, call for call.  ``P`` and ``B`` are
+dense by the end and updated in accumulate form, so both are pinned to the
+bitmap format (``LAGr_Betweenness`` does the same with
+``GxB_SPARSITY_CONTROL``): ``P += F`` and ``B += W ×∩ P`` then write only
+the level's entries into the bitmap in place, and the two intersections
+are driven from the level's sparse side (``S[i]``, ``W``) and probe ``B``
+and ``P`` — a level costs what its frontier holds, not ``ns · n``.  The
+multiplies lean on the mask-driven SpGEMM engine
+(:mod:`repro.grb._kernels.masked_matmul`): the backward ``W⟨s(S[i-1])⟩``
+levels are dot-eligible (structural, non-complemented masks), and the
+forward ``⟨¬s(P)⟩`` expansion gets the complemented-mask row restriction —
+rows whose ``P`` row is already full (a source that reached the whole
+graph) are never multiplied.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ def betweenness_centrality_batch(g: Graph, sources: Sequence[int]) -> Vector:
     batch = np.arange(ns, dtype=np.int64)
     # P(k, j): number of shortest paths from source k to node j.
     p = Matrix.from_coo(batch, sources, np.ones(ns), ns, n)
+    p.set_format("bitmap")
     # First frontier: F⟨¬s(P)⟩ = P plus.first A
     f = Matrix(grb.FP64, ns, n)
     grb.mxm(f, p, a, _PLUS_FIRST, mask=complement(structure(p)))
@@ -86,7 +93,7 @@ def betweenness_centrality_batch(g: Graph, sources: Sequence[int]) -> Vector:
                 mask=complement(structure(p)), replace=True)
 
     # Backward phase.
-    b = Matrix.from_dense(np.ones((ns, n)))
+    b = Matrix.from_dense(np.ones((ns, n))).set_format("bitmap")
     w = Matrix(grb.FP64, ns, n)
     for i in range(len(levels) - 1, 0, -1):
         _cancel.checkpoint()        # deadline/cancel at the level boundary
@@ -94,8 +101,7 @@ def betweenness_centrality_batch(g: Graph, sources: Sequence[int]) -> Vector:
                        mask=structure(levels[i]), replace=True)
         grb.mxm(w, w, at, _PLUS_FIRST,
                 mask=structure(levels[i - 1]), replace=True)
-        grb.ewise_add(b, b, w.ewise_mult(p, grb.binary.TIMES),
-                      op=grb.binary.PLUS)
+        grb.ewise_mult(b, w, p, grb.binary.TIMES, accum=grb.binary.PLUS)
 
     # centrality(j) = Σᵢ (B(i, j) − 1)
     centrality = Vector.from_dense(np.full(n, -float(ns)))

@@ -71,6 +71,8 @@ __all__ = ["msbfs_levels", "msbfs_parents", "msbfs"]
 _ANY_SECONDI = grb.semiring("any", "secondi")
 _ANY_PAIR = grb.semiring("any", "pair")
 _PLUS_PAIR = grb.semiring("plus", "pair")
+_DEPTH = grb.unary.unary_op(
+    "__msbfs_depth", lambda x, depth: np.full(x.shape, depth, dtype=np.int64))
 
 #: Probe rounds against the frontier bitmap before the ragged fallback
 #: (a kernel-mechanism cap; the *chooser* constants live in the engine's
@@ -387,8 +389,7 @@ def msbfs_levels(g: Graph, sources: Sequence[int], *,
         # L⟨s(F)⟩ = depth: stamp the depth on the new frontier's pattern
         # (sparse analogue of bfs_level's assign_scalar, which would expand
         # the full ns × n key grid per level).
-        t = f.pattern(grb.INT64)
-        t.values[:] = depth
+        t = f.apply(_DEPTH, depth)
         grb.update(lvl, t, mask=structure(t))
     _flush_fused(lvl, acc_keys, acc_vals)
     return lvl

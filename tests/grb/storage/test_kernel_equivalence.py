@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from helpers import random_graph_np, sparse_matrices, vector_pairs
 from repro import grb
@@ -150,6 +150,82 @@ class TestEwiseSelectReduceEquivalence:
         assert_same_vector(got_mul, ref_mul)
         # mixed formats take the sparse path and must agree too
         assert_same_vector(ub.ewise_add(v, grb.binary.PLUS), ref_add)
+
+
+class TestProbeDrivenIntersection:
+    """``ewise-probe`` against the sorted merge (always applicable — the
+    reference) and the bitmap merge, over every operand × mask format
+    pairing, every mask flavour and both output kinds."""
+
+    MASKS = (None, "valued", "structural", "complemented")
+
+    @staticmethod
+    def _run(rule, out, a, b, mask, accum, replace):
+        from repro.grb import engine
+        with engine.force_rule("ewise_mult", rule):
+            grb.ewise_mult(out, a, b, grb.binary.MINUS, mask=mask,
+                           accum=accum, replace=replace)
+        return out
+
+    @staticmethod
+    def _mask(kind, obj):
+        if kind is None:
+            return None
+        if kind == "valued":
+            return grb.Mask(obj)
+        m = grb.structure(obj)
+        return grb.complement(m) if kind == "complemented" else m
+
+    @pytest.mark.parametrize("mask_kind", MASKS)
+    @pytest.mark.parametrize("replace", (False, True))
+    @pytest.mark.parametrize("accum", (None, grb.binary.PLUS))
+    def test_matrix_pairings(self, mask_kind, replace, accum):
+        rng = np.random.default_rng(17)
+        nr, nc = 6, 9
+
+        def rand_mat(k):
+            cells = rng.choice(nr * nc, k, replace=False)
+            return grb.Matrix.from_coo(cells // nc, cells % nc,
+                                       rng.integers(0, 3, k).astype(float),
+                                       nr, nc)
+        a0, b0, m0, c0 = rand_mat(30), rand_mat(8), rand_mat(12), rand_mat(20)
+        probed = 0
+        for fa in MATRIX_FORMATS:
+            for fb in MATRIX_FORMATS:
+                for fm in MATRIX_FORMATS:
+                    a, b = a0.dup().set_format(fa), b0.dup().set_format(fb)
+                    mask = self._mask(mask_kind, m0.dup().set_format(fm))
+                    args = (a, b, mask, accum, replace)
+                    ctx = f"{fa} {fb} mask={mask_kind}/{fm}"
+                    ref = self._run("ewise-sorted-merge", c0.dup(), *args)
+                    auto = c0.dup()
+                    grb.ewise_mult(auto, a, b, grb.binary.MINUS, mask=mask,
+                                   accum=accum, replace=replace)
+                    assert_same_matrix(auto, ref, ctx)
+                    if fa == fb == "bitmap":
+                        got = self._run("ewise-bitmap-merge", c0.dup(), *args)
+                        assert_same_matrix(got, ref, ctx)
+                    sorted_side = fa != "bitmap" or fb != "bitmap" or (
+                        mask_kind not in (None, "complemented")
+                        and fm != "bitmap")
+                    if "bitmap" in (fa, fb) and sorted_side:
+                        got = self._run("ewise-probe", c0.dup(), *args)
+                        assert_same_matrix(got, ref, ctx)
+                        probed += 1
+        assert probed
+
+    @given(vector_pairs(), st.sampled_from(MASKS), st.booleans(),
+           st.sampled_from(VECTOR_FORMATS), st.sampled_from(VECTOR_FORMATS))
+    def test_vector_pairings(self, pair, mask_kind, replace, fu, fm):
+        u, v = pair
+        mask = self._mask(mask_kind, v.dup().set_format(fm))
+        args = (u.dup().set_format(fu), v.dup().set_format("bitmap"), mask,
+                None, replace)
+        ref = self._run("ewise-sorted-merge", u.dup(), *args)
+        if fu != "bitmap" or (fm != "bitmap"
+                              and mask_kind not in (None, "complemented")):
+            got = self._run("ewise-probe", u.dup(), *args)
+            assert_same_vector(got, ref, f"{fu} mask={mask_kind}/{fm}")
 
 
 class TestMaskedWriteEquivalence:

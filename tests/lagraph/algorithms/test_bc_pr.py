@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from helpers import random_graph_np, random_graphs
 from repro import grb
 from repro import lagraph as lg
-from repro.gap import baselines
+from repro.gap import baselines, datasets
 from repro.lagraph.errors import PropertyMissing
 
 nx = pytest.importorskip("networkx")
@@ -72,6 +72,104 @@ class TestBetweennessCentrality:
         small_directed_graph.cache_at()
         cent = lg.betweenness_centrality_batch(small_directed_graph, [])
         np.testing.assert_array_equal(cent.to_dense(), np.zeros(4))
+
+
+def _bc_batch_reference(g, sources):
+    """Alg. 3 as this repository wrote it before ``P`` and ``B`` were
+    pinned to bitmap and updated in accumulate form: every update rebuilds
+    its output, ``B += W ×∩ P`` is an eWiseAdd of a materialised product.
+    Kept as the bit-identity reference for the shipped formulation."""
+    sr = grb.semiring("plus", "first")
+    n, ns = g.n, len(sources)
+    p = grb.Matrix.from_coo(np.arange(ns), sources, np.ones(ns), ns, n)
+    f = grb.Matrix(grb.FP64, ns, n)
+    not_p = lambda: grb.complement(grb.structure(p))   # noqa: E731
+    grb.mxm(f, p, g.A, sr, mask=not_p())
+    levels = []
+    while f.nvals:
+        levels.append(f.pattern())
+        p = p.ewise_add(f, grb.binary.PLUS)
+        grb.mxm(f, f, g.A, sr, mask=not_p(), replace=True)
+    b = grb.Matrix.from_dense(np.ones((ns, n)))
+    w = grb.Matrix(grb.FP64, ns, n)
+    for i in range(len(levels) - 1, 0, -1):
+        grb.ewise_mult(w, b, p, grb.binary.DIV,
+                       mask=grb.structure(levels[i]), replace=True)
+        grb.mxm(w, w, g.AT, sr, mask=grb.structure(levels[i - 1]),
+                replace=True)
+        b = b.ewise_add(w.ewise_mult(p, grb.binary.TIMES), grb.binary.PLUS)
+    centrality = grb.Vector.from_dense(np.full(n, -float(ns)))
+    grb.reduce_colwise(centrality, b, grb.monoid.PLUS_MONOID,
+                       accum=grb.binary.PLUS)
+    return centrality
+
+
+def _two_islands():
+    """Two random components with no edge between them, plus isolated
+    nodes: frontiers die at different levels, rows of P never fill."""
+    a = random_graph_np(None, n=14, p=0.25, seed=3).A.to_dense()
+    b = random_graph_np(None, n=9, p=0.3, seed=4).A.to_dense()
+    dense = np.zeros((26, 26), dtype=bool)
+    dense[:14, :14], dense[14:23, 14:23] = a, b
+    r, c = np.nonzero(dense)
+    return lg.Graph(grb.Matrix.from_coo(r, c, np.ones(r.size, bool), 26, 26),
+                    lg.ADJACENCY_DIRECTED)
+
+
+class TestAccumulateFormBC:
+    """The shipped Alg. 3 (bitmap-pinned ``P``/``B``, in-place accumulate
+    writes, probe-driven intersections) against the reference above and
+    the GAP baseline."""
+
+    GRAPHS = {
+        "kron-tiny": lambda: datasets.build("kron", "tiny"),
+        "road-tiny": lambda: datasets.build("road", "tiny"),
+        "two-islands": _two_islands,
+    }
+
+    @staticmethod
+    def _sources(g):
+        deg = np.diff(g.A.indptr)
+        return np.flatnonzero(deg > 0)[[0, 3, 5, -1]].tolist()
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_bit_identical_to_the_rebuild_formulation(self, name):
+        g = self.GRAPHS[name]()
+        g.cache_at()
+        sources = self._sources(g)
+        got = lg.betweenness_centrality_batch(g, sources)
+        assert got.isequal(_bc_batch_reference(g, sources))
+        np.testing.assert_allclose(
+            got.to_dense(), baselines.betweenness_centrality(g, sources),
+            atol=1e-9)
+
+    def test_updates_are_written_in_place(self):
+        from repro import obs
+        g = self.GRAPHS["road-tiny"]()
+        g.cache_at()
+        with obs.tracing() as tr:
+            lg.betweenness_centrality_batch(g, self._sources(g))
+        kernels = [r for r in tr.records() if r["name"].startswith("kernel:")]
+        delta = {r["parent_id"] for r in tr.find("write")
+                 if r["args"]["delta"]}
+        by_rule = {}
+        for k in kernels:
+            by_rule.setdefault(k["name"], []).append(k["span_id"] in delta)
+        assert all(by_rule["kernel:update-write"])          # P += F
+        probes = by_rule["kernel:ewise-probe"]              # both ∩ per level
+        assert probes and sum(probes) * 2 == len(probes)    # B += W ×∩ P
+        assert "kernel:ewise-sorted-merge" not in by_rule
+        assert "kernel:ewise-bitmap-merge" not in by_rule
+
+    def test_same_under_the_worker_pool(self, monkeypatch):
+        from repro.grb.engine import cost
+        g = self.GRAPHS["kron-tiny"]()
+        g.cache_at()
+        sources = self._sources(g)
+        serial = lg.betweenness_centrality_batch(g, sources)
+        monkeypatch.setenv("REPRO_POOL_WORKERS", "2")
+        monkeypatch.setattr(cost, "POOL_MIN_WORK", 0)
+        assert lg.betweenness_centrality_batch(g, sources).isequal(serial)
 
 
 class TestPageRankGAP:

@@ -93,6 +93,28 @@ class TestMsbfsLevels:
         for k, s in enumerate(sources):
             assert lv.extract_row(k).isequal(lg.bfs_level(g, int(s)))
 
+    @pytest.mark.parametrize("kernel", ["levels", "parents"])
+    def test_dense_frontiers_go_bitmap(self, rng, monkeypatch, kernel):
+        # at serving sizes a low-diameter sweep's frontier and level
+        # matrices cross the density line and become bitmap-resident
+        # (derived arrays read-only, in-place write-back); a 12 x 60 grid
+        # only gets there with the policy's size floor lowered
+        from repro.grb.storage import policy
+        from repro.grb.engine import cost
+        monkeypatch.setattr(policy, "MATRIX_BITMAP_MIN_GRID", 1)
+        monkeypatch.setattr(cost, "MSBFS_FUSE_FRONTIER_K", 0)
+        g = random_graph_np(rng, n=60, p=0.15)
+        sources = rng.integers(0, g.n, size=12)
+        if kernel == "levels":
+            out = lg.msbfs_levels(g, sources)
+            single = lg.bfs_level
+        else:
+            out = lg.msbfs_parents(g, sources, method="mxm")
+            single = lg.bfs_parent_push
+        assert out.format == "bitmap"
+        for k, s in enumerate(sources):
+            assert out.extract_row(k).isequal(single(g, int(s)))
+
     def test_basic_wrapper_returns_requested(self, small_directed_graph):
         p, lv = lg.msbfs(small_directed_graph, [0, 1], parent=True, level=True)
         assert p is not None and lv is not None

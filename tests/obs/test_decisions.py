@@ -127,6 +127,11 @@ DRIVERS = {
     ("ewise_add", "ewise-sorted-merge"): _forced(
         "ewise_add", "ewise-sorted-merge",
         lambda: _ewise(grb.ewise_add, "csr")),
+    ("ewise_mult", "ewise-probe"): _forced(
+        "ewise_mult", "ewise-probe",
+        lambda: grb.ewise_mult(grb.Matrix(grb.FP64, N, N), _matrix(0),
+                               _matrix(1).set_format("bitmap"),
+                               grb.binary.PLUS)),
     ("ewise_mult", "ewise-bitmap-merge"): _forced(
         "ewise_mult", "ewise-bitmap-merge",
         lambda: _ewise(grb.ewise_mult, "bitmap")),

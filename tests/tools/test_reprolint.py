@@ -38,6 +38,7 @@ EXPECTED_BAD = {
     "lagraph/algorithms/while_loop.py": ("cancel-checkpoint", 5),
     "lagraph/algorithms/for_loop.py": ("cancel-checkpoint", 5),
     "grb/engine/inline_tunable.py": ("cost-constants", 3),
+    "grb/engine/scatter_by_hand.py": ("store-mutation", 5),
     "serve/held_lock_dispatch.py": ("lock-discipline", 8),
     "serve/held_lock_wait.py": ("lock-discipline", 7),
     "gc/finalizer_lock.py": ("lock-discipline", 14),

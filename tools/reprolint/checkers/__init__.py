@@ -11,16 +11,17 @@ from .cost_constants import CostConstants
 from .lock_discipline import LockDiscipline
 from .fault_gating import FaultGating
 from .pool_pickle import PoolPickle
+from .store_mutation import StoreMutation
 
 __all__ = ["all_checkers", "checkers_by_id",
            "ObsGating", "CancelCheckpoint", "CostConstants",
-           "LockDiscipline", "FaultGating", "PoolPickle"]
+           "LockDiscipline", "FaultGating", "PoolPickle", "StoreMutation"]
 
 
 def all_checkers() -> List[Checker]:
     """Fresh instances of every shipped checker (registration order)."""
     return [ObsGating(), CancelCheckpoint(), CostConstants(),
-            LockDiscipline(), FaultGating(), PoolPickle()]
+            LockDiscipline(), FaultGating(), PoolPickle(), StoreMutation()]
 
 
 def checkers_by_id() -> Dict[str, Checker]:
