@@ -10,8 +10,19 @@
   (``python -m repro.gap.harness``).
 """
 
-from . import baselines, datasets, generators, graphalytics, harness, verify
+from importlib import import_module
+
+from . import baselines, datasets, generators, graphalytics, verify
 from .datasets import SUITE, build, suite_table
 
 __all__ = ["baselines", "datasets", "generators", "graphalytics", "harness", "verify",
            "SUITE", "build", "suite_table"]
+
+
+def __getattr__(name: str):
+    # ``harness`` is also the ``python -m`` entry point: imported here
+    # eagerly it is already in ``sys.modules`` when runpy goes to execute
+    # it, which runpy reports as a RuntimeWarning on every CLI run
+    if name == "harness":
+        return import_module(".harness", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

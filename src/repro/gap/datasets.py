@@ -1,10 +1,11 @@
 """Registry of the benchmark graph suite (Table IV, scaled down).
 
 ``SUITE`` maps each Table IV graph name to its generator configuration at
-three sizes — ``tiny`` (unit tests), ``small`` (default benchmarks) and
-``medium`` (longer runs).  The paper's graphs hold 58 M – 4.2 B entries; the
-``small`` tier holds 10⁴–10⁵, preserving the structural contrasts that
-drive Table III (see :mod:`repro.gap.generators.graphs`).
+three sizes — ``tiny`` (unit tests), ``small`` (the harness default, the
+ratio guards and ``bench/``'s road and serve workloads) and ``medium``
+(``bench/``'s ``gap_lowdiam``).  The paper's graphs hold 58 M – 4.2 B
+entries; the ``small`` tier holds 10⁴–10⁵, preserving the structural
+contrasts that drive Table III (see :mod:`repro.gap.generators.graphs`).
 """
 
 from __future__ import annotations

@@ -62,15 +62,16 @@ __all__ = [
 
 #: Master switch for fusion: with ``False`` every fused plan decomposes
 #: into the seed sequence (materialised intermediates between stages) —
-#: what ``benchmarks/bench_fused_epilogue.py`` measures against — and
-#: every :mod:`~repro.grb.engine.multiplan` group dispatches node by node:
+#: the slow arm of the PageRank ratio guard in
+#: ``test_planner_parity.py`` — and every
+#: :mod:`~repro.grb.engine.multiplan` group dispatches node by node:
 #: *every* chain, single or multi consumer, replays the call-at-a-time
 #: reference.
 FUSION_ENABLED = True
 #: The keyed plan cache (:mod:`repro.grb.engine.plancache`): repeated
 #: identical dispatches skip the rule choosers and reuse the claimed
-#: rule's operand feeds.  ``False`` re-analyses every call (the cold
-#: baseline ``benchmarks/bench_plan_cache.py`` measures against).
+#: rule's operand feeds.  ``False`` re-analyses every call (the cold arm
+#: of the ratio guard in ``tests/grb/expr/test_plancache.py``).
 PLAN_CACHE_ENABLED = True
 
 # ---------------------------------------------------------------------------
@@ -125,8 +126,9 @@ MSBFS_AUTO_BATCH_THRESHOLD = 2
 MSBFS_PROBE_DENSITY = 0.05
 #: Frontiers with fewer live entries than this skip the masked ``mxm``
 #: entirely: consecutive near-empty levels run as raw-array neighbour
-#: expansions and merge into the output once per run (~13× on the small
-#: road grid, 64 sources).  0 disables level fusion.
+#: expansions and merge into the output once per run (1.7× on the small
+#: road grid, 64 sources; 13× before near-empty levels were written back
+#: in place).  0 disables level fusion.
 MSBFS_FUSE_FRONTIER_K = 8192
 
 # ---------------------------------------------------------------------------

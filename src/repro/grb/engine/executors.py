@@ -201,8 +201,8 @@ def _epilogue_materialised(ep, keys, vals, is_vector: bool, size,
 
     This replays the seed sequence exactly — build the object, call its
     method, re-extract the arrays — and is the bit-identity reference the
-    fused path is tested against (and the baseline the fusion benchmark
-    measures).
+    fused path is tested against (and the slow arm of the fusion ratio
+    guard).
     """
     if is_vector:
         obj = Vector(from_dtype(vals.dtype), size)

@@ -76,8 +76,8 @@ def pool_enabled() -> bool:
 def get_pool():
     """The live pool at the configured size, or ``None`` when disabled.
 
-    A size change (bench legs sweep 0/2/4 workers in one process) tears
-    the old pool down and spawns a fresh one.
+    A size change (the pool tests move between 2 and 4 workers in one
+    process) tears the old pool down and spawns a fresh one.
     """
     global _pool
     n = configured_workers()

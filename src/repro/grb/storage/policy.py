@@ -19,7 +19,7 @@ traversal) the policy cannot observe, so it is only reachable through
 ``Matrix.set_format("csc")`` or the cached-transpose machinery.
 
 All thresholds are module-level constants, deliberately overridable
-(benchmarks and tests monkeypatch them to force formats); pinning an
+(tests monkeypatch them to force formats); pinning an
 object with ``set_format`` bypasses the policy entirely.
 """
 

@@ -82,9 +82,10 @@ _DEPTH = grb.unary.unary_op(
 #: every other planner tunable).  The fusion threshold is the ROADMAP
 #: road-graph follow-up: a high-diameter batch spends hundreds of levels
 #: on slim frontiers, and per-level mxm + mask-write + output-rebuild
-#: overhead dominates the actual expansion work (~13× on the small road
-#: grid, 64 sources); low-diameter graphs blow past the threshold after a
-#: level or two and keep the compiled product.
+#: overhead outweighs the actual expansion work (1.7× on the small road
+#: grid, 64 sources, guarded in ``test_direction_optimized.py``);
+#: low-diameter graphs blow past the threshold after a level or two and
+#: keep the compiled product.
 PROBE_ROUNDS = 16
 
 

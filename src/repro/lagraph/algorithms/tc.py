@@ -33,8 +33,9 @@ product per stored edge of the mask — the way SS:GrB executes Alg. 6 —
 instead of materialising the full wedge product and discarding non-edges.
 For the ``transpose_b`` dot-style methods the kernel reads the second
 operand's own CSR arrays as ``Bᵀ``, so no transpose is ever built.  The
-counts are bit-identical either way; ``benchmarks/bench_masked_mxm.py``
-carries the ≥3× acceptance guard against the expand path.
+counts are bit-identical either way; ``tests/grb/test_masked_mxm.py``
+carries the ratio guard against the expand rule (23-24x on kron-small,
+≥ 10x asserted).
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Two shapes, no client-library dependency:
 * :func:`prometheus_text` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` headers, one sample line per labelled child,
   cumulative ``_bucket``/``_sum``/``_count`` series for histograms).
-* :func:`json_snapshot` — a plain-dict snapshot (the benchmark harness
-  writes one per session when ``REPRO_OBS_ARTIFACT`` is set).
+* :func:`json_snapshot` — a plain-dict snapshot (the default body of
+  the telemetry endpoint's ``/stats`` route).
 
 Trace export (Chrome trace-event JSON, JSONL) lives on
 :class:`repro.obs.trace.TraceCollector` itself — a trace belongs to one

@@ -6,9 +6,9 @@ the call site (``_DISPATCHES = metrics.counter(...)`` at import,
 ``_DISPATCHES.labels(op, rule).inc()`` on the hot path), so a bump is one
 dict probe plus one locked integer add — cheap enough to leave on in
 production paths.  Hot call sites additionally guard on the module-level
-:data:`ENABLED` kill switch, which the overhead benchmark
-(``benchmarks/bench_obs_overhead.py``) uses to measure the instrumentation
-floor.
+:data:`ENABLED` kill switch, which the overhead guard
+(``tests/obs/test_metrics_export.py::TestKillSwitch``) throws to time the
+same workload with every site reduced to its bare guard.
 
 No external client library: exposition formats live in
 :mod:`repro.obs.export` (Prometheus text, JSON snapshot) and read the
@@ -28,7 +28,7 @@ __all__ = ["ENABLED", "Counter", "Gauge", "Histogram", "Registry",
 
 #: Global kill switch: child ``inc``/``set``/``observe`` become no-ops when
 #: False.  Call sites *also* guard on this before computing label values —
-#: the benchmark's "off" leg then measures pure guard cost.
+#: the overhead guard's killed arm then measures pure guard cost.
 ENABLED = True
 
 #: Default histogram buckets, tuned for kernel/request latencies in seconds.

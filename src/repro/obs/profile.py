@@ -211,8 +211,8 @@ def decision(event: dict) -> None:
     ``mxm`` chooser records carrying exact work counts are re-judged: the
     cost model is re-run on the recorded counts, and a decision whose
     chosen method differs from the judged ideal counts as a misprediction
-    (the pattern ``benchmarks/bench_ablation_tc_methods.py`` established,
-    running continuously instead of per-benchmark).
+    (``decision_table()["misprediction_rate"]``, checked in
+    ``tests/obs/test_profile.py``).
     """
     _trace.decision(event)
     rule = event.get("rule")

@@ -59,3 +59,26 @@ def triangle_graph():
     c = np.array([1, 0, 2, 1, 2, 0, 3, 2])
     A = grb.Matrix.from_coo(r, c, np.ones(r.size, dtype=np.bool_), 4, 4)
     return lg.Graph(A, lg.ADJACENCY_UNDIRECTED)
+
+
+# The two serving-size graphs the ratio guards time (``ab_ratio`` in
+# tests/helpers.py): built once per session with every property cached, as
+# GAP builds its CSR outside the timed region.  Read-only — a test that
+# mutates one breaks the others.
+
+def _suite_graph(name):
+    from repro.gap import datasets
+
+    g = datasets.build(name, "small")
+    g.cache_all()
+    return g
+
+
+@pytest.fixture(scope="session")
+def kron_small():
+    return _suite_graph("kron")
+
+
+@pytest.fixture(scope="session")
+def road_small():
+    return _suite_graph("road")

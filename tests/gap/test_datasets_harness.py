@@ -1,5 +1,10 @@
 """Tests for the suite registry and the Table III / IV harness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,10 +50,12 @@ class TestDatasets:
 
     def test_suite_table_rows(self):
         rows = datasets.suite_table("tiny")
-        assert len(rows) == 5
+        assert [r[0] for r in rows] == list(harness.GRAPHS)   # Table IV order
         for name, n, nvals, kind in rows:
             assert n > 0 and nvals > 0
-            assert kind in ("directed", "undirected")
+        kinds = {r[0]: r[3] for r in rows}
+        assert kinds["kron"] == "undirected" and kinds["road"] == "directed"
+        assert set(kinds.values()) == {"directed", "undirected"}
 
 
 class TestHarness:
@@ -70,6 +77,21 @@ class TestHarness:
         text = harness.format_table3(results, graphs=["kron"])
         assert "BFS : GAP" in text and "BFS : LAGr" in text
         assert "Algorithm : graph" in text
+
+    def test_cli_prints_both_tables_without_warnings(self):
+        """``python -m repro.gap.harness`` is the only Table III/IV
+        printer; a package that imports the module eagerly makes runpy
+        warn on every run."""
+        import repro
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.gap.harness", "--size", "tiny", "--algorithms", "TC"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        assert "entries in A" in run.stdout       # Table IV
+        assert "TC : LAGr" in run.stdout          # Table III
 
     def test_sources_avoid_isolated_nodes(self):
         g = datasets.build("road", "tiny")

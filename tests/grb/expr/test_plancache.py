@@ -11,9 +11,12 @@ what lets a repeated query that rebuilds its working matrices still hit.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from helpers import ab_ratio
 from repro import grb, obs
 from repro.grb import engine
 from repro.grb.engine import cost, plancache
@@ -133,6 +136,29 @@ class TestLineage:
         c2 = query()
         assert plancache.stats().hits >= 1
         assert c1.isequal(c2)
+
+    def test_warm_query_beats_cold(self, kron_small):
+        """Ratio guard: a repeated ``triangle_count_basic`` on kron-small
+        — it re-derives its triangles every call, so every hit is a
+        lineage hit — against the same call with the cache off, which
+        pays the chooser and the probe resolution again (measured
+        2.9-3.0x).  LCC rides along for the identity check only."""
+        from repro.lagraph.algorithms.tc import triangle_count_basic
+        from repro.lagraph.experimental.lcc import (
+            local_clustering_coefficient)
+
+        def warm():
+            return triangle_count_basic(kron_small)
+
+        cold = mock.patch.object(cost, "PLAN_CACHE_ENABLED", False)(warm)
+        lcc = local_clustering_coefficient
+        cold_lcc = mock.patch.object(cost, "PLAN_CACHE_ENABLED", False)(lcc)
+        assert warm() == warm() == cold()
+        assert plancache.stats().hits > 0
+        lcc(kron_small)                    # fills the cache
+        np.testing.assert_array_equal(lcc(kron_small).values,
+                                      cold_lcc(kron_small).values)
+        assert ab_ratio(warm, cold, reps=3) >= 1.4
 
     def test_mutated_derivation_falls_back_to_uid(self):
         rng = np.random.default_rng(4)

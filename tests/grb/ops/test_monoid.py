@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import ab_ratio
 from repro.grb.ops import monoid as m
 
 
@@ -259,28 +260,18 @@ class TestSortFreeReduce:
 class TestReduceRatioGuard:
     """In-process A/B guard on the one constant the reduce path has: the
     shipped ``reduce_groups`` against its own sorted fallback (the same
-    call with a bound past the guard, which the sort ignores).  The two
-    arms alternate call by call, so a machine-speed shift lands on both;
-    each arm keeps its best of 5 rounds; only the ratio is asserted —
-    stable enough to run un-skipped (no ``REPRO_SKIP_PERF``)."""
+    call with a bound past the guard, which the sort ignores), timed by
+    ``helpers.ab_ratio`` — only the ratio is asserted."""
 
     @staticmethod
     def _speedup(mono, m_, bound, reps, rng):
-        from time import perf_counter
         keys = rng.integers(0, bound, m_).astype(np.int64)
         values = rng.random(m_)
         past_guard = SLACK * m_ + 1
         assert not mono.sort_free(values.dtype, m_, past_guard)
-        best = [np.inf, np.inf]                  # shipped, sorted
-        for _ in range(5):
-            spent = [0.0, 0.0]
-            for _ in range(reps):
-                for arm, b in enumerate((bound, past_guard)):
-                    t0 = perf_counter()
-                    mono.reduce_groups(keys, values, b)
-                    spent[arm] += perf_counter() - t0
-            best = [min(x, y) for x, y in zip(best, spent)]
-        return best[1] / best[0]
+        return ab_ratio(lambda: mono.reduce_groups(keys, values, bound),
+                        lambda: mono.reduce_groups(keys, values, past_guard),
+                        reps)
 
     @pytest.mark.parametrize("name", ("min", "any"))
     def test_heavy_level_is_sort_free(self, name, rng):

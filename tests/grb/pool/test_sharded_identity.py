@@ -10,11 +10,13 @@ two runs plan independently.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
-from helpers import random_graph_np
-from repro import grb
+from helpers import ab_ratio, random_graph_np
+from repro import grb, obs
 from repro import lagraph as lg
 from repro.grb import engine
 from repro.grb.engine import cost
@@ -207,6 +209,33 @@ class TestMsbfsPool:
         pool_on.setenv("REPRO_POOL_WORKERS", "0")
         ref = run()
         _assert_identical(got, ref)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 4,
+                    reason="pool scaling needs >= 4 cores")
+def test_four_workers_hold_parity_with_serial(kron_small, monkeypatch):
+    """Ratio guard: squaring the kron-small adjacency (``plus.times``) as
+    the planner routes it with four workers — row blocks over
+    shared-memory operands — against the same product pinned to the
+    serial SciPy rule.  The workers are spawned by the identity check,
+    outside the timed region.  Parity is what is asserted: the guard has
+    only ever run oversubscribed (4 workers on 2 cores: 1.16x)."""
+    monkeypatch.setenv("REPRO_POOL_WORKERS", "4")
+    a = kron_small.A.pattern(grb.FP64)
+    sr = grb.semiring_by_name("plus.times")
+
+    def pooled():
+        return _mxm(a, a, sr)
+
+    def serial():
+        with engine.force_rule("mxm", "mxm-scipy"):
+            return pooled()
+
+    with obs.tracing() as trace:
+        got = pooled()
+    assert [e["rule"] for e in trace.decisions("mxm")] == ["mxm-rowblock-pool"]
+    _assert_identical(got, serial())
+    assert ab_ratio(pooled, serial) >= 1 / 1.2
 
 
 class TestAlgorithmParity:

@@ -23,12 +23,11 @@ before the write:
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import ab_ratio
 from repro import grb, obs
 from repro.grb.pool.shm import ShmArena, attach_placement
 from repro.grb.storage import attach_store
@@ -540,14 +539,14 @@ class TestOwnership:
 
 
 # ---------------------------------------------------------------------------
-# in-process A/B ratio guard (arms alternate per call; best of 5 rounds)
+# in-process A/B ratio guard (helpers.ab_ratio)
 # ---------------------------------------------------------------------------
 
 class TestDeltaRatioGuard:
     """The delta path against the rebuild path on one accumulate, the
     rebuild arm chosen by the real ownership predicate (its ``dense``
     buffer is marked read-only before each call), not by a switch.  Only
-    the ratio is asserted — stable enough to run un-skipped."""
+    the ratio is asserted."""
 
     @staticmethod
     def _speedup(t_nvals, reps, rng):
@@ -556,22 +555,22 @@ class TestDeltaRatioGuard:
         t = grb.Matrix.from_coo(t_keys // n, t_keys % n,
                                 rng.random(t_nvals), ns, n)
         t.keys()                                  # warm the key cache
-        outs = [grb.Matrix.from_dense(np.ones((ns, n))).set_format("bitmap")
-                for _ in range(2)]                # delta arm, rebuild arm
-        best = [np.inf, np.inf]
-        for _ in range(5):
-            spent = [0.0, 0.0]
-            for _ in range(reps):
-                for arm, out in enumerate(outs):
-                    if arm:
-                        out._store.dense.flags.writeable = False
-                    assert (out._writable_bitmap() is None) == bool(arm)
-                    t0 = perf_counter()
-                    grb.update(out, t, accum=grb.binary.PLUS)
-                    spent[arm] += perf_counter() - t0
-            best = [min(x, y) for x, y in zip(best, spent)]
-        assert outs[0].isequal(outs[1])
-        return best[1] / best[0]
+        in_place, rebuilt = (
+            grb.Matrix.from_dense(np.ones((ns, n))).set_format("bitmap")
+            for _ in range(2))
+
+        def delta():
+            assert in_place._writable_bitmap() is not None
+            grb.update(in_place, t, accum=grb.binary.PLUS)
+
+        def rebuild():
+            rebuilt._store.dense.flags.writeable = False
+            assert rebuilt._writable_bitmap() is None
+            grb.update(rebuilt, t, accum=grb.binary.PLUS)
+
+        ratio = ab_ratio(delta, rebuild, reps)
+        assert in_place.isequal(rebuilt)
+        return ratio
 
     def test_frontier_sized_accumulate(self, rng):
         # P += F on a road level: 64 entries into 4 x 5184 (measured ~12x)

@@ -1,14 +1,17 @@
-"""Shared test helpers: hypothesis strategies and plain random-graph builders.
+"""Shared test helpers: hypothesis strategies, plain random-graph builders
+and the A/B timing loop of the ratio guards.
 
 Lives in its own module (not ``conftest.py``) so test modules can import it
-unambiguously: ``conftest`` is a name pytest also gives to
-``benchmarks/conftest.py``, and whichever module is imported first wins the
-``sys.modules`` slot.  ``tests/conftest.py`` puts this directory on
-``sys.path`` before any test module is imported, so a plain
-``from helpers import ...`` always resolves here.
+unambiguously: ``conftest`` is a name pytest gives to every directory's
+fixture file (``tests/grb/pool/conftest.py`` too), and whichever module is
+imported first wins the ``sys.modules`` slot.  ``tests/conftest.py`` puts
+this directory on ``sys.path`` before any test module is imported, so a
+plain ``from helpers import ...`` always resolves here.
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 import numpy as np
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from repro import grb
 
 __all__ = [
     "sparse_vectors", "vector_pairs", "sparse_matrices", "random_graphs",
-    "random_graph_np",
+    "random_graph_np", "ab_ratio",
 ]
 
 
@@ -127,3 +130,30 @@ def random_graph_np(rng, n=40, p=0.1, directed=True, weighted=False, seed=None):
         A = grb.Matrix.from_coo(r, c, np.ones(r.size, bool), n, n)
     kind = lg.ADJACENCY_DIRECTED if directed else lg.ADJACENCY_UNDIRECTED
     return lg.Graph(A, kind)
+
+
+# ---------------------------------------------------------------------------
+# ratio guards
+# ---------------------------------------------------------------------------
+
+def ab_ratio(fast, slow, reps: int = 1) -> float:
+    """How many times longer ``slow()`` takes than ``fast()``, in process.
+
+    The two arms alternate call by call, so a shift in machine speed lands
+    on both; a round is ``reps`` calls of each, every arm keeps its best of
+    5 rounds, and only the ratio of the two is returned — the one wall-clock
+    quantity stable enough to assert on any runner.  Warm both arms (and
+    check they agree) before calling; size ``reps`` so a round takes tens of
+    milliseconds."""
+    arms = (fast, slow)
+    best = [np.inf, np.inf]
+    for _ in range(5):
+        spent = [0.0, 0.0]
+        for _ in range(reps):
+            for arm, fn in enumerate(arms):
+                t0 = perf_counter()
+                fn()
+                spent[arm] += perf_counter() - t0
+        best = [min(b, s) for b, s in zip(best, spent)]
+    return best[1] / best[0]
+

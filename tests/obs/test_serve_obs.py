@@ -166,6 +166,12 @@ class TestPlanCacheAttribution:
             svc.register("attrib", g)
             with obs.tracing() as trace:
                 svc.query("attrib", serve.TriangleCount())
+                # memo off, graph unchanged: the repeat re-dispatches and
+                # is served from the plan cache, and says so on its records
+                svc.query("attrib", serve.TriangleCount())
+                assert svc.plan_cache_stats().hits > 0
+                assert {"hit", "miss"} <= {
+                    e.get("plan_cache") for e in trace.decisions()}
                 # mutate the adjacency (kept symmetric): versions move,
                 # shapes stay — the next identical query invalidates its
                 # cached plans
