@@ -22,6 +22,7 @@ from ...obs.profile import profiled
 
 __all__ = [
     "SelectOp",
+    "live_thunk",
     "eval_unary",
     "eval_select",
     "TRIL",
@@ -41,6 +42,14 @@ __all__ = [
 ]
 
 
+def live_thunk(thunk) -> bool:
+    """Whether ``thunk`` is an object read when the predicate runs (a
+    ``Vector``) rather than a value fixed when the call was made: such a
+    read is one of a recorded call's dependencies, and its result is not
+    a function of the call's arguments alone."""
+    return hasattr(thunk, "_thunk_view")
+
+
 @dataclass(frozen=True)
 class SelectOp:
     """A vectorised entry predicate.
@@ -53,6 +62,13 @@ class SelectOp:
     fused epilogues then skip the div/mod split a kernel's raw key output
     would otherwise round-trip through (the op must still handle real
     ``(i, j)`` pairs for the materialised path).
+
+    A thunk may be a :class:`~repro.grb.vector.Vector`: the predicate then
+    receives the vector's ``(present, dense)`` arrays *as they are when it
+    runs* — here, the one place every select path (the ``select`` rules,
+    fused and materialised epilogues, the ``Vector`` / ``Matrix`` methods)
+    calls through — read without marking the store exported, so a later
+    write-back into that vector may still land in place.
     """
 
     name: str
@@ -61,6 +77,8 @@ class SelectOp:
     keyed: bool = False
 
     def __call__(self, values, i, j, thunk) -> np.ndarray:
+        if live_thunk(thunk):
+            thunk = thunk._thunk_view()
         return np.asarray(self.fn(values, i, j, thunk), dtype=bool)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

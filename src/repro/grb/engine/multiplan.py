@@ -9,8 +9,8 @@ intermediate write-back machinery between them is never paid.  This is the
 step beyond PR 4's epilogue fusion, which could only fuse consumers
 hanging off a *single* producing call.
 
-Shipped rules
--------------
+Shipped rule
+------------
 ``fused-frontier-parent``
     ``vxm``/``mxv`` (no accum, ``replace=True``) into a frontier ``q``
     immediately followed by ``update(p, q, mask=structure(q))`` — the two
@@ -19,11 +19,10 @@ Shipped rules
     and the parents take one disjoint union merge, skipping the update's
     full mask-resolution pass — the level body of every parents BFS in
     :mod:`repro.lagraph.algorithms.bfs`.
-``fused-improve-merge``
-    A ``vxm``/``mxv`` relaxation into ``x`` with *two* consumers — a
-    ``select`` (the strict-improvement filter picking the next frontier)
-    and an ``ewise_add`` min-merge into the distance vector — both applied
-    to the kernel's raw output in one pass (delta-stepping's inner loop).
+
+(A consumer that only filters or maps the producer's output needs no rule
+here: it rides the producing plan as a ``then_select`` / ``then_apply``
+epilogue — how the SSSP relaxations carry their improvement filter.)
 
 Every fused group replays the decomposed sequence bit for bit: a rule only
 claims patterns whose write-backs it can reproduce exactly, and with
@@ -47,7 +46,7 @@ from ...obs import trace as _trace
 from .. import cancel as _cancel
 from .. import pool as _pool
 from ..expr import _DONE
-from .._kernels.ewise import setdiff_keys, union_merge
+from .._kernels.ewise import setdiff_keys
 from ..vector import Vector
 from . import cost
 from .plan import Plan
@@ -278,61 +277,3 @@ def _fuse_frontier_parent(nodes, i) -> int:
     c_node.result = p
     c_node.state = _DONE
     return 2
-
-
-@register_fusion("fused-improve-merge")
-def _fuse_improve_merge(nodes, i) -> int:
-    """Relaxation with two consumers: improvement filter + min-merge.
-
-    ``x⟨r⟩ = kernel`` followed by ``select(y, x, op, thunk)`` and
-    ``ewise_add(t, t, x, ⊕)``: both consumers read the producer's output
-    pass directly — the filter on the freshly cast arrays (exactly what a
-    decomposed ``select`` reads from ``x``'s store), the merge as one
-    sorted union against ``t``'s entries.
-    """
-    if i + 2 >= len(nodes):
-        return 0
-    p_node, s_node, m_node = nodes[i], nodes[i + 1], nodes[i + 2]
-    prod, sel, mrg = p_node.plan, s_node.plan, m_node.plan
-    if not _simple_producer(prod):
-        return 0
-    x = prod.out
-    if not (sel.op == "select" and sel.args[0] is x
-            and isinstance(sel.out, Vector)
-            and sel.out is not x and sel.mask is None and sel.accum is None
-            and not sel.epilogues):
-        return 0
-    t = mrg.out
-    if not (mrg.op == "ewise_add" and mrg.args[0] is t and mrg.args[1] is x
-            and isinstance(t, Vector) and t is not x and t is not sel.out
-            and mrg.mask is None and mrg.accum is None and not mrg.replace
-            and not mrg.epilogues):
-        return 0
-
-    keys, vals = dispatch(_raw_twin(prod))
-    _set_raw(x, keys, vals)
-    p_node.result = x
-    p_node.state = _DONE
-
-    x_idx, x_vals = x._idx, x._vals
-    # consumer 1: the improvement filter, on the same pass
-    op = sel.operator
-    thunk = sel.meta.get("_thunk")
-    if op.uses_coords:
-        keep = op(x_vals, x_idx, np.zeros(x_idx.size, dtype=np.int64), thunk)
-    else:
-        keep = op(x_vals, None, None, thunk)
-    y = sel.out
-    # no mask, no accum: the write-back is a plain set (replace-indifferent)
-    y._set_sparse(x_idx[keep],
-                  x_vals[keep].astype(y.type.dtype, copy=False))
-    s_node.result = y
-    s_node.state = _DONE
-
-    # consumer 2: the min-merge, against t's current entries
-    m_keys, m_vals = union_merge(t._idx, t._vals, x_idx, x_vals,
-                                 mrg.operator)
-    t._set_sparse(m_keys, m_vals.astype(t.type.dtype, copy=False))
-    m_node.result = t
-    m_node.state = _DONE
-    return 3

@@ -25,7 +25,7 @@ loops consume kernel output without an intermediate object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..errors import DimensionMismatch, InvalidValue
@@ -103,8 +103,11 @@ class Plan:
 
     # -- fused-chain construction ---------------------------------------
     def _with(self, epilogue: Epilogue) -> "Plan":
-        return _dc_replace(self, epilogues=self.epilogues + (epilogue,),
-                           meta=dict(self.meta))
+        # built directly, not via ``dataclasses.replace``: algorithm level
+        # loops chain an epilogue per dispatch (multiplan._raw_twin's note)
+        return Plan(self.op, self.out, self.args, self.operator, self.mask,
+                    self.accum, self.replace, self.transpose_b,
+                    self.epilogues + (epilogue,), dict(self.meta))
 
     def then_apply(self, op, thunk=None) -> "Plan":
         """Fuse ``apply(op)`` onto this plan's output pass."""

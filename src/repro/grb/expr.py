@@ -24,8 +24,9 @@ the producer's single output pass) before dispatching node by node.  With
 into the bit-identical call-at-a-time sequence.
 
 Dependency tracking is exact: a node depends on the pending producers of
-every operand it reads (its arguments, its mask's object, and its own
-output — accumulators and masks read the output's prior state) and, for
+every operand it reads (its arguments, its mask's object, a ``Vector``
+handed to a select predicate as its thunk, and its own output —
+accumulators and masks read the output's prior state) and, for
 writes, on every pending reader of the object it overwrites (anti-
 dependencies), so forcing one output never reorders visible effects.
 
@@ -52,6 +53,7 @@ from typing import Optional
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
+from ._kernels.apply_select import live_thunk
 
 #: Always-on recording counter: calls deferred into an expression DAG
 #: instead of executing eagerly, by operation kind.
@@ -189,6 +191,14 @@ class ExprGraph:
             objs.append(plan.mask.obj)
         if plan.out is not None:
             objs.append(plan.out)    # accum/mask write-back reads old state
+        # a select predicate reads a Vector thunk when it runs: a recorded
+        # write into that vector stays ordered after this node
+        thunk = plan.meta.get("_thunk")
+        if thunk is not None and live_thunk(thunk):
+            objs.append(thunk)
+        for e in plan.epilogues:
+            if live_thunk(e.thunk):
+                objs.append(e.thunk)
         return objs
 
     def record(self, plan) -> Deferred:

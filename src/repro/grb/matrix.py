@@ -721,6 +721,8 @@ class Matrix:
         kept = np.concatenate(([0], np.cumsum(keep)))
         out = Matrix(self.type, self.nrows, self.ncols)
         out._set_from_csr(kept[indptr], indices[keep], values[keep])
+        if _selectops.live_thunk(thunk):
+            return out     # a vector thunk is read, not named (Vector.select)
         try:
             hash(thunk)
         except TypeError:

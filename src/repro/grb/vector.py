@@ -301,6 +301,15 @@ class Vector:
             return st.bitmap()
         return None
 
+    def _thunk_view(self):
+        """(present, dense) for a select predicate whose thunk is this
+        vector (resolved by ``SelectOp.__call__`` when the predicate runs).
+        An engine-internal read like :meth:`_mask_present_dense`: it lasts
+        for one predicate call and marks nothing exported, so the vector
+        can still be written in place afterwards — :meth:`bitmap` is the
+        public read that keeps its arrays as a snapshot."""
+        return self._store.bitmap()
+
     # ------------------------------------------------------------------
     # basic properties & access
     # ------------------------------------------------------------------
@@ -485,6 +494,10 @@ class Vector:
             keep = op(self._vals, None, None, thunk)
         out = Vector(self.type, self.size)
         out._set_sparse(self._idx[keep], self._vals[keep])
+        if _selectops.live_thunk(thunk):
+            # a vector thunk is read, not named: what it held is not in
+            # the tag, so the result is no deterministic derivation
+            return out
         return self._derived(out, ("select", op, thunk))
 
     def reduce(self, monoid: Monoid):

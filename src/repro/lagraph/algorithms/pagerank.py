@@ -137,6 +137,7 @@ def pagerank_gx(g: Graph, damping: float = 0.85, tol: float = 1e-4,
         engine.execute(
             engine.plan_ewise_mult(w, t, dout, grb.binary.DIV)
                   .then_apply(_GX_DAMP, damping))
+        # store: snapshot (r and t are rebuilt whole every iteration)
         _, t_dense = t.bitmap()
         redistributed = damping * float(t_dense[dangling].sum()) / n
         with grb.deferred():    # teleport + accumulate, forced by the delta

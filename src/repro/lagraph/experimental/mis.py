@@ -53,8 +53,8 @@ def maximal_independent_set(g: Graph, seed: int = 0) -> Vector:
         # neighbour maximum among candidates: nbmax = A max.second s
         nbmax = Vector(grb.FP64, n)
         grb.mxv(nbmax, a, s, _MAX_SECOND, replace=True)
-        _, nb_dense = nbmax.bitmap()
-        nb_present, _ = nbmax.bitmap()
+        # store: snapshot (nbmax is this round's own vector)
+        nb_present, nb_dense = nbmax.bitmap()
         winners = cand_idx[(score > nb_dense[cand_idx]) |
                            ~nb_present[cand_idx]]
         if winners.size == 0:

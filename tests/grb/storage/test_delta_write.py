@@ -18,6 +18,10 @@ before the write:
   for an output lands before a write-back, also one that never reads the
   old content (both twins skip that read, so these compare against
   spelled-out expectations, not against each other);
+* a ``Vector`` handed to a select predicate as its thunk is the read
+  that does *not* export: it sees the vector as it is when the predicate
+  runs, stays ordered against recorded writes, and leaves the vector
+  writable in place;
 * an un-skipped in-process ratio guard holds the speed claim.
 """
 
@@ -29,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import ab_ratio
 from repro import grb, obs
+from repro.grb import engine
 from repro.grb.pool.shm import ShmArena, attach_placement
 from repro.grb.storage import attach_store
 from repro.lagraph.algorithms.sssp import _IMPROVES_VEC
@@ -536,6 +541,119 @@ class TestOwnership:
             full, grb.Matrix(grb.FP64, NROWS, NCOLS),
             mask=grb.structure(full.dup()))) == [True]
         assert full.nvals == 0 and full.format == "csr"
+
+
+class TestVectorThunk:
+    """``select(..., thunk=t)`` with ``t`` a Vector: the predicate gets
+    ``t``'s ``(present, dense)`` as they are when it runs (the SSSP
+    relaxations filter against the distances they are about to merge
+    into), through a read that marks nothing exported."""
+
+    N = 8
+    MIN = grb.binary.MIN
+
+    def _objects(self, fmt="bitmap"):
+        t = grb.Vector.from_dense(np.full(self.N, 9.0)).set_format(fmt)
+        req = grb.Vector.from_coo([2, 3], [1.0, 20.0], self.N)
+        return t, req, grb.Vector(grb.FP64, self.N)
+
+    @staticmethod
+    def _improving(nxt):
+        return nxt.to_coo()[0].tolist()
+
+    SELECTS = {
+        "operation": lambda nxt, req, t: grb.select(nxt, req, _IMPROVES_VEC,
+                                                    t),
+        "method": lambda nxt, req, t: grb.update(
+            nxt, req.select(_IMPROVES_VEC, t), replace=True),
+        "epilogue": lambda nxt, req, t: engine.execute(
+            engine.plan_apply(nxt, req, grb.unary.IDENTITY, replace=True)
+                  .then_select(_IMPROVES_VEC, t)),
+    }
+
+    @pytest.mark.parametrize("fused", (True, False))
+    @pytest.mark.parametrize("how", sorted(SELECTS))
+    def test_eager_read_sees_the_state_at_call_time(self, how, fused,
+                                                    monkeypatch):
+        monkeypatch.setattr(engine.cost, "FUSION_ENABLED", fused)
+        t, req, nxt = self._objects()
+        self.SELECTS[how](nxt, req, t)
+        assert self._improving(nxt) == [2]           # 1 < 9; 20 is not
+        # the read exported nothing: the merge lands in place ...
+        assert _write_deltas(
+            lambda: grb.update(t, req, accum=self.MIN)) == [True]
+        # ... and the next read sees it (1 < 1 is no improvement)
+        self.SELECTS[how](nxt, req, t)
+        assert self._improving(nxt) == []
+
+    @pytest.mark.parametrize("force", ("scope-exit", "writer", "reader"))
+    def test_recorded_read_stays_before_a_later_write(self, force):
+        t, req, nxt = self._objects()
+        with grb.deferred():
+            grb.select(nxt, req, _IMPROVES_VEC, t)
+            grb.update(t, req, accum=self.MIN)
+            if force == "writer":      # forcing t alone runs the select first
+                assert t[2] == 1.0
+            elif force == "reader":
+                assert nxt.nvals == 1
+        assert self._improving(nxt) == [2]
+        assert t[2] == 1.0 and t[3] == 9.0
+
+    @pytest.mark.parametrize("force", ("scope-exit", "reader"))
+    def test_recorded_read_stays_after_an_earlier_write(self, force):
+        t, req, nxt = self._objects()
+        with grb.deferred():
+            grb.update(t, req, accum=self.MIN)
+            grb.select(nxt, req, _IMPROVES_VEC, t)
+            if force == "reader":      # forcing nxt alone runs the merge first
+                assert nxt.nvals == 0
+        assert self._improving(nxt) == [] and t[2] == 1.0
+
+    @pytest.mark.parametrize("how", ("sparse", "exported", "frozen", "shm"))
+    def test_store_that_may_not_be_written_reads_right_and_rebuilds(
+            self, how):
+        t, req, nxt = self._objects("sparse" if how == "sparse" else "bitmap")
+        arena = shm = None
+        if how == "exported":
+            t.bitmap()
+        elif how == "frozen":
+            t._store.dense.flags.writeable = False
+        elif how == "shm":
+            arena = ShmArena()
+            t._store, shm = attach_placement(arena.place("k", t._store))
+        try:
+            held = t._store
+            grb.select(nxt, req, _IMPROVES_VEC, t)
+            assert self._improving(nxt) == [2]
+            assert _write_deltas(
+                lambda: grb.update(t, req, accum=self.MIN)) == [False]
+            assert t._store is not held
+            grb.select(nxt, req, _IMPROVES_VEC, t)   # reads the new store
+            assert self._improving(nxt) == [] and t[2] == 1.0
+        finally:
+            if shm is not None:
+                del held
+                shm.close()
+                arena.close()
+
+    def test_result_is_not_a_deterministic_derivation(self):
+        # same source version, same op, same thunk *object* — different
+        # thunk content: a lineage tag would let the plan cache mix them
+        t, req, _ = self._objects()
+        first = req.select(_IMPROVES_VEC, t)
+        grb.update(t, req, accum=self.MIN)
+        second = req.select(_IMPROVES_VEC, t)
+        assert first._plan_sig() != second._plan_sig()
+        assert not first.isequal(second)
+        rows = grb.selectops.SelectOp("__test_row_flagged",
+                                      lambda v, i, j, k: k[0][i])
+        flags = grb.Vector.from_coo([1], [True], NROWS)
+        m = _other(1)
+        assert m.select(rows, flags)._plan_sig() \
+            != m.select(rows, flags)._plan_sig()
+        # a scalar thunk still names its result
+        assert m.select("valuegt", 0)._plan_sig() \
+            == m.select("valuegt", 0)._plan_sig()
 
 
 # ---------------------------------------------------------------------------

@@ -172,19 +172,7 @@ def _frontier_parent():
         grb.update(p, q, mask=grb.structure(q))
 
 
-def _improve_merge():
-    a = _matrix()
-    t = _vector(2)
-    x = grb.Vector(grb.FP64, N)
-    y = grb.Vector(grb.FP64, N)
-    with grb.deferred():
-        grb.vxm(x, _vector(3, density=0.3), a, MIN_PLUS, replace=True)
-        grb.select(y, x, grb.selectops.VALUELT, 3.0)
-        grb.ewise_add(t, t, x, grb.binary.MIN)
-
-
-FUSIONS = {"fused-frontier-parent": _frontier_parent,
-           "fused-improve-merge": _improve_merge}
+FUSIONS = {"fused-frontier-parent": _frontier_parent}
 
 
 @pytest.fixture

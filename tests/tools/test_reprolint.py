@@ -37,6 +37,7 @@ EXPECTED_BAD = {
     "ungated_fire.py": ("fault-gating", 5),
     "lagraph/algorithms/while_loop.py": ("cancel-checkpoint", 5),
     "lagraph/algorithms/for_loop.py": ("cancel-checkpoint", 5),
+    "lagraph/algorithms/snapshot_per_round.py": ("snapshot-in-loop", 7),
     "grb/engine/inline_tunable.py": ("cost-constants", 3),
     "grb/engine/scatter_by_hand.py": ("store-mutation", 5),
     "serve/held_lock_dispatch.py": ("lock-discipline", 8),
