@@ -56,6 +56,7 @@ import numpy as np
 from ..ops.monoid import PLUS_MONOID
 from ..ops.semiring import Semiring
 from .gather import concat_ranges, expand_rows
+from .matmul import multiply_as
 from ...obs.profile import profiled
 
 __all__ = [
@@ -354,15 +355,11 @@ def masked_dot_reduce(
     # group-reduce — the basis of the bit-identity guarantee.
     if cast_dtype is not None:
         dt = np.dtype(cast_dtype)
-        if mult_name == "pair":
-            mult = np.ones(t.size, dtype=dt)
-        elif mult_name == "first":
-            mult = a_values[apos].astype(dt, copy=False)
-        elif mult_name == "second":
-            mult = bt_values[bpos].astype(dt, copy=False)
-        else:
-            mult = (a_values[apos].astype(dt, copy=False)
-                    * bt_values[bpos].astype(dt, copy=False))
+        mult = multiply_as(
+            mult_name,
+            a_values[apos] if mult_name in ("times", "first") else None,
+            bt_values[bpos] if mult_name in ("times", "second") else None,
+            t.size, dt)
         if np.issubdtype(dt, np.inexact):
             # SciPy's compiled CSR matmul accumulates each output with a
             # plain sequential loop, and reduceat switches to pairwise

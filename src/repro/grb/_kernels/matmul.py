@@ -16,9 +16,15 @@ Three shapes, all fully vectorised (no per-row Python loops):
 ``mxm_expand``
     ``C = A ⊕.⊗ B`` by flop-order expansion: every multiply the semiring
     performs becomes one row of a COO triple which is then group-reduced by
-    the ⊕ monoid.  Memory is O(flops); the SciPy fast path in
-    :mod:`repro.grb.matrix` handles the plus.times-reducible semirings so
-    this kernel only runs for exotic semirings (min.plus mxm etc.).
+    the ⊕ monoid.  Memory is O(flops), and so is time — no per-call term
+    that scales with a dimension — which makes it the kernel of both ends
+    of the planner's ``mxm`` list (:mod:`repro.grb.engine.executors`): the
+    semirings SciPy cannot run (``min.plus``, ``any.secondi`` …) whatever
+    their size, and, in its SciPy-replay mode (``cast_dtype``), the
+    plus.times-reducible products whose flop count is below what the
+    compiled kernel spends setting up (the near-empty levels of a batched
+    traversal).  The compiled path itself is ``scipy_mxm`` in
+    ``executors``.
 
 The positional coordinate convention follows
 :mod:`repro.grb.ops.positional`: the multiplier sees ``a(i, k) ⊗ b(k, j)``.
@@ -34,7 +40,8 @@ from ..ops.semiring import Semiring
 from .gather import concat_ranges, csr_gather_rows, expand_rows
 from ...obs.profile import profiled
 
-__all__ = ["vxm_sparse", "mxv_gather", "mxm_expand", "mxv_pull_probe"]
+__all__ = ["vxm_sparse", "mxv_gather", "mxm_expand", "mxv_pull_probe",
+           "multiply_as"]
 
 
 def _multiply(semiring: Semiring, a_vals, b_vals, i, k, j):
@@ -42,6 +49,25 @@ def _multiply(semiring: Semiring, a_vals, b_vals, i, k, j):
     if semiring.positional:
         return semiring.mult.select(i, k, j)
     return semiring.mult(a_vals, b_vals)
+
+
+def multiply_as(mult_name: str, a_vals, b_vals, count: int,
+                dtype: np.dtype) -> np.ndarray:
+    """``count`` aligned ⊗ results the way SciPy's compiled product forms
+    them: every operand cast to ``dtype`` first, and a side whose values
+    the multiply ignores standing in as all ones — so ``first``/``second``
+    pass the other side through and ``pair`` is ones.  An ignored side may
+    be ``None``."""
+    if mult_name == "pair":
+        return np.ones(count, dtype=dtype)
+    if mult_name == "first":
+        return a_vals.astype(dtype, copy=False)
+    if mult_name == "second":
+        return b_vals.astype(dtype, copy=False)
+    # a compiled loop raises no floating-point flags (inf · 0, overflow)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (a_vals.astype(dtype, copy=False)
+                * b_vals.astype(dtype, copy=False))
 
 
 @profiled("vxm_sparse")
@@ -109,6 +135,7 @@ def mxm_expand(
     a_rows: Optional[np.ndarray] = None,
     rows: Optional[np.ndarray] = None,
     key_keep=None,
+    cast_dtype: Optional[np.dtype] = None,
 ):
     """``C = A ⊕.⊗ B`` by full flop expansion.
 
@@ -133,6 +160,20 @@ def mxm_expand(
     levels of a batched BFS: huge products, small ``ns × n`` grid) there
     is no sort to spare, so ``key_keep`` is skipped and the write-back
     discards the mask-dead entries.
+
+    SciPy-replay mode: ``cast_dtype`` (plus.times-reducible semirings
+    only) makes the result equal, byte for byte, what ``scipy_mxm``
+    returns for the same operands — the ``cast_dtype`` idea of
+    :func:`~repro.grb._kernels.masked_matmul.masked_dot_reduce`.  ⊗ is
+    :func:`multiply_as` in that dtype (a value array the multiply ignores
+    may be ``None`` and is never gathered), and ⊕ folds every output's
+    contributions left to right in k-ascending order — the expansion
+    enumerates ``A``'s entries in storage order and the sort is stable —
+    from zero (:meth:`Monoid.reduce_sequential`): SciPy's ``sums[j] +=``
+    loop, where ``reduceat`` would sum a group of 8 or more pairwise.  The
+    structure is the expansion's own, so an output that cancels to zero
+    stays an explicit zero without the second (pattern) product SciPy
+    needs for that.
     """
     if rows is not None:
         row_rep, a_cols, a_vals_sub = csr_gather_rows(
@@ -146,16 +187,20 @@ def mxm_expand(
     # For every A entry, gather B row k.
     ent_rep, j, b_vals_g = csr_gather_rows(b_indptr, b_indices, b_values, a_cols)
     i = a_rows[ent_rep]
-    k = a_cols[ent_rep]
     keys = i * np.int64(b_ncols) + j
     grid = int(a_nrows) * int(b_ncols)
     av = a_vals_sub[ent_rep] if a_vals_sub is not None else None
-    mult = _multiply(semiring, av, b_vals_g, i, k, j)
-    if key_keep is not None and not semiring.add.sort_free(
-            mult.dtype, keys.size, grid):
+    replay = cast_dtype is not None
+    mult = multiply_as(semiring.mult.name, av, b_vals_g, keys.size,
+                       cast_dtype) if replay \
+        else _multiply(semiring, av, b_vals_g, i, a_cols[ent_rep], j)
+    if key_keep is not None and (replay or not semiring.add.sort_free(
+            mult.dtype, keys.size, grid)):
         keep = key_keep(keys)
         keys = keys[keep]
         mult = mult[keep]
+    if replay:
+        return semiring.add.reduce_sequential(keys, mult)
     return semiring.add.reduce_groups(keys, mult, grid)
 
 

@@ -126,9 +126,16 @@ MSBFS_AUTO_BATCH_THRESHOLD = 2
 MSBFS_PROBE_DENSITY = 0.05
 #: Frontiers with fewer live entries than this skip the masked ``mxm``
 #: entirely: consecutive near-empty levels run as raw-array neighbour
-#: expansions and merge into the output once per run (1.7× on the small
-#: road grid, 64 sources; 13× before near-empty levels were written back
-#: in place).  0 disables level fusion.
+#: expansions and merge into the output once per run (1.6–1.9× on the
+#: small road grid, 64 sources; 13× before near-empty levels were written
+#: back in place).  0 disables level fusion.  The planner's own
+#: small-product rule (``mxm-small-expand``, ISSUE 23) does not replace
+#: this path, on a measurement: road-small ``msbfs_levels``, 4 sources,
+#: 8.3–9.3 ms fused against 35–41 ms for the ``K = 0`` loop *with* that
+#: rule claiming every level (37–44 ms with every product pinned to
+#: ``mxm-scipy``; 64 sources: 86–89 against 140–154 ms) — what a fused
+#: level still skips is three dispatches and a write-back, not a
+#: multiply.
 MSBFS_FUSE_FRONTIER_K = 8192
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 This module is where the scattered pre-engine dispatch logic of
 ``operations.py`` now lives, reorganised as registered planner rules:
 
-* ``mxm`` — ``mxm-masked-dot`` (the dot3 masked-SpGEMM kernel, claimed via
+* ``mxm`` — ``mxm-small-expand`` (a plus.times-reducible product of at
+  most ``ncols(B)`` flops, on the expansion kernel in its SciPy-replay
+  mode: below that the compiled kernel's per-call set-up is the cost),
+  ``mxm-masked-dot`` (the dot3 masked-SpGEMM kernel, claimed via
   the unified chooser in :mod:`repro.grb.engine.cost`), ``mxm-scipy``
   (compiled plus.times-reducible path, mask-restricted to live rows) and
   ``mxm-expand`` (the always-applicable flop-expansion reference).
@@ -52,7 +55,7 @@ from .._kernels.ewise import (
     union_merge,
     union_merge_bitmap,
 )
-from .._kernels.gather import expand_rows
+from .._kernels.gather import csr_row_lengths, expand_rows
 from .._kernels.maskwrite import delta_write, masked_write
 from .._kernels.matmul import mxm_expand, mxv_gather, vxm_sparse
 from ..mask import Mask
@@ -496,6 +499,74 @@ def _row_lengths(m: Matrix) -> np.ndarray:
     return np.diff(st.csr()[0])
 
 
+def _run_expand(plan: Plan, rows, key_keep):
+    """``mxm_expand`` on the plan's operands, then :func:`finish`.
+
+    A semiring SciPy could run goes through the kernel's SciPy-replay mode
+    (operands cast to :func:`_scipy_dtype`, sequential k-ascending sums),
+    so the expansion's bytes are ``scipy_mxm``'s whichever rule claimed
+    the product; a value array the multiply ignores is not handed over."""
+    a, b = plan.args
+    if plan.transpose_b:
+        b = b.T
+    sr = plan.operator
+    replay = sr.scipy_reducible()
+    use_a, use_b = _mult_uses(sr) if replay else (True, True)
+    keys, vals = mxm_expand(
+        a.indptr, a.indices, a.values if use_a else None, a.nrows,
+        b.indptr, b.indices, b.values if use_b else None, b.ncols, sr,
+        a_rows=a._S().entry_rows() if rows is None else None,
+        rows=rows, key_keep=key_keep,
+        cast_dtype=_scipy_dtype(a, b, sr) if replay else None)
+    return finish(plan, keys, vals, is_vector=False,
+                  nrows=a.nrows, ncols=b.ncols)
+
+
+@register("mxm", "mxm-small-expand")
+class _MxmSmallExpand:
+    """A plus.times-reducible product of at most ``ncols(B)`` flops, on
+    the expansion kernel instead of the compiled one.
+
+    SciPy's Gustavson pass allocates and clears an ``ncols(B)``-cell
+    workspace per call, wraps both operands and the result in
+    ``csr_matrix`` objects, and needs a second (pattern) product whenever
+    an operand holds a value below 1; the expansion costs what its flops
+    cost.  A product with fewer multiplications than that workspace has
+    cells — the near-empty levels of a batched traversal on a
+    high-diameter graph, hundreds per BC batch — is therefore claimed here
+    and replayed bit for bit (:func:`_run_expand`).  The bound is the
+    operand's own shape, so the rule has no constant: the measured
+    crossover tracks ``ncols(B)`` (docs/BENCHMARKING.md, ISSUE 23).
+
+    The exact flop count ``Σ_k∈A |B(k,:)|`` is one O(nnz(A)) gather of
+    ``B``'s row pointer, and is only attempted when ``nnz(A)`` itself is
+    within the bound (every entry of ``A`` meeting an empty row of ``B``
+    aside, a product has at least that many flops): a heavy level
+    declines on two integer compares.  The mask is applied to the
+    expansion's keys before the reduce; no row restriction is analysed —
+    there is less product here than the analysis would read.
+    """
+
+    @staticmethod
+    def applies(plan: Plan):
+        a, b = plan.args
+        bound = plan.meta["_bn_cols"]
+        if (not plan.operator.scipy_reducible() or not b.nvals
+                or not 0 < a.nvals <= bound):
+            return None
+        if plan.transpose_b:
+            b = b.T
+        flops = int(csr_row_lengths(b.indptr, a.indices).sum())
+        if flops > bound:
+            return None
+        return {"method": "small-expand", "flops": flops,
+                "flop_bound": bound}
+
+    @staticmethod
+    def run(plan: Plan, detail: dict):
+        return _run_expand(plan, None, mask_key_filter(plan.mask))
+
+
 @register("mxm", "mxm-masked-dot")
 class _MxmMaskedDot:
     """One sorted-intersection dot product per mask entry (dot3 kernel).
@@ -650,19 +721,11 @@ class _MxmExpand:
 
     @staticmethod
     def run(plan: Plan, detail: dict):
-        a, b = plan.args
-        if plan.transpose_b:
-            b = b.T
-        engaged = _mask_engaged(plan)
-        rows = _live_rows_feed(plan, a.nrows, b.ncols)
-        keys, vals = mxm_expand(
-            a.indptr, a.indices, a.values, a.nrows,
-            b.indptr, b.indices, b.values, b.ncols, plan.operator,
-            a_rows=a._S().entry_rows() if rows is None else None,
-            rows=rows,
-            key_keep=mask_key_filter(plan.mask) if engaged else None)
-        return finish(plan, keys, vals, is_vector=False,
-                      nrows=a.nrows, ncols=b.ncols)
+        a, _ = plan.args
+        rows = _live_rows_feed(plan, a.nrows, plan.meta["_bn_cols"])
+        return _run_expand(
+            plan, rows,
+            mask_key_filter(plan.mask) if _mask_engaged(plan) else None)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,14 @@ as raw-array neighbour expansions against a dense discovered-set bitmap,
 and their discoveries merge into the output once per fused run.  This is
 what makes the high-diameter road regime cheap (hundreds of slim levels,
 each previously paying mxm + mask materialisation + an O(nvals) output
-rebuild); results are bit-identical at every threshold.
+rebuild); results are bit-identical at every threshold.  The engine now
+claims such a level's product itself (``mxm-small-expand``: at most
+``n`` flops run on the expansion kernel, not SciPy), and this private path
+stays all the same: on road-small with 4 sources it takes 8.3–9.3 ms where
+the per-level loop with that rule takes 35–41 ms (64 sources: 86–89 vs
+140–154 ms) — a fused level has no ``mxm`` dispatch, depth stamp, masked
+update or output write at all, and the rule only makes the first of those
+cheaper.
 """
 
 from __future__ import annotations
@@ -82,8 +89,8 @@ _DEPTH = grb.unary.unary_op(
 #: every other planner tunable).  The fusion threshold is the ROADMAP
 #: road-graph follow-up: a high-diameter batch spends hundreds of levels
 #: on slim frontiers, and per-level mxm + mask-write + output-rebuild
-#: overhead outweighs the actual expansion work (1.7× on the small road
-#: grid, 64 sources, guarded in ``test_direction_optimized.py``);
+#: overhead outweighs the actual expansion work (1.6–1.9× on the small
+#: road grid, 64 sources, guarded in ``test_direction_optimized.py``);
 #: low-diameter graphs blow past the threshold after a level or two and
 #: keep the compiled product.
 PROBE_ROUNDS = 16

@@ -10,6 +10,7 @@ masked engine and fusion switched off (exactly the seed pipeline).
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -473,3 +474,449 @@ class TestPreplan:
         assert "transpose_csr" in summary["built"]
         assert "pattern_operand" in summary["built"]
         assert trace.decisions() == [summary]
+
+
+# ---------------------------------------------------------------------------
+# mxm: every registered rule, walked from the registry
+# ---------------------------------------------------------------------------
+
+MXM_N = 64          # 64 x 64 outputs sit on the 4 096-cell bitmap floor
+MXM_REDUCIBLE = ("plus.times", "plus.first", "plus.second", "plus.pair")
+MXM_SEMIRINGS = MXM_REDUCIBLE + ("min.plus", "min.first", "any.pair",
+                                 "any.secondi")
+# the dot rule claims whatever it supports; the fallbacks restrict rows and
+# filter keys by the mask
+_MXM_ENGAGED = dict(MASKED_MIN_NNZ=0, DOT_PROBE_COST=0.0, DOT_WRITE_COST=0.0)
+
+
+def _nonfinite(rng, size):
+    v = rng.standard_normal(size)
+    v[rng.random(size) < 0.3] = rng.choice([np.inf, -np.inf, np.nan])
+    return v
+
+
+def _with_zeros(v, rng):
+    v[rng.random(v.size) < 0.25] = 0
+    return v
+
+
+#: value class -> values(rng, size): what the integer-valued-float
+#: convention of ``_rand_matrix`` hides from every other parity grid
+MXM_VALUES = {
+    "fp64": lambda rng, size: rng.standard_normal(size) * 3,
+    # below 1 with stored zeros: scipy_mxm's pattern-product branch
+    "fp64-subunit-zeros": lambda rng, size: _with_zeros(rng.random(size),
+                                                       rng),
+    "fp64-nonfinite": _nonfinite,
+    # +-1: sums of 8 cancel to exact (explicit) zeros
+    "fp64-cancel": lambda rng, size: rng.choice([-1.0, 1.0], size),
+    "fp32": lambda rng, size: (rng.standard_normal(size) * 3).astype(
+        np.float32),
+    "int64": lambda rng, size: rng.integers(-2, 3, size),
+    "bool": lambda rng, size: rng.random(size) < 0.7,
+}
+
+
+def _small_product(rng, a_values, b_values=None):
+    """``(A, B)``, 64 x 64 each, exactly on ``mxm-small-expand``'s bound:
+    two rows of ``A`` hold 8 entries each, and the 16 rows of ``B`` they
+    meet share one set of 4 columns — 64 flops = ``ncols(B)``, every output
+    the sum of 8 contributions (where ``reduceat`` turns pairwise).  The
+    other 48 rows of ``B`` are random and never touched."""
+    n = MXM_N
+    b_values = b_values or a_values
+    k = rng.permutation(n)[:16]
+    a = grb.Matrix.from_coo(np.repeat([0, 5], 8), k, a_values(rng, 16), n, n)
+    j = np.sort(rng.permutation(n)[:4])
+    dense = rng.random((n, n)) < 0.2
+    dense[k] = False
+    dense[np.ix_(k, j)] = True
+    r, c = np.nonzero(dense)
+    b = grb.Matrix.from_coo(r, c, b_values(rng, r.size), n, n)
+    return a, b
+
+
+def _big_product(rng, a_values, b_values=None):
+    """``(A, B)`` above the gate: a dense 4 x 64 times a dense 64 x 64 —
+    64 contributions per output, the shape the ISSUE 23 bugfix names."""
+    b_values = b_values or a_values
+    a = grb.Matrix.from_dense(
+        a_values(rng, 4 * MXM_N).reshape(4, MXM_N), keep_zeros=True)
+    b = grb.Matrix.from_dense(
+        b_values(rng, MXM_N * MXM_N).reshape(MXM_N, MXM_N), keep_zeros=True)
+    return a, b
+
+
+def _mask_object(rng, nrows):
+    """Sparse mask with stored zeros, so valued != structural."""
+    dense = rng.random((nrows, MXM_N)) < 0.3
+    r, c = np.nonzero(dense)
+    return grb.Matrix.from_coo(r, c, rng.integers(0, 2, r.size)
+                               .astype(np.float64), nrows, MXM_N)
+
+
+def _mxm_masks(mobj):
+    out = _mask_variants(mobj)
+    out["complement-valued"] = grb.complement(grb.Mask(mobj))
+    return out
+
+
+def _triple(keys, vals):
+    """Keys, value *bytes* (signed zeros and dtype width count) and dtype.
+    NaNs are canonicalised first: which operand's sign and payload an
+    ``inf - inf`` meeting a stored NaN keeps is the compiler's operand
+    order inside one add, not a value."""
+    if vals.dtype.kind == "f":
+        vals = np.where(np.isnan(vals), vals.dtype.type(np.nan), vals)
+    return np.array(keys), vals.tobytes(), vals.dtype
+
+
+def _of(c):
+    return _triple(c.keys(), c.values)
+
+
+def _walk_mxm(run, ctx):
+    """``run()`` under every rule registered for ``mxm`` — pinned, with the
+    masked engine standing down and engaged — and as routed: whichever
+    accept the plan return the reference's keys, value bytes and dtype.
+    The reference is the seed pipeline (``mxm-expand``, masked engine off).
+    Returns the names of the rules that accepted."""
+    with mock.patch.object(cost, "MASKED_MIN_NNZ", float("inf")), \
+            engine.force_rule("mxm", "mxm-expand"):
+        ref = run()
+    accepted = set()
+    for costs in ({}, _MXM_ENGAGED):
+        with ExitStack() as stack:
+            for const, value in costs.items():
+                stack.enter_context(mock.patch.object(cost, const, value))
+            trials = [r.name for r in engine.rules_for("mxm")] + [None]
+            for name in trials:
+                where = f"{ctx} rule={name or 'routed'} engaged={bool(costs)}"
+                try:
+                    if name is None:
+                        got = run()
+                    else:
+                        with engine.force_rule("mxm", name):
+                            got = run()
+                except engine.PlanningError:
+                    continue
+                accepted.add(name)
+                np.testing.assert_array_equal(got[0], ref[0], err_msg=where)
+                assert got[1] == ref[1], where
+                assert got[2] == ref[2], where
+    return accepted
+
+
+class TestMxmRuleParity:
+    """Every rule in ``engine.rules_for("mxm")`` that accepts a plan is
+    byte-identical to the reference — walked from the registry, so the
+    next registered rule is covered without anyone remembering it."""
+
+    @pytest.mark.parametrize("name,values", [
+        (name, values) for name in MXM_SEMIRINGS for values in MXM_VALUES
+        # one float and one integer class cover the semirings SciPy cannot
+        # run: there is no second kernel's arithmetic to replay
+        if name in MXM_REDUCIBLE or values in ("fp64", "int64")])
+    @pytest.mark.parametrize("build", (_small_product, _big_product),
+                             ids=("small", "big"))
+    def test_value_classes(self, rng, build, name, values):
+        """Raw ``out=None`` plans (the kernel's own dtype is visible) and a
+        plain write, unmasked and through a structural mask."""
+        sr = grb.semiring_by_name(name)
+        a, b = build(rng, MXM_VALUES[values])
+        mobj = _mask_object(rng, a.nrows)
+        accepted = set()
+        for mk, mask in (("none", None),
+                         ("structural", grb.structure(mobj))):
+            def raw():
+                return _triple(*engine.execute(
+                    engine.plan_mxm(None, a, b, sr, mask=mask)))
+
+            def written():
+                c = grb.Matrix(grb.FP64, a.nrows, MXM_N)
+                grb.mxm(c, a, b, sr, mask=mask)
+                return _of(c)
+
+            ctx = f"{name} {values} mask={mk}"
+            accepted |= _walk_mxm(raw, ctx + " raw")
+            accepted |= _walk_mxm(written, ctx + " written")
+        assert "mxm-expand" in accepted
+        if sr.scipy_reducible():
+            assert "mxm-scipy" in accepted and "mxm-masked-dot" in accepted
+            assert ("mxm-small-expand" in accepted) == \
+                (build is _small_product)
+        else:
+            assert "mxm-small-expand" not in accepted
+
+    def test_mixed_operand_dtypes(self, rng):
+        """BC's shape: FP64 path counts below 1 times a bool adjacency."""
+        for sr_name in ("plus.first", "plus.times", "plus.second"):
+            sr = grb.semiring_by_name(sr_name)
+            a, b = _small_product(rng, MXM_VALUES["fp64-subunit-zeros"],
+                                  MXM_VALUES["bool"])
+
+            def raw():
+                return _triple(*engine.execute(
+                    engine.plan_mxm(None, a, b, sr)))
+
+            assert "mxm-small-expand" in _walk_mxm(raw, sr_name)
+
+    @pytest.mark.parametrize("mask_fmt", ("sparse", "bitmap"))
+    @pytest.mark.parametrize("out_fmt", ("csr", "bitmap"))
+    @pytest.mark.parametrize("name", ("plus.first", "plus.times"))
+    def test_mask_accum_replace(self, rng, name, out_fmt, mask_fmt):
+        sr = grb.semiring_by_name(name)
+        a, b = _small_product(rng, MXM_VALUES["fp64-subunit-zeros"])
+        mobj = _mask_object(rng, MXM_N)
+        if mask_fmt == "bitmap":
+            mobj.set_format("bitmap")
+        c0 = _rand_matrix(rng, MXM_N, MXM_N, density=0.1)
+        for mk, mask in _mxm_masks(mobj).items():
+            for accum in (None, grb.binary.PLUS):
+                for replace in (False, True):
+                    def run():
+                        c = c0.dup().set_format(out_fmt)
+                        grb.mxm(c, a, b, sr, mask=mask, accum=accum,
+                                replace=replace)
+                        return _of(c)
+
+                    accepted = _walk_mxm(
+                        run, f"{name} {mk} accum={accum} r={replace}")
+                    assert "mxm-small-expand" in accepted
+
+    @pytest.mark.parametrize("fmt_a", MATRIX_FORMATS)
+    @pytest.mark.parametrize("fmt_b", MATRIX_FORMATS)
+    @pytest.mark.parametrize("transpose_b", (False, True))
+    def test_operand_pins(self, rng, fmt_a, fmt_b, transpose_b):
+        sr = grb.semiring_by_name("plus.times")
+        a, b = _small_product(rng, MXM_VALUES["fp64"])
+        mobj = _mask_object(rng, MXM_N)
+        a.set_format(fmt_a)
+        # with transpose_b the stored operand is Bᵀ, so the product (and
+        # its flop count against the bound) is the same A·B
+        b = (b.transpose() if transpose_b else b).set_format(fmt_b)
+
+        def run():
+            c = grb.Matrix(grb.FP64, MXM_N, MXM_N)
+            grb.mxm(c, a, b, sr, mask=grb.structure(mobj),
+                    transpose_b=transpose_b)
+            return _of(c)
+
+        assert "mxm-small-expand" in _walk_mxm(
+            run, f"{fmt_a}/{fmt_b} transpose_b={transpose_b}")
+
+    @pytest.mark.parametrize("lazy", (False, True), ids=("eager", "lazy"))
+    def test_output_aliases_an_operand(self, rng, lazy):
+        """``mxm(f, f, a, ...)`` — every level of BC and msbfs — eager and
+        recorded under ``DESC_LAZY`` (forced at the read inside the pin)."""
+        sr = grb.semiring_by_name("plus.first")
+        f0, b = _small_product(rng, MXM_VALUES["fp64-subunit-zeros"])
+        p = _mask_object(rng, MXM_N).set_format("bitmap")
+        desc = grb.DESC_LAZY if lazy else None
+        for kw in (dict(mask=grb.complement(grb.structure(p)), replace=True),
+                   dict(accum=grb.binary.PLUS),
+                   dict()):
+            def run():
+                f = f0.dup()
+                grb.mxm(f, f, b, sr, desc=desc, **kw)
+                return _of(f)
+
+            assert "mxm-small-expand" in _walk_mxm(run, f"alias {sorted(kw)}")
+
+    def test_forced_expand_equals_scipy_on_arbitrary_floats(self, rng):
+        """The README's "whatever claims a plan, results are bit-identical"
+        on the shape the integer-float convention hid: ``reduceat`` sums a
+        group of 8 or more pairwise, SciPy sequentially (4 / 2 / 6 ulp
+        apart for ``times`` / ``first`` / ``second`` before the expansion
+        kernel learnt to replay SciPy's order)."""
+        a = grb.Matrix.from_dense(rng.random((4, 64)))
+        b = grb.Matrix.from_dense(rng.random((64, 64)))
+        for name in MXM_REDUCIBLE:
+            out = {}
+            for rule in ("mxm-scipy", "mxm-expand"):
+                out[rule] = grb.Matrix(grb.FP64, 4, 64)
+                with engine.force_rule("mxm", rule):
+                    grb.mxm(out[rule], a, b, grb.semiring_by_name(name))
+            assert out["mxm-expand"].isequal(out["mxm-scipy"]), name
+            assert out["mxm-expand"].values.tobytes() == \
+                out["mxm-scipy"].values.tobytes(), name
+
+
+class TestMxmSmallExpandGate:
+    """``mxm-small-expand`` claims a plus.times-reducible product of at
+    most ``ncols(B)`` flops, and looks at an array only when ``nnz(A)`` is
+    itself within that bound."""
+
+    SR = grb.semiring_by_name("plus.times")
+
+    def _claim(self, a, b, **kw):
+        with obs.tracing() as trace:
+            c = grb.Matrix(grb.FP64, a.nrows,
+                           b.nrows if kw.get("transpose_b") else b.ncols)
+            grb.mxm(c, a, b, self.SR, **kw)
+        (e,) = trace.decisions("mxm")
+        return e
+
+    def test_record_carries_flops_and_bound(self, rng):
+        a, b = _small_product(rng, MXM_VALUES["fp64"])
+        e = self._claim(a, b)
+        assert e["rule"] == "mxm-small-expand"
+        assert (e["flops"], e["flop_bound"]) == (64, MXM_N)
+        # the transposed spelling of the same product counts the same flops
+        e = self._claim(a, b.transpose(), transpose_b=True)
+        assert (e["rule"], e["flops"]) == ("mxm-small-expand", 64)
+
+    def test_one_flop_over_the_bound_declines(self, rng):
+        a, b = _small_product(rng, MXM_VALUES["fp64"])
+        k = int(a.indices[0])
+        free = np.setdiff1d(np.arange(MXM_N), b.extract_row(k).indices)
+        b[k, int(free[0])] = 1.0           # B(k,:) grows by one: 65 flops
+        e = self._claim(a, b)
+        assert e["rule"] == "mxm-scipy"
+        # a declined trial leaves nothing of its own in the record
+        assert "flops" not in e and "flop_bound" not in e
+
+    def test_heavy_operand_declines_without_touching_an_array(self, rng):
+        """``a.nvals > ncols(B)``: two integer compares, no gather — the
+        row-pointer read is poisoned and never reached."""
+        from repro.grb.engine import executors
+        a = _rand_matrix(rng, MXM_N, MXM_N)          # ~1 200 entries
+        b = _rand_matrix(rng, MXM_N, MXM_N)
+        assert a.nvals > b.ncols
+
+        def boom(*args):
+            raise AssertionError("flop count attempted past the O(1) gate")
+
+        with mock.patch.object(executors, "csr_row_lengths", boom):
+            assert self._claim(a, b)["rule"] == "mxm-scipy"
+            # ... while an operand inside the gate does reach the gather
+            with pytest.raises(AssertionError, match="O\\(1\\) gate"):
+                self._claim(*_small_product(rng, MXM_VALUES["fp64"]))
+
+    def test_empty_operand_reaches_the_reference_rule(self, rng):
+        _, b = _small_product(rng, MXM_VALUES["fp64"])
+        empty = grb.Matrix(grb.FP64, MXM_N, MXM_N)
+        assert self._claim(empty, b)["rule"] == "mxm-expand"
+        assert self._claim(b, empty)["rule"] == "mxm-expand"
+
+    def test_other_semirings_decline(self, rng):
+        a, b = _small_product(rng, MXM_VALUES["fp64"])
+        with engine.force_rule("mxm", "mxm-small-expand"):
+            with pytest.raises(engine.PlanningError):
+                grb.mxm(grb.Matrix(grb.FP64, MXM_N, MXM_N), a, b,
+                        grb.semiring_by_name("min.plus"))
+
+
+class TestSmallExpandAlgorithmParity:
+    """The three algorithms whose levels ``mxm-small-expand`` claims, as
+    routed (the trace shows the rule ran) against every product pinned to
+    ``mxm-scipy``."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        from repro import lagraph as lg
+        from repro.gap import datasets
+        # two islands out of reach of each other (and a few isolated
+        # nodes): a 5-ring with a chord, and a triangle with a tail
+        ring = [(i, (i + 1) % 5) for i in range(5)] + [(0, 2)]
+        kite = [(8, 9), (9, 10), (8, 10), (10, 11)]
+        r, c = np.array(ring + kite).T
+        islands = grb.Matrix.from_coo(
+            np.concatenate((r, c)), np.concatenate((c, r)),
+            np.ones(2 * r.size, dtype=np.bool_), 16, 16)
+        out = {"road": datasets.build("road", "tiny"),
+               "kron": datasets.build("kron", "tiny"),
+               "islands": lg.Graph(islands, lg.ADJACENCY_UNDIRECTED)}
+        for g in out.values():
+            g.cache_all()
+        return out
+
+    @staticmethod
+    def _sources(g):
+        live = np.flatnonzero(np.diff(g.A.indptr) > 0)
+        return live[np.linspace(0, live.size - 1, 4).astype(np.int64)]
+
+    @staticmethod
+    def _both_ways(fn):
+        with obs.tracing() as trace:
+            routed = fn()
+        with engine.force_rule("mxm", "mxm-scipy"):
+            pinned = fn()
+        return routed, pinned, {e["rule"] for e in trace.decisions("mxm")}
+
+    @pytest.mark.parametrize("name", ("road", "kron", "islands"))
+    def test_bc_batch(self, graphs, name):
+        from repro.lagraph.algorithms.bc import betweenness_centrality_batch
+        g = graphs[name]
+        routed, pinned, rules = self._both_ways(
+            lambda: betweenness_centrality_batch(g, self._sources(g)))
+        assert "mxm-small-expand" in rules
+        np.testing.assert_array_equal(routed.indices, pinned.indices)
+        assert routed.values.tobytes() == pinned.values.tobytes()
+
+    @pytest.mark.parametrize("name", ("road", "kron", "islands"))
+    def test_msbfs_levels(self, graphs, name, monkeypatch):
+        from repro import lagraph as lg
+        g = graphs[name]
+        fused = lg.msbfs_levels(g, self._sources(g), method="pair")
+        # one masked plus.pair mxm per level instead of msbfs's own
+        # raw-array path
+        monkeypatch.setattr(cost, "MSBFS_FUSE_FRONTIER_K", 0)
+        routed, pinned, rules = self._both_ways(
+            lambda: lg.msbfs_levels(g, self._sources(g), method="pair"))
+        assert "mxm-small-expand" in rules
+        assert routed.isequal(pinned) and routed.isequal(fused)
+
+    @pytest.mark.parametrize("name", ("road", "kron", "islands"))
+    def test_triangle_count(self, graphs, name):
+        from repro.lagraph.algorithms.tc import triangle_count_basic
+        g = graphs[name]
+        routed, pinned, rules = self._both_ways(
+            lambda: triangle_count_basic(g))
+        assert routed == pinned
+        # L holds more entries than it has columns on the suite graphs
+        # (the O(1) gate); the islands' L fits
+        assert ("mxm-small-expand" in rules) == (name == "islands")
+
+
+class TestSmallExpandRatioGuard:
+    """What ``mxm-small-expand`` is for, on the 72 x 72 road grid: the
+    slow arm is the same call with the product pinned to ``mxm-scipy``."""
+
+    def test_near_empty_level(self, road_small):
+        """One forward BC level — 16 frontier entries, ~64 flops, the
+        ``⟨¬s(P), r⟩`` write — with a fresh frontier operand per call, as
+        every level of a traversal has (measured 1.69-1.78x over ten runs;
+        half of that is below parity, so parity is the floor)."""
+        n = road_small.n
+        rng = np.random.default_rng(23)
+        cols = np.sort(rng.choice(n, 16, replace=False))
+        rows = np.repeat(np.arange(4), 4)
+        p = grb.Matrix.from_coo(np.arange(4), cols[::4], np.ones(4), 4, n)
+        p.set_format("bitmap")
+        sr = grb.semiring_by_name("plus.first")
+
+        def level():
+            f = grb.Matrix.from_coo(rows, cols, np.full(16, 0.5), 4, n)
+            grb.mxm(f, f, road_small.A, sr,
+                    mask=grb.complement(grb.structure(p)), replace=True)
+            return f
+
+        pinned = engine.force_rule("mxm", "mxm-scipy")(level)
+        assert level().isequal(pinned()) and level().nvals
+        assert ab_ratio(level, pinned, reps=100) >= 1 / 1.2
+
+    def test_bc_batch(self, road_small):
+        """The whole 4-source batch: ~230 such levels (measured 1.19-1.52x
+        over ten runs — the pinned arm also skips the plan cache — so parity
+        is the floor)."""
+        from repro.lagraph.algorithms.bc import betweenness_centrality_batch
+        live = np.flatnonzero(np.diff(road_small.A.indptr) > 0)
+        srcs = np.random.default_rng(23).choice(live, 4, replace=False)
+
+        def batch():
+            return betweenness_centrality_batch(road_small, srcs)
+
+        pinned = engine.force_rule("mxm", "mxm-scipy")(batch)
+        assert batch().values.tobytes() == pinned().values.tobytes()
+        assert ab_ratio(batch, pinned) >= 1 / 1.2

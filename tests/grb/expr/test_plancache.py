@@ -195,12 +195,15 @@ class TestSafety:
         the forcing idiom of the parity suite survives the cache."""
         rng = np.random.default_rng(7)
         a = _graphish(rng)
+        # more entries than columns: past mxm-small-expand's gate, so the
+        # dot chooser's constants are what routes this product
+        assert a.nvals > a.ncols
         with obs.tracing() as trace:
             _masked_mxm(a, a, a)
             monkeypatch.setattr(cost, "DOT_PROBE_COST", float("inf"))
             _masked_mxm(a, a, a)
         rules = [e["rule"] for e in trace.decisions()]
-        assert len(set(rules)) == 2        # dot claim, then a fallback
+        assert rules == ["mxm-masked-dot", "mxm-scipy"]
 
     def test_values_change_reaches_results(self):
         """Feeds are structure-derived; a value-only mutation still bumps

@@ -257,6 +257,53 @@ class TestSortFreeReduce:
                 assert v.size == 0 and v.dtype == np.float32
 
 
+class TestReduceSequential:
+    """``reduce_sequential`` == a Python ``acc[k] = acc[k] + x`` loop from
+    the identity, in the values' own dtype — the compiled-accumulator order
+    ``reduceat`` leaves on long float groups, small integers and ``-0.0``."""
+
+    @staticmethod
+    def _loop(mono, keys, values):
+        acc = {}
+        with np.errstate(all="ignore"):
+            for k, x in zip(keys.tolist(), values):
+                acc[k] = mono.ufunc(acc.get(k, mono.identity(values.dtype)), x,
+                                    dtype=values.dtype)
+        ukeys = np.array(sorted(acc), dtype=np.int64)
+        return ukeys, np.array([acc[k] for k in ukeys], dtype=values.dtype)
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32, np.int64,
+                                       np.int32, np.uint8))
+    def test_matches_the_loop(self, rng, dtype):
+        keys = rng.integers(0, 12, 400)          # ~33 per group: pairwise
+        if np.issubdtype(dtype, np.floating):    # territory for reduceat
+            values = (rng.standard_normal(400) * 1e3).astype(dtype)
+        else:
+            info = np.iinfo(dtype)                # sums wrap
+            values = rng.integers(info.max // 4, info.max, 400).astype(dtype)
+        ukeys, got = m.PLUS_MONOID.reduce_sequential(keys, values)
+        want_keys, want = self._loop(m.PLUS_MONOID, keys, values)
+        np.testing.assert_array_equal(ukeys, want_keys)
+        assert got.dtype == values.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_differs_from_reduceat_where_it_should(self, rng):
+        keys = np.zeros(64, dtype=np.int64)
+        values = rng.random(64)
+        _, seq = m.PLUS_MONOID.reduce_sequential(keys, values)
+        _, pairwise = m.PLUS_MONOID.reduce_groups(keys, values, 10**9)
+        assert seq[0] != pairwise[0]             # same sum, other rounding
+        assert seq[0] == pytest.approx(pairwise[0], rel=1e-14)
+
+    def test_lone_negative_zero_and_empty(self):
+        _, got = m.PLUS_MONOID.reduce_sequential(np.array([3]),
+                                                 np.array([-0.0]))
+        assert not np.signbit(got[0])            # 0 + -0.0 = +0.0
+        keys, vals = m.PLUS_MONOID.reduce_sequential(
+            np.empty(0, np.int64), np.empty(0, np.float32))
+        assert keys.size == 0 and vals.dtype == np.float32
+
+
 class TestReduceRatioGuard:
     """In-process A/B guard on the one constant the reduce path has: the
     shipped ``reduce_groups`` against its own sorted fallback (the same

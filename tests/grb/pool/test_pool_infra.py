@@ -82,6 +82,9 @@ class TestPlanCacheSeesThePool:
         monkeypatch.setenv("REPRO_POOL_WORKERS", "2")
         plancache.clear()
         a = _rand_matrix(rng, 60, 60)
+        # past mxm-small-expand's gate (more entries than columns): the
+        # serial claim below the pool threshold is mxm-scipy's
+        assert a.nvals > a.ncols
 
         def claim():
             c = grb.Matrix(np.float64, 60, 60)

@@ -139,8 +139,10 @@ class TestMsbfsFusion:
     def test_fused_levels_hold_parity_on_road(self, road_small):
         """Ratio guard: 64 sources over the 72 x 72 grid, hundreds of
         levels under the threshold, against the per-level masked ``mxm``
-        loop (threshold 0).  Measured 1.6-1.8x — 13x before in-place
-        write-back made a near-empty level cheap — so parity is asserted."""
+        loop (threshold 0).  Measured 1.6-1.9x — 13x before in-place
+        write-back made a near-empty level cheap; unchanged by
+        ``mxm-small-expand``, which claims the ~50 of the loop's ~130
+        levels that fit its gate — so parity is asserted."""
         srcs = _sources(road_small, 64)
 
         def fused():

@@ -48,17 +48,22 @@ def _vector(seed=1, density=0.9):
 # one driver per (op, rule): a callable making exactly one dispatch that the
 # named rule claims.  mxm is routed through the cost constants (a pinned
 # kind bypasses the plan cache, and mxm is the cacheable op); every other
-# kind is pinned with force_rule.
+# kind is pinned with force_rule.  ``_matrix()`` holds more entries than it
+# has columns, so as a left operand it sits above ``mxm-small-expand``'s
+# O(1) gate and the rules behind it still own the product; that rule's own
+# driver multiplies by a one-entry left operand instead.
 # ---------------------------------------------------------------------------
 
-def _mxm(sr, *, mask=None, **costs):
+def _mxm(sr, *, mask=None, left=None, **costs):
     def drive(mp):
         for name, value in costs.items():
             mp.setattr(cost, name, value)
-        a = _matrix()
+        b = _matrix()
+        a = b if left is None else left()
+        assert (a.nvals > b.ncols) == (left is None)
         c = grb.Matrix(grb.FP64, N, N)
-        return lambda: grb.mxm(c, a, a, sr,
-                               mask=None if mask is None else mask(a))
+        return lambda: grb.mxm(c, a, b, sr,
+                               mask=None if mask is None else mask(b))
     return drive
 
 
@@ -99,6 +104,9 @@ DRIVERS = {
     ("mxm", "masked-dot-rowblock-pool"): _pooled(_mxm(
         PLUS_PAIR, mask=grb.structure, **_DOT)),
     ("mxm", "mxm-rowblock-pool"): _pooled(_mxm(PLUS_TIMES)),
+    ("mxm", "mxm-small-expand"): _mxm(
+        PLUS_TIMES, left=lambda: grb.Matrix.from_coo([0], [0], [2.0], N, N),
+        POOL_MIN_WORK=float("inf")),
     ("mxm", "mxm-masked-dot"): _mxm(PLUS_PAIR, mask=grb.structure, **_DOT,
                                     POOL_MIN_WORK=float("inf")),
     ("mxm", "mxm-scipy"): _mxm(PLUS_TIMES, POOL_MIN_WORK=float("inf")),
