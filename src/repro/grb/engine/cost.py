@@ -49,8 +49,6 @@ __all__ = [
     "MSBFS_FUSE_FRONTIER_K",
     # frontier-direction (Beamer) chooser
     "PUSHPULL_ALPHA", "PUSHPULL_BETA",
-    # worker-pool sharding (repro.grb.pool)
-    "POOL_MIN_WORK", "POOL_INLINE_LIMIT",
     # estimators and choosers
     "dot_probe_cost", "expand_flops_estimate", "expand_flops_exact",
     "product_nnz_estimate", "choose_masked_method", "choose_direction",
@@ -148,21 +146,6 @@ MSBFS_FUSE_FRONTIER_K = 8192
 #: never pushes; ``ALPHA = 0`` pushes while any edge is unexplored.
 PUSHPULL_ALPHA = 15.0
 PUSHPULL_BETA = 18.0
-
-# ---------------------------------------------------------------------------
-# worker-pool sharding (repro.grb.pool)
-# ---------------------------------------------------------------------------
-
-#: Minimum work units — mask entries for the sharded dot kernel, operand
-#: stored entries for the row-blocked products — before the pool rules
-#: claim a plan.  Below it, process dispatch overhead (task pickling, a
-#: pipe round-trip per block) dwarfs the parallel compute; tests zero it
-#: (monkeypatch) to force the sharded tier on tiny inputs.
-POOL_MIN_WORK = 1 << 16
-#: Operands at or below this many bytes ship inline inside the task
-#: message instead of through a shared-memory placement: one pickle of a
-#: small frontier is cheaper than a segment create + attach round-trip.
-POOL_INLINE_LIMIT = 1 << 16
 
 
 # ---------------------------------------------------------------------------

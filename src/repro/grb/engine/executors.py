@@ -67,12 +67,6 @@ from . import cost
 from .plan import Plan
 from .rules import register
 
-# registration order is trial order: importing the sharded pool rules
-# *before* this module's own registrations puts them first in line, so an
-# enabled pool claims eligible plans ahead of the serial kernels (they
-# decline instantly when REPRO_POOL_WORKERS is unset)
-from . import pool_rules  # noqa: E402,F401  (import is the registration)
-
 __all__ = ["write_back", "finish", "scipy_mxm",
            "scipy_mxv", "mask_live_rows", "mask_key_filter"]
 

@@ -35,7 +35,6 @@ consumed.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, List
 
 import numpy as np
@@ -44,7 +43,6 @@ from ...obs import metrics as _metrics
 from ...obs import profile as _profile
 from ...obs import trace as _trace
 from .. import cancel as _cancel
-from .. import pool as _pool
 from ..expr import _DONE
 from .._kernels.ewise import setdiff_keys
 from ..vector import Vector
@@ -60,11 +58,6 @@ _FUSIONS: List[tuple] = []
 _FUSED = _metrics.counter(
     "grb_multiplan_fused_total", "Fused groups executed, by fusion rule",
     labels=("rule",))
-
-#: Independent-node groups dispatched concurrently (pool-enabled runs).
-_CONCURRENT = _metrics.counter(
-    "grb_pool_multiplan_groups_total",
-    "Independent DAG-node groups dispatched concurrently")
 
 
 def register_fusion(name: str):
@@ -126,70 +119,10 @@ class MultiPlan:
                 if consumed:
                     i += consumed
                     continue
-            if _pool.pool_enabled():
-                group = _ready_run(nodes, i)
-                if len(group) > 1:
-                    _dispatch_concurrently(group)
-                    i += len(group)
-                    continue
             node = nodes[i]
             node.result = dispatch(node.plan)
             node.state = _DONE
             i += 1
-
-
-# ---------------------------------------------------------------------------
-# concurrent dispatch of independent nodes (pool-enabled runs)
-# ---------------------------------------------------------------------------
-
-def _ready_run(nodes, i):
-    """Maximal run of consecutive nodes whose dependencies are all done.
-
-    Statement recording captures every hazard as a dep edge — read-after-
-    write (input produced by a pending node), write-after-read (readers of
-    the overwritten object), write-after-write (the object's pending
-    producer).  A node whose deps are all ``_DONE`` therefore depends on
-    nothing still pending — including its left neighbours in this run —
-    so the whole run is mutually independent and safe to dispatch
-    concurrently.
-    """
-    group = []
-    for node in nodes[i:]:  # cancel: checkpoint-exempt (attribute scan bounded by plan length; stepping loop checkpoints per node)
-        if any(dep.state != _DONE for dep in node.deps):
-            break
-        group.append(node)
-    return group
-
-
-def _dispatch_concurrently(group) -> None:
-    """One thread per node, each in a copied context (cancel scope,
-    forced-rule pins and the trace sink survive the hop).  Results and states
-    land exactly as the sequential loop would set them; any failure is
-    re-raised after every thread has parked, so no node is left half-run.
-    """
-    import contextvars
-
-    errors: list = []
-
-    def _run(node, ctx) -> None:
-        try:
-            node.result = ctx.run(dispatch, node.plan)
-            node.state = _DONE
-        except BaseException as exc:  # noqa: BLE001 - relayed below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=_run,
-                                args=(node, contextvars.copy_context()),
-                                daemon=True)
-               for node in group]
-    for t in threads:  # cancel: checkpoint-exempt (bounded by group size; each thread's dispatch observes the copied cancel scope)
-        t.start()
-    for t in threads:  # cancel: checkpoint-exempt (join barrier; cancellation unwinds through the threads themselves)
-        t.join()
-    if _metrics.ENABLED:
-        _CONCURRENT.inc()
-    if errors:
-        raise errors[0]
 
 
 # ---------------------------------------------------------------------------

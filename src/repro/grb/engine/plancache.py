@@ -49,7 +49,6 @@ from typing import Optional
 from ...obs import identity as _identity
 from ...obs import metrics as _metrics
 from ...obs import profile as _profile
-from .. import pool as _pool
 from . import cost
 
 __all__ = ["CacheEntry", "PlanCacheStats", "shape_key", "lookup", "store",
@@ -129,8 +128,7 @@ _invalidations = 0
 
 def _cost_fingerprint() -> tuple:
     """Everything besides the plan itself that decides which ``mxm`` rule
-    claims: the cost-model constants the rules consult and whether the
-    worker pool is up (the pool rules claim first when it is).
+    claims: the cost-model constants the rules consult.
 
     Part of every key: a decision cached under one tuning must never be
     served under another — the parity suite *forces* paths by
@@ -143,7 +141,6 @@ def _cost_fingerprint() -> tuple:
             cost.EXPAND_FLOP_COST, cost.FLOP_SAMPLE, cost.MASKED_MIN_NNZ,
             cost.LIVE_ROW_FRACTION, cost.DOT_WRITE_COST,
             cost.FALLBACK_WRITE_COST, cost.DENSE_PULL_FRACTION,
-            cost.POOL_MIN_WORK, _pool.pool_enabled(),
             _profile.deep_active())
 
 

@@ -175,9 +175,10 @@ class ExprGraph:
     Pending-*reader* lists live on the objects themselves
     (``obj._expr_reads``), not in the graph: a recorded overwrite takes
     its anti-dependencies from there, and — crucially — the objects'
-    eager mutators (``__setitem__``, ``clear``, the array setters) flush
-    the same lists, so mutating an operand a recorded call has read can
-    never retroactively change what that call computes.
+    eager mutators (``__setitem__``, ``clear``, the array setters) and
+    eager writes (:func:`submit`) flush the same lists, so mutating an
+    operand a recorded call has read can never retroactively change what
+    that call computes.
     """
 
     def __init__(self):
@@ -393,14 +394,19 @@ def submit(plan, lazy: bool = False):
 
     The single entry point the operations façade uses: eager mode is one
     extra ``ContextVar`` read.  Raw-output plans (``out=None``) always run
-    eagerly — their callers consume arrays, not handles.
+    eagerly — their callers consume arrays, not handles.  An eager write
+    is a mutation boundary of its output: recorded calls still pending
+    that read it run first, on the content they were recorded against.
     """
-    if plan.out is not None:
+    out = plan.out
+    if out is not None:
         g = _scope_var.get()
         if g is None and lazy:
             g = _ambient()
         if g is not None:
             return g.record(plan)
+        if out._expr_reads is not None:
+            out._force_lazy_state()
     global _dispatch
     if _dispatch is None:
         from .engine.rules import dispatch as _d

@@ -51,28 +51,5 @@ __all__ = [
     "MATRIX_FORMATS", "VECTOR_FORMATS",
     "select_matrix_format", "select_vector_format",
     "matrix_store_from_csr", "vector_store_from_sparse",
-    "csr_to_csc_arrays", "csc_to_csr_arrays", "attach_store",
+    "csr_to_csc_arrays", "csc_to_csr_arrays",
 ]
-
-#: ``(kind, fmt) -> store class`` — the attach-side twin of the per-store
-#: ``export_buffers`` implementations ("bitmap" names both a matrix and a
-#: vector format, so the kind disambiguates).
-_STORE_CLASSES = {
-    ("matrix", "csr"): CSRStore,
-    ("matrix", "csc"): CSCStore,
-    ("matrix", "bitmap"): BitmapStore,
-    ("matrix", "hypersparse"): HypersparseStore,
-    ("vector", "sparse"): SparseVec,
-    ("vector", "bitmap"): BitmapVec,
-}
-
-
-def attach_store(meta: dict, components: dict):
-    """Rebuild any store from an ``export_buffers()`` pair (zero-copy).
-
-    The format-dispatching entry point worker processes use: ``meta``
-    names the concrete store class, ``components`` supplies the
-    authoritative arrays (typically views into shared memory).
-    """
-    cls = _STORE_CLASSES[(meta["kind"], meta["fmt"])]
-    return cls.attach_buffers(meta, components)

@@ -149,33 +149,6 @@ class MatrixStore:
         """Bytes currently held by materialised derived-view caches."""
         return 0
 
-    # -- buffer placement (see repro.grb.pool.shm) -----------------------
-    def export_buffers(self):
-        """``(meta, components)`` — the store flattened for placement.
-
-        ``components`` maps each :meth:`nbytes_components` key to its
-        authoritative numpy array, *no copies made*; ``meta`` is a small
-        picklable dict (format, dimensions, scalar state) sufficient for
-        :meth:`attach_buffers` to rebuild an equivalent store around
-        externally provided buffers (e.g. views into a named
-        ``SharedMemory`` segment).  Derived caches — including aliases of
-        the authoritative arrays, like the hypersparse store's canonical
-        CSR triple — are deliberately excluded: each array ships exactly
-        once, and attach rebuilds caches lazily on first use.
-        """
-        raise NotImplementedError
-
-    @classmethod
-    def attach_buffers(cls, meta: dict, components: dict) -> "MatrixStore":
-        """Rebuild a store around ``components`` (zero-copy).
-
-        The inverse of :meth:`export_buffers`: the returned store adopts
-        the arrays as its authoritative components without copying, so a
-        worker process attaching shared-memory views reads the parent's
-        placement in place.  All derived caches start empty.
-        """
-        raise NotImplementedError
-
     # -- lifecycle -------------------------------------------------------
     def copy(self) -> "MatrixStore":
         raise NotImplementedError
@@ -220,15 +193,6 @@ class VectorStore:
     def cache_nbytes(self) -> int:
         """Bytes currently held by the materialised dual-view cache."""
         return 0
-
-    def export_buffers(self):
-        """``(meta, components)`` for placement (see MatrixStore)."""
-        raise NotImplementedError
-
-    @classmethod
-    def attach_buffers(cls, meta: dict, components: dict) -> "VectorStore":
-        """Rebuild a store around external buffers (see MatrixStore)."""
-        raise NotImplementedError
 
     def copy(self) -> "VectorStore":
         raise NotImplementedError

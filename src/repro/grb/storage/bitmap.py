@@ -26,10 +26,10 @@ other entry, so both stores offer their *owner* :meth:`scatter` /
 ``_nvals`` exact and drop the derived sparse caches.  The engine's
 write-back takes that path only while :meth:`writable` holds — the buffers
 are this store's own, writeable, and were never handed out.  Handing the
-arrays to code that may keep them (``Vector.bitmap()``,
-:meth:`export_buffers`) marks the store *exported*; its next write-back
-then rebuilds a fresh store, as every write did before, so what was handed
-out stays a snapshot of the content at that moment.
+arrays to code that may keep them (``Vector.bitmap()``) marks the store
+*exported*; its next write-back then rebuilds a fresh store, as every
+write did before, so what was handed out stays a snapshot of the content
+at that moment.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ class _InPlace:
     def writable(self) -> bool:
         """Whether the write-back may write entries into the buffers.
 
-        They must be this store's own allocation (views into a shared-
-        memory segment or a caller's array are not), writeable (a frozen
-        buffer is somebody's cache) and held by nobody else: neither
-        handed out nor attached from another store's export."""
+        They must be this store's own allocation (a view into a caller's
+        array is not), writeable (a frozen buffer is somebody's cache) and
+        held by nobody else (never handed out)."""
         p, d = self.present.flags, self.dense.flags
         return (not self._exported and p.owndata and p.writeable
                 and d.owndata and d.writeable)
@@ -183,19 +182,6 @@ class BitmapStore(_InPlace, MatrixStore):
     def cache_nbytes(self) -> int:
         return arrays_nbytes((self._csr, self._csc))
 
-    def export_buffers(self):
-        self.mark_exported()
-        meta = {"fmt": self.fmt, "kind": "matrix", "nrows": self.nrows,
-                "ncols": self.ncols, "nvals": self._nvals}
-        return meta, {"present": self.present, "dense": self.dense}
-
-    @classmethod
-    def attach_buffers(cls, meta: dict, components: dict) -> "BitmapStore":
-        st = cls(meta["nrows"], meta["ncols"], components["present"],
-                 components["dense"], nvals=meta["nvals"])
-        st.mark_exported()       # the buffers are the exporter's
-        return st
-
     def copy(self) -> "BitmapStore":
         st = BitmapStore(self.nrows, self.ncols, self.present.copy(),
                          self.dense.copy(), nvals=self._nvals)
@@ -263,19 +249,6 @@ class BitmapVec(_InPlace, VectorStore):
 
     def cache_nbytes(self) -> int:
         return arrays_nbytes((self._sp,))
-
-    def export_buffers(self):
-        self.mark_exported()
-        meta = {"fmt": self.fmt, "kind": "vector", "size": self.size,
-                "nvals": self._nvals}
-        return meta, {"present": self.present, "dense": self.dense}
-
-    @classmethod
-    def attach_buffers(cls, meta: dict, components: dict) -> "BitmapVec":
-        st = cls(meta["size"], components["present"], components["dense"],
-                 nvals=meta["nvals"])
-        st.mark_exported()       # the buffers are the exporter's
-        return st
 
     def copy(self) -> "BitmapVec":
         return BitmapVec(self.size, self.present.copy(), self.dense.copy(),

@@ -63,17 +63,6 @@ class CSCStore(MatrixStore):
     def cache_nbytes(self) -> int:
         return arrays_nbytes((self._csr,))
 
-    def export_buffers(self):
-        meta = {"fmt": self.fmt, "kind": "matrix",
-                "nrows": self.nrows, "ncols": self.ncols}
-        return meta, {"cindptr": self.cindptr, "rindices": self.rindices,
-                      "cvalues": self.cvalues}
-
-    @classmethod
-    def attach_buffers(cls, meta: dict, components: dict) -> "CSCStore":
-        return cls(meta["nrows"], meta["ncols"], components["cindptr"],
-                   components["rindices"], components["cvalues"])
-
     def copy(self) -> "CSCStore":
         return CSCStore(self.nrows, self.ncols, self.cindptr.copy(),
                         self.rindices.copy(), self.cvalues.copy())

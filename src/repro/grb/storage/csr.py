@@ -66,17 +66,6 @@ class CSRStore(MatrixStore):
     def cache_nbytes(self) -> int:
         return arrays_nbytes((self._csc,))
 
-    def export_buffers(self):
-        meta = {"fmt": self.fmt, "kind": "matrix",
-                "nrows": self.nrows, "ncols": self.ncols}
-        return meta, {"indptr": self.indptr, "indices": self.indices,
-                      "values": self.values}
-
-    @classmethod
-    def attach_buffers(cls, meta: dict, components: dict) -> "CSRStore":
-        return cls(meta["nrows"], meta["ncols"], components["indptr"],
-                   components["indices"], components["values"])
-
     def copy(self) -> "CSRStore":
         return CSRStore(self.nrows, self.ncols, self.indptr.copy(),
                         self.indices.copy(), self.values.copy())

@@ -101,22 +101,6 @@ class HypersparseStore(MatrixStore):
                              exclude=(self.live_rows, self.hindptr,
                                       self.indices, self.values))
 
-    def export_buffers(self):
-        # mirrors nbytes_components(): authoritative arrays only — the
-        # cached canonical CSR triple aliases indices/values and must not
-        # ship a second time (the id-dedup contract arrays_nbytes pins)
-        meta = {"fmt": self.fmt, "kind": "matrix",
-                "nrows": self.nrows, "ncols": self.ncols}
-        return meta, {"live_rows": self.live_rows, "hindptr": self.hindptr,
-                      "indices": self.indices, "values": self.values}
-
-    @classmethod
-    def attach_buffers(cls, meta: dict, components: dict
-                       ) -> "HypersparseStore":
-        return cls(meta["nrows"], meta["ncols"], components["live_rows"],
-                   components["hindptr"], components["indices"],
-                   components["values"])
-
     def copy(self) -> "HypersparseStore":
         return HypersparseStore(self.nrows, self.ncols, self.live_rows.copy(),
                                 self.hindptr.copy(), self.indices.copy(),

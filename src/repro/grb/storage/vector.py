@@ -56,13 +56,5 @@ class SparseVec(VectorStore):
     def cache_nbytes(self) -> int:
         return arrays_nbytes((self._bm,))
 
-    def export_buffers(self):
-        meta = {"fmt": self.fmt, "kind": "vector", "size": self.size}
-        return meta, {"idx": self.idx, "vals": self.vals}
-
-    @classmethod
-    def attach_buffers(cls, meta: dict, components: dict) -> "SparseVec":
-        return cls(meta["size"], components["idx"], components["vals"])
-
     def copy(self) -> "SparseVec":
         return SparseVec(self.size, self.idx.copy(), self.vals.copy())

@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..grb import engine
-from ..grb import pool as _grbpool
 from ..grb.cancel import CancelToken, Cancelled, DeadlineExceeded, \
     cancel_scope
 from ..lagraph.graph import Graph
@@ -315,16 +314,8 @@ class GraphService:
     WARM_PROFILES = ("default", "pull", "msbfs")
 
     def register(self, name: str, graph: Graph, *,
-                 warm=False, validate: bool = True,
-                 place: Optional[str] = None) -> "GraphService":
+                 warm=False, validate: bool = True) -> "GraphService":
         """Bind ``name`` to ``graph``, optionally pre-warming it.
-
-        ``place="shm"`` additionally publishes the adjacency's operand
-        feeds (canonical CSR + transpose) into shared-memory placements
-        (:func:`repro.grb.pool.publish_graph`) so the first pool-sharded
-        query never pays placement latency inside its budget.  A no-op
-        when the pool is disabled (``REPRO_POOL_WORKERS`` unset/0) —
-        registration stays cheap and nothing is spawned or mapped.
 
         ``validate=True`` (default) rejects adjacencies with non-finite
         edge weights (NaN/±inf) with a :class:`GraphValidationError` at
@@ -362,15 +353,10 @@ class GraphService:
         """
         if validate:
             self._validate_graph(name, graph)
-        if place is not None and place != "shm":
-            raise ValueError(
-                f"unknown placement {place!r}; supported: 'shm'")
         self.registry.register(name, graph)
         self._label_graph(name, graph)
         if warm:
             self._warm_graph(graph, warm)
-        if place is not None:
-            _grbpool.publish_graph(graph)
         return self
 
     @staticmethod
@@ -825,49 +811,10 @@ class GraphService:
         if batch.group is not None and len(queries) > 1:
             self._run_unit(batch, g, name, kernel_key, queries,
                            results, failures, breaker)
-        elif len(queries) > 1 and _grbpool.pool_enabled():
-            self._run_units_concurrently(batch, g, name, kernel_key,
-                                         queries, results, failures, breaker)
         else:
             for q in queries:
                 self._run_unit(batch, g, name, kernel_key, [q],
                                results, failures, breaker)
-
-    def _run_units_concurrently(self, batch: Batch, g: Graph, name: str,
-                                kernel_key: str, queries: List[Query],
-                                results: Dict[Query, object],
-                                failures: Dict[Query, BaseException],
-                                breaker: Optional[CircuitBreaker]) -> None:
-        """Independent singleton units on dedicated threads, in waves.
-
-        With the worker pool enabled, each unit's kernels block on pool
-        round-trips — running units concurrently keeps every worker
-        busy.  Dedicated threads, never the drain executor: a unit
-        already occupies one of its bounded workers, and borrowing more
-        from the same executor mid-batch can deadlock the drain.  Wave
-        width matches the pool size — beyond it, extra threads would
-        only queue on worker checkout.  ``_run_unit`` never raises (its
-        ladder records per-query outcomes into results/failures, both
-        written at distinct keys), so a wave always completes whole.
-        """
-        width = max(_grbpool.configured_workers(), 1)
-        for start in range(0, len(queries), width):
-            wave = queries[start:start + width]
-            if len(wave) == 1:
-                self._run_unit(batch, g, name, kernel_key, [wave[0]],
-                               results, failures, breaker)
-                continue
-            threads = [
-                threading.Thread(
-                    target=contextvars.copy_context().run,
-                    args=(self._run_unit, batch, g, name, kernel_key,
-                          [q], results, failures, breaker),
-                    daemon=True)
-                for q in wave]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
 
     def _run_unit(self, batch: Batch, g: Graph, name: str, kernel_key: str,
                   qs: List[Query], results: Dict[Query, object],

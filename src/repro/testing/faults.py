@@ -3,7 +3,7 @@
 The chaos suite needs to make real code paths fail *deterministically*:
 the Nth kernel dispatch raises, a storage build sleeps 50 ms, a drain
 worker sees a transient error on a seeded schedule.  This module is that
-switchboard.  Three hook sites are compiled into the stack:
+switchboard.  Four hook sites are compiled into the stack:
 
 ``"kernel"``
     :func:`repro.grb.engine.rules.dispatch` — every executed plan; info
@@ -21,15 +21,6 @@ switchboard.  Three hook sites are compiled into the stack:
     of serve work (a coalesced group or a singleton query); info carries
     ``graph``/``kernel``/``queries`` so a predicate can poison one
     specific query inside a batch.
-``"pool-task"``
-    ``repro.grb.pool`` worker task execution — once per sharded block a
-    worker process runs; info carries ``kind`` (the task kind) and
-    ``op``.  This site fires *inside the worker process*: injectors
-    built from declarative pieces (:func:`match_info`, the stock
-    exception classes) compile to picklable specs
-    (:func:`compiled_specs`) that the pool ships to its workers, so a
-    chaos scenario installed in the parent reaches true child-process
-    execution — including hard death via :func:`crash`.
 
 Each site costs one module-global bool read when no injector is
 installed (``if faults.ACTIVE: faults.fire(...)``), preserving the ≤2%
@@ -62,7 +53,6 @@ Cookbook (see ``docs/RESILIENCE.md`` for more)::
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -74,12 +64,11 @@ __all__ = [
     "FaultInjected", "TransientFault", "Injector",
     "fire", "installed", "install", "remove", "clear",
     "raise_on_nth", "raise_when", "latency", "memory_pressure",
-    "seeded_faults", "crash", "match_info",
-    "compiled_specs", "install_specs",
+    "seeded_faults",
 ]
 
 #: The hook sites compiled into the stack (documentation + validation).
-SITES = ("kernel", "storage", "drain", "serve-kernel", "pool-task")
+SITES = ("kernel", "storage", "drain", "serve-kernel")
 
 #: Module-global fast guard, read *without* the lock at every hook site.
 #: Only ever flipped under :data:`_lock`, and only True while at least
@@ -131,7 +120,6 @@ class Injector:
         self.action = action
         self.match = match
         self.name = name
-        self.spec = None         # picklable rebuild recipe, when one exists
         self.calls = 0           # matching calls seen (under self._lock)
         self.fired = 0           # actions that actually did something
         self._lock = threading.Lock()
@@ -213,73 +201,6 @@ def fire(site: str, **info) -> None:
 
 
 # ---------------------------------------------------------------------------
-# declarative pieces (picklable — they cross the process boundary)
-# ---------------------------------------------------------------------------
-
-_EXC_BY_NAME = {"FaultInjected": FaultInjected,
-                "TransientFault": TransientFault}
-
-
-def match_info(**expected) -> Callable[[Dict], bool]:
-    """A declarative match predicate: every ``expected`` key equals.
-
-    Unlike a hand-written closure, the returned predicate carries its own
-    rebuild recipe (``.spec``), so injectors using it stay *compilable*
-    (:func:`compiled_specs`) and propagate into pool worker processes.
-    """
-    def predicate(info: Dict) -> bool:
-        return all(info.get(k) == v for k, v in expected.items())
-
-    predicate.spec = dict(expected)
-    return predicate
-
-
-def _compile_spec(factory: str, site: str, match, exc=None,
-                  **args) -> Optional[dict]:
-    """The picklable rebuild recipe for a factory call, or ``None`` when
-    any piece is an opaque closure / custom exception the other side
-    could not reconstruct."""
-    mspec = None
-    if match is not None:
-        mspec = getattr(match, "spec", None)
-        if mspec is None:
-            return None
-    if exc is not None:
-        name = getattr(exc, "__name__", None)
-        if _EXC_BY_NAME.get(name) is not exc:
-            return None
-        args["exc"] = name
-    return {"factory": factory, "site": site, "match": mspec, "args": args}
-
-
-def compiled_specs() -> List[dict]:
-    """Picklable specs of every installed injector that has one.
-
-    The pool ships these to its worker processes (``install-faults``
-    tasks) so a scenario installed in the parent also governs the
-    ``"pool-task"`` site inside workers.  Injectors built around opaque
-    closures have no spec and simply stay parent-side.
-    """
-    with _lock:
-        return [dict(inj.spec) for inj in _installed if inj.spec is not None]
-
-
-def install_specs(specs: List[dict]) -> List[Injector]:
-    """Rebuild and install injectors from :func:`compiled_specs` output
-    (the worker-process side of fault propagation)."""
-    out = []
-    for spec in specs:
-        factory = _FACTORIES[spec["factory"]]
-        args = dict(spec["args"])
-        if "exc" in args:
-            args["exc"] = _EXC_BY_NAME[args["exc"]]
-        if spec.get("match") is not None:
-            args["match"] = match_info(**spec["match"])
-        out.append(install(factory(spec["site"], **args)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # injector factories
 # ---------------------------------------------------------------------------
 def raise_on_nth(site: str, nth: int, *, exc=TransientFault,
@@ -301,8 +222,6 @@ def raise_on_nth(site: str, nth: int, *, exc=TransientFault,
 
     inj = Injector(site, action, match=match,
                    name=f"raise_on_nth({site}, {nth})")
-    inj.spec = _compile_spec("raise_on_nth", site, match, exc,
-                             nth=nth, repeat=repeat)
     return inj
 
 
@@ -336,8 +255,6 @@ def latency(site: str, seconds: float, *, jitter: float = 0.0,
 
     inj = Injector(site, action, match=match,
                    name=f"latency({site}, {seconds}s)")
-    inj.spec = _compile_spec("latency", site, match,
-                             seconds=seconds, jitter=jitter, seed=seed)
     return inj
 
 
@@ -386,43 +303,7 @@ def seeded_faults(site: str, *, seed: int, rate: float,
 
     inj = Injector(site, action, match=match,
                    name=f"seeded_faults({site}, seed={seed}, rate={rate})")
-    inj.spec = _compile_spec("seeded_faults", site, match, exc,
-                             seed=seed, rate=rate)
     return inj
-
-
-def crash(site: str, nth: int = 1, *,
-          match: Optional[Callable[[Dict], bool]] = None,
-          repeat: int = 1) -> Injector:
-    """Kill the *process* on the ``nth`` matching call (``os._exit``) —
-    the hard-death model for pool worker chaos.
-
-    Unlike an exception this cannot be caught: the worker vanishes
-    mid-task and the parent observes a closed pipe, exactly what a
-    segfault or OOM kill looks like.  Only meaningful at sites that run
-    inside expendable worker processes (``"pool-task"``); installing it
-    parent-side without propagation would kill the test runner.
-    """
-    inj: Injector
-
-    def action(info: Dict) -> None:
-        n = info["_nth"]
-        if nth <= n < nth + repeat:
-            inj.fired += 1
-            os._exit(87)
-
-    inj = Injector(site, action, match=match, name=f"crash({site}, {nth})")
-    inj.spec = _compile_spec("crash", site, match, nth=nth, repeat=repeat)
-    return inj
-
-
-#: Factory registry for :func:`install_specs` (name -> callable).
-_FACTORIES: Dict[str, Callable] = {
-    "raise_on_nth": raise_on_nth,
-    "latency": latency,
-    "seeded_faults": seeded_faults,
-    "crash": crash,
-}
 
 
 def _make_exc(exc, site: str, nth: int) -> BaseException:

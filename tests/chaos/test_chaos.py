@@ -415,77 +415,3 @@ class TestNoFaultOverhead:
             cancel.checkpoint()
         assert time.perf_counter() - t0 < 1.0
 
-
-# ---------------------------------------------------------------------------
-# pool worker chaos: hard process death under the serving stack
-# ---------------------------------------------------------------------------
-class TestPoolChaos:
-    """Crash injection at the ``pool-task`` site — a worker process dies
-    mid-block (``os._exit``, the segfault/OOM-kill model) while the full
-    serving stack is answering a mixed workload."""
-
-    @pytest.fixture(autouse=True)
-    def _pool_on(self, monkeypatch):
-        from repro.grb.engine import cost
-        monkeypatch.setenv("REPRO_POOL_WORKERS", "2")
-        monkeypatch.setattr(cost, "POOL_MIN_WORK", 0)
-        monkeypatch.setattr(cost, "PLAN_CACHE_ENABLED", False)
-
-    def test_worker_death_quarantines_pool_query_siblings_answer(self, graph):
-        """A permanently crashing pool poisons only the queries that
-        route through it (TriangleCount's masked pair-count mxm); mxv
-        traffic on the same service answers bit-for-bit, and once the
-        faults clear the replacement workers serve the same query."""
-        from repro.grb import pool as grbpool
-        svc = _service()
-        try:
-            svc.register("g", graph, place="shm")
-            sources = [2, 9, 17, 30]
-            inj = faults.crash("pool-task", nth=1, repeat=10 ** 6)
-            with faults.installed(inj):
-                futs = svc.submit_many(
-                    "g", [serve.BFSLevels(s) for s in sources])
-                tc_fut = svc.submit("g", serve.TriangleCount())
-                outcomes = _collect(futs + [tc_fut], timeout=60)
-            kind, got = outcomes[-1]
-            assert kind == "err", "pool-routed query must fail"
-            assert isinstance(got, grbpool.PoolTaskError)
-            # non-retryable: the retry ladder must not spin on a task
-            # that killed two processes
-            assert got.retryable is False
-            for (kind, got), s in zip(outcomes, sources):
-                assert kind == "ok", f"sibling {s} caught the pool poison"
-                assert got.isequal(lg.bfs_level(graph, s))
-            assert svc.stats().quarantined == 1
-            # faults cleared: replacements resync to the empty spec list
-            # and the very same query answers correctly
-            assert (svc.query("g", serve.TriangleCount())
-                    == lg.triangle_count_basic(graph))
-        finally:
-            svc.shutdown()
-
-    def test_pool_transient_storm_survivors_exact(self, graph):
-        """Seeded transient faults inside the workers: the serve retry
-        ladder re-runs hit units (the flag survives the pickle trip
-        home), every query resolves, and every success is exact."""
-        svc = _service()
-        try:
-            svc.register("g", graph, place="shm")
-            want = lg.triangle_count_basic(graph)
-            inj = faults.seeded_faults("pool-task", seed=SEED, rate=0.3,
-                                       exc=faults.TransientFault)
-            ok = 0
-            with faults.installed(inj):
-                for _wave in range(6):
-                    svc.invalidate("g")  # memo off-path: recompute for real
-                    try:
-                        assert svc.query("g", serve.TriangleCount()) == want
-                        ok += 1
-                    except faults.TransientFault:
-                        pass             # retry budget exhausted — definite
-            assert ok >= 1, "no wave survived a 0.3-rate storm"
-            # storm over: the pool answers immediately and exactly
-            svc.invalidate("g")
-            assert svc.query("g", serve.TriangleCount()) == want
-        finally:
-            svc.shutdown()

@@ -172,6 +172,41 @@ class TestOrdering:
             assert h2.done
         np.testing.assert_array_equal(w2.to_dense(), ref2.to_dense())
 
+    def test_eager_write_runs_a_pending_vector_reader_first(self):
+        """An eager operation writing an object a recorded call reads is a
+        mutation boundary too: the reader sees the content it was
+        recorded against, not the overwrite."""
+        u = grb.Vector.from_coo([0, 1], [1.0, 2.0], 4)
+        w = grb.Vector(grb.FP64, 4)
+        h = grb.ewise_add(w, u, u, grb.binary.PLUS, desc=grb.DESC_LAZY)
+        grb.assign_scalar(u, 100.0, [0, 1, 2, 3])
+        assert h.done
+        idx, vals = w.to_coo()
+        assert idx.tolist() == [0, 1] and vals.tolist() == [2.0, 4.0]
+        assert u.to_dense().tolist() == [100.0] * 4
+
+    def test_eager_write_runs_a_pending_matrix_reader_first(self):
+        a, _ = _fixtures()
+        ref = a.dup()
+        a2 = grb.Matrix.from_coo([2], [2], [7.0], 3, 3)
+        c = grb.Matrix(grb.FP64, 3, 3)
+        grb.apply(c, a, grb.unary.IDENTITY, desc=grb.DESC_LAZY)
+        grb.ewise_add(a, a2, a2, grb.binary.PLUS)
+        assert c.isequal(ref)
+        assert a.to_coo()[2].tolist() == [14.0]
+
+    def test_eager_write_runs_a_pending_mask_reader_first(self):
+        """A recorded call reads its mask object: overwriting the mask
+        eagerly must not widen what the call was allowed to write."""
+        _, u = _fixtures()
+        m = grb.Vector.from_coo([0], [1.0], 3)
+        w = grb.Vector(grb.FP64, 3)
+        grb.apply(w, u, grb.unary.IDENTITY, mask=grb.structure(m),
+                  desc=grb.DESC_LAZY)
+        grb.assign_scalar(m, 1.0, [0, 1, 2])
+        assert w.to_coo()[0].tolist() == [0]
+        assert m.nvals == 3
+
     def test_ambient_graph_compacts_after_force(self):
         """DESC_LAZY one-shots must not accumulate done nodes in the
         ambient graph (a long-running process would leak plans)."""

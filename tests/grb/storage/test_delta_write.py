@@ -13,7 +13,7 @@ before the write:
   the float round-trips cannot hold);
 * directed cases pin the aliasing rules — output as operand or mask,
   ``dup()`` / ``bitmap()`` snapshots, deferred anti-dependencies, the
-  ownership predicate (frozen, exported, attached, shared-memory buffers
+  ownership predicate (frozen, exported and foreign-view buffers
   rebuild) — and the output's read boundary: what was staged or recorded
   for an output lands before a write-back, also one that never reads the
   old content (both twins skip that read, so these compare against
@@ -34,8 +34,6 @@ from hypothesis import given, settings, strategies as st
 from helpers import ab_ratio
 from repro import grb, obs
 from repro.grb import engine
-from repro.grb.pool.shm import ShmArena, attach_placement
-from repro.grb.storage import attach_store
 from repro.lagraph.algorithms.sssp import _IMPROVES_VEC
 from repro.obs import memory
 
@@ -485,44 +483,6 @@ class TestOwnership:
         assert bm._store is not frozen
         _check_twins(bm, ref, buffer)
 
-    def test_exported_buffers_rebuild_and_stay_a_snapshot(self):
-        bm, ref = _twins()
-        _, comps = bm._store.export_buffers()
-        held = {k: v.copy() for k, v in comps.items()}
-        assert self._accumulate(bm) == [False]
-        for name, arr in comps.items():
-            np.testing.assert_array_equal(arr, held[name])
-        self._accumulate(ref)
-        _check_twins(bm, ref, "exported")
-
-    def test_attached_store_rebuilds(self):
-        bm, ref = _twins()
-        twin = bm.dup()
-        twin._store = attach_store(*bm._store.export_buffers())
-        assert self._accumulate(twin) == [False]
-        assert bm.isequal(ref)              # the exporter's buffers stand
-        self._accumulate(ref)
-        assert twin.isequal(ref)
-
-    def test_shared_memory_store_rebuilds(self):
-        bm, ref = _twins()
-        arena = ShmArena()
-        try:
-            store, shm = attach_placement(arena.place("k", bm._store))
-            try:
-                twin = bm.dup()
-                twin._store = store
-                held = store.dense.copy()
-                assert self._accumulate(twin) == [False]
-                np.testing.assert_array_equal(store.dense, held)
-                self._accumulate(ref)
-                assert twin.isequal(ref)
-            finally:
-                del store
-                shm.close()
-        finally:
-            arena.close()
-
     def test_view_of_a_callers_array_is_not_owned(self):
         bm, _ = _twins()
         st_ = bm._store
@@ -609,32 +569,22 @@ class TestVectorThunk:
                 assert nxt.nvals == 0
         assert self._improving(nxt) == [] and t[2] == 1.0
 
-    @pytest.mark.parametrize("how", ("sparse", "exported", "frozen", "shm"))
+    @pytest.mark.parametrize("how", ("sparse", "exported", "frozen"))
     def test_store_that_may_not_be_written_reads_right_and_rebuilds(
             self, how):
         t, req, nxt = self._objects("sparse" if how == "sparse" else "bitmap")
-        arena = shm = None
         if how == "exported":
             t.bitmap()
         elif how == "frozen":
             t._store.dense.flags.writeable = False
-        elif how == "shm":
-            arena = ShmArena()
-            t._store, shm = attach_placement(arena.place("k", t._store))
-        try:
-            held = t._store
-            grb.select(nxt, req, _IMPROVES_VEC, t)
-            assert self._improving(nxt) == [2]
-            assert _write_deltas(
-                lambda: grb.update(t, req, accum=self.MIN)) == [False]
-            assert t._store is not held
-            grb.select(nxt, req, _IMPROVES_VEC, t)   # reads the new store
-            assert self._improving(nxt) == [] and t[2] == 1.0
-        finally:
-            if shm is not None:
-                del held
-                shm.close()
-                arena.close()
+        held = t._store
+        grb.select(nxt, req, _IMPROVES_VEC, t)
+        assert self._improving(nxt) == [2]
+        assert _write_deltas(
+            lambda: grb.update(t, req, accum=self.MIN)) == [False]
+        assert t._store is not held
+        grb.select(nxt, req, _IMPROVES_VEC, t)   # reads the new store
+        assert self._improving(nxt) == [] and t[2] == 1.0
 
     def test_result_is_not_a_deterministic_derivation(self):
         # same source version, same op, same thunk *object* — different

@@ -3,8 +3,8 @@ and the A/B timing loop of the ratio guards.
 
 Lives in its own module (not ``conftest.py``) so test modules can import it
 unambiguously: ``conftest`` is a name pytest gives to every directory's
-fixture file (``tests/grb/pool/conftest.py`` too), and whichever module is
-imported first wins the ``sys.modules`` slot.  ``tests/conftest.py`` puts
+fixture file, and whichever module is imported first wins the
+``sys.modules`` slot.  ``tests/conftest.py`` puts
 this directory on ``sys.path`` before any test module is imported, so a
 plain ``from helpers import ...`` always resolves here.
 """

@@ -161,16 +161,6 @@ class TestAccumulateFormBC:
         assert "kernel:ewise-sorted-merge" not in by_rule
         assert "kernel:ewise-bitmap-merge" not in by_rule
 
-    def test_same_under_the_worker_pool(self, monkeypatch):
-        from repro.grb.engine import cost
-        g = self.GRAPHS["kron-tiny"]()
-        g.cache_at()
-        sources = self._sources(g)
-        serial = lg.betweenness_centrality_batch(g, sources)
-        monkeypatch.setenv("REPRO_POOL_WORKERS", "2")
-        monkeypatch.setattr(cost, "POOL_MIN_WORK", 0)
-        assert lg.betweenness_centrality_batch(g, sources).isequal(serial)
-
 
 class TestPageRankGAP:
     def test_advanced_requires_properties(self, small_directed_graph):

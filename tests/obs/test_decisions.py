@@ -18,7 +18,6 @@ import pytest
 
 from repro import grb, obs
 from repro.grb import engine
-from repro.grb import pool as grbpool
 from repro.grb.engine import cost, multiplan, plancache
 from repro.grb.engine.plan import Plan
 from repro.grb.engine.rules import _REGISTRY
@@ -67,14 +66,6 @@ def _mxm(sr, *, mask=None, left=None, **costs):
     return drive
 
 
-def _pooled(drive):
-    def pooled(mp):
-        mp.setenv(grbpool.ENV_WORKERS, "2")
-        mp.setattr(cost, "POOL_MIN_WORK", 0)
-        return drive(mp)
-    return pooled
-
-
 _DOT = dict(MASKED_MIN_NNZ=0, DOT_PROBE_COST=0.0, DOT_WRITE_COST=0.0)
 
 
@@ -99,18 +90,11 @@ def _ewise(fn, fmt):
 
 
 DRIVERS = {
-    ("mxm", "msbfs-rowblock-pool"): _pooled(_mxm(
-        PLUS_PAIR, mask=lambda a: grb.complement(grb.structure(a)))),
-    ("mxm", "masked-dot-rowblock-pool"): _pooled(_mxm(
-        PLUS_PAIR, mask=grb.structure, **_DOT)),
-    ("mxm", "mxm-rowblock-pool"): _pooled(_mxm(PLUS_TIMES)),
     ("mxm", "mxm-small-expand"): _mxm(
-        PLUS_TIMES, left=lambda: grb.Matrix.from_coo([0], [0], [2.0], N, N),
-        POOL_MIN_WORK=float("inf")),
-    ("mxm", "mxm-masked-dot"): _mxm(PLUS_PAIR, mask=grb.structure, **_DOT,
-                                    POOL_MIN_WORK=float("inf")),
-    ("mxm", "mxm-scipy"): _mxm(PLUS_TIMES, POOL_MIN_WORK=float("inf")),
-    ("mxm", "mxm-expand"): _mxm(MIN_PLUS, POOL_MIN_WORK=float("inf")),
+        PLUS_TIMES, left=lambda: grb.Matrix.from_coo([0], [0], [2.0], N, N)),
+    ("mxm", "mxm-masked-dot"): _mxm(PLUS_PAIR, mask=grb.structure, **_DOT),
+    ("mxm", "mxm-scipy"): _mxm(PLUS_TIMES),
+    ("mxm", "mxm-expand"): _mxm(MIN_PLUS),
     ("mxv", "mxv-fused-dense-accum"): _forced(
         "mxv", "mxv-fused-dense-accum", _mxv_fused_dense_accum),
     ("mxv", "mxv-scipy-dense"): _forced(

@@ -2,12 +2,12 @@
 
 The wall-clock guards this suite carries (``helpers.ab_ratio``) run
 un-skipped because they assert a ratio; the one legitimate reason to skip
-one is a hardware predicate (``os.cpu_count() < 4`` for pool scaling).  A
-skip keyed on an environment variable lets CI switch a guard off and keep
-it off while the number it protects drifts, so every ``skipif`` /
-``skip`` under ``tests/`` is scanned and one whose condition reads the
-process environment — directly, or through a module-level name assigned
-from it — fails here.
+one is a hardware predicate (``os.cpu_count() < 4``).  A skip keyed on an
+environment variable lets CI switch a guard off and keep it off while the
+number it protects drifts, so every ``skipif`` / ``skip`` under
+``tests/`` is scanned and one whose condition reads the process
+environment — directly, or through a module-level name assigned from it
+— fails here.
 """
 
 import ast

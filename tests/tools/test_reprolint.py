@@ -44,7 +44,6 @@ EXPECTED_BAD = {
     "serve/held_lock_wait.py": ("lock-discipline", 7),
     "gc/finalizer_lock.py": ("lock-discipline", 14),
     "atexit_unbounded.py": ("lock-discipline", 11),
-    "pool/lambda_spec.py": ("pool-pickle", 5),
 }
 
 

@@ -10,20 +10,19 @@ from .cancel_checkpoint import CancelCheckpoint
 from .cost_constants import CostConstants
 from .lock_discipline import LockDiscipline
 from .fault_gating import FaultGating
-from .pool_pickle import PoolPickle
 from .store_mutation import StoreMutation
 from .snapshot_in_loop import SnapshotInLoop
 
 __all__ = ["all_checkers", "checkers_by_id",
            "ObsGating", "CancelCheckpoint", "CostConstants",
-           "LockDiscipline", "FaultGating", "PoolPickle", "StoreMutation",
+           "LockDiscipline", "FaultGating", "StoreMutation",
            "SnapshotInLoop"]
 
 
 def all_checkers() -> List[Checker]:
     """Fresh instances of every shipped checker (registration order)."""
     return [ObsGating(), CancelCheckpoint(), CostConstants(),
-            LockDiscipline(), FaultGating(), PoolPickle(), StoreMutation(),
+            LockDiscipline(), FaultGating(), StoreMutation(),
             SnapshotInLoop()]
 
 

@@ -2,21 +2,20 @@
 
 Two hazards the PR-8/9 postmortem notes hand-audited:
 
-**Hot-lock bodies** — ``self._lock`` in ``serve/`` and ``pool/`` guards
-bookkeeping (stats, maps, queues).  A kernel dispatch, a blocking
-``Condition.wait`` on some *other* object, or a pool submission inside a
+**Hot-lock bodies** — ``self._lock`` in ``serve/`` guards bookkeeping
+(stats, maps, queues).  A kernel dispatch, a blocking ``Condition.wait``
+on some *other* object, or a query submission inside a
 ``with self._lock`` body turns every concurrent submitter into a convoy
 (and ``wait`` while holding a foreign mutex is a deadlock waiting for its
 second participant).  The rule flags, lexically inside any ``with``
 whose context expression names a ``*lock*`` attribute, calls named like
-kernel dispatch / pool submission (:data:`DISPATCH_CALLS`) and any
+kernel dispatch / query submission (:data:`DISPATCH_CALLS`) and any
 ``.wait(...)`` call.
 
 **GC / exit callbacks** — a ``weakref.finalize`` callback may run on any
 thread mid-GC: taking *any* lock there can self-deadlock against the
-very thread that triggered collection (the obs memory accounting and the
-shm arena both enqueue to a lock-free deque instead — that is the
-contract).  An ``atexit`` callback runs while daemon threads are frozen
+very thread that triggered collection (the obs memory accounting
+enqueues to a lock-free deque instead — that is the contract).  An ``atexit`` callback runs while daemon threads are frozen
 at arbitrary points, so it may only take a lock with a bounded
 ``acquire(timeout=...)`` — never ``with lock:`` or a bare ``acquire()``.
 The rule resolves callbacks registered in the same module (plain
@@ -33,10 +32,10 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..core import Checker, Diagnostic, FileContext, dotted_tail
 
-#: call names that mean "kernel dispatch or pool submission" — work that
-#: must never run while holding a serve/pool bookkeeping lock.
+#: call names that mean "kernel dispatch or query submission" — work that
+#: must never run while holding a serve bookkeeping lock.
 DISPATCH_CALLS = {
-    "dispatch", "execute", "run_tasks", "submit", "submit_many",
+    "dispatch", "execute", "submit", "submit_many",
     "query", "query_many", "_run_one", "_run_batch", "_run_unit",
 }
 
@@ -59,14 +58,14 @@ def _is_bounded_acquire(call: ast.Call) -> bool:
 class LockDiscipline(Checker):
     rule_id = "lock-discipline"
     pragma = "lock: discipline-exempt"
-    description = ("no dispatch/wait/pool-submission under serve/pool "
-                   "locks; no lock acquisition in weakref.finalize "
+    description = ("no dispatch/wait/submission under serve locks; "
+                   "no lock acquisition in weakref.finalize "
                    "callbacks; only bounded acquires at atexit")
     doc_anchor = "docs/LINTING.md#lock-discipline"
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
         out: List[Diagnostic] = []
-        if "/serve/" in ctx.display_path or "/pool/" in ctx.display_path:
+        if "/serve/" in ctx.display_path:
             out.extend(self._check_lock_bodies(ctx))
         out.extend(self._check_gc_exit_callbacks(ctx))
         return out
@@ -81,7 +80,7 @@ class LockDiscipline(Checker):
             for call in self._body_calls(node.body):
                 name = dotted_tail(call.func)
                 if name in DISPATCH_CALLS:
-                    kind = "kernel dispatch / pool submission"
+                    kind = "kernel dispatch / query submission"
                 elif name == "wait":
                     kind = "blocking wait"
                 else:

@@ -11,7 +11,7 @@ values before checking the guard.  Every
 * bump (``inc``/``dec``/``set``/``observe``) on a module-level metric
   handle (ALL-CAPS root name, e.g. ``_REQUESTS.labels(...).inc()``), and
 * delta-writer helper call handed a module-level metric handle
-  (``_bump(SHM_BYTES, n)`` — the pool/footprint idiom)
+  (``_bump(STORE_BYTES, fmt, n)`` — the footprint idiom)
 
 must sit under an ``if`` whose test calls ``deciding()``/``active()``/
 ``deep_active()`` or reads an ``ENABLED`` flag.  Structurally-gated sites
@@ -30,7 +30,7 @@ GUARD_CALLS = ("deciding", "active", "deep_active")
 GUARD_FLAGS = ("ENABLED",)
 BUMPS = {"inc", "dec", "set", "observe"}
 #: bare functions that mutate a metric handle passed as their first
-#: argument (``_bump(SHM_BYTES, n)`` writes ``child.value`` directly)
+#: argument (``_bump(STORE_BYTES, fmt, n)`` writes ``child.value`` directly)
 DELTA_HELPERS = {"_bump"}
 
 

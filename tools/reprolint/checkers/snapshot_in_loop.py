@@ -1,17 +1,17 @@
 """``snapshot-in-loop``: algorithm loops do not export what they write into.
 
-``Vector.bitmap()`` and ``export_buffers()`` hand a bitmap store's arrays
-to the caller and mark the store *exported*: from then on the arrays are a
-snapshot, and every write-back into that object builds a new store instead
-of writing the named entries in place (``grb/storage/bitmap.py``).  Inside
+``Vector.bitmap()`` hands a bitmap store's arrays to the caller and marks
+the store *exported*: from then on the arrays are a snapshot, and every
+write-back into that object builds a new store instead of writing the
+named entries in place (``grb/storage/bitmap.py``).  Inside
 an algorithm's level loop that silently turns an O(frontier) merge back
 into an O(n) rebuild per level — nothing fails, the loop is just slow
 again, which is the trap ``sssp_bellman_ford``'s ``d.bitmap()`` thunk sat
 in.
 
-The rule: under ``lagraph/``, a ``.bitmap()`` / ``.export_buffers()`` call
-lexically inside a ``for`` / ``while`` body (or a ``while`` test, which
-runs every iteration) is a violation.  Take the snapshot once outside the
+The rule: under ``lagraph/``, a ``.bitmap()`` call lexically inside a
+``for`` / ``while`` body (or a ``while`` test, which runs every
+iteration) is a violation.  Take the snapshot once outside the
 loop, or hand the vector itself to the consumer (a select predicate takes
 a ``Vector`` thunk and reads it without exporting).
 
@@ -26,7 +26,7 @@ from typing import Iterable
 
 from ..core import Checker, Diagnostic, FileContext
 
-EXPORTING_CALLS = ("bitmap", "export_buffers")
+EXPORTING_CALLS = ("bitmap",)
 
 
 def _runs_every_iteration(ctx: FileContext, node: ast.AST) -> bool:
@@ -43,7 +43,7 @@ def _runs_every_iteration(ctx: FileContext, node: ast.AST) -> bool:
 class SnapshotInLoop(Checker):
     rule_id = "snapshot-in-loop"
     pragma = "store: snapshot"
-    description = ("no exporting .bitmap()/.export_buffers() inside an "
+    description = ("no exporting .bitmap() inside an "
                    "algorithm loop (later write-backs would rebuild)")
     doc_anchor = "docs/LINTING.md#snapshot-in-loop"
 

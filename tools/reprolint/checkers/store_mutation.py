@@ -4,7 +4,7 @@ A bitmap store keeps three things in step — the ``present`` flags, the
 ``dense`` values (0 wherever absent: the dense matvec paths multiply
 straight through it) and the ``_nvals`` count — and its owner trusts
 :meth:`writable` to say when they may be written in place at all (an
-exported or shared-memory buffer must be rebuilt instead, see
+exported or frozen buffer must be rebuilt instead, see
 ``grb/storage/bitmap.py``).  A write from anywhere else skips all of
 that: a stale ``nvals`` mis-steers the format policy, a non-zero value
 left under a cleared flag leaks into products, a write into an exported

@@ -29,8 +29,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="reprolint",
-        description="Pluggable AST invariant checker for the engine/serve/"
-                    "pool contracts (docs/LINTING.md).")
+        description="Pluggable AST invariant checker for the engine/serve "
+                    "contracts (docs/LINTING.md).")
     p.add_argument("paths", nargs="*",
                    help="files or directories to check "
                         "(default: src/repro under the repository root)")

@@ -4,7 +4,8 @@
 economically pin — the contracts that hold the layered design together
 (disabled observability costs one flag read, algorithm loops stay
 cancellable, chooser constants live in one module, lock bodies stay
-small, fault hooks are free when idle, pool task specs stay picklable).
+small, fault hooks are free when idle, bitmap stores are written only
+through their owner).
 Each invariant is a :class:`Checker` plugin; the framework owns parsing,
 parent links, guard/scope helpers, pragma handling, and diagnostics.
 
