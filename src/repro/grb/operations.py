@@ -97,6 +97,15 @@ def _resolve_desc(desc: Optional[Descriptor], mask, replace: bool, *,
     return mask, replace or desc.replace, desc.lazy
 
 
+def _write_back(out, t_keys, t_vals, mask, accum, replace: bool):
+    """The façade helpers' direct ``out⟨mask⟩ ⊙= T``.  Like the eager path
+    of :func:`repro.grb.expr.submit`, it is a mutation boundary of
+    ``out``: recorded calls still pending that read it run first."""
+    if out._expr_reads is not None:
+        out._force_lazy_state()
+    return engine.write_back(out, t_keys, t_vals, mask, accum, replace)
+
+
 # ---------------------------------------------------------------------------
 # matrix multiplication (mxm / mxv / vxm)
 # ---------------------------------------------------------------------------
@@ -259,7 +268,7 @@ def extract(w, u, indices, *, mask=None, accum=None, replace: bool = False):
     hit = present[indices]
     t_idx = np.flatnonzero(hit).astype(np.int64)
     t_vals = dense[indices[t_idx]]
-    return engine.write_back(w, t_idx, t_vals, mask, accum, replace)
+    return _write_back(w, t_idx, t_vals, mask, accum, replace)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +280,7 @@ def reduce_rowwise(w: Vector, a: Matrix, monoid: Monoid, *, mask=None,
     """``w⟨m⟩⊙= [⊕ⱼ A(:, j)]``: per-row reduction into a vector."""
     _check(w.size == a.nrows, "reduce_rowwise: output size mismatch")
     t = a.reduce_rowwise(monoid)
-    return engine.write_back(w, t._idx, t._vals, as_mask(mask), accum,
-                               replace)
+    return _write_back(w, t._idx, t._vals, as_mask(mask), accum, replace)
 
 
 def reduce_colwise(w: Vector, a: Matrix, monoid: Monoid, *, mask=None,
@@ -280,8 +288,7 @@ def reduce_colwise(w: Vector, a: Matrix, monoid: Monoid, *, mask=None,
     """``w⟨m⟩⊙= [⊕ᵢ A(i, :)]``: per-column reduction into a vector."""
     _check(w.size == a.ncols, "reduce_colwise: output size mismatch")
     t = a.reduce_colwise(monoid)
-    return engine.write_back(w, t._idx, t._vals, as_mask(mask), accum,
-                               replace)
+    return _write_back(w, t._idx, t._vals, as_mask(mask), accum, replace)
 
 
 def transpose(c: Matrix, a: Matrix, *, mask=None, accum=None,
@@ -290,8 +297,7 @@ def transpose(c: Matrix, a: Matrix, *, mask=None, accum=None,
     _check(c.nrows == a.ncols and c.ncols == a.nrows,
            f"transpose: C shape {c.shape} != ({a.ncols}, {a.nrows})")
     t = a.T
-    return engine.write_back(c, t.keys(), t.values, as_mask(mask), accum,
-                               replace)
+    return _write_back(c, t.keys(), t.values, as_mask(mask), accum, replace)
 
 
 # ---------------------------------------------------------------------------
