@@ -62,12 +62,10 @@ from .rules import (
     rules_for,
 )
 from . import executors  # noqa: F401  (imports register the rule set)
-from . import multiplan  # noqa: F401  (imports register the fusion rules)
 from .executors import write_back
-from .multiplan import MultiPlan
 
 __all__ = [
-    "cost", "plancache", "Plan", "Epilogue", "MultiPlan",
+    "cost", "plancache", "Plan", "Epilogue",
     "execute", "dispatch", "analyze",
     "plan_mxm", "plan_mxv", "plan_vxm", "plan_ewise_add", "plan_ewise_mult",
     "plan_apply", "plan_select", "plan_assign", "plan_assign_scalar",

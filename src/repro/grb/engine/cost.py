@@ -58,13 +58,10 @@ __all__ = [
 # master switches (ablation / bisection aids)
 # ---------------------------------------------------------------------------
 
-#: Master switch for fusion: with ``False`` every fused plan decomposes
-#: into the seed sequence (materialised intermediates between stages) —
-#: the slow arm of the PageRank ratio guard in
-#: ``test_planner_parity.py`` — and every
-#: :mod:`~repro.grb.engine.multiplan` group dispatches node by node:
-#: *every* chain, single or multi consumer, replays the call-at-a-time
-#: reference.
+#: Master switch for fusion: with ``False`` every fused plan's epilogue
+#: chain decomposes into the seed sequence (materialised intermediates
+#: between stages) — the slow arm of the PageRank ratio guard in
+#: ``test_planner_parity.py`` and the call-at-a-time reference.
 FUSION_ENABLED = True
 #: The keyed plan cache (:mod:`repro.grb.engine.plancache`): repeated
 #: identical dispatches skip the rule choosers and reuse the claimed

@@ -1090,10 +1090,9 @@ class _SelectCoords(_SelectBase):
 class _UpdateWrite:
     """``C⟨M⟩⊙= T``: the write-back transaction with no compute stage.
 
-    Plannable so the lazy layer can record it; when an ``update``
-    immediately consumes a producing kernel's output, the multi-output
-    fusion rules (:mod:`repro.grb.engine.multiplan`) absorb it into that
-    kernel's output pass instead."""
+    Plannable so the lazy layer can record it.  A bitmap output takes the
+    in-place delta write, so the BFS parent update ``p⟨s(q)⟩ = q`` costs
+    O(|q|) per level."""
 
     @staticmethod
     def applies(plan: Plan):

@@ -1,9 +1,9 @@
 """``repro.grb.expr`` — the lazy expression layer (non-blocking mode).
 
 The GraphBLAS spec's *non-blocking* execution mode lets an implementation
-defer and fuse operations as long as every value a user can observe is the
-one blocking mode would have produced.  This module is that mode made
-real: inside a :func:`deferred` scope (or with the ``lazy`` descriptor
+defer operations as long as every value a user can observe is the one
+blocking mode would have produced.  This module is that mode made real:
+inside a :func:`deferred` scope (or with the ``lazy`` descriptor
 bit), the operations façade records each call into an **expression DAG**
 instead of executing it, and returns a lightweight :class:`Deferred`
 handle.  Materialisation happens
@@ -16,12 +16,12 @@ handle.  Materialisation happens
 * when the ``deferred()`` scope exits (the whole remaining graph flushes).
 
 At a materialisation boundary the *ready subgraph* — the forced node plus
-everything it transitively depends on, in record order — is handed to the
-engine as one :class:`~repro.grb.engine.multiplan.MultiPlan`, which may
-apply **multi-output fusion rules** (two consumers of one producer run in
-the producer's single output pass) before dispatching node by node.  With
-:data:`repro.grb.engine.cost.FUSION_ENABLED` off, the same DAG decomposes
-into the bit-identical call-at-a-time sequence.
+everything it transitively depends on — is dispatched node by node in
+record order, so the lazy API is pure deferral: the results are the
+eager call-at-a-time sequence's, bit for bit.  No algorithm loop opens a
+scope: a BFS level or PageRank iteration recorded and fused across calls
+measures no faster than the same calls run eagerly.  (Fusion happens one
+level down, on a single plan's epilogue chain.)
 
 Dependency tracking is exact: a node depends on the pending producers of
 every operand it reads (its arguments, its mask's object, a ``Vector``
@@ -39,7 +39,7 @@ Quick tour::
                     replace=True)          # records; returns a Deferred
         grb.update(p, q, mask=grb.structure(q))
         # nothing has executed yet
-    # scope exit materialised both calls (as one fused MultiPlan)
+    # scope exit materialised both calls, in record order
 
     with grb.deferred():
         grb.mxv(w, A, u, sr)
@@ -228,9 +228,9 @@ class ExprGraph:
                 if reads is None:
                     obj._expr_reads = [node]
                     continue
-                if len(reads) >= 8:      # long-lived operands (a BFS
-                    # adjacency is read every level): drop completed
-                    # readers so the list never pins dead nodes
+                if len(reads) >= 8:      # long-lived operands (an
+                    # adjacency read by many DESC_LAZY calls): drop
+                    # completed readers so the list never pins dead nodes
                     reads = [n for n in reads if n.state == _PENDING]
                     obj._expr_reads = reads
                 reads.append(node)
@@ -272,10 +272,12 @@ class ExprGraph:
             out = n.plan.out
             if getattr(out, "_expr", None) is n:
                 out._expr = None
-        from .engine.multiplan import MultiPlan
+        from .engine.rules import dispatch   # the per-node cancel checkpoint
         token = _executing_var.set(True)
         try:
-            MultiPlan(nodes).execute()
+            for node in nodes:
+                node.result = dispatch(node.plan)
+                node.state = _DONE
         finally:
             _executing_var.reset(token)
 
@@ -322,8 +324,8 @@ class deferred:
 
     Scopes are context-local and re-entrant: nesting joins the existing
     scope rather than stacking a new flush boundary.  (A plain class, not
-    a ``@contextmanager`` generator: algorithm hot loops open one scope
-    per iteration, so entry/exit stays a handful of attribute operations.)
+    a ``@contextmanager`` generator: a caller may open one scope per loop
+    iteration, so entry/exit stays a handful of attribute operations.)
     """
 
     __slots__ = ("_token", "graph")

@@ -6,13 +6,10 @@ selection (``secondi`` yields the id of the frontier node that discovered
 each neighbour) and de-duplication (``any`` resolves the benign race by
 picking one parent) in a single step.  The follow-up
 ``p⟨s(q)⟩ = q`` writes the new parents.  Algorithms 1 and 2 share one
-sweep whose level body records that pair into a
-:func:`repro.grb.deferred` scope — the non-blocking mode the paper
-anticipates (Sec. VI-B, item 2): the scope's flush hands the pair to the
-engine as a MultiPlan, where the ``fused-frontier-parent`` rule runs the
-expansion and the parent update in the producing kernel's single output
-pass.  With ``cost.FUSION_ENABLED`` off each level decomposes into
-exactly the two calls, the bit-identity oracle.
+sweep whose level body is exactly that pair of calls, run eagerly: the
+parent update lands in place on a bitmap ``p`` at O(|q|) cost, so
+recording the pair into a :func:`repro.grb.deferred` scope to fuse it
+measures no faster on road or Kronecker graphs.
 
 Direction optimisation (Alg. 2): a *push* step costs the total out-degree
 of the frontier; a *pull* step (``AT any.secondi q`` restricted to the
@@ -60,7 +57,7 @@ def _parent_sweep(g: Graph, source: int,
 
     Each level expands the frontier ``q`` into the unvisited set — by
     ``AT any.secondi q`` when ``pull(q)`` says so, else by
-    ``q any.secondi A`` — and writes the new parents, as one deferred pair.
+    ``q any.secondi A`` — and writes the new parents.
     """
     a = g.A
     n = g.n
@@ -75,14 +72,11 @@ def _parent_sweep(g: Graph, source: int,
     s_q = structure(q)
     for _level in range(1, n):
         _cancel.checkpoint()        # deadline/cancel at the level boundary
-        pulling = pull is not None and pull(q)
-        with grb.deferred():
-            if pulling:
-                grb.mxv(q, g.AT, q, _ANY_SECONDI, mask=unvisited,
-                        replace=True)
-            else:
-                grb.vxm(q, q, a, _ANY_SECONDI, mask=unvisited, replace=True)
-            grb.update(p, q, mask=s_q)
+        if pull is not None and pull(q):
+            grb.mxv(q, g.AT, q, _ANY_SECONDI, mask=unvisited, replace=True)
+        else:
+            grb.vxm(q, q, a, _ANY_SECONDI, mask=unvisited, replace=True)
+        grb.update(p, q, mask=s_q)
         if q.nvals == 0:
             break
     return p

@@ -14,7 +14,9 @@ Both iterate until the L1 norm of the rank change drops below ``tol``.
 
 Fused hot loop
 --------------
-The iteration runs on the execution engine's fused plans
+Each iteration is the paper's short sequence of calls, run eagerly
+(recording them into a :func:`repro.grb.deferred` scope measures no
+faster); the speed comes from the execution engine's fused plans
 (:mod:`repro.grb.engine`):
 
 * the ``mxv`` accumulate step hits the ``mxv-fused-dense-accum`` rule —
@@ -92,15 +94,11 @@ def pagerank_gap(g: Graph, damping: float = 0.85, tol: float = 1e-4,
         _cancel.checkpoint()    # deadline/cancel at the iteration boundary
         iters += 1
         t, r = r, t                       # swap: t is now the prior rank
-        # the whole iteration records lazily (non-blocking mode): the
-        # convergence check below is the read boundary that hands the
-        # three-call chain to the engine in one go.  At execution the
-        # mxv's plus-accum write still fuses into the multiply's output
-        # pass (mxv-fused-dense-accum — r is full after the assign).
-        with grb.deferred():
-            grb.ewise_mult(w, t, d, grb.binary.DIV)
-            grb.assign_scalar(r, teleport)
-            grb.mxv(r, at, w, _PLUS_SECOND, accum=grb.binary.PLUS)
+        grb.ewise_mult(w, t, d, grb.binary.DIV)
+        grb.assign_scalar(r, teleport)
+        # r is full after the assign: the plus-accum write fuses into the
+        # multiply's output pass (mxv-fused-dense-accum)
+        grb.mxv(r, at, w, _PLUS_SECOND, accum=grb.binary.PLUS)
         delta = _l1_delta(t, r)
         if delta < tol:
             break
@@ -140,9 +138,8 @@ def pagerank_gx(g: Graph, damping: float = 0.85, tol: float = 1e-4,
         # store: snapshot (r and t are rebuilt whole every iteration)
         _, t_dense = t.bitmap()
         redistributed = damping * float(t_dense[dangling].sum()) / n
-        with grb.deferred():    # teleport + accumulate, forced by the delta
-            grb.assign_scalar(r, teleport + redistributed)
-            grb.mxv(r, at, w, _PLUS_SECOND, accum=grb.binary.PLUS)
+        grb.assign_scalar(r, teleport + redistributed)
+        grb.mxv(r, at, w, _PLUS_SECOND, accum=grb.binary.PLUS)
         delta = _l1_delta(t, r)
         if delta < tol:
             break

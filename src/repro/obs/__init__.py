@@ -13,8 +13,8 @@ locked):
           triangle_count(g)
       json.dump(trace.to_chrome_trace(), open("tc.json", "w"))
 
-  covering record → plan-choose → kernel → epilogue → write, MultiPlan
-  fusion, and the serve request lifecycle.
+  covering record → plan-choose → kernel → epilogue → write and the
+  serve request lifecycle.
 * **Deep profiling** (:mod:`repro.obs.profile`) — opt-in per context::
 
       with obs.profiling():

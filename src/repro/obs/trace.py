@@ -11,7 +11,7 @@ records export as Chrome trace-event JSON (load the file in Perfetto /
 ``chrome://tracing``) or JSONL.  Planner decision records
 (:func:`repro.obs.decision`) land in the same collector, parented to the
 span that was open when the decision was made — ``plan-choose`` for a
-dispatch, ``multiplan`` for a fused group — and read back with
+dispatch — and read back with
 :meth:`TraceCollector.decisions`.
 
 Context locality gives serve isolation for free: drain workers execute

@@ -242,20 +242,28 @@ def test_algorithms_lazy_equals_eager(fusion, cache, monkeypatch):
 
 
 def test_fusion_off_is_fully_decomposed(monkeypatch):
-    """FUSION_ENABLED=False must decompose multi-output chains too: the
-    level pair of the parents BFS fuses by default and emits no multiplan
-    decision record when switched off."""
+    """FUSION_ENABLED=False decomposes every epilogue chain: the
+    Graphalytics PageRank carries an ``apply`` and a ``reduce_scalar``
+    epilogue, fused by default and each replayed as its own stage when
+    switched off, with the same ranks."""
     from repro import lagraph as lg
     from repro import obs
 
+    def epilogues(trace):
+        return {(r["name"], r["args"]["fused"])
+                for r in trace.find("epilogue:")}
+
     rng = np.random.default_rng(5)
     g = random_graph_np(rng, n=30, p=0.15)
+    g.cache_all()
     with obs.tracing() as trace:
-        ref = lg.bfs_parent_push(g, 0)
-    assert trace.decisions("multiplan")
+        ref, ref_iters = lg.pagerank_gx(g)
+    kinds = {"epilogue:apply", "epilogue:reduce_scalar"}
+    assert epilogues(trace) == {(k, True) for k in kinds}
 
     monkeypatch.setattr(cost, "FUSION_ENABLED", False)
     with obs.tracing() as trace:
-        p = lg.bfs_parent_push(g, 0)
-    assert not trace.decisions("multiplan")
-    assert_same_vector(p, ref)
+        r, iters = lg.pagerank_gx(g)
+    assert epilogues(trace) == {(k, False) for k in kinds}
+    assert iters == ref_iters
+    assert_same_vector(r, ref)

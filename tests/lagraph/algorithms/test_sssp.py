@@ -301,7 +301,6 @@ class TestMergeSpans:
         merges = [w["args"]["delta"] for w in trace.find("write")
                   if names[w["parent_id"]] == "kernel:update-write"]
         assert merges and all(merges)
-        assert not trace.find("multiplan")
         kernels = profile.kernel_table()
         assert kernels["delta_write"]["calls"] == len(merges)
         assert "union_merge" not in kernels

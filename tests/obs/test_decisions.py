@@ -1,8 +1,7 @@
 """Planner decision records: one channel, one gate, context-local sinks.
 
 The contract (docs/OBSERVABILITY.md): every planner decision — a
-dispatch's claiming rule, a MultiPlan fused group, a ``choose_direction``
-call — is one dict handed to :func:`repro.obs.decision`, built only while
+dispatch's claiming rule, a ``choose_direction`` call — is one dict handed to :func:`repro.obs.decision`, built only while
 :func:`repro.obs.deciding` holds, and readable from the installed
 ``TraceCollector``.  ``TestContract`` walks every registered rule; the
 isolation cases pin that sinks are context-local — a plain thread sees
@@ -18,7 +17,7 @@ import pytest
 
 from repro import grb, obs
 from repro.grb import engine
-from repro.grb.engine import cost, multiplan, plancache
+from repro.grb.engine import cost, plancache
 from repro.grb.engine.plan import Plan
 from repro.grb.engine.rules import _REGISTRY
 
@@ -26,7 +25,6 @@ N = 24
 PLUS_TIMES = grb.semiring_by_name("plus.times")
 MIN_PLUS = grb.semiring_by_name("min.plus")
 PLUS_PAIR = grb.semiring_by_name("plus.pair")
-ANY_SECONDI = grb.semiring_by_name("any.secondi")
 
 
 def _matrix(seed=0, density=0.3):
@@ -154,19 +152,6 @@ DRIVERS = {
 }
 
 
-def _frontier_parent():
-    a = _matrix()
-    p = grb.Vector.from_coo([0], np.array([0], dtype=np.int64), N)
-    q = p.dup()
-    with grb.deferred():
-        grb.vxm(q, q, a, ANY_SECONDI,
-                mask=grb.complement(grb.structure(p)), replace=True)
-        grb.update(p, q, mask=grb.structure(q))
-
-
-FUSIONS = {"fused-frontier-parent": _frontier_parent}
-
-
 @pytest.fixture
 def poisoned(monkeypatch):
     """With no sink, building a record (or delivering one) is a bug."""
@@ -181,7 +166,6 @@ class TestContract:
         registered = {(op, r.name) for op, rules in _REGISTRY.items()
                       for r in rules}
         assert registered == set(DRIVERS)
-        assert set(multiplan.fusion_rules()) == set(FUSIONS)
 
     @pytest.mark.parametrize("op,rule", sorted(DRIVERS))
     def test_one_dispatch_one_record(self, op, rule, monkeypatch):
@@ -200,20 +184,6 @@ class TestContract:
     @pytest.mark.parametrize("op,rule", sorted(DRIVERS))
     def test_no_sink_no_record(self, op, rule, monkeypatch, poisoned):
         DRIVERS[op, rule](monkeypatch)()
-
-    @pytest.mark.parametrize("name", sorted(FUSIONS))
-    def test_fused_group_one_record(self, name):
-        with obs.tracing() as trace:
-            FUSIONS[name]()
-        (e,) = trace.decisions("multiplan")
-        assert e["rule"] == name and e["fused_ops"][0] == "vxm"
-        # the group dispatched its producer once, and nothing else
-        assert [d["op"] for d in trace.decisions()
-                if d["op"] != "multiplan"] == ["vxm"]
-
-    @pytest.mark.parametrize("name", sorted(FUSIONS))
-    def test_fused_group_no_sink_no_record(self, name, poisoned):
-        FUSIONS[name]()
 
     def test_choose_direction_one_record(self):
         with obs.tracing() as trace:

@@ -105,13 +105,14 @@ def test_stripped_real_source_is_flagged(tmp_path):
     """Self-test against a real engine module: stripping its guards must
     make the checker fire — proves the check still *sees* the tree's
     actual call-site idioms, not just synthetic fixtures."""
-    real = _ROOT / "src" / "repro" / "grb" / "engine" / "multiplan.py"
+    real = _ROOT / "src" / "repro" / "grb" / "engine" / "rules.py"
     source = real.read_text()
     assert "if _metrics.ENABLED:" in source
+    assert "obs: gated-by-caller" in source
     assert check_file(real) == []         # shipped file is gated
     stripped = source.replace("if _metrics.ENABLED:", "if _unguarded:")
     stripped = stripped.replace("obs: gated-by-caller", "obs pragma removed")
-    variant = tmp_path / "multiplan_stripped.py"
+    variant = tmp_path / "rules_stripped.py"
     variant.write_text(stripped)
     violations = check_file(variant)
     assert violations, "stripping guards must surface the metric bumps"

@@ -169,18 +169,6 @@ class TestTraceAcceptance:
         eps = tr.find("epilogue:")
         assert eps and all(r["args"]["fused"] is False for r in eps)
 
-    def test_multiplan_spans_under_deferred(self, rng):
-        g = random_graph_np(rng, n=40, p=0.1)
-        with obs.tracing() as tr:
-            lg.bfs_parent_push(g, 0)   # records levels in deferred scopes
-        assert tr.find("multiplan")
-        assert tr.find("record:")
-        # the fused group's record hangs under the multiplan span
-        groups = {r["span_id"] for r in tr.find("multiplan")}
-        fused = [r for r in tr.find("decision")
-                 if r["args"]["op"] == "multiplan"]
-        assert fused and {r["parent_id"] for r in fused} <= groups
-
 
 class TestTcFusedReduction:
     """The TC refactor: masked multiply + scalar reduce as one fused plan."""

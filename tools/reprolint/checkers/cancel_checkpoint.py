@@ -9,8 +9,7 @@ the wasted compute, and a new algorithm that forgets it silently erodes
 the deadline story PR 8 hand-audited.
 
 The rule: inside the algorithm tiers (``lagraph/algorithms/``,
-``lagraph/experimental/``) and the engine's multiplan stepping
-(``engine/multiplan.py``), every ``while`` loop and every ``for`` loop
+``lagraph/experimental/``), every ``while`` loop and every ``for`` loop
 over a data-dependent iterable, inside a function body, must lexically
 contain a ``checkpoint()`` call (its own or an inner loop's).  Loops over
 compile-time-bounded iterables — ``range()`` of literals, literal
@@ -67,14 +66,13 @@ def _contains_checkpoint(loop: ast.AST) -> bool:
 class CancelCheckpoint(Checker):
     rule_id = "cancel-checkpoint"
     pragma = "cancel: checkpoint-exempt"
-    description = ("algorithm/multiplan loops must call cancel.checkpoint() "
+    description = ("algorithm loops must call cancel.checkpoint() "
                    "at an iteration boundary")
     doc_anchor = "docs/LINTING.md#cancel-checkpoint"
 
     def interested(self, posix_path: str) -> bool:
         return ("lagraph/algorithms/" in posix_path
-                or "lagraph/experimental/" in posix_path
-                or posix_path.endswith("engine/multiplan.py"))
+                or "lagraph/experimental/" in posix_path)
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
         out = []
