@@ -26,6 +26,10 @@ Three shapes, all fully vectorised (no per-row Python loops):
     traversal).  The compiled path itself is ``scipy_mxm`` in
     ``executors``.
 
+``vxm_sparse`` and ``mxv_gather`` take the same SciPy-replay mode: a
+plus.times-reducible ``vxm``/``mxv`` has one answer, byte for byte
+SciPy's, whatever its frontier density.
+
 The positional coordinate convention follows
 :mod:`repro.grb.ops.positional`: the multiplier sees ``a(i, k) ⊗ b(k, j)``.
 """
@@ -73,21 +77,28 @@ def multiply_as(mult_name: str, a_vals, b_vals, count: int,
 @profiled("vxm_sparse")
 def vxm_sparse(
     u_idx: np.ndarray,
-    u_vals: np.ndarray,
+    u_vals: Optional[np.ndarray],
     indptr: np.ndarray,
     indices: np.ndarray,
     values: Optional[np.ndarray],
     ncols: int,
     semiring: Semiring,
+    cast_dtype: Optional[np.dtype] = None,
 ):
     """``wᵀ = uᵀ ⊕.⊗ A`` with ``A`` in CSR.  Returns ``(w_idx, w_vals)``.
 
     ``u`` is treated as a 1×n matrix, so in ``a(i,k) ⊗ b(k,j)`` terms:
     ``i = 0``, ``k`` is the frontier index, ``j`` the reached column.
+    ``cast_dtype`` is :func:`mxm_expand`'s SciPy-replay mode: the frontier
+    is enumerated k-ascending, so each output folds its terms in the order
+    SciPy's ``uᵀ A`` does.
     """
     row_rep, cols, a_vals = csr_gather_rows(indptr, indices, values, u_idx)
+    uv = u_vals[row_rep] if u_vals is not None else None
+    if cast_dtype is not None:
+        return semiring.add.reduce_sequential(cols, multiply_as(
+            semiring.mult.name, uv, a_vals, cols.size, cast_dtype))
     k = u_idx[row_rep]
-    uv = u_vals[row_rep]
     i = np.zeros(k.size, dtype=np.int64)
     mult = _multiply(semiring, uv, a_vals, i, k, cols)
     return semiring.add.reduce_groups(cols, mult, ncols)
@@ -99,14 +110,18 @@ def mxv_gather(
     indices: np.ndarray,
     values: Optional[np.ndarray],
     u_present: np.ndarray,
-    u_dense: np.ndarray,
+    u_dense: Optional[np.ndarray],
     rows: np.ndarray,
     semiring: Semiring,
+    cast_dtype: Optional[np.dtype] = None,
 ):
     """``w = A ⊕.⊗ u`` restricted to ``rows``; ``u`` given as a bitmap.
 
     Returns ``(w_idx, w_vals)``.  In ``a(i,k) ⊗ b(k,j)`` terms: ``i`` is the
     matrix row, ``k`` the matched column / vector index, ``j = 0``.
+    ``cast_dtype`` is :func:`mxm_expand`'s SciPy-replay mode: a row's terms
+    are gathered in storage order, so each output folds them in the order
+    SciPy's ``A @ u`` does.
     """
     row_rep, cols, a_vals = csr_gather_rows(indptr, indices, values, rows)
     hit = u_present[cols]
@@ -115,7 +130,10 @@ def mxv_gather(
     if a_vals is not None:
         a_vals = a_vals[hit]
     i = rows[row_rep]
-    uv = u_dense[cols]
+    uv = u_dense[cols] if u_dense is not None else None
+    if cast_dtype is not None:
+        return semiring.add.reduce_sequential(i, multiply_as(
+            semiring.mult.name, a_vals, uv, i.size, cast_dtype))
     j = np.zeros(i.size, dtype=np.int64)
     mult = _multiply(semiring, a_vals, uv, i, cols, j)
     return semiring.add.reduce_groups(i, mult, indptr.size - 1)

@@ -1,12 +1,11 @@
 """The unified cost model: every tunable the planner consults, in one place.
 
 Before the engine existed these constants were scattered — the masked-mxm
-chooser lived in ``_kernels/masked_matmul.py``, the dense-pull threshold in
-``operations.py``, the Beamer push/pull constants in
-``lagraph/algorithms/bfs.py``.  Planner rules (:mod:`repro.grb.engine.rules`)
-now read *this* module at decision time, so monkeypatching any constant here
-re-routes every call that consults it — the same forcing idiom
-:mod:`repro.grb.storage.policy` established::
+chooser lived in ``_kernels/masked_matmul.py``, the Beamer push/pull
+constants in ``lagraph/algorithms/bfs.py``.  Planner rules
+(:mod:`repro.grb.engine.rules`) now read *this* module at decision time, so
+monkeypatching any constant here re-routes every call that consults it —
+the same forcing idiom :mod:`repro.grb.storage.policy` established::
 
     monkeypatch.setattr(cost, "DOT_PROBE_COST", 0.0)   # force the dot kernel
     monkeypatch.setattr(cost, "DOT_PROBE_COST", inf)   # ... or rule it out
@@ -42,11 +41,8 @@ __all__ = [
     "DOT_PROBE_COST", "SCIPY_FLOP_COST", "EXPAND_FLOP_COST", "FLOP_SAMPLE",
     "MASKED_MIN_NNZ", "LIVE_ROW_FRACTION",
     "DOT_WRITE_COST", "FALLBACK_WRITE_COST",
-    # mxv / vxm density chooser
-    "DENSE_PULL_FRACTION",
     # batched-frontier (msbfs) choosers
-    "MSBFS_AUTO_BATCH_THRESHOLD", "MSBFS_PROBE_DENSITY",
-    "MSBFS_FUSE_FRONTIER_K",
+    "MSBFS_PROBE_DENSITY", "MSBFS_FUSE_FRONTIER_K",
     # frontier-direction (Beamer) chooser
     "PUSHPULL_ALPHA", "PUSHPULL_BETA",
     # estimators and choosers
@@ -101,20 +97,9 @@ MASKED_MIN_NNZ = 1 << 15
 LIVE_ROW_FRACTION = 0.75
 
 # ---------------------------------------------------------------------------
-# mxv / vxm density chooser
-# ---------------------------------------------------------------------------
-
-#: Frontier density above which plus-reducible mxv/vxm switch to the dense
-#: (SciPy) path.  Mirrors SS:GrB's sparse→bitmap heuristic.
-DENSE_PULL_FRACTION = 0.10
-
-# ---------------------------------------------------------------------------
 # batched-frontier (msbfs) choosers
 # ---------------------------------------------------------------------------
 
-#: ``method="auto"`` msbfs uses the compiled-product path for batches this
-#: big (below it, per-source sweeps win).
-MSBFS_AUTO_BATCH_THRESHOLD = 2
 #: Frontier density (nvals / grid) above which a probe level beats a push
 #: level: the expected number of probes until a hit scales like the
 #: inverse density — the Beamer direction switch of Alg. 2, batched.

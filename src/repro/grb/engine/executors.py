@@ -10,10 +10,10 @@ This module is where the scattered pre-engine dispatch logic of
   the unified chooser in :mod:`repro.grb.engine.cost`), ``mxm-scipy``
   (compiled plus.times-reducible path, mask-restricted to live rows) and
   ``mxm-expand`` (the always-applicable flop-expansion reference).
-* ``mxv`` / ``vxm`` — ``*-fused-dense-accum`` (epilogue-fused dense
-  accumulate, see below), the SciPy dense path above
-  :data:`~repro.grb.engine.cost.DENSE_PULL_FRACTION` frontier density, and
-  the sparse gather/push reference.
+* ``mxv`` / ``vxm`` — ``mxv-fused-dense-accum`` (a plain-``plus``
+  accumulate into a full output, on SciPy's dense product), then the
+  gather/push reference, which replays SciPy's summation order for
+  plus.times-reducible semirings — one answer at any frontier density.
 * ``ewise_add`` / ``ewise_mult`` — bitmap-layout dense merge when both
   operands are bitmap-resident, sorted-key merge otherwise (the format
   fast path that used to hide inside ``merge_objects``); ``ewise_mult``
@@ -67,8 +67,8 @@ from . import cost
 from .plan import Plan
 from .rules import register
 
-__all__ = ["write_back", "finish", "scipy_mxm",
-           "scipy_mxv", "mask_live_rows", "mask_key_filter"]
+__all__ = ["write_back", "finish", "scipy_mxm", "mask_live_rows",
+           "mask_key_filter"]
 
 # SciPy keeps explicit zeros produced by cancellation in sparse matmul; probe
 # once so the fast path knows whether structure needs a separate pattern
@@ -359,35 +359,6 @@ def scipy_mxm(a: Matrix, b: Matrix, semiring: Semiring,
         out[pos] = vals
         return pkeys, out
     return keys, vals
-
-
-def scipy_mxv(a: Matrix, u: Vector, semiring: Semiring, *,
-              swap_operands: bool = False):
-    """plus-reducible dense ``w = A ⊕.⊗ u``; returns (idx, vals).
-
-    ``swap_operands=True`` is used by vxm (``uᵀ A`` computed as ``Aᵀ u``):
-    there the vector is the *first* multiply operand, so ``first``/``second``
-    exchange which side's values they read.  Value structure: absent vector
-    entries carry 0 in the bitmap and therefore vanish under plus.times
-    arithmetic; the entry *structure* comes from a cancellation-proof
-    pattern product.
-    """
-    use_a, use_b = _mult_uses(semiring)
-    if swap_operands and semiring.mult.name in ("first", "second"):
-        use_a, use_b = use_b, use_a
-    if semiring.mult.name == "pair":
-        dt = np.dtype(np.int64)
-    else:
-        dt = semiring.mult_dtype(a.dtype, u.dtype)
-    if dt == np.bool_:
-        dt = np.dtype(np.int64)
-    present, dense = u._store.bitmap()
-    sa = _scipy_operand(a, use_a, dt)
-    uvec = dense.astype(dt, copy=False) if use_b else present.astype(dt)
-    w_dense = sa @ uvec
-    counts = _scipy_operand(a, False, np.int64) @ present.astype(np.int64)
-    idx = np.flatnonzero(counts > 0).astype(np.int64)
-    return idx, w_dense[idx]
 
 
 def _mask_rows(mask: Optional[Mask], nrows: int) -> Optional[np.ndarray]:
@@ -726,9 +697,16 @@ class _MxmExpand:
 # mxv / vxm rules
 # ---------------------------------------------------------------------------
 
-def _dense_frontier(u: Vector, a: Matrix) -> bool:
-    return (u.nvals > cost.DENSE_PULL_FRACTION * u.size
-            and a.nvals > 0 and u.nvals > 0)
+def _replay(plan: Plan):
+    """``(use_first, use_second, cast_dtype)`` for a vector product's
+    operands in ⊗ order.  A plus.times-reducible semiring runs the
+    gather/push kernel in its SciPy-replay mode, as :func:`_run_expand`
+    does: SciPy's dtype, and no value array the multiply ignores.  Any
+    other semiring reads both sides and casts nothing."""
+    sr = plan.operator
+    if not sr.scipy_reducible():
+        return True, True, None
+    return (*_mult_uses(sr), _scipy_dtype(*plan.args, sr))
 
 
 @register("mxv", "mxv-fused-dense-accum")
@@ -739,9 +717,11 @@ class _MxvFusedDenseAccum:
     When the output is *full* (an entry at every position — PageRank's rank
     vector after ``assign_scalar``) and the accumulator is plain ``plus``,
     the spec transaction degenerates to ``w_dense += t_dense``: the union
-    merge (two n-sized sorts) and the structural counts product of the
-    SciPy path are both dead work, because the output structure is known
-    full in advance.
+    merge of the write-back is dead work, because the output structure is
+    known full in advance.  The frontier's density does not matter: an
+    unmasked ``mxv-gather`` reads every row of ``A`` too, so SciPy's
+    compiled product over the whole matrix is never more work, and each
+    row's sum is the one ``mxv-gather`` would replay.
 
     Adding the *full* dense product is bit-identical to the reference as
     long as no off-structure position can produce a non-zero: those
@@ -771,8 +751,7 @@ class _MxvFusedDenseAccum:
         if (getattr(plan.accum, "name", None) == "plus"
                 and w.nvals == w.size and w.size > 0
                 and np.issubdtype(w.type.dtype, np.floating)
-                and sr.scipy_reducible() and safe
-                and _dense_frontier(u, a)):
+                and sr.scipy_reducible() and safe):
             return {"method": "fused-dense-accum", "mult": mult}
         return None
 
@@ -782,12 +761,7 @@ class _MxvFusedDenseAccum:
         w = plan.out
         sr = plan.operator
         use_a, use_b = _mult_uses(sr)
-        if sr.mult.name == "pair":
-            dt = np.dtype(np.int64)
-        else:
-            dt = sr.mult_dtype(a.dtype, u.dtype)
-        if dt == np.bool_:
-            dt = np.dtype(np.int64)
+        dt = _scipy_dtype(a, u, sr)
         present, dense = u._store.bitmap()
         sa = _scipy_operand(a, use_a, dt)
         uvec = dense.astype(dt, copy=False) if use_b else present.astype(dt)
@@ -798,31 +772,13 @@ class _MxvFusedDenseAccum:
         return w
 
 
-@register("mxv", "mxv-scipy-dense")
-class _MxvScipyDense:
-    """Compiled dense matvec for plus-reducible semirings on heavy
-    frontiers (unmasked — the mask path restricts rows instead)."""
-
-    @staticmethod
-    def applies(plan: Plan):
-        a, u = plan.args
-        if (plan.operator.scipy_reducible() and plan.mask is None
-                and _dense_frontier(u, a)):
-            return {"method": "scipy-dense"}
-        return None
-
-    @staticmethod
-    def run(plan: Plan, detail: dict):
-        a, u = plan.args
-        idx, vals = scipy_mxv(a, u, plan.operator)
-        return finish(plan, idx, vals, is_vector=True, size=a.nrows)
-
-
 @register("mxv", "mxv-gather")
 class _MxvGather:
-    """Row-gather reference: only the mask-selected rows of ``A`` are
-    examined (the complemented-structural-mask BFS pull touches exactly
-    the unvisited rows)."""
+    """Row gather: only the mask-selected rows of ``A`` are examined (the
+    complemented-structural-mask BFS pull touches exactly the unvisited
+    rows).  Each row folds its terms in storage order, so a
+    plus.times-reducible product equals SciPy's ``A @ u`` byte for byte
+    (:func:`_replay`) at any frontier density."""
 
     @staticmethod
     def applies(plan: Plan):
@@ -834,34 +790,20 @@ class _MxvGather:
         rows = _mask_rows(plan.mask, a.nrows)
         if rows is None:
             rows = np.arange(a.nrows, dtype=np.int64)
+        use_a, use_u, cast = _replay(plan)
         present, dense = u._store.bitmap()
-        idx, vals = mxv_gather(a.indptr, a.indices, a.values,
-                               present, dense, rows, plan.operator)
+        idx, vals = mxv_gather(a.indptr, a.indices,
+                               a.values if use_a else None, present,
+                               dense if use_u else None, rows, plan.operator,
+                               cast_dtype=cast)
         return finish(plan, idx, vals, is_vector=True, size=a.nrows)
-
-
-@register("vxm", "vxm-scipy-dense")
-class _VxmScipyDense:
-    """Dense path for heavy frontiers: ``uᵀ A`` computed as ``Aᵀ u`` on
-    the cached transpose."""
-
-    @staticmethod
-    def applies(plan: Plan):
-        u, a = plan.args
-        if plan.operator.scipy_reducible() and _dense_frontier(u, a):
-            return {"method": "scipy-dense"}
-        return None
-
-    @staticmethod
-    def run(plan: Plan, detail: dict):
-        u, a = plan.args
-        idx, vals = scipy_mxv(a.T, u, plan.operator, swap_operands=True)
-        return finish(plan, idx, vals, is_vector=True, size=a.ncols)
 
 
 @register("vxm", "vxm-sparse-push")
 class _VxmSparsePush:
-    """Sparse-frontier push reference: cost ∝ total frontier out-degree."""
+    """Frontier push: cost ∝ total frontier out-degree.  The frontier is
+    walked k-ascending, so a plus.times-reducible product equals SciPy's
+    ``uᵀ A`` byte for byte (:func:`_replay`) at any frontier density."""
 
     @staticmethod
     def applies(plan: Plan):
@@ -870,8 +812,11 @@ class _VxmSparsePush:
     @staticmethod
     def run(plan: Plan, detail: dict):
         u, a = plan.args
-        idx, vals = vxm_sparse(u._idx, u._vals, a.indptr, a.indices,
-                               a.values, a.ncols, plan.operator)
+        use_u, use_a, cast = _replay(plan)
+        idx, vals = vxm_sparse(u._idx, u._vals if use_u else None,
+                               a.indptr, a.indices,
+                               a.values if use_a else None, a.ncols,
+                               plan.operator, cast_dtype=cast)
         return finish(plan, idx, vals, is_vector=True, size=a.ncols)
 
 

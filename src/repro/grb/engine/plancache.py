@@ -140,8 +140,7 @@ def _cost_fingerprint() -> tuple:
     return (cost.FUSION_ENABLED, cost.DOT_PROBE_COST, cost.SCIPY_FLOP_COST,
             cost.EXPAND_FLOP_COST, cost.FLOP_SAMPLE, cost.MASKED_MIN_NNZ,
             cost.LIVE_ROW_FRACTION, cost.DOT_WRITE_COST,
-            cost.FALLBACK_WRITE_COST, cost.DENSE_PULL_FRACTION,
-            _profile.deep_active())
+            cost.FALLBACK_WRITE_COST, _profile.deep_active())
 
 
 def _operand_sig(obj):

@@ -115,9 +115,10 @@ def vxm(w: Vector, u: Vector, a: Matrix, semiring: Semiring, *,
         desc: Optional[Descriptor] = None):
     """``wᵀ⟨mᵀ⟩⊙= uᵀ ⊕.⊗ A`` — the "push" direction.
 
-    Cost is proportional to the total out-degree of ``u``'s entries on the
-    sparse path; dense plus-reducible inputs take the SciPy path
-    (``vxm-scipy-dense`` above ``cost.DENSE_PULL_FRACTION`` density).
+    Cost is proportional to the total out-degree of ``u``'s entries
+    (``vxm-sparse-push``).  A plus.times-reducible semiring sums each
+    output in SciPy's order, so the result is byte for byte SciPy's
+    ``uᵀ A`` whatever the frontier's density.
     """
     mask, replace, lazy = _resolve_desc(desc, mask, replace, op="vxm")
     return _expr.submit(engine.plan_vxm(

@@ -12,38 +12,28 @@ Semantics match the single-source algorithms row by row — bit for bit:
 * :func:`msbfs_parents` — row ``k`` equals ``bfs_parent_push(g, sources[k])``.
   The ``any`` monoid of Alg. 1 picks the first candidate in storage order,
   which (the frontier being sorted) is the *smallest* frontier node adjacent
-  to the discovered node.  Both execution strategies below preserve exactly
-  that choice.
+  to the discovered node.  Every leg below preserves exactly that choice.
 * :func:`msbfs_levels` — row ``k`` equals ``bfs_level(g, sources[k])``.
 
-Two execution strategies:
+One execution strategy, at every batch size (a single source included).
+A frontier expands as the structural ``plus.pair`` product — algebraically
+the literal batched Alg. 1's pattern, and SciPy-reducible, so a level rides
+the planner's compiled (or, on a near-empty level, small-expansion) rule.
+For parents, a light frontier pushes through the ``any.secondi`` product
+instead, whose values are the parents; on a heavy one the witness (which
+frontier node discovered each new node) is recovered *after* the masked
+``plus.pair`` product, only for the newly discovered entries: the parent of
+``(i, j)`` is the first in-neighbour of ``j`` (ascending, i.e. ``Aᵀ`` row
+order) present in row ``i``'s frontier — identical to the ``any.secondi``
+pick.  A few vectorised probe rounds against a dense frontier bitmap
+resolve almost all entries (the early-exit that makes pull steps cheap,
+Sec. VI-A); stragglers fall back to one ragged gather.
 
-``method="mxm"``
-    The literal batched Alg. 1: one ``any.secondi`` (parents) or
-    ``any.pair`` (levels) masked ``mxm`` per level.  Runs on the flop-order
-    expansion kernel, which takes a sort-free dense-scatter path for ``any``
-    reductions on tall frontier matrices (see
-    :mod:`repro.grb._kernels.matmul`).
+Duplicate sources are allowed (rows are computed independently).  Advanced
+mode: nothing is cached on the graph (``Aᵀ`` for the probe comes from the
+matrix's own transpose cache, or ``G.AT`` when already present).
 
-``method="pair"`` (parents: ``"probe"``)
-    Frontier expansion as a structural ``plus.pair`` product — algebraically
-    the same pattern, but ``plus.pair`` is SciPy-reducible so each level
-    rides the compiled CSR matmul.  For parents, the witness (which frontier
-    node discovered each new node) is recovered *after* the masked product,
-    only for the newly discovered entries: the parent of ``(i, j)`` is the
-    first in-neighbour of ``j`` (ascending, i.e. ``Aᵀ`` row order) present in
-    row ``i``'s frontier — identical to the ``any.secondi`` pick.  A few
-    vectorised probe rounds against a dense frontier bitmap resolve almost
-    all entries (the early-exit that makes pull steps cheap, Sec. VI-A);
-    stragglers fall back to one ragged gather.
-
-``method="auto"`` picks ``"pair"``/``"probe"`` — the fast path — unless the
-batch is trivially small.  Duplicate sources are allowed (rows are computed
-independently).  Advanced mode: nothing is cached on the graph (``Aᵀ`` for
-the probe comes from the matrix's own transpose cache, or ``G.AT`` when
-already present).
-
-Level fusion: whatever the method, frontiers under
+Level fusion: frontiers under
 :data:`repro.grb.engine.cost.MSBFS_FUSE_FRONTIER_K`
 live entries skip the matrix machinery — consecutive near-empty levels run
 as raw-array neighbour expansions against a dense discovered-set bitmap,
@@ -76,23 +66,21 @@ from ..graph import Graph
 __all__ = ["msbfs_levels", "msbfs_parents", "msbfs"]
 
 _ANY_SECONDI = grb.semiring("any", "secondi")
-_ANY_PAIR = grb.semiring("any", "pair")
 _PLUS_PAIR = grb.semiring("plus", "pair")
 _DEPTH = grb.unary.unary_op(
     "__msbfs_depth", lambda x, depth: np.full(x.shape, depth, dtype=np.int64))
 
 #: Probe rounds against the frontier bitmap before the ragged fallback
 #: (a kernel-mechanism cap; the *chooser* constants live in the engine's
-#: unified cost model — ``MSBFS_AUTO_BATCH_THRESHOLD``,
-#: ``MSBFS_PROBE_DENSITY`` and ``MSBFS_FUSE_FRONTIER_K`` in
+#: unified cost model — ``MSBFS_PROBE_DENSITY`` (probe vs push) and
+#: ``MSBFS_FUSE_FRONTIER_K`` (level fusion) in
 #: :mod:`repro.grb.engine.cost` — read at call time, monkeypatchable like
-#: every other planner tunable).  The fusion threshold is the ROADMAP
-#: road-graph follow-up: a high-diameter batch spends hundreds of levels
-#: on slim frontiers, and per-level mxm + mask-write + output-rebuild
-#: overhead outweighs the actual expansion work (1.6–1.9× on the small
-#: road grid, 64 sources, guarded in ``test_direction_optimized.py``);
-#: low-diameter graphs blow past the threshold after a level or two and
-#: keep the compiled product.
+#: every other planner tunable).  The fusion threshold exists because a
+#: high-diameter batch spends hundreds of levels on slim frontiers, and
+#: per-level mxm + mask-write + output-rebuild overhead outweighs the
+#: actual expansion work (1.6–1.9× on the small road grid, 64 sources,
+#: guarded in ``test_direction_optimized.py``); low-diameter graphs blow
+#: past the threshold after a level or two and keep the compiled product.
 PROBE_ROUNDS = 16
 
 
@@ -200,11 +188,17 @@ def _first_frontier_in_neighbor(at_indptr, at_indices, frontier_bits,
     return parent
 
 
-def _msbfs_parents_probe(g: Graph, sources: np.ndarray) -> Matrix:
-    """Adaptive strategy: push sparse levels, probe dense ones.
+def msbfs_parents(g: Graph, sources: Sequence[int]) -> Matrix:
+    """Batched parents BFS: ``P[k, v]`` is the BFS-tree parent of ``v`` in
+    the sweep rooted at ``sources[k]`` (``P[k, sources[k]] == sources[k]``);
+    unreached ``(k, v)`` pairs have no entry.
 
-    Sparse frontiers expand through the ``any.secondi`` flop kernel (cost ∝
-    frontier out-degrees — cheap exactly when the frontier is light).  Dense
+    Returns an ``ns × n`` INT64 matrix whose row ``k`` is identical to
+    ``bfs_parent_push(g, sources[k])``.
+
+    Adaptive per level: push sparse levels, probe dense ones.  Sparse
+    frontiers expand through the ``any.secondi`` product (cost ∝ frontier
+    out-degrees — cheap exactly when the frontier is light).  Dense
     frontiers run the compiled ``plus.pair`` structural product and recover
     each new node's witness by probing its in-neighbours against a frontier
     bitmap (a hit lands within a couple of rounds exactly when the frontier
@@ -214,6 +208,9 @@ def _msbfs_parents_probe(g: Graph, sources: np.ndarray) -> Matrix:
     the end of the run.  All three legs pick the smallest frontier
     in-neighbour, so the output is independent of every switch point.
     """
+    sources = _check_sources(g, sources)
+    if sources.size == 0:
+        return Matrix(grb.INT64, 0, g.n)
     a = g.A
     at = _transpose_of(g)
     n = g.n
@@ -287,54 +284,11 @@ def _msbfs_parents_probe(g: Graph, sources: np.ndarray) -> Matrix:
     return p
 
 
-def _msbfs_parents_mxm(g: Graph, sources: np.ndarray) -> Matrix:
-    """Literal batched Alg. 1: one ``any.secondi`` masked mxm per level."""
-    a = g.A
-    n = g.n
-    ns = sources.size
-    batch = np.arange(ns, dtype=np.int64)
-    p = Matrix.from_coo(batch, sources, sources, ns, n, typ=grb.INT64,
-                        dup_op=grb.binary.FIRST)
-    f = p.dup()
-    for _level in range(1, n):
-        _cancel.checkpoint()        # deadline/cancel at the level boundary
-        # F⟨¬s(P), r⟩ = F any.secondi A   (secondi = frontier node = parent)
-        grb.mxm(f, f, a, _ANY_SECONDI,
-                mask=complement(structure(p)), replace=True)
-        if f.nvals == 0:
-            break
-        grb.update(p, f, mask=structure(f))
-    return p
-
-
-def msbfs_parents(g: Graph, sources: Sequence[int], *,
-                  method: str = "auto") -> Matrix:
-    """Batched parents BFS: ``P[k, v]`` is the BFS-tree parent of ``v`` in
-    the sweep rooted at ``sources[k]`` (``P[k, sources[k]] == sources[k]``);
-    unreached ``(k, v)`` pairs have no entry.
-
-    Returns an ``ns × n`` INT64 matrix whose row ``k`` is identical to
-    ``bfs_parent_push(g, sources[k])``, whichever ``method`` runs.
-    """
-    sources = _check_sources(g, sources)
-    if method == "auto":
-        method = "probe" if sources.size >= _cost.MSBFS_AUTO_BATCH_THRESHOLD \
-            else "mxm"
-    if sources.size == 0:
-        return Matrix(grb.INT64, 0, g.n)
-    if method == "probe":
-        return _msbfs_parents_probe(g, sources)
-    if method == "mxm":
-        return _msbfs_parents_mxm(g, sources)
-    raise grb.InvalidValue(f"unknown msbfs method {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # levels
 # ---------------------------------------------------------------------------
 
-def msbfs_levels(g: Graph, sources: Sequence[int], *,
-                 method: str = "auto") -> Matrix:
+def msbfs_levels(g: Graph, sources: Sequence[int]) -> Matrix:
     """Batched level BFS: ``L[k, v]`` is the BFS depth of ``v`` from
     ``sources[k]`` (source depth 0); unreached pairs have no entry.
 
@@ -342,15 +296,6 @@ def msbfs_levels(g: Graph, sources: Sequence[int], *,
     ``bfs_level(g, sources[k])``.
     """
     sources = _check_sources(g, sources)
-    if method == "auto":
-        method = "pair" if sources.size >= _cost.MSBFS_AUTO_BATCH_THRESHOLD \
-            else "any"
-    if method == "pair":
-        semiring = _PLUS_PAIR      # SciPy-reducible: compiled CSR product
-    elif method == "any":
-        semiring = _ANY_PAIR       # sort-free dense-scatter expansion
-    else:
-        raise grb.InvalidValue(f"unknown msbfs method {method!r}")
     a = g.A
     n = g.n
     ns = sources.size
@@ -388,8 +333,8 @@ def msbfs_levels(g: Graph, sources: Sequence[int], *,
             f = Matrix(grb.BOOL, ns, n)
             f._set_from_keys(f_keys, np.ones(f_keys.size, dtype=np.bool_))
             f_keys = None
-        # F⟨¬s(L), r⟩ = F ⊕.pair A — only the pattern is consumed
-        grb.mxm(f, f, a, semiring,
+        # F⟨¬s(L), r⟩ = F plus.pair A — only the pattern is consumed
+        grb.mxm(f, f, a, _PLUS_PAIR,
                 mask=complement(structure(lvl)), replace=True)
         if f.nvals == 0:
             break

@@ -10,12 +10,14 @@ masked engine and fusion switched off (exactly the seed pipeline).
 
 from __future__ import annotations
 
+import itertools
 from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import dense_model as dm
 from helpers import ab_ratio
 from repro import grb, obs
 from repro.grb import engine
@@ -112,74 +114,104 @@ class TestRegistry:
         import threading
 
         a = _rand_matrix(rng, 12, 12)
-        u = _rand_vector(rng, 12, density=0.02)   # scipy-dense would decline
+        u = _rand_vector(rng, 12)
         errors = []
 
         def other_thread():
             try:
+                # an empty output: the fused rule would decline
                 w = grb.Vector(grb.FP64, 12)
                 grb.mxv(w, a, u, grb.semiring_by_name("plus.times"))
             except Exception as exc:      # forced decline would raise here
                 errors.append(exc)
 
-        with engine.force_rule("mxv", "mxv-scipy-dense"):
+        with engine.force_rule("mxv", "mxv-fused-dense-accum"):
             t = threading.Thread(target=other_thread)
             t.start()
             t.join()
         assert errors == []
         # and nesting restores cleanly
         with engine.force_rule("mxv", "mxv-gather"):
-            with engine.force_rule("mxv", "mxv-scipy-dense"):
+            with engine.force_rule("mxv", "mxv-fused-dense-accum"):
                 pass
             w = grb.Vector(grb.FP64, 12)
             grb.mxv(w, a, u, grb.semiring_by_name("plus.times"))  # gather ok
 
     def test_forced_rule_that_declines_raises(self, rng):
         a = _rand_matrix(rng, 8, 8)
-        u = _rand_vector(rng, 8, density=0.02)   # sparse: scipy declines
-        w = grb.Vector(grb.FP64, 8)
-        with engine.force_rule("mxv", "mxv-scipy-dense"):
+        u = _rand_vector(rng, 8)
+        w = grb.Vector(grb.FP64, 8)        # not full: the fused rule declines
+        with engine.force_rule("mxv", "mxv-fused-dense-accum"):
             with pytest.raises(engine.PlanningError):
                 grb.mxv(w, a, u, grb.semiring_by_name("plus.times"))
 
 
 class TestMxvVxmRuleParity:
-    """Each mxv/vxm rule × mask kind × accum × replace == the gather/push
-    reference, across every operand storage format."""
+    """Routed mxv/vxm × output × mask kind × accum × replace == the
+    gather/push reference, across every operand storage format."""
 
     @pytest.mark.parametrize("name", MXV_SEMIRINGS)
     @pytest.mark.parametrize("op", ("mxv", "vxm"))
-    def test_rules_agree(self, rng, name, op, monkeypatch):
+    def test_rules_agree(self, rng, name, op):
         sr = grb.semiring_by_name(name)
         a = _rand_matrix(rng, 20, 20)
-        u = _rand_vector(rng, 20, density=0.8)      # dense: every rule open
+        u = _rand_vector(rng, 20, density=0.8)
         mobj = _rand_vector(rng, 20, density=0.4)
-        w0 = _rand_vector(rng, 20, density=0.3)
+        # a full output opens mxv-fused-dense-accum to the unmasked
+        # plus-accumulated mxv
+        outputs = {"partial": _rand_vector(rng, 20, density=0.3),
+                   "full": _rand_vector(rng, 20, density=1.0)}
         run = grb.mxv if op == "mxv" else \
             (lambda w, a_, u_, s, **kw: grb.vxm(w, u_, a_, s, **kw))
         ref_rule = "mxv-gather" if op == "mxv" else "vxm-sparse-push"
-        fast_rule = "mxv-scipy-dense" if op == "mxv" else "vxm-scipy-dense"
-        for mk, mask in _mask_variants(mobj).items():
+        for (wk, w0), (mk, mask) in itertools.product(
+                outputs.items(), _mask_variants(mobj).items()):
             for accum in (None, grb.binary.PLUS):
                 for replace in (False, True):
-                    ctx = f"{op} {name} {mk} accum={accum} r={replace}"
+                    ctx = f"{op} {name} {wk} {mk} accum={accum} r={replace}"
                     with engine.force_rule(op, ref_rule):
                         ref = w0.dup()
                         run(ref, a, u, sr, mask=mask, accum=accum,
                             replace=replace)
-                    # the dense rule only opens for unmasked reducible
-                    # calls; skip combinations it legitimately declines
-                    if sr.scipy_reducible() and (mask is None
-                                                 or op == "vxm"):
-                        with engine.force_rule(op, fast_rule):
-                            got = w0.dup()
-                            run(got, a, u, sr, mask=mask, accum=accum,
-                                replace=replace)
-                        assert_same_vector(got, ref, ctx)
                     auto = w0.dup()
                     run(auto, a, u, sr, mask=mask, accum=accum,
                         replace=replace)
                     assert_same_vector(auto, ref, ctx + " [auto]")
+
+    @pytest.mark.parametrize("nvals", (23, 205))
+    def test_gather_replays_scipy_on_arbitrary_floats(self, rng, nvals):
+        """One answer at any frontier density: the gather/push rules sum
+        a plus.times-reducible product in SciPy's order.  23 of 256 entries
+        sit under the density the retired dense routes opened at, and
+        still give every output 8 or more terms — where ``reduceat`` sums
+        pairwise (2-3 ulp off SciPy before the replay)."""
+        import scipy.sparse as sp
+        dense = rng.random((64, 256))
+        present = np.zeros(256, dtype=bool)
+        present[rng.choice(256, nvals, replace=False)] = True
+        u = grb.Vector.from_dense(rng.random(256), present=present)
+        a = grb.Matrix.from_dense(dense)
+        at = grb.Matrix.from_dense(dense.T.copy())
+        _, u_dense = dm.to_model_vector(u)
+        ones = np.ones_like(dense)
+        # each multiply's operand substitution: the side it ignores is ones
+        operands = {"plus.times": (dense, u_dense),
+                    "plus.first": (dense, present.astype(np.float64)),
+                    "plus.second": (ones, u_dense),
+                    "plus.pair": (ones, present.astype(np.float64))}
+        # uᵀ Aᵀ: the vector is ⊗'s first operand, so first/second swap
+        flip = {"plus.first": "plus.second", "plus.second": "plus.first"}
+        for name in MXM_REDUCIBLE:
+            sr = grb.semiring_by_name(name)
+            mat, vec = operands[name]
+            want = sp.csr_matrix(mat) @ vec
+            w = grb.Vector(grb.FP64, 64)
+            grb.mxv(w, a, u, sr)
+            assert w.nvals == 64, name
+            assert w.values.tobytes() == want.tobytes(), "mxv " + name
+            w = grb.Vector(grb.FP64, 64)
+            grb.vxm(w, u, at, grb.semiring_by_name(flip.get(name, name)))
+            assert w.values.tobytes() == want.tobytes(), "vxm " + name
 
     @pytest.mark.parametrize("fmt_a", MATRIX_FORMATS)
     @pytest.mark.parametrize("fmt_u", VECTOR_FORMATS)
@@ -858,12 +890,12 @@ class TestSmallExpandAlgorithmParity:
     def test_msbfs_levels(self, graphs, name, monkeypatch):
         from repro import lagraph as lg
         g = graphs[name]
-        fused = lg.msbfs_levels(g, self._sources(g), method="pair")
+        fused = lg.msbfs_levels(g, self._sources(g))
         # one masked plus.pair mxm per level instead of msbfs's own
         # raw-array path
         monkeypatch.setattr(cost, "MSBFS_FUSE_FRONTIER_K", 0)
         routed, pinned, rules = self._both_ways(
-            lambda: lg.msbfs_levels(g, self._sources(g), method="pair"))
+            lambda: lg.msbfs_levels(g, self._sources(g)))
         assert "mxm-small-expand" in rules
         assert routed.isequal(pinned) and routed.isequal(fused)
 

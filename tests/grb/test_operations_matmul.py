@@ -2,7 +2,7 @@
 
 The key property: the SciPy fast path and the general gather kernel must be
 *indistinguishable* — same structure, same values — for every reducible
-semiring, at any frontier density.
+semiring; ``mxv``/``vxm`` match the dense model at any frontier density.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 import dense_model as dm
 from repro import grb
 from repro.grb import operations as ops
-from repro.grb.engine import cost
 
 REDUCIBLE = ["plus.times", "plus.first", "plus.second", "plus.pair"]
 
@@ -30,31 +29,31 @@ def _random_vector(rng, n, density=0.5, dtype=np.float64):
 
 
 class TestFastPathEquivalence:
-    """scipy path (dense frontier) == gather path (forced sparse)."""
+    """Sparse and dense frontiers alike == the dense model."""
 
+    @pytest.mark.parametrize("density", (0.1, 0.9))
     @pytest.mark.parametrize("name", REDUCIBLE)
-    def test_vxm_paths_agree(self, rng, name, monkeypatch):
+    def test_vxm_matches_model(self, rng, name, density):
         sr = grb.semiring_by_name(name)
         a = _random_matrix(rng, 12, 9)
-        u = _random_vector(rng, 12, density=0.9)   # dense: scipy path
-        w_fast = grb.Vector(grb.FP64, 9)
-        grb.vxm(w_fast, u, a, sr)
-        monkeypatch.setattr(cost, "DENSE_PULL_FRACTION", 2.0)  # force gather
-        w_slow = grb.Vector(grb.FP64, 9)
-        grb.vxm(w_slow, u, a, sr)
-        assert w_fast.isequal(w_slow), name
+        u = _random_vector(rng, 12, density=density)
+        w = grb.Vector(grb.FP64, 9)
+        grb.vxm(w, u, a, sr)
+        ep, ev = dm.semiring_vxm(*dm.to_model_vector(u),
+                                 *dm.to_model_matrix(a), sr)
+        dm.assert_vector_equals_model(w, ep, ev, name)
 
+    @pytest.mark.parametrize("density", (0.1, 0.9))
     @pytest.mark.parametrize("name", REDUCIBLE)
-    def test_mxv_paths_agree(self, rng, name, monkeypatch):
+    def test_mxv_matches_model(self, rng, name, density):
         sr = grb.semiring_by_name(name)
         a = _random_matrix(rng, 9, 12)
-        u = _random_vector(rng, 12, density=0.9)
-        w_fast = grb.Vector(grb.FP64, 9)
-        grb.mxv(w_fast, a, u, sr)
-        monkeypatch.setattr(cost, "DENSE_PULL_FRACTION", 2.0)
-        w_slow = grb.Vector(grb.FP64, 9)
-        grb.mxv(w_slow, a, u, sr)
-        assert w_fast.isequal(w_slow), name
+        u = _random_vector(rng, 12, density=density)
+        w = grb.Vector(grb.FP64, 9)
+        grb.mxv(w, a, u, sr)
+        ep, ev = dm.semiring_mxv(*dm.to_model_matrix(a),
+                                 *dm.to_model_vector(u), sr)
+        dm.assert_vector_equals_model(w, ep, ev, name)
 
     @pytest.mark.parametrize("name", REDUCIBLE)
     def test_mxm_scipy_vs_expand(self, rng, name):

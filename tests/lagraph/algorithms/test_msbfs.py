@@ -1,9 +1,9 @@
 """Tests for batched multi-source BFS / SSSP (the serving kernels).
 
 The contract under test is strong: every row of a batched sweep is
-*bit-identical* to the corresponding single-source Advanced-mode call,
-whichever execution strategy ran (literal batched mxm, or the adaptive
-compiled-product + witness-probe path).
+*bit-identical* to the corresponding single-source Advanced-mode call, at
+every batch size — a one-source batch runs the same compiled-product +
+witness-probe loop as a twelve-source one.
 """
 
 import numpy as np
@@ -17,27 +17,20 @@ from repro.gap.harness import _sources
 
 
 class TestMsbfsParents:
-    @pytest.mark.parametrize("method", ["probe", "mxm"])
-    def test_diamond(self, small_directed_graph, method):
-        p = lg.msbfs_parents(small_directed_graph, [0, 3], method=method)
+    def test_diamond(self, small_directed_graph):
+        p = lg.msbfs_parents(small_directed_graph, [0, 3])
         assert p.shape == (2, 4)
         assert p[0, 0] == 0 and p[0, 1] == 0 and p[0, 2] == 0
         assert p[1, 3] == 3 and p.extract_row(1).nvals == 1  # 3 reaches nothing
 
-    @pytest.mark.parametrize("method", ["probe", "mxm"])
+    @pytest.mark.parametrize("batch", [1, 12])
     @pytest.mark.parametrize("directed", [True, False])
-    def test_rows_match_single_source_push(self, rng, method, directed):
+    def test_rows_match_single_source_push(self, rng, batch, directed):
         g = random_graph_np(rng, n=60, p=0.08, directed=directed)
-        sources = rng.integers(0, g.n, size=12)
-        p = lg.msbfs_parents(g, sources, method=method)
+        sources = rng.integers(0, g.n, size=batch)
+        p = lg.msbfs_parents(g, sources)
         for k, s in enumerate(sources):
             assert p.extract_row(k).isequal(lg.bfs_parent_push(g, int(s)))
-
-    def test_methods_agree(self, rng):
-        g = random_graph_np(rng, n=50, p=0.1)
-        sources = rng.integers(0, g.n, size=8)
-        assert lg.msbfs_parents(g, sources, method="probe").isequal(
-            lg.msbfs_parents(g, sources, method="mxm"))
 
     @given(g=random_graphs(directed=True))
     @settings(max_examples=15)
@@ -61,28 +54,23 @@ class TestMsbfsParents:
         with pytest.raises(grb.IndexOutOfBounds):
             lg.msbfs_parents(small_directed_graph, [0, 9])
 
-    def test_bad_method(self, small_directed_graph):
-        with pytest.raises(grb.InvalidValue):
-            lg.msbfs_parents(small_directed_graph, [0, 1], method="nope")
-
     def test_computes_no_graph_properties(self, small_directed_graph):
         lg.msbfs_parents(small_directed_graph, [0, 1])
         assert small_directed_graph.AT is None
 
 
 class TestMsbfsLevels:
-    @pytest.mark.parametrize("method", ["pair", "any"])
-    def test_diamond(self, small_directed_graph, method):
-        lv = lg.msbfs_levels(small_directed_graph, [0, 1], method=method)
+    def test_diamond(self, small_directed_graph):
+        lv = lg.msbfs_levels(small_directed_graph, [0, 1])
         assert lv[0, 0] == 0 and lv[0, 1] == 1 and lv[0, 3] == 2
         assert lv[1, 1] == 0 and lv[1, 3] == 1
 
-    @pytest.mark.parametrize("method", ["pair", "any"])
+    @pytest.mark.parametrize("batch", [1, 12])
     @pytest.mark.parametrize("directed", [True, False])
-    def test_rows_match_single_source(self, rng, method, directed):
+    def test_rows_match_single_source(self, rng, batch, directed):
         g = random_graph_np(rng, n=60, p=0.08, directed=directed)
-        sources = rng.integers(0, g.n, size=12)
-        lv = lg.msbfs_levels(g, sources, method=method)
+        sources = rng.integers(0, g.n, size=batch)
+        lv = lg.msbfs_levels(g, sources)
         for k, s in enumerate(sources):
             assert lv.extract_row(k).isequal(lg.bfs_level(g, int(s)))
 
@@ -110,7 +98,7 @@ class TestMsbfsLevels:
             out = lg.msbfs_levels(g, sources)
             single = lg.bfs_level
         else:
-            out = lg.msbfs_parents(g, sources, method="mxm")
+            out = lg.msbfs_parents(g, sources)
             single = lg.bfs_parent_push
         assert out.format == "bitmap"
         for k, s in enumerate(sources):

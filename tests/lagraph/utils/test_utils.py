@@ -226,3 +226,47 @@ class TestBinaryIO:
         np.savez(path, a=np.arange(3))
         with pytest.raises(IOError_):
             binread(path)
+
+    # a 2 x 2 file whose arrays break one CSR invariant each:
+    # (indptr, indices, values)
+    HOSTILE = {
+        "column-out-of-range": ([0, 1, 1], [5], [1.0]),
+        "indptr-not-monotone": ([0, 2, 1], [0, 1], [1.0, 2.0]),
+        "indptr-past-indices": ([0, 1, 3], [0], [1.0]),
+        "indptr-wrong-length": ([0, 1], [0], [1.0]),
+        "indptr-not-from-zero": ([1, 1, 1], [0], [1.0]),
+        "values-length-mismatch": ([0, 1, 1], [0], [1.0, 2.0]),
+        "indices-unsorted-in-row": ([0, 2, 2], [1, 0], [1.0, 2.0]),
+        "indices-duplicate-in-row": ([0, 2, 2], [1, 1], [1.0, 2.0]),
+    }
+
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_rejects_malformed_csr(self, tmp_path, case):
+        indptr, indices, values = self.HOSTILE[case]
+        path = tmp_path / "hostile.npz"
+        np.savez(path, magic=np.array("lagraph-csr-v1"),
+                 shape=np.array([2, 2], dtype=np.int64),
+                 indptr=np.array(indptr, dtype=np.int64),
+                 indices=np.array(indices, dtype=np.int64),
+                 values=np.array(values))
+        with pytest.raises(IOError_):
+            binread(path)
+
+    def _written(self, tmp_path):
+        path = tmp_path / "m.npz"
+        binwrite(grb.Matrix.from_coo(np.arange(50), np.arange(50),
+                                     np.arange(50.0), 50, 50), path)
+        return path, path.read_bytes()
+
+    def test_rejects_truncated_file(self, tmp_path):
+        path, data = self._written(tmp_path)
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(IOError_):
+            binread(path)
+
+    def test_rejects_corrupt_container(self, tmp_path):
+        path, data = self._written(tmp_path)
+        mid = len(data) // 2
+        path.write_bytes(data[:mid] + bytes(64) + data[mid + 64:])
+        with pytest.raises(IOError_):
+            binread(path)

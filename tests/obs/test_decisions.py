@@ -95,18 +95,10 @@ DRIVERS = {
     ("mxm", "mxm-expand"): _mxm(MIN_PLUS),
     ("mxv", "mxv-fused-dense-accum"): _forced(
         "mxv", "mxv-fused-dense-accum", _mxv_fused_dense_accum),
-    ("mxv", "mxv-scipy-dense"): _forced(
-        "mxv", "mxv-scipy-dense",
-        lambda: grb.mxv(grb.Vector(grb.FP64, N), _matrix(), _vector(),
-                        PLUS_TIMES)),
     ("mxv", "mxv-gather"): _forced(
         "mxv", "mxv-gather",
         lambda: grb.mxv(grb.Vector(grb.FP64, N), _matrix(), _vector(),
                         MIN_PLUS)),
-    ("vxm", "vxm-scipy-dense"): _forced(
-        "vxm", "vxm-scipy-dense",
-        lambda: grb.vxm(grb.Vector(grb.FP64, N), _vector(), _matrix(),
-                        PLUS_TIMES)),
     ("vxm", "vxm-sparse-push"): _forced(
         "vxm", "vxm-sparse-push",
         lambda: grb.vxm(grb.Vector(grb.FP64, N), _vector(), _matrix(),
