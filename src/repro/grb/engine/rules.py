@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 from ...obs import metrics as _metrics
@@ -65,6 +65,8 @@ class Rule:
     name: str
     applies: Callable[[Plan], Optional[dict]]
     run: Callable[[Plan, dict], object]
+    #: this rule's ``grb_dispatch_total{op, rule}`` child, bound once
+    dispatched: object = field(compare=False, repr=False)
 
 
 _REGISTRY: Dict[str, List[Rule]] = {}
@@ -82,7 +84,8 @@ def register(op: str, name: str):
     and ``run(plan, detail)``.  Registration order is trial order.
     """
     def deco(obj):
-        rule = Rule(op, name, obj.applies, obj.run)
+        rule = Rule(op, name, obj.applies, obj.run,
+                    _DISPATCHES.labels(op, name))
         _REGISTRY.setdefault(op, []).append(rule)
         return obj
     return deco
@@ -235,7 +238,7 @@ def dispatch(plan: Plan):
                 rule, detail = _claim(plan, forced, cache_key, True)
             sp.set(rule=rule.name)
             if _metrics.ENABLED:
-                _DISPATCHES.labels(plan.op, rule.name).inc()
+                rule.dispatched.inc()
             with _trace.span("kernel:" + rule.name, cat="kernel",
                              op=plan.op):
                 out = _run_rule(plan, rule, detail, deep)
@@ -243,7 +246,7 @@ def dispatch(plan: Plan):
             return out
     rule, detail = _claim(plan, forced, cache_key, deep)
     if _metrics.ENABLED:
-        _DISPATCHES.labels(plan.op, rule.name).inc()
+        rule.dispatched.inc()
     out = _run_rule(plan, rule, detail, deep)
     _feed_pickup(plan, cache_key)
     return out

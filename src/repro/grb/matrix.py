@@ -39,7 +39,6 @@ import scipy.sparse as sp
 
 from . import types as _types
 from ..obs import memory as _obsmem
-from ..obs import metrics as _metrics
 from ._kernels import apply_select as _selectops
 from ._kernels.ewise import merge_objects, union_merge
 from ._kernels.gather import expand_rows
@@ -85,6 +84,7 @@ class Matrix:
         self._lineage = None           # derivation signature (plan cache)
         self._expr = None              # pending lazy producer (grb.expr)
         self._expr_reads = None        # pending lazy readers (grb.expr)
+        _obsmem.register(self)
 
     def _force_lazy_state(self):
         """The *mutation* boundary: materialise the pending producer AND
@@ -199,8 +199,6 @@ class Matrix:
         m._format = self._format
         ident, version = self._plan_sig()
         m._set_lineage(ident, version, permanent=True)
-        if _metrics.ENABLED:
-            _obsmem.account(m, m._store)
         return m
 
     # ------------------------------------------------------------------
@@ -240,8 +238,6 @@ class Matrix:
             self._scipy = None
             self._transpose = None
             self._version += 1   # layout changes which rule fast paths apply
-            if _metrics.ENABLED:
-                _obsmem.account(self, self._store)
         return self
 
     def _S(self):
@@ -275,8 +271,6 @@ class Matrix:
     def indptr(self, arr):
         st = self._csr_store_for_write()
         st.indptr = arr
-        if _metrics.ENABLED:
-            _obsmem.account(self, st)
 
     @property
     def indices(self) -> np.ndarray:
@@ -288,8 +282,6 @@ class Matrix:
     def indices(self, arr):
         st = self._csr_store_for_write()
         st.indices = arr
-        if _metrics.ENABLED:
-            _obsmem.account(self, st)
 
     @property
     def values(self) -> np.ndarray:
@@ -301,8 +293,6 @@ class Matrix:
     def values(self, arr):
         st = self._csr_store_for_write()
         st.values = arr
-        if _metrics.ENABLED:
-            _obsmem.account(self, st)
 
     # ------------------------------------------------------------------
     # internal plumbing
@@ -346,8 +336,6 @@ class Matrix:
             self.nrows, self.ncols)
         self._invalidate()
         self._keys = keys
-        if _metrics.ENABLED:
-            _obsmem.account(self, self._store)
 
     def _writable_bitmap(self):
         """The store, when the write-back may write entries into it in
@@ -357,9 +345,8 @@ class Matrix:
 
     def _wrote_in_place(self):
         """The mutation boundary of an in-place write: what
-        :meth:`_install` does minus the rebuild — same store, so the
-        footprint gauges stand; the density policy is re-read from the
-        store's maintained ``nvals``."""
+        :meth:`_install` does minus the rebuild — the density policy is
+        re-read from the store's maintained ``nvals``."""
         self._invalidate()
         st = self._store
         if self._format == "auto" and not _policy.matrix_wants_bitmap(
@@ -552,8 +539,6 @@ class Matrix:
         self._pending = None
         self._store = CSRStore.empty(self.nrows, self.ncols, self.type.dtype)
         self._invalidate()
-        if _metrics.ENABLED:
-            _obsmem.account(self, self._store)
 
     def get(self, i: int, j: int, default=None):
         """Value at ``(i, j)`` or ``default`` when absent."""

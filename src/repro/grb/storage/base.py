@@ -135,8 +135,8 @@ class MatrixStore:
 
         Lazily derived caches (a bitmap store's CSR triple, the cached CSC
         view) are deliberately excluded: the always-on footprint gauges
-        must be deterministic at the mutation boundary, before any kernel
-        decides to materialise a view.  Cache bytes are reported
+        must not depend on which views some kernel happened to
+        materialise before they were read.  Cache bytes are reported
         separately via :meth:`cache_nbytes` (the opt-in memory report
         reads both)."""
         raise NotImplementedError

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import types as _types
 from ..obs import memory as _obsmem
-from ..obs import metrics as _metrics
 from ._kernels import apply_select as _selectops
 from ._kernels.ewise import merge_objects
 from .errors import DimensionMismatch, IndexOutOfBounds, InvalidValue, NoValue
@@ -63,6 +62,7 @@ class Vector:
         self._lineage = None           # derivation signature (plan cache)
         self._expr = None              # pending lazy producer (grb.expr)
         self._expr_reads = None        # pending lazy readers (grb.expr)
+        _obsmem.register(self)
 
     def _force_lazy_state(self):
         """The *mutation* boundary: materialise the pending producer AND
@@ -212,8 +212,6 @@ class Vector:
         w._format = self._format
         ident, version = self._plan_sig()
         w._set_lineage(ident, version, permanent=True)
-        if _metrics.ENABLED:
-            _obsmem.account(w, w._st)
         return w
 
     # ------------------------------------------------------------------
@@ -243,8 +241,6 @@ class Vector:
             self._st = _policy.vector_store_from_sparse(
                 fmt, self.size, idx, vals)
             self._version += 1  # layout changes which rule fast paths apply
-            if _metrics.ENABLED:
-                _obsmem.account(self, self._st)
         return self
 
     @property
@@ -271,8 +267,6 @@ class Vector:
             fmt = _policy.select_vector_format(self.size, idx.size)
         self._st = _policy.vector_store_from_sparse(fmt, self.size, idx, vals)
         self._version += 1
-        if _metrics.ENABLED:
-            _obsmem.account(self, self._st)
 
     def _writable_bitmap(self):
         """The store, when the write-back may write entries into it in
@@ -282,9 +276,8 @@ class Vector:
 
     def _wrote_in_place(self):
         """The mutation boundary of an in-place write: what
-        :meth:`_set_sparse` does minus the rebuild — same store, so the
-        footprint gauges stand; the density policy is re-read from the
-        store's maintained ``nvals``."""
+        :meth:`_set_sparse` does minus the rebuild — the density policy is
+        re-read from the store's maintained ``nvals``."""
         self._version += 1
         if self._format == "auto" and _policy.select_vector_format(
                 self.size, self._st.nvals) != "bitmap":
@@ -368,8 +361,6 @@ class Vector:
         self._force_lazy_state()    # recorded producer/readers come first
         self._st = SparseVec.empty(self.size, self.type.dtype)
         self._version += 1
-        if _metrics.ENABLED:
-            _obsmem.account(self, self._st)
 
     def get(self, i: int, default=None):
         """Value at index ``i`` or ``default`` when absent."""

@@ -56,10 +56,9 @@ __all__ = [
 
 
 def reset() -> None:
-    """Zero the metric registry and the deep-profiling tables (labels and
-    metric registrations survive; traces are per-collector and unaffected).
-    The store-footprint gauges are then rebuilt from the live store records
-    — footprint is a fact about the heap, not an event counter."""
+    """Zero the metric registry and the deep-profiling tables (labels,
+    metric registrations and children held by call sites survive; traces
+    are per-collector and unaffected).  The store-footprint gauges need no
+    rebuild: they are recomputed from the live stores whenever read."""
     metrics.reset()
     profile.reset()
-    memory.resync()

@@ -51,6 +51,7 @@ def _merge_labels(base: str, extra: str) -> str:
 def prometheus_text(registry: Optional[_metrics.Registry] = None) -> str:
     """The registry in Prometheus text exposition format."""
     reg = registry if registry is not None else _metrics.REGISTRY
+    _memory.snapshot()      # the footprint gauges are computed when read
     lines = []
     for metric in reg.collect():
         if metric.help:
@@ -87,6 +88,7 @@ def json_snapshot(registry: Optional[_metrics.Registry] = None) -> dict:
     counters when the engine is importable.
     """
     reg = registry if registry is not None else _metrics.REGISTRY
+    stores = _memory.snapshot()    # publishes the footprint gauges
     out = {"metrics": {}}
     for metric in reg.collect():
         samples = []
@@ -102,8 +104,8 @@ def json_snapshot(registry: Optional[_metrics.Registry] = None) -> dict:
     out["kernels"] = _profile.kernel_table()
     out["rules"] = _profile.rule_table()
     out["decisions"] = _profile.decision_table()
-    out["memory"] = {"stores": _memory.snapshot(),
-                     "live_owners": _memory.live_count()}
+    out["memory"] = {"stores": stores,
+                     "live_owners": sum(s["count"] for s in stores.values())}
     try:  # the engine may not be imported (obs is standalone)
         import sys
         engine = sys.modules.get("repro.grb.engine")

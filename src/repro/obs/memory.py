@@ -1,25 +1,24 @@
-"""Store-footprint accounting: always-on byte gauges per storage format.
+"""Store footprint: always-on byte gauges per storage format, computed
+when read.
 
 Every :class:`~repro.grb.matrix.Matrix` / :class:`~repro.grb.vector.Vector`
-reports its store's authoritative ``nbytes()`` here at the same mutation
-boundaries the auto-format policy hooks (``_set_from_keys`` /
-``_set_sparse`` / ``set_format`` / ``clear`` / ``dup`` and the CSR array
-setters).  The aggregate lands in two labelled gauges:
+registers itself here once, in ``__init__`` (:func:`register`: one weak
+reference).  Nothing happens at a write.  Whoever reads the footprint —
+:func:`snapshot`, and through it ``obs.prometheus_text`` /
+``obs.json_snapshot`` / ``obs.report()`` — sums the live owners' raw
+stores' authoritative ``nbytes()`` and publishes the result into two
+labelled gauges:
 
 * ``grb_store_bytes{format}`` — authoritative bytes of live stores, and
-* ``grb_store_count{format}`` — number of live stores,
+* ``grb_store_count{format}`` — number of live stores.
 
-maintained *by delta*: each owner is tracked in a keyed record, a
-``weakref.finalize`` subtracts its contribution when the owner dies, so
-the gauges are exact at every instant without ever walking the heap.
+So every reader sees one number, exact at the moment of the read: an
+in-place write, a ``metrics.ENABLED = False`` window or a
+``metrics.reset()`` cannot make it drift.  Dead owners retire through the
+lock-free ``_dead`` queue, drained at each registration and each read.
 
-Cost model: one ``nbytes()`` call (a handful of attribute reads) per
-mutation boundary — mutation boundaries rebuild whole arrays, so the
-accounting is noise next to the work it measures.  Call sites gate on
-``metrics.ENABLED`` like every other always-on bump; record *removal*
-deliberately bypasses the kill switch so a disable/enable window can only
-under-count, never leak (``resync()`` restores exactness from the live
-records, and ``obs.reset()`` calls it).
+Cost model: one weak reference per Matrix/Vector constructed, and one
+``nbytes()`` call (a handful of attribute reads) per live store per read.
 
 The opt-in deep tier lives in :mod:`repro.obs.profile`
 (``profiling(memory=True)`` arms ``tracemalloc``); this module also feeds
@@ -31,7 +30,6 @@ first audit the auto-format policy has ever had).
 
 from __future__ import annotations
 
-import threading
 import weakref
 from collections import deque
 from typing import Dict, List, Optional
@@ -41,8 +39,8 @@ import numpy as np
 from . import identity as _identity
 from . import metrics as _metrics
 
-__all__ = ["account", "snapshot", "top_stores", "format_audit", "resync",
-           "live_count", "STORE_BYTES", "STORE_COUNT"]
+__all__ = ["register", "snapshot", "top_stores", "format_audit",
+           "STORE_BYTES", "STORE_COUNT"]
 
 STORE_BYTES = _metrics.gauge(
     "grb_store_bytes",
@@ -53,104 +51,61 @@ STORE_COUNT = _metrics.gauge(
     "Number of live Matrix/Vector stores",
     labels=("format",))
 
-
-class _Record:
-    __slots__ = ("fmt", "nbytes", "ref")
-
-    def __init__(self, fmt: str, nbytes: int, ref):
-        self.fmt = fmt
-        self.nbytes = nbytes
-        self.ref = ref
-
-
-_lock = threading.Lock()
-_live: Dict[int, _Record] = {}
-#: Keys of finalized owners awaiting retirement.  ``_drop`` runs inside
-#: garbage collection — which can trigger at ANY allocation, including on
-#: a thread currently holding ``_lock`` or a metric lock — so the
-#: finalizer itself must be lock-free (deque.append is atomic).  The
-#: queue drains at the next accounting touchpoint.
+#: Weak references to every live owner, keyed by the reference's own id
+#: (the reference lives in this dict until retired, so its id cannot be
+#: reused meanwhile).
+_live: Dict[int, weakref.ref] = {}
+#: References whose owner died, awaiting retirement.  A weakref callback
+#: runs inside garbage collection — which can trigger at ANY allocation,
+#: on any thread — so it only enqueues (``deque.append`` is atomic and
+#: lock-free).
 _dead: deque = deque()
 
 
-def _drop(key: int) -> None:
-    _dead.append(key)
-
-
-def _bump(metric, fmt: str, amount) -> None:
-    # Deliberately bypasses metrics.ENABLED: these deltas keep each gauge
-    # equal to the sum over tracked records, and a dead owner's drop must
-    # land even while the kill switch is off or the gauge would leak.
-    child = metric.labels(fmt)
-    with child._lock:
-        child.value += amount
-
-
-def _flush_dead() -> None:
-    """Retire finalized owners' contributions (never called from GC)."""
+def _retire_dead() -> None:
     while True:
         try:
-            key = _dead.popleft()
+            ref = _dead.popleft()
         except IndexError:
             return
-        with _lock:
-            rec = _live.pop(key, None)
-            if rec is not None:
-                _bump(STORE_BYTES, rec.fmt, -rec.nbytes)
-                _bump(STORE_COUNT, rec.fmt, -1)
+        _live.pop(id(ref), None)
 
 
-def account(owner, store) -> None:
-    """Fold ``owner``'s current store into the footprint gauges.
-
-    Called by Matrix/Vector at every mutation boundary (the call site
-    guards on ``metrics.ENABLED``; this re-check makes direct calls safe).
-    First sight of an owner registers a finalizer that retires its
-    contribution at garbage collection.
-    """
-    if not _metrics.ENABLED:
-        return
-    _flush_dead()
-    fmt = store.fmt
-    nbytes = int(store.nbytes())
-    key = id(owner)
-    with _lock:
-        rec = _live.get(key)
-        if rec is None:
-            _live[key] = _Record(fmt, nbytes, weakref.ref(owner))
-            weakref.finalize(owner, _drop, key)
-            _bump(STORE_BYTES, fmt, nbytes)
-            _bump(STORE_COUNT, fmt, 1)
-        elif fmt == rec.fmt:
-            if nbytes != rec.nbytes:
-                _bump(STORE_BYTES, fmt, nbytes - rec.nbytes)
-                rec.nbytes = nbytes
-        else:
-            _bump(STORE_BYTES, rec.fmt, -rec.nbytes)
-            _bump(STORE_COUNT, rec.fmt, -1)
-            _bump(STORE_BYTES, fmt, nbytes)
-            _bump(STORE_COUNT, fmt, 1)
-            rec.fmt = fmt
-            rec.nbytes = nbytes
+def register(owner) -> None:
+    """Track ``owner`` (a Matrix or Vector) for the footprint gauges."""
+    _retire_dead()
+    ref = weakref.ref(owner, _dead.append)
+    _live[id(ref)] = ref
 
 
-def live_count() -> int:
-    """Number of tracked live owners (test/report hook)."""
-    _flush_dead()
-    with _lock:
-        return len(_live)
+def _owners() -> list:
+    """The live owners (``dict.copy`` runs no Python code, so another
+    thread's registration cannot interleave with it)."""
+    _retire_dead()
+    return [o for ref in _live.copy().values() if (o := ref()) is not None]
+
+
+_NONE = {"bytes": 0, "count": 0}
 
 
 def snapshot() -> Dict[str, dict]:
-    """``{format: {"bytes": int, "count": int}}`` from the gauges."""
-    _flush_dead()
+    """``{format: {"bytes": int, "count": int}}`` over the live stores.
+
+    Also publishes the totals into ``grb_store_bytes`` /
+    ``grb_store_count`` (a format no live store holds reads 0), regardless
+    of ``metrics.ENABLED``: the gauges state a fact about the heap, they
+    count no events.
+    """
     out: Dict[str, dict] = {}
-    for labelvalues, child in STORE_BYTES.samples():
-        out.setdefault(labelvalues[0], {"bytes": 0, "count": 0})["bytes"] = \
-            int(child.value)
-    for labelvalues, child in STORE_COUNT.samples():
-        out.setdefault(labelvalues[0], {"bytes": 0, "count": 0})["count"] = \
-            int(child.value)
+    for owner in _owners():
+        st = _raw_store(owner)
+        tally = out.setdefault(st.fmt, {"bytes": 0, "count": 0})
+        tally["bytes"] += int(st.nbytes())
+        tally["count"] += 1
+    for metric, key in ((STORE_BYTES, "bytes"), (STORE_COUNT, "count")):
+        seen = {labelvalues[0] for labelvalues, _ in metric.samples()}
+        for fmt in seen | out.keys():
+            metric.labels(fmt).value = out.get(fmt, _NONE)[key]
     return out
 
 
@@ -192,21 +147,12 @@ def _value_itemsize(st) -> int:
 def top_stores(n: int = 10) -> List[dict]:
     """The ``n`` largest live stores by authoritative bytes.
 
-    Reads the raw stores (bytes refreshed, lazy state never forced) and
-    labels each owner with its registered graph where
-    :mod:`repro.obs.identity` knows one.
+    Reads the raw stores (lazy state never forced) and labels each owner
+    with its registered graph where :mod:`repro.obs.identity` knows one.
     """
-    _flush_dead()
-    with _lock:
-        records = list(_live.values())
     rows = []
-    for rec in records:
-        owner = rec.ref()
-        if owner is None:
-            continue
+    for owner in _owners():
         st = _raw_store(owner)
-        if st is None:
-            continue
         is_matrix = hasattr(owner, "ncols")
         rows.append({
             "kind": "Matrix" if is_matrix else "Vector",
@@ -263,17 +209,9 @@ def format_audit() -> List[dict]:
     smallest).  Estimates use the array-shape arithmetic of each format,
     not materialised conversions, so the audit is read-only and cheap.
     """
-    _flush_dead()
-    with _lock:
-        records = list(_live.values())
     rows = []
-    for rec in records:
-        owner = rec.ref()
-        if owner is None:
-            continue
+    for owner in _owners():
         st = _raw_store(owner)
-        if st is None:
-            continue
         is_matrix = hasattr(owner, "ncols")
         est = _matrix_estimates(st) if is_matrix else _vector_estimates(st)
         best = min(est, key=est.get)
@@ -292,39 +230,3 @@ def format_audit() -> List[dict]:
     rows.sort(key=lambda r: r["savings_bytes"], reverse=True)
     return rows
 
-
-def resync() -> None:
-    """Recompute both gauges exactly from the live records.
-
-    Repairs any drift from accounting skipped while ``metrics.ENABLED``
-    was off, and restores the footprint after ``metrics.reset()`` zeroes
-    the children (``obs.reset()`` calls this automatically).
-    """
-    _flush_dead()
-    with _lock:
-        per_fmt: Dict[str, list] = {}
-        for rec in _live.values():
-            owner = rec.ref()
-            if owner is None:
-                continue     # its finalizer will retire the record
-            st = _raw_store(owner)
-            if st is None:
-                continue
-            rec.fmt = st.fmt
-            rec.nbytes = int(st.nbytes())
-            tally = per_fmt.setdefault(rec.fmt, [0, 0])
-            tally[0] += rec.nbytes
-            tally[1] += 1
-        for metric, pos in ((STORE_BYTES, 0), (STORE_COUNT, 1)):
-            seen = set()
-            for labelvalues, child in metric.samples():
-                fmt = labelvalues[0]
-                seen.add(fmt)
-                value = per_fmt.get(fmt, (0, 0))[pos]
-                with child._lock:
-                    child.value = value
-            for fmt, tally in per_fmt.items():
-                if fmt not in seen:
-                    child = metric.labels(fmt)
-                    with child._lock:
-                        child.value = tally[pos]

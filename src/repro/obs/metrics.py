@@ -1,14 +1,18 @@
 """Always-on metrics: counters, gauges, and fixed-bucket histograms.
 
 The registry is process-global and deliberately tiny: a metric is a name,
-a help string, and a dict of label-tuple → child.  Children are cached at
-the call site (``_DISPATCHES = metrics.counter(...)`` at import,
-``_DISPATCHES.labels(op, rule).inc()`` on the hot path), so a bump is one
-dict probe plus one locked integer add — cheap enough to leave on in
-production paths.  Hot call sites additionally guard on the module-level
-:data:`ENABLED` kill switch, which the overhead guard
+a help string, and a dict of label-tuple → child.  Families are created
+at import (``_DISPATCHES = metrics.counter(...)``); a hot call site whose
+label values are fixed binds its child once (each engine rule holds its
+``grb_dispatch_total{op, rule}`` child), so a bump is one locked integer
+add — cheap enough to leave on in production paths.  :meth:`Metric.reset`
+zeroes children in place, so a held child stays the registered one.  Hot
+call sites additionally guard on the module-level :data:`ENABLED` kill
+switch, which the overhead guard
 (``tests/obs/test_metrics_export.py::TestKillSwitch``) throws to time the
-same workload with every site reduced to its bare guard.
+same workload with every site reduced to its bare guard.  The
+store-footprint gauges are bumped by no call site at all:
+:mod:`repro.obs.memory` computes them when they are read.
 
 No external client library: exposition formats live in
 :mod:`repro.obs.export` (Prometheus text, JSON snapshot) and read the
@@ -77,6 +81,9 @@ class _CounterChild:
         with self._lock:
             self.value += amount
 
+    def _zero(self) -> None:
+        self.value = 0
+
 
 class _GaugeChild:
     __slots__ = ("_lock", "value")
@@ -100,6 +107,9 @@ class _GaugeChild:
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
+    def _zero(self) -> None:
+        self.value = 0.0
+
 
 class _HistogramChild:
     __slots__ = ("_lock", "buckets", "counts", "total", "sum")
@@ -107,6 +117,9 @@ class _HistogramChild:
     def __init__(self, lock: threading.Lock, buckets: Sequence[float]):
         self._lock = lock
         self.buckets = tuple(buckets)
+        self._zero()
+
+    def _zero(self) -> None:
         self.counts = [0] * (len(self.buckets) + 1)  # last = +Inf overflow
         self.total = 0
         self.sum = 0.0
@@ -163,9 +176,11 @@ class Metric:
             return list(self._children.items())
 
     def reset(self) -> None:
+        """Zero every child in place: a child a call site holds (a bound
+        rule's dispatch counter) keeps counting into the registry."""
         with self._lock:
-            for key in list(self._children):
-                self._children[key] = self._new_child()
+            for child in self._children.values():
+                child._zero()
 
 
 class Counter(Metric):
@@ -273,7 +288,7 @@ class Registry:
             return list(self._metrics.values())
 
     def reset(self) -> None:
-        """Zero every metric's children (registrations survive)."""
+        """Zero every metric's children in place (registrations survive)."""
         for m in self.collect():
             m.reset()
 

@@ -67,6 +67,7 @@ def report(*, registry: Optional[_metrics.Registry] = None,
     reg = registry if registry is not None else _metrics.REGISTRY
     lines: List[str] = ["== repro.obs report =="]
 
+    mem = _memory.snapshot()     # publishes the footprint gauges
     metric_lines = _metric_lines(reg)
     if metric_lines:
         lines.append("-- metrics --")
@@ -82,8 +83,6 @@ def report(*, registry: Optional[_metrics.Registry] = None,
                          f"  entries={pc.entries}"
                          f"  hit_rate={pc.hit_rate:.3f}")
 
-    mem = {f: d for f, d in _memory.snapshot().items()
-           if d["bytes"] or d["count"]}
     if mem:
         lines.append("-- memory (store footprint) --")
         for fmt, d in sorted(mem.items()):

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ab_ratio
+from helpers import ab_ratio, store_bytes
 from repro import grb, obs
 from repro.grb import engine
 from repro.lagraph.algorithms.sssp import _IMPROVES_VEC
@@ -123,10 +123,11 @@ def _check_twins(bm, ref, ctx):
     assert store.nvals == int(store.present.sum()) == ref.nvals, ctx
     # absent positions carry 0: the dense matvec paths multiply through
     assert not store.dense[~store.present].any(), ctx
-    # the footprint gauges never drifted from the live stores
-    gauges = memory.snapshot()
-    memory.resync()
-    assert memory.snapshot() == gauges, ctx
+    # the exported footprint gauge is the live stores' nbytes(), in-place
+    # writes included
+    owners = memory._owners()     # held: none can die during the read
+    exported = obs.json_snapshot()["metrics"]["grb_store_bytes"]["samples"]
+    assert sum(s["value"] for s in exported) == store_bytes(owners), ctx
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,6 @@ class TestTwinSequences:
         ncols = data.draw(st.integers(1, 6))
         nkeys = nrows * ncols
         dtype = data.draw(st.sampled_from(DTYPES))
-        memory.resync()
 
         def build(keys, vals, fmt):
             return _matrix(keys, vals, nrows, ncols, fmt or "csr")
@@ -178,7 +178,6 @@ class TestTwinSequences:
     def test_vector(self, data):
         size = data.draw(st.integers(1, 24))
         dtype = data.draw(st.sampled_from(DTYPES))
-        memory.resync()
 
         def build(keys, vals, fmt):
             return _vector(keys, vals, size, fmt or "sparse")

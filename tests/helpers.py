@@ -20,7 +20,7 @@ from repro import grb
 
 __all__ = [
     "sparse_vectors", "vector_pairs", "sparse_matrices", "random_graphs",
-    "random_graph_np", "ab_ratio",
+    "random_graph_np", "store_bytes", "ab_ratio",
 ]
 
 
@@ -130,6 +130,12 @@ def random_graph_np(rng, n=40, p=0.1, directed=True, weighted=False, seed=None):
         A = grb.Matrix.from_coo(r, c, np.ones(r.size, bool), n, n)
     kind = lg.ADJACENCY_DIRECTED if directed else lg.ADJACENCY_UNDIRECTED
     return lg.Graph(A, kind)
+
+
+def store_bytes(owners) -> int:
+    """Σ raw-store ``nbytes()`` over ``owners`` (lazy state never forced)."""
+    return sum((o._st if type(o) is grb.Vector else o._store).nbytes()
+               for o in owners)
 
 
 # ---------------------------------------------------------------------------

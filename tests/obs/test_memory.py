@@ -1,11 +1,11 @@
 """repro.obs.memory: store-footprint gauges and the tracemalloc deep tier.
 
-ISSUE 7 tentpole layer 1:
-
-* every Matrix/Vector mutation boundary folds the store's authoritative
-  ``nbytes()`` into ``grb_store_bytes{format}`` / ``grb_store_count{format}``,
-  maintained by delta — format flips move the contribution between labels,
-  garbage collection retires it;
+* every Matrix/Vector registers once at construction, and whoever reads
+  ``grb_store_bytes{format}`` / ``grb_store_count{format}`` gets the live
+  stores' authoritative ``nbytes()`` summed at that moment — format flips
+  move a store between labels, garbage collection retires it, and no
+  in-place write, kill-switch window or ``metrics.reset()`` can make the
+  exported gauge drift from the heap;
 * ``nbytes_components()`` / ``cache_nbytes()`` split authoritative arrays
   from materialised derived views (the hypersparse CSR cache aliases the
   authoritative triple, so only the expanded indptr may count);
@@ -15,11 +15,14 @@ ISSUE 7 tentpole layer 1:
 """
 
 import gc
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import store_bytes
 from repro import grb, obs
 from repro.obs import memory, metrics
 
@@ -27,7 +30,7 @@ from repro.obs import memory, metrics
 @pytest.fixture(autouse=True)
 def _clean_slate():
     gc.collect()
-    obs.reset()          # resync gauges to whatever stores are still live
+    obs.reset()
     yield
     gc.collect()
     obs.reset()
@@ -38,6 +41,10 @@ def _mat(n=10, nnz=20, seed=0):
     keys = rng.choice(n * n, size=min(nnz, n * n), replace=False)
     r, c = np.divmod(keys, n)
     return grb.Matrix.from_coo(r, c, np.ones(r.size), n, n)
+
+
+def _live_count():
+    return sum(d["count"] for d in memory.snapshot().values())
 
 
 def _tc_graph(rng, n=60, p=0.15, seed=9):
@@ -102,12 +109,12 @@ class TestFootprintGauges:
         assert after["bitmap"]["bytes"] >= m._store.nbytes()
 
     def test_gc_retires_contribution(self):
-        before = memory.live_count()
+        before = _live_count()
         m = _mat(n=50, nnz=200)
-        assert memory.live_count() == before + 1
+        assert _live_count() == before + 1
         del m
         gc.collect()
-        assert memory.live_count() == before
+        assert _live_count() == before
 
     def test_mutation_updates_bytes_delta(self):
         m = _mat(n=30, nnz=10)
@@ -118,25 +125,22 @@ class TestFootprintGauges:
         b1 = memory.snapshot()[m.format]["bytes"]
         assert b1 > b0
 
-    def test_disabled_kill_switch_skips_accounting(self):
-        metrics.ENABLED = False
-        try:
-            before = memory.live_count()
-            m = _mat()
-            assert memory.live_count() == before
-        finally:
-            metrics.ENABLED = True
-        # resync repairs the drift once re-enabled and re-accounted
-        m.set_format("bitmap")
-        assert memory.live_count() > before
+    def test_exact_under_disabled_kill_switch(self, monkeypatch):
+        before = memory.snapshot()
+        monkeypatch.setattr(metrics, "ENABLED", False)
+        m = _mat().set_format("bitmap")
+        after = memory.snapshot()
+        assert after["bitmap"]["count"] == \
+            before.get("bitmap", {"count": 0})["count"] + 1
+        assert after["bitmap"]["bytes"] >= m._store.nbytes()
 
-    def test_resync_restores_after_metrics_reset(self):
+    def test_never_stale_after_metrics_reset(self):
         m = _mat()
         fmt = m.format
         metrics.reset()                     # zeroes the gauge children
-        assert memory.snapshot().get(fmt, {"bytes": 0})["bytes"] == 0
-        memory.resync()
         assert memory.snapshot()[fmt]["bytes"] >= m._store.nbytes()
+        assert memory.STORE_BYTES.labels(fmt).value \
+            == memory.snapshot()[fmt]["bytes"]
 
     def test_dup_accounts_the_copy(self):
         m = _mat()
@@ -144,6 +148,79 @@ class TestFootprintGauges:
         d = m.dup()
         assert memory.snapshot()[m.format]["count"] == before + 1
         assert d is not None
+
+
+def _heap_owners():
+    """Every Matrix/Vector on the heap, found without the footprint
+    registry; the list keeps them alive through the reads that follow."""
+    gc.collect()
+    return [o for o in gc.get_objects()
+            if type(o) in (grb.Matrix, grb.Vector)]
+
+
+class TestReadTimeFootprint:
+    """The exported gauge, ``memory.snapshot()`` and the heap are one
+    number, also when temporaries have died since the last write and
+    every write since went in place (no store rebuilt)."""
+
+    @pytest.mark.parametrize("phase", ("default", "reset", "disabled"))
+    def test_exported_gauge_is_the_live_total(self, phase, monkeypatch):
+        if phase == "disabled":
+            monkeypatch.setattr(metrics, "ENABLED", False)
+        t = grb.Vector.from_dense(np.full(64, 9.0)).set_format("bitmap")
+        req = grb.Vector.from_coo([2, 3], [1.0, 20.0], 64)
+        temps = [grb.Vector.from_dense(np.arange(64.0)).set_format(fmt)
+                 for fmt in ("bitmap", "sparse", "bitmap", "sparse")]
+        del temps
+        with obs.tracing() as tr:
+            for _ in range(3):
+                grb.update(t, req, accum=grb.binary.MIN)
+        assert [r["args"]["delta"] for r in tr.find("write")] == [True] * 3
+        if phase == "reset":
+            metrics.reset()
+        owners = _heap_owners()
+        exported = obs.json_snapshot()["metrics"]["grb_store_bytes"]
+        total = sum(s["value"] for s in exported["samples"])
+        assert total == sum(d["bytes"] for d in memory.snapshot().values())
+        assert total == store_bytes(owners)
+
+
+class TestConcurrentRegistration:
+    def test_owners_made_and_dropped_across_threads(self):
+        baseline = _live_count()
+        stop, errors = threading.Event(), []
+
+        def churn():
+            for _ in range(300):
+                vs = [grb.Vector(grb.FP64, 8) for _ in range(4)]
+                del vs
+
+        def read():
+            while not stop.is_set():
+                try:
+                    memory.snapshot()
+                except Exception as exc:   # surfaced by the assert below
+                    errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        reader = threading.Thread(target=read)
+        workers = [threading.Thread(target=churn) for _ in range(4)]
+        try:
+            reader.start()
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            stop.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(old)
+        assert not reader.is_alive()
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        gc.collect()
+        assert _live_count() == baseline
 
 
 class TestReportTier:

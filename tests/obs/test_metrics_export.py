@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 
 from helpers import ab_ratio
-from repro import grb, obs, serve
+from repro import obs, serve
 from repro import lagraph as lg
 from repro.gap.harness import _sources
 from repro.obs import metrics
@@ -54,6 +54,15 @@ class TestCounters:
         assert c.labels("x").value == 0
         assert registry.get("t_reset_total") is c
 
+    def test_reset_keeps_a_held_child_registered(self):
+        # a call site that bound its child once (each engine rule holds
+        # its grb_dispatch_total child) keeps counting into the registry
+        child = metrics.counter("t_held_total", labels=("k",)).labels("x")
+        child.inc(5)
+        obs.reset()
+        child.inc()
+        assert 't_held_total{k="x"} 1\n' in obs.prometheus_text()
+
 
 class TestGaugeHistogram:
     def test_gauge_set_inc_dec(self, registry):
@@ -86,33 +95,32 @@ class TestKillSwitch:
         assert h.labels().snapshot()["count"] == 0
         assert g.value == 0
 
-    @pytest.mark.parametrize("layer", ("engine", "serve", "storage"))
-    def test_always_on_tier_holds_parity(self, layer, kron_small):
-        """Ratio guard on the no-subscriber cost contract: a kron-small
-        workload of each instrumented layer as shipped (counters live, no
-        trace sink, no profiling) against itself with the switch thrown,
-        where every site is its bare guard.  Measured cost: engine 1 %,
-        serve 3 %, storage 6 % (O(nnz) format moves, nothing else to hide
-        the accounting behind); asserted: under a fifth."""
+    @pytest.mark.parametrize("layer", ("engine", "serve", "road"))
+    def test_always_on_tier_holds_parity(self, layer, kron_small, road_small):
+        """Ratio guard on the no-subscriber cost contract: a workload of
+        each instrumented layer as shipped (counters live, no trace sink,
+        no profiling) against itself with the switch thrown, where every
+        site is its bare guard.  kron-small triangle counting and a
+        32-source serve burst (measured cost 1 % and 3 %; asserted: under
+        a fifth), and road-small delta-stepping SSSP, hundreds of
+        near-empty levels where per-dispatch and per-write cost is all
+        there is (measured cost 1–4 %; asserted: under a tenth)."""
         g = kron_small
         burst = [serve.BFSLevels(int(s)) for s in _sources(g, 32)]
 
-        def churn():            # every mutation boundary re-accounts a store
-            for _ in range(8):
-                g.A.pattern(grb.FP64).dup().set_format("csc") \
-                    .set_format("hypersparse").set_format("csr")
-
         with serve.GraphService(max_workers=2, cache_capacity=0) as svc:
             svc.register("kron", g)
-            work, reps = {
-                "engine": (lambda: lg.triangle_count(g, presort=None), 3),
-                "serve": (lambda: svc.query_many("kron", burst), 1),
-                "storage": (churn, 3),
+            work, reps, floor = {
+                "engine": (lambda: lg.triangle_count(g, presort=None), 3,
+                           1 / 1.2),
+                "serve": (lambda: svc.query_many("kron", burst), 1, 1 / 1.2),
+                "road": (lambda: lg.sssp_delta_stepping(road_small, 0), 4,
+                         1 / 1.1),
             }[layer]
             killed = mock.patch.object(metrics, "ENABLED", False)(work)
             work()
             killed()
-            assert ab_ratio(work, killed, reps) >= 1 / 1.2
+            assert ab_ratio(work, killed, reps) >= floor
 
 
 class TestPrometheusText:

@@ -14,8 +14,9 @@ kernel dispatch / query submission (:data:`DISPATCH_CALLS`) and any
 
 **GC / exit callbacks** — a ``weakref.finalize`` callback may run on any
 thread mid-GC: taking *any* lock there can self-deadlock against the
-very thread that triggered collection (the obs memory accounting
-enqueues to a lock-free deque instead — that is the contract).  An ``atexit`` callback runs while daemon threads are frozen
+very thread that triggered collection (the obs footprint registry's
+weakref callback only enqueues to a lock-free deque — that is the
+contract).  An ``atexit`` callback runs while daemon threads are frozen
 at arbitrary points, so it may only take a lock with a bounded
 ``acquire(timeout=...)`` — never ``with lock:`` or a bare ``acquire()``.
 The rule resolves callbacks registered in the same module (plain

@@ -6,12 +6,9 @@ if call sites never compute event dicts, span attributes, or metric label
 values before checking the guard.  Every
 
 * ``obs.decision(...)`` / ``_profile.decision(...)`` planner decision record,
-* ``trace.instant(...)`` / ``_trace.instant(...)`` call,
-* ``*mem*.account(...)`` footprint-accounting call,
+* ``trace.instant(...)`` / ``_trace.instant(...)`` call, and
 * bump (``inc``/``dec``/``set``/``observe``) on a module-level metric
-  handle (ALL-CAPS root name, e.g. ``_REQUESTS.labels(...).inc()``), and
-* delta-writer helper call handed a module-level metric handle
-  (``_bump(STORE_BYTES, fmt, n)`` — the footprint idiom)
+  handle (ALL-CAPS root name, e.g. ``_REQUESTS.labels(...).inc()``)
 
 must sit under an ``if`` whose test calls ``deciding()``/``active()``/
 ``deep_active()`` or reads an ``ENABLED`` flag.  Structurally-gated sites
@@ -29,19 +26,11 @@ from ..core import Checker, Diagnostic, FileContext, guarded_by, root_name
 GUARD_CALLS = ("deciding", "active", "deep_active")
 GUARD_FLAGS = ("ENABLED",)
 BUMPS = {"inc", "dec", "set", "observe"}
-#: bare functions that mutate a metric handle passed as their first
-#: argument (``_bump(STORE_BYTES, fmt, n)`` writes ``child.value`` directly)
-DELTA_HELPERS = {"_bump"}
 
 
 def classify(call: ast.Call) -> Optional[str]:
     """The violation label for an observability call, or ``None``."""
     f = call.func
-    if isinstance(f, ast.Name) and f.id in DELTA_HELPERS and call.args:
-        handle = root_name(call.args[0])
-        if handle is not None and handle.isupper():
-            return f"{f.id}({handle}, ...)"
-        return None
     if not isinstance(f, ast.Attribute):
         return None
     root = root_name(f.value)
@@ -51,8 +40,6 @@ def classify(call: ast.Call) -> Optional[str]:
         return f"{root}.decision"
     if f.attr == "instant" and "trace" in root:
         return f"{root}.instant"
-    if f.attr == "account" and "mem" in root.lower():
-        return f"{root}.account"
     if f.attr in BUMPS and root.isupper():
         return f"{root}...{f.attr}"
     return None
