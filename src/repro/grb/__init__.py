@@ -21,7 +21,6 @@ from . import operations as ops_module  # noqa: F401  (kept importable)
 from .descriptor import (
     DESC_C,
     DESC_DEFAULT,
-    DESC_LAZY,
     DESC_R,
     DESC_RC,
     DESC_RS,
@@ -32,7 +31,6 @@ from .descriptor import (
     DESC_T1,
     Descriptor,
 )
-from .expr import Deferred, deferred, evaluate
 from .errors import (
     DimensionMismatch,
     DomainMismatch,
@@ -90,18 +88,15 @@ from .cancel import CancelToken, Cancelled, DeadlineExceeded, \
     cancel_scope, checkpoint
 from . import storage
 from . import engine
-from . import expr
 
 __all__ = [
     # objects
     "Matrix", "Vector", "Type", "Mask", "Descriptor", "Semiring",
-    # execution engine / storage engine / lazy layer
-    "engine", "storage", "expr",
+    # execution engine / storage engine
+    "engine", "storage",
     # cooperative cancellation
     "cancel", "CancelToken", "Cancelled", "DeadlineExceeded",
     "cancel_scope", "checkpoint",
-    # non-blocking mode
-    "deferred", "evaluate", "Deferred",
     # types
     "BOOL", "INT8", "INT16", "INT32", "INT64",
     "UINT8", "UINT16", "UINT32", "UINT64", "FP32", "FP64",
@@ -117,7 +112,7 @@ __all__ = [
     "selectops",
     # descriptors
     "DESC_DEFAULT", "DESC_R", "DESC_S", "DESC_C", "DESC_SC", "DESC_RS",
-    "DESC_RC", "DESC_RSC", "DESC_T0", "DESC_T1", "DESC_LAZY",
+    "DESC_RC", "DESC_RSC", "DESC_T0", "DESC_T1",
     # errors
     "GraphBLASError", "GrBInfo", "NoValue", "DimensionMismatch",
     "DomainMismatch", "IndexOutOfBounds", "InvalidValue", "InvalidObject",

@@ -24,7 +24,6 @@ __all__ = [
     "DESC_RSC",
     "DESC_T0",
     "DESC_T1",
-    "DESC_LAZY",
 ]
 
 
@@ -42,13 +41,6 @@ class Descriptor:
         Complement the mask.
     transpose_a / transpose_b:
         Use the transpose of the first / second matrix operand.
-    lazy:
-        Non-blocking mode for this one call: record it into the
-        expression DAG (:mod:`repro.grb.expr`) and return a ``Deferred``
-        handle instead of executing — even outside a
-        :func:`repro.grb.deferred` scope.  Materialisation happens at the
-        output's next read boundary or an explicit ``.new()`` /
-        ``evaluate()``.
     """
 
     replace: bool = False
@@ -56,7 +48,6 @@ class Descriptor:
     mask_complement: bool = False
     transpose_a: bool = False
     transpose_b: bool = False
-    lazy: bool = False
 
 
 DESC_DEFAULT = Descriptor()
@@ -69,5 +60,3 @@ DESC_RC = Descriptor(replace=True, mask_complement=True)
 DESC_RSC = Descriptor(replace=True, mask_structural=True, mask_complement=True)
 DESC_T0 = Descriptor(transpose_a=True)
 DESC_T1 = Descriptor(transpose_b=True)
-#: Non-blocking mode for one call (see :mod:`repro.grb.expr`).
-DESC_LAZY = Descriptor(lazy=True)

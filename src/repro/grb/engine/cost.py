@@ -62,7 +62,7 @@ FUSION_ENABLED = True
 #: The keyed plan cache (:mod:`repro.grb.engine.plancache`): repeated
 #: identical dispatches skip the rule choosers and reuse the claimed
 #: rule's operand feeds.  ``False`` re-analyses every call (the cold arm
-#: of the ratio guard in ``tests/grb/expr/test_plancache.py``).
+#: of the ratio guard in ``tests/grb/engine/test_plancache.py``).
 PLAN_CACHE_ENABLED = True
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,8 @@ def _transact(out, t_keys, t_vals, allowed, present, complemented: bool,
     is_vector = isinstance(out, Vector)
     masked = allowed is not None or present is not None
     # asked of every transaction, whatever its shape: looking at the store
-    # is the output's read boundary, where a pending lazy producer and
-    # staged setElement calls land — before this write, never on top of it
+    # is the output's read boundary, where staged setElement calls land —
+    # before this write, never on top of it
     st = out._writable_bitmap()
     if replace or (accum is None and (complemented or not masked)):
         st = None
@@ -1035,9 +1035,9 @@ class _SelectCoords(_SelectBase):
 class _UpdateWrite:
     """``C⟨M⟩⊙= T``: the write-back transaction with no compute stage.
 
-    Plannable so the lazy layer can record it.  A bitmap output takes the
-    in-place delta write, so the BFS parent update ``p⟨s(q)⟩ = q`` costs
-    O(|q|) per level."""
+    A plan like every other call, so it is dispatched, traced and counted
+    the same way.  A bitmap output takes the in-place delta write, so the
+    BFS parent update ``p⟨s(q)⟩ = q`` costs O(|q|) per level."""
 
     @staticmethod
     def applies(plan: Plan):

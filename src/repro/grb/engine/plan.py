@@ -259,10 +259,8 @@ def plan_select(out, src, op, thunk=None, *, mask=None, accum=None,
 def plan_update(out, t, *, mask=None, accum=None, replace=False) -> Plan:
     """``C⟨M⟩⊙= T``: write an already-computed object through the mask.
 
-    The plan form of :func:`repro.grb.operations.update` — plannable so
-    the lazy layer can record it and the multi-output fusion rules can
-    absorb it into a producing kernel's output pass (the ``p⟨s(q)⟩ = q``
-    step of the BFS level)."""
+    The plan form of :func:`repro.grb.operations.update` (the
+    ``p⟨s(q)⟩ = q`` step of the BFS level), claimed by ``update-write``."""
     if _is_vector(t):
         _check(out.size == t.size, "update: size mismatch")
     else:

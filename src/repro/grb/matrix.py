@@ -21,9 +21,9 @@ Three lazily built caches are maintained and invalidated on mutation:
 * the linearised COO key array ``i * ncols + j`` — used for mask resolution
   and element-wise merges.
 
-``setElement`` (``C[i, j] = s``) follows the spec's *blocking mode*: calls
-are staged and the store is rebuilt once, at the next read — n staged
-insertions cost one O(nnz + n log n) flush instead of n O(nnz) rebuilds.
+``setElement`` (``C[i, j] = s``) is staged like SuiteSparse's pending
+tuples: the store is rebuilt once, at the next read — n staged insertions
+cost one O(nnz + n log n) flush instead of n O(nnz) rebuilds.
 
 As with :class:`~repro.grb.vector.Vector`, internals are intentionally
 non-opaque (LAGraph design, Sec. II-A).
@@ -56,13 +56,23 @@ __all__ = ["Matrix"]
 _uids = itertools.count()
 
 
+def _index_array(indices, n: int, op: str) -> np.ndarray:
+    """``indices`` as an int64 array, every entry checked to lie in
+    ``[0, n)`` — raised as :class:`IndexOutOfBounds` before a caller
+    reads or writes anything with it."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexOutOfBounds(f"{op}: index out of range [0, {n})")
+    return idx
+
+
 class Matrix:
     """A sparse matrix of a fixed :class:`~repro.grb.types.Type` and shape."""
 
     __slots__ = ("nrows", "ncols", "type", "_store", "_format",
                  "_scipy", "_pattern_scipy", "_vals_positive", "_vals_finite",
                  "_transpose", "_keys", "_pending", "_uid", "_version",
-                 "_lineage", "_expr", "_expr_reads", "__weakref__")
+                 "_lineage", "__weakref__")
 
     def __init__(self, typ, nrows: int, ncols: int):
         self.type = typ if isinstance(typ, Type) else from_dtype(typ)
@@ -82,23 +92,7 @@ class Matrix:
         self._uid = next(_uids)        # process-unique, never reused
         self._version = 0              # store version: bumps on mutation
         self._lineage = None           # derivation signature (plan cache)
-        self._expr = None              # pending lazy producer (grb.expr)
-        self._expr_reads = None        # pending lazy readers (grb.expr)
         _obsmem.register(self)
-
-    def _force_lazy_state(self):
-        """The *mutation* boundary: materialise the pending producer AND
-        every pending recorded reader of this matrix, so an eager
-        in-place change can never retroactively alter what an
-        already-recorded call computes (blocking-mode semantics)."""
-        node = self._expr
-        if node is not None:
-            node.force()
-        reads = self._expr_reads
-        if reads is not None:
-            self._expr_reads = None
-            for n in reads:
-                n.force_pending()
 
     # ------------------------------------------------------------------
     # construction
@@ -251,7 +245,6 @@ class Matrix:
         Staged ``setElement`` calls are flushed first (they happened before
         the assignment, so sequential semantics says they apply first —
         matching the seed's eager path)."""
-        self._force_lazy_state()    # recorded readers see the prior arrays
         self._flush_pending()
         st = self._store
         if type(st) is not CSRStore:
@@ -535,7 +528,6 @@ class Matrix:
 
     def clear(self):
         """Remove all entries (shape, type and format pin unchanged)."""
-        self._force_lazy_state()    # recorded producer/readers come first
         self._pending = None
         self._store = CSRStore.empty(self.nrows, self.ncols, self.type.dtype)
         self._invalidate()
@@ -566,7 +558,7 @@ class Matrix:
         return out
 
     def __setitem__(self, ij, value):
-        """``C(i, j) = s``: setElement, staged (GraphBLAS blocking mode).
+        """``C(i, j) = s``: setElement, staged as a pending tuple.
 
         The entry is queued and the store is rebuilt lazily at the next
         read; a burst of n calls costs one flush instead of n per-call
@@ -576,9 +568,6 @@ class Matrix:
         i, j = int(ij[0]), int(ij[1])
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexOutOfBounds(f"({i}, {j}) out of range {self.shape}")
-        # sequential semantics: the lazy producer and any recorded
-        # readers of the current contents come first
-        self._force_lazy_state()
         if self._pending is None:
             self._pending = []
         self._pending.append((i * self.ncols + j, value))
@@ -588,17 +577,11 @@ class Matrix:
         self[i, j] = value
 
     def _flush_pending(self):
-        """Materialise pending state: the lazy producer, then staged writes.
+        """Apply staged ``setElement`` calls in one batched rebuild.
 
         Every read path funnels through here (directly or via ``_S``), so
-        this is the matrix's *read boundary*: a producer recorded in a
-        :func:`repro.grb.expr.deferred` scope is forced first (its ready
-        subgraph executes), then staged ``setElement`` calls apply in one
-        batched rebuild.
+        this is the matrix's *read boundary*: nothing staged outlives it.
         """
-        node = self._expr
-        if node is not None:
-            node.force()
         if not self._pending:
             return
         pending = self._pending
@@ -641,10 +624,11 @@ class Matrix:
         """``C = A(i, j)``: the induced submatrix (Sec. III-B-d).
 
         Row ``r`` of the result is row ``rows[r]`` of ``A`` restricted to the
-        columns listed in ``cols`` (in that order).
+        columns listed in ``cols`` (in that order).  An index outside ``A``
+        raises :class:`IndexOutOfBounds`.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        rows = _index_array(rows, self.nrows, "extract")
+        cols = _index_array(cols, self.ncols, "extract")
         sub = self.to_scipy()[rows][:, cols]
         out = Matrix.from_scipy(sub, typ=self.type)
         ident, version = self._plan_sig()
@@ -827,7 +811,7 @@ class Matrix:
 
     def __iter__(self):
         """Iterate stored entries as ``((i, j), value)`` (a read boundary:
-        pending lazy state is materialised first)."""
+        staged ``setElement`` calls are applied first)."""
         st = self._S()
         rows = st.entry_rows()
         _, cols, vals = st.csr()

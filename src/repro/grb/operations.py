@@ -7,16 +7,13 @@ Each function mirrors one row of Table I, written in the C API's
 
 Every call is *described before it is executed*: the function builds a
 :class:`~repro.grb.engine.plan.Plan` (op, operands, mask kind, accumulator,
-descriptor bits, output target) and submits it through the lazy layer
-(:func:`repro.grb.expr.submit`).  In blocking mode — the default — that is
-one ``ContextVar`` read away from :func:`repro.grb.engine.execute`, which
-routes the plan through the registered planner rules under the unified
-cost model (:mod:`repro.grb.engine.cost`); inside a
-:func:`repro.grb.deferred` scope (or with the ``lazy`` descriptor bit) the
-call records into the expression DAG instead and returns a
-:class:`~repro.grb.expr.Deferred` handle.  The kernel strategies
-themselves — the dot3 masked SpGEMM, the SciPy dense paths, the bitmap
-merges, the gather references — live in
+descriptor bits, output target) and runs it at once through
+:func:`repro.grb.engine.execute`, which routes the plan through the
+registered planner rules under the unified cost model
+(:mod:`repro.grb.engine.cost`).  Every call runs when it is made — the
+spec's blocking mode, which it permits in non-blocking mode too.  The
+kernel strategies themselves — the dot3 masked SpGEMM, the SciPy sparse
+products, the bitmap merges, the gather references — live in
 :mod:`repro.grb.engine.executors`; their decisions are observable through
 :func:`repro.obs.decision` records, forceable through the cost constants (or
 :func:`repro.grb.engine.force_rule`), and memoized across repeated
@@ -42,12 +39,11 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from . import expr as _expr
 from ._kernels import apply_select as _selectops
 from .descriptor import Descriptor
 from .errors import DimensionMismatch, InvalidValue
 from .mask import as_mask, complement as _complement, structure as _structure
-from .matrix import Matrix
+from .matrix import Matrix, _index_array
 from .ops.binary import BinaryOp
 from .ops.monoid import Monoid
 from .ops.semiring import Semiring
@@ -73,18 +69,16 @@ def _is_vector(x) -> bool:
 def _resolve_desc(desc: Optional[Descriptor], mask, replace: bool, *,
                   op: str = "", transposes: bool = False):
     """Fold a bundled :class:`~repro.grb.descriptor.Descriptor` into the
-    keyword form; returns ``(mask, replace, lazy)``.
+    keyword form; returns ``(mask, replace)``.
 
     The structural/complement bits apply to a supplied mask object (they
-    are no-ops without one); ``replace`` ORs with the keyword.  The
-    ``lazy`` bit requests non-blocking recording even outside a
-    :func:`repro.grb.deferred` scope — the descriptor spelling of lazy
-    mode.  Transposition bits are honoured only where the operation
-    defines them (``mxm``) — anywhere else they raise rather than being
-    silently dropped.
+    are no-ops without one); ``replace`` ORs with the keyword.
+    Transposition bits are honoured only where the operation defines them
+    (``mxm``) — anywhere else they raise rather than being silently
+    dropped.
     """
     if desc is None:
-        return mask, replace, False
+        return mask, replace
     if not transposes and (desc.transpose_a or desc.transpose_b):
         raise InvalidValue(
             f"{op or 'operation'}: descriptor transpose bits are only "
@@ -94,16 +88,20 @@ def _resolve_desc(desc: Optional[Descriptor], mask, replace: bool, *,
             mask = _structure(as_mask(mask))
         if desc.mask_complement:
             mask = _complement(as_mask(mask))
-    return mask, replace or desc.replace, desc.lazy
+    return mask, replace or desc.replace
 
 
-def _write_back(out, t_keys, t_vals, mask, accum, replace: bool):
-    """The façade helpers' direct ``out⟨mask⟩ ⊙= T``.  Like the eager path
-    of :func:`repro.grb.expr.submit`, it is a mutation boundary of
-    ``out``: recorded calls still pending that read it run first."""
-    if out._expr_reads is not None:
-        out._force_lazy_state()
-    return engine.write_back(out, t_keys, t_vals, mask, accum, replace)
+def _region(w, indices, op: str):
+    """``indices`` (``None`` = ``GrB_ALL``; ``(rows, cols)`` for a matrix,
+    either part ``None``) as int64 arrays, checked against ``w``'s
+    dimensions before anything is written."""
+    if indices is None:
+        return None
+    if _is_vector(w):
+        return _index_array(indices, w.size, op)
+    rows, cols = indices
+    return (None if rows is None else _index_array(rows, w.nrows, op),
+            None if cols is None else _index_array(cols, w.ncols, op))
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +118,9 @@ def vxm(w: Vector, u: Vector, a: Matrix, semiring: Semiring, *,
     output in SciPy's order, so the result is byte for byte SciPy's
     ``uᵀ A`` whatever the frontier's density.
     """
-    mask, replace, lazy = _resolve_desc(desc, mask, replace, op="vxm")
-    return _expr.submit(engine.plan_vxm(
-        w, u, a, semiring, mask=mask, accum=accum, replace=replace), lazy)
+    mask, replace = _resolve_desc(desc, mask, replace, op="vxm")
+    return engine.execute(engine.plan_vxm(
+        w, u, a, semiring, mask=mask, accum=accum, replace=replace))
 
 
 def mxv(w: Vector, a: Matrix, u: Vector, semiring: Semiring, *,
@@ -136,9 +134,9 @@ def mxv(w: Vector, a: Matrix, u: Vector, semiring: Semiring, *,
     output fuses the write-back into the multiply's output pass
     (``mxv-fused-dense-accum`` — PageRank's hot step).
     """
-    mask, replace, lazy = _resolve_desc(desc, mask, replace, op="mxv")
-    return _expr.submit(engine.plan_mxv(
-        w, a, u, semiring, mask=mask, accum=accum, replace=replace), lazy)
+    mask, replace = _resolve_desc(desc, mask, replace, op="mxv")
+    return engine.execute(engine.plan_mxv(
+        w, a, u, semiring, mask=mask, accum=accum, replace=replace))
 
 
 def mxm(c: Matrix, a: Matrix, b: Matrix, semiring: Semiring, *,
@@ -158,14 +156,14 @@ def mxm(c: Matrix, a: Matrix, b: Matrix, semiring: Semiring, *,
     mask-live rows either way.  Results are bit-identical to the
     unmasked-then-write reference on every path.
     """
-    mask, replace, lazy = _resolve_desc(desc, mask, replace, op="mxm",
-                                        transposes=True)
+    mask, replace = _resolve_desc(desc, mask, replace, op="mxm",
+                                  transposes=True)
     if desc is not None:
         transpose_a = transpose_a or desc.transpose_a
         transpose_b = transpose_b or desc.transpose_b
-    return _expr.submit(engine.plan_mxm(
+    return engine.execute(engine.plan_mxm(
         c, a, b, semiring, mask=mask, accum=accum, replace=replace,
-        transpose_a=transpose_a, transpose_b=transpose_b), lazy)
+        transpose_a=transpose_a, transpose_b=transpose_b))
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +173,17 @@ def mxm(c: Matrix, a: Matrix, b: Matrix, semiring: Semiring, *,
 def ewise_add(out, a, b, op: BinaryOp, *, mask=None, accum=None,
               replace: bool = False, desc: Optional[Descriptor] = None):
     """``C⟨M⟩⊙= A op∪ B`` (union of structures; op only on the overlap)."""
-    mask, replace, lazy = _resolve_desc(desc, mask, replace, op="ewise_add")
-    return _expr.submit(engine.plan_ewise_add(
-        out, a, b, op, mask=mask, accum=accum, replace=replace), lazy)
+    mask, replace = _resolve_desc(desc, mask, replace, op="ewise_add")
+    return engine.execute(engine.plan_ewise_add(
+        out, a, b, op, mask=mask, accum=accum, replace=replace))
 
 
 def ewise_mult(out, a, b, op: BinaryOp, *, mask=None, accum=None,
                replace: bool = False, desc: Optional[Descriptor] = None):
     """``C⟨M⟩⊙= A op∩ B`` (intersection of structures)."""
-    mask, replace, lazy = _resolve_desc(desc, mask, replace, op="ewise_mult")
-    return _expr.submit(engine.plan_ewise_mult(
-        out, a, b, op, mask=mask, accum=accum, replace=replace), lazy)
+    mask, replace = _resolve_desc(desc, mask, replace, op="ewise_mult")
+    return engine.execute(engine.plan_ewise_mult(
+        out, a, b, op, mask=mask, accum=accum, replace=replace))
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +193,9 @@ def ewise_mult(out, a, b, op: BinaryOp, *, mask=None, accum=None,
 def apply(out, src, op: UnaryOp, thunk=None, *, mask=None, accum=None,
           replace: bool = False, desc: Optional[Descriptor] = None):
     """``C⟨M⟩⊙= f(A, k)``."""
-    mask, replace, lazy = _resolve_desc(desc, mask, replace, op="apply")
-    return _expr.submit(engine.plan_apply(
-        out, src, op, thunk, mask=mask, accum=accum, replace=replace), lazy)
+    mask, replace = _resolve_desc(desc, mask, replace, op="apply")
+    return engine.execute(engine.plan_apply(
+        out, src, op, thunk, mask=mask, accum=accum, replace=replace))
 
 
 def select(out, src, op, thunk=None, *, mask=None, accum=None,
@@ -205,9 +203,9 @@ def select(out, src, op, thunk=None, *, mask=None, accum=None,
     """``C⟨M⟩⊙= A⟨f(A, k)⟩``: filter entries by a predicate."""
     if isinstance(op, str):
         op = _selectops.by_name(op)
-    mask, replace, lazy = _resolve_desc(desc, mask, replace, op="select")
-    return _expr.submit(engine.plan_select(
-        out, src, op, thunk, mask=mask, accum=accum, replace=replace), lazy)
+    mask, replace = _resolve_desc(desc, mask, replace, op="select")
+    return engine.execute(engine.plan_select(
+        out, src, op, thunk, mask=mask, accum=accum, replace=replace))
 
 
 def update(out, t, *, mask=None, accum=None, replace: bool = False,
@@ -215,13 +213,13 @@ def update(out, t, *, mask=None, accum=None, replace: bool = False,
     """``C⟨M⟩⊙= T``: write an already computed object through the mask.
 
     With ``accum`` this is the paper's ``P += F`` idiom; with a mask it is
-    ``p⟨s(q)⟩ = q``.  Plan-routed like every other call, so a lazy scope
-    can record it — and the multi-output fusion rules can run it inside
-    the producing kernel's output pass (the BFS parent update).
+    ``p⟨s(q)⟩ = q``.  Plan-routed like every other call: ``update-write``
+    runs the bare write-back transaction, in place into a writable bitmap
+    output (the BFS parent update costs O(|q|) per level).
     """
-    mask, replace, lazy = _resolve_desc(desc, mask, replace, op="update")
-    return _expr.submit(engine.plan_update(
-        out, t, mask=mask, accum=accum, replace=replace), lazy)
+    mask, replace = _resolve_desc(desc, mask, replace, op="update")
+    return engine.execute(engine.plan_update(
+        out, t, mask=mask, accum=accum, replace=replace))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +233,14 @@ def assign(w, u, indices=None, *, mask=None, accum=None,
     ``indices=None`` means ``GrB_ALL``.  For matrices pass
     ``indices=(rows, cols)``.  Positions outside the index range are never
     modified; inside the range the output takes ``u``'s pattern (so range
-    positions absent from ``u`` lose their entry, per the spec).
+    positions absent from ``u`` lose their entry, per the spec).  An index
+    outside ``w`` raises :class:`~repro.grb.errors.IndexOutOfBounds` before
+    anything is written.
     """
-    mask, replace, lazy = _resolve_desc(desc, mask, replace, op="assign")
-    return _expr.submit(engine.plan_assign(
-        w, u, indices, mask=mask, accum=accum, replace=replace), lazy)
+    mask, replace = _resolve_desc(desc, mask, replace, op="assign")
+    return engine.execute(engine.plan_assign(
+        w, u, _region(w, indices, "assign"), mask=mask, accum=accum,
+        replace=replace))
 
 
 def assign_scalar(w, value, indices=None, *, mask=None, accum=None,
@@ -249,27 +250,30 @@ def assign_scalar(w, value, indices=None, *, mask=None, accum=None,
     The scalar lands on *every selected position* (subject to the mask), not
     just existing entries — this is how the paper densifies vectors
     (``r(0:n-1) = teleport``, ``B(:) = 1.0``).  Positions outside the index
-    range are never modified.
+    range are never modified; an index outside ``w`` raises
+    :class:`~repro.grb.errors.IndexOutOfBounds` before anything is written.
     """
-    mask, replace, lazy = _resolve_desc(desc, mask, replace, op="assign_scalar")
-    return _expr.submit(engine.plan_assign_scalar(
-        w, value, indices, mask=mask, accum=accum, replace=replace), lazy)
+    mask, replace = _resolve_desc(desc, mask, replace, op="assign_scalar")
+    return engine.execute(engine.plan_assign_scalar(
+        w, value, _region(w, indices, "assign_scalar"), mask=mask,
+        accum=accum, replace=replace))
 
 
 def extract(w, u, indices, *, mask=None, accum=None, replace: bool = False):
     """``w⟨m⟩⊙= u(i)``: subvector extract (Sec. III-B-d).
 
     ``w[k] = u[indices[k]]`` for positions where ``u`` has an entry.
-    Duplicate indices are allowed (the same source entry fans out).
+    Duplicate indices are allowed (the same source entry fans out); an
+    index outside ``u`` raises :class:`~repro.grb.errors.IndexOutOfBounds`.
     """
     mask = as_mask(mask)
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = _index_array(indices, u.size, "extract")
     _check(w.size == indices.size, "extract: output size mismatch")
     present, dense = u._store.bitmap()
     hit = present[indices]
     t_idx = np.flatnonzero(hit).astype(np.int64)
     t_vals = dense[indices[t_idx]]
-    return _write_back(w, t_idx, t_vals, mask, accum, replace)
+    return engine.write_back(w, t_idx, t_vals, mask, accum, replace)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,8 @@ def reduce_rowwise(w: Vector, a: Matrix, monoid: Monoid, *, mask=None,
     """``w⟨m⟩⊙= [⊕ⱼ A(:, j)]``: per-row reduction into a vector."""
     _check(w.size == a.nrows, "reduce_rowwise: output size mismatch")
     t = a.reduce_rowwise(monoid)
-    return _write_back(w, t._idx, t._vals, as_mask(mask), accum, replace)
+    return engine.write_back(w, t._idx, t._vals, as_mask(mask), accum,
+                             replace)
 
 
 def reduce_colwise(w: Vector, a: Matrix, monoid: Monoid, *, mask=None,
@@ -289,7 +294,8 @@ def reduce_colwise(w: Vector, a: Matrix, monoid: Monoid, *, mask=None,
     """``w⟨m⟩⊙= [⊕ᵢ A(i, :)]``: per-column reduction into a vector."""
     _check(w.size == a.ncols, "reduce_colwise: output size mismatch")
     t = a.reduce_colwise(monoid)
-    return _write_back(w, t._idx, t._vals, as_mask(mask), accum, replace)
+    return engine.write_back(w, t._idx, t._vals, as_mask(mask), accum,
+                             replace)
 
 
 def transpose(c: Matrix, a: Matrix, *, mask=None, accum=None,
@@ -298,7 +304,8 @@ def transpose(c: Matrix, a: Matrix, *, mask=None, accum=None,
     _check(c.nrows == a.ncols and c.ncols == a.nrows,
            f"transpose: C shape {c.shape} != ({a.ncols}, {a.nrows})")
     t = a.T
-    return _write_back(c, t.keys(), t.values, as_mask(mask), accum, replace)
+    return engine.write_back(c, t.keys(), t.values, as_mask(mask), accum,
+                             replace)
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ _uids = itertools.count()
 class Vector:
     """A sparse vector of a fixed :class:`~repro.grb.types.Type` and size."""
 
-    __slots__ = ("size", "type", "_st", "_format", "_uid", "_version",
-                 "_lineage", "_expr", "_expr_reads", "__weakref__")
+    __slots__ = ("size", "type", "_store", "_format", "_uid", "_version",
+                 "_lineage", "__weakref__")
 
     def __init__(self, typ, size: int):
         if isinstance(typ, Type):
@@ -55,46 +55,12 @@ class Vector:
         if size < 0:
             raise DimensionMismatch(f"negative vector size {size}")
         self.size = int(size)
-        self._st = SparseVec.empty(self.size, self.type.dtype)
+        self._store = SparseVec.empty(self.size, self.type.dtype)
         self._format = "auto"
         self._uid = next(_uids)        # process-unique, never reused
         self._version = 0              # store version: bumps on mutation
         self._lineage = None           # derivation signature (plan cache)
-        self._expr = None              # pending lazy producer (grb.expr)
-        self._expr_reads = None        # pending lazy readers (grb.expr)
         _obsmem.register(self)
-
-    def _force_lazy_state(self):
-        """The *mutation* boundary: materialise the pending producer AND
-        every pending recorded reader of this object, so an eager
-        in-place change can never retroactively alter what an
-        already-recorded call computes (blocking-mode semantics)."""
-        node = self._expr
-        if node is not None:
-            node.force()
-        reads = self._expr_reads
-        if reads is not None:
-            self._expr_reads = None
-            for n in reads:
-                n.force_pending()
-
-    @property
-    def _store(self):
-        """The active store — the vector's universal *read boundary*.
-
-        A producer recorded in a :func:`repro.grb.expr.deferred` scope is
-        forced here, so every consumer of the stored arrays (kernels, mask
-        resolution, element access) observes blocking-mode state without
-        knowing the lazy layer exists.
-        """
-        node = self._expr
-        if node is not None:
-            node.force()
-        return self._st
-
-    @_store.setter
-    def _store(self, st):
-        self._st = st
 
     # ------------------------------------------------------------------
     # plan-cache signatures (see repro.grb.engine.plancache)
@@ -102,16 +68,10 @@ class Vector:
     @property
     def store_version(self) -> int:
         """Monotone content/layout version (bumps on every mutation)."""
-        node = self._expr
-        if node is not None:
-            node.force()
         return self._version
 
     def _plan_sig(self):
         """``(ident, version)`` for plan-cache keys (see Matrix)."""
-        node = self._expr
-        if node is not None:
-            node.force()
         lin = self._lineage
         if lin is not None:
             if lin[0] == self._version:
@@ -237,8 +197,8 @@ class Vector:
         idx, vals = self._store.sparse()
         if fmt == "auto":
             fmt = _policy.select_vector_format(self.size, idx.size)
-        if fmt != self._st.fmt:
-            self._st = _policy.vector_store_from_sparse(
+        if fmt != self._store.fmt:
+            self._store = _policy.vector_store_from_sparse(
                 fmt, self.size, idx, vals)
             self._version += 1  # layout changes which rule fast paths apply
         return self
@@ -265,7 +225,8 @@ class Vector:
         fmt = self._format
         if fmt == "auto":
             fmt = _policy.select_vector_format(self.size, idx.size)
-        self._st = _policy.vector_store_from_sparse(fmt, self.size, idx, vals)
+        self._store = _policy.vector_store_from_sparse(fmt, self.size, idx,
+                                                       vals)
         self._version += 1
 
     def _writable_bitmap(self):
@@ -280,8 +241,8 @@ class Vector:
         re-read from the store's maintained ``nvals``."""
         self._version += 1
         if self._format == "auto" and _policy.select_vector_format(
-                self.size, self._st.nvals) != "bitmap":
-            self._set_sparse(*self._st.sparse())
+                self.size, self._store.nvals) != "bitmap":
+            self._set_sparse(*self._store.sparse())
 
     def _mask_keys_values(self):
         """(keys, values) for mask resolution — shared protocol with Matrix."""
@@ -358,8 +319,7 @@ class Vector:
 
     def clear(self):
         """Remove all entries (size, type and format pin unchanged)."""
-        self._force_lazy_state()    # recorded producer/readers come first
-        self._st = SparseVec.empty(self.size, self.type.dtype)
+        self._store = SparseVec.empty(self.size, self.type.dtype)
         self._version += 1
 
     def get(self, i: int, default=None):
@@ -390,7 +350,6 @@ class Vector:
         i = int(i)
         if not 0 <= i < self.size:
             raise IndexOutOfBounds(f"index {i} out of range [0, {self.size})")
-        self._force_lazy_state()    # recorded readers see the prior value
         st = self._store
         if st.fmt == "bitmap":
             st.set_element(i, np.asarray(value, dtype=self.type.dtype)[()])
@@ -409,7 +368,6 @@ class Vector:
 
     def remove_element(self, i: int):
         """Delete the entry at index ``i`` (no-op when absent)."""
-        self._force_lazy_state()    # recorded readers see the prior value
         st = self._store
         if st.fmt == "bitmap":
             if 0 <= i < self.size:
@@ -433,8 +391,7 @@ class Vector:
         return self.size
 
     def __iter__(self):
-        """Iterate stored entries as ``(index, value)`` pairs (a read
-        boundary: pending lazy state is materialised first)."""
+        """Iterate stored entries as ``(index, value)`` pairs."""
         idx, vals = self._store.sparse()
         return iter(list(zip(idx.tolist(), vals.tolist())))
 

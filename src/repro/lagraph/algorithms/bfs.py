@@ -6,10 +6,10 @@ selection (``secondi`` yields the id of the frontier node that discovered
 each neighbour) and de-duplication (``any`` resolves the benign race by
 picking one parent) in a single step.  The follow-up
 ``p⟨s(q)⟩ = q`` writes the new parents.  Algorithms 1 and 2 share one
-sweep whose level body is exactly that pair of calls, run eagerly: the
-parent update lands in place on a bitmap ``p`` at O(|q|) cost, so
-recording the pair into a :func:`repro.grb.deferred` scope to fuse it
-measures no faster on road or Kronecker graphs.
+sweep whose level body is exactly that pair of calls, each run when it
+is made: the parent update lands in place on a bitmap ``p`` at O(|q|)
+cost, so deferring the pair to fuse it measured no faster on road or
+Kronecker graphs.
 
 Direction optimisation (Alg. 2): a *push* step costs the total out-degree
 of the frontier; a *pull* step (``AT any.secondi q`` restricted to the

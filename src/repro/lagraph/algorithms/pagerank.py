@@ -14,9 +14,9 @@ Both iterate until the L1 norm of the rank change drops below ``tol``.
 
 Fused hot loop
 --------------
-Each iteration is the paper's short sequence of calls, run eagerly
-(recording them into a :func:`repro.grb.deferred` scope measures no
-faster); the speed comes from the execution engine's fused plans
+Each iteration is the paper's short sequence of calls, each run when it
+is made (deferring them to fuse across calls measured no faster); the
+speed comes from the execution engine's fused plans
 (:mod:`repro.grb.engine`):
 
 * the ``mxv`` accumulate step hits the ``mxv-fused-dense-accum`` rule —

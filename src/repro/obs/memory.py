@@ -98,7 +98,7 @@ def snapshot() -> Dict[str, dict]:
     """
     out: Dict[str, dict] = {}
     for owner in _owners():
-        st = _raw_store(owner)
+        st = owner._store
         tally = out.setdefault(st.fmt, {"bytes": 0, "count": 0})
         tally["bytes"] += int(st.nbytes())
         tally["count"] += 1
@@ -112,19 +112,6 @@ def snapshot() -> Dict[str, dict]:
 # ---------------------------------------------------------------------------
 # report tier: per-object attribution and the format-policy footprint audit
 # ---------------------------------------------------------------------------
-
-def _raw_store(owner):
-    """The owner's raw store, never forcing lazy state.
-
-    Vector keeps its store in the ``_st`` slot (its ``_store`` *property*
-    forces pending lazy producers — off limits here); Matrix's ``_store``
-    is a plain slot.
-    """
-    st = getattr(owner, "_st", None)
-    if st is None:
-        st = getattr(owner, "_store", None)
-    return st
-
 
 def _label_of(owner) -> Optional[str]:
     lin = getattr(owner, "_lineage", None)
@@ -147,12 +134,12 @@ def _value_itemsize(st) -> int:
 def top_stores(n: int = 10) -> List[dict]:
     """The ``n`` largest live stores by authoritative bytes.
 
-    Reads the raw stores (lazy state never forced) and labels each owner
+    Reads the raw stores (staged writes never flushed) and labels each owner
     with its registered graph where :mod:`repro.obs.identity` knows one.
     """
     rows = []
     for owner in _owners():
-        st = _raw_store(owner)
+        st = owner._store
         is_matrix = hasattr(owner, "ncols")
         rows.append({
             "kind": "Matrix" if is_matrix else "Vector",
@@ -211,7 +198,7 @@ def format_audit() -> List[dict]:
     """
     rows = []
     for owner in _owners():
-        st = _raw_store(owner)
+        st = owner._store
         is_matrix = hasattr(owner, "ncols")
         est = _matrix_estimates(st) if is_matrix else _vector_estimates(st)
         best = min(est, key=est.get)

@@ -316,9 +316,7 @@ def propagate(fn: Callable) -> Callable:
 
     Works for any context-local state this package keeps — the trace
     sink, deep profiling and :func:`repro.grb.engine.force_rule` pins
-    alike.  (Do not use it to share a live :func:`repro.grb.deferred`
-    scope across threads: an expression DAG is a single-threaded
-    recording structure.)
+    alike.
     """
     snapshot = contextvars.copy_context()
 

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 import dense_model as dm
-from helpers import ab_ratio
+from helpers import ab_ratio, random_graph_np
 from repro import grb, obs
 from repro.grb import engine
-from repro.grb.engine import cost
+from repro.grb.engine import cost, plancache
 
 MATRIX_FORMATS = ("csr", "csc", "bitmap", "hypersparse")
 VECTOR_FORMATS = ("sparse", "bitmap")
@@ -496,6 +496,85 @@ class TestAlgorithmFusionParity:
         assert "push" in directions(lg.bfs_parent_auto)
         assert "push" in directions(lg.bfs_parent_do)
 
+    @pytest.mark.parametrize("fusion", (True, False),
+                             ids=("fused", "decomposed"))
+    @pytest.mark.parametrize("cache", ("warm", "cold"))
+    def test_fusion_and_plan_cache_lattice(self, fusion, cache, monkeypatch):
+        """Every shipped algorithm, fusion on/off × plan cache warm/cold,
+        against the default run entry for entry (the warm arm runs twice,
+        the second time cache-served)."""
+        rng = np.random.default_rng(11)
+        g = random_graph_np(rng, n=36, p=0.12, directed=True)
+        gw = random_graph_np(rng, n=36, p=0.12, directed=True, weighted=True)
+        gu = random_graph_np(rng, n=36, p=0.12, directed=False)
+        for graph in (g, gw, gu):
+            graph.cache_all()
+
+        ref = _algo_results(g, gw, gu)        # defaults, fusion on
+
+        monkeypatch.setattr(cost, "FUSION_ENABLED", fusion)
+        if cache == "cold":
+            monkeypatch.setattr(cost, "PLAN_CACHE_ENABLED", False)
+        plancache.clear()
+        runs = [_algo_results(g, gw, gu)]
+        if cache == "warm":
+            runs.append(_algo_results(g, gw, gu))
+        plancache.clear()
+
+        for name in ref:
+            for got in runs:
+                r, c = ref[name], got[name]
+                ctx = f"{name} fusion={fusion} cache={cache}"
+                if isinstance(r, int):
+                    assert r == c, ctx
+                elif isinstance(r, grb.Matrix):
+                    assert r.isequal(c), ctx
+                else:
+                    assert_same_vector(c, r, ctx)
+
+    def test_fusion_off_is_fully_decomposed(self, monkeypatch):
+        """FUSION_ENABLED=False decomposes every epilogue chain: the
+        Graphalytics PageRank carries an ``apply`` and a ``reduce_scalar``
+        epilogue, fused by default and each replayed as its own stage when
+        switched off, with the same ranks."""
+        from repro import lagraph as lg
+
+        def epilogues(trace):
+            return {(r["name"], r["args"]["fused"])
+                    for r in trace.find("epilogue:")}
+
+        rng = np.random.default_rng(5)
+        g = random_graph_np(rng, n=30, p=0.15)
+        g.cache_all()
+        with obs.tracing() as trace:
+            ref, ref_iters = lg.pagerank_gx(g)
+        kinds = {"epilogue:apply", "epilogue:reduce_scalar"}
+        assert epilogues(trace) == {(k, True) for k in kinds}
+
+        monkeypatch.setattr(cost, "FUSION_ENABLED", False)
+        with obs.tracing() as trace:
+            r, iters = lg.pagerank_gx(g)
+        assert epilogues(trace) == {(k, False) for k in kinds}
+        assert iters == ref_iters
+        assert_same_vector(r, ref)
+
+
+def _algo_results(g, gw, gu):
+    from repro import lagraph as lg
+    from repro.lagraph.experimental.lcc import local_clustering_coefficient
+
+    return {
+        "bfs_push": lg.bfs_parent_push(g, 0),
+        "bfs_level": lg.bfs_level(g, 0),
+        "sssp_bf": lg.sssp_bellman_ford(gw, 0),
+        "sssp_delta": lg.sssp_delta_stepping(gw, 0, 2.0),
+        "sssp_batch": lg.sssp_batch(gw, [0, 1, 2]),
+        "pagerank": lg.pagerank(g)[0],
+        "cc": lg.connected_components(gu),
+        "lcc": local_clustering_coefficient(gu),
+        "tc": lg.triangle_count_basic(gu),
+    }
+
 
 class TestPreplan:
     def test_preplan_builds_and_reports(self, rng):
@@ -737,20 +816,18 @@ class TestMxmRuleParity:
         assert "mxm-small-expand" in _walk_mxm(
             run, f"{fmt_a}/{fmt_b} transpose_b={transpose_b}")
 
-    @pytest.mark.parametrize("lazy", (False, True), ids=("eager", "lazy"))
-    def test_output_aliases_an_operand(self, rng, lazy):
-        """``mxm(f, f, a, ...)`` — every level of BC and msbfs — eager and
-        recorded under ``DESC_LAZY`` (forced at the read inside the pin)."""
+    def test_output_aliases_an_operand(self, rng):
+        """``mxm(f, f, a, ...)`` — every level of BC and msbfs
+        (``tests/grb/test_aliasing.py`` drives every other writer)."""
         sr = grb.semiring_by_name("plus.first")
         f0, b = _small_product(rng, MXM_VALUES["fp64-subunit-zeros"])
         p = _mask_object(rng, MXM_N).set_format("bitmap")
-        desc = grb.DESC_LAZY if lazy else None
         for kw in (dict(mask=grb.complement(grb.structure(p)), replace=True),
                    dict(accum=grb.binary.PLUS),
                    dict()):
             def run():
                 f = f0.dup()
-                grb.mxm(f, f, b, sr, desc=desc, **kw)
+                grb.mxm(f, f, b, sr, **kw)
                 return _of(f)
 
             assert "mxm-small-expand" in _walk_mxm(run, f"alias {sorted(kw)}")

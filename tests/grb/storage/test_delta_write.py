@@ -12,16 +12,15 @@ before the write:
   (values are drawn from -2..2; ``TestCastChain`` adds the integers
   the float round-trips cannot hold);
 * directed cases pin the aliasing rules — output as operand or mask,
-  ``dup()`` / ``bitmap()`` snapshots, deferred anti-dependencies, the
-  ownership predicate (frozen, exported and foreign-view buffers
-  rebuild) — and the output's read boundary: what was staged or recorded
-  for an output lands before a write-back, also one that never reads the
-  old content (both twins skip that read, so these compare against
-  spelled-out expectations, not against each other);
+  ``dup()`` / ``bitmap()`` snapshots, the ownership predicate (frozen,
+  exported and foreign-view buffers rebuild) — and the output's read
+  boundary: what was staged for an output lands before a write-back, also
+  one that never reads the old content (both twins skip that read, so
+  these compare against spelled-out expectations, not against each
+  other);
 * a ``Vector`` handed to a select predicate as its thunk is the read
   that does *not* export: it sees the vector as it is when the predicate
-  runs, stays ordered against recorded writes, and leaves the vector
-  writable in place;
+  runs and leaves the vector writable in place;
 * an un-skipped in-process ratio guard holds the speed claim.
 """
 
@@ -303,8 +302,7 @@ class TestAliasing:
             lambda: grb.update(v, t, accum=grb.binary.PLUS)) == [True]
         assert v[5] == 25.0
 
-    @pytest.mark.parametrize("lazy", (False, True))
-    def test_sssp_thunks_read_pre_merge_distances(self, lazy):
+    def test_sssp_thunks_read_pre_merge_distances(self):
         # sssp_delta_stepping / sssp_bellman_ford hand ``t.bitmap()`` to an
         # improvement filter as its thunk and min-merge into ``t``; the
         # filter must see the distances as they were when the thunk was
@@ -315,38 +313,16 @@ class TestAliasing:
         req = grb.Vector.from_coo([2, 3], [1.0, 20.0], n)
         nxt = grb.Vector(grb.FP64, n)
         thunk = t.bitmap()
-        if lazy:
-            with grb.deferred():
-                grb.update(t, req, accum=grb.binary.MIN)
-                grb.select(nxt, req, _IMPROVES_VEC, thunk)
-        else:
-            grb.update(t, req, accum=grb.binary.MIN)
-            grb.select(nxt, req, _IMPROVES_VEC, thunk)
+        grb.update(t, req, accum=grb.binary.MIN)
+        grb.select(nxt, req, _IMPROVES_VEC, thunk)
         assert nxt.to_coo()[0].tolist() == [2]      # 1 < 9; 20 is not
         assert t[2] == 1.0 and t[3] == 9.0
-
-    def test_deferred_write_after_a_pending_read(self):
-        bm, ref = _twins()
-        outs = []
-        for out in (bm, ref):
-            x = grb.Matrix(grb.FP64, NROWS, NCOLS)
-            with grb.deferred():
-                grb.ewise_add(x, out, out, grb.binary.PLUS)   # reads out
-                grb.update(out, _other(1), accum=grb.binary.PLUS)
-                # forcing the writer must run the earlier reader first
-                assert out.nvals
-            outs.append(x)
-        _check_twins(bm, ref, "anti-dependency")
-        assert outs[0].isequal(outs[1])
-        doubled = grb.Matrix(grb.FP64, NROWS, NCOLS)
-        grb.ewise_add(doubled, _twins()[1], _twins()[1], grb.binary.PLUS)
-        assert outs[0].isequal(doubled)
 
 
 class TestWriteBoundary:
     """A write-back is a read boundary of its output: staged ``setElement``
-    calls and a pending lazy producer land *before* it — also when the
-    transaction never looks at the old content."""
+    calls land *before* it — also when the transaction never looks at the
+    old content."""
 
     T = {(1, 1): 2.0, (2, 3): 4.0}
 
@@ -393,25 +369,6 @@ class TestWriteBoundary:
         grb.update(c, self._of(self.T), accum=grb.binary.PLUS)
         assert self._content(c) == {(0, 0): 5.0, (1, 1): 3.0, (2, 3): 4.0,
                                     (3, 3): 1.0}
-
-    @pytest.mark.parametrize("fmt", ("csr", "bitmap"))
-    @pytest.mark.parametrize("replace", (False, True))
-    def test_lazy_producer_runs_before_an_eager_overwrite(self, fmt,
-                                                          replace):
-        c = self._of({}, fmt)
-        t = self._of(self.T)
-        grb.update(c, self._of({(0, 0): 1.0}), desc=grb.DESC_LAZY)
-        grb.update(c, t, mask=grb.structure(t) if replace else None,
-                   replace=replace)
-        assert self._content(c) == self.T
-
-    @pytest.mark.parametrize("fmt", ("sparse", "bitmap"))
-    def test_lazy_producer_runs_before_an_eager_vector_overwrite(self, fmt):
-        v = grb.Vector(grb.FP64, 8).set_format(fmt)
-        grb.update(v, grb.Vector.from_coo([0], [1.0], 8),
-                   desc=grb.DESC_LAZY)
-        grb.update(v, grb.Vector.from_coo([1], [2.0], 8))
-        assert v.to_coo()[0].tolist() == [1] and v[1] == 2.0
 
 
 class TestCastChain:
@@ -544,29 +501,6 @@ class TestVectorThunk:
         # ... and the next read sees it (1 < 1 is no improvement)
         self.SELECTS[how](nxt, req, t)
         assert self._improving(nxt) == []
-
-    @pytest.mark.parametrize("force", ("scope-exit", "writer", "reader"))
-    def test_recorded_read_stays_before_a_later_write(self, force):
-        t, req, nxt = self._objects()
-        with grb.deferred():
-            grb.select(nxt, req, _IMPROVES_VEC, t)
-            grb.update(t, req, accum=self.MIN)
-            if force == "writer":      # forcing t alone runs the select first
-                assert t[2] == 1.0
-            elif force == "reader":
-                assert nxt.nvals == 1
-        assert self._improving(nxt) == [2]
-        assert t[2] == 1.0 and t[3] == 9.0
-
-    @pytest.mark.parametrize("force", ("scope-exit", "reader"))
-    def test_recorded_read_stays_after_an_earlier_write(self, force):
-        t, req, nxt = self._objects()
-        with grb.deferred():
-            grb.update(t, req, accum=self.MIN)
-            grb.select(nxt, req, _IMPROVES_VEC, t)
-            if force == "reader":      # forcing nxt alone runs the merge first
-                assert nxt.nvals == 0
-        assert self._improving(nxt) == [] and t[2] == 1.0
 
     @pytest.mark.parametrize("how", ("sparse", "exported", "frozen"))
     def test_store_that_may_not_be_written_reads_right_and_rebuilds(

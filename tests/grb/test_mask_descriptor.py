@@ -105,3 +105,18 @@ class TestDescriptors:
         d = DESC_RSC
         assert (d.replace, d.mask_structural, d.mask_complement) == \
             (True, True, True)
+
+    def test_unsupported_descriptor_transpose_raises(self):
+        a = grb.Matrix.from_coo([0, 0, 1, 2], [1, 2, 2, 0],
+                                [1.0, 2.0, 3.0, 4.0], 3, 3)
+        u = grb.Vector.from_coo([0, 1], [1.0, 1.0], 3)
+        sr = grb.semiring_by_name("plus.times")
+        w = grb.Vector(grb.FP64, 3)
+        with pytest.raises(grb.InvalidValue):
+            grb.mxv(w, a, u, sr, desc=DESC_T0)
+        # mxm honours them
+        c = grb.Matrix(grb.FP64, 3, 3)
+        grb.mxm(c, a, a, sr, desc=grb.DESC_T1)
+        ref = grb.Matrix(grb.FP64, 3, 3)
+        grb.mxm(ref, a, a, sr, transpose_b=True)
+        assert c.isequal(ref)

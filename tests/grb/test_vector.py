@@ -227,3 +227,27 @@ class TestMisc:
         idx[0] = 1
         vals[0] = 9.0
         assert v[0] == 1.0
+
+    def test_iteration_yields_stored_entries(self):
+        a = grb.Matrix.from_coo([0, 0, 1, 2], [1, 2, 2, 0],
+                                [1.0, 2.0, 3.0, 4.0], 3, 3)
+        u = grb.Vector.from_coo([0, 1], [1.0, 1.0], 3)
+        w = grb.Vector(grb.FP64, 3)
+        grb.mxv(w, a, u, grb.semiring_by_name("plus.times"))
+        idx, vals = w.to_coo()
+        assert list(w) == list(zip(idx.tolist(), vals.tolist()))
+        assert ((0, 1), 1.0) in list(a)   # ((i, j), value) pairs
+
+    def test_setitem_and_clear_after_an_operation(self):
+        a = grb.Matrix.from_coo([0, 0, 1, 2], [1, 2, 2, 0],
+                                [1.0, 2.0, 3.0, 4.0], 3, 3)
+        u = grb.Vector.from_coo([0, 1], [1.0, 1.0], 3)
+        sr = grb.semiring_by_name("plus.times")
+        w = grb.Vector(grb.FP64, 3)
+        grb.mxv(w, a, u, sr)
+        w[0] = 42.0                       # sequential: the product first
+        assert w.get(0) == 42.0
+        x = grb.Vector(grb.FP64, 3)
+        grb.mxv(x, a, u, sr)
+        x.clear()                         # the product's effect then cleared
+        assert x.nvals == 0

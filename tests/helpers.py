@@ -133,9 +133,9 @@ def random_graph_np(rng, n=40, p=0.1, directed=True, weighted=False, seed=None):
 
 
 def store_bytes(owners) -> int:
-    """Σ raw-store ``nbytes()`` over ``owners`` (lazy state never forced)."""
-    return sum((o._st if type(o) is grb.Vector else o._store).nbytes()
-               for o in owners)
+    """Σ raw-store ``nbytes()`` over ``owners`` (staged writes never
+    flushed)."""
+    return sum(o._store.nbytes() for o in owners)
 
 
 # ---------------------------------------------------------------------------

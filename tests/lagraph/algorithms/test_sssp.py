@@ -167,8 +167,8 @@ _OLD_FILTER = grb.selectops.SelectOp("__test_improves_into_bucket",
 
 def _alg5_reference(g, source, delta):
     """Delta-stepping as it was before ``t`` was pinned to bitmap: every
-    light round a deferred ``vxm`` + ``select`` + ``ewise_add(t, t, tReq,
-    MIN)`` over a sparse ``t`` — the *whole* ``tReq`` merged, the filter
+    light round a ``vxm`` + ``select`` + ``ewise_add(t, t, tReq, MIN)``
+    over a sparse ``t`` — the *whole* ``tReq`` merged, the filter
     reading ``t``'s public bitmap snapshot, the bucket test two-sided.
     (The bucket index carries the same never-step-back guard as the
     shipped loop; without it this loop does not terminate on every
@@ -191,10 +191,9 @@ def _alg5_reference(g, source, delta):
         while tbi.nvals:
             ever[tbi.indices] = True
             nxt = grb.Vector(grb.FP64, n)
-            with grb.deferred():
-                grb.vxm(treq, tbi, al, MIN_PLUS, replace=True)
-                grb.select(nxt, treq, _OLD_FILTER, t.bitmap() + (lo, hi))
-                grb.ewise_add(t, t, treq, grb.binary.MIN)
+            grb.vxm(treq, tbi, al, MIN_PLUS, replace=True)
+            grb.select(nxt, treq, _OLD_FILTER, t.bitmap() + (lo, hi))
+            grb.ewise_add(t, t, treq, grb.binary.MIN)
             tbi = nxt
         th_idx = np.flatnonzero(ever)
         if th_idx.size:

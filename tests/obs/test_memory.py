@@ -85,7 +85,7 @@ class TestComponentAccounting:
 
     def test_vector_components(self):
         v = grb.Vector.from_coo([1, 5, 7], [1.0, 2.0, 3.0], 10)
-        st = v._st
+        st = v._store
         assert st.nbytes() == sum(st.nbytes_components().values())
 
 
