@@ -23,16 +23,20 @@ write per mask entry versus estimated flops + product materialisation).
 Probe resolution is itself a small per-call chooser with three
 mechanisms, all bit-identical:
 
-* **dense flags** — when the probed side's values are unused and its grid
-  fits :data:`DOT_DENSE_GRID_CAP`, membership is one O(1) gather from a
-  dense bool array (TC's ``plus.pair``, BC's ``plus.first``);
+* **dense map** — when the probed operand's grid fits the
+  :data:`DOT_DENSE_GRID_CAP` byte budget, each lane is one O(1) gather: a
+  bool flag map when the probed side's values are unused (TC's
+  ``plus.pair``), an int32 slot map holding ``entry + 1`` when they feed
+  the multiply (BC's ``plus.first`` backward levels probing the 4 × n
+  frontier ``W``);
 * **bounded (galloping) search** — when the probe lanes are few relative
   to the probed operand's nnz (:data:`BOUNDED_PROBE_NNZ_RATIO`, the very
   asymmetric-rows regime), each lane binary-searches only its target
   *row span* — O(lanes · log max-row) — and the O(nnz) global key array is
   never materialised;
-* **global searchsorted** — otherwise: one ``searchsorted`` against the
-  sorted ``row·inner + col`` keys of every entry.
+* **global searchsorted** — otherwise (a grid over the budget, such as
+  TC's on kron-medium): one ``searchsorted`` against the sorted
+  ``row·inner + col`` keys of every entry.
 
 Bit-identity contract
 ---------------------
@@ -78,13 +82,17 @@ def dot_supported(semiring: Semiring) -> bool:
             and semiring.add.name in _DOT_MONOIDS)
 
 
-#: Largest ``nrows × inner`` grid for which a probed operand's structure is
-#: densified into a flat bool flag array (O(1) membership per probe lane).
-#: Only reachable when the probe does not need the probed side's *values*
-#: (``pair`` / the pattern side of ``first``/``second``) — which is exactly
-#: TC's ``plus.pair`` and BC's ``plus.first``.  A kernel-mechanism cap, not
-#: a planner constant — it tunes how a chosen kernel executes.
-DOT_DENSE_GRID_CAP = 1 << 26  # cost: mechanism-cap (tunes how the chosen dot kernel executes; tests monkeypatch it here)
+#: Byte budget for densifying a probed operand's ``nrows × inner`` grid
+#: into a flat map that resolves each probe lane with one O(1) gather: a
+#: bool flag map (1 byte a cell) when the probe needs membership only
+#: (``pair`` / the pattern side of ``first``/``second`` — TC's
+#: ``plus.pair``), an int32 slot map (4 bytes a cell, ``entry + 1`` or 0)
+#: when it also needs the entry position (the valued side — BC's
+#: ``plus.first`` backward levels).  Both maps share this one budget
+#: (:func:`_dense_map_dtype`); a grid over it takes the global search.  A
+#: kernel-mechanism cap, not a planner constant — it tunes how a chosen
+#: kernel executes.
+DOT_DENSE_GRID_CAP = 1 << 26  # cost: mechanism-cap (byte budget of the dot probe's dense maps; tests monkeypatch it here)
 
 #: Probe-lane count below this fraction of the probed operand's nnz takes
 #: the bounded (galloping) search: building the O(nnz) dense flags / global
@@ -158,11 +166,20 @@ def _probe_bounded(indptr: np.ndarray, indices: np.ndarray,
     return hit, (pos if need_pos else None)
 
 
+def _dense_map_dtype(grid: int, need_pos: bool):
+    """The cell dtype of the dense probe map for a ``grid``-cell operand —
+    bool flags for membership, int32 ``entry + 1`` slots when the probe
+    needs positions — or ``None`` when that map would not fit
+    :data:`DOT_DENSE_GRID_CAP` bytes."""
+    dtype = np.dtype(np.int32 if need_pos else bool)
+    return dtype if grid * dtype.itemsize <= DOT_DENSE_GRID_CAP else None
+
+
 def _probe_membership(indptr: np.ndarray, indices: np.ndarray,
                       seek: np.ndarray, inner: np.int64, need_pos: bool):
     """Resolve linearised ``row · inner + col`` probe keys against a CSR
-    structure (dense flags within :data:`DOT_DENSE_GRID_CAP`, one global
-    ``searchsorted`` otherwise).
+    structure (a dense flag or slot map within :data:`DOT_DENSE_GRID_CAP`
+    bytes, one global ``searchsorted`` otherwise).
 
     ``seek`` must be built by the caller as one expression over
     refcount-1 temporaries so NumPy's in-place temporary elision kicks in
@@ -171,15 +188,24 @@ def _probe_membership(indptr: np.ndarray, indices: np.ndarray,
 
     Returns ``(hit, pos)``: a bool mask over the probe lanes and — only
     when ``need_pos`` (the probed side's values feed the multiply) — the
-    entry position of each probe.
+    entry position of each probe.  The slot map stores the same entry
+    index the search finds, so both resolutions return the same positions.
     """
-    nrows = indptr.size - 1
-    grid = int(nrows) * int(inner)
-    if not need_pos and grid <= DOT_DENSE_GRID_CAP:
-        flags = np.zeros(grid, dtype=bool)
-        flags[_row_key_array(indptr, indices, inner)] = True
-        return flags[seek], None
     hay = _row_key_array(indptr, indices, inner)
+    grid = int(indptr.size - 1) * int(inner)
+    dtype = _dense_map_dtype(grid, need_pos)
+    if dtype is not None:
+        dense = np.zeros(grid, dtype=dtype)
+        if not need_pos:
+            dense[hay] = True
+            return dense[seek], None
+        # entry + 1, so 0 marks an empty cell; a grid within the budget
+        # holds at most 2**24 entries, far inside int32
+        dense[hay] = np.arange(1, hay.size + 1, dtype=dtype)
+        pos = dense[seek]
+        hit = pos != 0
+        pos -= 1
+        return hit, pos
     if hay.size == 0:
         return (np.zeros(seek.size, dtype=bool),
                 np.zeros(seek.size, dtype=np.int64) if need_pos else None)

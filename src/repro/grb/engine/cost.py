@@ -69,9 +69,20 @@ PLAN_CACHE_ENABLED = True
 # masked-mxm chooser (dot3 vs mask-restricted fallback)
 # ---------------------------------------------------------------------------
 
-#: Relative cost of one dot probe lane (a flag gather / bounded or global
-#: searchsorted) — ``inf`` rules the dot3 kernel out ...
-DOT_PROBE_COST = 0.4
+#: Relative cost of one dot probe lane (a dense flag/slot gather, or a
+#: bounded or global searchsorted) — ``inf`` rules the dot3 kernel out.
+#: Fitted from the deep-profiling rule table (``obs.profile.rule_table()``
+#: ``s_per_unit``) with every masked product forced to each arm in turn:
+#: BC's backward levels on kron-medium / kron-small (seed-1 bench batches,
+#: plan cache off, 2-core Xeon) run 25–31 ns per probe on
+#: ``mxm-masked-dot`` against 22–28 ns per exact flop on ``mxm-scipy``, a
+#: ratio of 1.09–1.16; kron-small TC reads 0.89.  The fit holds for
+#: probes the dense maps resolve: a grid over their budget pays the global
+#: ``searchsorted`` (TC on kron-medium reads 2.0).  Bounds: above 0.72 the
+#: worst BC level (mask 7 122, 1.04 M probes, 0.68 M flops) goes to SciPy;
+#: below 2.09 the mask-2 451 level keeps the dot, and below ~2.3 TC does
+#: (``test_masked_mxm.py::TestChooserAndTelemetry``) ...
+DOT_PROBE_COST = 1.2
 #: ... versus one flop on SciPy's compiled CSR kernel ...
 SCIPY_FLOP_COST = 1.0
 #: ... versus one flop on the vectorised gather/sort expand kernel.

@@ -129,15 +129,15 @@ def _emit(plan: Plan, rule_name: str, detail: dict, cached=None):
 
 
 def _claim(plan: Plan, forced: Optional[str], cache_key, decide: bool):
-    """Find the claiming rule; returns ``(rule, detail)``.
+    """Find the claiming rule; returns ``(rule, detail, hit)``.
 
     Consults the keyed plan cache first (``cache_key`` is ``None`` for an
     uncacheable or pinned plan): on a hit the cached decision's operand
     feeds are re-attached to ``plan.meta`` and no ``applies`` chain runs
     at all; on a miss the claiming rule's decision and feeds are stored
-    for the next identical dispatch.  ``decide`` is the caller's reading
-    of :func:`repro.obs.deciding` — the decision record is built only when
-    something consumes it.
+    for the next identical dispatch (``hit`` tells the two apart).
+    ``decide`` is the caller's reading of :func:`repro.obs.deciding` — the
+    decision record is built only when something consumes it.
     """
     try:
         rules = _REGISTRY[plan.op]
@@ -153,7 +153,7 @@ def _claim(plan: Plan, forced: Optional[str], cache_key, decide: bool):
                 detail = dict(hit.detail)
                 if decide:
                     _emit(plan, rule.name, detail, cached="hit")
-                return rule, detail
+                return rule, detail, True
     for rule in rules:
         if forced is not None and rule.name != forced:
             continue
@@ -170,7 +170,7 @@ def _claim(plan: Plan, forced: Optional[str], cache_key, decide: bool):
         if decide:
             _emit(plan, rule.name, detail,
                   cached="miss" if cache_key is not None else None)
-        return rule, detail
+        return rule, detail, False
     raise PlanningError(f"no rule claimed plan {plan.op!r}")
 
 
@@ -183,8 +183,23 @@ def _cache_key(plan: Plan, forced: Optional[str]):
     return None
 
 
-def _run_rule(plan: Plan, rule: Rule, detail: dict, deep: bool):
-    """Execute the claiming rule, timing it when deep profiling is on."""
+def _priced_units(plan: Plan, detail: dict):
+    """The work the masked-mxm chooser priced this claim at: the exact probe
+    count of a dot claim, or the exact flop count (deep profiling only) of
+    a product it declined; ``None`` for a claim no chooser priced."""
+    if detail.get("method") == "dot":
+        return detail.get("dot_probes")
+    return plan.meta.get("expand_flops")    # left only by a declined dot
+
+
+def _run_rule(plan: Plan, rule: Rule, detail: dict, deep: bool,
+              hit: bool):
+    """Execute the claiming rule, timing it when deep profiling is on.
+
+    The timing row also sums the claim's priced units — not on a
+    plan-cache hit, which re-uses the probe work instead of doing it — so
+    the rule table reads seconds per probe or per flop, the inputs a fit of
+    the cost constants needs."""
     if not deep:
         return rule.run(plan, detail)
     nnz_in = sum(int(getattr(a, "nvals", 0) or 0) for a in plan.args)
@@ -194,7 +209,8 @@ def _run_rule(plan: Plan, rule: Rule, detail: dict, deep: bool):
     wall = time.perf_counter() - t0
     cpu = time.process_time() - cpu0
     _profile.record_rule(plan.op, rule.name, wall, cpu, nnz_in,
-                         int(getattr(out, "nvals", 0) or 0))
+                         int(getattr(out, "nvals", 0) or 0),
+                         None if hit else _priced_units(plan, detail))
     return out
 
 
@@ -235,19 +251,19 @@ def dispatch(plan: Plan):
     if _trace.active():
         with _trace.span("plan:" + plan.op, cat="plan", op=plan.op) as sp:
             with _trace.span("plan-choose", cat="plan"):
-                rule, detail = _claim(plan, forced, cache_key, True)
+                rule, detail, hit = _claim(plan, forced, cache_key, True)
             sp.set(rule=rule.name)
             if _metrics.ENABLED:
                 rule.dispatched.inc()
             with _trace.span("kernel:" + rule.name, cat="kernel",
                              op=plan.op):
-                out = _run_rule(plan, rule, detail, deep)
+                out = _run_rule(plan, rule, detail, deep, hit)
             _feed_pickup(plan, cache_key)
             return out
-    rule, detail = _claim(plan, forced, cache_key, deep)
+    rule, detail, hit = _claim(plan, forced, cache_key, deep)
     if _metrics.ENABLED:
         rule.dispatched.inc()
-    out = _run_rule(plan, rule, detail, deep)
+    out = _run_rule(plan, rule, detail, deep, hit)
     _feed_pickup(plan, cache_key)
     return out
 
@@ -261,6 +277,6 @@ def analyze(plan: Plan) -> str:
     makes the first real dispatch of the same shape a hit.
     """
     forced = _forced_var.get().get(plan.op)
-    rule, _ = _claim(plan, forced, _cache_key(plan, forced),
-                     _profile.deciding())
+    rule, _, _ = _claim(plan, forced, _cache_key(plan, forced),
+                        _profile.deciding())
     return rule.name

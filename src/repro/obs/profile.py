@@ -104,7 +104,7 @@ def profiling(memory: bool = False):
 
 class _Stat:
     __slots__ = ("calls", "wall", "cpu", "nnz_in", "nnz_out", "bytes",
-                 "mem_alloc", "mem_peak")
+                 "mem_alloc", "mem_peak", "units", "unit_wall")
 
     def __init__(self):
         self.calls = 0
@@ -115,6 +115,8 @@ class _Stat:
         self.bytes = 0
         self.mem_alloc = 0      # summed allocation delta (may be negative)
         self.mem_peak = 0       # max per-call peak working set
+        self.units = 0          # rules: summed priced units (probes/flops)
+        self.unit_wall = 0.0    # rules: wall time of the calls that had them
 
     def add(self, wall, cpu, nnz_in, nnz_out, nbytes,
             mem_alloc=0, mem_peak=0):
@@ -167,12 +169,18 @@ def record_kernel(name: str, wall: float, cpu: float, nnz_in: int = 0,
 
 
 def record_rule(op: str, rule: str, wall: float, cpu: float,
-                nnz_in: int = 0, nnz_out: int = 0) -> None:
+                nnz_in: int = 0, nnz_out: int = 0,
+                units: Optional[int] = None) -> None:
+    """Fold one rule execution into the rule table.  ``units`` is the work
+    the cost model priced the call at (``None`` when nothing priced it)."""
     with _lock:
         stat = _rules.get((op, rule))
         if stat is None:
             stat = _rules[(op, rule)] = _Stat()
         stat.add(wall, cpu, nnz_in, nnz_out, 0)
+        if units is not None:
+            stat.units += units
+            stat.unit_wall += wall
 
 
 def kernel_table() -> Dict[str, dict]:
@@ -181,8 +189,15 @@ def kernel_table() -> Dict[str, dict]:
 
 
 def rule_table() -> Dict[str, dict]:
+    """Per-rule rows: the kernel columns plus ``units`` (summed priced
+    units: dot probes, or the exact flops of a declined dot) and
+    ``s_per_unit`` (wall time of the priced calls over their units,
+    ``None`` until a call was priced) — the measured side of the cost
+    model's per-unit constants."""
     with _lock:
-        return {f"{op}/{rule}": s.row()
+        return {f"{op}/{rule}": {
+                    **s.row(), "units": s.units,
+                    "s_per_unit": s.unit_wall / s.units if s.units else None}
                 for (op, rule), s in sorted(_rules.items())}
 
 

@@ -148,24 +148,44 @@ class TestDotEquivalence:
                 mask=grb.structure(a))
         assert c.isequal(ref)
 
-    def test_dense_and_searchsorted_probes_agree(self, monkeypatch):
-        """The two membership resolutions must pick identical hits."""
+    @pytest.mark.parametrize("name", ["plus.pair", "plus.first",
+                                      "plus.second", "plus.times",
+                                      "min.first"])
+    @pytest.mark.parametrize("transpose_b", (False, True))
+    def test_dense_and_searchsorted_probes_agree(self, name, transpose_b,
+                                                 monkeypatch):
+        """The dense map (flags, or slots when the probed side's values feed
+        the multiply), the global search and the bounded search pick
+        identical hits and positions: values agree bit for bit."""
         rng = np.random.default_rng(11)
-        sr = grb.semiring_by_name("plus.pair")
-        a = _rand_matrix(rng, 30, 30, density=0.25)
-        mobj = _rand_mask_matrix(rng, 30, 30)
+        sr = grb.semiring_by_name(name)
+        a = _rand_matrix(rng, 30, 24, density=0.25, negatives=True)
+        b = _rand_matrix(rng, 28, 24, density=0.25, negatives=True)
+        if not transpose_b:
+            b = b.transpose()
+        mobj = _rand_mask_matrix(rng, 30, 28)
         _force_dot(monkeypatch)
-        c1 = grb.Matrix(grb.INT64, 30, 30)
-        grb.mxm(c1, a, a, sr, mask=grb.structure(mobj))
-        monkeypatch.setattr(mm, "DOT_DENSE_GRID_CAP", 0)  # no dense flags
-        monkeypatch.setattr(mm, "BOUNDED_PROBE_NNZ_RATIO", 0.0)  # force global
-        c2 = grb.Matrix(grb.INT64, 30, 30)
-        grb.mxm(c2, a, a, sr, mask=grb.structure(mobj))
-        assert_same_matrix(c2, c1)
+
+        def run():
+            c = grb.Matrix(grb.FP64, 30, 28)
+            grb.mxm(c, a, b, sr, mask=grb.structure(mobj),
+                    transpose_b=transpose_b)
+            return c
+
+        maps = []
+        dense_map_dtype = mm._dense_map_dtype
+        monkeypatch.setattr(
+            mm, "_dense_map_dtype",
+            lambda *args: maps.append(dense_map_dtype(*args)) or maps[-1])
+        monkeypatch.setattr(mm, "BOUNDED_PROBE_NNZ_RATIO", 0.0)  # no bounded
+        c1 = run()
+        positioned = name.split(".")[1] != "pair"
+        assert maps and all(m is not None for m in maps)
+        assert (np.dtype(np.int32) in maps) == positioned
+        monkeypatch.setattr(mm, "DOT_DENSE_GRID_CAP", 0)  # force global
+        assert_same_matrix(run(), c1, "global")
         monkeypatch.setattr(mm, "BOUNDED_PROBE_NNZ_RATIO", 1e18)  # force bounded
-        c3 = grb.Matrix(grb.INT64, 30, 30)
-        grb.mxm(c3, a, a, sr, mask=grb.structure(mobj))
-        assert_same_matrix(c3, c1)
+        assert_same_matrix(run(), c1, "bounded")
 
 
 class TestCrossFormat:
@@ -329,6 +349,52 @@ class TestAlgorithmParity:
         assert ab_ratio(dot, expand) >= 10.0
 
 
+class TestSlotMapRatioGuard:
+    """Positioned probes: the dense slot map against the global
+    ``searchsorted`` that an over-budget grid takes."""
+
+    def test_bc_backward_level(self, kron_small, monkeypatch):
+        """Ratio guard: the heaviest backward level of one 4-source BC
+        batch on kron-small, ``W⟨s(S[1])⟩ = W plus.first Aᵀ`` (288 516
+        probes, most of them into ``W``'s 4 × n grid by position), on the
+        dot kernel; the slow arm sets ``DOT_DENSE_GRID_CAP = 0``.  Pinned
+        to the rule, so the plan cache never replays the probe."""
+        a, at, n = kron_small.A, kron_small.AT, kron_small.n
+        sr = grb.semiring_by_name("plus.first")
+        cand = np.flatnonzero(np.diff(a.indptr) > 0)
+        sources = np.random.default_rng(0).choice(cand, 4, replace=False)
+        # Alg. 3's forward sweep, as bc.betweenness_centrality_batch runs it
+        p = grb.Matrix.from_coo(np.arange(4), sources, np.ones(4), 4, n)
+        f = grb.Matrix(grb.FP64, 4, n)
+        grb.mxm(f, p, a, sr, mask=grb.complement(grb.structure(p)))
+        levels = []
+        while f.nvals:
+            levels.append(f.pattern())
+            grb.update(p, f, accum=grb.binary.PLUS)
+            grb.mxm(f, f, a, sr, mask=grb.complement(grb.structure(p)),
+                    replace=True)
+        w = grb.Matrix(grb.FP64, 4, n)
+        grb.ewise_mult(w, grb.Matrix.from_dense(np.ones((4, n))), p,
+                       grb.binary.DIV, mask=grb.structure(levels[2]),
+                       replace=True)
+        _force_dot(monkeypatch)
+
+        def level():
+            out = grb.Matrix(grb.FP64, 4, n)
+            with engine.force_rule("mxm", "mxm-masked-dot"):
+                grb.mxm(out, w, at, sr, mask=grb.structure(levels[1]),
+                        replace=True)
+            return out
+
+        def searchsorted():
+            with monkeypatch.context() as m:
+                m.setattr(mm, "DOT_DENSE_GRID_CAP", 0)
+                return level()
+
+        assert_same_matrix(level(), searchsorted())
+        assert ab_ratio(level, searchsorted) >= 1.2
+
+
 class TestChooserAndTelemetry:
     def test_chooser_constants_flip_decision(self):
         assert cost.choose_masked_method(100, 1000,
@@ -351,6 +417,26 @@ class TestChooserAndTelemetry:
         assert cost.choose_masked_method(
             10, 100, scipy_path=True, mask_nvals=10,
             est_out_nnz=10) == "dot"
+
+    # chooser inputs recorded on the benchmark graphs (mask_nvals, dot
+    # probes, estimated flops, estimated product entries) and the route
+    # each must keep: a refit of the per-unit constants that reopens the
+    # BC mis-route or sends TC to SciPy fails here
+    @pytest.mark.parametrize("record, want", [
+        # kron-medium BC backward level, 4 sources: the mis-routed level
+        ((7_122, 1_038_316, 683_289, 65_536), "fallback"),
+        # kron-medium BC backward level that the dot wins
+        ((2_451, 445_731, 868_924, 65_536), "dot"),
+        # triangle_count_basic on kron-small and kron-medium
+        ((48_820, 1_544_688, 1_817_547.7, 1_817_547.7), "dot"),
+        ((211_799, 10_255_630, 12_472_607.8, 12_472_607.8), "dot"),
+    ], ids=["bc-mask7122", "bc-mask2451", "tc-kron-small",
+            "tc-kron-medium"])
+    def test_recorded_benchmark_decisions(self, record, want):
+        mask_nvals, probes, flops, out_nnz = record
+        assert cost.choose_masked_method(
+            probes, flops, scipy_path=True, mask_nvals=mask_nvals,
+            est_out_nnz=out_nnz) == want
 
     def test_infinite_probe_cost_forces_fallback(self, monkeypatch):
         monkeypatch.setattr(cost, "DOT_PROBE_COST", float("inf"))

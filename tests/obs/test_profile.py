@@ -86,6 +86,28 @@ class TestEngineProfiling:
         assert rule_row["calls"] >= 1 and rule_row["nnz_in"] > 0
         assert profile.kernel_table()   # hot primitives reported too
 
+    @pytest.mark.parametrize("probe_cost, rule, unit", [
+        (0.0, "mxm-masked-dot", "dot_probes"),
+        (float("inf"), "mxm-scipy", "expand_flops"),
+    ])
+    def test_rule_table_sums_priced_units(self, tc_graph, monkeypatch,
+                                          probe_cost, rule, unit):
+        """A dot claim counts its exact probes, a declined dot the exact
+        flops of the fallback; a plan-cache hit re-uses the probe work and
+        adds none, while its call and wall time still count."""
+        monkeypatch.setattr(cost, "MASKED_MIN_NNZ", 0)
+        monkeypatch.setattr(cost, "DOT_PROBE_COST", probe_cost)
+        with obs.tracing() as tr, obs.profiling():
+            lg.triangle_count(tc_graph, presort=None)
+            lg.triangle_count(tc_graph, presort=None)
+        first, again = tr.decisions("mxm")
+        assert first["rule"] == again["rule"] == rule
+        assert again["plan_cache"] == "hit"
+        row = profile.rule_table()["mxm/" + rule]
+        assert row["calls"] == 2
+        assert row["units"] == first[unit] > 0
+        assert 0 < row["s_per_unit"] * row["units"] <= row["wall_s"]
+
     def test_either_sink_opens_the_decision_gate(self):
         # one predicate: a trace sink or deep profiling consumes decision
         # records; the exact-count fields ride on deep profiling alone
