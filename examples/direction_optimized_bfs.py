@@ -2,9 +2,8 @@
 
 Shows the three layers the ``repro.grb.storage`` subsystem adds:
 
-1. per-object storage formats (CSR / CSC / bitmap / hypersparse) with the
-   auto-policy picking them from observed density, and ``set_format`` to
-   pin one;
+1. per-object storage formats (CSR / bitmap) with the auto-policy
+   picking them from observed density, and ``set_format`` to pin one;
 2. the push/pull step chooser (``bfs_parent_auto``): push through sparse
    frontiers, pull through the store's CSC view + a bitmap frontier on
    heavy ones — bit-identical to the push-only reference;
@@ -29,9 +28,9 @@ side = int(sys.argv[2]) if len(sys.argv) > 2 else 72
 # --- storage formats in two lines -----------------------------------------
 m = grb.Matrix.from_coo([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0], 3, 3)
 print(f"fresh matrix: format={m.format} (policy) — pin with set_format:")
-for fmt in ("csc", "bitmap", "hypersparse", "csr"):
+for fmt in ("bitmap", "csr"):
     m.set_format(fmt)
-    print(f"  set_format({fmt!r:>14}) -> format={m.format}, "
+    print(f"  set_format({fmt!r:>8}) -> format={m.format}, "
           f"same entries: {m.nvals} nvals")
 
 v = grb.Vector.from_dense(np.arange(128, dtype=np.float64))

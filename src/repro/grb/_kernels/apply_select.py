@@ -8,8 +8,7 @@ Format-aware evaluation: predicates declare whether they read entry
 coordinates (``uses_coords``).  Value-only predicates (``valuegt``,
 ``nonzero``, ...) are evaluated without materialising the per-entry row
 array at all, and coordinate predicates pull rows from the storage layer's
-``entry_rows`` — O(live rows + nnz) for hypersparse matrices instead of
-O(nrows + nnz) — via :func:`eval_select`.
+``entry_rows`` via :func:`eval_select`.
 """
 
 from __future__ import annotations
@@ -114,8 +113,8 @@ def eval_select(op: "SelectOp", values: np.ndarray, store, thunk) -> np.ndarray:
     """Keep-mask of a predicate over a matrix store's entries.
 
     Value-only predicates never touch coordinates; the rest read row ids
-    from the store (hypersparse: O(live) expansion) and column ids from the
-    canonical view.
+    from the store's ``entry_rows`` and column ids from the canonical
+    view.
     """
     if not op.uses_coords:
         return op(values, None, None, thunk)

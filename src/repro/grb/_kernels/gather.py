@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["concat_ranges", "csr_gather_rows", "csr_row_lengths",
-           "expand_rows", "hyper_expand_rows", "hyper_gather_rows"]
+           "expand_rows"]
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -61,39 +61,3 @@ def expand_rows(indptr: np.ndarray, nrows: int) -> np.ndarray:
     counts = np.diff(indptr)
     return np.repeat(np.arange(nrows, dtype=np.int64), counts)
 
-
-def hyper_expand_rows(live_rows: np.ndarray, hindptr: np.ndarray) -> np.ndarray:
-    """Row id of every entry of a hypersparse matrix — O(live + nnz).
-
-    The format-aware twin of :func:`expand_rows`: the empty rows a CSR
-    ``indptr`` walk would touch are never visited.
-    """
-    return np.repeat(live_rows, np.diff(hindptr))
-
-
-def hyper_gather_rows(
-    live_rows: np.ndarray,
-    hindptr: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray | None,
-    rows: np.ndarray,
-):
-    """Gather the entries of ``rows`` from a hypersparse structure.
-
-    Same contract as :func:`csr_gather_rows`; rows absent from
-    ``live_rows`` contribute nothing.  Cost is O(|rows| log live + output).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    pos = np.searchsorted(live_rows, rows)
-    pos_c = np.minimum(pos, max(live_rows.size - 1, 0))
-    hit = live_rows.size > 0
-    live = (live_rows[pos_c] == rows) if hit else np.zeros(rows.size, dtype=bool)
-    counts = np.zeros(rows.size, dtype=np.int64)
-    starts = np.zeros(rows.size, dtype=np.int64)
-    counts[live] = hindptr[pos_c[live] + 1] - hindptr[pos_c[live]]
-    starts[live] = hindptr[pos_c[live]]
-    flat = concat_ranges(starts, counts)
-    row_rep = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
-    cols = indices[flat]
-    vals = values[flat] if values is not None else None
-    return row_rep, cols, vals

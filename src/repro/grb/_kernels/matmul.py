@@ -150,7 +150,6 @@ def mxm_expand(
     b_values: Optional[np.ndarray],
     b_ncols: int,
     semiring: Semiring,
-    a_rows: Optional[np.ndarray] = None,
     rows: Optional[np.ndarray] = None,
     key_keep=None,
     cast_dtype: Optional[np.dtype] = None,
@@ -160,18 +159,13 @@ def mxm_expand(
     Returns ``(keys, vals)`` with keys linearised as ``i * b_ncols + j``,
     sorted ascending and unique.
 
-    ``a_rows`` is the row id of every A entry; pass it when the operand's
-    storage can produce it cheaper than an ``indptr`` walk (hypersparse:
-    O(live rows) — the format-aware fast path for frontier matrices).
-
     Mask-driven restriction (:mod:`repro.grb._kernels.masked_matmul`):
     ``rows`` limits the expansion to a subset of A's rows — the rows the
-    mask can still write — skipping dead rows entirely (``a_rows`` is
-    ignored when given); ``key_keep`` is a ``keys -> bool`` predicate
-    applied to the linearised output coordinates *before* the
-    group-reduce, so contributions the mask would discard in the write-back
-    never pay the reduction sort.  Both default to off, in which case the
-    result is the seed kernel bit for bit.
+    mask can still write — skipping dead rows entirely; ``key_keep`` is a
+    ``keys -> bool`` predicate applied to the linearised output
+    coordinates *before* the group-reduce, so contributions the mask would
+    discard in the write-back never pay the reduction sort.  Both default
+    to off, in which case the result is the seed kernel bit for bit.
 
     The ⊕-reduce runs over the output grid ``a_nrows × b_ncols``; when
     ``Monoid.reduce_groups`` takes its sort-free path there (the heavy
@@ -198,8 +192,7 @@ def mxm_expand(
             a_indptr, a_indices, a_values, rows)
         a_rows = rows[row_rep]                # i of each surviving A entry
     else:
-        if a_rows is None:
-            a_rows = expand_rows(a_indptr, a_nrows)  # i of each A entry
+        a_rows = expand_rows(a_indptr, a_nrows)  # i of each A entry
         a_cols = a_indices                    # k of each A entry
         a_vals_sub = a_values
     # For every A entry, gather B row k.

@@ -292,10 +292,8 @@ def _scipy_operand(m: Matrix, use_values: bool, dtype):
     Pattern operands come from the per-store-version cache
     (:meth:`Matrix.pattern_operand`) instead of being rebuilt per call.
     Both views are cached CSR: SciPy's spmatmul converts non-CSR operands
-    internally *per call*, so feeding a CSC-pinned operand "natively" here
-    would re-pay that conversion every multiply — the cached canonical view
-    pays it once.  (CSC-pinned operands do feed the dot kernel natively:
-    its ``Bᵀ`` input is ``transpose_csr()``, free on a CSC store.)
+    internally *per call*, so the cached canonical view pays any
+    conversion once.
     """
     if use_values:
         s = m.to_scipy()
@@ -444,24 +442,21 @@ def _mask_engaged(plan: Plan) -> bool:
 def _col_lengths(m: Matrix) -> np.ndarray:
     """Stored-entry count per column — conversion-free on every format.
 
-    CSC-pinned stores (and CSR stores whose transpose is already cached —
-    e.g. after :func:`repro.grb.engine.preplan`) read column pointers
-    directly, an O(ncols) diff; everything else counts the canonical CSR
-    column ids with one O(nnz) bincount.  This is what lets the chooser
-    price the dot kernel *without* building ``Bᵀ`` first (the transpose is
-    deferred until the dot rule actually claims the plan)."""
+    A store whose transpose is already cached (e.g. after
+    :func:`repro.grb.engine.preplan`) reads its column pointers directly,
+    an O(ncols) diff; otherwise one O(nnz) bincount of the canonical CSR
+    column ids.  This is what lets the chooser price the dot kernel
+    *without* building ``Bᵀ`` first (the transpose is deferred until the
+    dot rule actually claims the plan)."""
     st = m._S()
-    if st.fmt == "csc" or getattr(st, "_csc", None) is not None:
-        return np.diff(st.transpose_csr()[0])
+    if st._csc is not None:
+        return np.diff(st._csc[0])
     return np.bincount(st.csr()[1], minlength=m.ncols)
 
 
 def _row_lengths(m: Matrix) -> np.ndarray:
-    """Stored-entry count per row — conversion-free on every format."""
-    st = m._S()
-    if st.fmt == "csc" and getattr(st, "_csr", None) is None:
-        return np.bincount(st.transpose_csr()[1], minlength=m.nrows)
-    return np.diff(st.csr()[0])
+    """Stored-entry count per row."""
+    return np.diff(m._S().csr()[0])
 
 
 def _run_expand(plan: Plan, rows, key_keep):
@@ -480,7 +475,6 @@ def _run_expand(plan: Plan, rows, key_keep):
     keys, vals = mxm_expand(
         a.indptr, a.indices, a.values if use_a else None, a.nrows,
         b.indptr, b.indices, b.values if use_b else None, b.ncols, sr,
-        a_rows=a._S().entry_rows() if rows is None else None,
         rows=rows, key_keep=key_keep,
         cast_dtype=_scipy_dtype(a, b, sr) if replay else None)
     return finish(plan, keys, vals, is_vector=False,
@@ -541,7 +535,7 @@ class _MxmMaskedDot:
     flops plus product materialisation.  Feeds the kernel ``Bᵀ`` in CSR
     form without materialising a transpose: for ``transpose_b=True`` (TC's
     ``L plus.pair Uᵀ``) that is the operand's own CSR arrays, otherwise the
-    store's cached CSC view — native for CSC-pinned operands.
+    store's cached CSC view.
     """
 
     @staticmethod
@@ -612,7 +606,7 @@ class _MxmMaskedDot:
             a_ip, a_ix, a_vv = a._S().csr()
             # the Bᵀ feed, paid only now that the dot kernel is chosen:
             # the operand's own CSR for transpose_b (zero conversion), the
-            # store's cached/native CSC view otherwise
+            # store's cached CSC view otherwise
             bt_ip, bt_ix, bt_vv = b._S().csr() if plan.transpose_b \
                 else b._S().transpose_csr()
             cast_dt = _scipy_dtype(a, b, sr) if sr.scipy_reducible() else None
@@ -1006,8 +1000,8 @@ class _SelectValueOnly(_SelectBase):
 
 @register("select", "select-coords")
 class _SelectCoords(_SelectBase):
-    """Coordinate predicates read row ids from the store (hypersparse:
-    O(live) expansion) and column ids from the canonical view."""
+    """Coordinate predicates read row ids from the store's
+    ``entry_rows`` and column ids from the canonical view."""
 
     @staticmethod
     def applies(plan: Plan):

@@ -3,8 +3,7 @@
 Storage model
 -------------
 Entries live in a pluggable *store* (:mod:`repro.grb.storage`): CSR (the
-reference format), CSC (native pull direction / free transpose), bitmap
-(dense flag+value grid) or hypersparse (row-pointer compression).  The
+reference format) or bitmap (dense flag+value grid).  The
 ``indptr`` / ``indices`` / ``values`` attributes of the seed implementation
 survive as properties reading the store's *canonical CSR view* — int64,
 per-row sorted, duplicate-free — so every consumer sees bit-identical
@@ -17,7 +16,7 @@ Three lazily built caches are maintained and invalidated on mutation:
 * a SciPy ``csr_matrix`` view sharing the canonical buffers (zero-copy) —
   used by the plus.times-reducible matmul fast path;
 * the transpose (mirrors LAGraph's cached ``G->AT``), built from the
-  store's cached CSC arrays — free when the store *is* CSC;
+  store's cached CSC arrays;
 * the linearised COO key array ``i * ncols + j`` — used for mask resolution
   and element-wise merges.
 
@@ -200,7 +199,7 @@ class Matrix:
     # ------------------------------------------------------------------
     @property
     def format(self) -> str:
-        """The active storage format (``csr``/``csc``/``bitmap``/``hypersparse``)."""
+        """The active storage format (``csr`` or ``bitmap``)."""
         return self._S().fmt
 
     @property
@@ -224,8 +223,7 @@ class Matrix:
         self._format = fmt
         if fmt == "auto":
             fmt = _policy.select_matrix_format(
-                self.nrows, self.ncols, indices.size,
-                self._store.live_row_count())
+                self.nrows, self.ncols, indices.size)
         if fmt != self._store.fmt:
             self._store = _policy.matrix_store_from_csr(
                 fmt, indptr, indices, values, self.nrows, self.ncols)
@@ -294,7 +292,7 @@ class Matrix:
                        typ: Optional[Type] = None):
         """Rebuild storage from sorted/unique linearised keys (takes
         ownership).  This is the mutation/kernel boundary where the
-        auto-format policy observes density and live rows."""
+        auto-format policy observes density."""
         if typ is not None:
             self.type = typ
         keys = keys.astype(np.int64, copy=False)
@@ -306,26 +304,25 @@ class Matrix:
         indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         indices = cols.astype(np.int64, copy=False)
         values = vals.astype(self.type.dtype, copy=False)
-        self._install(keys, counts, indptr, indices, values)
+        self._install(keys, indptr, indices, values)
 
     def _set_from_csr(self, indptr: np.ndarray, indices: np.ndarray,
                       values: np.ndarray):
         """:meth:`_set_from_keys` for a producer that already holds the
         canonical CSR triple (takes ownership): same format-policy
         boundary, no key div/mod round-trip."""
-        self._install(None, np.diff(indptr), indptr, indices, values)
+        self._install(None, indptr, indices, values)
 
-    def _install(self, keys, counts, indptr, indices, values):
+    def _install(self, keys, indptr, indices, values):
         fmt = self._format
         if fmt == "auto":
             fmt = _policy.select_matrix_format(
-                self.nrows, self.ncols, indices.size,
-                _policy.observed_live_rows(counts))
+                self.nrows, self.ncols, indices.size)
         if keys is None and fmt == "bitmap":
             keys = expand_rows(indptr, self.nrows) * np.int64(self.ncols) \
                 + indices
         self._store = _policy.matrix_store_from_keys(
-            fmt, keys, counts, indptr, indices, values,
+            fmt, keys, indptr, indices, values,
             self.nrows, self.ncols)
         self._invalidate()
         self._keys = keys
@@ -643,8 +640,8 @@ class Matrix:
     def T(self) -> "Matrix":
         """``Aᵀ`` (cached; the cache is the analogue of ``G->AT``).
 
-        Built from the store's CSC arrays — a cached conversion for CSR
-        stores, and a plain memcpy for matrices pinned to CSC.  The
+        Built from the store's cached CSC arrays (one conversion per
+        store, shared with the dot kernel's ``Bᵀ`` feed).  The
         returned matrix owns *copies*: writing into it can never corrupt
         this matrix's storage (it desyncs only the copy, as in the seed).
         """

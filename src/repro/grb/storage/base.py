@@ -5,18 +5,17 @@ The contract every matrix format implements:
 
 * :meth:`MatrixStore.csr` — the *canonical CSR triple*: ``indptr``
   (int64, ``nrows + 1``), ``indices`` (int64, sorted within each row,
-  duplicate-free) and ``values`` (the owner's dtype).  Formats that are not
-  row-major sparse derive it lazily and cache it; because every kernel
-  without a native fast path reads this view, results are bit-identical
-  across formats by construction.
+  duplicate-free) and ``values`` (the owner's dtype).  A format that is
+  not row-major sparse derives it lazily and caches it; because every
+  kernel without a native fast path reads this view, results are
+  bit-identical across formats by construction.
 * :meth:`MatrixStore.entry_rows` — the row id of every canonical entry
-  (COO expansion).  Hypersparse overrides this with an O(live-rows)
-  construction instead of O(nrows).
+  (COO expansion).
 * :meth:`MatrixStore.transpose_csr` — the CSR triple *of the transpose*
-  (equivalently: the CSC view of this matrix).  CSC stores return their
-  native arrays, making pull-direction kernels free; everything else
-  converts once and caches (the storage-level analogue of LAGraph's
-  ``G->AT`` property).
+  (equivalently: the CSC view of this matrix), converted once from the
+  canonical view and cached in the store's ``_csc`` slot.  That cache is
+  the one representation of the transpose — the storage-level analogue
+  of LAGraph's ``G->AT``.
 
 Stores are internal, single-owner objects.  The owning ``Matrix`` /
 ``Vector`` replaces its store wholesale at mutation boundaries — with one
@@ -35,37 +34,25 @@ import scipy.sparse as sp
 from .._kernels.gather import expand_rows
 
 __all__ = ["MatrixStore", "VectorStore", "csr_to_csc_arrays",
-           "csc_to_csr_arrays", "freeze_arrays", "arrays_nbytes"]
+           "freeze_arrays", "arrays_nbytes"]
 
 
-def arrays_nbytes(array_tuples, exclude=()):
-    """Total bytes of the arrays in ``array_tuples``, skipping ``exclude``.
-
-    Deduplicates by object identity: a derived-view cache that aliases an
-    authoritative array (hypersparse keeps the canonical indices/values in
-    both roles) is never double-counted.
-    """
-    seen = {id(a) for a in exclude}
-    total = 0
-    for arrays in array_tuples:
-        if arrays is None:
-            continue
-        for a in arrays:
-            if id(a) not in seen:
-                seen.add(id(a))
-                total += int(a.nbytes)
-    return total
+def arrays_nbytes(array_tuples):
+    """Total bytes of the arrays in ``array_tuples`` (``None`` entries —
+    caches not built yet — count nothing)."""
+    return sum(int(a.nbytes) for arrays in array_tuples
+               if arrays is not None for a in arrays)
 
 
 def freeze_arrays(arrays):
     """Mark a derived-cache array tuple read-only and return it.
 
-    Derived canonical views (a bitmap store's CSR triple, a CSC store's
-    row-major view) are *caches*: an in-place write through them could
-    never reach the authoritative arrays, so it would silently desync the
-    two representations.  Freezing turns that silent corruption into an
-    immediate ``ValueError`` — code that wants writable CSR arrays pins
-    the object to ``csr`` first.
+    A derived canonical view (a bitmap store's CSR triple) is a *cache*:
+    an in-place write through it could never reach the authoritative
+    arrays, so it would silently desync the two representations.
+    Freezing turns that silent corruption into an immediate
+    ``ValueError`` — code that wants writable CSR arrays pins the object
+    to ``csr`` first.
     """
     for a in arrays:
         a.flags.writeable = False
@@ -88,23 +75,11 @@ def csr_to_csc_arrays(indptr, indices, values, nrows: int, ncols: int):
             c.data)
 
 
-def csc_to_csr_arrays(cindptr, rindices, cvalues, nrows: int, ncols: int):
-    """Canonical CSR triple of a matrix given in CSC arrays."""
-    if rindices.size == 0:
-        return (np.zeros(nrows + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                cvalues[:0].copy())
-    c = sp.csc_matrix((cvalues, rindices, cindptr), shape=(nrows, ncols)).tocsr()
-    c.sort_indices()
-    return (c.indptr.astype(np.int64), c.indices.astype(np.int64),
-            c.data)
-
-
 class MatrixStore:
     """Base class for matrix storage formats."""
 
     fmt: str = "?"
-    __slots__ = ("nrows", "ncols")
+    __slots__ = ("nrows", "ncols", "_csc")
 
     # -- canonical views -------------------------------------------------
     def csr(self):
@@ -120,14 +95,11 @@ class MatrixStore:
         return expand_rows(self.csr()[0], self.nrows)
 
     def transpose_csr(self):
-        """CSR triple of the transpose (== the CSC view of this matrix)."""
-        raise NotImplementedError
-
-    # -- structural queries the policy reads ----------------------------
-    def live_row_count(self) -> int:
-        """Number of rows holding at least one entry."""
-        indptr = self.csr()[0]
-        return int(np.count_nonzero(np.diff(indptr)))
+        """CSR triple of the transpose (== the CSC view of this matrix),
+        converted once and cached in ``_csc``."""
+        if self._csc is None:
+            self._csc = csr_to_csc_arrays(*self.csr(), self.nrows, self.ncols)
+        return self._csc
 
     # -- footprint accounting (see repro.obs.memory) ---------------------
     def nbytes_components(self) -> dict:

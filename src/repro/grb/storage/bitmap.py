@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (MatrixStore, VectorStore, arrays_nbytes,
-                   csr_to_csc_arrays, freeze_arrays)
+from .base import MatrixStore, VectorStore, arrays_nbytes, freeze_arrays
 
 __all__ = ["BitmapStore", "BitmapVec"]
 
@@ -103,7 +102,7 @@ class BitmapStore(_InPlace, MatrixStore):
     """Dense flat flag + value arrays over the matrix grid."""
 
     fmt = "bitmap"
-    __slots__ = ("present", "dense", "_nvals", "_csr", "_csc", "_exported")
+    __slots__ = ("present", "dense", "_nvals", "_csr", "_exported")
 
     def __init__(self, nrows: int, ncols: int, present, dense, nvals=None):
         self.nrows = int(nrows)
@@ -167,13 +166,6 @@ class BitmapStore(_InPlace, MatrixStore):
     def present_dense(self):
         """The flat (present, dense) pair — the mask fast path reads this."""
         return self.present, self.dense
-
-    def transpose_csr(self):
-        if self._csc is None:
-            indptr, indices, values = self.csr()
-            self._csc = csr_to_csc_arrays(indptr, indices, values,
-                                          self.nrows, self.ncols)
-        return self._csc
 
     def nbytes_components(self) -> dict:
         return {"present": int(self.present.nbytes),

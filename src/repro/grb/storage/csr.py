@@ -1,7 +1,7 @@
 """Row-major sparse storage — the reference format.
 
 ``CSRStore`` holds the canonical triple natively; it is the default format,
-the one every other store converts from/to, and the layout all results are
+the one the bitmap store converts from/to, and the layout all results are
 verified against.  The CSC view of the content (= the transpose's CSR
 arrays) is built once on demand and cached, mirroring LAGraph's cached
 ``G->AT``: repeated pull-direction steps pay the conversion only once.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import MatrixStore, arrays_nbytes, csr_to_csc_arrays
+from .base import MatrixStore, arrays_nbytes
 
 __all__ = ["CSRStore"]
 
@@ -20,7 +20,7 @@ class CSRStore(MatrixStore):
     """CSR arrays held directly (zero conversion cost either way)."""
 
     fmt = "csr"
-    __slots__ = ("indptr", "indices", "values", "_csc")
+    __slots__ = ("indptr", "indices", "values")
 
     def __init__(self, nrows: int, ncols: int, indptr, indices, values):
         self.nrows = int(nrows)
@@ -51,12 +51,6 @@ class CSRStore(MatrixStore):
     @property
     def nvals(self) -> int:
         return int(self.indices.size)
-
-    def transpose_csr(self):
-        if self._csc is None:
-            self._csc = csr_to_csc_arrays(self.indptr, self.indices,
-                                          self.values, self.nrows, self.ncols)
-        return self._csc
 
     def nbytes_components(self) -> dict:
         return {"indptr": int(self.indptr.nbytes),

@@ -128,8 +128,8 @@ def bfs_parent_auto(g: Graph, source: int) -> Vector:
       gather kernel — cost ∝ frontier out-degrees;
     * **pull** levels (heavy frontier) probe each unvisited node's
       in-neighbours against a *bitmap frontier*, reading ``Aᵀ`` from the
-      store's cached CSC arrays (free when ``A`` is pinned to CSC, computed
-      once otherwise) — cost ∝ a few probes per unvisited node;
+      store's cached CSC arrays (computed once per store) — cost ∝ a few
+      probes per unvisited node;
     * the visited set and parents live in dense arrays for the whole sweep,
       so no per-level masked write-back is paid at all.
 

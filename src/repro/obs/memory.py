@@ -34,8 +34,6 @@ import weakref
 from collections import deque
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from . import identity as _identity
 from . import metrics as _metrics
 
@@ -155,27 +153,12 @@ def top_stores(n: int = 10) -> List[dict]:
     return rows[:n]
 
 
-def _live_rows_of(st) -> int:
-    """Live-row count without materialising a canonical CSR cache."""
-    if st.fmt == "bitmap":
-        if st.ncols == 0 or st.nrows == 0:
-            return 0
-        grid = st.present.reshape(st.nrows, st.ncols)
-        return int(grid.any(axis=1).sum())
-    if st.fmt == "csc":
-        return int(np.unique(st.rindices).size)
-    return int(st.live_row_count())   # O(live) for csr/hypersparse
-
-
 def _matrix_estimates(st) -> Dict[str, int]:
     itemsize = _value_itemsize(st)
     nvals = int(st.nvals)
-    live = _live_rows_of(st)
     return {
         "csr": (st.nrows + 1) * 8 + nvals * (8 + itemsize),
-        "csc": (st.ncols + 1) * 8 + nvals * (8 + itemsize),
         "bitmap": st.nrows * st.ncols * (1 + itemsize),
-        "hypersparse": live * 8 + (live + 1) * 8 + nvals * (8 + itemsize),
     }
 
 

@@ -311,7 +311,7 @@ class GraphService:
     # registry conveniences
     # ------------------------------------------------------------------
     #: Valid values for ``register(warm=)`` besides the booleans.
-    WARM_PROFILES = ("default", "pull", "msbfs")
+    WARM_PROFILES = ("default", "msbfs")
 
     def register(self, name: str, graph: Graph, *,
                  warm=False, validate: bool = True) -> "GraphService":
@@ -330,19 +330,16 @@ class GraphService:
         budget:
 
         * ``True`` / ``"default"`` — the pull machinery: cached transpose /
-          CSC view and row degrees.
-        * ``"pull"`` — default, plus the adjacency is *pinned* to the CSC
-          storage format (``set_format("csc")``): pull-direction kernels
-          and the masked-SpGEMM engine's ``Bᵀ`` feed then read the store's
-          native arrays with zero conversion (the canonical CSR view is
-          pre-derived here, so push kernels lose nothing).
+          CSC view and row degrees.  The store's cached CSC view is what
+          pull-direction kernels and the masked-SpGEMM engine's ``Bᵀ``
+          feed read, so neither pays a conversion on the first query.
         * ``"msbfs"`` — default, plus the all-ones pattern operands the
           batched-frontier ``plus.pair`` multiplies read are pre-built
           (they are cached per store version, see
           :meth:`repro.grb.Matrix.pattern_operand`).  Frontier matrices
-          themselves pick hypersparse automatically through the storage
-          policy once sources complete — the adjacency-side operands are
-          what registration can usefully pre-pin.
+          are per-query operands (CSR or bitmap, by density), so the
+          adjacency-side operands are what registration can usefully
+          pre-build.
 
         Beyond operand state, every query executed by the drain workers
         dispatches through the engine's keyed plan cache
@@ -389,10 +386,6 @@ class GraphService:
             raise ValueError(
                 f"unknown warm profile {profile!r}; one of "
                 f"{GraphService.WARM_PROFILES} (or True/False)")
-        if profile == "pull":
-            # pin FIRST: the one CSR→CSC conversion happens here, and the
-            # pre-planning below is then free on the native store
-            graph.A.set_format("csc")
         graph.cache_at()
         graph.cache_row_degree()
         # pre-plan: build the operand state the engine's preferred rules

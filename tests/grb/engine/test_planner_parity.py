@@ -18,12 +18,11 @@ import numpy as np
 import pytest
 
 import dense_model as dm
-from helpers import ab_ratio, random_graph_np
+from helpers import MATRIX_LAYOUTS, ab_ratio, in_layout, random_graph_np
 from repro import grb, obs
 from repro.grb import engine
 from repro.grb.engine import cost, plancache
 
-MATRIX_FORMATS = ("csr", "csc", "bitmap", "hypersparse")
 VECTOR_FORMATS = ("sparse", "bitmap")
 
 MXV_SEMIRINGS = ["plus.times", "plus.second", "min.plus", "any.pair"]
@@ -213,7 +212,7 @@ class TestMxvVxmRuleParity:
             grb.vxm(w, u, at, grb.semiring_by_name(flip.get(name, name)))
             assert w.values.tobytes() == want.tobytes(), "vxm " + name
 
-    @pytest.mark.parametrize("fmt_a", MATRIX_FORMATS)
+    @pytest.mark.parametrize("fmt_a", MATRIX_LAYOUTS)
     @pytest.mark.parametrize("fmt_u", VECTOR_FORMATS)
     def test_formats_agree(self, rng, fmt_a, fmt_u):
         sr = grb.semiring_by_name("plus.times")
@@ -222,7 +221,7 @@ class TestMxvVxmRuleParity:
         ref = grb.Vector(grb.FP64, 16)
         grb.mxv(ref, a, u, sr)
         got = grb.Vector(grb.FP64, 16)
-        grb.mxv(got, a.dup().set_format(fmt_a), u.dup().set_format(fmt_u),
+        grb.mxv(got, in_layout(a.dup(), fmt_a), u.dup().set_format(fmt_u),
                 sr)
         assert_same_vector(got, ref, f"{fmt_a}/{fmt_u}")
 
@@ -795,17 +794,17 @@ class TestMxmRuleParity:
                         run, f"{name} {mk} accum={accum} r={replace}")
                     assert "mxm-small-expand" in accepted
 
-    @pytest.mark.parametrize("fmt_a", MATRIX_FORMATS)
-    @pytest.mark.parametrize("fmt_b", MATRIX_FORMATS)
+    @pytest.mark.parametrize("fmt_a", MATRIX_LAYOUTS)
+    @pytest.mark.parametrize("fmt_b", MATRIX_LAYOUTS)
     @pytest.mark.parametrize("transpose_b", (False, True))
     def test_operand_pins(self, rng, fmt_a, fmt_b, transpose_b):
         sr = grb.semiring_by_name("plus.times")
         a, b = _small_product(rng, MXM_VALUES["fp64"])
         mobj = _mask_object(rng, MXM_N)
-        a.set_format(fmt_a)
+        in_layout(a, fmt_a)
         # with transpose_b the stored operand is Bᵀ, so the product (and
         # its flop count against the bound) is the same A·B
-        b = (b.transpose() if transpose_b else b).set_format(fmt_b)
+        b = in_layout(b.transpose() if transpose_b else b, fmt_b)
 
         def run():
             c = grb.Matrix(grb.FP64, MXM_N, MXM_N)

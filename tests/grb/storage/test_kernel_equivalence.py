@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_graph_np, sparse_matrices, vector_pairs
+from helpers import (MATRIX_LAYOUTS, in_layout, random_graph_np,
+                     sparse_matrices, vector_pairs)
 from repro import grb
 from repro.gap import datasets
 
-MATRIX_FORMATS = ("csr", "csc", "bitmap", "hypersparse")
+MATRIX_FORMATS = ("csr", "bitmap")
 VECTOR_FORMATS = ("sparse", "bitmap")
 
 
@@ -42,7 +43,7 @@ SEMIRINGS = [("plus", "times"), ("plus", "pair"), ("min", "plus"),
 
 
 class TestMatmulEquivalence:
-    @pytest.mark.parametrize("fmt", MATRIX_FORMATS)
+    @pytest.mark.parametrize("fmt", MATRIX_LAYOUTS)
     @pytest.mark.parametrize("add,mult", SEMIRINGS)
     def test_mxm_formats_match_csr(self, suite_graphs, fmt, add, mult):
         for name, g in suite_graphs.items():
@@ -52,10 +53,10 @@ class TestMatmulEquivalence:
             ref = grb.Matrix(grb.INT64, b.nrows, a.ncols)
             grb.mxm(ref, b.dup().set_format("csr"), a.dup().set_format("csr"), sr)
             out = grb.Matrix(grb.INT64, b.nrows, a.ncols)
-            grb.mxm(out, b.dup().set_format(fmt), a.dup().set_format(fmt), sr)
+            grb.mxm(out, in_layout(b.dup(), fmt), in_layout(a.dup(), fmt), sr)
             assert_same_matrix(out, ref, f"{name} {fmt} {add}.{mult}")
 
-    @pytest.mark.parametrize("fmt", MATRIX_FORMATS)
+    @pytest.mark.parametrize("fmt", MATRIX_LAYOUTS)
     @pytest.mark.parametrize("vfmt", VECTOR_FORMATS)
     def test_mxv_vxm_formats_match_reference(self, suite_graphs, fmt, vfmt):
         for name, g in suite_graphs.items():
@@ -68,14 +69,14 @@ class TestMatmulEquivalence:
                 ref_w = grb.Vector(grb.FP64, n)
                 grb.mxv(ref_w, a, u0.dup().set_format("sparse"), sr)
                 w = grb.Vector(grb.FP64, n)
-                grb.mxv(w, a.dup().set_format(fmt),
+                grb.mxv(w, in_layout(a.dup(), fmt),
                         u0.dup().set_format(vfmt), sr)
                 assert_same_vector(w, ref_w, f"{name} mxv {fmt}/{vfmt}")
                 ref_w2 = grb.Vector(grb.FP64, n)
                 grb.vxm(ref_w2, u0.dup().set_format("sparse"), a, sr)
                 w2 = grb.Vector(grb.FP64, n)
                 grb.vxm(w2, u0.dup().set_format(vfmt),
-                        a.dup().set_format(fmt), sr)
+                        in_layout(a.dup(), fmt), sr)
                 assert_same_vector(w2, ref_w2, f"{name} vxm {fmt}/{vfmt}")
 
 
@@ -114,28 +115,6 @@ class TestEwiseSelectReduceEquivalence:
         assert_same_matrix(got_mul, ref_mul)
         # mixed formats agree through the sparse path
         assert_same_matrix(ab.ewise_add(b, grb.binary.PLUS), ref_add)
-
-    def test_hyper_gather_matches_csr_gather(self):
-        from repro.grb._kernels.gather import csr_gather_rows, hyper_gather_rows
-        from repro.grb.storage.hypersparse import HypersparseStore
-
-        rng = np.random.default_rng(13)
-        m = grb.Matrix.from_coo([3, 3, 17, 40], [1, 4, 2, 0],
-                                [1.0, 2.0, 3.0, 4.0], 64, 6)
-        st = HypersparseStore.from_csr(m.indptr, m.indices, m.values, 64, 6)
-        rows = rng.integers(0, 64, size=20).astype(np.int64)
-        ref = csr_gather_rows(m.indptr, m.indices, m.values, rows)
-        got = hyper_gather_rows(st.live_rows, st.hindptr, st.indices,
-                                st.values, rows)
-        for r, g in zip(ref, got):
-            np.testing.assert_array_equal(r, g)
-        # empty structure
-        empty = HypersparseStore.from_csr(np.zeros(65, np.int64),
-                                          np.empty(0, np.int64),
-                                          np.empty(0), 64, 6)
-        rep, cols, vals = hyper_gather_rows(empty.live_rows, empty.hindptr,
-                                            empty.indices, empty.values, rows)
-        assert rep.size == 0 and cols.size == 0 and vals.size == 0
 
     @given(vector_pairs())
     def test_vector_ewise_bitmap_matches_sparse(self, pair):

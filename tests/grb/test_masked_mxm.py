@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import ab_ratio
+from helpers import MATRIX_LAYOUTS, ab_ratio, in_layout
 from repro import grb, obs
 from repro.gap import datasets
 from repro.grb import engine
@@ -29,8 +29,6 @@ from repro.lagraph import algorithms as alg
 from repro.lagraph.algorithms import bc
 from repro.lagraph.experimental.ktruss import ktruss
 from repro.lagraph.experimental.lcc import local_clustering_coefficient
-
-MATRIX_FORMATS = ("csr", "csc", "bitmap", "hypersparse")
 
 DOT_SEMIRINGS = ["plus.pair", "plus.times", "plus.first", "plus.second",
                  "min.times", "min.first", "min.pair", "any.pair",
@@ -189,7 +187,7 @@ class TestDotEquivalence:
 
 
 class TestCrossFormat:
-    @pytest.mark.parametrize("fmt", MATRIX_FORMATS)
+    @pytest.mark.parametrize("fmt", MATRIX_LAYOUTS)
     def test_all_participants_in_format(self, fmt, monkeypatch):
         rng = np.random.default_rng(3)
         sr = grb.semiring_by_name("plus.pair")
@@ -202,26 +200,46 @@ class TestCrossFormat:
         monkeypatch.undo()
         _force_dot(monkeypatch)
         got = grb.Matrix(grb.INT64, 16, 16)
-        grb.mxm(got, a.dup().set_format(fmt), a.dup().set_format(fmt),
-                sr, mask=grb.structure(mobj.dup().set_format(fmt)))
+        grb.mxm(got, in_layout(a.dup(), fmt), in_layout(a.dup(), fmt),
+                sr, mask=grb.structure(in_layout(mobj.dup(), fmt)))
         assert_same_matrix(got, ref, fmt)
 
-    def test_csc_pinned_b_feeds_natively(self, monkeypatch):
-        """A CSC-pinned B operand reaches the dot kernel without ever
-        deriving its CSR canonical view (transpose_csr is free)."""
+    def test_preplanned_b_feeds_cached_transpose(self, monkeypatch):
+        """After ``engine.preplan(b)`` the dot kernel's ``Bᵀ`` feed is the
+        store's cached ``_csc`` triple itself: no conversion is re-run."""
+        from repro.grb.storage import base
         rng = np.random.default_rng(5)
         a = _rand_matrix(rng, 20, 20, density=0.3)
-        b = _rand_matrix(rng, 20, 20, density=0.3).set_format("csc")
+        b = _rand_matrix(rng, 20, 20, density=0.3)
         mobj = _rand_mask_matrix(rng, 20, 20)
-        _force_dot(monkeypatch)
-        got = grb.Matrix(grb.FP64, 20, 20)
-        grb.mxm(got, a, b, grb.semiring_by_name("plus.times"),
-                mask=grb.structure(mobj))
+        sr = grb.semiring_by_name("plus.times")
         _seed_path(monkeypatch)
         ref = grb.Matrix(grb.FP64, 20, 20)
-        grb.mxm(ref, a, b.dup().set_format("csr"),
-                grb.semiring_by_name("plus.times"), mask=grb.structure(mobj))
+        grb.mxm(ref, a, b.dup(), sr, mask=grb.structure(mobj))
+        monkeypatch.undo()
+
+        engine.preplan(b)
+        cached = b._S()._csc
+        fed = []
+        probe = mm.masked_dot_probe
+
+        def spy(a_ip, a_ix, bt_ip, bt_ix, *args, **kw):
+            fed.append((bt_ip, bt_ix))
+            return probe(a_ip, a_ix, bt_ip, bt_ix, *args, **kw)
+
+        def no_rebuild(*args):
+            raise AssertionError("transpose rebuilt")
+
+        monkeypatch.setattr(mm, "masked_dot_probe", spy)
+        monkeypatch.setattr(base, "csr_to_csc_arrays", no_rebuild)
+        _force_dot(monkeypatch)
+        got = grb.Matrix(grb.FP64, 20, 20)
+        with engine.force_rule("mxm", "mxm-masked-dot"):
+            grb.mxm(got, a, b, sr, mask=grb.structure(mobj))
         assert_same_matrix(got, ref)
+        assert len(fed) == 1
+        assert fed[0][0] is cached[0] and fed[0][1] is cached[1]
+        assert b._S()._csc is cached
 
 
 class TestRestrictedFallbacks:

@@ -153,12 +153,12 @@ class TestStructural:
         np.testing.assert_array_equal(out.keys(), twin.keys())
         np.testing.assert_array_equal(out.to_dense(), twin.to_dense())
 
-    def test_select_to_hypersparse(self, rng):
+    def test_select_to_few_live_rows(self, rng):
         dense = np.zeros((256, 8))
         dense[rng.integers(0, 256, 150), rng.integers(0, 8, 150)] = 0.5
         dense[[3, 77, 200]] = rng.random((3, 8)) + 1.0
         out = grb.Matrix.from_dense(dense).select("valuegt", 0.75)
-        assert out._store.fmt == "hypersparse" and out.nvals == 24
+        assert out.format == "csr" and out.nvals == 24
         np.testing.assert_array_equal(out.to_dense(), np.where(dense > 0.75, dense, 0))
         np.testing.assert_array_equal(np.flatnonzero(np.diff(out.indptr)),
                                       [3, 77, 200])

@@ -17,10 +17,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro import grb
+from repro.grb import engine
 
 __all__ = [
     "sparse_vectors", "vector_pairs", "sparse_matrices", "random_graphs",
-    "random_graph_np", "store_bytes", "ab_ratio",
+    "random_graph_np", "store_bytes", "ab_ratio", "MATRIX_LAYOUTS",
+    "in_layout",
 ]
 
 
@@ -130,6 +132,23 @@ def random_graph_np(rng, n=40, p=0.1, directed=True, weighted=False, seed=None):
         A = grb.Matrix.from_coo(r, c, np.ones(r.size, bool), n, n)
     kind = lg.ADJACENCY_DIRECTED if directed else lg.ADJACENCY_UNDIRECTED
     return lg.Graph(A, kind)
+
+
+#: Every matrix operand layout a format lattice crosses: each storage format
+#: with its cached transpose (the store's ``_csc`` slot) cold, or pre-built by
+#: ``engine.preplan`` as a registered serving graph arrives.
+MATRIX_LAYOUTS = ("csr", "bitmap", "csr+AT", "bitmap+AT")
+
+
+def in_layout(m, layout: str):
+    """Pin ``m`` to ``layout``'s format; a ``+AT`` suffix also warms the
+    cached transpose.  Returns ``m``."""
+    fmt, _, warm = layout.partition("+")
+    m.set_format(fmt)
+    if warm:
+        engine.preplan(m)
+        assert m._S()._csc is not None
+    return m
 
 
 def store_bytes(owners) -> int:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from helpers import ab_ratio, random_graph_np, random_graphs
+from helpers import (MATRIX_LAYOUTS, ab_ratio, in_layout, random_graph_np,
+                     random_graphs)
 from repro import lagraph as lg
 from repro.gap import datasets, verify
 from repro.gap.harness import _sources
@@ -69,10 +70,17 @@ class TestBfsParentAuto:
         s = int(np.flatnonzero(np.diff(road.A.indptr) > 0)[0])
         assert lg.bfs_parent_auto(road, s).isequal(lg.bfs_parent_push(road, s))
 
-    def test_csc_pinned_adjacency(self):
+    @pytest.mark.parametrize("layout", MATRIX_LAYOUTS)
+    def test_pull_probe_in_every_layout(self, layout, monkeypatch):
+        # every level pulls, probing the adjacency's transpose in the
+        # layout under test (cold, or pre-built as a registered graph's)
         g = random_graph_np(np.random.default_rng(2), n=50, p=0.1)
-        g.A.set_format("csc")
-        assert lg.bfs_parent_auto(g, 3).isequal(lg.bfs_parent_push(g, 3))
+        ref = lg.bfs_parent_push(g, 3)
+        in_layout(g.A, layout)
+        assert g.AT is None                 # the store's own transpose feeds
+        monkeypatch.setattr(cost, "PUSHPULL_ALPHA", float("inf"))
+        monkeypatch.setattr(cost, "PUSHPULL_BETA", float("inf"))
+        assert lg.bfs_parent_auto(g, 3).isequal(ref)
 
     def test_isolated_source(self):
         g = random_graph_np(np.random.default_rng(4), n=20, p=0.0)

@@ -7,8 +7,7 @@
   in-place write, kill-switch window or ``metrics.reset()`` can make the
   exported gauge drift from the heap;
 * ``nbytes_components()`` / ``cache_nbytes()`` split authoritative arrays
-  from materialised derived views (the hypersparse CSR cache aliases the
-  authoritative triple, so only the expanded indptr may count);
+  from materialised derived views;
 * ``profiling(memory=True)`` arms tracemalloc and lands per-kernel
   ``mem_alloc`` / ``mem_peak`` columns;
 * ``format_audit()`` estimates every candidate format's footprint.
@@ -73,15 +72,6 @@ class TestComponentAccounting:
         st.transpose_csr()       # materialise the derived CSC view
         assert st.cache_nbytes() > 0
         assert st.nbytes() == base          # authoritative side unchanged
-
-    def test_hypersparse_cache_dedups_aliased_arrays(self):
-        m = _mat(n=1000, nnz=30)
-        m.set_format("hypersparse")
-        st = m._store
-        st.csr()                            # materialise the CSR cache
-        # the cached CSR triple aliases the authoritative indices/values;
-        # only the expanded indptr may be charged to the cache
-        assert 0 < st.cache_nbytes() <= 2 * (st.nrows + 1) * 8
 
     def test_vector_components(self):
         v = grb.Vector.from_coo([1, 5, 7], [1.0, 2.0, 3.0], 10)
@@ -242,10 +232,9 @@ class TestReportTier:
                 if r["shape"] == (400, 400) and r["format"] == "bitmap"]
         assert rows
         row = rows[0]
-        assert row["best"] in ("csr", "csc", "hypersparse")
+        assert row["best"] == "csr"
         assert row["savings_bytes"] > 0
-        assert set(row["estimates"]) == {"csr", "csc", "bitmap",
-                                         "hypersparse"}
+        assert set(row["estimates"]) == {"csr", "bitmap"}
 
     def test_json_snapshot_and_report_have_memory_sections(self):
         m = _mat()

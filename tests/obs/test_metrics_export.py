@@ -101,10 +101,12 @@ class TestKillSwitch:
         each instrumented layer as shipped (counters live, no trace sink,
         no profiling) against itself with the switch thrown, where every
         site is its bare guard.  kron-small triangle counting and a
-        32-source serve burst (measured cost 1 % and 3 %; asserted: under
-        a fifth), and road-small delta-stepping SSSP, hundreds of
-        near-empty levels where per-dispatch and per-write cost is all
-        there is (measured cost 1–4 %; asserted: under a tenth)."""
+        32-source serve burst (measured cost 1 % and 3 %), and road-small
+        delta-stepping SSSP, hundreds of near-empty levels where
+        per-dispatch and per-write cost is all there is (12 reads of the
+        ratio on one machine: 0.86–1.07, centred near 1.0 — the cost is
+        below the run-to-run noise).  Asserted for every layer: a cost
+        under a fifth."""
         g = kron_small
         burst = [serve.BFSLevels(int(s)) for s in _sources(g, 32)]
 
@@ -115,7 +117,7 @@ class TestKillSwitch:
                            1 / 1.2),
                 "serve": (lambda: svc.query_many("kron", burst), 1, 1 / 1.2),
                 "road": (lambda: lg.sssp_delta_stepping(road_small, 0), 4,
-                         1 / 1.1),
+                         1 / 1.2),
             }[layer]
             killed = mock.patch.object(metrics, "ENABLED", False)(work)
             work()

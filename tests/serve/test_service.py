@@ -259,20 +259,13 @@ class TestErrorsAndLifecycle:
 
 
 class TestWarmProfiles:
-    """register(warm=) format pre-pinning and submit-side lazy registration."""
+    """register(warm=) operand pre-building and submit-side lazy
+    registration."""
 
     def test_warm_default_builds_pull_machinery(self, service, rng):
         g = random_graph_np(rng, n=40, p=0.1)
         service.register("warmed", g, warm=True)
         assert g.AT is not None and g.row_degree is not None
-
-    def test_warm_pull_pins_csc(self, service, rng):
-        g = random_graph_np(rng, n=40, p=0.1)
-        service.register("pull", g, warm="pull")
-        assert g.A.format == "csc" and g.A.format_pin == "csc"
-        # queries still answer identically on the pinned layout
-        res = service.query("pull", serve.BFSLevels(0))
-        assert res.isequal(lg.bfs_level(g, 0))
 
     def test_warm_msbfs_prebuilds_pattern_operands(self, service, rng):
         g = random_graph_np(rng, n=40, p=0.1)
@@ -280,10 +273,11 @@ class TestWarmProfiles:
         assert g.A._pattern_scipy is not None
         assert np.dtype(np.int64) in g.A._pattern_scipy
 
-    def test_unknown_warm_profile_rejected(self, service, rng):
+    @pytest.mark.parametrize("profile", ["nope", "pull"])
+    def test_unknown_warm_profile_rejected(self, service, rng, profile):
         g = random_graph_np(rng, n=10, p=0.2)
         with pytest.raises(ValueError):
-            service.register("bad", g, warm="nope")
+            service.register("bad", g, warm=profile)
 
     def test_submit_lazy_registration(self, service, rng):
         g = random_graph_np(rng, n=40, p=0.1)
