@@ -21,7 +21,6 @@ from ...obs.profile import profiled
 
 __all__ = [
     "SelectOp",
-    "live_thunk",
     "eval_unary",
     "eval_select",
     "TRIL",
@@ -39,14 +38,6 @@ __all__ = [
     "COLLE",
     "by_name",
 ]
-
-
-def live_thunk(thunk) -> bool:
-    """Whether ``thunk`` is an object read when the predicate runs (a
-    ``Vector``) rather than a value fixed when the call was made: such a
-    read is one of a recorded call's dependencies, and its result is not
-    a function of the call's arguments alone."""
-    return hasattr(thunk, "_thunk_view")
 
 
 @dataclass(frozen=True)
@@ -76,7 +67,7 @@ class SelectOp:
     keyed: bool = False
 
     def __call__(self, values, i, j, thunk) -> np.ndarray:
-        if live_thunk(thunk):
+        if hasattr(thunk, "_thunk_view"):
             thunk = thunk._thunk_view()
         return np.asarray(self.fn(values, i, j, thunk), dtype=bool)
 

@@ -55,7 +55,6 @@ from .plan import (
 from .rules import (
     PlanningError,
     Rule,
-    analyze,
     dispatch,
     force_rule,
     register,
@@ -66,7 +65,7 @@ from .executors import write_back
 
 __all__ = [
     "cost", "plancache", "Plan", "Epilogue",
-    "execute", "dispatch", "analyze",
+    "execute", "dispatch",
     "plan_mxm", "plan_mxv", "plan_vxm", "plan_ewise_add", "plan_ewise_mult",
     "plan_apply", "plan_select", "plan_assign", "plan_assign_scalar",
     "plan_update", "choose_direction", "preplan",
@@ -80,21 +79,16 @@ def execute(plan: Plan):
     return dispatch(plan)
 
 
-def preplan(a, *, profile: str = "default", plans=()) -> dict:
-    """Warm the planner: operand state *and* cached decisions.
+def preplan(a, *, profile: str = "default") -> dict:
+    """Warm the planner's operand state.
 
     Serving stacks call this at graph-registration time so the first query
     pays no one-off conversions: the canonical CSR view, the cached
     CSC/transpose arrays (what ``mxm-masked-dot`` feeds as ``Bᵀ`` and the
     pull kernels probe), and — under the ``"msbfs"`` profile — the all-ones
-    pattern operands of the structural multiplies.
-
-    ``plans`` warms *decisions*, not just operand state: each plan is run
-    through the rule choosers (:func:`analyze`) **without executing**, so
-    its claimed rule and operand feeds land in the keyed plan cache
-    (:mod:`~repro.grb.engine.plancache`) and the first real dispatch of
-    the same shape is a hit.  Returns a summary dict (also delivered as an
-    ``op="preplan"`` decision record when something consumes them).
+    pattern operands of the structural multiplies.  Returns a summary dict
+    (also delivered as an ``op="preplan"`` decision record when something
+    consumes them).
     """
     import numpy as np
 
@@ -105,11 +99,10 @@ def preplan(a, *, profile: str = "default", plans=()) -> dict:
     if profile == "msbfs":
         a.pattern_operand(np.int64)
         built.append("pattern_operand")
-    warmed = tuple(analyze(p) for p in plans)
     summary = {
         "op": "preplan", "profile": profile, "format": a.format,
         "nrows": a.nrows, "ncols": a.ncols, "nvals": a.nvals,
-        "built": tuple(built), "warmed_rules": warmed,
+        "built": tuple(built),
     }
     if _profile.deciding():
         _profile.decision(summary)

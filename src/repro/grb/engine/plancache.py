@@ -2,26 +2,25 @@
 
 Every dispatch of a cacheable plan is keyed by its **shape** — the
 operation kind, the operator, the descriptor bits (mask kind, accumulator,
-replace, transposition), the epilogue chain, and a *signature* per operand
-— mapped to the claiming rule, its decision detail, and the reusable
+replace, transposition), the epilogue chain, and each operand's uid —
+mapped to the claiming rule, its decision detail, and the reusable
 **operand feeds** the rule's analysis computed (the dot kernel's
 mask-coordinate/length arrays, the fallback paths' live-row sets, the
 ewise rules' bitmap views).  On a hit, dispatch jumps straight to the
 claimed rule with the feeds re-attached: none of the per-call analysis —
 probe counting, flop sampling, live-row scans — runs at all.
 
-Operand signatures
-------------------
-An operand's signature is ``(uid, store_version)``: the uid is unique for
-the process lifetime and the version bumps on every mutation, so a stale
-entry can never be *served* — it simply stops matching.  Objects derived
-deterministically from others (``pattern()``, ``tril``/``triu``/
-``select``, ``ewise_add`` conveniences, ``extract``, the cached
-transpose) additionally carry a **lineage** signature naming the
-derivation and the parents' signatures; two derivations of the same
-parents at the same versions are bit-identical by construction, so
-repeated queries that rebuild their working matrices from a registered
-graph (``A.pattern().tril(-1)`` …) still hit.
+Operand keys
+------------
+An operand's key is ``(uid, store_version)``: the uid names one object
+for the process lifetime and the version bumps on every mutation, so a
+stale entry can never be *served* — it simply stops matching.  The key
+names an object, not how it was made: a repeated query hits when it
+re-reads the *same* operands.  Algorithms that derive their working
+matrices from a graph (triangle counting's degree-sorted ``L``/``U``)
+keep them on the :class:`~repro.lagraph.Graph`, beside ``G.AT``, until
+``invalidate_properties()`` drops them; a rebuilt operand is a new
+object and a plain miss.
 
 Safety
 ------
@@ -29,9 +28,12 @@ Planner rules are result-identical by the engine's core invariant (the
 parity suite forces every rule against the reference), so even a colliding
 *rule pin* could only cost performance — but the feeds are content-derived
 arrays, so feed reuse is keyed exactly: every operand of the plan,
-including the mask's object and the output, contributes its signature.
+the mask's object included, contributes its uid and store version.
 Version keys make invalidation implicit; an entry whose shape matches but
-whose versions moved is overwritten (counted as an invalidation).
+whose versions moved is overwritten (counted as an invalidation).  An
+entry also dies with any of its operands: a uid is never reused, so once
+an operand is collected its entries can never hit again, and the next
+:func:`store` drops them (a weak reference per operand reports the death).
 
 Counters (hits / misses / invalidations) are process-global and surfaced
 in the decision records (:func:`repro.obs.decision`) — each cached
@@ -42,7 +44,8 @@ invalidations emit their own ``op="plancache"`` record.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+import weakref
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,9 +101,12 @@ class CacheEntry:
     feeds: dict
     nbytes: int = 0
     #: Attribution label resolved at store time from the shape's operand
-    #: identities (see :mod:`repro.obs.identity`); ``None`` when no
-    #: registered graph's signature appears among the operands.
+    #: uids (see :mod:`repro.obs.identity`); ``None`` when no registered
+    #: graph holds any of the operands.
     graph: Optional[str] = None
+    #: Weak references to the operands, each reporting its referent's
+    #: death to :data:`_dead` (they die unfired with the entry).
+    refs: tuple = ()
 
 
 @dataclass
@@ -124,6 +130,10 @@ _total_bytes = 0
 _hits = 0
 _misses = 0
 _invalidations = 0
+#: Shapes an operand of which was collected — appended by weak-reference
+#: callbacks (lock-free, like ``repro.obs.memory``'s retirement queue) and
+#: dropped from the cache at the next :func:`store`.
+_dead: deque = deque()
 
 
 def _cost_fingerprint() -> tuple:
@@ -143,49 +153,26 @@ def _cost_fingerprint() -> tuple:
             cost.FALLBACK_WRITE_COST, _profile.deep_active())
 
 
-def _operand_sig(obj):
-    """``(ident, version)`` — uid-based, or lineage-based when still valid."""
-    sig = getattr(obj, "_plan_sig", None)
-    if sig is None:
-        return None
-    return sig()
-
-
-def shape_key(plan) -> Optional[tuple]:
-    """The cache key of a plan, as ``(shape, versions)``.
+def shape_key(plan) -> tuple:
+    """The cache key of a plan, as ``(shape, versions, operands)``.
 
     ``shape`` holds the operation kind, operator, descriptor bits,
-    epilogue chain and every operand's *identity*; ``versions`` the
-    matching content-version tuple — a shape hit with moved versions is an
-    invalidation, not an unrelated miss.  Returns ``None`` when any
-    operand cannot be signed (the plan is then simply not cached).
+    epilogue chain, mask kind and, last, every operand's uid (the mask's
+    last); ``versions`` the matching store-version tuple — a shape hit
+    with moved versions is an invalidation, not an unrelated miss —
+    and ``operands`` the objects themselves (:func:`store` watches them).
     Thunks are *not* part of the key: no rule's choice or feeds depend on
     them (they parameterise the result, which every rule computes
     identically).
     """
-    idents = []
-    versions = []
-    for obj in plan.args:
-        s = _operand_sig(obj)
-        if s is None:
-            return None
-        idents.append(s[0])
-        versions.append(s[1])
     m = plan.mask
-    if m is not None:
-        s = _operand_sig(m.obj)
-        if s is None:
-            return None
-        idents.append(("mask", m.structural, m.complemented, s[0]))
-        versions.append(s[1])
+    objs = plan.args if m is None else (*plan.args, m.obj)
     # the output contributes nothing: no cacheable rule's ``applies``
     # reads the output at all (mxm decisions depend on the inputs and the
     # mask alone; the write-back runs fresh every dispatch), so a query's
-    # fresh output object must not poison the key — and an ``out=None``
-    # analysis pass (engine.preplan's decision warming) shares its entry
-    # with the real dispatches.  Revisit if an op whose rules inspect
-    # ``plan.out`` ever becomes cacheable (mxv's fused-dense-accum reads
-    # the output's fill, for example).
+    # fresh output object must not poison the key.  Revisit if an op whose
+    # rules inspect ``plan.out`` ever becomes cacheable (mxv's
+    # fused-dense-accum reads the output's fill, for example).
     op = plan.operator
     shape = (
         plan.op,
@@ -196,19 +183,20 @@ def shape_key(plan) -> Optional[tuple]:
         plan.transpose_b,
         tuple((e.kind, getattr(e.op, "name", None), e.absolute)
               for e in plan.epilogues),
-        tuple(idents),
+        None if m is None else (m.structural, m.complemented),
         _cost_fingerprint(),
+        tuple(obj._uid for obj in objs),    # last: read for attribution
     )
-    return shape, tuple(versions)
+    return shape, tuple(obj.store_version for obj in objs), objs
 
 
 def lookup(key) -> Optional[CacheEntry]:
-    """The entry for ``key = (shape, versions)``, or ``None``.
+    """The entry for ``key`` (from :func:`shape_key`), or ``None``.
 
     A shape match with moved versions counts as an invalidation (the entry
     is dropped; the caller will re-analyse and :func:`store`)."""
     global _hits, _misses, _invalidations, _total_bytes
-    shape, versions = key
+    shape, versions, _ = key
     invalidated = None
     with _lock:
         entry = _entries.get(shape)
@@ -230,8 +218,8 @@ def lookup(key) -> Optional[CacheEntry]:
             _EVENTS.labels("invalidate").inc()
     if invalidated is not None and _profile.deciding():
         # graph/shape_key make serve-side invalidation storms attributable:
-        # the graph label is the registered owner of an operand identity in
-        # the shape, the shape key a stable fingerprint for correlating
+        # the graph label is the registered owner of an operand in the
+        # shape, the shape key a stable fingerprint for correlating
         # repeated invalidations of one plan shape across records
         _profile.decision({"op": "plancache", "event": "invalidate",
                            "plan_op": shape[0], "rule": invalidated.rule,
@@ -252,17 +240,26 @@ def _evict_locked() -> None:
 
 def store(key, rule: str, detail: dict, feeds: dict) -> None:
     global _total_bytes
-    shape, versions = key
+    shape, versions, objs = key
     nbytes = _feed_nbytes(feeds)
     if nbytes > FEED_ENTRY_BYTES_CAP:
         feeds, nbytes = {}, 0       # decision still cached, feeds too large
-    graph = _identity.find(shape)
+    graph = _identity.find(shape[-1])
+
+    def died(_ref, shape=shape):
+        _dead.append(shape)
+
+    refs = tuple(weakref.ref(obj, died) for obj in objs)
     with _lock:
+        while _dead:
+            gone = _entries.pop(_dead.popleft(), None)
+            if gone is not None:
+                _total_bytes -= gone.nbytes
         old = _entries.get(shape)
         if old is not None:
             _total_bytes -= old.nbytes
         _entries[shape] = CacheEntry(versions, rule, dict(detail), feeds,
-                                     nbytes, graph)
+                                     nbytes, graph, refs)
         _entries.move_to_end(shape)
         _total_bytes += nbytes
         _evict_locked()
@@ -274,7 +271,7 @@ def update_feeds(key, feeds: dict) -> None:
     Only applies when the entry still matches the key's versions — a
     concurrent invalidation simply drops the update."""
     global _total_bytes
-    shape, versions = key
+    shape, versions, _ = key
     nbytes = _feed_nbytes(feeds)
     if nbytes > FEED_ENTRY_BYTES_CAP:
         return
@@ -296,6 +293,7 @@ def clear() -> None:
     global _hits, _misses, _invalidations, _total_bytes
     with _lock:
         _entries.clear()
+        _dead.clear()
         _hits = _misses = _invalidations = 0
         _total_bytes = 0
 

@@ -41,7 +41,7 @@ from .. import cancel as _cancel
 from . import cost, plancache
 from .plan import Plan
 
-__all__ = ["Rule", "register", "rules_for", "dispatch", "analyze",
+__all__ = ["Rule", "register", "rules_for", "dispatch",
            "force_rule", "PlanningError"]
 
 
@@ -266,17 +266,3 @@ def dispatch(plan: Plan):
     out = _run_rule(plan, rule, detail, deep, hit)
     _feed_pickup(plan, cache_key)
     return out
-
-
-def analyze(plan: Plan) -> str:
-    """Run the chooser for ``plan`` — caching its decision — *without*
-    executing it; returns the claiming rule's name.
-
-    This is what :func:`repro.grb.engine.preplan` uses to warm planner
-    *decisions* (not just operand state): the analysed plan's cache entry
-    makes the first real dispatch of the same shape a hit.
-    """
-    forced = _forced_var.get().get(plan.op)
-    rule, _, _ = _claim(plan, forced, _cache_key(plan, forced),
-                        _profile.deciding())
-    return rule.name

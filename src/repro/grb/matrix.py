@@ -71,7 +71,7 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "type", "_store", "_format",
                  "_scipy", "_pattern_scipy", "_vals_positive", "_vals_finite",
                  "_transpose", "_keys", "_pending", "_uid", "_version",
-                 "_lineage", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, typ, nrows: int, ncols: int):
         self.type = typ if isinstance(typ, Type) else from_dtype(typ)
@@ -90,7 +90,6 @@ class Matrix:
         self._pending = None
         self._uid = next(_uids)        # process-unique, never reused
         self._version = 0              # store version: bumps on mutation
-        self._lineage = None           # derivation signature (plan cache)
         _obsmem.register(self)
 
     # ------------------------------------------------------------------
@@ -183,15 +182,12 @@ class Matrix:
     def dup(self) -> "Matrix":
         """``C ↤ A``: an independent copy (same format, same pin).
 
-        The copy carries the source's plan signature: its content is
-        bit-identical to the source at this version, so plans cached
-        against the source stay valid for the copy (until it mutates).
+        The copy is a new object with its own uid, so it shares no
+        plan-cache entry with the source.
         """
         m = Matrix(self.type, self.nrows, self.ncols)
         m._store = self._S().copy()
         m._format = self._format
-        ident, version = self._plan_sig()
-        m._set_lineage(ident, version, permanent=True)
         return m
 
     # ------------------------------------------------------------------
@@ -353,48 +349,13 @@ class Matrix:
         self._version += 1    # any memoization keyed on the old version dies
 
     # ------------------------------------------------------------------
-    # plan-cache signatures (see repro.grb.engine.plancache)
+    # plan-cache key: (uid, store_version) (see repro.grb.engine.plancache)
     # ------------------------------------------------------------------
     @property
     def store_version(self) -> int:
         """Monotone content/layout version (bumps on every mutation)."""
         self._flush_pending()
         return self._version
-
-    def _plan_sig(self):
-        """``(ident, version)`` for plan-cache keys.
-
-        The identity is this object's process-unique uid — or, for an
-        object derived deterministically from others (``pattern()``,
-        ``tril``, the cached transpose, …) that has not been mutated
-        since, its *lineage*: the derivation name plus the parents'
-        signatures.  Lineage is what lets a repeated query that rebuilds
-        its working matrices from the same source hit the cache.
-        """
-        self._flush_pending()
-        lin = self._lineage
-        if lin is not None:
-            if lin[0] == self._version:
-                return lin[1], lin[2]
-            if lin[3]:
-                # identity alias (dup): the ident outlives mutation so a
-                # stale cache entry is *found* and invalidated rather than
-                # orphaned under a brand-new uid.  The version diverges
-                # into a per-object namespace — a tuple carrying this
-                # object's uid can never collide with the source's integer
-                # versions or another alias's divergence.
-                return lin[1], ("~", self._uid, self._version)
-        return ("M", self._uid), self._version
-
-    def _set_lineage(self, ident, version, permanent=False):
-        """Tag this object as a deterministic derivation (valid until the
-        next mutation).  ``ident`` may hold live operator/thunk objects —
-        identity-hashed and pinned by the tuple, so it can never be
-        confused with a different operator reusing the same name.
-        ``permanent=True`` (``dup``) keeps the *ident* as an alias even
-        after mutation; only the version diverges."""
-        self._lineage = (self._version, ident, version, permanent)
-        return self
 
     def keys(self) -> np.ndarray:
         """Sorted linearised COO keys ``i * ncols + j`` (cached)."""
@@ -627,11 +588,7 @@ class Matrix:
         rows = _index_array(rows, self.nrows, "extract")
         cols = _index_array(cols, self.ncols, "extract")
         sub = self.to_scipy()[rows][:, cols]
-        out = Matrix.from_scipy(sub, typ=self.type)
-        ident, version = self._plan_sig()
-        return out._set_lineage(
-            ("extract", rows.size, hash(rows.tobytes()),
-             cols.size, hash(cols.tobytes()), ident), version)
+        return Matrix.from_scipy(sub, typ=self.type)
 
     # ------------------------------------------------------------------
     # structural operations
@@ -652,8 +609,6 @@ class Matrix:
             t.indptr = tip.copy()
             t.indices = tix.copy()
             t.values = tvals.copy()
-            ident, version = self._plan_sig()
-            t._set_lineage(("T", ident), version)
             self._transpose = t
         return self._transpose
 
@@ -667,8 +622,7 @@ class Matrix:
         indptr, indices, _ = self._S().csr()
         m._set_from_csr(indptr.copy(), indices.copy(),
                         np.ones(indices.size, dtype=typ.dtype))
-        ident, version = self._plan_sig()
-        return m._set_lineage(("pattern", typ.name, ident), version)
+        return m
 
     def select(self, op, thunk=None) -> "Matrix":
         """``A⟨f(A, k)⟩``: keep entries satisfying the predicate.
@@ -687,14 +641,7 @@ class Matrix:
         kept = np.concatenate(([0], np.cumsum(keep)))
         out = Matrix(self.type, self.nrows, self.ncols)
         out._set_from_csr(kept[indptr], indices[keep], values[keep])
-        if _selectops.live_thunk(thunk):
-            return out     # a vector thunk is read, not named (Vector.select)
-        try:
-            hash(thunk)
-        except TypeError:
-            return out     # unhashable thunk: no derivation signature
-        ident, version = self._plan_sig()
-        return out._set_lineage(("select", op, thunk, ident), version)
+        return out
 
     def tril(self, k: int = 0) -> "Matrix":
         """``L = tril(A)``: entries on/below diagonal ``k``."""
@@ -726,20 +673,13 @@ class Matrix:
     # ------------------------------------------------------------------
     # element-wise (unmasked conveniences)
     # ------------------------------------------------------------------
-    def _ewise_lineage(self, other: "Matrix", op, tag: str,
-                       out: "Matrix") -> "Matrix":
-        a_ident, a_version = self._plan_sig()
-        b_ident, b_version = other._plan_sig()
-        return out._set_lineage((tag, op, a_ident, b_ident),
-                                (a_version, b_version))
-
     def ewise_add(self, other: "Matrix", op: BinaryOp) -> "Matrix":
         """``A op∪ B``: union merge (dense path when both bitmap-resident)."""
         self._check_same_shape(other)
         keys, vals = merge_objects(self, other, op, union=True)
         out = Matrix(from_dtype(vals.dtype), self.nrows, self.ncols)
         out._set_from_keys(keys, vals)
-        return self._ewise_lineage(other, op, "ewise_add", out)
+        return out
 
     def ewise_mult(self, other: "Matrix", op: BinaryOp) -> "Matrix":
         """``A op∩ B``: intersection merge."""
@@ -747,7 +687,7 @@ class Matrix:
         keys, vals = merge_objects(self, other, op, union=False)
         out = Matrix(from_dtype(vals.dtype), self.nrows, self.ncols)
         out._set_from_keys(keys, vals)
-        return self._ewise_lineage(other, op, "ewise_mult", out)
+        return out
 
     # ------------------------------------------------------------------
     # reductions

@@ -45,7 +45,7 @@ class Vector:
     """A sparse vector of a fixed :class:`~repro.grb.types.Type` and size."""
 
     __slots__ = ("size", "type", "_store", "_format", "_uid", "_version",
-                 "_lineage", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, typ, size: int):
         if isinstance(typ, Type):
@@ -59,32 +59,15 @@ class Vector:
         self._format = "auto"
         self._uid = next(_uids)        # process-unique, never reused
         self._version = 0              # store version: bumps on mutation
-        self._lineage = None           # derivation signature (plan cache)
         _obsmem.register(self)
 
     # ------------------------------------------------------------------
-    # plan-cache signatures (see repro.grb.engine.plancache)
+    # plan-cache key: (uid, store_version) (see repro.grb.engine.plancache)
     # ------------------------------------------------------------------
     @property
     def store_version(self) -> int:
         """Monotone content/layout version (bumps on every mutation)."""
         return self._version
-
-    def _plan_sig(self):
-        """``(ident, version)`` for plan-cache keys (see Matrix)."""
-        lin = self._lineage
-        if lin is not None:
-            if lin[0] == self._version:
-                return lin[1], lin[2]
-            if lin[3]:
-                # identity alias (dup) — see Matrix._plan_sig: the ident
-                # survives mutation, the version diverges per-object
-                return lin[1], ("~", self._uid, self._version)
-        return ("V", self._uid), self._version
-
-    def _set_lineage(self, ident, version, permanent=False):
-        self._lineage = (self._version, ident, version, permanent)
-        return self
 
     # ------------------------------------------------------------------
     # construction
@@ -164,14 +147,12 @@ class Vector:
     def dup(self) -> "Vector":
         """``w ↤ u``: an independent copy (same format, same pin).
 
-        Carries the source's plan signature — the copy is bit-identical
-        at this version, so cached plans stay valid until it mutates.
+        The copy is a new object with its own uid, so it shares no
+        plan-cache entry with the source.
         """
         w = Vector(self.type, self.size)
         w._store = self._store.copy()
         w._format = self._format
-        ident, version = self._plan_sig()
-        w._set_lineage(ident, version, permanent=True)
         return w
 
     # ------------------------------------------------------------------
@@ -429,7 +410,7 @@ class Vector:
             cols=lambda: np.zeros(self._idx.size, dtype=np.int64))
         out = Vector(from_dtype(vals.dtype), self.size)
         out._set_sparse(self._idx.copy(), vals)
-        return self._derived(out, ("apply", op, thunk))
+        return out
 
     def select(self, op, thunk=None) -> "Vector":
         """``u⟨f(u, k)⟩``: keep entries where the predicate holds."""
@@ -442,11 +423,7 @@ class Vector:
             keep = op(self._vals, None, None, thunk)
         out = Vector(self.type, self.size)
         out._set_sparse(self._idx[keep], self._vals[keep])
-        if _selectops.live_thunk(thunk):
-            # a vector thunk is read, not named: what it held is not in
-            # the tag, so the result is no deterministic derivation
-            return out
-        return self._derived(out, ("select", op, thunk))
+        return out
 
     def reduce(self, monoid: Monoid):
         """``s = [⊕ᵢ u(i)]``: reduce all entries to a scalar."""
@@ -456,18 +433,7 @@ class Vector:
         """Structure-only copy with all values set to one."""
         out = Vector(typ, self.size)
         out._set_sparse(self._idx.copy(), np.ones(self._idx.size, dtype=typ.dtype))
-        return self._derived(out, ("pattern", typ.name))
-
-    def _derived(self, out: "Vector", tag: tuple) -> "Vector":
-        """Tag ``out`` with a derivation signature when the tag is
-        hashable (operator/thunk objects are identity-hashed and pinned
-        by the tuple — see :mod:`repro.grb.engine.plancache`)."""
-        try:
-            hash(tag)
-        except TypeError:
-            return out
-        ident, version = self._plan_sig()
-        return out._set_lineage(tag + (ident,), version)
+        return out
 
     def iso_value(self):
         """If all stored values are equal, that value; else ``None``."""

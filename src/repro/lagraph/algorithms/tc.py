@@ -36,6 +36,15 @@ operand's own CSR arrays as ``Bᵀ``, so no transpose is ever built.  The
 counts are bit-identical either way; ``tests/grb/test_masked_mxm.py``
 carries the ratio guard against the expand rule (23-24x on kron-small,
 ≥ 10x asserted).
+
+The prepared operands — the symmetrised, diagonal-free, degree-sorted
+pattern and its ``L``/``U`` — are derived data in the sense of Sec. II-B:
+both :func:`triangle_count` and :func:`triangle_count_basic` cache them on
+the caller's graph (:meth:`~repro.lagraph.Graph.derived_operand`, dropped
+by ``invalidate_properties()``), including when Basic mode symmetrises a
+directed input or strips self-edges.  A repeated count re-reads the same
+objects, so the engine's plan cache, keyed on operand uid and store
+version, serves its multiply.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from ..errors import InvalidKind, PropertyMissing
 from ..graph import Graph
 from ..kinds import Kind
 from ..utils.degree import sample_degree, sort_by_degree
+from ..utils.matrixops import undirected_pattern
 
 __all__ = ["triangle_count", "triangle_count_method", "METHODS"]
 
@@ -77,16 +87,22 @@ def triangle_count_method(a: Matrix, method: str = "sandia_lut") -> int:
     ``a`` is used structurally; values are ignored (that is the point of
     ``plus.pair``).  See the module docstring for the method catalogue.
     """
+    return _count(_split(a), method)
+
+
+def _split(a: Matrix) -> tuple:
+    """The prepared operands ``(A, L, U)`` of a pattern ``A``."""
+    return a, a.tril(-1), a.triu(1)
+
+
+def _count(operands: tuple, method: str) -> int:
     if method not in METHODS:
         raise ValueError(f"unknown TC method {method!r}; one of {METHODS}")
+    a, l, u = operands
     if method == "burkhardt":
         return _masked_pair_count(a, a, a, transpose_b=False) // 6
     if method == "cohen":
-        l = a.tril(-1)
-        u = a.triu(1)
         return _masked_pair_count(l, u, a, transpose_b=False) // 2
-    l = a.tril(-1)
-    u = a.triu(1)
     if method == "sandia_ll":
         return _masked_pair_count(l, l, l, transpose_b=False)
     if method == "sandia_uu":
@@ -95,6 +111,31 @@ def triangle_count_method(a: Matrix, method: str = "sandia_lut") -> int:
         return _masked_pair_count(l, u, l, transpose_b=True)
     # sandia_ult
     return _masked_pair_count(u, l, u, transpose_b=True)
+
+
+def _presort(g: Graph, presort: str | None) -> str | None:
+    """Alg. 6's permutation choice: ``"ascending"``, ``"descending"`` or
+    ``None`` (no permutation)."""
+    if presort is None:
+        return None
+    if presort not in ("auto", "ascending", "descending"):
+        raise ValueError(f"bad presort {presort!r}")
+    if g.row_degree is None:
+        raise PropertyMissing(f"presort={presort!r} requires cached row_degree")
+    if presort != "auto":
+        return presort
+    mean, median = sample_degree(g, byrow=True)
+    return "ascending" if mean > 4.0 * median else None
+
+
+def _prepare(g: Graph, direction: str | None) -> tuple:
+    """``_split`` of ``A``'s pattern, permuted by degree when asked."""
+    a = g.A.pattern()
+    if direction is not None:
+        perm = sort_by_degree(g, byrow=True,
+                              ascending=direction == "ascending")
+        a = a.extract(perm, perm)
+    return _split(a)
 
 
 def triangle_count(g: Graph, method: str = "sandia_lut",
@@ -110,6 +151,10 @@ def triangle_count(g: Graph, method: str = "sandia_lut",
     ``presort``: ``"auto"`` applies Alg. 6's rule (permute ascending by
     degree when sampled ``mean > 4 × median``), ``"ascending"`` /
     ``"descending"`` force it, ``None`` disables it.
+
+    The prepared operands — the (permuted) pattern and its ``L``/``U`` —
+    are cached on ``g`` (:meth:`Graph.derived_operand`), so a repeated
+    count re-reads them, and the plan cache serves its multiply.
     """
     if g.kind is not Kind.ADJACENCY_UNDIRECTED:
         if g.A_pattern_is_symmetric is None:
@@ -123,40 +168,20 @@ def triangle_count(g: Graph, method: str = "sandia_lut",
     if g.ndiag != 0:
         raise InvalidKind("triangle_count requires an empty diagonal "
                           "(use Basic mode to strip self-edges)")
-
-    a = g.A.pattern()
-    if presort == "auto":
-        if g.row_degree is None:
-            raise PropertyMissing("presort='auto' requires cached row_degree")
-        mean, median = sample_degree(g, byrow=True)
-        do_sort = mean > 4.0 * median
-        direction = "ascending"
-    elif presort in ("ascending", "descending"):
-        if g.row_degree is None:
-            raise PropertyMissing("explicit presort requires cached row_degree")
-        do_sort = True
-        direction = presort
-    elif presort is None:
-        do_sort = False
-        direction = "ascending"
-    else:
-        raise ValueError(f"bad presort {presort!r}")
-
-    if do_sort:
-        perm = sort_by_degree(g, byrow=True, ascending=direction == "ascending")
-        a = a.extract(perm, perm)
-    return triangle_count_method(a, method)
+    direction = _presort(g, presort)
+    return _count(g.derived_operand(("tc", direction),
+                                    lambda: _prepare(g, direction)), method)
 
 
 def triangle_count_basic(g: Graph, method: str = "sandia_lut") -> int:
-    """Basic mode: symmetrise if needed, drop self-edges, cache, count."""
-    a = g.A
-    if g.kind is not Kind.ADJACENCY_UNDIRECTED:
-        # symmetrise the pattern: A ∨ Aᵀ
-        a = a.pattern().ewise_add(a.T.pattern(), grb.binary.LOR)
-    if a.ndiag() != 0:
-        a = a.offdiag()
-    h = Graph(a, Kind.ADJACENCY_UNDIRECTED)
-    h.cache_row_degree()
-    h.cache_ndiag()
-    return triangle_count(h, method=method, presort="auto")
+    """Basic mode: symmetrise if needed, drop self-edges, cache, count.
+
+    The cleaned graph's prepared operands are cached on ``g`` itself, so a
+    repeated count on an unchanged ``g`` re-reads them."""
+
+    def prepare():
+        h = Graph(undirected_pattern(g, grb.BOOL), Kind.ADJACENCY_UNDIRECTED)
+        h.cache_row_degree()
+        return _prepare(h, _presort(h, "auto"))
+
+    return _count(g.derived_operand(("tc", "basic"), prepare), method)

@@ -25,7 +25,7 @@ from ... import grb
 from ...grb import Matrix, structure
 from ...grb import cancel as _cancel
 from ..graph import Graph
-from ..kinds import Kind
+from ..utils.matrixops import triangle_pattern
 
 __all__ = ["ktruss"]
 
@@ -40,11 +40,7 @@ def ktruss(g: Graph, k: int) -> Matrix:
     """
     if k < 3:
         raise grb.InvalidValue(f"k-truss needs k >= 3, got {k}")
-    a = g.A.pattern(grb.INT64)
-    if g.kind is not Kind.ADJACENCY_UNDIRECTED:
-        a = a.ewise_add(a.T, grb.binary.LOR).pattern(grb.INT64)
-    if a.ndiag():
-        a = a.offdiag()
+    a = triangle_pattern(g)      # cached on g; the peels never write it
     support = k - 2
     last_nvals = -1
     while a.nvals != last_nvals:

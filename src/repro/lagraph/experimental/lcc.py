@@ -20,7 +20,7 @@ import numpy as np
 from ... import grb
 from ...grb import Vector, engine, structure
 from ..graph import Graph
-from ..kinds import Kind
+from ..utils.matrixops import triangle_pattern
 
 __all__ = ["local_clustering_coefficient"]
 
@@ -32,18 +32,15 @@ def local_clustering_coefficient(g: Graph) -> Vector:
 
     Directed inputs are symmetrised first (Graphalytics treats the graph as
     undirected for LCC); self-edges are ignored.  Nodes with degree < 2
-    get coefficient 0.
+    get coefficient 0.  The cleaned pattern is cached on ``g``
+    (:func:`~repro.lagraph.utils.matrixops.triangle_pattern`).
 
     The per-node triangle counts ride the masked multiply as a fused
     ``reduce_rowwise`` epilogue: the row sums are taken from the masked
     SpGEMM kernel's output pass, and the ``n × n`` triangle matrix the seed
     materialised is never built.
     """
-    a = g.A.pattern(grb.INT64)
-    if g.kind is not Kind.ADJACENCY_UNDIRECTED:
-        a = a.ewise_add(a.T, grb.binary.LOR).pattern(grb.INT64)
-    if a.ndiag():
-        a = a.offdiag()
+    a = triangle_pattern(g)
     n = a.nrows
     # triangles through each edge, reduced per node inside the multiply's
     # output pass

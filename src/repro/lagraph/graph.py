@@ -19,11 +19,19 @@ Design points mirrored from the paper:
   exercised by the compat layer.
 * **Unknown states.**  Missing properties are ``None``; the unknown diagonal
   count is ``-1``, exactly as in Listing 1.
+* **Derived operands.**  Basic mode may compute and cache derived data on
+  ``G`` (Sec. II-B).  Algorithms that rebuild the same working matrices
+  from ``A`` on every call — triangle counting's degree-sorted ``L``/``U``,
+  the symmetric diagonal-free pattern of LCC and k-truss — keep them in a
+  private cache (:meth:`Graph.derived_operand`) that
+  :meth:`Graph.invalidate_properties` drops with the other properties.  A
+  repeated call then re-reads the same objects, which is what the engine's
+  plan cache keys on.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -43,7 +51,8 @@ class Graph:
     """An LAGraph graph: primary components plus cached properties."""
 
     __slots__ = ("A", "kind", "AT", "row_degree", "col_degree",
-                 "A_pattern_is_symmetric", "ndiag", "version")
+                 "A_pattern_is_symmetric", "ndiag", "version", "_operands",
+                 "__weakref__")
 
     def __init__(self, A: Matrix, kind: Kind):
         if not isinstance(A, Matrix):
@@ -67,6 +76,8 @@ class Graph:
         #: entries in :mod:`repro.serve`'s memo cache — keyed by
         #: ``(graph, version)`` die with the adjacency they were computed on.
         self.version: int = 0
+        #: derived operands (:meth:`derived_operand`), keyed by recipe
+        self._operands: dict = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -164,8 +175,35 @@ class Graph:
         self.cache_ndiag()
         return Status.SUCCESS
 
+    def derived_operand(self, key, build: Callable[[], object]):
+        """The operand cached under ``key``, built by ``build()`` on first
+        use and kept until :meth:`invalidate_properties`.
+
+        ``key`` names the recipe (``build`` must depend on nothing but
+        ``A``, ``kind`` and the cached properties).  The value is a
+        :class:`Matrix` or a tuple of them; callers read it and never
+        write into it.  Threads that race on a missing key each build it,
+        and all of them return the first value stored.
+        """
+        operands = self._operands     # an invalidation swaps in a new dict
+        value = operands.get(key)
+        if value is None:
+            value = operands.setdefault(key, build())
+        return value
+
+    def matrices(self) -> Iterator[Matrix]:
+        """Every matrix the graph holds now: ``A``, a cached ``AT`` and the
+        derived operands."""
+        yield self.A
+        at = self.AT
+        if at is not None:
+            yield at
+        for value in self._operands.copy().values():
+            yield from value if isinstance(value, tuple) else (value,)
+
     def invalidate_properties(self) -> int:
-        """``LAGraph_DeleteProperties``: drop all cached properties.
+        """``LAGraph_DeleteProperties``: drop all cached properties and
+        derived operands.
 
         Must be called by any code that mutates ``G.A`` (the consistency
         convention of Sec. II-A).  Also bumps :attr:`version`, so externally
@@ -177,6 +215,7 @@ class Graph:
         self.col_degree = None
         self.A_pattern_is_symmetric = BOOLEAN_UNKNOWN
         self.ndiag = -1
+        self._operands = {}
         self.version += 1
         return Status.SUCCESS
 

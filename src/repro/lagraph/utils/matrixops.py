@@ -4,16 +4,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...grb import binary
+from ...grb import INT64, binary
 from ...grb.matrix import Matrix
 from ...grb.ops.binary import BinaryOp
+from ...grb.types import Type
+from ..graph import Graph
+from ..kinds import Kind
 
-__all__ = ["pattern", "isequal", "isall"]
+__all__ = ["pattern", "undirected_pattern", "triangle_pattern", "isequal",
+           "isall"]
 
 
 def pattern(a: Matrix) -> Matrix:
     """Boolean matrix containing the structure of ``a`` (values all true)."""
     return a.pattern()
+
+
+def undirected_pattern(g: Graph, typ: Type) -> Matrix:
+    """The pattern of ``A ∨ Aᵀ`` without its diagonal, typed ``typ``: the
+    input every triangle-based algorithm needs, built from any graph
+    (Basic mode's clean-up, Sec. II-B)."""
+    a = g.A.pattern(typ)
+    if g.kind is not Kind.ADJACENCY_UNDIRECTED:
+        a = a.ewise_add(a.T, binary.LOR).pattern(typ)
+    if a.ndiag():
+        a = a.offdiag()
+    return a
+
+
+def triangle_pattern(g: Graph) -> Matrix:
+    """:func:`undirected_pattern` as INT64, cached on ``g`` until
+    ``g.invalidate_properties()`` — the operand LCC and k-truss share."""
+    return g.derived_operand("triangle_pattern",
+                             lambda: undirected_pattern(g, INT64))
 
 
 def isall(a: Matrix, b: Matrix, op: BinaryOp) -> bool:

@@ -1,61 +1,51 @@
-"""Operand-identity labels: mapping plan signatures back to graph names.
+"""Operand-identity labels: mapping matrix uids back to graph names.
 
-The plan cache keys operands by their lineage/uid signatures — opaque
-tuples like ``("M", 17)`` or ``("tril", ("pattern", ("M", 17)), -1)``.
-For attribution ("which graph's plans are being invalidated?") the serve
-layer registers each graph's adjacency signature here at ``register()``
-time; :func:`find` then recovers the label from any nested shape tuple by
-walking it for a registered leaf.
+The plan cache keys operands by uid.  For attribution ("which graph's
+plans are being invalidated?", "which graph owns this store?") the serve
+layer registers each graph here at ``register()`` time; :func:`labels`
+resolves the registered graphs' *current* matrices — ``A``, the cached
+``AT`` and the derived operands cached on the graph — to their label when
+it is read, so a property rebuilt after ``invalidate_properties()`` is
+attributed like the one it replaced.
 
-Process-global like the plan cache itself; label registration is an
-explicit, cheap opt-in (one dict write per registered graph).
+Process-global like the plan cache itself; registration is an explicit,
+cheap opt-in (one weak reference per registered graph).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+import weakref
+from typing import Dict, Iterable, Optional
 
-__all__ = ["register", "find", "clear"]
+__all__ = ["register", "labels", "find", "clear"]
 
 _lock = threading.Lock()
-_labels: Dict[tuple, str] = {}
+_graphs: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def register(ident, label: str) -> None:
-    """Bind an operand identity tuple (e.g. ``graph.A._plan_sig()[0]``)
-    to a human-readable label."""
-    if not isinstance(ident, tuple):
-        return
+def register(graph, label: str) -> None:
+    """Label every matrix ``graph`` holds (see
+    :meth:`repro.lagraph.Graph.matrices`) with ``label``."""
     with _lock:
-        _labels[ident] = str(label)
+        _graphs[graph] = str(label)
 
 
-def find(obj) -> Optional[str]:
-    """The label of the first registered identity nested inside ``obj``.
+def labels() -> Dict[int, str]:
+    """``{matrix uid: label}`` over the registered graphs, read now."""
+    with _lock:
+        graphs = list(_graphs.items())
+    return {m._uid: label for g, label in graphs for m in g.matrices()}
 
-    Walks tuples/lists depth-first: derived-operand lineage idents contain
-    their parents' idents, so a plan shaped from ``A.pattern().tril(-1)``
-    still resolves to ``A``'s registered graph.
-    """
-    if not _labels:
+
+def find(uids: Iterable[int]) -> Optional[str]:
+    """The label of the first of ``uids`` a registered graph holds."""
+    if not _graphs:
         return None
-    return _find(obj)
-
-
-def _find(obj) -> Optional[str]:
-    if isinstance(obj, tuple):
-        hit = _labels.get(obj)
-        if hit is not None:
-            return hit
-    if isinstance(obj, (tuple, list)):
-        for item in obj:
-            hit = _find(item)
-            if hit is not None:
-                return hit
-    return None
+    known = labels()
+    return next((known[u] for u in uids if u in known), None)
 
 
 def clear() -> None:
     with _lock:
-        _labels.clear()
+        _graphs.clear()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from . import identity as _identity
 from . import metrics as _metrics
@@ -111,16 +111,6 @@ def snapshot() -> Dict[str, dict]:
 # report tier: per-object attribution and the format-policy footprint audit
 # ---------------------------------------------------------------------------
 
-def _label_of(owner) -> Optional[str]:
-    lin = getattr(owner, "_lineage", None)
-    if lin is not None:
-        hit = _identity.find(lin[1])
-        if hit is not None:
-            return hit
-    kind = "M" if hasattr(owner, "ncols") else "V"
-    return _identity.find((kind, owner._uid))
-
-
 def _value_itemsize(st) -> int:
     for attr in ("values", "cvalues", "dense", "vals"):
         a = getattr(st, attr, None)
@@ -136,6 +126,7 @@ def top_stores(n: int = 10) -> List[dict]:
     with its registered graph where :mod:`repro.obs.identity` knows one.
     """
     rows = []
+    known = _identity.labels()
     for owner in _owners():
         st = owner._store
         is_matrix = hasattr(owner, "ncols")
@@ -147,7 +138,7 @@ def top_stores(n: int = 10) -> List[dict]:
             "nvals": int(st.nvals),
             "nbytes": int(st.nbytes()),
             "cache_nbytes": int(st.cache_nbytes()),
-            "graph": _label_of(owner),
+            "graph": known.get(owner._uid) if is_matrix else None,
         })
     rows.sort(key=lambda r: r["nbytes"], reverse=True)
     return rows[:n]
@@ -180,6 +171,7 @@ def format_audit() -> List[dict]:
     not materialised conversions, so the audit is read-only and cheap.
     """
     rows = []
+    known = _identity.labels()
     for owner in _owners():
         st = owner._store
         is_matrix = hasattr(owner, "ncols")
@@ -195,7 +187,7 @@ def format_audit() -> List[dict]:
             "estimates": est,
             "best": best,
             "savings_bytes": max(0, actual - est[best]),
-            "graph": _label_of(owner),
+            "graph": known.get(owner._uid) if is_matrix else None,
         })
     rows.sort(key=lambda r: r["savings_bytes"], reverse=True)
     return rows

@@ -345,13 +345,16 @@ class GraphService:
         dispatches through the engine's keyed plan cache
         (:mod:`repro.grb.engine.plancache`): the first query of a shape
         pays the choosers and leaves its claimed rule + operand feeds
-        behind, and every repeat on the same graph version skips them
-        (see :meth:`plan_cache_stats`).
+        behind, and a repeat that reads the same operands — the adjacency,
+        or the derived operands cached on the graph — skips them (see
+        :meth:`plan_cache_stats`).
         """
         if validate:
             self._validate_graph(name, graph)
         self.registry.register(name, graph)
-        self._label_graph(name, graph)
+        # attribution: plan-cache records and memory reports name the
+        # graph that holds an operand (repro.obs.identity)
+        _identity.register(graph, name)
         if warm:
             self._warm_graph(graph, warm)
         return self
@@ -366,17 +369,6 @@ class GraphService:
                 f"graph {name!r}: adjacency contains non-finite edge "
                 f"weights (NaN/inf); weighted kernels would return "
                 f"poisoned distances")
-
-    @staticmethod
-    def _label_graph(name: str, graph: Graph) -> None:
-        """Register the adjacency's plan signature under ``name`` so the
-        plan cache (and its invalidation records) can attribute entries
-        shaped from this graph's operands — including operands *derived*
-        from the adjacency (``A.pattern().tril(-1)`` …), whose lineage
-        signatures nest the registered identity."""
-        sig = getattr(graph.A, "_plan_sig", None)
-        if sig is not None:
-            _identity.register(sig()[0], name)
 
     @staticmethod
     def _warm_graph(graph: Graph, profile) -> None:
@@ -449,7 +441,7 @@ class GraphService:
         # atomic check-and-bind: racing lazy submitters can both reach
         # here, but only one binding lands
         self.registry.register_if_absent(name, graph)
-        self._label_graph(name, graph)
+        _identity.register(graph, name)
 
     def query(self, name: str, query: Query, *,
               deadline: Optional[float] = None):

@@ -10,7 +10,9 @@
   from materialised derived views;
 * ``profiling(memory=True)`` arms tracemalloc and lands per-kernel
   ``mem_alloc`` / ``mem_peak`` columns;
-* ``format_audit()`` estimates every candidate format's footprint.
+* ``format_audit()`` estimates every candidate format's footprint;
+* both reports label a registered graph's matrices — its adjacency and
+  the derived operands cached on it — with the graph's name.
 """
 
 import gc
@@ -23,7 +25,7 @@ import pytest
 
 from helpers import store_bytes
 from repro import grb, obs
-from repro.obs import memory, metrics
+from repro.obs import identity, memory, metrics
 
 
 @pytest.fixture(autouse=True)
@@ -244,6 +246,35 @@ class TestReportTier:
         text = obs.report()
         assert "memory" in text
         assert "grb_store_bytes" in text or "bytes=" in text
+
+
+class TestGraphAttribution:
+    def _labelled(self, report):
+        return sum(1 for row in report if row["graph"] == "lab")
+
+    def test_cached_operands_carry_the_graph_label(self, rng):
+        """TC and LCC cache their working matrices on the graph; both
+        reports must name the graph for every one of them — also after
+        ``invalidate_properties()`` rebuilt them as new objects."""
+        from repro import lagraph as lg
+        from repro.lagraph.experimental.lcc import (
+            local_clustering_coefficient)
+
+        g = _tc_graph(rng, seed=12)
+        identity.clear()
+        try:
+            identity.register(g, "lab")
+            for _ in range(2):
+                lg.algorithms.triangle_count_basic(g)
+                local_clustering_coefficient(g)
+                held = {m._uid for m in g.matrices()}
+                # A (AT aliases it), TC's pattern, L and U, LCC's pattern
+                assert len(held) == 5
+                assert self._labelled(memory.top_stores(n=10 ** 6)) == 5
+                assert self._labelled(memory.format_audit()) == 5
+                g.invalidate_properties()
+        finally:
+            identity.clear()
 
 
 class TestDeepMemoryTier:

@@ -162,6 +162,13 @@ class TestPlanCacheAttribution:
         plancache.clear()
         g = random_graph_np(rng, n=40, p=0.15, directed=False)
         svc = serve.GraphService(cache_capacity=0)   # memo off: recompute
+        sr = grb.semiring_by_name("plus.pair")
+
+        def support():
+            # a product read straight off the registered adjacency
+            c = grb.Matrix(grb.INT64, g.n, g.n)
+            grb.mxm(c, g.A, g.A, sr, mask=grb.structure(g.A))
+
         try:
             svc.register("attrib", g)
             with obs.tracing() as trace:
@@ -172,13 +179,14 @@ class TestPlanCacheAttribution:
                 assert svc.plan_cache_stats().hits > 0
                 assert {"hit", "miss"} <= {
                     e.get("plan_cache") for e in trace.decisions()}
-                # mutate the adjacency (kept symmetric): versions move,
-                # shapes stay — the next identical query invalidates its
-                # cached plans
+                support()
+                # mutate the adjacency in place (kept symmetric): its
+                # version moves, its uid stays — the next identical
+                # product invalidates the cached plan
                 g.A[0, 1] = 1.0
                 g.A[1, 0] = 1.0
                 svc.invalidate("attrib")
-                svc.query("attrib", serve.TriangleCount())
+                support()
         finally:
             svc.flush()
             svc.shutdown()
@@ -197,7 +205,8 @@ class TestPlanCacheAttribution:
         try:
             a = grb.Matrix.from_coo([0, 1, 2], [1, 2, 0],
                                     np.ones(3, bool), 3, 3)
-            identity.register(a._plan_sig()[0], "labelled")
+            g = lg.Graph(a, lg.ADJACENCY_DIRECTED)
+            identity.register(g, "labelled")
             c = grb.Matrix(grb.INT64, 3, 3)
             sr = grb.semiring_by_name("plus.pair")
             grb.mxm(c, a, a, sr, mask=grb.structure(a))
