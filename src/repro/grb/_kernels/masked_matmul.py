@@ -7,8 +7,8 @@ never the full wedge count, and batched BC's per-level masked ``plus.first``
 products (Sec. IV-B / Alg. 3) skip everything the mask will discard anyway.
 This module is the *kernel*; which multiplies run it is decided by the
 ``mxm-masked-dot`` planner rule in :mod:`repro.grb.engine.executors`, under
-the unified cost model in :mod:`repro.grb.engine.cost` (probe count + one
-write per mask entry versus estimated flops + product materialisation).
+the unified cost model in :mod:`repro.grb.engine.cost` (priced probe
+count versus the exact flop count of the full product).
 
 ``masked_dot``
     The *dot3* kernel (named after cuSPARSE/GraphBLAS "SDDMM-style" masked

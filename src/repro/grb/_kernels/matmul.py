@@ -225,7 +225,6 @@ def mxv_pull_probe(
     at_indices: np.ndarray,
     frontier_bits: np.ndarray,
     rows: np.ndarray,
-    probe_rounds: int = PULL_PROBE_ROUNDS,
 ):
     """The pull step of direction-optimised BFS, natively on CSC arrays.
 
@@ -239,15 +238,16 @@ def mxv_pull_probe(
     frontier in-neighbour — exactly the ``any.secondi`` choice of the push
     kernel, so push and pull levels are interchangeable bit for bit.
     Candidates without a frontier in-neighbour simply miss (their cursor
-    drains); after ``probe_rounds`` vectorised rounds the stragglers take
-    one ragged gather over their remaining spans.
+    drains); after :data:`PULL_PROBE_ROUNDS` vectorised rounds (read at
+    call time) the stragglers take one ragged gather over their remaining
+    spans.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cur = at_indptr[rows].astype(np.int64, copy=True)
     end = at_indptr[rows + 1]
     parent = np.full(rows.size, -1, dtype=np.int64)
     unresolved = np.flatnonzero(cur < end).astype(np.int64)
-    for _ in range(probe_rounds):
+    for _ in range(PULL_PROBE_ROUNDS):
         if unresolved.size == 0:
             break
         k = at_indices[cur[unresolved]]

@@ -21,11 +21,13 @@ Kernel *mechanism* caps (e.g. the dense-flag grid cap of the dot probe)
 stay next to their kernels: they tune how a chosen kernel executes, not
 which kernel is chosen.
 
-Cost units are relative: one compiled SciPy flop ≡ 1.0.  The write-cost
-terms price the part of a multiply the flop counts miss — materialising and
-mask-filtering the product (``FALLBACK_WRITE_COST`` per estimated product
-entry) versus emitting at most one output per mask entry
-(``DOT_WRITE_COST``).
+Cost units are relative: one exact flop of the unmasked product on SciPy's
+compiled CSR kernel ≡ 1.0.  The masked-mxm chooser compares two exact
+counts — the dot kernel's probes, priced at ``DOT_PROBE_COST``, against
+those flops — and nothing else: pricing the output writes (≤ one per mask
+entry on the dot side, the materialised product on the fallback side)
+moved no decision on any benchmark workload, and no ``lagraph`` algorithm
+issues a masked product on a semiring SciPy cannot run.
 """
 
 from __future__ import annotations
@@ -38,16 +40,14 @@ __all__ = [
     # switches
     "FUSION_ENABLED", "PLAN_CACHE_ENABLED",
     # masked-mxm chooser
-    "DOT_PROBE_COST", "SCIPY_FLOP_COST", "EXPAND_FLOP_COST", "FLOP_SAMPLE",
-    "MASKED_MIN_NNZ", "LIVE_ROW_FRACTION",
-    "DOT_WRITE_COST", "FALLBACK_WRITE_COST",
+    "DOT_PROBE_COST", "MASKED_MIN_NNZ", "LIVE_ROW_FRACTION",
     # batched-frontier (msbfs) choosers
     "MSBFS_PROBE_DENSITY", "MSBFS_FUSE_FRONTIER_K",
     # frontier-direction (Beamer) chooser
     "PUSHPULL_ALPHA", "PUSHPULL_BETA",
     # estimators and choosers
-    "dot_probe_cost", "expand_flops_estimate", "expand_flops_exact",
-    "product_nnz_estimate", "choose_masked_method", "choose_direction",
+    "dot_probe_cost", "expand_flops_exact", "choose_masked_method",
+    "choose_direction",
 ]
 
 # ---------------------------------------------------------------------------
@@ -69,32 +69,21 @@ PLAN_CACHE_ENABLED = True
 # masked-mxm chooser (dot3 vs mask-restricted fallback)
 # ---------------------------------------------------------------------------
 
-#: Relative cost of one dot probe lane (a dense flag/slot gather, or a
-#: bounded or global searchsorted) — ``inf`` rules the dot3 kernel out.
-#: Fitted from the deep-profiling rule table (``obs.profile.rule_table()``
-#: ``s_per_unit``) with every masked product forced to each arm in turn:
-#: BC's backward levels on kron-medium / kron-small (seed-1 bench batches,
-#: plan cache off, 2-core Xeon) run 25–31 ns per probe on
-#: ``mxm-masked-dot`` against 22–28 ns per exact flop on ``mxm-scipy``, a
-#: ratio of 1.09–1.16; kron-small TC reads 0.89.  The fit holds for
-#: probes the dense maps resolve: a grid over their budget pays the global
-#: ``searchsorted`` (TC on kron-medium reads 2.0).  Bounds: above 0.72 the
-#: worst BC level (mask 7 122, 1.04 M probes, 0.68 M flops) goes to SciPy;
-#: below 2.09 the mask-2 451 level keeps the dot, and below ~2.3 TC does
-#: (``test_masked_mxm.py::TestChooserAndTelemetry``) ...
-DOT_PROBE_COST = 1.2
-#: ... versus one flop on SciPy's compiled CSR kernel ...
-SCIPY_FLOP_COST = 1.0
-#: ... versus one flop on the vectorised gather/sort expand kernel.
-EXPAND_FLOP_COST = 4.0
-#: A-entries sampled for the expand-path flop estimate.
-FLOP_SAMPLE = 512
-
-#: Cost of emitting one dot output candidate (≤ one per mask entry).
-DOT_WRITE_COST = 0.5
-#: Cost of materialising + mask-filtering one estimated product entry on
-#: the fallback paths — the output-write term the flop counts miss.
-FALLBACK_WRITE_COST = 1.0
+#: Cost of one dot probe lane (a dense flag/slot gather, or a bounded or
+#: global searchsorted) in exact SciPy flops of the unmasked product — the
+#: one fitted constant of the masked-mxm chooser; ``inf`` rules the dot3
+#: kernel out.  Measured from the deep-profiling rule table
+#: (``obs.profile.rule_table()`` ``s_per_unit``) with every masked product
+#: forced to each arm in turn (2-core Xeon): BC's backward levels on
+#: kron-medium / kron-small run 1.09–1.16 flops per probe, kron-small TC
+#: 0.89; a grid over the dense maps' budget pays the global
+#: ``searchsorted`` (TC on kron-medium reads 2.0).  Bounds on exact counts:
+#: above 0.62 the worst BC level (mask 7 122, 1.04 M probes, 0.64 M flops)
+#: goes to SciPy; up to 1.126 kron-small TC (1.54 M probes, 1.74 M flops)
+#: keeps the dot, and so do kron-medium TC and the mask-2 451 BC level
+#: (``test_masked_mxm.py::TestChooserAndTelemetry``); 1.1 sits inside
+#: that interval at the BC measurement.
+DOT_PROBE_COST = 1.1
 
 #: Combined operand nnz below which the masked engine stands down entirely
 #: (no chooser, no row restriction): tiny products are cheaper to compute
@@ -154,56 +143,17 @@ def dot_probe_cost(la: np.ndarray, lb: np.ndarray) -> int:
     return int(np.minimum(la, lb).sum())
 
 
-def expand_flops_estimate(a_indices: np.ndarray,
-                          b_row_lengths: np.ndarray) -> float:
-    """Sampled flop estimate for the unmasked product ``A ⊕.⊗ B``.
-
-    Samples every ``nnz(A) / FLOP_SAMPLE``-th A entry (deterministic — no
-    RNG) and extrapolates the mean B-row length to the full entry count.
-    """
-    nnz = a_indices.size
-    if nnz == 0:
-        return 0.0
-    step = max(1, nnz // FLOP_SAMPLE)
-    sampled = a_indices[::step]
-    return float(b_row_lengths[sampled].mean()) * nnz
-
-
 def expand_flops_exact(a_indices: np.ndarray,
                        b_row_lengths: np.ndarray) -> int:
-    """Exact flop count of the unmasked product (profiler only — O(nnz))."""
-    if a_indices.size == 0:
-        return 0
+    """Exact flop count of the unmasked product ``A ⊕.⊗ B``: one gather of
+    ``B``'s row lengths at ``A``'s column indices, O(nnz(A))."""
     return int(b_row_lengths[a_indices].sum())
 
 
-def product_nnz_estimate(est_flops: float, nrows: int, ncols: int) -> float:
-    """Estimated stored-entry count of the full product.
-
-    Crude but cheap: the product can't hold more entries than it performs
-    flops, nor more than the output grid.  This is the write-cost input —
-    it only needs to be the right order of magnitude, and it is exact in
-    the two regimes that matter (flop-sparse products, where every flop
-    tends to land on a fresh entry, and near-dense products capped by the
-    grid).
-    """
-    return min(est_flops, float(nrows) * float(ncols))
-
-
-def choose_masked_method(cost_dot: float, est_flops: float, *,
-                         scipy_path: bool, mask_nvals: int = 0,
-                         est_out_nnz: float = 0.0) -> str:
-    """``"dot"`` or ``"fallback"`` from the weighted cost comparison.
-
-    Both sides price compute *and* output writing: the dot kernel emits at
-    most one entry per mask entry, while the fallback materialises the
-    estimated full product and discards the non-mask part in the
-    write-back.
-    """
-    flop_cost = SCIPY_FLOP_COST if scipy_path else EXPAND_FLOP_COST
-    dot_total = cost_dot * DOT_PROBE_COST + mask_nvals * DOT_WRITE_COST
-    fb_total = est_flops * flop_cost + est_out_nnz * FALLBACK_WRITE_COST
-    return "dot" if dot_total <= fb_total else "fallback"
+def choose_masked_method(probes: float, flops: float) -> str:
+    """``"dot"`` iff the priced probes cost no more than the flops:
+    ``DOT_PROBE_COST · probes ≤ flops``, both counts exact."""
+    return "dot" if probes * DOT_PROBE_COST <= flops else "fallback"
 
 
 def choose_direction(frontier_edges: float, unexplored_edges: float,

@@ -42,7 +42,6 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ...obs import profile as _profile
 from ...obs import trace as _trace
 from .. import cancel as _cancel
 from .._kernels import apply_select as _selectops
@@ -530,12 +529,11 @@ class _MxmSmallExpand:
 class _MxmMaskedDot:
     """One sorted-intersection dot product per mask entry (dot3 kernel).
 
-    Claims the plan when the unified chooser prices the probe work (plus
-    the ≤ 1-output-per-mask-entry write) below the fallback's estimated
-    flops plus product materialisation.  Feeds the kernel ``Bᵀ`` in CSR
-    form without materialising a transpose: for ``transpose_b=True`` (TC's
-    ``L plus.pair Uᵀ``) that is the operand's own CSR arrays, otherwise the
-    store's cached CSC view.
+    Claims the plan when the unified chooser prices the exact probe count
+    at no more than the exact flop count of the unmasked product.  Feeds
+    the kernel ``Bᵀ`` in CSR form without materialising a transpose: for
+    ``transpose_b=True`` (TC's ``L plus.pair Uᵀ``) that is the operand's
+    own CSR arrays, otherwise the store's cached CSC view.
     """
 
     @staticmethod
@@ -568,25 +566,16 @@ class _MxmMaskedDot:
         rows_m = allowed // ncols64
         cols_m = allowed - rows_m * ncols64
         lengths = (a_ip[rows_m + 1] - a_ip[rows_m], bt_row_lengths[cols_m])
-        cost_dot = cost.dot_probe_cost(*lengths)
-        est_flops = cost.expand_flops_estimate(a_ix, beff_lengths)
-        scipy_path = sr.scipy_reducible()
-        est_out = cost.product_nnz_estimate(est_flops, a.nrows, bn_cols)
-        method = cost.choose_masked_method(
-            cost_dot, est_flops, scipy_path=scipy_path,
-            mask_nvals=allowed.size, est_out_nnz=est_out)
+        probes = cost.dot_probe_cost(*lengths)
+        flops = cost.expand_flops_exact(a_ix, beff_lengths)
+        method = cost.choose_masked_method(probes, flops)
         decision = {
-            "method": "dot" if method == "dot" else "fallback",
+            "method": method,
             "semiring": sr.name,
             "mask_nvals": int(allowed.size),
-            "dot_probes": int(cost_dot),
-            "expand_flops_est": float(est_flops),
-            "est_out_nnz": float(est_out),
-            "scipy_path": scipy_path,
+            "dot_probes": probes,
+            "expand_flops": flops,
         }
-        if _profile.deep_active():
-            decision["expand_flops"] = cost.expand_flops_exact(a_ix,
-                                                               beff_lengths)
         if method != "dot":
             plan.meta.update(decision)     # survives into the fallback event
             return None

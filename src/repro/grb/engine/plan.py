@@ -84,7 +84,7 @@ class Plan:
     meta:
         Planner scratch: rules that *decline* a plan leave their decision
         detail here so the eventual decision record carries it (e.g. the
-        masked-mxm chooser's probe/flop estimates survive into the
+        masked-mxm chooser's probe and flop counts survive into the
         fallback rule's record).  Keys starting with ``_`` are private
         bookkeeping (builder operands, rule work arrays) and never reach
         decision records.

@@ -5,10 +5,10 @@ operation kind, the operator, the descriptor bits (mask kind, accumulator,
 replace, transposition), the epilogue chain, and each operand's uid —
 mapped to the claiming rule, its decision detail, and the reusable
 **operand feeds** the rule's analysis computed (the dot kernel's
-mask-coordinate/length arrays, the fallback paths' live-row sets, the
-ewise rules' bitmap views).  On a hit, dispatch jumps straight to the
-claimed rule with the feeds re-attached: none of the per-call analysis —
-probe counting, flop sampling, live-row scans — runs at all.
+mask-coordinate/length arrays and probe stage, the fallback paths'
+live-row sets).  On a hit, dispatch jumps straight to the claimed rule
+with the feeds re-attached: none of the per-call analysis — probe and
+flop counting, live-row scans — runs at all.
 
 Operand keys
 ------------
@@ -65,7 +65,7 @@ _EVENTS = _metrics.counter(
 
 #: Operation kinds routed through the cache.  Only ``mxm`` qualifies: the
 #: masked-SpGEMM chooser is the one analysis whose per-call cost (probe
-#: counting, flop sampling, mask coordinate splits, live-row scans — all
+#: and flop counting, mask coordinate splits, live-row scans — all
 #: O(nnz)) dwarfs a cache probe.  Every other kind's ``applies`` chain is
 #: a handful of scalar checks, so keying it would cost more than it
 #: saves.
@@ -76,7 +76,7 @@ CACHEABLE_OPS = frozenset({"mxm"})
 #: ``_dot`` / ``_rows`` come from the chooser's analysis; ``_dot_probe`` —
 #: the dot kernel's structure-resolution stage — is produced by the run
 #: itself and picked up by the post-run feed update.
-FEED_KEYS = ("_dot", "_dot_probe", "_bitmaps", "_rows")
+FEED_KEYS = ("_dot", "_dot_probe", "_rows")
 
 #: Per-entry cap on cached feed bytes (a probe feed scales with the
 #: product's structural hits) and the total the cache may pin overall;
@@ -143,14 +143,10 @@ def _cost_fingerprint() -> tuple:
     Part of every key: a decision cached under one tuning must never be
     served under another — the parity suite *forces* paths by
     monkeypatching these, and a stale pin would silently measure the wrong
-    kernel.  The deep-profiling bit rides along because cached decision
-    details carry the exact-flop field only when the profiler, which
-    re-judges them, was on at analysis time.
+    kernel.
     """
-    return (cost.FUSION_ENABLED, cost.DOT_PROBE_COST, cost.SCIPY_FLOP_COST,
-            cost.EXPAND_FLOP_COST, cost.FLOP_SAMPLE, cost.MASKED_MIN_NNZ,
-            cost.LIVE_ROW_FRACTION, cost.DOT_WRITE_COST,
-            cost.FALLBACK_WRITE_COST, _profile.deep_active())
+    return (cost.FUSION_ENABLED, cost.DOT_PROBE_COST, cost.MASKED_MIN_NNZ,
+            cost.LIVE_ROW_FRACTION)
 
 
 def shape_key(plan) -> tuple:

@@ -185,8 +185,8 @@ def _cache_key(plan: Plan, forced: Optional[str]):
 
 def _priced_units(plan: Plan, detail: dict):
     """The work the masked-mxm chooser priced this claim at: the exact probe
-    count of a dot claim, or the exact flop count (deep profiling only) of
-    a product it declined; ``None`` for a claim no chooser priced."""
+    count of a dot claim, or the exact flop count of a product it
+    declined; ``None`` for a claim no chooser priced."""
     if detail.get("method") == "dot":
         return detail.get("dot_probes")
     return plan.meta.get("expand_flops")    # left only by a declined dot

@@ -38,10 +38,9 @@ MATRIX_BITMAP_MIN_GRID = 1 << 12
 #: Never auto-allocate dense grid arrays above this many cells.
 MATRIX_BITMAP_GRID_CAP = 1 << 22
 
-#: Vector density at/above which bitmap wins.
+#: Vector density at/above which bitmap wins, at any length: a vector's
+#: dense arrays cost what its length costs, so no size floor applies.
 VECTOR_BITMAP_DENSITY = 0.25
-#: Vectors shorter than this stay sparse.
-VECTOR_BITMAP_MIN_SIZE = 64
 
 _MATRIX_STORES = {"csr": CSRStore, "bitmap": BitmapStore}
 
@@ -60,9 +59,7 @@ def select_matrix_format(nrows: int, ncols: int, nvals: int) -> str:
 
 def select_vector_format(size: int, nvals: int) -> str:
     """Format for a vector with the observed density (auto mode)."""
-    if size >= VECTOR_BITMAP_MIN_SIZE and nvals >= VECTOR_BITMAP_DENSITY * size:
-        return "bitmap"
-    return "sparse"
+    return "bitmap" if nvals >= VECTOR_BITMAP_DENSITY * size else "sparse"
 
 
 def matrix_store_from_csr(fmt: str, indptr, indices, values,

@@ -154,19 +154,21 @@ def _flush_fused(out: Matrix, acc_keys, acc_vals):
 # ---------------------------------------------------------------------------
 
 def _first_frontier_in_neighbor(at_indptr, at_indices, frontier_bits,
-                                row_base, j, probe_rounds=PROBE_ROUNDS):
+                                row_base, j):
     """Parent of each new entry: first in-neighbour of ``j`` in the frontier.
 
     ``frontier_bits`` is the dense ``ns × n`` frontier bitmap (flattened);
     ``row_base[e] = i_e * n``.  Every entry is guaranteed a hit (it was just
     discovered *from* the frontier), so the probe cursors never run past the
-    end of their ``Aᵀ`` rows while unresolved.
+    end of their ``Aᵀ`` rows while unresolved.  After :data:`PROBE_ROUNDS`
+    vectorised rounds (read at call time) the stragglers take one ragged
+    gather over their full in-neighbour lists.
     """
     m = j.size
     parent = np.empty(m, dtype=np.int64)
     unresolved = np.arange(m, dtype=np.int64)
     cur = at_indptr[j].copy()
-    for _ in range(probe_rounds):  # cancel: checkpoint-exempt (bounded by PROBE_ROUNDS; caller checkpoints at level boundaries)
+    for _ in range(PROBE_ROUNDS):  # cancel: checkpoint-exempt (bounded by PROBE_ROUNDS; caller checkpoints at level boundaries)
         if unresolved.size == 0:
             return parent
         k = at_indices[cur[unresolved]]

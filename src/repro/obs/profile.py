@@ -16,8 +16,11 @@ Decision records have one channel and one gate: a call site builds its
 dict only under :func:`deciding` (a trace sink *or* deep profiling is
 installed in this context) and hands it to :func:`decision`, which
 attaches it to the collector and folds it into the decision table.  The
-exact-count fields some records carry (``expand_flops``) cost O(nnz) and
-are gated on :func:`deep_active` alone — only the profiler re-judges.
+masked-mxm chooser decides on exact counts (``dot_probes`` against
+``expand_flops``) and the judge re-runs it on those same counts and
+constants, so ``misprediction_rate`` reads 0 by construction until the
+judge gets a measured arm — the declined method timed on a sampled call,
+an open ROADMAP item.
 
 Aggregation is process-global and locked: concurrent profiled requests
 merge into one set of tables, read via :func:`kernel_table`,
@@ -50,8 +53,8 @@ _mem_var: ContextVar[bool] = ContextVar("repro_obs_deep_mem", default=False)
 
 
 def deep_active() -> bool:
-    """Whether deep profiling is on in this context (kernel wrappers and
-    expensive-field computation gate on this)."""
+    """Whether deep profiling is on in this context (the kernel and rule
+    timing wrappers gate on this)."""
     return _deep_var.get()
 
 
@@ -237,11 +240,8 @@ def decision(event: dict) -> None:
     verdict: Optional[bool] = None
     if op == "mxm" and "dot_probes" in event and "expand_flops" in event:
         from ..grb.engine import cost  # lazy: obs must import before grb
-        ideal = cost.choose_masked_method(
-            event["dot_probes"], event["expand_flops"],
-            scipy_path=event.get("scipy_path", False),
-            mask_nvals=event.get("mask_nvals", 0),
-            est_out_nnz=event.get("est_out_nnz", 0.0))
+        ideal = cost.choose_masked_method(event["dot_probes"],
+                                          event["expand_flops"])
         verdict = event.get("method") != ideal
     with _lock:
         d = _decisions.get((op, rule))
@@ -294,8 +294,7 @@ def profiled(name: str):
 
     Inactive cost is one ``ContextVar`` read; active cost adds two clock
     pairs and the nnz/bytes scans of the positional array arguments —
-    exact per-call input/output work, gated exactly like the decision
-    records' exact-count fields.
+    exact per-call input/output work.
     """
     def deco(fn):
         @functools.wraps(fn)

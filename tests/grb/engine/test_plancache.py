@@ -113,7 +113,7 @@ class TestHitsAndInvalidation:
         assert st.entries == 1 and st.invalidations == 0
 
     def test_vector_store_version_bumps(self):
-        v = grb.Vector.from_coo([0, 2], [1.0, 2.0], 5)
+        v = grb.Vector.from_coo([0, 2], [1.0, 2.0], 16)  # sparse: 1/8 dense
         seen = {v.store_version}
         v[1] = 3.0
         seen.add(v.store_version)
@@ -225,6 +225,7 @@ class TestSafety:
         # dot chooser's constants are what routes this product
         assert a.nvals > a.ncols
         with obs.tracing() as trace:
+            monkeypatch.setattr(cost, "DOT_PROBE_COST", 0.0)
             _masked_mxm(a, a, a)
             monkeypatch.setattr(cost, "DOT_PROBE_COST", float("inf"))
             _masked_mxm(a, a, a)

@@ -596,7 +596,7 @@ MXM_SEMIRINGS = MXM_REDUCIBLE + ("min.plus", "min.first", "any.pair",
                                  "any.secondi")
 # the dot rule claims whatever it supports; the fallbacks restrict rows and
 # filter keys by the mask
-_MXM_ENGAGED = dict(MASKED_MIN_NNZ=0, DOT_PROBE_COST=0.0, DOT_WRITE_COST=0.0)
+_MXM_ENGAGED = dict(MASKED_MIN_NNZ=0, DOT_PROBE_COST=0.0)
 
 
 def _nonfinite(rng, size):

@@ -125,18 +125,18 @@ class TestVectorRoundTrip:
 
 class TestAutoPolicy:
     def test_dense_vector_goes_bitmap(self):
-        n = max(policy.VECTOR_BITMAP_MIN_SIZE, 64)
-        v = grb.Vector.from_dense(np.arange(n, dtype=np.float64))
+        v = grb.Vector.from_dense(np.arange(64, dtype=np.float64))
         assert v.format == "bitmap"
 
     def test_sparse_vector_stays_sparse(self):
-        n = 4 * max(policy.VECTOR_BITMAP_MIN_SIZE, 64)
-        v = grb.Vector.from_coo([0, n - 1], [1.0, 2.0], n)
+        v = grb.Vector.from_coo([0, 255], [1.0, 2.0], 256)
         assert v.format == "sparse"
 
-    def test_small_vector_stays_sparse_even_when_dense(self):
+    def test_short_dense_vector_goes_bitmap(self):
+        """Density alone decides: no length floor keeps a short vector
+        sparse."""
         v = grb.Vector.from_dense(np.ones(8))
-        assert v.format == "sparse"
+        assert v.format == "bitmap"
 
     def test_few_live_rows_stay_csr(self):
         # the policy reads only the shape and nvals: a tall matrix with

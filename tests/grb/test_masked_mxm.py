@@ -37,7 +37,6 @@ DOT_SEMIRINGS = ["plus.pair", "plus.times", "plus.first", "plus.second",
 
 def _force_dot(monkeypatch):
     monkeypatch.setattr(cost, "DOT_PROBE_COST", 0.0)
-    monkeypatch.setattr(cost, "DOT_WRITE_COST", 0.0)
     monkeypatch.setattr(cost, "MASKED_MIN_NNZ", 0)
 
 
@@ -310,7 +309,6 @@ class TestAlgorithmParity:
         for name, g in suite_graphs.items():
             _engine_default(monkeypatch)
             monkeypatch.setattr(cost, "DOT_PROBE_COST", 0.0)  # force the kernel
-            monkeypatch.setattr(cost, "DOT_WRITE_COST", 0.0)
             on = alg.triangle_count_basic(g, method=method)
             monkeypatch.undo()
             _seed_path(monkeypatch)
@@ -323,7 +321,6 @@ class TestAlgorithmParity:
             g.cache_at()
             _engine_default(monkeypatch)
             monkeypatch.setattr(cost, "DOT_PROBE_COST", 0.0)
-            monkeypatch.setattr(cost, "DOT_WRITE_COST", 0.0)
             on = bc.betweenness_centrality_batch(g, [0, 1, 2, 3])
             monkeypatch.undo()
             _seed_path(monkeypatch)
@@ -336,7 +333,6 @@ class TestAlgorithmParity:
         g = suite_graphs["kron"]
         _engine_default(monkeypatch)
         monkeypatch.setattr(cost, "DOT_PROBE_COST", 0.0)
-        monkeypatch.setattr(cost, "DOT_WRITE_COST", 0.0)
         k_on = ktruss(g, 4)
         l_on = local_clustering_coefficient(g)
         monkeypatch.undo()
@@ -414,57 +410,43 @@ class TestSlotMapRatioGuard:
 
 
 class TestChooserAndTelemetry:
-    def test_chooser_constants_flip_decision(self):
-        assert cost.choose_masked_method(100, 1000,
-                                         scipy_path=True) == "dot"
-        assert cost.choose_masked_method(10_000, 1000,
-                                         scipy_path=True) == "fallback"
-        # the expand kernel is pricier per flop than SciPy, so the same
-        # probe count flips back to dot off the compiled path
-        probes = 1000 / cost.DOT_PROBE_COST
-        assert cost.choose_masked_method(probes * 2, 1000,
-                                         scipy_path=False) == "dot"
+    def test_chooser_constants_flip_decision(self, monkeypatch):
+        """One comparison, ``DOT_PROBE_COST · probes ≤ flops``, inclusive
+        at the tie; the constant alone moves the boundary."""
+        for probe_cost, tie in ((0.5, 2000), (2.0, 500)):
+            monkeypatch.setattr(cost, "DOT_PROBE_COST", probe_cost)
+            assert cost.choose_masked_method(tie, 1000) == "dot"
+            assert cost.choose_masked_method(tie + 1, 1000) == "fallback"
+        monkeypatch.setattr(cost, "DOT_PROBE_COST", 0.0)
+        assert cost.choose_masked_method(10**9, 0) == "dot"
 
-    def test_chooser_write_cost_term(self):
-        """A huge mask (one write per entry) can out-price a cheap product:
-        the output-write term is what tips it (satellite of PR 4)."""
-        assert cost.choose_masked_method(
-            10, 100, scipy_path=True, mask_nvals=10_000,
-            est_out_nnz=10) == "fallback"
-        # same probe work, tiny mask: dot wins again
-        assert cost.choose_masked_method(
-            10, 100, scipy_path=True, mask_nvals=10,
-            est_out_nnz=10) == "dot"
-
-    # chooser inputs recorded on the benchmark graphs (mask_nvals, dot
-    # probes, estimated flops, estimated product entries) and the route
-    # each must keep: a refit of the per-unit constants that reopens the
-    # BC mis-route or sends TC to SciPy fails here
     @pytest.mark.parametrize("record, want", [
         # kron-medium BC backward level, 4 sources: the mis-routed level
-        ((7_122, 1_038_316, 683_289, 65_536), "fallback"),
-        # kron-medium BC backward level that the dot wins
-        ((2_451, 445_731, 868_924, 65_536), "dot"),
+        ((1_038_316, 642_458), "fallback"),
+        # kron-medium BC backward level (mask 2 451) that the dot wins
+        ((445_731, 813_585), "dot"),
         # triangle_count_basic on kron-small and kron-medium
-        ((48_820, 1_544_688, 1_817_547.7, 1_817_547.7), "dot"),
-        ((211_799, 10_255_630, 12_472_607.8, 12_472_607.8), "dot"),
+        ((1_544_688, 1_740_619), "dot"),
+        ((10_255_630, 13_154_536), "dot"),
     ], ids=["bc-mask7122", "bc-mask2451", "tc-kron-small",
             "tc-kron-medium"])
     def test_recorded_benchmark_decisions(self, record, want):
-        mask_nvals, probes, flops, out_nnz = record
-        assert cost.choose_masked_method(
-            probes, flops, scipy_path=True, mask_nvals=mask_nvals,
-            est_out_nnz=out_nnz) == want
+        """Chooser inputs recorded on the benchmark graphs (dot probes,
+        exact flops of the unmasked product) and the route each must keep.
+        Their flop/probe ratios bound ``DOT_PROBE_COST`` to (0.619, 1.126]:
+        above 0.619 the mask-7 122 BC level goes to SciPy, and up to 1.126
+        (kron-small TC) every dot claim holds."""
+        probes, flops = record
+        assert cost.choose_masked_method(probes, flops) == want
 
     def test_infinite_probe_cost_forces_fallback(self, monkeypatch):
         monkeypatch.setattr(cost, "DOT_PROBE_COST", float("inf"))
         for probes in (0, 1, 10**6):
-            assert cost.choose_masked_method(probes, 10**9,
-                                             scipy_path=True) == "fallback"
+            assert cost.choose_masked_method(probes, 10**9) == "fallback"
 
     def test_chooser_record_schema(self, monkeypatch):
-        """The masked-mxm chooser's decision record; the exact flop count
-        rides along under deep profiling only (it costs O(nnz))."""
+        """The masked-mxm chooser's decision record: both exact counts the
+        chooser compared, whether or not a profiler is on."""
         _engine_default(monkeypatch)
         rng = np.random.default_rng(19)
         a = _rand_matrix(rng, 30, 30, density=0.3)
@@ -477,11 +459,8 @@ class TestChooserAndTelemetry:
             grb.mxm(c, a, a, grb.semiring_by_name("plus.pair"),
                     mask=grb.structure(a))
 
+        assert not obs.deep_active()
         with obs.tracing() as trace:
-            run()
-        (e,) = trace.decisions()
-        assert "dot_probes" in e and "expand_flops" not in e
-        with obs.tracing() as trace, obs.profiling():
             run()
         (e,) = trace.decisions()
         assert e["op"] == "mxm" and e["method"] in ("dot", "fallback")
@@ -489,9 +468,8 @@ class TestChooserAndTelemetry:
         assert e["semiring"] == "plus.pair"
         assert e["dot_probes"] >= 0 and e["expand_flops"] >= 0
         assert e["mask_nvals"] == a.nvals
-        # estimate within sampling error of the exact count on this input
-        assert e["expand_flops_est"] == pytest.approx(e["expand_flops"],
-                                                      rel=0.5)
+        assert e["method"] == cost.choose_masked_method(e["dot_probes"],
+                                                        e["expand_flops"])
         assert not obs.deciding()
 
 

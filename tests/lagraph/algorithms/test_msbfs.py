@@ -6,6 +6,8 @@ every batch size — a one-source batch runs the same compiled-product +
 witness-probe loop as a twelve-source one.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,11 @@ from helpers import ab_ratio, random_graph_np, random_graphs
 from repro import grb
 from repro import lagraph as lg
 from repro.gap.harness import _sources
+from repro.grb._kernels import matmul
+from repro.grb.engine import cost
+
+# the module, not the ``msbfs`` function the package re-exports
+msbfs = importlib.import_module("repro.lagraph.algorithms.msbfs")
 
 
 class TestMsbfsParents:
@@ -57,6 +64,38 @@ class TestMsbfsParents:
     def test_computes_no_graph_properties(self, small_directed_graph):
         lg.msbfs_parents(small_directed_graph, [0, 1])
         assert small_directed_graph.AT is None
+
+
+class TestProbeRoundFallbacks:
+    """The straggler fallbacks of the two witness probes: after their round
+    cap, ``msbfs._first_frontier_in_neighbor`` and ``mxv_pull_probe`` finish
+    with one ragged gather.  The default cap leaves that gather to rare
+    high-degree stragglers, so the caps are forced to 0 (every candidate
+    takes the gather) and 1, with every msbfs level on the probe leg and
+    every ``bfs_parent_auto`` level pulling — the parents must still be the
+    push reference's."""
+
+    @pytest.fixture(autouse=True)
+    def _probe_every_level(self, monkeypatch):
+        monkeypatch.setattr(cost, "MSBFS_FUSE_FRONTIER_K", 0)
+        monkeypatch.setattr(cost, "MSBFS_PROBE_DENSITY", 0.0)
+        monkeypatch.setattr(cost, "PUSHPULL_ALPHA", float("inf"))
+        monkeypatch.setattr(cost, "PUSHPULL_BETA", float("inf"))
+
+    @pytest.mark.parametrize("rounds", [0, 1])
+    @pytest.mark.parametrize("graph", ["kron_small", "road_small"])
+    def test_fallback_matches_push(self, request, monkeypatch, graph,
+                                   rounds):
+        g = request.getfixturevalue(graph)
+        monkeypatch.setattr(msbfs, "PROBE_ROUNDS", rounds)
+        monkeypatch.setattr(matmul, "PULL_PROBE_ROUNDS", rounds)
+        sources = _sources(g, 4)
+        p = lg.msbfs_parents(g, sources)
+        for k, s in enumerate(sources):
+            ref = lg.bfs_parent_push(g, int(s))
+            assert p.extract_row(k).isequal(ref), (graph, rounds, k)
+            assert lg.bfs_parent_auto(g, int(s)).isequal(ref), \
+                (graph, rounds, k)
 
 
 class TestMsbfsLevels:

@@ -64,7 +64,7 @@ def _mxm(sr, *, mask=None, left=None, **costs):
     return drive
 
 
-_DOT = dict(MASKED_MIN_NNZ=0, DOT_PROBE_COST=0.0, DOT_WRITE_COST=0.0)
+_DOT = dict(MASKED_MIN_NNZ=0, DOT_PROBE_COST=0.0)
 
 
 def _forced(op, rule, call):

@@ -7,6 +7,10 @@ nothing reads any more decides nothing, yet still looks like a knob, so
 every such name must be read somewhere under ``src/repro`` besides its own
 assignment.  The plan cache's key (``plancache._cost_fingerprint``) lists
 the cost constants by construction, so a read there alone does not count.
+
+The scalar settables (the knobs; the format catalogs are tuples) are also
+pinned by name: a new knob shows up as an edit of :data:`PINNED`, where a
+reviewer sees it.
 """
 
 import ast
@@ -15,10 +19,20 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 MODULES = ("grb/engine/cost.py", "grb/storage/policy.py")
 FINGERPRINT = ("grb/engine/plancache.py", "_cost_fingerprint")
+PINNED = {
+    "grb/engine/cost.py": {
+        "FUSION_ENABLED", "PLAN_CACHE_ENABLED", "DOT_PROBE_COST",
+        "MASKED_MIN_NNZ", "LIVE_ROW_FRACTION", "MSBFS_PROBE_DENSITY",
+        "MSBFS_FUSE_FRONTIER_K", "PUSHPULL_ALPHA", "PUSHPULL_BETA"},
+    "grb/storage/policy.py": {
+        "MATRIX_BITMAP_DENSITY", "MATRIX_BITMAP_MIN_GRID",
+        "MATRIX_BITMAP_GRID_CAP", "VECTOR_BITMAP_DENSITY"},
+}
 
 
-def settables(source: str) -> set:
-    """Public ALL-CAPS names assigned at the top level of ``source``."""
+def settables(source: str, scalar: bool = False) -> set:
+    """Public ALL-CAPS names assigned at the top level of ``source``;
+    with ``scalar``, only those not bound to a tuple or list."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, ast.Assign):
@@ -26,6 +40,8 @@ def settables(source: str) -> set:
         elif isinstance(node, ast.AnnAssign):
             targets = [node.target]
         else:
+            continue
+        if scalar and isinstance(node.value, (ast.Tuple, ast.List)):
             continue
         names |= {t.id for t in targets if isinstance(t, ast.Name)
                   and t.id.isupper() and not t.id.startswith("_")}
@@ -52,8 +68,9 @@ def reads(source: str, skip_function: str = None) -> set:
 
 
 def test_checker_finds_settables():
-    source = "A = 1\n_B = 2\nc = 3\nD: int = 4\nE, F = 5, 6\n"
-    assert settables(source) == {"A", "D"}
+    source = "A = 1\n_B = 2\nc = 3\nD: int = 4\nE, F = 5, 6\nG = (7,)\n"
+    assert settables(source) == {"A", "D", "G"}
+    assert settables(source, scalar=True) == {"A", "D"}
 
 
 def test_checker_counts_loads_not_stores():
@@ -73,3 +90,10 @@ def test_every_settable_is_read():
                     for name in settables((SRC / module).read_text())
                     if name not in read)
     assert unread == []
+
+
+def test_settables_are_pinned():
+    """The ratchet: 9 cost and 4 policy knobs."""
+    got = {module: settables((SRC / module).read_text(), scalar=True)
+           for module in MODULES}
+    assert got == PINNED
