@@ -297,9 +297,10 @@ def masked_dot_probe(
     Returns ``(t, apos, bpos)``: per structural hit, the mask-entry group
     id and — when the respective side's values feed the multiply — the
     operand entry positions.  A pure function of the operand *structures*
-    and the mask coordinates, which is what makes it a reusable plan-cache
-    operand feed (:mod:`repro.grb.engine.plancache`): repeated identical
-    masked multiplies skip every probe and re-run only the value stage.
+    and the mask coordinates, which is what lets the ``mxm-masked-dot``
+    rule keep it in the analysis it memoizes on the mask: a repeated
+    masked multiply over unchanged operands skips every probe and re-runs
+    only the value stage.
     """
     if lengths is not None:
         la, lb = lengths

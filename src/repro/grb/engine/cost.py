@@ -13,9 +13,11 @@ the same forcing idiom :mod:`repro.grb.storage.policy` established::
     monkeypatch.setattr(cost, "PUSHPULL_ALPHA", 0.0)   # BFS: push
     monkeypatch.setattr(cost, "FUSION_ENABLED", False) # decompose epilogues
 
-Only two behaviours have no constant to express them and keep a boolean:
-``FUSION_ENABLED`` (the decomposed test oracle) and ``PLAN_CACHE_ENABLED``
-(the cold baseline).
+Only one behaviour has no constant to express it and keeps a boolean:
+``FUSION_ENABLED`` (the decomposed test oracle).  A chooser reads these
+constants on every call — the masked-dot analysis memoized on a mask holds
+the exact counts, never a decision — so a monkeypatch takes effect at the
+next call.
 
 Kernel *mechanism* caps (e.g. the dense-flag grid cap of the dot probe)
 stay next to their kernels: they tune how a chosen kernel executes, not
@@ -37,8 +39,8 @@ import numpy as np
 from ...obs import profile as _profile
 
 __all__ = [
-    # switches
-    "FUSION_ENABLED", "PLAN_CACHE_ENABLED",
+    # switch
+    "FUSION_ENABLED",
     # masked-mxm chooser
     "DOT_PROBE_COST", "MASKED_MIN_NNZ", "LIVE_ROW_FRACTION",
     # batched-frontier (msbfs) choosers
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# master switches (ablation / bisection aids)
+# master switch (ablation / bisection aid)
 # ---------------------------------------------------------------------------
 
 #: Master switch for fusion: with ``False`` every fused plan's epilogue
@@ -59,11 +61,6 @@ __all__ = [
 #: between stages) — the slow arm of the PageRank ratio guard in
 #: ``test_planner_parity.py`` and the call-at-a-time reference.
 FUSION_ENABLED = True
-#: The keyed plan cache (:mod:`repro.grb.engine.plancache`): repeated
-#: identical dispatches skip the rule choosers and reuse the claimed
-#: rule's operand feeds.  ``False`` re-analyses every call (the cold arm
-#: of the ratio guard in ``tests/grb/engine/test_plancache.py``).
-PLAN_CACHE_ENABLED = True
 
 # ---------------------------------------------------------------------------
 # masked-mxm chooser (dot3 vs mask-restricted fallback)

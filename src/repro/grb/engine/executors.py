@@ -37,6 +37,7 @@ the store otherwise.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,7 +63,7 @@ from ..matrix import Matrix
 from ..ops.semiring import Semiring
 from ..types import from_dtype
 from ..vector import Vector
-from . import cost
+from . import cost, plancache
 from .plan import Plan
 from .rules import register
 
@@ -525,6 +526,57 @@ class _MxmSmallExpand:
         return _run_expand(plan, None, mask_key_filter(plan.mask))
 
 
+@dataclass(eq=False)
+class _DotAnalysis:
+    """The masked-dot analysis of one product, memoized on its mask
+    (``Matrix._dot``) the way ``G->AT`` is kept on its graph.
+
+    ``key`` names what the analysis read besides the mask: each operand's
+    ``(uid, store_version)``, the ``transpose_b`` bit, the mask's
+    structural bit and which operand values the multiply reads (the probe
+    stage records entry positions only for those).  The mask's own
+    changes need no key: ``Matrix._invalidate`` drops the memo.  ``probe``
+    is :func:`~repro.grb._kernels.masked_matmul.masked_dot_probe`'s output,
+    left ``None`` until a dot run fills it."""
+
+    key: tuple
+    allowed: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    lengths: tuple
+    probes: int
+    flops: int
+    probe: Optional[tuple] = None
+
+    def nbytes(self) -> int:
+        arrays = (self.allowed, self.rows, self.cols, *self.lengths,
+                  *(self.probe or ()))
+        return sum(a.nbytes for a in arrays if a is not None)
+
+
+def _dot_analysis(plan: Plan, allowed: np.ndarray, key: tuple):
+    """Mask coordinates, length pairs and the exact probe and flop counts
+    of a masked product, read off the operands without materialising any
+    layout conversion: the ``Bᵀ`` feed itself (the store's cached CSC
+    view for ``transpose_b=False``) is built only when the dot rule runs,
+    so a fallback-routed multiply never pays it."""
+    a, b = plan.args
+    a_ip, a_ix, _ = a._S().csr()
+    if plan.transpose_b:
+        bt_row_lengths = _row_lengths(b)
+        beff_lengths = _col_lengths(b)
+    else:
+        bt_row_lengths = _col_lengths(b)
+        beff_lengths = _row_lengths(b)
+    ncols64 = np.int64(plan.meta["_bn_cols"])
+    rows_m = allowed // ncols64
+    cols_m = allowed - rows_m * ncols64
+    lengths = (a_ip[rows_m + 1] - a_ip[rows_m], bt_row_lengths[cols_m])
+    return _DotAnalysis(key, allowed, rows_m, cols_m, lengths,
+                        cost.dot_probe_cost(*lengths),
+                        cost.expand_flops_exact(a_ix, beff_lengths))
+
+
 @register("mxm", "mxm-masked-dot")
 class _MxmMaskedDot:
     """One sorted-intersection dot product per mask entry (dot3 kernel).
@@ -534,6 +586,12 @@ class _MxmMaskedDot:
     the kernel ``Bᵀ`` in CSR form without materialising a transpose: for
     ``transpose_b=True`` (TC's ``L plus.pair Uᵀ``) that is the operand's
     own CSR arrays, otherwise the store's cached CSC view.
+
+    The analysis the chooser prices, and the probe stage a dot run
+    resolves, are memoized on the mask (:class:`_DotAnalysis`): a
+    repeated product over unchanged operands re-runs only the chooser's
+    comparison and the kernel's value stage.  The chooser itself runs on
+    every call, so a monkeypatched cost constant re-routes at once.
     """
 
     @staticmethod
@@ -545,50 +603,41 @@ class _MxmMaskedDot:
                 or not _mm.dot_supported(sr)
                 or not a.nvals or not b.nvals):
             return None
-        allowed = mask.allowed_keys()
-        bn_cols = plan.meta["_bn_cols"]
-        if allowed.size == 0:
-            plan.meta["_dot"] = (allowed, None, None, None, None)
-            return {"method": "dot", "mask_nvals": 0}
-        a_ip, a_ix, _ = a._S().csr()
-        # Bᵀ's per-row lengths and B-effective's per-row lengths without
-        # materialising any layout conversion: the Bᵀ feed itself (the
-        # store's cached CSC view for transpose_b=False) is built only
-        # when this rule claims the plan — a fallback-routed multiply
-        # never pays it
-        if plan.transpose_b:
-            bt_row_lengths = _row_lengths(b)
-            beff_lengths = _col_lengths(b)
-        else:
-            bt_row_lengths = _col_lengths(b)
-            beff_lengths = _row_lengths(b)
-        ncols64 = np.int64(bn_cols)
-        rows_m = allowed // ncols64
-        cols_m = allowed - rows_m * ncols64
-        lengths = (a_ip[rows_m + 1] - a_ip[rows_m], bt_row_lengths[cols_m])
-        probes = cost.dot_probe_cost(*lengths)
-        flops = cost.expand_flops_exact(a_ix, beff_lengths)
-        method = cost.choose_masked_method(probes, flops)
+        key = (a._uid, a.store_version, b._uid, b.store_version,
+               plan.transpose_b, mask.structural, _mult_uses(sr))
+        m = mask.obj
+        m._flush_pending()          # staged writes drop the memo first
+        memo = m._dot
+        hit = memo is not None and memo.key == key
+        if not hit:
+            allowed = mask.allowed_keys()
+            if allowed.size == 0:
+                plan.meta["_dot"] = None
+                return {"method": "dot", "mask_nvals": 0}
+            memo = m._dot = _dot_analysis(plan, allowed, key)
+        plancache.count(hit)
+        method = cost.choose_masked_method(memo.probes, memo.flops)
         decision = {
             "method": method,
             "semiring": sr.name,
-            "mask_nvals": int(allowed.size),
-            "dot_probes": probes,
-            "expand_flops": flops,
+            "mask_nvals": int(memo.allowed.size),
+            "dot_probes": memo.probes,
+            "expand_flops": memo.flops,
+            "plan_cache": "hit" if hit else "miss",
         }
         if method != "dot":
             plan.meta.update(decision)     # survives into the fallback event
             return None
-        plan.meta["_dot"] = (allowed, rows_m, cols_m, lengths, None)
+        plan.meta["_dot"] = memo
         return decision
 
     @staticmethod
     def run(plan: Plan, detail: dict):
         a, b = plan.args
         sr = plan.operator
-        allowed, rows_m, cols_m, lengths, _ = plan.meta["_dot"]
+        memo = plan.meta["_dot"]
         bn_cols = plan.meta["_bn_cols"]
-        if rows_m is None:                     # empty mask: empty product
+        if memo is None:                       # empty mask: empty product
             t_keys = np.empty(0, np.int64)
             t_vals = np.empty(0, _scipy_dtype(a, b, sr))
         else:
@@ -599,33 +648,25 @@ class _MxmMaskedDot:
             bt_ip, bt_ix, bt_vv = b._S().csr() if plan.transpose_b \
                 else b._S().transpose_csr()
             cast_dt = _scipy_dtype(a, b, sr) if sr.scipy_reducible() else None
-            probe = plan.meta.get("_dot_probe")
-            if probe is None:
-                # the structure-resolution stage — a pure function of the
-                # operand structures and the mask, stashed as a plan-cache
-                # feed: a repeated identical multiply re-runs only the
-                # value stage below
-                mult = sr.mult.name
-                probe = _mm.masked_dot_probe(
-                    a_ip, a_ix, bt_ip, bt_ix, rows_m, cols_m, a.ncols,
-                    mult in ("times", "first"), mult in ("times", "second"),
-                    lengths=lengths)
-                plan.meta["_dot_probe"] = probe
-            hit, t_vals = _mm.masked_dot_reduce(probe, a_vv, bt_vv,
-                                                rows_m.size, sr,
+            if memo.probe is None:
+                # the structure-resolution stage, kept on the memo before
+                # the write-back below can change the mask (which drops
+                # the memo, and so the probe, with it)
+                memo.probe = _mm.masked_dot_probe(
+                    a_ip, a_ix, bt_ip, bt_ix, memo.rows, memo.cols, a.ncols,
+                    *_mult_uses(sr), lengths=memo.lengths)
+            hit, t_vals = _mm.masked_dot_reduce(memo.probe, a_vv, bt_vv,
+                                                memo.rows.size, sr,
                                                 cast_dtype=cast_dt)
-            t_keys = allowed[hit]
+            t_keys = memo.allowed[hit]
         plan.meta["_premasked"] = True  # output ⊆ mask by construction
         return finish(plan, t_keys, t_vals, is_vector=False,
                       nrows=a.nrows, ncols=bn_cols)
 
 
 def _live_rows_feed(plan: Plan, nrows: int, ncols: int):
-    """The mask-live row set, computed once per plan shape.
-
-    Stashed under ``plan.meta["_rows"]`` (a plan-cache feed key): a cached
-    dispatch of the same shape re-attaches it, so the O(nnz) live-row scan
-    is skipped along with the chooser."""
+    """The mask-live row set, computed once per plan (by the claiming
+    rule's ``applies``, re-read by its ``run``)."""
     if "_rows" not in plan.meta:
         plan.meta["_rows"] = mask_live_rows(plan.mask, nrows, ncols) \
             if _mask_engaged(plan) else None

@@ -38,7 +38,6 @@ from ...obs import profile as _profile
 from ...obs import trace as _trace
 from ...testing import faults as _faults
 from .. import cancel as _cancel
-from . import cost, plancache
 from .plan import Plan
 
 __all__ = ["Rule", "register", "rules_for", "dispatch",
@@ -114,13 +113,11 @@ def force_rule(op: str, name: str):
         _forced_var.reset(token)
 
 
-def _emit(plan: Plan, rule_name: str, detail: dict, cached=None):
+def _emit(plan: Plan, rule_name: str, detail: dict):
     event = plan.describe()
     event.update(plan.meta)
     event.update(detail)
     event["rule"] = rule_name
-    if cached is not None:
-        event["plan_cache"] = cached
     # private planner scratch (underscore keys: builder operands,
     # rule work arrays) never belongs in a record
     for k in [k for k in event if k.startswith("_")]:
@@ -128,14 +125,9 @@ def _emit(plan: Plan, rule_name: str, detail: dict, cached=None):
     _profile.decision(event)  # obs: gated-by-caller (_claim's ``decide`` is dispatch's one read of the obs gates)
 
 
-def _claim(plan: Plan, forced: Optional[str], cache_key, decide: bool):
-    """Find the claiming rule; returns ``(rule, detail, hit)``.
+def _claim(plan: Plan, forced: Optional[str], decide: bool):
+    """Find the claiming rule; returns ``(rule, detail)``.
 
-    Consults the keyed plan cache first (``cache_key`` is ``None`` for an
-    uncacheable or pinned plan): on a hit the cached decision's operand
-    feeds are re-attached to ``plan.meta`` and no ``applies`` chain runs
-    at all; on a miss the claiming rule's decision and feeds are stored
-    for the next identical dispatch (``hit`` tells the two apart).
     ``decide`` is the caller's reading of :func:`repro.obs.deciding` — the
     decision record is built only when something consumes it.
     """
@@ -144,16 +136,6 @@ def _claim(plan: Plan, forced: Optional[str], cache_key, decide: bool):
     except KeyError:
         raise PlanningError(f"no rules registered for op {plan.op!r}") \
             from None
-    if cache_key is not None:
-        hit = plancache.lookup(cache_key)
-        if hit is not None:
-            rule = next((r for r in rules if r.name == hit.rule), None)
-            if rule is not None:
-                plan.meta.update(hit.feeds)
-                detail = dict(hit.detail)
-                if decide:
-                    _emit(plan, rule.name, detail, cached="hit")
-                return rule, detail, True
     for rule in rules:
         if forced is not None and rule.name != forced:
             continue
@@ -163,43 +145,32 @@ def _claim(plan: Plan, forced: Optional[str], cache_key, decide: bool):
                 raise PlanningError(
                     f"forced rule {forced!r} declined plan {plan.op!r}")
             continue
-        if cache_key is not None:
-            feeds = {k: plan.meta[k] for k in plancache.FEED_KEYS
-                     if k in plan.meta}
-            plancache.store(cache_key, rule.name, detail, feeds)
         if decide:
-            _emit(plan, rule.name, detail,
-                  cached="miss" if cache_key is not None else None)
-        return rule, detail, False
+            _emit(plan, rule.name, detail)
+        return rule, detail
     raise PlanningError(f"no rule claimed plan {plan.op!r}")
-
-
-def _cache_key(plan: Plan, forced: Optional[str]):
-    """The plan-cache key, or ``None``: a pinned kind neither reads nor
-    feeds the cache."""
-    if (forced is None and cost.PLAN_CACHE_ENABLED
-            and plan.op in plancache.CACHEABLE_OPS):
-        return plancache.shape_key(plan)
-    return None
 
 
 def _priced_units(plan: Plan, detail: dict):
     """The work the masked-mxm chooser priced this claim at: the exact probe
     count of a dot claim, or the exact flop count of a product it
-    declined; ``None`` for a claim no chooser priced."""
+    declined; ``None`` for a claim no chooser priced, and for one whose
+    analysis the mask's memo served (``plan_cache == "hit"``: the probe
+    work is re-used, not done)."""
     if detail.get("method") == "dot":
-        return detail.get("dot_probes")
-    return plan.meta.get("expand_flops")    # left only by a declined dot
+        units, cached = detail.get("dot_probes"), detail.get("plan_cache")
+    else:       # both left in plan.meta only by a declined dot
+        units, cached = (plan.meta.get("expand_flops"),
+                         plan.meta.get("plan_cache"))
+    return None if cached == "hit" else units
 
 
-def _run_rule(plan: Plan, rule: Rule, detail: dict, deep: bool,
-              hit: bool):
+def _run_rule(plan: Plan, rule: Rule, detail: dict, deep: bool):
     """Execute the claiming rule, timing it when deep profiling is on.
 
-    The timing row also sums the claim's priced units — not on a
-    plan-cache hit, which re-uses the probe work instead of doing it — so
-    the rule table reads seconds per probe or per flop, the inputs a fit of
-    the cost constants needs."""
+    The timing row also sums the claim's priced units, so the rule table
+    reads seconds per probe or per flop, the inputs a fit of the cost
+    constants needs."""
     if not deep:
         return rule.run(plan, detail)
     nnz_in = sum(int(getattr(a, "nvals", 0) or 0) for a in plan.args)
@@ -210,18 +181,8 @@ def _run_rule(plan: Plan, rule: Rule, detail: dict, deep: bool,
     cpu = time.process_time() - cpu0
     _profile.record_rule(plan.op, rule.name, wall, cpu, nnz_in,
                          int(getattr(out, "nvals", 0) or 0),
-                         None if hit else _priced_units(plan, detail))
+                         _priced_units(plan, detail))
     return out
-
-
-def _feed_pickup(plan: Plan, cache_key) -> None:
-    if cache_key is not None:
-        # post-run feed pickup: some feeds (the dot kernel's probe
-        # resolution) are produced by the run itself
-        feeds = {k: plan.meta[k] for k in plancache.FEED_KEYS
-                 if k in plan.meta}
-        if feeds:
-            plancache.update_feeds(cache_key, feeds)
 
 
 def dispatch(plan: Plan):
@@ -229,8 +190,8 @@ def dispatch(plan: Plan):
 
     Observability: every dispatch bumps ``grb_dispatch_total{op, rule}``;
     with a trace sink installed the dispatch becomes a ``plan:<op>`` span
-    wrapping a ``plan-choose`` span (cache probe + ``applies`` chain, and
-    the decision record attached to it) and a ``kernel:<rule>`` span (the
+    wrapping a ``plan-choose`` span (the ``applies`` chain, and the
+    decision record attached to it) and a ``kernel:<rule>`` span (the
     rule's execution, epilogues and write-back included —
     :func:`repro.grb.engine.executors.finish` opens child spans for those
     stages).  The two obs gates (trace sink, deep profiling) are each read
@@ -246,23 +207,18 @@ def dispatch(plan: Plan):
     if _faults.ACTIVE:
         _faults.fire("kernel", op=plan.op)
     forced = _forced_var.get().get(plan.op)
-    cache_key = _cache_key(plan, forced)
     deep = _profile.deep_active()
     if _trace.active():
         with _trace.span("plan:" + plan.op, cat="plan", op=plan.op) as sp:
             with _trace.span("plan-choose", cat="plan"):
-                rule, detail, hit = _claim(plan, forced, cache_key, True)
+                rule, detail = _claim(plan, forced, True)
             sp.set(rule=rule.name)
             if _metrics.ENABLED:
                 rule.dispatched.inc()
             with _trace.span("kernel:" + rule.name, cat="kernel",
                              op=plan.op):
-                out = _run_rule(plan, rule, detail, deep, hit)
-            _feed_pickup(plan, cache_key)
-            return out
-    rule, detail, hit = _claim(plan, forced, cache_key, deep)
+                return _run_rule(plan, rule, detail, deep)
+    rule, detail = _claim(plan, forced, deep)
     if _metrics.ENABLED:
         rule.dispatched.inc()
-    out = _run_rule(plan, rule, detail, deep, hit)
-    _feed_pickup(plan, cache_key)
-    return out
+    return _run_rule(plan, rule, detail, deep)

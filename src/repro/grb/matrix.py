@@ -11,14 +11,18 @@ structure whatever the active format.  The format itself is chosen by
 :mod:`repro.grb.storage.policy` at mutation boundaries, or pinned with
 :meth:`Matrix.set_format`.
 
-Three lazily built caches are maintained and invalidated on mutation:
+Four lazily built caches are maintained and invalidated on mutation:
 
 * a SciPy ``csr_matrix`` view sharing the canonical buffers (zero-copy) —
   used by the plus.times-reducible matmul fast path;
 * the transpose (mirrors LAGraph's cached ``G->AT``), built from the
   store's cached CSC arrays;
 * the linearised COO key array ``i * ncols + j`` — used for mask resolution
-  and element-wise merges.
+  and element-wise merges;
+* ``_dot``, the masked-dot analysis of the last product that used this
+  matrix as its mask (filled and read by the ``mxm-masked-dot`` rule,
+  keyed on that product's operands; counted by
+  :mod:`repro.grb.engine.plancache`).
 
 ``setElement`` (``C[i, j] = s``) is staged like SuiteSparse's pending
 tuples: the store is rebuilt once, at the next read — n staged insertions
@@ -70,8 +74,8 @@ class Matrix:
 
     __slots__ = ("nrows", "ncols", "type", "_store", "_format",
                  "_scipy", "_pattern_scipy", "_vals_positive", "_vals_finite",
-                 "_transpose", "_keys", "_pending", "_uid", "_version",
-                 "__weakref__")
+                 "_transpose", "_keys", "_dot", "_pending", "_uid",
+                 "_version", "__weakref__")
 
     def __init__(self, typ, nrows: int, ncols: int):
         self.type = typ if isinstance(typ, Type) else from_dtype(typ)
@@ -87,6 +91,7 @@ class Matrix:
         self._vals_finite = None
         self._transpose = None
         self._keys = None
+        self._dot = None
         self._pending = None
         self._uid = next(_uids)        # process-unique, never reused
         self._version = 0              # store version: bumps on mutation
@@ -182,8 +187,8 @@ class Matrix:
     def dup(self) -> "Matrix":
         """``C ↤ A``: an independent copy (same format, same pin).
 
-        The copy is a new object with its own uid, so it shares no
-        plan-cache entry with the source.
+        The copy is a new object with its own uid and an empty memo, so
+        no analysis keyed on the source is re-used through it.
         """
         m = Matrix(self.type, self.nrows, self.ncols)
         m._store = self._S().copy()
@@ -346,10 +351,11 @@ class Matrix:
         self._vals_finite = None
         self._transpose = None
         self._keys = None
+        self._dot = None
         self._version += 1    # any memoization keyed on the old version dies
 
     # ------------------------------------------------------------------
-    # plan-cache key: (uid, store_version) (see repro.grb.engine.plancache)
+    # memo key: (uid, store_version) (see the mxm-masked-dot rule)
     # ------------------------------------------------------------------
     @property
     def store_version(self) -> int:

@@ -15,10 +15,10 @@ spec's blocking mode, which it permits in non-blocking mode too.  The
 kernel strategies themselves — the dot3 masked SpGEMM, the SciPy sparse
 products, the bitmap merges, the gather references — live in
 :mod:`repro.grb.engine.executors`; their decisions are observable through
-:func:`repro.obs.decision` records, forceable through the cost constants (or
-:func:`repro.grb.engine.force_rule`), and memoized across repeated
-identical dispatches by the keyed plan cache
-(:mod:`repro.grb.engine.plancache`).
+:func:`repro.obs.decision` records and forceable through the cost
+constants (or :func:`repro.grb.engine.force_rule`); the masked-dot rule
+memoizes its analysis on the product's mask
+(:mod:`repro.grb.engine.plancache` counts it).
 
 All operations share the write-back transaction implemented in
 :mod:`repro.grb._kernels.maskwrite`: compute ``T``, merge with the

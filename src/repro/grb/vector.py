@@ -62,7 +62,7 @@ class Vector:
         _obsmem.register(self)
 
     # ------------------------------------------------------------------
-    # plan-cache key: (uid, store_version) (see repro.grb.engine.plancache)
+    # operand identity: (uid, store_version)
     # ------------------------------------------------------------------
     @property
     def store_version(self) -> int:
@@ -147,8 +147,7 @@ class Vector:
     def dup(self) -> "Vector":
         """``w ↤ u``: an independent copy (same format, same pin).
 
-        The copy is a new object with its own uid, so it shares no
-        plan-cache entry with the source.
+        The copy is a new object with its own uid.
         """
         w = Vector(self.type, self.size)
         w._store = self._store.copy()

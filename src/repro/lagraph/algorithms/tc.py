@@ -43,8 +43,8 @@ both :func:`triangle_count` and :func:`triangle_count_basic` cache them on
 the caller's graph (:meth:`~repro.lagraph.Graph.derived_operand`, dropped
 by ``invalidate_properties()``), including when Basic mode symmetrises a
 directed input or strips self-edges.  A repeated count re-reads the same
-objects, so the engine's plan cache, keyed on operand uid and store
-version, serves its multiply.
+objects, so the masked-dot analysis memoized on the mask ``L``, keyed on
+operand uid and store version, serves its multiply.
 """
 
 from __future__ import annotations
@@ -154,7 +154,8 @@ def triangle_count(g: Graph, method: str = "sandia_lut",
 
     The prepared operands — the (permuted) pattern and its ``L``/``U`` —
     are cached on ``g`` (:meth:`Graph.derived_operand`), so a repeated
-    count re-reads them, and the plan cache serves its multiply.
+    count re-reads them, and the analysis memoized on ``L`` serves its
+    multiply.
     """
     if g.kind is not Kind.ADJACENCY_UNDIRECTED:
         if g.A_pattern_is_symmetric is None:

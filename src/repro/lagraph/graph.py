@@ -25,8 +25,9 @@ Design points mirrored from the paper:
   the symmetric diagonal-free pattern of LCC and k-truss — keep them in a
   private cache (:meth:`Graph.derived_operand`) that
   :meth:`Graph.invalidate_properties` drops with the other properties.  A
-  repeated call then re-reads the same objects, which is what the engine's
-  plan cache keys on.
+  repeated call then re-reads the same objects, so the masked-dot analysis
+  the engine memoizes on a mask (keyed on its operands' uid and store
+  version) is served again.
 """
 
 from __future__ import annotations

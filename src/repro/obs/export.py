@@ -84,8 +84,8 @@ def json_snapshot(registry: Optional[_metrics.Registry] = None) -> dict:
     """Everything observable, as one JSON-serialisable dict.
 
     Includes the metric registry, the deep-profiling tables (empty unless
-    a :func:`repro.obs.profile.profiling` block ran), and the plan cache
-    counters when the engine is importable.
+    a :func:`repro.obs.profile.profiling` block ran), and the masked-dot
+    memo counters (``plan_cache``) when the engine is importable.
     """
     reg = registry if registry is not None else _metrics.REGISTRY
     stores = _memory.snapshot()    # publishes the footprint gauges
@@ -113,8 +113,8 @@ def json_snapshot(registry: Optional[_metrics.Registry] = None) -> dict:
             pc = engine.plancache.stats()
             out["plan_cache"] = {
                 "hits": pc.hits, "misses": pc.misses,
-                "invalidations": pc.invalidations, "entries": pc.entries,
-                "feed_bytes": pc.feed_bytes, "hit_rate": pc.hit_rate}
+                "entries": pc.entries, "feed_bytes": pc.feed_bytes,
+                "hit_rate": pc.hit_rate}
     except Exception:
         pass
     return out

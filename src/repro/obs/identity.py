@@ -1,24 +1,24 @@
 """Operand-identity labels: mapping matrix uids back to graph names.
 
-The plan cache keys operands by uid.  For attribution ("which graph's
-plans are being invalidated?", "which graph owns this store?") the serve
-layer registers each graph here at ``register()`` time; :func:`labels`
+Stores are known by matrix uid.  For attribution ("which graph owns
+this store?", read by :mod:`repro.obs.memory`'s reports) the serve layer
+registers each graph here at ``register()`` time; :func:`labels`
 resolves the registered graphs' *current* matrices — ``A``, the cached
 ``AT`` and the derived operands cached on the graph — to their label when
 it is read, so a property rebuilt after ``invalidate_properties()`` is
 attributed like the one it replaced.
 
-Process-global like the plan cache itself; registration is an explicit,
-cheap opt-in (one weak reference per registered graph).
+Process-global; registration is an explicit, cheap opt-in (one weak
+reference per registered graph).
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
-__all__ = ["register", "labels", "find", "clear"]
+__all__ = ["register", "labels", "clear"]
 
 _lock = threading.Lock()
 _graphs: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -36,14 +36,6 @@ def labels() -> Dict[int, str]:
     with _lock:
         graphs = list(_graphs.items())
     return {m._uid: label for g, label in graphs for m in g.matrices()}
-
-
-def find(uids: Iterable[int]) -> Optional[str]:
-    """The label of the first of ``uids`` a registered graph holds."""
-    if not _graphs:
-        return None
-    known = labels()
-    return next((known[u] for u in uids if u in known), None)
 
 
 def clear() -> None:

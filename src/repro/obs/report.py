@@ -4,7 +4,7 @@ Sections, each omitted when empty:
 
 * non-zero counters and gauges (grouped by metric, one line per child),
 * histogram summaries (count / mean / per-bucket distribution),
-* the plan cache counters (when the engine has been imported),
+* the masked-dot memo counters (when the engine has been imported),
 * deep-profiling kernel / rule / decision tables (when a
   :func:`repro.obs.profile.profiling` block ran).
 
@@ -79,7 +79,6 @@ def report(*, registry: Optional[_metrics.Registry] = None,
         if pc.hits or pc.misses:
             lines.append("-- plan cache --")
             lines.append(f"  hits={pc.hits}  misses={pc.misses}"
-                         f"  invalidations={pc.invalidations}"
                          f"  entries={pc.entries}"
                          f"  hit_rate={pc.hit_rate:.3f}")
 

@@ -127,8 +127,8 @@ class ServiceStats:
     The monotonic counters are maintained under the service lock; the
     rest are snapshot-time derivations :meth:`GraphService.stats` fills
     in — queue state, the batch-size histogram, request-latency
-    percentiles over the recent window, and the process-global plan-cache
-    counters serve dispatches feed.
+    percentiles over the recent window, and the process-global counters
+    of the masked-dot analysis memo (:mod:`repro.grb.engine.plancache`).
     """
 
     submitted: int = 0
@@ -205,8 +205,8 @@ class ServiceStats:
             "breaker_states": dict(self.breaker_states),
             "plan_cache": ({
                 "hits": pc.hits, "misses": pc.misses,
-                "invalidations": pc.invalidations, "entries": pc.entries,
-                "feed_bytes": pc.feed_bytes, "hit_rate": pc.hit_rate,
+                "entries": pc.entries, "feed_bytes": pc.feed_bytes,
+                "hit_rate": pc.hit_rate,
             } if pc is not None else None),
         }
 
@@ -341,19 +341,18 @@ class GraphService:
           adjacency-side operands are what registration can usefully
           pre-build.
 
-        Beyond operand state, every query executed by the drain workers
-        dispatches through the engine's keyed plan cache
-        (:mod:`repro.grb.engine.plancache`): the first query of a shape
-        pays the choosers and leaves its claimed rule + operand feeds
-        behind, and a repeat that reads the same operands — the adjacency,
-        or the derived operands cached on the graph — skips them (see
+        Beyond operand state, a masked product's analysis is memoized on
+        its mask (:mod:`repro.grb.engine.plancache`): the first query pays
+        the probe counting and the dot kernel's probe stage, and a repeat
+        that reads the same operands — the adjacency, or the derived
+        operands cached on the graph — re-uses them (see
         :meth:`plan_cache_stats`).
         """
         if validate:
             self._validate_graph(name, graph)
         self.registry.register(name, graph)
-        # attribution: plan-cache records and memory reports name the
-        # graph that holds an operand (repro.obs.identity)
+        # attribution: memory reports name the graph that holds an
+        # operand (repro.obs.identity)
         _identity.register(graph, name)
         if warm:
             self._warm_graph(graph, warm)
@@ -1075,14 +1074,14 @@ class GraphService:
 
     @staticmethod
     def plan_cache_stats():
-        """Hit/miss/invalidation counters of the engine's keyed plan cache.
+        """Hit/miss counters of the masked-dot analysis memo, and what
+        the live memos hold.
 
-        The cache is engine-global (every drain worker's dispatches share
-        it), so this is a process-wide snapshot, not a per-service one —
-        the serving analogue of ``stats()`` for planner decisions.  The
-        same counters ride on the planner's decision records
-        (``plan_cache`` field, ``op="plancache"`` invalidations — see
-        :func:`repro.obs.decision`).
+        The counters are engine-global (every drain worker's dispatches
+        feed them), so this is a process-wide snapshot, not a per-service
+        one — the serving analogue of ``stats()`` for planner decisions.
+        The same outcome rides on the planner's decision records (the
+        ``plan_cache`` field — see :func:`repro.obs.decision`).
         """
         return engine.plancache.stats()
 

@@ -21,7 +21,7 @@ import dense_model as dm
 from helpers import MATRIX_LAYOUTS, ab_ratio, in_layout, random_graph_np
 from repro import grb, obs
 from repro.grb import engine
-from repro.grb.engine import cost, plancache
+from repro.grb.engine import cost
 
 VECTOR_FORMATS = ("sparse", "bitmap")
 
@@ -499,9 +499,12 @@ class TestAlgorithmFusionParity:
                              ids=("fused", "decomposed"))
     @pytest.mark.parametrize("cache", ("warm", "cold"))
     def test_fusion_and_plan_cache_lattice(self, fusion, cache, monkeypatch):
-        """Every shipped algorithm, fusion on/off × plan cache warm/cold,
-        against the default run entry for entry (the warm arm runs twice,
-        the second time cache-served)."""
+        """Every shipped algorithm, fusion on/off × masked-dot memo
+        warm/cold, against the default run entry for entry.  The warm arm
+        runs twice on the graphs the default run used, so its analyses are
+        memo-served; the cold arm first drops every graph's properties and
+        derived operands (``invalidate_properties``) and re-caches them,
+        so every analysis runs on fresh operands."""
         rng = np.random.default_rng(11)
         g = random_graph_np(rng, n=36, p=0.12, directed=True)
         gw = random_graph_np(rng, n=36, p=0.12, directed=True, weighted=True)
@@ -513,12 +516,12 @@ class TestAlgorithmFusionParity:
 
         monkeypatch.setattr(cost, "FUSION_ENABLED", fusion)
         if cache == "cold":
-            monkeypatch.setattr(cost, "PLAN_CACHE_ENABLED", False)
-        plancache.clear()
+            for graph in (g, gw, gu):
+                graph.invalidate_properties()
+                graph.cache_all()
         runs = [_algo_results(g, gw, gu)]
         if cache == "warm":
             runs.append(_algo_results(g, gw, gu))
-        plancache.clear()
 
         for name in ref:
             for got in runs:
@@ -1016,8 +1019,7 @@ class TestSmallExpandRatioGuard:
 
     def test_bc_batch(self, road_small):
         """The whole 4-source batch: ~230 such levels (measured 1.19-1.52x
-        over ten runs — the pinned arm also skips the plan cache — so parity
-        is the floor)."""
+        over ten runs, so parity is the floor)."""
         from repro.lagraph.algorithms.bc import betweenness_centrality_batch
         live = np.flatnonzero(np.diff(road_small.A.indptr) > 0)
         srcs = np.random.default_rng(23).choice(live, 4, replace=False)

@@ -521,9 +521,9 @@ class TestVectorThunk:
 
     def test_result_is_not_a_deterministic_derivation(self):
         # same source version, same op, same thunk *object* — different
-        # thunk content: the plan cache must never key them alike
+        # thunk content: an operand key must never name them alike
         def key(x):
-            return x._uid, x.store_version    # the plan cache's operand key
+            return x._uid, x.store_version    # the masked-dot memo's key
 
         t, req, _ = self._objects()
         first = req.select(_IMPROVES_VEC, t)

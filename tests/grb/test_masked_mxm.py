@@ -371,8 +371,9 @@ class TestSlotMapRatioGuard:
         """Ratio guard: the heaviest backward level of one 4-source BC
         batch on kron-small, ``W⟨s(S[1])⟩ = W plus.first Aᵀ`` (288 516
         probes, most of them into ``W``'s 4 × n grid by position), on the
-        dot kernel; the slow arm sets ``DOT_DENSE_GRID_CAP = 0``.  Pinned
-        to the rule, so the plan cache never replays the probe."""
+        dot kernel; the slow arm sets ``DOT_DENSE_GRID_CAP = 0``.  Each
+        call masks with a fresh copy of the level, so neither arm finds
+        the probe memoized on its mask."""
         a, at, n = kron_small.A, kron_small.AT, kron_small.n
         sr = grb.semiring_by_name("plus.first")
         cand = np.flatnonzero(np.diff(a.indptr) > 0)
@@ -396,7 +397,7 @@ class TestSlotMapRatioGuard:
         def level():
             out = grb.Matrix(grb.FP64, 4, n)
             with engine.force_rule("mxm", "mxm-masked-dot"):
-                grb.mxm(out, w, at, sr, mask=grb.structure(levels[1]),
+                grb.mxm(out, w, at, sr, mask=grb.structure(levels[1].dup()),
                         replace=True)
             return out
 

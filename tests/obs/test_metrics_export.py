@@ -166,7 +166,8 @@ class TestJsonSnapshot:
         # the engine is imported by the suite; global snapshot carries it
         snap = obs.json_snapshot()
         assert "plan_cache" in snap
-        assert set(snap["plan_cache"]) >= {"hits", "misses", "invalidations"}
+        assert set(snap["plan_cache"]) == {"hits", "misses", "entries",
+                                           "feed_bytes", "hit_rate"}
 
 
 class TestGlobalRegistryWiring:

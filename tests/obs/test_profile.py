@@ -93,7 +93,7 @@ class TestEngineProfiling:
     def test_rule_table_sums_priced_units(self, tc_graph, monkeypatch,
                                           probe_cost, rule, unit):
         """A dot claim counts its exact probes, a declined dot the exact
-        flops of the fallback; a plan-cache hit re-uses the probe work and
+        flops of the fallback; a memo hit re-uses the probe work and
         adds none, while its call and wall time still count."""
         monkeypatch.setattr(cost, "MASKED_MIN_NNZ", 0)
         monkeypatch.setattr(cost, "DOT_PROBE_COST", probe_cost)

@@ -5,8 +5,7 @@ settables: module-level ALL-CAPS names that rules and format choosers read
 at call time, and that tests monkeypatch to force a path.  A constant that
 nothing reads any more decides nothing, yet still looks like a knob, so
 every such name must be read somewhere under ``src/repro`` besides its own
-assignment.  The plan cache's key (``plancache._cost_fingerprint``) lists
-the cost constants by construction, so a read there alone does not count.
+assignment.
 
 The scalar settables (the knobs; the format catalogs are tuples) are also
 pinned by name: a new knob shows up as an edit of :data:`PINNED`, where a
@@ -18,10 +17,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 MODULES = ("grb/engine/cost.py", "grb/storage/policy.py")
-FINGERPRINT = ("grb/engine/plancache.py", "_cost_fingerprint")
 PINNED = {
     "grb/engine/cost.py": {
-        "FUSION_ENABLED", "PLAN_CACHE_ENABLED", "DOT_PROBE_COST",
+        "FUSION_ENABLED", "DOT_PROBE_COST",
         "MASKED_MIN_NNZ", "LIVE_ROW_FRACTION", "MSBFS_PROBE_DENSITY",
         "MSBFS_FUSE_FRONTIER_K", "PUSHPULL_ALPHA", "PUSHPULL_BETA"},
     "grb/storage/policy.py": {
@@ -48,17 +46,11 @@ def settables(source: str, scalar: bool = False) -> set:
     return names
 
 
-def reads(source: str, skip_function: str = None) -> set:
-    """Names ``source`` loads, bare or as an attribute, outside the
-    function ``skip_function``."""
-    tree = ast.parse(source)
-    skipped = {id(n) for fn in ast.walk(tree)
-               if isinstance(fn, ast.FunctionDef) and fn.name == skip_function
-               for n in ast.walk(fn)}
+def reads(source: str) -> set:
+    """Names ``source`` loads, bare or as an attribute."""
     names = set()
-    for node in ast.walk(tree):
-        if id(node) in skipped or not isinstance(
-                getattr(node, "ctx", None), ast.Load):
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
             continue
         if isinstance(node, ast.Name):
             names.add(node.id)
@@ -76,16 +68,12 @@ def test_checker_finds_settables():
 def test_checker_counts_loads_not_stores():
     assert reads("A = 1\n") == set()
     assert reads("x = cost.A + B\n") >= {"A", "B"}
-    assert "A" not in reads("def key():\n    return (cost.A,)\n",
-                            skip_function="key")
 
 
 def test_every_settable_is_read():
     read = set()
     for path in SRC.rglob("*.py"):
-        rel = path.relative_to(SRC).as_posix()
-        read |= reads(path.read_text(), FINGERPRINT[1]
-                      if rel == FINGERPRINT[0] else None)
+        read |= reads(path.read_text())
     unread = sorted(f"{module}::{name}" for module in MODULES
                     for name in settables((SRC / module).read_text())
                     if name not in read)
@@ -93,7 +81,7 @@ def test_every_settable_is_read():
 
 
 def test_settables_are_pinned():
-    """The ratchet: 9 cost and 4 policy knobs."""
+    """The ratchet: 8 cost and 4 policy knobs."""
     got = {module: settables((SRC / module).read_text(), scalar=True)
            for module in MODULES}
     assert got == PINNED
