@@ -20,23 +20,22 @@ count versus the exact flop count of the full product).
     lanes — proportional to the mask, not to the flop count of the full
     product.
 
-Probe resolution is itself a small per-call chooser with three
-mechanisms, all bit-identical:
+Probe resolution is itself a small per-call chooser with two
+mechanisms, both bit-identical:
 
-* **dense map** — when the probed operand's grid fits the
-  :data:`DOT_DENSE_GRID_CAP` byte budget, each lane is one O(1) gather: a
-  bool flag map when the probed side's values are unused (TC's
-  ``plus.pair``), an int32 slot map holding ``entry + 1`` when they feed
-  the multiply (BC's ``plus.first`` backward levels probing the 4 × n
-  frontier ``W``);
-* **bounded (galloping) search** — when the probe lanes are few relative
-  to the probed operand's nnz (:data:`BOUNDED_PROBE_NNZ_RATIO`, the very
-  asymmetric-rows regime), each lane binary-searches only its target
-  *row span* — O(lanes · log max-row) — and the O(nnz) global key array is
-  never materialised;
-* **global searchsorted** — otherwise (a grid over the budget, such as
-  TC's on kron-medium): one ``searchsorted`` against the sorted
-  ``row·inner + col`` keys of every entry.
+* **rank bitmap** — one bit per cell of the probed operand's
+  ``nrows × inner`` grid: a lane's hit is one byte gather and a shift.
+  When the probed side's values feed the multiply (BC's ``plus.first``
+  backward levels probing the 4 × n frontier ``W``), a running int32
+  count of the set bits, one per byte, turns a hit into its entry
+  position with one more gather and a popcount.  It is built when it fits
+  the :data:`DOT_DENSE_GRID_CAP` byte budget (TC's 2²⁸-cell grid on
+  kron-medium does, without positions);
+* **bounded (galloping) search** — otherwise, or when the probe lanes are
+  few relative to the probed operand's nnz (:data:`BOUNDED_PROBE_NNZ_RATIO`,
+  the very asymmetric-rows regime): each lane binary-searches only its
+  target *row span* — O(lanes · log max-row) — and nothing O(nnz) or
+  O(grid) is materialised.
 
 Bit-identity contract
 ---------------------
@@ -82,36 +81,21 @@ def dot_supported(semiring: Semiring) -> bool:
             and semiring.add.name in _DOT_MONOIDS)
 
 
-#: Byte budget for densifying a probed operand's ``nrows × inner`` grid
-#: into a flat map that resolves each probe lane with one O(1) gather: a
-#: bool flag map (1 byte a cell) when the probe needs membership only
-#: (``pair`` / the pattern side of ``first``/``second`` — TC's
-#: ``plus.pair``), an int32 slot map (4 bytes a cell, ``entry + 1`` or 0)
-#: when it also needs the entry position (the valued side — BC's
-#: ``plus.first`` backward levels).  Both maps share this one budget
-#: (:func:`_dense_map_dtype`); a grid over it takes the global search.  A
-#: kernel-mechanism cap, not a planner constant — it tunes how a chosen
-#: kernel executes.
-DOT_DENSE_GRID_CAP = 1 << 26  # cost: mechanism-cap (byte budget of the dot probe's dense maps; tests monkeypatch it here)
+#: Byte budget of the rank bitmap that resolves the dot's probe lanes:
+#: ``grid/8`` bytes for one bit per cell of the probed operand's
+#: ``nrows × inner`` grid, ``5·grid/8`` when an int32 prefix count per
+#: byte also gives the entry positions (the valued side — BC's
+#: ``plus.first`` backward levels).  A grid over it takes the bounded
+#: search.  A kernel-mechanism cap, not a planner constant — it tunes how
+#: a chosen kernel executes.
+DOT_DENSE_GRID_CAP = 1 << 26  # cost: mechanism-cap (byte budget of the dot probe's rank bitmap; tests monkeypatch it here)
 
 #: Probe-lane count below this fraction of the probed operand's nnz takes
-#: the bounded (galloping) search: building the O(nnz) dense flags / global
-#: key array would dominate, so each lane binary-searches its target row
-#: span instead.  This is the very-asymmetric-rows regime — a small mask
-#: whose entries intersect short rows against a huge operand.
+#: the bounded (galloping) search: building the rank bitmap would
+#: dominate, so each lane binary-searches its target row span instead.
+#: This is the very-asymmetric-rows regime — a small mask whose entries
+#: intersect short rows against a huge operand.
 BOUNDED_PROBE_NNZ_RATIO = 0.125  # cost: mechanism-cap (probe-strategy switch inside the dot kernel, not a planner constant)
-
-
-def _row_key_array(indptr: np.ndarray, indices: np.ndarray,
-                   inner: np.int64) -> np.ndarray:
-    """Globally sorted ``row · inner + col`` key of every CSR entry.
-
-    Strictly increasing (rows ascend, columns ascend within each row and are
-    unique), so a single ``searchsorted`` resolves membership of any
-    ``(row, k)`` pair in O(log nnz).
-    """
-    nrows = indptr.size - 1
-    return expand_rows(indptr, nrows) * inner + indices
 
 
 def bounded_searchsorted(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -148,10 +132,8 @@ def _probe_bounded(indptr: np.ndarray, indices: np.ndarray,
     """Span-bounded (galloping) probe resolution.
 
     Each lane binary-searches only ``indices[indptr[row]:indptr[row+1])``
-    — O(lanes · log max-row), and the probed operand's O(nnz) key/flag
-    arrays are never materialised.  Chosen by :func:`masked_dot` when the
-    lane count is small relative to the probed nnz (the very
-    asymmetric-rows regime).
+    — O(lanes · log max-row), and nothing O(nnz) is materialised.  Same
+    ``(hit, pos)`` contract as :func:`_probe_membership`.
     """
     nnz = indices.size
     if nnz == 0:
@@ -166,53 +148,72 @@ def _probe_bounded(indptr: np.ndarray, indices: np.ndarray,
     return hit, (pos if need_pos else None)
 
 
-def _dense_map_dtype(grid: int, need_pos: bool):
-    """The cell dtype of the dense probe map for a ``grid``-cell operand —
-    bool flags for membership, int32 ``entry + 1`` slots when the probe
-    needs positions — or ``None`` when that map would not fit
-    :data:`DOT_DENSE_GRID_CAP` bytes."""
-    dtype = np.dtype(np.int32 if need_pos else bool)
-    return dtype if grid * dtype.itemsize <= DOT_DENSE_GRID_CAP else None
-
-
 def _probe_membership(indptr: np.ndarray, indices: np.ndarray,
                       seek: np.ndarray, inner: np.int64, need_pos: bool):
     """Resolve linearised ``row · inner + col`` probe keys against a CSR
-    structure (a dense flag or slot map within :data:`DOT_DENSE_GRID_CAP`
-    bytes, one global ``searchsorted`` otherwise).
+    structure through its rank bitmap (the caller checks that it fits
+    :data:`DOT_DENSE_GRID_CAP`).
 
     ``seek`` must be built by the caller as one expression over
     refcount-1 temporaries so NumPy's in-place temporary elision kicks in
     — computing it here from named factor arrays would force an extra
-    lanes-sized allocation per probe group.
+    lanes-sized allocation per probe group.  It is consumed: shifted in
+    place into each lane's byte index.
 
     Returns ``(hit, pos)``: a bool mask over the probe lanes and — only
     when ``need_pos`` (the probed side's values feed the multiply) — the
-    entry position of each probe.  The slot map stores the same entry
-    index the search finds, so both resolutions return the same positions.
+    entry position of each probe.  Entries are stored in key order, so an
+    entry's position is the number of set bits before its own.
     """
-    hay = _row_key_array(indptr, indices, inner)
-    grid = int(indptr.size - 1) * int(inner)
-    dtype = _dense_map_dtype(grid, need_pos)
-    if dtype is not None:
-        dense = np.zeros(grid, dtype=dtype)
-        if not need_pos:
-            dense[hay] = True
-            return dense[seek], None
-        # entry + 1, so 0 marks an empty cell; a grid within the budget
-        # holds at most 2**24 entries, far inside int32
-        dense[hay] = np.arange(1, hay.size + 1, dtype=dtype)
-        pos = dense[seek]
-        hit = pos != 0
-        pos -= 1
-        return hit, pos
-    if hay.size == 0:
-        return (np.zeros(seek.size, dtype=bool),
-                np.zeros(seek.size, dtype=np.int64) if need_pos else None)
-    pos = np.searchsorted(hay, seek)
-    safe = np.minimum(pos, hay.size - 1)
-    hit = hay[safe] == seek
-    return hit, (pos if need_pos else None)
+    nrows = indptr.size - 1
+    key = expand_rows(indptr, nrows) * inner + indices
+    bits = np.zeros(-(-nrows * int(inner) // 8), dtype=np.uint8)
+    # keys are unique, so adding each entry's bit to its byte sets it
+    # (``add.at`` has a fast path that ``bitwise_or.at`` lacks)
+    np.add.at(bits, key >> 3,
+              np.left_shift(np.uint8(1), (key & 7).astype(np.uint8)))
+    shift = seek.astype(np.uint8)  # the low byte keeps the bit index
+    shift &= 7
+    seek >>= 3
+    above = bits[seek]  # bit ``shift`` of its byte and every bit above it
+    above >>= shift
+    hit = (above & 1).view(bool)
+    if not need_pos:
+        return hit, None
+    # set bits up to and including each byte, less those from the lane's
+    # own bit up; int32 holds it: the count never exceeds the probed
+    # nnz ≤ grid, and a grid within the budget is below 2**31 cells
+    rank = np.cumsum(np.bitwise_count(bits), dtype=np.int32)
+    return hit, rank[seek] - np.bitwise_count(above)
+
+
+def _probe_group(group, lens, starts, indices, need_own, probe_rows,
+                 p_indptr, p_indices, need_probed, inner64):
+    """Expand the row of one operand that each mask entry in ``group``
+    reads (``lens[group]`` entries from ``starts``) and probe each element
+    into that entry's row (``probe_rows``) of the other, probed operand.
+
+    Returns ``(t, own_pos, probed_pos)`` for the hit lanes; a position
+    array is ``None`` unless its side's values feed the multiply.
+    """
+    counts = lens[group]
+    flat = concat_ranges(starts, counts)
+    # the rank bitmap's bytes: a bit a cell, and a 4-byte running count
+    # per bitmap byte when the probe needs positions
+    nbytes = -(-(p_indptr.size - 1) * int(inner64) // 8)
+    if (flat.size < BOUNDED_PROBE_NNZ_RATIO * p_indices.size
+            or nbytes * (5 if need_probed else 1) > DOT_DENSE_GRID_CAP):
+        hit, pos = _probe_bounded(p_indptr, p_indices,
+                                  np.repeat(probe_rows, counts),
+                                  indices[flat], need_probed)
+    else:
+        # one expression over refcount-1 temporaries: the multiply and add
+        # elide in place (no extra lanes-sized allocation)
+        seek = np.repeat(probe_rows, counts) * inner64 + indices[flat]
+        hit, pos = _probe_membership(p_indptr, p_indices, seek, inner64,
+                                     need_probed)
+    return (np.repeat(group, counts)[hit], flat[hit] if need_own else None,
+            pos[hit] if need_probed else None)
 
 
 @profiled("masked_dot")
@@ -310,49 +311,25 @@ def masked_dot_probe(
     cand = np.flatnonzero((la > 0) & (lb > 0)).astype(np.int64)
     inner64 = np.int64(inner)
 
-    t_parts: list = []
-    apos_parts: list = []
-    bpos_parts: list = []
+    parts: list = []
     if cand.size:
         probe_a = la[cand] <= lb[cand]
         group_a = cand[probe_a]
         group_b = cand[~probe_a]
         if group_a.size:
             # expand A-side elements, probe them into B's (j, k) structure
-            counts = la[group_a]
-            flat = concat_ranges(a_indptr[rows[group_a]], counts)
-            if flat.size < BOUNDED_PROBE_NNZ_RATIO * bt_indices.size:
-                hit, pos = _probe_bounded(bt_indptr, bt_indices,
-                                          np.repeat(cols[group_a], counts),
-                                          a_indices[flat], need_bv)
-            else:
-                # one expression over refcount-1 temporaries: the multiply
-                # and add elide in place (no extra lanes-sized allocation)
-                seek = np.repeat(cols[group_a], counts) * inner64 \
-                    + a_indices[flat]
-                hit, pos = _probe_membership(bt_indptr, bt_indices, seek,
-                                             inner64, need_bv)
-            t_parts.append(np.repeat(group_a, counts)[hit])
-            apos_parts.append(flat[hit] if need_av else None)
-            bpos_parts.append(pos[hit] if need_bv else None)
+            parts.append(_probe_group(
+                group_a, la, a_indptr[rows[group_a]], a_indices, need_av,
+                cols[group_a], bt_indptr, bt_indices, need_bv, inner64))
         if group_b.size:
             # expand B-side elements, probe them into A's (i, k) structure
-            counts = lb[group_b]
-            flat = concat_ranges(bt_indptr[cols[group_b]], counts)
-            if flat.size < BOUNDED_PROBE_NNZ_RATIO * a_indices.size:
-                hit, pos = _probe_bounded(a_indptr, a_indices,
-                                          np.repeat(rows[group_b], counts),
-                                          bt_indices[flat], need_av)
-            else:
-                seek = np.repeat(rows[group_b], counts) * inner64 \
-                    + bt_indices[flat]
-                hit, pos = _probe_membership(a_indptr, a_indices, seek,
-                                             inner64, need_av)
-            t_parts.append(np.repeat(group_b, counts)[hit])
-            apos_parts.append(pos[hit] if need_av else None)
-            bpos_parts.append(flat[hit] if need_bv else None)
+            t, bpos, apos = _probe_group(
+                group_b, lb, bt_indptr[cols[group_b]], bt_indices, need_bv,
+                rows[group_b], a_indptr, a_indices, need_av, inner64)
+            parts.append((t, apos, bpos))
 
-    if t_parts:
+    if parts:
+        t_parts, apos_parts, bpos_parts = zip(*parts)
         t = np.concatenate(t_parts)
         apos = np.concatenate(apos_parts) if need_av else None
         bpos = np.concatenate(bpos_parts) if need_bv else None

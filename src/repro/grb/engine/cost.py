@@ -66,20 +66,20 @@ FUSION_ENABLED = True
 # masked-mxm chooser (dot3 vs mask-restricted fallback)
 # ---------------------------------------------------------------------------
 
-#: Cost of one dot probe lane (a dense flag/slot gather, or a bounded or
-#: global searchsorted) in exact SciPy flops of the unmasked product — the
-#: one fitted constant of the masked-mxm chooser; ``inf`` rules the dot3
+#: Cost of one dot probe lane (a rank-bitmap lookup, or a bounded
+#: searchsorted) in exact SciPy flops of the unmasked product — the one
+#: fitted constant of the masked-mxm chooser; ``inf`` rules the dot3
 #: kernel out.  Measured from the deep-profiling rule table
 #: (``obs.profile.rule_table()`` ``s_per_unit``) with every masked product
-#: forced to each arm in turn (2-core Xeon): BC's backward levels on
-#: kron-medium / kron-small run 1.09–1.16 flops per probe, kron-small TC
-#: 0.89; a grid over the dense maps' budget pays the global
-#: ``searchsorted`` (TC on kron-medium reads 2.0).  Bounds on exact counts:
-#: above 0.62 the worst BC level (mask 7 122, 1.04 M probes, 0.64 M flops)
-#: goes to SciPy; up to 1.126 kron-small TC (1.54 M probes, 1.74 M flops)
-#: keeps the dot, and so do kron-medium TC and the mask-2 451 BC level
+#: forced to each arm in turn (2-core Xeon, 3 reads each): TC reads
+#: 0.87–0.93 flops per probe on kron-medium and 0.82–0.93 on kron-small;
+#: BC's backward levels 1.25–1.27 on kron-medium and 1.01–1.22 on
+#: kron-small.  Bounds on exact counts: above 0.62 the worst BC level
+#: (mask 7 122, 1.04 M probes, 0.64 M flops) goes to SciPy; up to 1.126
+#: kron-small TC (1.54 M probes, 1.74 M flops) keeps the dot, and so do
+#: kron-medium TC and the mask-2 451 BC level
 #: (``test_masked_mxm.py::TestChooserAndTelemetry``); 1.1 sits inside
-#: that interval at the BC measurement.
+#: that interval, between the TC and the BC readings.
 DOT_PROBE_COST = 1.1
 
 #: Combined operand nnz below which the masked engine stands down entirely

@@ -495,7 +495,7 @@ class _MxmSmallExpand:
     high-diameter graph, hundreds per BC batch — is therefore claimed here
     and replayed bit for bit (:func:`_run_expand`).  The bound is the
     operand's own shape, so the rule has no constant: the measured
-    crossover tracks ``ncols(B)`` (docs/BENCHMARKING.md, ISSUE 23).
+    crossover tracks ``ncols(B)`` (CHANGES.md, PR 23).
 
     The exact flop count ``Σ_k∈A |B(k,:)|`` is one O(nnz(A)) gather of
     ``B``'s row pointer, and is only attempted when ``nnz(A)`` itself is

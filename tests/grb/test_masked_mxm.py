@@ -149,10 +149,10 @@ class TestDotEquivalence:
                                       "plus.second", "plus.times",
                                       "min.first"])
     @pytest.mark.parametrize("transpose_b", (False, True))
-    def test_dense_and_searchsorted_probes_agree(self, name, transpose_b,
-                                                 monkeypatch):
-        """The dense map (flags, or slots when the probed side's values feed
-        the multiply), the global search and the bounded search pick
+    def test_bitmap_and_bounded_probes_agree(self, name, transpose_b,
+                                             monkeypatch):
+        """The rank bitmap (membership, plus positions when the probed
+        side's values feed the multiply) and the bounded search pick
         identical hits and positions: values agree bit for bit."""
         rng = np.random.default_rng(11)
         sr = grb.semiring_by_name(name)
@@ -164,25 +164,89 @@ class TestDotEquivalence:
         _force_dot(monkeypatch)
 
         def run():
+            # a fresh mask each run, so no run reads the probe memoized on
+            # the last one's
             c = grb.Matrix(grb.FP64, 30, 28)
-            grb.mxm(c, a, b, sr, mask=grb.structure(mobj),
+            grb.mxm(c, a, b, sr, mask=grb.structure(mobj.dup()),
                     transpose_b=transpose_b)
             return c
 
-        maps = []
-        dense_map_dtype = mm._dense_map_dtype
-        monkeypatch.setattr(
-            mm, "_dense_map_dtype",
-            lambda *args: maps.append(dense_map_dtype(*args)) or maps[-1])
+        ran = []
+        for resolver in ("_probe_membership", "_probe_bounded"):
+            def spy(*args, _fn=getattr(mm, resolver), _name=resolver):
+                ran.append((_name, args[4]))  # args[4] is need_pos
+                return _fn(*args)
+            monkeypatch.setattr(mm, resolver, spy)
         monkeypatch.setattr(mm, "BOUNDED_PROBE_NNZ_RATIO", 0.0)  # no bounded
         c1 = run()
         positioned = name.split(".")[1] != "pair"
-        assert maps and all(m is not None for m in maps)
-        assert (np.dtype(np.int32) in maps) == positioned
-        monkeypatch.setattr(mm, "DOT_DENSE_GRID_CAP", 0)  # force global
-        assert_same_matrix(run(), c1, "global")
-        monkeypatch.setattr(mm, "BOUNDED_PROBE_NNZ_RATIO", 1e18)  # force bounded
+        assert {r for r, _ in ran} == {"_probe_membership"}
+        assert any(need_pos for _, need_pos in ran) == positioned
+        ran.clear()
+        monkeypatch.setattr(mm, "DOT_DENSE_GRID_CAP", 0)  # force bounded
         assert_same_matrix(run(), c1, "bounded")
+        assert {r for r, _ in ran} == {"_probe_bounded"}
+
+
+def _csr_of(dense: np.ndarray):
+    """CSR structure ``(indptr, indices)`` of a bool grid."""
+    indptr = np.concatenate(([0], np.cumsum(dense.sum(axis=1))))
+    return indptr.astype(np.int64), np.nonzero(dense)[1].astype(np.int64)
+
+
+class TestRankBitmap:
+    """``_probe_membership`` against ``np.searchsorted`` over the sorted
+    ``row · inner + col`` keys of a CSR structure."""
+
+    @staticmethod
+    def _check(dense: np.ndarray, seek: np.ndarray):
+        indptr, indices = _csr_of(dense)
+        inner = np.int64(dense.shape[1])
+        keys = np.flatnonzero(dense)  # row-major: row · inner + col
+        want_hit = np.isin(seek, keys)
+        want_pos = np.searchsorted(keys, seek)[want_hit]
+        for need_pos in (False, True):
+            hit, pos = mm._probe_membership(indptr, indices, seek.copy(),
+                                            inner, need_pos)
+            np.testing.assert_array_equal(hit, want_hit)
+            if need_pos:
+                np.testing.assert_array_equal(pos[hit], want_pos)
+            else:
+                assert pos is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_structures(self, seed):
+        """Every cell once (cell 0 and the last one included) and random
+        repeated lanes, on grids that are rarely a multiple of 8."""
+        rng = np.random.default_rng(seed)
+        nrows, inner = rng.integers(1, 14, size=2)
+        dense = rng.random((nrows, inner)) < rng.uniform(0.05, 0.95)
+        grid = dense.size
+        seek = np.concatenate((np.arange(grid),
+                               rng.integers(0, grid, size=3 * grid)))
+        self._check(dense, seek.astype(np.int64))
+
+    @pytest.mark.parametrize("shape", [(3, 7), (1, 13), (1, 1), (5, 1)],
+                             ids=["grid-21", "single-row", "one-cell",
+                                  "one-column"])
+    def test_grid_edges(self, shape):
+        """A grid that is not a multiple of 8, with its first and last
+        cells stored and probed, and a single row."""
+        dense = np.zeros(shape, dtype=bool)
+        dense.flat[0] = dense.flat[-1] = True
+        dense.flat[dense.size // 2] = True
+        self._check(dense, np.arange(dense.size, dtype=np.int64))
+
+    def test_full_bytes(self):
+        """Whole bytes set: every lane of a full row lands in a byte with
+        all 8 bits set, and positions run across byte boundaries."""
+        dense = np.ones((3, 16), dtype=bool)
+        dense[1, 3] = False
+        self._check(dense, np.arange(dense.size, dtype=np.int64)[::-1])
+
+    def test_empty_operand(self):
+        dense = np.zeros((4, 9), dtype=bool)
+        self._check(dense, np.arange(dense.size, dtype=np.int64))
 
 
 class TestCrossFormat:
@@ -363,17 +427,16 @@ class TestAlgorithmParity:
         assert ab_ratio(dot, expand) >= 10.0
 
 
-class TestSlotMapRatioGuard:
-    """Positioned probes: the dense slot map against the global
-    ``searchsorted`` that an over-budget grid takes."""
+class TestRankBitmapRatioGuard:
+    """The rank bitmap against the bounded search that an over-budget
+    grid takes (``DOT_DENSE_GRID_CAP = 0``).  Each call masks with a fresh
+    copy of its mask, so neither arm finds the probe memoized on it."""
 
     def test_bc_backward_level(self, kron_small, monkeypatch):
         """Ratio guard: the heaviest backward level of one 4-source BC
         batch on kron-small, ``W⟨s(S[1])⟩ = W plus.first Aᵀ`` (288 516
         probes, most of them into ``W``'s 4 × n grid by position), on the
-        dot kernel; the slow arm sets ``DOT_DENSE_GRID_CAP = 0``.  Each
-        call masks with a fresh copy of the level, so neither arm finds
-        the probe memoized on its mask."""
+        dot kernel: positioned lookups in the bitmap's prefix count."""
         a, at, n = kron_small.A, kron_small.AT, kron_small.n
         sr = grb.semiring_by_name("plus.first")
         cand = np.flatnonzero(np.diff(a.indptr) > 0)
@@ -401,13 +464,37 @@ class TestSlotMapRatioGuard:
                         replace=True)
             return out
 
-        def searchsorted():
+        def bounded():
             with monkeypatch.context() as m:
                 m.setattr(mm, "DOT_DENSE_GRID_CAP", 0)
                 return level()
 
-        assert_same_matrix(level(), searchsorted())
-        assert ab_ratio(level, searchsorted) >= 1.2
+        assert_same_matrix(level(), bounded())
+        assert ab_ratio(level, bounded) >= 3.5
+
+    def test_tc_kron_small(self, kron_small, monkeypatch):
+        """Ratio guard: ``sandia_lut``'s ``C⟨s(L)⟩ = L plus.pair Uᵀ`` on
+        kron-small, unpermuted (2.0 M membership lanes into a 2²⁴-cell
+        grid), on the dot kernel."""
+        a = kron_small.A.pattern()
+        low, up = a.tril(-1), a.triu(1)
+        sr = grb.semiring_by_name("plus.pair")
+        _force_dot(monkeypatch)
+
+        def tc():
+            out = grb.Matrix(grb.INT64, a.nrows, a.ncols)
+            with engine.force_rule("mxm", "mxm-masked-dot"):
+                grb.mxm(out, low, up, sr, mask=grb.structure(low.dup()),
+                        transpose_b=True)
+            return out
+
+        def bounded():
+            with monkeypatch.context() as m:
+                m.setattr(mm, "DOT_DENSE_GRID_CAP", 0)
+                return tc()
+
+        assert_same_matrix(tc(), bounded())
+        assert ab_ratio(tc, bounded) >= 4.0
 
 
 class TestChooserAndTelemetry:
