@@ -7,9 +7,9 @@ mixed stream of BFS / SSSP / PageRank / component / triangle queries at it
 from several client threads.  Along the way it shows the three things the
 engine does beyond calling algorithms:
 
-1. **coalescing** — a burst of single-source queries on one graph is
-   answered by one batched multi-source kernel sweep (``msbfs`` /
-   ``sssp_batch``), not one traversal per query;
+1. **coalescing** — a burst of BFS queries on one graph is answered by
+   one batched multi-source kernel sweep (``msbfs``), not one traversal
+   per query; SSSP queries run one Bellman-Ford each;
 2. **memoization** — repeated questions hit an LRU cache keyed by the
    graph's (epoch, version);
 3. **invalidation** — mutating a graph and declaring it

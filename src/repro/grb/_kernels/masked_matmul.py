@@ -10,15 +10,15 @@ This module is the *kernel*; which multiplies run it is decided by the
 the unified cost model in :mod:`repro.grb.engine.cost` (priced probe
 count versus the exact flop count of the full product).
 
-``masked_dot``
-    The *dot3* kernel (named after cuSPARSE/GraphBLAS "SDDMM-style" masked
-    SpGEMM).  For every mask entry ``(i, j)`` it intersects CSR row
-    ``A(i,:)`` with row ``j`` of ``Bᵀ`` (= column ``j`` of ``B``) — fully
-    vectorised: the *shorter* of the two rows is expanded with
-    :func:`~repro.grb._kernels.gather.concat_ranges` and probed into the
-    other operand.  Cost is ``O(Σ_(i,j)∈M min(|A(i,:)|, |B(:,j)|))`` probe
-    lanes — proportional to the mask, not to the flop count of the full
-    product.
+The *dot3* kernel (named after cuSPARSE/GraphBLAS "SDDMM-style" masked
+SpGEMM) runs in two stages.  For every mask entry ``(i, j)``,
+``masked_dot_probe`` intersects CSR row ``A(i,:)`` with row ``j`` of ``Bᵀ``
+(= column ``j`` of ``B``) — fully vectorised: the *shorter* of the two rows
+is expanded with :func:`~repro.grb._kernels.gather.concat_ranges` and
+probed into the other operand — and ``masked_dot_reduce`` multiplies and
+⊕-reduces the hits.  Cost is ``O(Σ_(i,j)∈M min(|A(i,:)|, |B(:,j)|))``
+probe lanes — proportional to the mask, not to the flop count of the full
+product.
 
 Probe resolution is itself a small per-call chooser with two
 mechanisms, both bit-identical:
@@ -65,7 +65,7 @@ from ...obs.profile import profiled
 __all__ = [
     "masked_dot_probe", "masked_dot_reduce",
     "DOT_DENSE_GRID_CAP", "BOUNDED_PROBE_NNZ_RATIO",
-    "dot_supported", "bounded_searchsorted", "masked_dot",
+    "dot_supported", "bounded_searchsorted",
 ]
 
 #: ⊗ operators the dot kernel can replay bit-identically.
@@ -75,7 +75,8 @@ _DOT_MONOIDS = ("plus", "min", "any")
 
 
 def dot_supported(semiring: Semiring) -> bool:
-    """Whether :func:`masked_dot` can execute this semiring."""
+    """Whether the dot kernel (:func:`masked_dot_probe` +
+    :func:`masked_dot_reduce`) can execute this semiring."""
     return (not semiring.positional
             and semiring.mult.name in _DOT_MULTS
             and semiring.add.name in _DOT_MONOIDS)
@@ -216,70 +217,6 @@ def _probe_group(group, lens, starts, indices, need_own, probe_rows,
             pos[hit] if need_probed else None)
 
 
-@profiled("masked_dot")
-def masked_dot(
-    a_indptr: np.ndarray,
-    a_indices: np.ndarray,
-    a_values: Optional[np.ndarray],
-    bt_indptr: np.ndarray,
-    bt_indices: np.ndarray,
-    bt_values: Optional[np.ndarray],
-    rows: np.ndarray,
-    cols: np.ndarray,
-    inner: int,
-    semiring: Semiring,
-    cast_dtype: Optional[np.dtype] = None,
-    lengths=None,
-):
-    """Dot products of ``A(i,:) · B(:,j)`` for each mask entry ``(i, j)``.
-
-    Parameters
-    ----------
-    a_indptr, a_indices, a_values:
-        ``A`` in canonical CSR.
-    bt_indptr, bt_indices, bt_values:
-        ``Bᵀ`` in canonical CSR — i.e. the CSC view of ``B``.  For
-        ``mxm(..., transpose_b=True)`` call sites (TC's ``L plus.pair Uᵀ``)
-        this is the *untransposed* operand's own CSR arrays: the golden case
-        where the kernel runs with zero layout conversion.
-    rows, cols:
-        Mask coordinates, aligned, sorted by ``(row, col)`` (the mask's own
-        allowed-key order).
-    inner:
-        The contracted dimension ``A.ncols == B.nrows``.
-    semiring:
-        Must satisfy :func:`dot_supported`.
-    cast_dtype:
-        When set, replay SciPy-fast-path semantics: operands are cast to
-        this dtype before multiplying and accumulation is plain ``+`` in
-        k-ascending order — bit-identical to
-        :func:`repro.grb.engine.executors.scipy_mxm`.  When ``None``,
-        replay :func:`~repro.grb._kernels.matmul.mxm_expand` semantics (the
-        semiring's own ops on the operands' native dtypes).
-    lengths:
-        Optional precomputed ``(|A(i,:)|, |Bᵀ(j,:)|)`` pair per mask entry
-        — the chooser already derived it (from per-row/per-column entry
-        counts, without materialising any layout conversion), so the
-        kernel need not gather it again.
-
-    Returns
-    -------
-    ``(hit, vals)`` where ``hit`` indexes into ``rows``/``cols`` selecting
-    the mask entries whose dot product has at least one structural
-    contribution (ascending), and ``vals`` holds the ⊕-reduced values.
-    Structure-only multiplies (``pair``) never touch either operand's value
-    array.
-    """
-    mult_name = semiring.mult.name
-    need_av = mult_name in ("times", "first")
-    need_bv = mult_name in ("times", "second")
-    probe = masked_dot_probe(a_indptr, a_indices, bt_indptr, bt_indices,
-                             rows, cols, inner, need_av, need_bv,
-                             lengths=lengths)
-    return masked_dot_reduce(probe, a_values, bt_values, rows.size,
-                             semiring, cast_dtype=cast_dtype)
-
-
 @profiled("masked_dot_probe")
 def masked_dot_probe(
     a_indptr: np.ndarray,
@@ -293,7 +230,17 @@ def masked_dot_probe(
     need_bv: bool,
     lengths=None,
 ):
-    """The structure-resolution stage of :func:`masked_dot`.
+    """The structure-resolution stage of the dot kernel.
+
+    ``A`` and ``Bᵀ`` (the CSC view of ``B``; for ``transpose_b=True`` call
+    sites such as TC's ``L plus.pair Uᵀ`` the untransposed operand's own
+    CSR arrays, with zero layout conversion) come as canonical CSR
+    structures.  ``rows``/``cols`` are the mask coordinates, aligned and
+    sorted by ``(row, col)``; ``inner`` is ``A.ncols == B.nrows``.
+    ``need_av``/``need_bv`` say whether ``A``'s / ``B``'s values feed the
+    multiply (``times``/``first`` read ``A``, ``times``/``second`` read
+    ``B``).  ``lengths`` optionally passes the ``(|A(i,:)|, |Bᵀ(j,:)|)``
+    pair per mask entry the chooser already derived.
 
     Returns ``(t, apos, bpos)``: per structural hit, the mask-entry group
     id and — when the respective side's values feed the multiply — the
@@ -348,8 +295,23 @@ def masked_dot_reduce(
     semiring: Semiring,
     cast_dtype: Optional[np.dtype] = None,
 ):
-    """The value stage of :func:`masked_dot`: multiply + ⊕-reduce the
-    structural hits resolved by :func:`masked_dot_probe`."""
+    """The value stage of the dot kernel: multiply + ⊕-reduce the
+    structural hits ``probe`` that :func:`masked_dot_probe` resolved.
+
+    ``a_values``/``bt_values`` are ``A``'s and ``Bᵀ``'s values (``None``
+    for a side the multiply does not read), ``n_mask`` the number of mask
+    entries, and ``semiring`` must satisfy :func:`dot_supported`.  With
+    ``cast_dtype`` set, SciPy-fast-path semantics are replayed: operands
+    are cast to it before multiplying and accumulation is plain ``+`` in
+    k-ascending order — bit-identical to
+    :func:`repro.grb.engine.executors.scipy_mxm`; with ``None``, those of
+    :func:`~repro.grb._kernels.matmul.mxm_expand` (the semiring's own ops
+    on the operands' native dtypes).
+
+    Returns ``(hit, vals)``: ``hit`` selects, ascending, the mask entries
+    whose dot product has a structural contribution, and ``vals`` holds
+    their ⊕-reduced values.  ``pair`` never reads a value array.
+    """
     t, apos, bpos = probe
     mult_name = semiring.mult.name
 

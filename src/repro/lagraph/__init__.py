@@ -31,7 +31,6 @@ from .algorithms import (
     pagerank_gap,
     pagerank_gx,
     sssp,
-    sssp_batch,
     sssp_bellman_ford,
     sssp_delta_stepping,
     triangle_count,
@@ -60,7 +59,7 @@ __all__ = [
     "connected_components", "fastsv",
     "msbfs", "msbfs_levels", "msbfs_parents",
     "pagerank", "pagerank_gap", "pagerank_gx",
-    "sssp", "sssp_batch", "sssp_bellman_ford", "sssp_delta_stepping",
+    "sssp", "sssp_bellman_ford", "sssp_delta_stepping",
     "triangle_count", "triangle_count_basic", "triangle_count_method",
     "LAGraphError", "InvalidGraph", "InvalidKind", "PropertyMissing",
     "MsgBuffer", "MSG_LEN", "Status",

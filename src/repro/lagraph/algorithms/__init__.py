@@ -20,7 +20,7 @@ from .bfs import (bfs, bfs_level, bfs_parent_auto, bfs_parent_do,
 from .cc import connected_components, fastsv
 from .msbfs import msbfs, msbfs_levels, msbfs_parents
 from .pagerank import pagerank, pagerank_gap, pagerank_gx
-from .sssp import sssp, sssp_batch, sssp_bellman_ford, sssp_delta_stepping
+from .sssp import sssp, sssp_bellman_ford, sssp_delta_stepping
 from .tc import (
     METHODS as TC_METHODS,
     triangle_count,
@@ -35,7 +35,7 @@ __all__ = [
     "connected_components", "fastsv",
     "msbfs", "msbfs_levels", "msbfs_parents",
     "pagerank", "pagerank_gap", "pagerank_gx",
-    "sssp", "sssp_batch", "sssp_bellman_ford", "sssp_delta_stepping",
+    "sssp", "sssp_bellman_ford", "sssp_delta_stepping",
     "triangle_count", "triangle_count_basic", "triangle_count_method",
     "TC_METHODS",
 ]

@@ -45,16 +45,17 @@ with ``t(u) ≥ iΔ`` and ``w ≥ 0``, the bucket test on ``tless`` needs its
 upper bound only.
 
 Bellman-Ford (:func:`sssp_bellman_ford`) is the same three calls without
-buckets — the simplest ``min.plus`` iteration, the serve layer's
-un-batched path and the reference the delta-stepping tests compare
-against.  ``cost.FUSION_ENABLED = False`` materialises the epilogues'
+buckets — the simplest ``min.plus`` iteration, the serve layer's only
+SSSP path (one call per distinct source: a batched matrix-frontier
+Bellman-Ford lost to it at every batch size on kron-small) and the
+reference the delta-stepping tests compare against.
+``cost.FUSION_ENABLED = False`` materialises the epilogues'
 intermediates; results are bit-identical either way.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from ...grb import cancel as _cancel
 from ...grb._kernels.apply_select import SelectOp
 from ..graph import Graph
 
-__all__ = ["sssp_delta_stepping", "sssp_bellman_ford", "sssp", "sssp_batch"]
+__all__ = ["sssp_delta_stepping", "sssp_bellman_ford", "sssp"]
 
 _MIN_PLUS = grb.semiring("min", "plus")
 
@@ -81,25 +82,7 @@ def _improves_vec(v, i, j, thunk):
     return v < np.where(present[i], dense[i], np.inf)
 
 
-def _improves_mat(v, i, j, thunk):
-    """Matrix twin of :func:`_improves_vec` for the batched frontier.
-
-    ``thunk`` is ``(ncols, d_keys, d_vals)``: current distances as sorted
-    linearised keys (the ``ns × n`` bitmap would be the whole grid).
-    Keyed predicate: when fused it receives the kernel's linearised keys
-    directly (``j=None``) — no div/mod coordinate round-trip."""
-    ncols, dkeys, dvals = thunk
-    keys = i if j is None else i * np.int64(ncols) + j
-    pos = np.searchsorted(dkeys, keys)
-    pos_in = np.minimum(pos, max(dkeys.size - 1, 0))
-    present = (pos < dkeys.size) & (dkeys[pos_in] == keys) \
-        if dkeys.size else np.zeros(keys.size, dtype=bool)
-    old = np.where(present, dvals[pos_in] if dvals.size else 0.0, np.inf)
-    return v < old
-
-
 _IMPROVES_VEC = SelectOp("__sssp_improves", _improves_vec)
-_IMPROVES_MAT = SelectOp("__sssp_improves_mat", _improves_mat, keyed=True)
 
 
 def _check_weights(g: Graph):
@@ -200,55 +183,6 @@ def sssp_bellman_ford(g: Graph, source: int) -> Vector:
             break
         # the next frontier is what this one strictly improves
         _relax(frontier, frontier, a, d)
-    return d
-
-
-def sssp_batch(g: Graph, sources: Sequence[int]) -> Matrix:
-    """Batched multi-source SSSP: Bellman-Ford over a matrix frontier.
-
-    The matrix analogue of :func:`sssp_bellman_ford`, using the same trick
-    the paper's batched BC uses for BFS (Sec. IV-B): the per-source distance
-    frontiers are the rows of an ``ns × n`` matrix ``F``, so each relaxation
-    round is a single ``min.plus`` ``mxm`` instead of one ``vxm`` per
-    source.  Rows converge independently; a row whose frontier empties stops
-    contributing work.
-
-    Returns the ``ns × n`` FP64 distance matrix: ``D[k, v]`` is the shortest
-    distance from ``sources[k]`` to ``v``, with entries only for reached
-    nodes.  Row ``k`` is identical to ``sssp_bellman_ford(g, sources[k])``
-    (both converge to the exact ``min`` over all paths, accumulating edge
-    weights in path order).
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    if sources.ndim != 1:
-        raise grb.InvalidValue("sources must be a 1-D sequence of node ids")
-    if sources.size and (sources.min() < 0 or sources.max() >= g.n):
-        raise grb.IndexOutOfBounds("SSSP source out of range")
-    _check_weights(g)
-    a = g.A
-    n = g.n
-    ns = sources.size
-    batch = np.arange(ns, dtype=np.int64)
-    d = Matrix.from_coo(batch, sources, np.zeros(ns), ns, n, typ=grb.FP64,
-                        dup_op=grb.binary.FIRST)
-    if ns == 0:
-        return d
-    f = d.dup()
-    for _ in range(n):
-        _cancel.checkpoint()    # deadline/cancel at the round boundary
-        if f.nvals == 0:
-            break
-        # step = F min.plus A with the strict-improvement filter fused onto
-        # the kernel's output pass (sorted-key probe against d — the vector
-        # version's dense bitmap would be ns × n here); the unimproved
-        # relaxations never materialise a step matrix
-        keys, vals = engine.execute(
-            engine.plan_mxm(None, f, a, _MIN_PLUS)
-                  .then_select(_IMPROVES_MAT, (n, d.keys(), d.values)))
-        f = Matrix(grb.FP64, ns, n)
-        f._set_from_keys(keys, vals)
-        # d = d min∪ f
-        grb.ewise_add(d, d, f, grb.binary.MIN)
     return d
 
 

@@ -4,11 +4,13 @@ The layer above :mod:`repro.lagraph` for throughput rather than
 single-query latency: a :class:`GraphService` owns a versioned
 :class:`GraphRegistry`, accepts analytics requests (BFS levels/parents,
 SSSP, PageRank, connected components, triangle counts) from many callers,
-coalesces same-graph single-source requests into **batched multi-source
-kernels** (:func:`repro.lagraph.msbfs`, :func:`repro.lagraph.sssp_batch` —
-the paper's Alg. 3 batching trick, Sec. IV-B, applied to serving), and
-memoizes results in an LRU cache keyed by ``(graph epoch, graph version,
-query)`` so entries die with the adjacency they were computed on.
+answers every same-graph BFS request of one kind, a lone one included, as
+a row of one **batched multi-source kernel** (:func:`repro.lagraph.msbfs`
+— the paper's Alg. 3 batching trick, Sec. IV-B, applied to serving),
+runs each distinct SSSP and whole-graph request once through its direct
+lagraph call, and memoizes results in an LRU cache keyed by ``(graph
+epoch, graph version, query)`` so entries die with the adjacency they were
+computed on.
 
 Quick tour::
 

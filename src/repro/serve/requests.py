@@ -9,20 +9,21 @@ itself against a :class:`~repro.lagraph.graph.Graph`:
 * :meth:`Query.run_direct` is the reference execution: exactly the call a
   user would make against :mod:`repro.lagraph` by hand.  Service results
   are defined to be identical to it.
-* Single-source traversal queries (:class:`BFSLevels`, :class:`BFSParents`,
-  :class:`SSSP`) additionally declare a *coalesce group* and a batched
-  kernel: many same-graph queries of one group collapse into a single
-  multi-source matrix sweep (``msbfs`` / ``sssp_batch``), whose rows are
-  bit-identical to the per-source calls.
-* Whole-graph queries (:class:`PageRank`, :class:`ConnectedComponents`,
-  :class:`TriangleCount`) have no source axis; they are deduplicated and
-  memoized but never batched.
+* The BFS queries (:class:`BFSLevels`, :class:`BFSParents`) additionally
+  declare a *coalesce group* and a batched kernel: every same-graph query
+  of one group, a lone one included, is a row of one multi-source matrix
+  sweep (``msbfs_levels`` / ``msbfs_parents``), bit-identical to the
+  per-source call.
+* Every other query — :class:`SSSP` (one ``sssp_bellman_ford`` call per
+  distinct source) and the whole-graph :class:`PageRank`,
+  :class:`ConnectedComponents` and :class:`TriangleCount` — is
+  deduplicated and memoized but never batched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -50,7 +51,10 @@ class Query:
 
 @dataclass(frozen=True)
 class _SingleSource(Query):
-    """A query with a source-vertex axis — the batchable kind."""
+    """A query with a source-vertex axis.
+
+    A coalescible subclass also names a ``run_batch(g, sources)`` kernel
+    whose ``ns × n`` result holds one answer per row."""
 
     source: int = 0
 
@@ -59,16 +63,6 @@ class _SingleSource(Query):
         if not 0 <= int(self.source) < g.n:
             raise grb.IndexOutOfBounds(
                 f"source {self.source} out of range [0, {g.n})")
-
-    @staticmethod
-    def run_batch(g, sources: Sequence[int]):
-        """Batched kernel over ``sources``; returns an ``ns × n`` matrix."""
-        raise NotImplementedError
-
-    @staticmethod
-    def extract_row(batch_result, row: int):
-        """Row ``row`` of a batched result, as the single-source answer."""
-        return batch_result.extract_row(row)
 
 
 @dataclass(frozen=True)
@@ -107,16 +101,9 @@ class BFSParents(_SingleSource):
 class SSSP(_SingleSource):
     """Shortest-path distances from ``source`` (sparse FP64 vector)."""
 
-    COALESCE: ClassVar[Optional[str]] = "sssp"
-
     def run_direct(self, g):
         from .. import lagraph as lg
         return lg.sssp_bellman_ford(g, int(self.source))
-
-    @staticmethod
-    def run_batch(g, sources):
-        from .. import lagraph as lg
-        return lg.sssp_batch(g, np.asarray(sources, dtype=np.int64))
 
 
 @dataclass(frozen=True)

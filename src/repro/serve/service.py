@@ -8,9 +8,9 @@ Request lifecycle::
       └─ miss → CoalescingQueue → drain task on the pool
                   ├─ plan_batches(): group by (graph, coalesce-tag),
                   │   dedupe identical queries, chunk to max_batch
-                  └─ per batch: re-check cache, breaker, then kernel
-                      units (msbfs / sssp_batch for single-source
-                      groups, the direct Basic-mode algorithm
+                  └─ per batch: re-check cache, breaker, then one
+                      kernel unit (msbfs for a BFS group, however many
+                      sources it holds; the query's direct lagraph call
                       otherwise) with retry + bisect isolation,
                       fan results out to every waiting future
 
@@ -68,7 +68,7 @@ from ..testing import faults as _faults
 from .cache import LRUCache
 from .coalesce import Batch, CoalescingQueue, PendingRequest, plan_batches
 from .registry import GraphRegistry
-from .requests import Query, _SingleSource
+from .requests import Query
 from . import resilience
 from .resilience import (
     CircuitBreaker,
@@ -157,8 +157,9 @@ class ServiceStats:
 
     @property
     def kernel_calls_saved(self) -> int:
-        """Single-source sweeps avoided by batching (whole-graph queries
-        such as PageRank are excluded from both sides)."""
+        """BFS sweeps avoided by batching (queries that are never
+        batched — SSSP and the whole-graph kinds — are excluded from both
+        sides)."""
         return self.coalesced_sources - self.coalesced_calls
 
     @property
@@ -715,8 +716,8 @@ class GraphService:
                 self._answer_degraded(batch, name, kernel_key, missing,
                                       resolutions)
             else:
-                self._execute_units(batch, g, name, kernel_key, missing,
-                                    results, failures, breaker)
+                self._run_unit(batch, g, name, kernel_key, missing,
+                               results, failures, breaker)
                 if _metrics.ENABLED:
                     _REQUESTS.labels("kernel_miss").inc(len(missing))
                 for q in missing:
@@ -785,27 +786,15 @@ class GraphService:
             _REQUESTS.labels("breaker_fastfail").inc(
                 len(missing) - degraded)
 
-    def _execute_units(self, batch: Batch, g: Graph, name: str,
-                       kernel_key: str, queries: List[Query],
-                       results: Dict[Query, object],
-                       failures: Dict[Query, BaseException],
-                       breaker: Optional[CircuitBreaker]) -> None:
-        """Run ``queries`` as kernel units: one batched multi-source call
-        for a coalescible group, per-query direct calls otherwise."""
-        if batch.group is not None and len(queries) > 1:
-            self._run_unit(batch, g, name, kernel_key, queries,
-                           results, failures, breaker)
-        else:
-            for q in queries:
-                self._run_unit(batch, g, name, kernel_key, [q],
-                               results, failures, breaker)
-
     def _run_unit(self, batch: Batch, g: Graph, name: str, kernel_key: str,
                   qs: List[Query], results: Dict[Query, object],
                   failures: Dict[Query, BaseException],
                   breaker: Optional[CircuitBreaker],
                   attempt: int = 0) -> None:
-        """One kernel-level unit of work, with the failure ladder:
+        """One kernel-level unit of work: one batched multi-source call
+        for a coalescible group, however many queries it holds, or the
+        direct call of a non-coalescible batch's one query.  With the
+        failure ladder:
 
         1. retry — a retryable fault re-runs the whole unit (capped
            exponential backoff + seeded jitter) up to the policy budget;
@@ -823,31 +812,28 @@ class GraphService:
             if _faults.ACTIVE:
                 _faults.fire("serve-kernel", graph=name, kernel=kernel_key,
                              queries=tuple(qs))
-            if batch.group is not None and len(qs) > 1:
+            if batch.group is not None:
                 sources = [int(q.source) for q in qs]  # type: ignore[attr-defined]
-                kernel = type(qs[0]).run_batch
+                kernel = type(qs[0]).run_batch  # type: ignore[attr-defined]
                 out = self._in_request_ctx(
                     batch, qs[0], kernel, g, sources, token=token,
                     span_attrs={"graph": name, "coalesced": True,
                                 "sources": len(sources),
                                 "query": type(qs[0]).__name__})
                 for row, q in enumerate(qs):
-                    results[q] = _SingleSource.extract_row(out, row)
+                    results[q] = out.extract_row(row)
                 with self._lock:
                     self._stats.kernel_calls += 1
                     self._stats.coalesced_calls += 1
                     self._stats.coalesced_sources += len(sources)
             else:
-                q = qs[0]
+                (q,) = qs   # a non-coalescible batch holds one query
                 results[q] = self._in_request_ctx(
                     batch, q, q.run_direct, g, token=token,
                     span_attrs={"graph": name, "coalesced": False,
                                 "query": type(q).__name__})
                 with self._lock:
                     self._stats.kernel_calls += 1
-                    if batch.group is not None:
-                        self._stats.coalesced_calls += 1
-                        self._stats.coalesced_sources += 1
         except (DeadlineExceeded, Cancelled) as exc:
             # every waiter's budget ended (the unit token is only armed
             # when ALL member requests carry deadlines); the reaper has

@@ -440,19 +440,16 @@ class TestAlgorithmFusionParity:
 
     def test_sssp_variants(self, graphs_weighted, monkeypatch):
         from repro.lagraph.algorithms.sssp import (
-            sssp_batch, sssp_bellman_ford, sssp_delta_stepping)
+            sssp_bellman_ford, sssp_delta_stepping)
         g = graphs_weighted["kron"]
         on_bf = sssp_bellman_ford(g, 0)
         on_ds = sssp_delta_stepping(g, 0, 2.0)
-        on_batch = sssp_batch(g, [0, 1, 2])
         monkeypatch.setattr(cost, "FUSION_ENABLED", False)
         off_bf = sssp_bellman_ford(g, 0)
         off_ds = sssp_delta_stepping(g, 0, 2.0)
-        off_batch = sssp_batch(g, [0, 1, 2])
         monkeypatch.undo()
         assert on_bf.isequal(off_bf)
         assert on_ds.isequal(off_ds)
-        assert on_batch.isequal(off_batch)
         # and delta-stepping equals its cross-check either way
         assert on_ds.isequal(on_bf)
 
@@ -570,7 +567,6 @@ def _algo_results(g, gw, gu):
         "bfs_level": lg.bfs_level(g, 0),
         "sssp_bf": lg.sssp_bellman_ford(gw, 0),
         "sssp_delta": lg.sssp_delta_stepping(gw, 0, 2.0),
-        "sssp_batch": lg.sssp_batch(gw, [0, 1, 2]),
         "pagerank": lg.pagerank(g)[0],
         "cc": lg.connected_components(gu),
         "lcc": local_clustering_coefficient(gu),

@@ -229,7 +229,9 @@ class TestSortFreeIdentity:
     @pytest.mark.parametrize("graph", ["kron", "road"])
     @pytest.mark.parametrize("name", ["min.second", "any.pair", "plus.pair"])
     def test_masked_dot(self, name, graph, both_ways):
-        from repro.grb._kernels.masked_matmul import masked_dot
+        from repro.grb._kernels.masked_matmul import (masked_dot_probe,
+                                                      masked_dot_reduce)
+        from repro.grb.engine.executors import _mult_uses
         a = _tiny(graph, name)
         sr = grb.semiring_by_name(name)
         bt_indptr, bt_indices, bt_values = a._S().transpose_csr()
@@ -242,6 +244,12 @@ class TestSortFreeIdentity:
             cols = two.indices.astype(np.int64)
         else:
             cols = a.indices
-        both_ways(lambda: masked_dot(a.indptr, a.indices, a.values,
-                                     bt_indptr, bt_indices, bt_values,
-                                     rows.astype(np.int64), cols, a.ncols, sr))
+        rows = rows.astype(np.int64)
+
+        def kernel():
+            probe = masked_dot_probe(a.indptr, a.indices,
+                                     bt_indptr, bt_indices, rows, cols,
+                                     a.ncols, *_mult_uses(sr))
+            return masked_dot_reduce(probe, a.values, bt_values, rows.size,
+                                     sr)
+        both_ways(kernel)

@@ -61,10 +61,6 @@ class TestDeltaStepping:
             assert d.to_coo()[1].tolist() == [0.0, 0.7, 0.7 + 0.7,
                                               0.7 + 0.7 + 0.7]
 
-    def test_bad_source(self):
-        with pytest.raises(grb.IndexOutOfBounds):
-            lg.sssp_delta_stepping(_weighted_diamond(), -1)
-
     def test_heavy_edges_only(self):
         # all weights > Δ: everything happens in the heavy phase
         A = grb.Matrix.from_coo([0, 1], [1, 2], [10.0, 10.0], 3, 3)
@@ -95,6 +91,13 @@ class TestBellmanFord:
         d = lg.sssp_bellman_ford(_weighted_diamond(), 0)
         assert d[3] == 3.0
 
+    def test_unreached_nodes_have_no_entry(self):
+        A = grb.Matrix.from_coo([0], [1], [2.0], 3, 3)
+        g = lg.Graph(A, lg.ADJACENCY_DIRECTED)
+        d = lg.sssp_bellman_ford(g, 0)
+        assert d.nvals == 2 and 2 not in d and d[1] == 2.0
+        assert lg.sssp_bellman_ford(g, 2).nvals == 1    # just the source
+
     @given(g=random_graphs(directed=True, weighted=True))
     @settings(max_examples=15)
     def test_agrees_with_delta_stepping(self, g):
@@ -106,10 +109,9 @@ class TestBellmanFord:
 
 
 ENTRY_POINTS = {
-    "delta_stepping": lambda g: lg.sssp_delta_stepping(g, 0, delta=2.0),
-    "bellman_ford": lambda g: lg.sssp_bellman_ford(g, 0),
-    "batch": lambda g: lg.sssp_batch(g, [0]),
-    "basic": lambda g: lg.sssp(g, 0),
+    "delta_stepping": lambda g, s: lg.sssp_delta_stepping(g, s, delta=2.0),
+    "bellman_ford": lg.sssp_bellman_ford,
+    "basic": lg.sssp,
 }
 
 
@@ -117,7 +119,8 @@ class TestInputContract:
     """Sec. II-C/D: a weight no shortest path can be defined over is an
     ``InvalidValue`` at every entry point, never a wrong answer (one
     ``inf`` or ``nan`` weight made Basic mode return only the source, and
-    delta-stepping raise a bare ``ValueError``)."""
+    delta-stepping raise a bare ``ValueError``); a source outside the
+    graph is an ``IndexOutOfBounds``."""
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0])
@@ -125,7 +128,13 @@ class TestInputContract:
         A = grb.Matrix.from_coo([0, 0, 1, 2], [1, 2, 3, 3],
                                 [1.0, bad, 2.0, 1.0], 4, 4)
         with pytest.raises(grb.InvalidValue):
-            ENTRY_POINTS[entry](lg.Graph(A, lg.ADJACENCY_DIRECTED))
+            ENTRY_POINTS[entry](lg.Graph(A, lg.ADJACENCY_DIRECTED), 0)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("source", [-1, 4])
+    def test_rejects_source(self, entry, source):
+        with pytest.raises(grb.IndexOutOfBounds):
+            ENTRY_POINTS[entry](_weighted_diamond(), source)
 
 
 class TestBasicMode:

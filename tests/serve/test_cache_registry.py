@@ -157,11 +157,12 @@ class TestPlanBatches:
         assert {b.group for b in batches} == {"bfs_levels", "bfs_parents", None}
 
     def test_duplicates_share_one_row(self):
-        reqs = self._reqs([("g", serve.SSSP(3)), ("g", serve.SSSP(3)),
-                           ("g", serve.SSSP(5))])
+        reqs = self._reqs([("g", serve.BFSLevels(3)),
+                           ("g", serve.BFSLevels(3)),
+                           ("g", serve.BFSLevels(5))])
         (b,) = plan_batches(reqs)
         assert b.sources == [3, 5]
-        assert len(b.requests_by_query[serve.SSSP(3)]) == 2
+        assert len(b.requests_by_query[serve.BFSLevels(3)]) == 2
 
     def test_max_batch_chunks(self):
         reqs = self._reqs([("g", serve.BFSLevels(s)) for s in range(10)])
@@ -172,7 +173,12 @@ class TestPlanBatches:
     def test_non_coalescible_distinct_queries_split(self):
         reqs = self._reqs([("g", serve.PageRank()),
                            ("g", serve.PageRank(damping=0.9)),
-                           ("g", serve.PageRank())])
+                           ("g", serve.PageRank()),
+                           ("g", serve.SSSP(3)), ("g", serve.SSSP(5)),
+                           ("g", serve.SSSP(3))])
         batches = plan_batches(reqs)
-        assert len(batches) == 2
+        assert len(batches) == 4
+        assert {b.group for b in batches} == {None}
         assert len(batches[0].requests) == 2    # the two identical PageRanks
+        assert batches[2].queries == [serve.SSSP(3)]
+        assert len(batches[2].requests) == 2    # ... and SSSPs

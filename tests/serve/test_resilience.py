@@ -101,7 +101,6 @@ class TestKernelCancellation:
                 lambda: lg.bfs_parent_push(graph, 0),
                 lambda: lg.msbfs_levels(graph, np.array([0, 1])),
                 lambda: lg.sssp_bellman_ford(graph, 0),
-                lambda: lg.sssp_batch(graph, np.array([0, 1])),
             ):
                 with pytest.raises(cancel.DeadlineExceeded):
                     call()

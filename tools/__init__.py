@@ -1,5 +1,6 @@
-"""Repository tooling (``python -m tools.reprolint``).
+"""Repository tooling (``python -m tools.reprolint``, ``python -m tools.reach``).
 
 This package exists so the static-analysis framework under
-``tools/reprolint`` is importable as a module from the repository root.
+``tools/reprolint`` and the call census in ``tools/reach.py`` are
+importable as modules from the repository root.
 """
