@@ -8,14 +8,13 @@ implementations.
 
 from .bc import betweenness_centrality
 from .bfs import bfs_level, bfs_parent
-from .cc import connected_components, connected_components_afforest
+from .cc import connected_components
 from .pr import pagerank
 from .sssp import sssp_delta_numpy, sssp_dijkstra
 from .tc import triangle_count, triangle_count_node_iterator
 
 __all__ = [
     "betweenness_centrality", "bfs_level", "bfs_parent",
-    "connected_components", "connected_components_afforest",
-    "pagerank", "sssp_delta_numpy", "sssp_dijkstra", "triangle_count",
-    "triangle_count_node_iterator",
+    "connected_components", "pagerank", "sssp_delta_numpy", "sssp_dijkstra",
+    "triangle_count", "triangle_count_node_iterator",
 ]

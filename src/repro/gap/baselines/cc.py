@@ -1,15 +1,9 @@
 """Reference connected components (the role of GAP's ``cc.cc``).
 
-Two implementations:
-
-* :func:`connected_components` — SciPy's compiled union algorithm
-  (``csgraph.connected_components``), the tuned-native stand-in;
-* :func:`connected_components_afforest` — a pure-NumPy Shiloach-Vishkin
-  style hook-and-compress loop (GAP's actual kernel is Afforest, a
-  sampling variant of the same family), used to cross-check FastSV.
-
-Both return labels normalised to the minimum node id per component so
-results compare exactly against :func:`repro.lagraph.fastsv`.
+:func:`connected_components` runs SciPy's compiled union algorithm
+(``csgraph.connected_components``), the tuned-native stand-in for GAP's
+Afforest kernel.  Its labels are normalised to the minimum node id per
+component, so they compare exactly against :func:`repro.lagraph.fastsv`.
 """
 
 from __future__ import annotations
@@ -18,9 +12,8 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components as _scipy_cc
 
 from ...lagraph.graph import Graph
-from ...lagraph.kinds import Kind
 
-__all__ = ["connected_components", "connected_components_afforest"]
+__all__ = ["connected_components"]
 
 
 def _min_normalise(labels: np.ndarray) -> np.ndarray:
@@ -36,35 +29,3 @@ def connected_components(g: Graph) -> np.ndarray:
     """Weak components via SciPy; labels = min node id per component."""
     _, labels = _scipy_cc(g.A.to_scipy(), directed=True, connection="weak")
     return _min_normalise(labels.astype(np.int64))
-
-
-def connected_components_afforest(g: Graph) -> np.ndarray:
-    """Hook-and-compress components on raw edge arrays."""
-    a = g.A
-    rows, cols, _ = a.to_coo()
-    if g.kind is not Kind.ADJACENCY_UNDIRECTED:
-        rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
-    n = g.n
-    parent = np.arange(n, dtype=np.int64)
-    while True:
-        # hook: point each endpoint's root at the smaller neighbour root
-        pr, pc = parent[rows], parent[cols]
-        lo = np.minimum(pr, pc)
-        changed_any = False
-        upd = lo < parent[pr]
-        if upd.any():
-            np.minimum.at(parent, pr[upd], lo[upd])
-            changed_any = True
-        upd = lo < parent[pc]
-        if upd.any():
-            np.minimum.at(parent, pc[upd], lo[upd])
-            changed_any = True
-        # compress
-        while True:
-            pp = parent[parent]
-            if np.array_equal(pp, parent):
-                break
-            parent = pp
-        if not changed_any:
-            break
-    return parent

@@ -1,7 +1,8 @@
 """Derived operands cached on a Graph never outlive the adjacency.
 
-Triangle counting, LCC and k-truss keep the working matrices they derive
-from ``G.A`` on the graph (``Graph.derived_operand``), beside ``G.AT``.
+Triangle counting, LCC, k-truss and connected components keep the working
+matrices they derive from ``G.A`` on the graph (``Graph.derived_operand``),
+beside ``G.AT``.
 The contract is LAGraph's: whoever mutates ``A`` calls
 ``invalidate_properties()``, and that drops them.  Each test mutates a
 graph that has already answered every query, then checks every answer
@@ -83,6 +84,33 @@ class TestInvalidationDropsDerivedOperands:
         _add_clique(g.A)
         g.invalidate_properties()
         _assert_fresh(g, before)
+
+
+@pytest.mark.parametrize("directed", (False, True))
+def test_cc_rebuilds_its_sample(directed):
+    """Two paths 0-1-2 and 3-4-5; the edge (2, 3) joins them.  CC's sample
+    (and, for a directed graph, the symmetrised pattern it is cut from)
+    is built again from the mutated adjacency."""
+    r, c = [0, 1, 3, 4], [1, 2, 4, 5]
+    if not directed:
+        r, c = r + c, c + r
+    kind = lg.ADJACENCY_DIRECTED if directed else lg.ADJACENCY_UNDIRECTED
+    g = lg.Graph(grb.Matrix.from_coo(r, c, np.ones(len(r), bool), 6, 6),
+                 kind)
+    np.testing.assert_array_equal(lg.connected_components(g).to_dense(),
+                                  [0, 0, 0, 3, 3, 3])
+    old = list(g.matrices())[1:]
+    assert len(old) == (2 if directed else 1)
+    g.A[2, 3] = True
+    if not directed:
+        g.A[3, 2] = True
+    g.invalidate_properties()
+    np.testing.assert_array_equal(lg.connected_components(g).to_dense(),
+                                  [0] * 6)
+    new = list(g.matrices())[1:]
+    assert len(new) == len(old)
+    assert not any(m is o for m in new for o in old)
+    assert new[-1].get(2, 3)            # the sample holds the new edge
 
 
 def test_racing_first_calls_share_one_operand():
