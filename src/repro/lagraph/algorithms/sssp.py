@@ -20,6 +20,16 @@ from every node that was ever a member::
         tReq = (t ×∩ e) min.plus AH       heavy edges, once per bucket
         t min= tReq⟨tReq < t⟩
 
+**The split is made once per graph and Δ.**  ``AL`` and ``AH`` depend on
+nothing but ``A`` and Δ, so the first call at a Δ builds them and caches
+the pair on the graph under ``("sssp", Δ)``
+(:meth:`~repro.lagraph.Graph.derived_operand`); every later call at that
+Δ, from any source, relaxes over the same two matrices.  Each distinct Δ
+keeps its own pair until ``invalidate_properties()`` drops them all.  The
+pair carries ``A``'s *values*, not just its pattern: a re-weighted edge
+can move between the halves, so any scheme that lets derived state
+survive a value-only update must still retire this one.
+
 :func:`sssp_delta_stepping` is that listing call for call.  ``tReq`` and
 ``tless`` are one call: the improvement filter rides the relaxation's
 output pass as a fused ``select`` epilogue (:mod:`repro.grb.engine`) whose
@@ -113,7 +123,8 @@ def sssp_delta_stepping(g: Graph, source: int, delta: float = 2.0) -> Vector:
     Returns an FP64 distance vector with entries only for reached nodes
     (bitmap-resident, see the module docstring).  ``delta`` is the bucket
     width Δ; the Basic wrapper picks a default from the weight
-    distribution.
+    distribution.  The light/heavy split of ``g.A`` at Δ is cached on
+    ``g`` (see the module docstring).
     """
     if not 0 <= source < g.n:
         raise grb.IndexOutOfBounds(f"source {source} out of range")
@@ -126,8 +137,9 @@ def sssp_delta_stepping(g: Graph, source: int, delta: float = 2.0) -> Vector:
 
     # AL = A⟨A ≤ Δ⟩ ; AH = A⟨Δ < A⟩   (zero-weight edges are light too:
     # the spec's guard is about self-distance, harmless for simple graphs)
-    al = a.select("valuele", delta)
-    ah = a.select("valuegt", delta)
+    al, ah = g.derived_operand(
+        ("sssp", delta),
+        lambda: (a.select("valuele", delta), a.select("valuegt", delta)))
 
     t = Vector(grb.FP64, n).set_format("bitmap")
     t[source] = 0.0

@@ -22,12 +22,12 @@ Design points mirrored from the paper:
 * **Derived operands.**  Basic mode may compute and cache derived data on
   ``G`` (Sec. II-B).  Algorithms that rebuild the same working matrices
   from ``A`` on every call — triangle counting's degree-sorted ``L``/``U``,
-  the symmetric diagonal-free pattern of LCC and k-truss — keep them in a
-  private cache (:meth:`Graph.derived_operand`) that
-  :meth:`Graph.invalidate_properties` drops with the other properties.  A
-  repeated call then re-reads the same objects, so the masked-dot analysis
-  the engine memoizes on a mask (keyed on its operands' uid and store
-  version) is served again.
+  the symmetric diagonal-free pattern of LCC and k-truss, FastSV's
+  sample, Δ-stepping's light/heavy split — keep them in a private cache
+  (:meth:`Graph.derived_operand`) that :meth:`Graph.invalidate_properties`
+  drops with the other properties.  A repeated call then re-reads the same
+  objects, so the masked-dot analysis the engine memoizes on a mask (keyed
+  on its operands' uid and store version) is served again.
 """
 
 from __future__ import annotations
@@ -181,7 +181,8 @@ class Graph:
         use and kept until :meth:`invalidate_properties`.
 
         ``key`` names the recipe (``build`` must depend on nothing but
-        ``A``, ``kind`` and the cached properties).  The value is a
+        ``A``, ``kind``, the cached properties and the parameters the key
+        spells out, such as SSSP's Δ).  The value is a
         :class:`Matrix` or a tuple of them; callers read it and never
         write into it.  Threads that race on a missing key each build it,
         and all of them return the first value stored.

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import sparse_matrices
+from helpers import in_layout, sparse_matrices
 from repro import grb
 from repro.grb.errors import DimensionMismatch, IndexOutOfBounds, NoValue
+from repro.lagraph.algorithms.cc import _TOUCHES
 
 
 def _dense(a):
@@ -162,6 +164,47 @@ class TestStructural:
         np.testing.assert_array_equal(out.to_dense(), np.where(dense > 0.75, dense, 0))
         np.testing.assert_array_equal(np.flatnonzero(np.diff(out.indptr)),
                                       [3, 77, 200])
+
+    @given(data=st.data())
+    def test_select_compacts_like_a_boolean_mask(self, data):
+        """``select`` takes the survivors by position; the CSR it returns
+        must be the one boolean-mask compaction gives — n = 0, empty rows,
+        and masks that keep every entry, none or some."""
+        nrows = data.draw(st.integers(0, 8), "nrows")
+        ncols = data.draw(st.integers(0, 8), "ncols")
+        dense = data.draw(st.lists(
+            st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+            min_size=nrows, max_size=nrows), "dense")
+        live = np.array(data.draw(st.lists(
+            st.booleans(), min_size=nrows * ncols,
+            max_size=nrows * ncols), "live"), bool).reshape(nrows, ncols)
+        r, c = np.nonzero(live)
+        vals = np.array(dense, np.float64).reshape(nrows, ncols)[r, c]
+        a = in_layout(grb.Matrix.from_coo(r, c, vals, nrows, ncols),
+                      data.draw(st.sampled_from(("csr", "bitmap")), "fmt"))
+        kind = data.draw(st.sampled_from(
+            ("valuele", "valuegt", "tril", "triu", "offdiag", "touches")),
+            "op")
+        if kind == "touches":
+            op = _TOUCHES
+            thunk = np.array(data.draw(st.lists(
+                st.booleans(), min_size=max(nrows, ncols),
+                max_size=max(nrows, ncols)), "flags"), bool)
+            keep = thunk[r] | thunk[c]
+        elif kind.startswith("value"):
+            op, thunk = kind, data.draw(st.integers(-5, 5), "thunk")
+            keep = vals <= thunk if kind == "valuele" else vals > thunk
+        else:
+            op = kind
+            thunk = data.draw(st.integers(-nrows - 1, ncols + 1), "k")
+            keep = {"tril": c <= r + thunk, "triu": c >= r + thunk,
+                    "offdiag": c != r + thunk}[kind]
+        out = a.select(op, thunk)
+        indptr = np.concatenate(([0], np.cumsum(keep)))[a.indptr]
+        assert out.shape == a.shape and out.type == a.type
+        np.testing.assert_array_equal(out.indptr, indptr)
+        np.testing.assert_array_equal(out.indices, c[keep])
+        np.testing.assert_array_equal(out.values, vals[keep])
 
     def test_is_symmetric_pattern(self):
         sym = grb.Matrix.from_coo([0, 1], [1, 0], [1.0, 2.0], 2, 2)

@@ -1,8 +1,8 @@
 """Derived operands cached on a Graph never outlive the adjacency.
 
-Triangle counting, LCC, k-truss and connected components keep the working
-matrices they derive from ``G.A`` on the graph (``Graph.derived_operand``),
-beside ``G.AT``.
+Triangle counting, LCC, k-truss, connected components and Δ-stepping SSSP
+keep the working matrices they derive from ``G.A`` on the graph
+(``Graph.derived_operand``), beside ``G.AT``.
 The contract is LAGraph's: whoever mutates ``A`` calls
 ``invalidate_properties()``, and that drops them.  Each test mutates a
 graph that has already answered every query, then checks every answer
@@ -111,6 +111,28 @@ def test_cc_rebuilds_its_sample(directed):
     assert len(new) == len(old)
     assert not any(m is o for m in new for o in old)
     assert new[-1].get(2, 3)            # the sample holds the new edge
+
+
+def test_sssp_rebuilds_its_split():
+    """0→1→2 at weight 1 each beats the direct 0→2 at 5.  Re-weighting
+    1→2 to 10 makes the direct edge the shortest path, and moves 1→2 from
+    the light half of the Δ = 2 split to the heavy one."""
+    a = grb.Matrix.from_coo([0, 1, 0], [1, 2, 2], [1.0, 1.0, 5.0], 3, 3)
+    g = lg.Graph(a, lg.ADJACENCY_DIRECTED)
+    d = lg.sssp_delta_stepping(g, 0, delta=2.0)
+    np.testing.assert_array_equal(d.to_dense(), [0.0, 1.0, 2.0])
+    old = list(g.matrices())[1:]
+    assert len(old) == 2
+    g.A[1, 2] = 10.0
+    g.invalidate_properties()
+    d = lg.sssp_delta_stepping(g, 0, delta=2.0)
+    np.testing.assert_array_equal(d.to_dense(), [0.0, 1.0, 5.0])
+    new = list(g.matrices())[1:]
+    assert len(new) == 2
+    assert not any(m is o for m in new for o in old)
+    light, heavy = new
+    assert light.get(1, 2) is None and heavy.get(1, 2) == 10.0
+    assert light.get(0, 1) == 1.0 and heavy.get(0, 2) == 5.0
 
 
 def test_racing_first_calls_share_one_operand():
