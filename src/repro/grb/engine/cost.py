@@ -72,14 +72,19 @@ FUSION_ENABLED = True
 #: kernel out.  Measured from the deep-profiling rule table
 #: (``obs.profile.rule_table()`` ``s_per_unit``) with every masked product
 #: forced to each arm in turn (2-core Xeon, 3 reads each): TC reads
-#: 0.87–0.93 flops per probe on kron-medium and 0.82–0.93 on kron-small;
-#: BC's backward levels 1.25–1.27 on kron-medium and 1.01–1.22 on
-#: kron-small.  Bounds on exact counts: above 0.62 the worst BC level
-#: (mask 7 122, 1.04 M probes, 0.64 M flops) goes to SciPy; up to 1.126
-#: kron-small TC (1.54 M probes, 1.74 M flops) keeps the dot, and so do
-#: kron-medium TC and the mask-2 451 BC level
+#: 0.87–0.93 flops per probe on kron-medium and 0.82–0.93 on kron-small.
+#: BC's backward levels read 3.3–3.9 on kron-medium and 3.9–4.3 on
+#: kron-small (6 batches) since SciPy stopped running a pattern product
+#: for ``first`` over positive values; 1.3–1.8 just before, 1.01–1.27
+#: when the constant was fitted.  Bounds on exact counts: above 0.62 the
+#: worst BC level (mask 7 122, 1.04 M probes, 0.64 M flops) goes to
+#: SciPy; up to 1.126 kron-small TC (1.54 M probes, 1.74 M flops) keeps
+#: the dot, and so do kron-medium TC and the mask-2 451 BC level
 #: (``test_masked_mxm.py::TestChooserAndTelemetry``); 1.1 sits inside
-#: that interval, between the TC and the BC readings.
+#: that interval, between the TC and the BC readings.  No one value
+#: prices both kernels now: BC levels of 1.1–3.5 flops per probe run on
+#: the dot though SciPy is faster (5 of 27 dot claims over 12 kron
+#: batches), and a constant above 1.126 would move TC off it.
 DOT_PROBE_COST = 1.1
 
 #: Combined operand nnz below which the masked engine stands down entirely

@@ -8,8 +8,9 @@ This module is where the scattered pre-engine dispatch logic of
   mode: below that the compiled kernel's per-call set-up is the cost),
   ``mxm-masked-dot`` (the dot3 masked-SpGEMM kernel, claimed via
   the unified chooser in :mod:`repro.grb.engine.cost`), ``mxm-scipy``
-  (compiled plus.times-reducible path, mask-restricted to live rows) and
-  ``mxm-expand`` (the always-applicable flop-expansion reference).
+  (compiled plus.times-reducible path, mask-restricted to live rows, its
+  product filtered by the mask before it is ordered) and ``mxm-expand``
+  (the always-applicable flop-expansion reference).
 * ``mxv`` / ``vxm`` — ``mxv-fused-dense-accum`` (a plain-``plus``
   accumulate into a full output, on SciPy's dense product), then the
   gather/push reference, which replays SciPy's summation order for
@@ -315,48 +316,76 @@ def _scipy_dtype(a: Matrix, b, semiring: Semiring) -> np.dtype:
     return np.dtype(np.int64) if dt == np.bool_ else np.dtype(dt)
 
 
+def _cannot_vanish(m: Matrix, mult: str) -> bool:
+    """Whether no product entry carrying ``m``'s values can sum to an
+    exact 0 that SciPy would prune.
+
+    ``times`` needs every value ≥ 1: products and sums of float terms that
+    are each ≥ 1 stay ≥ 1 (an overflow lands on ``inf``), while a product
+    of tiny positive values can underflow to 0.  ``first``/``second`` copy
+    the value unchanged (times the pattern's 1), and a sum of positive
+    floats is positive, denormals included.  A non-floating matrix never
+    qualifies (:meth:`Matrix.values_min` is NaN: an integer sum can wrap
+    to 0)."""
+    lo = m.values_min()
+    return lo >= 1 if mult == "times" else lo > 0
+
+
+def _ordered(prod, rows, key_keep):
+    """Linearised ``(keys, vals)`` of a SciPy product, in key order.
+
+    SciPy leaves each row's columns unsorted.  Unfiltered, the rows are
+    sorted in place.  With ``key_keep``, the keys are formed from the raw
+    product, the entries the mask discards are dropped, and only the
+    survivors are ordered, by one argsort (the keys are unique, so the
+    order is exact)."""
+    if key_keep is None:
+        prod.sort_indices()
+    prow = expand_rows(prod.indptr.astype(np.int64), prod.shape[0])
+    row_ids = rows[prow] if rows is not None else prow
+    keys = row_ids * np.int64(prod.shape[1]) + prod.indices.astype(np.int64)
+    if key_keep is None:
+        return keys, prod.data
+    keep = key_keep(keys)
+    keys, vals = keys[keep], prod.data[keep]
+    order = np.argsort(keys)
+    return keys[order], vals[order]
+
+
 def scipy_mxm(a: Matrix, b: Matrix, semiring: Semiring,
-              rows: Optional[np.ndarray] = None):
+              rows: Optional[np.ndarray] = None, key_keep=None):
     """plus.times-reducible ``C = A ⊕.⊗ B`` on SciPy; returns (keys, vals).
 
     ``rows`` restricts the product to a subset of A's rows (the mask-live
     rows — dead rows can never survive the write-back, so they are sliced
     off *before* the ``@``).  The per-(i,j) accumulation order is k-
     ascending either way, so restricted and full products are bit-identical
-    on the surviving rows.
+    on the surviving rows.  ``key_keep`` (:func:`mask_key_filter`) drops
+    the entries the mask discards from the unsorted product, so only what
+    the mask keeps is ordered; the result is then exactly ``T⟨M⟩``.
+
+    SciPy prunes a sum that comes out 0, so unless no value-carrying
+    operand can produce one (:func:`_cannot_vanish`) the structure comes
+    from a second, cancellation-proof pattern product.
     """
     use_a, use_b = _mult_uses(semiring)
     dt = _scipy_dtype(a, b, semiring)
     sa = _scipy_operand(a, use_a, dt)
     if rows is not None:
         sa = sa[rows]
-    prod = sa @ _scipy_operand(b, use_b, dt)
-    prod = prod.tocsr()
-    prod.sort_indices()
-    prow = expand_rows(prod.indptr.astype(np.int64), prod.shape[0])
-    row_ids = rows[prow] if rows is not None else prow
-    keys = row_ids * np.int64(prod.shape[1]) + prod.indices.astype(np.int64)
-    vals = prod.data
-    if (not _SCIPY_KEEPS_ZEROS and (use_a or use_b)
-            and not ((not use_a or a.values_all_ge_one())
-                     and (not use_b or b.values_all_ge_one()))):
-        # structure must come from a cancellation-proof pattern product;
-        # skipped when every value-carrying operand is float with values
-        # ≥ 1 (such products/sums stay ≥ 1 — no underflow-to-zero, no
-        # integer wrap — so SciPy can never have pruned an entry)
-        pa = _scipy_operand(a, False, np.int64)
-        if rows is not None:
-            pa = pa[rows]
-        pat = (pa @ _scipy_operand(b, False, np.int64)).tocsr()
-        pat.sort_indices()
-        prow = expand_rows(pat.indptr.astype(np.int64), pat.shape[0])
-        prow_ids = rows[prow] if rows is not None else prow
-        pkeys = prow_ids * np.int64(pat.shape[1]) + pat.indices.astype(np.int64)
-        out = np.zeros(pkeys.size, dtype=vals.dtype)
-        pos = np.searchsorted(pkeys, keys)
-        out[pos] = vals
-        return pkeys, out
-    return keys, vals
+    keys, vals = _ordered(sa @ _scipy_operand(b, use_b, dt), rows, key_keep)
+    mult = semiring.mult.name
+    if _SCIPY_KEEPS_ZEROS or ((not use_a or _cannot_vanish(a, mult))
+                              and (not use_b or _cannot_vanish(b, mult))):
+        return keys, vals
+    pa = _scipy_operand(a, False, np.int64)
+    if rows is not None:
+        pa = pa[rows]
+    pkeys, _ = _ordered(pa @ _scipy_operand(b, False, np.int64), rows,
+                        key_keep)
+    out = np.zeros(pkeys.size, dtype=vals.dtype)
+    out[np.searchsorted(pkeys, keys)] = vals
+    return pkeys, out
 
 
 def _mask_rows(mask: Optional[Mask], nrows: int) -> Optional[np.ndarray]:
@@ -489,9 +518,9 @@ class _MxmSmallExpand:
     SciPy's Gustavson pass allocates and clears an ``ncols(B)``-cell
     workspace per call, wraps both operands and the result in
     ``csr_matrix`` objects, and needs a second (pattern) product whenever
-    an operand holds a value below 1; the expansion costs what its flops
-    cost.  A product with fewer multiplications than that workspace has
-    cells — the near-empty levels of a batched traversal on a
+    a value-carrying operand could sum to 0; the expansion costs what its
+    flops cost.  A product with fewer multiplications than that workspace
+    has cells — the near-empty levels of a batched traversal on a
     high-diameter graph, hundreds per BC batch — is therefore claimed here
     and replayed bit for bit (:func:`_run_expand`).  The bound is the
     operand's own shape, so the rule has no constant: the measured
@@ -675,8 +704,9 @@ def _live_rows_feed(plan: Plan, nrows: int, ncols: int):
 
 @register("mxm", "mxm-scipy")
 class _MxmScipy:
-    """Compiled CSR multiply for plus.times-reducible semirings,
-    mask-restricted to live output rows when the masked engine engages."""
+    """Compiled CSR multiply for plus.times-reducible semirings.  When the
+    masked engine engages, the product is restricted to live output rows
+    and filtered by the mask before it is ordered (:func:`scipy_mxm`)."""
 
     @staticmethod
     def applies(plan: Plan):
@@ -692,7 +722,13 @@ class _MxmScipy:
         if plan.transpose_b:
             b = b.T
         rows = _live_rows_feed(plan, a.nrows, b.ncols)
-        keys, vals = scipy_mxm(a, b, plan.operator, rows=rows)
+        key_keep = mask_key_filter(plan.mask) if _mask_engaged(plan) \
+            else None
+        keys, vals = scipy_mxm(a, b, plan.operator, rows=rows,
+                               key_keep=key_keep)
+        # a filtered product is T⟨M⟩ already: an out=None plan skips
+        # finish's second masked write, as the dot rule's does
+        plan.meta["_premasked"] = key_keep is not None
         return finish(plan, keys, vals, is_vector=False,
                       nrows=a.nrows, ncols=b.ncols)
 

@@ -73,7 +73,7 @@ class Matrix:
     """A sparse matrix of a fixed :class:`~repro.grb.types.Type` and shape."""
 
     __slots__ = ("nrows", "ncols", "type", "_store", "_format",
-                 "_scipy", "_pattern_scipy", "_vals_positive", "_vals_finite",
+                 "_scipy", "_pattern_scipy", "_vals_min", "_vals_finite",
                  "_transpose", "_keys", "_dot", "_pending", "_uid",
                  "_version", "__weakref__")
 
@@ -87,7 +87,7 @@ class Matrix:
         self._format = "auto"
         self._scipy = None
         self._pattern_scipy = None
-        self._vals_positive = None
+        self._vals_min = None
         self._vals_finite = None
         self._transpose = None
         self._keys = None
@@ -347,7 +347,7 @@ class Matrix:
     def _invalidate(self):
         self._scipy = None
         self._pattern_scipy = None
-        self._vals_positive = None
+        self._vals_min = None
         self._vals_finite = None
         self._transpose = None
         self._keys = None
@@ -425,25 +425,27 @@ class Matrix:
             cache[dt] = s
         return s
 
-    def values_all_ge_one(self) -> bool:
-        """Whether this is a floating matrix with every value ≥ 1 (cached).
+    def values_min(self) -> float:
+        """The smallest stored value of a floating matrix (cached per
+        store version).
 
-        Lets the matmul fast path skip its cancellation-proof pattern pass:
-        IEEE sums and products of float terms that are each ≥ 1 are
-        themselves ≥ 1 (an overflow lands on ``inf``, still nonzero), so no
-        product entry can collapse to an explicit zero SciPy would prune.
-        Mere positivity is NOT enough — tiny positive products underflow to
-        exact 0.0 — and integer wrapping can hit 0, hence the ≥ 1 /
-        floating restriction.  Recomputed lazily after any mutation (the
-        cache dies with the store version).
+        ``inf`` when nothing is stored; NaN when the dtype is not floating
+        or a value is NaN, so every comparison with it is false.  The
+        matmul fast path reads it to skip its cancellation-proof pattern
+        pass: a ``times`` product needs every value ≥ 1, because a product
+        of tiny positive values underflows to exact 0.0, while ``first`` /
+        ``second`` copy their value and need only ``> 0``.  Integer sums
+        can wrap to 0, hence NaN for them.  Recomputed lazily after any
+        mutation (the cache dies with the store version).
         """
         self._flush_pending()   # staged writes invalidate through the flush
-        if self._vals_positive is None:
+        if self._vals_min is None:
             v = self.values
-            self._vals_positive = bool(
-                np.issubdtype(v.dtype, np.floating)
-                and (v.size == 0 or (v >= 1).all()))
-        return self._vals_positive
+            if not np.issubdtype(v.dtype, np.floating):
+                self._vals_min = np.nan
+            else:
+                self._vals_min = float(v.min()) if v.size else np.inf
+        return self._vals_min
 
     def values_all_finite(self) -> bool:
         """Whether every stored value is finite (cached per store version).

@@ -34,9 +34,11 @@ and ``P`` — a level costs what its frontier holds, not ``ns · n``.  The
 multiplies lean on the mask-driven SpGEMM engine
 (:mod:`repro.grb._kernels.masked_matmul`): the backward ``W⟨s(S[i-1])⟩``
 levels are dot-eligible (structural, non-complemented masks), and the
-forward ``⟨¬s(P)⟩`` expansion gets the complemented-mask row restriction —
-rows whose ``P`` row is already full (a source that reached the whole
-graph) are never multiplied.
+forward ``⟨¬s(P)⟩`` expansions drop the product entries that land on
+visited nodes before ordering the rest (the mask filter of ``mxm-scipy``
+and of the expand rules) — most of a late level's product.  The
+complemented-mask row restriction skips only a source whose ``P`` row is
+full, which never happens on a graph with an isolated vertex (kron).
 """
 
 from __future__ import annotations

@@ -616,6 +616,15 @@ MXM_VALUES = {
     # below 1 with stored zeros: scipy_mxm's pattern-product branch
     "fp64-subunit-zeros": lambda rng, size: _with_zeros(rng.random(size),
                                                        rng),
+    # positive and below 1, no zeros: no pattern product under first /
+    # second (a sum of positive copies is positive), one under times
+    "fp64-subunit": lambda rng, size: rng.uniform(0.01, 1.0, size),
+    # denormals: copied by first / second, underflowing to 0 under times
+    "fp64-denormal": lambda rng, size: rng.choice(
+        [5e-324, 1e-323, 2.5e-310], size),
+    # 1e-200-scale: every times product underflows to an exact 0 that
+    # only the pattern product keeps
+    "fp64-underflow": lambda rng, size: rng.uniform(1.0, 2.0, size) * 1e-200,
     "fp64-nonfinite": _nonfinite,
     # +-1: sums of 8 cancel to exact (explicit) zeros
     "fp64-cancel": lambda rng, size: rng.choice([-1.0, 1.0], size),
@@ -792,6 +801,44 @@ class TestMxmRuleParity:
                     accepted = _walk_mxm(
                         run, f"{name} {mk} accum={accum} r={replace}")
                     assert "mxm-small-expand" in accepted
+
+    @pytest.mark.parametrize("mask_fmt", ("sparse", "bitmap"))
+    @pytest.mark.parametrize("name", ("plus.first", "plus.times"))
+    def test_filtered_scipy_product(self, rng, name, mask_fmt):
+        """``mxm-scipy`` drops what the mask discards before it orders the
+        product, on a product it claims unpinned: every mask kind, raw
+        ``T⟨M⟩`` plans (which then skip ``finish``'s masked write) and
+        writes with accum / replace, each under a fused ``select``.
+        Positive values below 1 skip the pattern product under ``first``
+        and keep it under ``times``."""
+        from repro.grb._kernels.apply_select import by_name
+        sr = grb.semiring_by_name(name)
+        a, b = _big_product(rng, MXM_VALUES["fp64-subunit"])
+        mobj = _mask_object(rng, a.nrows)
+        if mask_fmt == "bitmap":
+            mobj.set_format("bitmap")
+        c0 = _rand_matrix(rng, a.nrows, MXM_N, density=0.3)
+        half = by_name("colle")
+        for mk, mask in _mxm_masks(mobj).items():
+            def raw():
+                return _triple(*engine.execute(
+                    engine.plan_mxm(None, a, b, sr, mask=mask)
+                    .then_select(half, MXM_N // 2)))
+
+            accepted = _walk_mxm(raw, f"{name} {mk} raw")
+            for accum in (None, grb.binary.PLUS):
+                for replace in (False, True):
+                    def written():
+                        c = c0.dup()
+                        engine.execute(engine.plan_mxm(
+                            c, a, b, sr, mask=mask, accum=accum,
+                            replace=replace).then_select(half, MXM_N // 2))
+                        return _of(c)
+
+                    accepted |= _walk_mxm(
+                        written, f"{name} {mk} accum={accum} r={replace}")
+            assert "mxm-scipy" in accepted
+            assert "mxm-small-expand" not in accepted
 
     @pytest.mark.parametrize("fmt_a", MATRIX_LAYOUTS)
     @pytest.mark.parametrize("fmt_b", MATRIX_LAYOUTS)

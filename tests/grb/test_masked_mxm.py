@@ -16,6 +16,8 @@ eligible multiply runs the dot kernel.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,32 @@ class TestAlgorithmParity:
         assert k_on.isequal(k_off)
         np.testing.assert_array_equal(l_on.values, l_off.values)
 
+    def test_lcc_pinned_to_scipy(self, kron_small, monkeypatch):
+        """LCC's raw ``T⟨s(A)⟩`` plan pinned to ``mxm-scipy``: the product
+        is filtered by the mask before it is ordered, so ``finish`` skips
+        its second masked write, and the output is the seed path's."""
+        from repro.grb.engine import executors
+        writes = []
+        real = executors.masked_write
+
+        def spy(*args, **kw):
+            writes.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(executors, "masked_write", spy)
+        with engine.force_rule("mxm", "mxm-scipy"):
+            got = local_clustering_coefficient(kron_small)
+            assert not writes
+            with monkeypatch.context() as m:
+                m.setattr(cost, "MASKED_MIN_NNZ", float("inf"))
+                unfiltered = local_clustering_coefficient(kron_small)
+            assert len(writes) == 1
+        _seed_path(monkeypatch)
+        ref = local_clustering_coefficient(kron_small)
+        for other in (unfiltered, ref):
+            np.testing.assert_array_equal(got.indices, other.indices)
+            assert got.values.tobytes() == other.values.tobytes()
+
     def test_dot_tc_beats_expand(self, kron_small):
         """Ratio guard: ``sandia_lut`` on kron-small as the chooser routes
         it (the dot kernel, one intersection per mask entry) against the
@@ -497,6 +525,50 @@ class TestRankBitmapRatioGuard:
         assert ab_ratio(tc, bounded) >= 4.0
 
 
+class TestScipyFilterRatioGuard:
+    """``mxm-scipy`` drops the entries its mask discards from the unsorted
+    product and orders only the survivors.  The slow arm stands the masked
+    engine down (``MASKED_MIN_NNZ = inf``): the whole product is ordered,
+    and the write-back discards what the mask drops."""
+
+    def test_bc_forward_level(self, kron_small):
+        """Ratio guard: the third forward level of one 4-source BC batch on
+        kron-small, ``F⟨¬s(P), r⟩ = F plus.first A`` pinned to
+        ``mxm-scipy`` (8 104 frontier entries; the mask keeps 315 of the
+        product's 8 051).  Measured 1.30–1.37× over ten reads; half of that
+        is below parity, so the floor is 1/1.2."""
+        a, n = kron_small.A, kron_small.n
+        sr = grb.semiring_by_name("plus.first")
+        cand = np.flatnonzero(np.diff(a.indptr) > 0)
+        sources = np.random.default_rng(0).choice(cand, 4, replace=False)
+        # Alg. 3's forward sweep, as bc.betweenness_centrality_batch runs it
+        p = grb.Matrix.from_coo(np.arange(4), sources, np.ones(4), 4, n)
+        p.set_format("bitmap")
+        f = grb.Matrix(grb.FP64, 4, n)
+        grb.mxm(f, p, a, sr, mask=grb.complement(grb.structure(p)))
+        for _ in range(3):
+            grb.update(p, f, accum=grb.binary.PLUS)
+            frontier = f.dup()
+            grb.mxm(f, f, a, sr, mask=grb.complement(grb.structure(p)),
+                    replace=True)
+        mask = grb.complement(grb.structure(p))
+
+        @engine.force_rule("mxm", "mxm-scipy")
+        def level():
+            out = frontier.dup()
+            grb.mxm(out, out, a, sr, mask=mask, replace=True)
+            return out
+
+        def unfiltered():
+            with mock.patch.object(cost, "MASKED_MIN_NNZ", float("inf")):
+                return level()
+
+        got = level()
+        assert got.nvals * 10 < frontier.to_scipy().dot(a.to_scipy()).nnz
+        assert_same_matrix(got, unfiltered())
+        assert ab_ratio(level, unfiltered, reps=10) >= 1 / 1.2
+
+
 class TestChooserAndTelemetry:
     def test_chooser_constants_flip_decision(self, monkeypatch):
         """One comparison, ``DOT_PROBE_COST · probes ≤ flops``, inclusive
@@ -574,14 +646,18 @@ class TestScipyPathSatellites:
         assert p3 is not p1
         assert p3.nnz == a.nvals
 
-    def test_values_all_ge_one_cache(self):
+    def test_values_min_cache(self):
         a = grb.Matrix.from_coo([0, 1], [1, 0], [1.0, 2.0], 2, 2)
-        assert a.values_all_ge_one()
-        a[0, 1] = 0.5            # positive but < 1: skip becomes unsound
-        assert not a.values_all_ge_one()
-        # integer matrices never qualify (wrapping sums can hit 0)
+        assert a.values_min() == 1.0
+        a._vals_min = 7.0        # a cached floor is read, not recomputed
+        assert a.values_min() == 7.0
+        a[0, 1] = 0.5            # staged write: the cache dies with it
+        assert a.values_min() == 0.5
+        # integer matrices never qualify (wrapping sums can hit 0): NaN
+        # makes every threshold test false
         ints = grb.Matrix.from_coo([0], [0], np.array([3], np.int64), 2, 2)
-        assert not ints.values_all_ge_one()
+        assert np.isnan(ints.values_min())
+        assert grb.Matrix(grb.FP64, 2, 2).values_min() == np.inf
 
     def test_ge_one_skip_matches_pattern_pass(self, monkeypatch):
         """With float values ≥ 1 the pattern pass is skipped; the result
@@ -591,16 +667,51 @@ class TestScipyPathSatellites:
         a.values = a.values + 1.0                    # all in [1, 2)
         b = _rand_matrix(rng, 25, 25, density=0.3)
         b.values = b.values + 1.0
-        assert a.values_all_ge_one() and b.values_all_ge_one()
+        assert a.values_min() >= 1 and b.values_min() >= 1
         sr = grb.semiring_by_name("plus.times")
         c1 = grb.Matrix(grb.FP64, 25, 25)
         grb.mxm(c1, a, b, sr)
-        # force the pattern pass by defeating the ≥1 cache
-        monkeypatch.setattr(grb.Matrix, "values_all_ge_one",
-                            lambda self: False)
+        # force the pattern pass by defeating the value floor
+        monkeypatch.setattr(grb.Matrix, "values_min",
+                            lambda self: np.nan)
         c2 = grb.Matrix(grb.FP64, 25, 25)
         grb.mxm(c2, a, b, sr)
         assert_same_matrix(c1, c2)
+
+    def test_pattern_pass_follows_the_multiply(self, kron_small,
+                                               monkeypatch):
+        """Spy: every SciPy product of a 4-source kron-small BC batch is
+        one ``@``, the backward ``W plus.first Aᵀ`` levels whose ``W``
+        holds values below 1 included (``first`` copies positive values,
+        and their sums cannot reach 0); a ``times`` product of such
+        values still runs the pattern product beside it."""
+        from repro.grb.engine import executors
+        calls = []
+        real_mxm, real_ordered = executors.scipy_mxm, executors._ordered
+
+        def spy_mxm(a, b, semiring, **kw):
+            calls.append([a.values_min(), 0])
+            return real_mxm(a, b, semiring, **kw)
+
+        def spy_ordered(*args):
+            calls[-1][1] += 1
+            return real_ordered(*args)
+
+        monkeypatch.setattr(executors, "scipy_mxm", spy_mxm)
+        monkeypatch.setattr(executors, "_ordered", spy_ordered)
+        cand = np.flatnonzero(np.diff(kron_small.A.indptr) > 0)
+        sources = np.random.default_rng(0).choice(cand, 4, replace=False)
+        bc.betweenness_centrality_batch(kron_small, sources)
+        assert any(lo < 1 for lo, _ in calls)      # a backward level
+        assert [n for _, n in calls] == [1] * len(calls)
+        calls.clear()
+        rng = np.random.default_rng(37)
+        a = _rand_matrix(rng, 25, 25, density=0.3)     # values in (0, 1)
+        for name, products in (("plus.times", 2), ("plus.first", 1)):
+            with engine.force_rule("mxm", "mxm-scipy"):
+                grb.mxm(grb.Matrix(grb.FP64, 25, 25), a, a,
+                        grb.semiring_by_name(name))
+            assert calls.pop()[1] == products, name
 
     def test_negative_values_still_cancellation_proof(self):
         """1 + (-1) = 0 keeps its entry through mxm (structure ≠ values)."""
