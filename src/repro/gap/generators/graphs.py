@@ -45,10 +45,17 @@ def _finalize(src, dst, n, kind: Kind, weighted: bool, seed: int,
     if weighted:
         rng = np.random.default_rng(seed + 0x5EED)
         vals = rng.integers(_W_LOW, _W_HIGH + 1, size=src.size).astype(np.float64)
-        a = Matrix.from_coo(src, dst, vals, n, n, dup_op=grb.binary.MIN)
         if symmetrize:
-            # make weights symmetric: W = min(W, Wᵀ) on the union
-            a = a.ewise_add(a.T, grb.binary.MIN)
+            # symmetric weights, W = min(W, Wᵀ) on the union: fold MIN once
+            # per unordered pair {u, v}, then mirror the upper triangle.
+            # Both halves arrive sorted: the mirror's build merges two runs
+            u = Matrix.from_coo(np.minimum(src, dst), np.maximum(src, dst),
+                                vals, n, n, dup_op=grb.binary.MIN)
+            (r, c, w), (rt, ct, wt) = u.to_coo(), u.T.to_coo()
+            a = Matrix.from_coo(np.concatenate((r, rt)), np.concatenate((c, ct)),
+                                np.concatenate((w, wt)), n, n)
+        else:
+            a = Matrix.from_coo(src, dst, vals, n, n, dup_op=grb.binary.MIN)
     else:
         vals = np.ones(src.size, dtype=np.bool_)
         a = Matrix.from_coo(src, dst, vals, n, n, dup_op=grb.binary.LOR)

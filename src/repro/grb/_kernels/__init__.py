@@ -6,6 +6,6 @@ pairs) so they can be unit-tested independently of the
 wrappers.
 """
 
-from . import apply_select, ewise, gather, maskwrite, matmul
+from . import apply_select, build, ewise, gather, maskwrite, matmul
 
-__all__ = ["apply_select", "ewise", "gather", "maskwrite", "matmul"]
+__all__ = ["apply_select", "build", "ewise", "gather", "maskwrite", "matmul"]

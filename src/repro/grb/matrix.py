@@ -43,6 +43,7 @@ import scipy.sparse as sp
 from . import types as _types
 from ..obs import memory as _obsmem
 from ._kernels import apply_select as _selectops
+from ._kernels.build import build_keys
 from ._kernels.ewise import merge_objects, union_merge
 from ._kernels.gather import expand_rows
 from .errors import DimensionMismatch, IndexOutOfBounds, InvalidValue, NoValue
@@ -105,7 +106,9 @@ class Matrix:
                  typ=None, dup_op: Optional[BinaryOp] = None) -> "Matrix":
         """Build from tuples (``C ↤ {i, j, x}``).
 
-        Duplicates are an error unless ``dup_op`` combines them.
+        Duplicates are an error unless ``dup_op`` combines them: a left fold
+        in input order, starting from the first tuple of each ``(i, j)``,
+        so three tuples give ``dup_op(dup_op(x0, x1), x2)``.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -123,24 +126,8 @@ class Matrix:
                 raise IndexOutOfBounds("row index out of range")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise IndexOutOfBounds("column index out of range")
-        keys = rows * np.int64(ncols) + cols
-        order = np.argsort(keys, kind="stable")
-        sk = keys[order]
-        sv = values[order].astype(typ.dtype, copy=False)
-        dup = np.zeros(sk.size, dtype=bool)
-        if sk.size:
-            np.equal(sk[1:], sk[:-1], out=dup[1:])
-        if dup.any():
-            if dup_op is None:
-                raise ValueError("duplicate (row, col) pairs without dup_op")
-            starts = np.flatnonzero(~dup)
-            out_vals = sv[starts].copy()
-            rest = np.flatnonzero(dup)
-            group = np.searchsorted(starts, rest, side="right") - 1
-            for pos, g in zip(rest, group):  # rare path
-                out_vals[g] = dup_op(out_vals[g], sv[pos])
-            sk = sk[starts]
-            sv = out_vals.astype(typ.dtype, copy=False)
+        sk, sv = build_keys(rows * np.int64(ncols) + cols, values, typ.dtype,
+                            dup_op, "(row, col) pairs")
         m = cls(typ, nrows, ncols)
         m._set_from_keys(sk, sv)
         return m

@@ -27,6 +27,7 @@ import numpy as np
 from . import types as _types
 from ..obs import memory as _obsmem
 from ._kernels import apply_select as _selectops
+from ._kernels.build import build_keys
 from ._kernels.ewise import merge_objects
 from .errors import DimensionMismatch, IndexOutOfBounds, InvalidValue, NoValue
 from .ops.binary import BinaryOp
@@ -83,8 +84,9 @@ class Vector:
     ) -> "Vector":
         """Build from index/value tuples (``w ↤ {i, x}`` in the notation).
 
-        Duplicate indices are an error unless ``dup_op`` is given, in which
-        case duplicates are combined with it (in storage order).
+        Duplicate indices are an error unless ``dup_op`` combines them: a
+        left fold in input order, starting from the first tuple of each
+        index, so three tuples give ``dup_op(dup_op(x0, x1), x2)``.
         """
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values)
@@ -100,24 +102,8 @@ class Vector:
         if indices.size:
             if indices.min() < 0 or indices.max() >= size:
                 raise IndexOutOfBounds("vector index out of range")
-            order = np.argsort(indices, kind="stable")
-            si = indices[order]
-            sv = values[order].astype(typ.dtype, copy=False)
-            dup = np.zeros(si.size, dtype=bool)
-            np.equal(si[1:], si[:-1], out=dup[1:])
-            if dup.any():
-                if dup_op is None:
-                    raise ValueError("duplicate indices without dup_op")
-                starts = np.flatnonzero(~dup)
-                # fold duplicates left-to-right with the dup op
-                out_vals = sv[starts].copy()
-                rest = np.flatnonzero(dup)
-                group = np.searchsorted(starts, rest, side="right") - 1
-                for pos, g in zip(rest, group):  # rare path; duplicates only
-                    out_vals[g] = dup_op(out_vals[g], sv[pos])
-                si = si[starts]
-                sv = out_vals
-            w._set_sparse(si, sv.astype(typ.dtype, copy=False))
+            w._set_sparse(*build_keys(indices, values, typ.dtype, dup_op,
+                                      "indices"))
         return w
 
     @classmethod

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from helpers import oracle_build
+from repro import grb
 from repro import lagraph as lg
+from repro.gap import datasets
 from repro.gap import generators as gen
+from repro.gap.generators import graphs
 from repro.gap.generators.rmat import GRAPH500_ABCD, rmat_edges
 
 
@@ -98,3 +102,46 @@ class TestGenerators:
     def test_twitter_asymmetric(self):
         g = gen.twitter(scale=7)
         assert not g.A.is_symmetric_pattern()
+
+
+def _oracle_matrix(src, dst, vals, n, dup_op):
+    keys, vals = oracle_build(src * np.int64(n) + dst, vals, vals.dtype,
+                              dup_op)
+    return grb.Matrix.from_coo(keys // n, keys % n, vals, n, n)
+
+
+def _reference_finalize(src, dst, n, kind, weighted, seed, symmetrize):
+    """Reference finish: tuple-by-tuple folds, and the weighted mirror as
+    ``min(W, Wᵀ)`` over the transpose."""
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    if symmetrize:
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+    if weighted:
+        rng = np.random.default_rng(seed + 0x5EED)
+        vals = rng.integers(graphs._W_LOW, graphs._W_HIGH + 1,
+                            size=src.size).astype(np.float64)
+        a = _oracle_matrix(src, dst, vals, n, grb.binary.MIN)
+        if symmetrize:
+            a = a.ewise_add(a.T, grb.binary.MIN)
+    else:
+        vals = np.ones(src.size, dtype=np.bool_)
+        a = _oracle_matrix(src, dst, vals, n, grb.binary.LOR)
+    return lg.Graph(a, kind)
+
+
+class TestBuildIdentity:
+    """Every suite graph equals the reference build, array for array."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("name", sorted(datasets.SUITE))
+    def test_tiny_graph_matches_reference_build(self, name, weighted,
+                                                monkeypatch):
+        got = datasets.build(name, "tiny", weighted=weighted).A
+        monkeypatch.setattr(graphs, "_finalize", _reference_finalize)
+        want = datasets.build(name, "tiny", weighted=weighted).A
+        assert got.type == want.type
+        for field in ("indptr", "indices", "values"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert g.dtype == w.dtype, field
+            assert g.tobytes() == w.tobytes(), field

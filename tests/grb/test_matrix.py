@@ -6,8 +6,9 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import in_layout, sparse_matrices
+from helpers import ab_ratio, in_layout, sparse_matrices
 from repro import grb
+from repro.gap.generators.rmat import GRAPH500_ABCD, rmat_edges
 from repro.grb.errors import DimensionMismatch, IndexOutOfBounds, NoValue
 from repro.lagraph.algorithms.cc import _TOUCHES
 
@@ -293,3 +294,38 @@ class TestScipyInterop:
         a = grb.Matrix.from_coo([0], [0], [1.0], 2, 2)
         a.clear()
         assert a.nvals == 0 and a.shape == (2, 2)
+
+
+class TestBuildRatioGuard:
+    """The duplicate fold costs what a few array passes do (``ab_ratio``).
+
+    kron-small's symmetrised edge list (the tuples ``gap.generators.kron``
+    builds at scale 12: about 20 % of them duplicates, the longest run in
+    the dozens) built with ``dup_op=MIN``, against a build of the same key
+    set with the duplicates removed and the order shuffled.  The fast arm
+    sorts more tuples and folds, so the ratio sits below parity by design;
+    a fold with one ``dup_op`` call per duplicate tuple reads about 0.19.
+    """
+
+    def test_duplicate_build_costs_a_few_passes(self):
+        src, dst = rmat_edges(12, 16, GRAPH500_ABCD, seed=1)
+        keep = src != dst
+        rows = np.concatenate((src[keep], dst[keep]))
+        cols = np.concatenate((dst[keep], src[keep]))
+        n = 1 << 12
+        rng = np.random.default_rng(0)
+        vals = rng.integers(1, 256, size=rows.size).astype(np.float64)
+        _, first = np.unique(rows * n + cols, return_index=True)
+        first = rng.permutation(first)
+        assert first.size < rows.size          # duplicates to fold
+        MIN = grb.binary.MIN
+
+        def dup_build():
+            return grb.Matrix.from_coo(rows, cols, vals, n, n, dup_op=MIN)
+
+        def unique_build():
+            return grb.Matrix.from_coo(rows[first], cols[first], vals[first],
+                                       n, n, dup_op=MIN)
+
+        assert dup_build().pattern().isequal(unique_build().pattern())
+        assert ab_ratio(dup_build, unique_build) >= 0.26

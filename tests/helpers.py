@@ -22,7 +22,7 @@ from repro.grb import engine
 __all__ = [
     "sparse_vectors", "vector_pairs", "sparse_matrices", "random_graphs",
     "random_graph_np", "store_bytes", "ab_ratio", "MATRIX_LAYOUTS",
-    "in_layout",
+    "in_layout", "oracle_build",
 ]
 
 
@@ -155,6 +155,32 @@ def store_bytes(owners) -> int:
     """Σ raw-store ``nbytes()`` over ``owners`` (staged writes never
     flushed)."""
     return sum(o._store.nbytes() for o in owners)
+
+
+def oracle_build(keys, values, dtype, dup_op):
+    """Reference tuple build: sort, then fold each duplicate into its run
+    with one ``dup_op`` call, tuple by tuple in input order.  Returns
+    ``(keys, values)``; ``from_coo`` must match it bit for bit."""
+    keys = np.asarray(keys, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    sv = np.asarray(values)[order].astype(dtype, copy=False)
+    dup = np.zeros(sk.size, dtype=bool)
+    if sk.size:
+        np.equal(sk[1:], sk[:-1], out=dup[1:])
+    if dup.any():
+        if dup_op is None:
+            raise ValueError("duplicate keys without dup_op")
+        starts = np.flatnonzero(~dup)
+        out_vals = sv[starts].copy()
+        rest = np.flatnonzero(dup)
+        group = np.searchsorted(starts, rest, side="right") - 1
+        with np.errstate(all="ignore"):
+            for pos, g in zip(rest, group):
+                out_vals[g] = dup_op(out_vals[g], sv[pos])
+        sk = sk[starts]
+        sv = out_vals.astype(dtype, copy=False)
+    return sk, sv
 
 
 # ---------------------------------------------------------------------------

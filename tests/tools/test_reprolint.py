@@ -40,6 +40,7 @@ EXPECTED_BAD = {
     "lagraph/algorithms/snapshot_per_round.py": ("snapshot-in-loop", 7),
     "grb/engine/inline_tunable.py": ("cost-constants", 3),
     "grb/engine/scatter_by_hand.py": ("store-mutation", 5),
+    "grb/fold_per_tuple.py": ("op-call-in-loop", 15),
     "serve/held_lock_dispatch.py": ("lock-discipline", 8),
     "serve/held_lock_wait.py": ("lock-discipline", 7),
     "gc/finalizer_lock.py": ("lock-discipline", 14),

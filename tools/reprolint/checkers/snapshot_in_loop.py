@@ -24,20 +24,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from ..core import Checker, Diagnostic, FileContext
+from ..core import Checker, Diagnostic, FileContext, runs_every_iteration
 
 EXPORTING_CALLS = ("bitmap",)
-
-
-def _runs_every_iteration(ctx: FileContext, node: ast.AST) -> bool:
-    """Is ``node`` inside some loop's body (or a ``while`` test)?"""
-    child = node
-    for anc in ctx.ancestors(node):
-        if isinstance(anc, (ast.For, ast.AsyncFor, ast.While)):
-            if child in anc.body or child is getattr(anc, "test", None):
-                return True
-        child = anc
-    return False
 
 
 class SnapshotInLoop(Checker):
@@ -58,7 +47,7 @@ class SnapshotInLoop(Checker):
                     and node.func.attr in EXPORTING_CALLS
                     and not node.args and not node.keywords):
                 continue
-            if not _runs_every_iteration(ctx, node) or self.waived(ctx, node):
+            if not runs_every_iteration(ctx, node) or self.waived(ctx, node):
                 continue
             what = f".{node.func.attr}()"
             out.append(self.diag(

@@ -5,7 +5,7 @@ economically pin — the contracts that hold the layered design together
 (disabled observability costs one flag read, algorithm loops stay
 cancellable, chooser constants live in one module, lock bodies stay
 small, fault hooks are free when idle, bitmap stores are written only
-through their owner).
+through their owner, operators are applied to arrays, not elements).
 Each invariant is a :class:`Checker` plugin; the framework owns parsing,
 parent links, guard/scope helpers, pragma handling, and diagnostics.
 
@@ -35,7 +35,7 @@ from typing import Iterable, List, Optional, Sequence
 __all__ = [
     "Diagnostic", "FileContext", "Checker", "LintError",
     "run_files", "iter_python_files", "render_human", "render_json",
-    "JSON_SCHEMA_VERSION",
+    "runs_every_iteration", "JSON_SCHEMA_VERSION",
 ]
 
 #: Bumped whenever the JSON report layout changes shape.
@@ -259,6 +259,20 @@ def guarded_by(ctx: FileContext, node: ast.AST, *,
                 and test_consults(anc.test, calls=calls, flags=flags)):
             return True
         prev = anc
+    return False
+
+
+def runs_every_iteration(ctx: FileContext, node: ast.AST) -> bool:
+    """Is ``node`` inside some loop's body (or a ``while`` test)?
+
+    A ``for`` loop's iterable is evaluated once and does not count.
+    """
+    child = node
+    for anc in ctx.ancestors(node):
+        if isinstance(anc, (ast.For, ast.AsyncFor, ast.While)):
+            if child in anc.body or child is getattr(anc, "test", None):
+                return True
+        child = anc
     return False
 
 
