@@ -5,10 +5,11 @@ on every stored entry; entries where it returns ``False`` are dropped
 (Sec. III-B-f of the paper).  All predicates are vectorised.
 
 Format-aware evaluation: predicates declare whether they read entry
-coordinates (``uses_coords``).  Value-only predicates (``valuegt``,
-``nonzero``, ...) are evaluated without materialising the per-entry row
-array at all, and coordinate predicates pull rows from the storage layer's
-``entry_rows`` via :func:`eval_select`.
+coordinates (``uses_coords``).  :func:`eval_select` is the one place a
+predicate is evaluated: value-only predicates (``valuegt``, ``nonzero``,
+...) never materialise the per-entry coordinate arrays at all, and
+coordinate predicates ask the caller for them (a matrix's rows come from
+the storage layer's ``entry_rows``).
 """
 
 from __future__ import annotations
@@ -47,15 +48,10 @@ class SelectOp:
     ``fn(values, i, j, thunk) -> bool array``; for vectors ``j`` is zeros.
     ``uses_coords=False`` marks value-only predicates, which callers may
     evaluate with ``i``/``j`` set to ``None`` (no coordinate expansion).
-    ``keyed=True`` marks predicates that accept the *linearised* matrix
-    coordinate directly (``i`` = ``row·ncols + col`` keys, ``j=None``):
-    fused epilogues then skip the div/mod split a kernel's raw key output
-    would otherwise round-trip through (the op must still handle real
-    ``(i, j)`` pairs for the materialised path).
 
     A thunk may be a :class:`~repro.grb.vector.Vector`: the predicate then
     receives the vector's ``(present, dense)`` arrays *as they are when it
-    runs* — here, the one place every select path (the ``select`` rules,
+    runs* — here, the one place every select path (the ``select`` rule,
     fused and materialised epilogues, the ``Vector`` / ``Matrix`` methods)
     calls through — read without marking the store exported, so a later
     write-back into that vector may still land in place.
@@ -64,7 +60,6 @@ class SelectOp:
     name: str
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray, object], np.ndarray]
     uses_coords: bool = True
-    keyed: bool = False
 
     def __call__(self, values, i, j, thunk) -> np.ndarray:
         if hasattr(thunk, "_thunk_view"):
@@ -100,16 +95,20 @@ def eval_unary(op, values: np.ndarray, thunk, rows, cols) -> np.ndarray:
 
 
 @profiled("eval_select")
-def eval_select(op: "SelectOp", values: np.ndarray, store, thunk) -> np.ndarray:
-    """Keep-mask of a predicate over a matrix store's entries.
+def eval_select(op: "SelectOp", values: np.ndarray, thunk, rows,
+                cols) -> np.ndarray:
+    """Keep-mask of a predicate over entry arrays — the one definition of
+    select's evaluation, shared by ``Vector.select`` / ``Matrix.select``,
+    the engine's select rule and fused epilogues, as :func:`eval_unary`
+    is for apply.
 
-    Value-only predicates never touch coordinates; the rest read row ids
-    from the store's ``entry_rows`` and column ids from the canonical
-    view.
+    ``rows`` / ``cols`` are zero-arg callables supplying the coordinate
+    arrays (a vector's column ids are zeros); a value-only predicate never
+    invokes them.
     """
     if not op.uses_coords:
         return op(values, None, None, thunk)
-    return op(values, store.entry_rows(), store.csr()[1], thunk)
+    return op(values, rows(), cols(), thunk)
 
 
 TRIL = SelectOp("tril", lambda v, i, j, k: j <= i + (k or 0))

@@ -4,16 +4,23 @@ These implement the value semantics of ``eWiseAdd`` (union: the operator is
 applied only where *both* operands have entries, otherwise the lone entry is
 copied through) and ``eWiseMult`` (intersection) from the GraphBLAS spec.
 
-The same kernels serve vectors (keys are indices) and matrices (keys are
+The array kernels serve vectors (keys are indices) and matrices (keys are
 linearised ``i * ncols + j`` coordinates) — callers linearise first.
+:func:`union` and :func:`intersect` take the stored objects themselves and
+pick the method from their formats; the engine's ``ewise-union`` /
+``ewise-intersect`` rules (:mod:`repro.grb.engine.entrywise`) and the
+``Vector`` / ``Matrix`` ``ewise_add`` / ``ewise_mult`` methods all call
+them:
 
-Format-aware fast path: when both operands are bitmap-resident
-(:mod:`repro.grb.storage.bitmap`), the ``*_merge_bitmap`` variants merge
-the dense flag/value arrays directly — no sorted-key intersection — and
-return the same sorted sparse result, value for value.  When only one side
-is, or a sparse mask bounds the result, :func:`intersect_probe` walks the
-small sorted side and looks the others up, so an intersection costs what
-its smallest participant holds, not what the grid does.
+* a union of two bitmap-resident operands merges their dense flag/value
+  arrays (:func:`union_merge_bitmap`), any other pair their sorted keys
+  (:func:`union_merge`) — the same sorted result, value for value;
+* an intersection walks its smallest sorted participant — an operand, or
+  the allowed keys of a non-complemented sparse mask the result is about
+  to be written through (:func:`intersect_walk`) — and probes the other
+  operands, so it costs what that participant holds, not what the grid
+  does.  Only when every participant is bitmap-resident does it AND the
+  flag arrays.
 """
 
 from __future__ import annotations
@@ -21,32 +28,8 @@ from __future__ import annotations
 import numpy as np
 from ...obs.profile import profiled
 
-__all__ = ["union_merge", "intersect_merge", "setdiff_keys",
-           "union_merge_bitmap", "intersect_merge_bitmap", "intersect_probe",
-           "merge_objects"]
-
-
-@profiled("intersect_merge")
-def intersect_merge(keys_a, vals_a, keys_b, vals_b, op):
-    """Apply ``op`` on the key intersection of two sorted sparse structures.
-
-    Parameters
-    ----------
-    keys_a, keys_b:
-        Sorted, unique int64 key arrays.
-    vals_a, vals_b:
-        Matching value arrays.
-    op:
-        Vectorised binary operator ``op(a_vals, b_vals)``.
-
-    Returns ``(keys, values)`` with keys sorted ascending.
-    """
-    common, ia, ib = np.intersect1d(keys_a, keys_b, assume_unique=True,
-                                    return_indices=True)
-    if common.size == 0:
-        dt = op(vals_a[:0], vals_b[:0]).dtype
-        return common, np.empty(0, dtype=dt)
-    return common, op(vals_a[ia], vals_b[ib])
+__all__ = ["union", "union_merge", "union_merge_bitmap", "intersect",
+           "intersect_walk", "setdiff_keys"]
 
 
 @profiled("union_merge")
@@ -76,53 +59,6 @@ def union_merge(keys_a, vals_a, keys_b, vals_b, op):
     return keys[order], vals[order]
 
 
-@profiled("intersect_merge_bitmap")
-def intersect_merge_bitmap(present_a, dense_a, present_b, dense_b, op):
-    """eWiseMult over two bitmap representations.
-
-    Bit-identical to :func:`intersect_merge` on the equivalent sparse
-    operands: same keys (sorted), same values (the op sees the same operand
-    values element-wise), same dtype.
-    """
-    keys = np.flatnonzero(present_a & present_b).astype(np.int64)
-    return keys, op(dense_a[keys], dense_b[keys])
-
-
-def _probe(view, keys):
-    """``(hit, values)``: which of the sorted ``keys`` one operand stores,
-    and its values at those.
-
-    ``view`` is the operand's ``(present, dense)`` pair over the grid
-    (told by the bool flags) or its sorted ``(keys, values)`` pair."""
-    first, second = view
-    if first.dtype == np.bool_:
-        hit = first[keys]
-        return hit, second[keys[hit]]
-    if first.size == 0:
-        return np.zeros(keys.size, dtype=bool), second
-    pos = np.minimum(np.searchsorted(first, keys), first.size - 1)
-    hit = first[pos] == keys
-    return hit, second[pos[hit]]
-
-
-@profiled("intersect_probe")
-def intersect_probe(keys, a, b, op):
-    """eWiseMult restricted to the sorted candidate ``keys``.
-
-    ``keys`` is any sorted unique superset of the wanted result — a sparse
-    operand's own keys, or the allowed keys of the mask the result is
-    about to be written through — and ``a`` / ``b`` are operand views as
-    :func:`_probe` takes them.  Bit-identical to :func:`intersect_merge`
-    restricted to ``keys``: the op sees the same operand values
-    element-wise, at O(|keys|) flag gathers per bitmap operand and a
-    binary search per sparse one.
-    """
-    hit, vals_a = _probe(a, keys)
-    keys = keys[hit]
-    hit, vals_b = _probe(b, keys)
-    return keys[hit], op(vals_a[hit], vals_b)
-
-
 @profiled("union_merge_bitmap")
 def union_merge_bitmap(present_a, dense_a, present_b, dense_b, op):
     """eWiseAdd over two bitmap representations.
@@ -145,24 +81,78 @@ def union_merge_bitmap(present_a, dense_a, present_b, dense_b, op):
     return keys, out[keys]
 
 
-def merge_objects(a, b, op, *, union: bool):
-    """Element-wise merge of two stored objects, picking the layout-best path.
-
-    ``a``/``b`` are any objects speaking the mask protocol
-    (``_mask_present_dense`` / ``_mask_keys_values`` — both ``Vector`` and
-    ``Matrix``).  When both are bitmap-resident the dense merge runs;
-    otherwise the sorted-key merge.  Returns ``(keys, values)`` either way
-    — identical to the sparse reference by construction.
-    """
+def union(a, b, op):
+    """eWiseAdd of two stored objects (``Vector`` or ``Matrix``, read
+    through the mask protocol ``_mask_present_dense`` /
+    ``_mask_keys_values``): the dense merge when both are bitmap-resident,
+    the sorted-key merge otherwise.  Returns ``(keys, values)``."""
     pa = a._mask_present_dense()
     pb = b._mask_present_dense() if pa is not None else None
-    if pa is not None and pb is not None:
-        fn = union_merge_bitmap if union else intersect_merge_bitmap
-        return fn(pa[0], pa[1], pb[0], pb[1], op)
+    if pb is not None:
+        return union_merge_bitmap(pa[0], pa[1], pb[0], pb[1], op)
     ka, va = a._mask_keys_values()
     kb, vb = b._mask_keys_values()
-    fn = union_merge if union else intersect_merge
-    return fn(ka, va, kb, vb, op)
+    return union_merge(ka, va, kb, vb, op)
+
+
+def intersect_walk(a, b, mask=None):
+    """What an intersection of ``a`` and ``b`` walks: ``None`` when every
+    participant is bitmap-resident, else ``(driver, keys)`` — the smallest
+    sorted participant (``"operand"``, or ``"mask"`` for a
+    non-complemented mask the result is only ever seen through) and a
+    zero-arg callable returning its sorted keys.  Ties go to ``a``, then
+    ``b``, then the mask."""
+    sides = [(x.nvals, "operand", x) for x in (a, b) if x.format != "bitmap"]
+    if (mask is not None and not mask.complemented
+            and mask.obj.format != "bitmap"):
+        sides.append((mask.obj.nvals, "mask", mask))
+    if not sides:
+        return None
+    _, driver, side = min(sides, key=lambda s: s[0])
+    if driver == "mask":
+        return driver, side.allowed_keys
+    return driver, lambda: side._mask_keys_values()[0]
+
+
+def _probe(obj, keys):
+    """``(hit, values)``: which of the sorted ``keys`` one stored object
+    holds, and its values at those — a flag gather when it is
+    bitmap-resident, a binary search of its sorted keys otherwise."""
+    pd = obj._mask_present_dense()
+    if pd is not None:
+        hit = pd[0][keys]
+        return hit, pd[1][keys[hit]]
+    first, second = obj._mask_keys_values()
+    if first.size == 0:
+        return np.zeros(keys.size, dtype=bool), second
+    pos = np.minimum(np.searchsorted(first, keys), first.size - 1)
+    hit = first[pos] == keys
+    return hit, second[pos[hit]]
+
+
+@profiled("intersect")
+def intersect(a, b, op, walk):
+    """eWiseMult of two stored objects along :func:`intersect_walk`'s
+    ``walk``; returns ``(keys, values)`` with keys sorted ascending.
+
+    With ``walk=None`` both are bitmap-resident and the result is the AND
+    of their flags.  Otherwise the walked keys — a sorted unique superset
+    of the wanted result — are probed in ``a``, the survivors in ``b``,
+    and ``op`` sees the two operands' values at the common keys
+    element-wise, whichever way they were found: every walk gives the
+    same values at the same keys (restricted to the mask's keys, for a
+    mask walk).
+    """
+    if walk is None:
+        present_a, dense_a = a._mask_present_dense()
+        present_b, dense_b = b._mask_present_dense()
+        keys = np.flatnonzero(present_a & present_b).astype(np.int64)
+        return keys, op(dense_a[keys], dense_b[keys])
+    keys = walk[1]()
+    hit, vals_a = _probe(a, keys)
+    keys = keys[hit]
+    hit, vals_b = _probe(b, keys)
+    return keys[hit], op(vals_a[hit], vals_b)
 
 
 def setdiff_keys(keys_a, keys_b):

@@ -6,7 +6,7 @@ Uᵀ`` (Sec. IV-E / Alg. 6) touches one dot product per stored edge of ``L``,
 never the full wedge count, and batched BC's per-level masked ``plus.first``
 products (Sec. IV-B / Alg. 3) skip everything the mask will discard anyway.
 This module is the *kernel*; which multiplies run it is decided by the
-``mxm-masked-dot`` planner rule in :mod:`repro.grb.engine.executors`, under
+``mxm-masked-dot`` planner rule in :mod:`repro.grb.engine.mxm`, under
 the unified cost model in :mod:`repro.grb.engine.cost` (priced probe
 count versus the exact flop count of the full product).
 
@@ -304,7 +304,7 @@ def masked_dot_reduce(
     ``cast_dtype`` set, SciPy-fast-path semantics are replayed: operands
     are cast to it before multiplying and accumulation is plain ``+`` in
     k-ascending order — bit-identical to
-    :func:`repro.grb.engine.executors.scipy_mxm`; with ``None``, those of
+    :func:`repro.grb.engine.mxm.scipy_mxm`; with ``None``, those of
     :func:`~repro.grb._kernels.matmul.mxm_expand` (the semiring's own ops
     on the operands' native dtypes).
 

@@ -18,13 +18,13 @@ Three shapes, all fully vectorised (no per-row Python loops):
     performs becomes one row of a COO triple which is then group-reduced by
     the ⊕ monoid.  Memory is O(flops), and so is time — no per-call term
     that scales with a dimension — which makes it the kernel of both ends
-    of the planner's ``mxm`` list (:mod:`repro.grb.engine.executors`): the
+    of the planner's ``mxm`` list (:mod:`repro.grb.engine.mxm`): the
     semirings SciPy cannot run (``min.plus``, ``any.secondi`` …) whatever
     their size, and, in its SciPy-replay mode (``cast_dtype``), the
     plus.times-reducible products whose flop count is below what the
     compiled kernel spends setting up (the near-empty levels of a batched
-    traversal).  The compiled path itself is ``scipy_mxm`` in
-    ``executors``.
+    traversal).  The compiled path itself is that module's
+    ``scipy_mxm``.
 
 ``vxm_sparse`` and ``mxv_gather`` take the same SciPy-replay mode: a
 plus.times-reducible ``vxm``/``mxv`` has one answer, byte for byte

@@ -60,8 +60,9 @@ from .rules import (
     register,
     rules_for,
 )
-from . import executors  # noqa: F401  (imports register the rule set)
-from .executors import write_back
+# importing each family registers its rules, in trial order per kind
+from . import mxm, mxv, entrywise, assign  # noqa: F401
+from .writeback import write_back
 
 __all__ = [
     "cost", "plancache", "Plan", "Epilogue",

@@ -193,7 +193,7 @@ def dispatch(plan: Plan):
     wrapping a ``plan-choose`` span (the ``applies`` chain, and the
     decision record attached to it) and a ``kernel:<rule>`` span (the
     rule's execution, epilogues and write-back included —
-    :func:`repro.grb.engine.executors.finish` opens child spans for those
+    :func:`repro.grb.engine.writeback.finish` opens child spans for those
     stages).  The two obs gates (trace sink, deep profiling) are each read
     once here and handed down.
 

@@ -44,7 +44,7 @@ from . import types as _types
 from ..obs import memory as _obsmem
 from ._kernels import apply_select as _selectops
 from ._kernels.build import build_keys
-from ._kernels.ewise import merge_objects, union_merge
+from ._kernels import ewise as _ewise
 from ._kernels.gather import expand_rows
 from .errors import DimensionMismatch, IndexOutOfBounds, InvalidValue, NoValue
 from .ops.binary import BinaryOp
@@ -553,7 +553,7 @@ class Matrix:
         st = self._store
         rows = st.entry_rows()
         keys = rows * np.int64(self.ncols) + st.csr()[1]
-        merged_keys, merged_vals = union_merge(
+        merged_keys, merged_vals = _ewise.union_merge(
             keys, st.csr()[2], pk, pv, lambda old, new: new)
         self._set_from_keys(merged_keys, merged_vals)
 
@@ -635,7 +635,8 @@ class Matrix:
             op = _selectops.by_name(op)
         st = self._S()
         indptr, indices, values = st.csr()
-        pos = np.flatnonzero(_selectops.eval_select(op, values, st, thunk))
+        pos = np.flatnonzero(_selectops.eval_select(
+            op, values, thunk, rows=st.entry_rows, cols=lambda: indices))
         out = Matrix(self.type, self.nrows, self.ncols)
         out._set_from_csr(np.searchsorted(pos, indptr), indices[pos],
                           values[pos])
@@ -674,15 +675,17 @@ class Matrix:
     def ewise_add(self, other: "Matrix", op: BinaryOp) -> "Matrix":
         """``A op∪ B``: union merge (dense path when both bitmap-resident)."""
         self._check_same_shape(other)
-        keys, vals = merge_objects(self, other, op, union=True)
+        keys, vals = _ewise.union(self, other, op)
         out = Matrix(from_dtype(vals.dtype), self.nrows, self.ncols)
         out._set_from_keys(keys, vals)
         return out
 
     def ewise_mult(self, other: "Matrix", op: BinaryOp) -> "Matrix":
-        """``A op∩ B``: intersection merge."""
+        """``A op∩ B``: intersection, walking the smaller sparse operand
+        and probing the other (a flag AND when both are bitmap-resident)."""
         self._check_same_shape(other)
-        keys, vals = merge_objects(self, other, op, union=False)
+        keys, vals = _ewise.intersect(
+            self, other, op, _ewise.intersect_walk(self, other))
         out = Matrix(from_dtype(vals.dtype), self.nrows, self.ncols)
         out._set_from_keys(keys, vals)
         return out

@@ -13,8 +13,11 @@ registered planner rules under the unified cost model
 (:mod:`repro.grb.engine.cost`).  Every call runs when it is made — the
 spec's blocking mode, which it permits in non-blocking mode too.  The
 kernel strategies themselves — the dot3 masked SpGEMM, the SciPy sparse
-products, the bitmap merges, the gather references — live in
-:mod:`repro.grb.engine.executors`; their decisions are observable through
+products, the element-wise merges and probes, the gather references — are
+registered by the engine's rule families (:mod:`~repro.grb.engine.mxm`,
+:mod:`~repro.grb.engine.mxv`, :mod:`~repro.grb.engine.entrywise`,
+:mod:`~repro.grb.engine.assign`, all landing through
+:mod:`~repro.grb.engine.writeback`); their decisions are observable through
 :func:`repro.obs.decision` records and forceable through the cost
 constants (or :func:`repro.grb.engine.force_rule`); the masked-dot rule
 memoizes its analysis on the product's mask

@@ -28,7 +28,7 @@ from . import types as _types
 from ..obs import memory as _obsmem
 from ._kernels import apply_select as _selectops
 from ._kernels.build import build_keys
-from ._kernels.ewise import merge_objects
+from ._kernels import ewise as _ewise
 from .errors import DimensionMismatch, IndexOutOfBounds, InvalidValue, NoValue
 from .ops.binary import BinaryOp
 from .ops.monoid import Monoid
@@ -375,15 +375,18 @@ class Vector:
         intersection); results are bit-identical to the sparse merge.
         """
         self._check_same_size(other)
-        keys, vals = merge_objects(self, other, op, union=True)
+        keys, vals = _ewise.union(self, other, op)
         out = Vector(from_dtype(vals.dtype), self.size)
         out._set_sparse(keys, vals)
         return out
 
     def ewise_mult(self, other: "Vector", op: BinaryOp) -> "Vector":
-        """``u op∩ v``: intersection merge (Sec. III-B-c)."""
+        """``u op∩ v``: intersection (Sec. III-B-c), walking the smaller
+        sparse operand and probing the other (a flag AND when both are
+        bitmap-resident)."""
         self._check_same_size(other)
-        keys, vals = merge_objects(self, other, op, union=False)
+        keys, vals = _ewise.intersect(
+            self, other, op, _ewise.intersect_walk(self, other))
         out = Vector(from_dtype(vals.dtype), self.size)
         out._set_sparse(keys, vals)
         return out
@@ -401,11 +404,9 @@ class Vector:
         """``u⟨f(u, k)⟩``: keep entries where the predicate holds."""
         if isinstance(op, str):
             op = _selectops.by_name(op)
-        if op.uses_coords:
-            keep = op(self._vals, self._idx,
-                      np.zeros(self._idx.size, dtype=np.int64), thunk)
-        else:
-            keep = op(self._vals, None, None, thunk)
+        keep = _selectops.eval_select(
+            op, self._vals, thunk, rows=lambda: self._idx,
+            cols=lambda: np.zeros(self._idx.size, dtype=np.int64))
         out = Vector(self.type, self.size)
         out._set_sparse(self._idx[keep], self._vals[keep])
         return out

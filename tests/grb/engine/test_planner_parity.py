@@ -74,14 +74,22 @@ class TestRegistry:
         "mxm": "mxm-expand",
         "mxv": "mxv-gather",
         "vxm": "vxm-sparse-push",
-        "ewise_add": "ewise-sorted-merge",
-        "ewise_mult": "ewise-sorted-merge",
+        "ewise_add": "ewise-union",
+        "ewise_mult": "ewise-intersect",
         "apply": "apply-entrywise",
-        "select": "select-coords",
+        "select": "select-entrywise",
         "assign": "assign-region",
         "assign_scalar": "assign-scalar-region",
         "update": "update-write",
     }
+
+    def test_one_rule_per_entrywise_kind(self):
+        """eWiseAdd, eWiseMult and select are one operation each: one
+        rule that picks its method from the operands' formats."""
+        for kind in ("ewise_add", "ewise_mult", "select"):
+            assert len(engine.rules_for(kind)) == 1, kind
+        assert sum(len(engine.rules_for(k))
+                   for k in self.REFERENCE_RULES) == 14
 
     def test_decision_only_kind_is_gone(self):
         assert engine.rules_for("bfs_step") == []
@@ -271,48 +279,174 @@ class TestFusedDenseAccumParity:
                 grb.mxv(r, a, u, sr, accum=grb.binary.PLUS)
 
 
-class TestEwiseRuleParity:
-    @pytest.mark.parametrize("kind", ("ewise_add", "ewise_mult"))
-    def test_bitmap_equals_sorted(self, rng, kind, monkeypatch):
-        run = grb.ewise_add if kind == "ewise_add" else grb.ewise_mult
-        a = _rand_vector(rng, 40, density=0.6).set_format("bitmap")
-        b = _rand_vector(rng, 40, density=0.6).set_format("bitmap")
-        mobj = _rand_vector(rng, 40, density=0.4)
-        for mk, mask in _mask_variants(mobj).items():
-            for accum in (None, grb.binary.PLUS):
-                ctx = f"{kind} {mk} accum={accum}"
-                with engine.force_rule(kind, "ewise-sorted-merge"):
-                    ref = grb.Vector(grb.FP64, 40)
-                    run(ref, a, b, grb.binary.PLUS, mask=mask, accum=accum)
-                with engine.force_rule(kind, "ewise-bitmap-merge"):
-                    got = grb.Vector(grb.FP64, 40)
-                    run(got, a, b, grb.binary.PLUS, mask=mask, accum=accum)
-                assert_same_vector(got, ref, ctx)
+def _model(obj):
+    if isinstance(obj, grb.Vector):
+        return dm.to_model_vector(obj)
+    return dm.to_model_matrix(obj)
 
-    def test_bitmap_rule_declines_sparse_operands(self, rng):
-        a = _rand_vector(rng, 40, density=0.6).set_format("sparse")
-        b = _rand_vector(rng, 40, density=0.6).set_format("sparse")
-        with engine.force_rule("ewise_add", "ewise-bitmap-merge"):
-            with pytest.raises(engine.PlanningError):
-                grb.ewise_add(grb.Vector(grb.FP64, 40), a, b,
-                              grb.binary.PLUS)
+
+def _assert_model_exact(got, present, values, ctx):
+    """Bit-identity against the dense model: structure, value bytes and
+    the output's declared dtype."""
+    gp, gv = _model(got)
+    np.testing.assert_array_equal(gp, present, err_msg=ctx)
+    np.testing.assert_array_equal(gv[present], values[present], err_msg=ctx)
+    assert gv.dtype == values.dtype, ctx
+
+
+class TestEwiseRuleParity:
+    """The one ``ewise_add`` / ``ewise_mult`` rule against the dense model
+    (``dm.ewise_add`` / ``dm.ewise_mult`` then ``dm.masked_write``), on
+    every operand × mask format pairing, every mask flavour, with and
+    without accumulate and replace, and on raw (``out=None``) plans.
+    Values are integers stored as floats with explicit zeros among them,
+    so a valued mask differs from its structure and every sum is exact;
+    ``MINUS`` catches a swapped operand pair."""
+
+    MASKS = ("none", "structural", "valued", "complement-structural",
+             "complement-valued")
+    FORMATS = {"matrix": ("csr", "bitmap"), "vector": ("sparse", "bitmap")}
+
+    @staticmethod
+    def _objects(kind):
+        rng = np.random.default_rng(23)
+        if kind == "vector":
+            n = 48
+
+            def rand(k):
+                idx = np.sort(rng.choice(n, k, replace=False))
+                return grb.Vector.from_coo(
+                    idx, rng.integers(0, 3, k).astype(float), n)
+            return rand(30), rand(9), rand(14), rand(20)
+        nr, nc = 6, 9
+
+        def rand(k):
+            cells = rng.choice(nr * nc, k, replace=False)
+            return grb.Matrix.from_coo(cells // nc, cells % nc,
+                                       rng.integers(0, 3, k).astype(float),
+                                       nr, nc)
+        return rand(30), rand(8), rand(12), rand(20)
+
+    @staticmethod
+    def _mask(name, obj):
+        if name == "none":
+            return None
+        m = grb.structure(obj) if "structural" in name else grb.Mask(obj)
+        return grb.complement(m) if name.startswith("complement") else m
+
+    @staticmethod
+    def _expected(op_kind, a, b, c, mask, accum, replace):
+        pa, va = _model(a)
+        pb, vb = _model(b)
+        merge = dm.ewise_add if op_kind == "ewise_add" else dm.ewise_mult
+        pt, vt = merge(pa, va, pb, vb, grb.binary.MINUS)
+        allowed = None
+        if mask is not None:
+            mp, mv = _model(mask.obj)
+            allowed = dm.mask_allowed(mp, mv, mask.structural,
+                                      mask.complemented)
+        pc, vc = _model(c)
+        return dm.masked_write(pc, vc, pt, vt, accum=accum, allowed=allowed,
+                               replace=replace)
+
+    @pytest.mark.parametrize("obj_kind", ("matrix", "vector"))
+    @pytest.mark.parametrize("op_kind", ("ewise_add", "ewise_mult"))
+    @pytest.mark.parametrize("mask_name", MASKS)
+    def test_every_format_pairing_matches_dense_model(self, obj_kind,
+                                                      op_kind, mask_name):
+        run = grb.ewise_add if op_kind == "ewise_add" else grb.ewise_mult
+        (rule,) = engine.rules_for(op_kind)
+        a0, b0, m0, c0 = self._objects(obj_kind)
+        fmts = self.FORMATS[obj_kind]
+        layouts = set()
+        for fa, fb, fm in itertools.product(fmts, fmts, fmts):
+            a, b = a0.dup().set_format(fa), b0.dup().set_format(fb)
+            mask = self._mask(mask_name, m0.dup().set_format(fm))
+            for accum, replace in itertools.product(
+                    (None, grb.binary.PLUS), (False, True)):
+                ctx = (f"{op_kind} {obj_kind} {fa}×{fb} "
+                       f"mask={mask_name}/{fm} accum={accum} "
+                       f"replace={replace}")
+                want = self._expected(op_kind, a, b, c0, mask, accum,
+                                      replace)
+                got = c0.dup()
+                with obs.tracing() as trace:
+                    run(got, a, b, grb.binary.MINUS, mask=mask,
+                        accum=accum, replace=replace)
+                (e,) = trace.decisions()
+                assert e["rule"] == rule.name, ctx
+                layouts.add((e["layout"], e.get("driver")))
+                _assert_model_exact(got, *want, ctx)
+            # a raw plan: T⟨M⟩, the entries a write into nothing keeps
+            plan = (engine.plan_ewise_add if op_kind == "ewise_add"
+                    else engine.plan_ewise_mult)
+            keys, vals = engine.execute(plan(None, a, b, grb.binary.MINUS,
+                                             mask=mask))
+            empty = c0.dup()
+            empty.clear()
+            pt, vt = self._expected(op_kind, a, b, empty, mask, None, True)
+            flat = np.flatnonzero(pt.ravel())
+            np.testing.assert_array_equal(keys, flat, err_msg=ctx)
+            np.testing.assert_array_equal(vals, vt.ravel()[flat],
+                                          err_msg=ctx)
+        # the csr×csr (sparse×sparse) pairing runs the probe as well
+        if op_kind == "ewise_mult":
+            assert ("probe", "operand") in layouts
+            assert ("bitmap", None) in layouts
+            if mask_name in ("structural", "valued"):
+                assert ("probe", "mask") in layouts
+        else:
+            assert {lay for lay, _ in layouts} == {"bitmap", "sorted"}
+
+    def test_both_sorted_walks_the_smaller_operand(self):
+        """The pairing that moved off ``np.intersect1d``: both operands
+        sorted, the smaller one walked, the larger probed by binary
+        search — identical bytes either way round."""
+        a0, b0, _, _ = self._objects("vector")
+        a, b = a0.dup().set_format("sparse"), b0.dup().set_format("sparse")
+        assert b.nvals < a.nvals
+        for x, y in ((a, b), (b, a)):
+            pa, va = _model(x)
+            pb, vb = _model(y)
+            want = dm.ewise_mult(pa, va, pb, vb, grb.binary.MINUS)
+            got = grb.Vector(grb.FP64, x.size)
+            with obs.tracing() as trace:
+                grb.ewise_mult(got, x, y, grb.binary.MINUS)
+            (e,) = trace.decisions()
+            assert (e["layout"], e["driver"]) == ("probe", "operand")
+            _assert_model_exact(got, *want, "sorted×sorted")
+            # the object method calls the same kernel
+            _assert_model_exact(x.ewise_mult(y, grb.binary.MINUS), *want,
+                                "method")
 
 
 class TestApplySelectRuleParity:
-    def test_select_value_only_equals_coords(self, rng):
-        m = _rand_matrix(rng, 18, 18, density=0.4)
-        with engine.force_rule("select", "select-coords"):
-            ref = grb.Matrix(grb.FP64, 18, 18)
-            grb.select(ref, m, "valuegt", 0.5)
-        with engine.force_rule("select", "select-value-only"):
+    @pytest.mark.parametrize("fmt", ("csr", "bitmap"))
+    def test_select_matches_dense_model(self, rng, fmt):
+        """One select rule for value-only and coordinate predicates; its
+        decision detail reports which path the predicate took."""
+        m = _rand_matrix(rng, 18, 18, density=0.4).set_format(fmt)
+        present, values = dm.to_model_matrix(m)
+        i, j = np.indices(present.shape)
+        for name, thunk, path, keep in (
+                ("valuegt", 2.5, "value-only", values > 2.5),
+                ("tril", 0, "coords", j <= i),
+                ("rowle", 7, "coords", i <= 7)):
             got = grb.Matrix(grb.FP64, 18, 18)
-            grb.select(got, m, "valuegt", 0.5)
-        assert got.isequal(ref)
-        # value-only predicates decline the coords-only forcing in reverse:
-        # a coordinate predicate cannot run the value-only rule
-        with engine.force_rule("select", "select-value-only"):
-            with pytest.raises(engine.PlanningError):
-                grb.select(grb.Matrix(grb.FP64, 18, 18), m, "tril", 0)
+            with obs.tracing() as trace:
+                grb.select(got, m, name, thunk)
+            (e,) = trace.decisions()
+            assert (e["rule"], e["path"]) == ("select-entrywise", path)
+            np.testing.assert_array_equal(dm.to_model_matrix(got)[0],
+                                          present & keep, err_msg=name)
+            assert got.isequal(m.select(name, thunk)), name
+
+    def test_vector_select_matches_method(self, rng):
+        v = _rand_vector(rng, 30, density=0.6)
+        for name, thunk in (("valuegt", 2.0), ("rowle", 11)):
+            got = grb.Vector(grb.FP64, 30)
+            grb.select(got, v, name, thunk)
+            assert_same_vector(got, v.select(name, thunk), name)
 
     def test_apply_matches_object_method(self, rng, monkeypatch):
         v = _rand_vector(rng, 30, density=0.6)
@@ -933,7 +1067,7 @@ class TestMxmSmallExpandGate:
     def test_heavy_operand_declines_without_touching_an_array(self, rng):
         """``a.nvals > ncols(B)``: two integer compares, no gather — the
         row-pointer read is poisoned and never reached."""
-        from repro.grb.engine import executors
+        from repro.grb.engine import mxm
         a = _rand_matrix(rng, MXM_N, MXM_N)          # ~1 200 entries
         b = _rand_matrix(rng, MXM_N, MXM_N)
         assert a.nvals > b.ncols
@@ -941,7 +1075,7 @@ class TestMxmSmallExpandGate:
         def boom(*args):
             raise AssertionError("flop count attempted past the O(1) gate")
 
-        with mock.patch.object(executors, "csr_row_lengths", boom):
+        with mock.patch.object(mxm, "csr_row_lengths", boom):
             assert self._claim(a, b)["rule"] == "mxm-scipy"
             # ... while an operand inside the gate does reach the gather
             with pytest.raises(AssertionError, match="O\\(1\\) gate"):

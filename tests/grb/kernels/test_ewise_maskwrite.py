@@ -9,8 +9,10 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 import dense_model as dm  # noqa: E402  (path added by tests/conftest.py)
+from repro import grb  # noqa: E402
 from repro.grb._kernels.ewise import (  # noqa: E402
-    intersect_merge,
+    intersect,
+    intersect_walk,
     setdiff_keys,
     union_merge,
 )
@@ -70,22 +72,52 @@ class TestUnionMerge:
         np.testing.assert_array_equal(keys, [0, 3, 5])
 
 
-class TestIntersectMerge:
-    @given(two_dense_vectors())
-    def test_matches_dense_model(self, data):
+class TestIntersect:
+    """The intersection of two stored vectors, in every format pairing
+    (both sorted: a binary-search probe; one bitmap: a probe of it; both
+    bitmap: the flag AND), against the dense model."""
+
+    FORMATS = ("sparse", "bitmap")
+
+    @staticmethod
+    def _vector(present, values, fmt):
+        keys = np.flatnonzero(present)
+        v = grb.Vector.from_coo(keys, values[keys], present.size)
+        return v.set_format(fmt)
+
+    @given(two_dense_vectors(), st.sampled_from(FORMATS),
+           st.sampled_from(FORMATS))
+    def test_matches_dense_model(self, data, fa, fb):
         n, pa, va, pb, vb = data
-        ka, xa = _sparse(pa, va)
-        kb, xb = _sparse(pb, vb)
-        keys, vals = intersect_merge(ka, xa, kb, xb, b.TIMES)
+        u, v = self._vector(pa, va, fa), self._vector(pb, vb, fb)
+        keys, vals = intersect(u, v, b.TIMES, intersect_walk(u, v))
         ep, ev = dm.ewise_mult(pa, va, pb, vb, b.TIMES)
         np.testing.assert_array_equal(keys, np.flatnonzero(ep))
         np.testing.assert_array_equal(vals, ev[ep])
+        assert vals.dtype == ev.dtype
 
     def test_disjoint_is_empty(self):
-        keys, vals = intersect_merge(np.array([0, 2]), np.array([1.0, 2.0]),
-                                     np.array([1, 3]), np.array([3.0, 4.0]),
-                                     b.PLUS)
-        assert keys.size == 0 and vals.size == 0
+        for fmt in self.FORMATS:
+            u = grb.Vector.from_coo([0, 2], [1.0, 2.0], 4).set_format(fmt)
+            v = grb.Vector.from_coo([1, 3], [3.0, 4.0], 4).set_format(fmt)
+            keys, vals = intersect(u, v, b.PLUS, intersect_walk(u, v))
+            assert keys.size == 0 and vals.size == 0
+            assert vals.dtype == np.float64
+
+    def test_walk_takes_the_smallest_sorted_participant(self):
+        big = grb.Vector.from_coo(np.arange(8), np.ones(8), 8)
+        small = grb.Vector.from_coo([1, 5], [2.0, 3.0], 8)
+        big.set_format("sparse")
+        small.set_format("sparse")
+        assert intersect_walk(big, small)[1]().tolist() == [1, 5]
+        mask = grb.structure(
+            grb.Vector.from_coo([5], [1.0], 8).set_format("sparse"))
+        driver, keys = intersect_walk(big, small, mask)
+        assert (driver, keys().tolist()) == ("mask", [5])
+        # a complemented mask is no bound, and a bitmap side is no walk
+        assert intersect_walk(big, small, ~mask)[0] == "operand"
+        assert intersect_walk(big.dup().set_format("bitmap"),
+                              small.dup().set_format("bitmap")) is None
 
 
 class TestSetdiffKeys:

@@ -231,7 +231,7 @@ class TestSortFreeIdentity:
     def test_masked_dot(self, name, graph, both_ways):
         from repro.grb._kernels.masked_matmul import (masked_dot_probe,
                                                       masked_dot_reduce)
-        from repro.grb.engine.executors import _mult_uses
+        from repro.grb.engine.mxm import mult_uses
         a = _tiny(graph, name)
         sr = grb.semiring_by_name(name)
         bt_indptr, bt_indices, bt_values = a._S().transpose_csr()
@@ -249,7 +249,7 @@ class TestSortFreeIdentity:
         def kernel():
             probe = masked_dot_probe(a.indptr, a.indices,
                                      bt_indptr, bt_indices, rows, cols,
-                                     a.ncols, *_mult_uses(sr))
+                                     a.ncols, *mult_uses(sr))
             return masked_dot_reduce(probe, a.values, bt_values, rows.size,
                                      sr)
         both_ways(kernel)

@@ -2,7 +2,7 @@
 
 A write-back that can only touch entries it names scatters them into a
 writable bitmap output instead of rebuilding the store
-(``engine.executors._transact``).  The contract is bit-identity with the
+(``engine.writeback._transact``).  The contract is bit-identity with the
 rebuild path and unchanged snapshot semantics for everything handed out
 before the write:
 

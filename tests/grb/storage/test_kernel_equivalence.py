@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dense_model as dm
 from helpers import (MATRIX_LAYOUTS, in_layout, random_graph_np,
                      sparse_matrices, vector_pairs)
 from repro import grb
@@ -132,19 +133,13 @@ class TestEwiseSelectReduceEquivalence:
 
 
 class TestProbeDrivenIntersection:
-    """``ewise-probe`` against the sorted merge (always applicable — the
-    reference) and the bitmap merge, over every operand × mask format
-    pairing, every mask flavour and both output kinds."""
+    """``ewise-intersect`` against the dense model (``dm.ewise_mult`` then
+    ``dm.masked_write``) over every operand × mask format pairing, every
+    mask flavour and both output kinds — the probe driven by an operand
+    or by the mask, the both-sorted binary-search probe, and the flag
+    AND."""
 
     MASKS = (None, "valued", "structural", "complemented")
-
-    @staticmethod
-    def _run(rule, out, a, b, mask, accum, replace):
-        from repro.grb import engine
-        with engine.force_rule("ewise_mult", rule):
-            grb.ewise_mult(out, a, b, grb.binary.MINUS, mask=mask,
-                           accum=accum, replace=replace)
-        return out
 
     @staticmethod
     def _mask(kind, obj):
@@ -154,6 +149,24 @@ class TestProbeDrivenIntersection:
             return grb.Mask(obj)
         m = grb.structure(obj)
         return grb.complement(m) if kind == "complemented" else m
+
+    @staticmethod
+    def _check(out, a, b, mask, accum, replace, ctx):
+        model = (dm.to_model_vector if isinstance(out, grb.Vector)
+                 else dm.to_model_matrix)
+        pc, vc = model(out)
+        pt, vt = dm.ewise_mult(*model(a), *model(b), grb.binary.MINUS)
+        allowed = None if mask is None else dm.mask_allowed(
+            *model(mask.obj), mask.structural, mask.complemented)
+        want_p, want_v = dm.masked_write(pc, vc, pt, vt, accum=accum,
+                                         allowed=allowed, replace=replace)
+        grb.ewise_mult(out, a, b, grb.binary.MINUS, mask=mask, accum=accum,
+                       replace=replace)
+        got_p, got_v = model(out)
+        np.testing.assert_array_equal(got_p, want_p, err_msg=ctx)
+        np.testing.assert_array_equal(got_v[want_p], want_v[want_p],
+                                      err_msg=ctx)
+        assert got_v.dtype == want_v.dtype, ctx
 
     @pytest.mark.parametrize("mask_kind", MASKS)
     @pytest.mark.parametrize("replace", (False, True))
@@ -168,43 +181,22 @@ class TestProbeDrivenIntersection:
                                        rng.integers(0, 3, k).astype(float),
                                        nr, nc)
         a0, b0, m0, c0 = rand_mat(30), rand_mat(8), rand_mat(12), rand_mat(20)
-        probed = 0
         for fa in MATRIX_FORMATS:
             for fb in MATRIX_FORMATS:
                 for fm in MATRIX_FORMATS:
                     a, b = a0.dup().set_format(fa), b0.dup().set_format(fb)
                     mask = self._mask(mask_kind, m0.dup().set_format(fm))
-                    args = (a, b, mask, accum, replace)
-                    ctx = f"{fa} {fb} mask={mask_kind}/{fm}"
-                    ref = self._run("ewise-sorted-merge", c0.dup(), *args)
-                    auto = c0.dup()
-                    grb.ewise_mult(auto, a, b, grb.binary.MINUS, mask=mask,
-                                   accum=accum, replace=replace)
-                    assert_same_matrix(auto, ref, ctx)
-                    if fa == fb == "bitmap":
-                        got = self._run("ewise-bitmap-merge", c0.dup(), *args)
-                        assert_same_matrix(got, ref, ctx)
-                    sorted_side = fa != "bitmap" or fb != "bitmap" or (
-                        mask_kind not in (None, "complemented")
-                        and fm != "bitmap")
-                    if "bitmap" in (fa, fb) and sorted_side:
-                        got = self._run("ewise-probe", c0.dup(), *args)
-                        assert_same_matrix(got, ref, ctx)
-                        probed += 1
-        assert probed
+                    self._check(c0.dup(), a, b, mask, accum, replace,
+                                f"{fa} {fb} mask={mask_kind}/{fm}")
 
     @given(vector_pairs(), st.sampled_from(MASKS), st.booleans(),
-           st.sampled_from(VECTOR_FORMATS), st.sampled_from(VECTOR_FORMATS))
-    def test_vector_pairings(self, pair, mask_kind, replace, fu, fm):
+           st.sampled_from(VECTOR_FORMATS), st.sampled_from(VECTOR_FORMATS),
+           st.sampled_from(VECTOR_FORMATS))
+    def test_vector_pairings(self, pair, mask_kind, replace, fu, fv, fm):
         u, v = pair
         mask = self._mask(mask_kind, v.dup().set_format(fm))
-        args = (u.dup().set_format(fu), v.dup().set_format("bitmap"), mask,
-                None, replace)
-        ref = self._run("ewise-sorted-merge", u.dup(), *args)
-        if fu != "bitmap" or (fm != "bitmap"
-                              and mask_kind not in (None, "complemented")):
-            got = self._run("ewise-probe", u.dup(), *args)
-            assert_same_vector(got, ref, f"{fu} mask={mask_kind}/{fm}")
+        self._check(u.dup(), u.dup().set_format(fu), v.dup().set_format(fv),
+                    mask, None, replace, f"{fu} {fv} mask={mask_kind}/{fm}")
 
 
 class TestMaskedWriteEquivalence:

@@ -413,15 +413,15 @@ class TestAlgorithmParity:
         """LCC's raw ``T⟨s(A)⟩`` plan pinned to ``mxm-scipy``: the product
         is filtered by the mask before it is ordered, so ``finish`` skips
         its second masked write, and the output is the seed path's."""
-        from repro.grb.engine import executors
+        from repro.grb.engine import writeback
         writes = []
-        real = executors.masked_write
+        real = writeback.masked_write
 
         def spy(*args, **kw):
             writes.append(1)
             return real(*args, **kw)
 
-        monkeypatch.setattr(executors, "masked_write", spy)
+        monkeypatch.setattr(writeback, "masked_write", spy)
         with engine.force_rule("mxm", "mxm-scipy"):
             got = local_clustering_coefficient(kron_small)
             assert not writes
@@ -685,9 +685,9 @@ class TestScipyPathSatellites:
         holds values below 1 included (``first`` copies positive values,
         and their sums cannot reach 0); a ``times`` product of such
         values still runs the pattern product beside it."""
-        from repro.grb.engine import executors
+        from repro.grb.engine import mxm
         calls = []
-        real_mxm, real_ordered = executors.scipy_mxm, executors._ordered
+        real_mxm, real_ordered = mxm.scipy_mxm, mxm._ordered
 
         def spy_mxm(a, b, semiring, **kw):
             calls.append([a.values_min(), 0])
@@ -697,8 +697,8 @@ class TestScipyPathSatellites:
             calls[-1][1] += 1
             return real_ordered(*args)
 
-        monkeypatch.setattr(executors, "scipy_mxm", spy_mxm)
-        monkeypatch.setattr(executors, "_ordered", spy_ordered)
+        monkeypatch.setattr(mxm, "scipy_mxm", spy_mxm)
+        monkeypatch.setattr(mxm, "_ordered", spy_ordered)
         cand = np.flatnonzero(np.diff(kron_small.A.indptr) > 0)
         sources = np.random.default_rng(0).choice(cand, 4, replace=False)
         bc.betweenness_centrality_batch(kron_small, sources)

@@ -156,10 +156,11 @@ class TestAccumulateFormBC:
         for k in kernels:
             by_rule.setdefault(k["name"], []).append(k["span_id"] in delta)
         assert all(by_rule["kernel:update-write"])          # P += F
-        probes = by_rule["kernel:ewise-probe"]              # both ∩ per level
+        probes = by_rule["kernel:ewise-intersect"]          # both ∩ per level
         assert probes and sum(probes) * 2 == len(probes)    # B += W ×∩ P
-        assert "kernel:ewise-sorted-merge" not in by_rule
-        assert "kernel:ewise-bitmap-merge" not in by_rule
+        # ... and each walks a sorted side, never the whole grid's flags
+        assert {e["layout"] for e in tr.decisions()
+                if e["op"] == "ewise_mult"} == {"probe"}
 
 
 class TestPageRankGAP:

@@ -102,33 +102,20 @@ DRIVERS = {
         "vxm", "vxm-sparse-push",
         lambda: grb.vxm(grb.Vector(grb.FP64, N), _vector(), _matrix(),
                         MIN_PLUS)),
-    ("ewise_add", "ewise-bitmap-merge"): _forced(
-        "ewise_add", "ewise-bitmap-merge",
+    ("ewise_add", "ewise-union"): _forced(
+        "ewise_add", "ewise-union",
         lambda: _ewise(grb.ewise_add, "bitmap")),
-    ("ewise_add", "ewise-sorted-merge"): _forced(
-        "ewise_add", "ewise-sorted-merge",
-        lambda: _ewise(grb.ewise_add, "csr")),
-    ("ewise_mult", "ewise-probe"): _forced(
-        "ewise_mult", "ewise-probe",
+    ("ewise_mult", "ewise-intersect"): _forced(
+        "ewise_mult", "ewise-intersect",
         lambda: grb.ewise_mult(grb.Matrix(grb.FP64, N, N), _matrix(0),
                                _matrix(1).set_format("bitmap"),
                                grb.binary.PLUS)),
-    ("ewise_mult", "ewise-bitmap-merge"): _forced(
-        "ewise_mult", "ewise-bitmap-merge",
-        lambda: _ewise(grb.ewise_mult, "bitmap")),
-    ("ewise_mult", "ewise-sorted-merge"): _forced(
-        "ewise_mult", "ewise-sorted-merge",
-        lambda: _ewise(grb.ewise_mult, "csr")),
     ("apply", "apply-entrywise"): _forced(
         "apply", "apply-entrywise",
         lambda: grb.apply(grb.Vector(grb.FP64, N), _vector(),
                           grb.unary.AINV)),
-    ("select", "select-value-only"): _forced(
-        "select", "select-value-only",
-        lambda: grb.select(grb.Vector(grb.FP64, N), _vector(),
-                           grb.selectops.VALUEGT, 2.0)),
-    ("select", "select-coords"): _forced(
-        "select", "select-coords",
+    ("select", "select-entrywise"): _forced(
+        "select", "select-entrywise",
         lambda: grb.select(grb.Matrix(grb.FP64, N, N), _matrix(),
                            grb.selectops.TRIL, 0)),
     ("update", "update-write"): _forced(

@@ -36,3 +36,22 @@ def test_main_prints_a_row_per_package(monkeypatch, capsys):
     assert out[2].split() == [".", "1", "1", "2", "5"]
     assert out[3].split() == ["total", "1", "1", "2", "5"]
     assert out[4:] == ["  not reached: ./two.py:8 never_called (5 lines)"]
+
+
+def test_rules_counts_the_plans_each_rule_claimed(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(FIXTURE))
+    claims = reach.rule_claims([["reachfix.ewise"]])
+    assert len(claims) == 14            # a row for every registered rule
+    assert {k: n for k, n in claims.items() if n} == {
+        ("ewise_mult", "ewise-intersect"): 1,
+        ("ewise_add", "ewise-union"): 1,
+        ("select", "select-entrywise"): 1,
+    }
+    # counts are taken across the targets only: a second run reads 3 again
+    assert reach.main(["--rules", "reachfix.ewise"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = {tuple(line.split()[:2]): int(line.split()[2])
+            for line in out[2:-1]}
+    assert rows[("ewise_mult", "ewise-intersect")] == 1
+    assert rows[("mxm", "mxm-expand")] == 0
+    assert out[-1].split() == ["total", "3"]

@@ -4,6 +4,7 @@ Usage (from the repository root)::
 
     python -m tools.reach [--src src/repro] [--list] \\
         "bench.run --workload serve_burst --trace 0 --quick" ["MODULE ARGS" ...]
+    python -m tools.reach --rules "MODULE ARGS" ["MODULE ARGS" ...]
 
 Each quoted argument is a ``python -m`` target with its arguments.  The
 targets run one after another in this process, as ``__main__``, under
@@ -22,6 +23,14 @@ lines.
 The census prints one row per package (directory under ``--src``): the
 functions and lines reached, and those not reached.  ``--list`` also names
 every unreached function.  Standard library only.
+
+``--rules`` takes the planner's census instead: the targets run with no
+profile hook (a time-bounded target then does the work it does on its
+own), and one row per registered ``(op, rule)`` prints how many plans it
+claimed, read from the always-on ``grb_dispatch_total`` counter of
+:mod:`repro.obs.metrics` as the difference across the targets.  A rule
+that claimed nothing prints 0.  The package under ``--src`` is imported
+from its parent directory.
 """
 
 from __future__ import annotations
@@ -36,7 +45,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Set, Tuple
 
-__all__ = ["Function", "functions_under", "run_targets", "census", "main"]
+__all__ = ["Function", "functions_under", "run_targets", "census",
+           "rule_claims", "main"]
 
 _CO_OPTIMIZED = 0x0001      # set on function code, clear on module/class
 
@@ -89,9 +99,11 @@ def functions_under(root: Path) -> List[Function]:
     return found
 
 
-def run_targets(targets: Iterable[List[str]]) -> Set[Tuple[str, int]]:
+def run_targets(targets: Iterable[List[str]],
+                profile: bool = True) -> Set[Tuple[str, int]]:
     """Run each ``[module, *args]`` as ``python -m`` would, in process;
-    returns the ``(file, co_firstlineno)`` of every Python call made."""
+    returns the ``(file, co_firstlineno)`` of every Python call made
+    (nothing, with ``profile=False``: the targets then run unhooked)."""
     seen: Set = set()
 
     def hook(frame, event, arg):
@@ -102,8 +114,9 @@ def run_targets(targets: Iterable[List[str]]) -> Set[Tuple[str, int]]:
     try:
         for module, *args in targets:
             sys.argv = [module, *args]
-            threading.setprofile(hook)
-            sys.setprofile(hook)
+            if profile:
+                threading.setprofile(hook)
+                sys.setprofile(hook)
             try:
                 runpy.run_module(module, run_name="__main__", alter_sys=True)
             except SystemExit:
@@ -116,6 +129,26 @@ def run_targets(targets: Iterable[List[str]]) -> Set[Tuple[str, int]]:
     # a pool thread a target left running may still be adding calls
     return {(os.path.realpath(c.co_filename), c.co_firstlineno)
             for c in frozenset(seen)}
+
+
+def _dispatches() -> Dict[Tuple[str, str], int]:
+    from repro.obs import metrics
+    counter = metrics.REGISTRY.get("grb_dispatch_total")
+    if counter is None:         # the engine was never imported
+        return {}
+    return {labels: child.value for labels, child in counter.samples()}
+
+
+def rule_claims(targets: Iterable[List[str]]
+                ) -> Dict[Tuple[str, str], int]:
+    """``{(op, rule): plans claimed}`` while the targets ran, for every
+    registered rule (registration order; 0 for a rule nothing claimed).
+    ``repro`` must be importable."""
+    import repro.grb  # noqa: F401  (registers the rules and their counters)
+    before = _dispatches()
+    run_targets(targets, profile=False)
+    return {key: n - before.get(key, 0)
+            for key, n in _dispatches().items()}
 
 
 def census(functions: List[Function], reached: Set[Tuple[str, int]]
@@ -152,6 +185,16 @@ def _format(rows: Dict[str, dict], listing: bool) -> str:
     return "\n".join(out)
 
 
+def _format_rules(claims: Dict[Tuple[str, str], int]) -> str:
+    width = max((len(rule) for _, rule in claims), default=4)
+    head = f"{'op':<14} {'rule':<{width}} {'claims':>9}"
+    out = [head, "-" * len(head)]
+    for (op, rule), n in claims.items():
+        out.append(f"{op:<14} {rule:<{width}} {n:>9}")
+    out.append(f"{'total':<14} {'':<{width}} {sum(claims.values()):>9}")
+    return "\n".join(out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m tools.reach",
                                      description=__doc__.splitlines()[0])
@@ -160,11 +203,20 @@ def main(argv=None) -> int:
         help="package directory to take the census of")
     parser.add_argument("--list", action="store_true",
                         help="name every function not reached")
+    parser.add_argument("--rules", action="store_true",
+                        help="print plans claimed per (op, rule) instead")
     parser.add_argument("targets", nargs="+",
                         help='quoted "MODULE ARGS..." python -m targets')
     opts = parser.parse_args(argv)
+    targets = [shlex.split(t) for t in opts.targets]
+    if opts.rules:
+        parent = str(Path(opts.src).resolve().parent)
+        if parent not in sys.path:
+            sys.path.insert(0, parent)
+        print(_format_rules(rule_claims(targets)))
+        return 0
     functions = functions_under(Path(opts.src))
-    reached = run_targets(shlex.split(t) for t in opts.targets)
+    reached = run_targets(targets)
     print(_format(census(functions, reached), opts.list))
     return 0
 
