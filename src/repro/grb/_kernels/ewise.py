@@ -97,21 +97,23 @@ def union(a, b, op):
 
 def intersect_walk(a, b, mask=None):
     """What an intersection of ``a`` and ``b`` walks: ``None`` when every
-    participant is bitmap-resident, else ``(driver, keys)`` — the smallest
-    sorted participant (``"operand"``, or ``"mask"`` for a
-    non-complemented mask the result is only ever seen through) and a
-    zero-arg callable returning its sorted keys.  Ties go to ``a``, then
-    ``b``, then the mask."""
-    sides = [(x.nvals, "operand", x) for x in (a, b) if x.format != "bitmap"]
+    participant is bitmap-resident, else ``(driver, keys, walked)`` — the
+    smallest sorted participant (``"operand"``, or ``"mask"`` for a
+    non-complemented mask the result is only ever seen through), a
+    zero-arg callable returning its sorted keys, and which operand that is
+    (``0`` for ``a``, ``1`` for ``b``, ``None`` for the mask).  Ties go to
+    ``a``, then ``b``, then the mask."""
+    sides = [(x.nvals, "operand", x, i) for i, x in enumerate((a, b))
+             if x.format != "bitmap"]
     if (mask is not None and not mask.complemented
             and mask.obj.format != "bitmap"):
-        sides.append((mask.obj.nvals, "mask", mask))
+        sides.append((mask.obj.nvals, "mask", mask, None))
     if not sides:
         return None
-    _, driver, side = min(sides, key=lambda s: s[0])
+    _, driver, side, walked = min(sides, key=lambda s: s[0])
     if driver == "mask":
-        return driver, side.allowed_keys
-    return driver, lambda: side._mask_keys_values()[0]
+        return driver, side.allowed_keys, None
+    return driver, lambda: side._mask_keys_values()[0], walked
 
 
 def _probe(obj, keys):
@@ -137,8 +139,9 @@ def intersect(a, b, op, walk):
 
     With ``walk=None`` both are bitmap-resident and the result is the AND
     of their flags.  Otherwise the walked keys — a sorted unique superset
-    of the wanted result — are probed in ``a``, the survivors in ``b``,
-    and ``op`` sees the two operands' values at the common keys
+    of the wanted result — are probed in each operand that was not walked
+    (a walked operand holds every one of them: its values are read as
+    stored), and ``op`` sees the two operands' values at the common keys
     element-wise, whichever way they were found: every walk gives the
     same values at the same keys (restricted to the mask's keys, for a
     mask walk).
@@ -148,11 +151,18 @@ def intersect(a, b, op, walk):
         present_b, dense_b = b._mask_present_dense()
         keys = np.flatnonzero(present_a & present_b).astype(np.int64)
         return keys, op(dense_a[keys], dense_b[keys])
-    keys = walk[1]()
-    hit, vals_a = _probe(a, keys)
-    keys = keys[hit]
-    hit, vals_b = _probe(b, keys)
-    return keys[hit], op(vals_a[hit], vals_b)
+    _, keys_of, walked = walk
+    if walked is None:
+        keys = keys_of()
+        hit, vals_a = _probe(a, keys)
+        keys = keys[hit]
+        hit, vals_b = _probe(b, keys)
+        return keys[hit], op(vals_a[hit], vals_b)
+    keys, vals = (a, b)[walked]._mask_keys_values()
+    hit, other = _probe((b, a)[walked], keys)
+    if walked == 0:
+        return keys[hit], op(vals[hit], other)
+    return keys[hit], op(other, vals[hit])
 
 
 def setdiff_keys(keys_a, keys_b):

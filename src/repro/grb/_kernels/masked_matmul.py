@@ -20,6 +20,21 @@ probed into the other operand — and ``masked_dot_reduce`` multiplies and
 probe lanes — proportional to the mask, not to the flop count of the full
 product.
 
+Like SuiteSparse:GraphBLAS's dot3, which cuts the mask into slices and
+computes them one task at a time, the probe stage never expands all its
+lanes at once: it runs over blocks of consecutive mask entries, each
+holding a mask entry's lanes whole, with a :func:`repro.grb.cancel.
+checkpoint` between blocks (the memo keeps a probe only once it has
+finished, so a cancelled one is recomputed).  A block's lane temporaries
+share the rank bitmap's byte budget, :data:`DOT_DENSE_GRID_CAP`, but a
+block never holds fewer lanes than the probed operand has entries, so its
+fixed cost is spread over at least that much work.  Per-block hits are
+concatenated in mask order: the output is the one a single block gives,
+byte for byte.  When neither operand's values feed the multiply
+(``pair``: TC's ``plus.pair``), nothing reads a hit but to count it, so
+each block stores its hit count per mask entry into one mask-sized array
+— the probe's whole output — and no per-hit array is built at all.
+
 Probe resolution is itself a small per-call chooser with two
 mechanisms, both bit-identical:
 
@@ -56,7 +71,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..ops.monoid import PLUS_MONOID
+from .. import cancel as _cancel
+from ..ops.monoid import PLUS_MONOID, _accumulator
 from ..ops.semiring import Semiring
 from .gather import concat_ranges, expand_rows
 from .matmul import multiply_as
@@ -87,9 +103,11 @@ def dot_supported(semiring: Semiring) -> bool:
 #: ``nrows × inner`` grid, ``5·grid/8`` when an int32 prefix count per
 #: byte also gives the entry positions (the valued side — BC's
 #: ``plus.first`` backward levels).  A grid over it takes the bounded
-#: search.  A kernel-mechanism cap, not a planner constant — it tunes how
-#: a chosen kernel executes.
-DOT_DENSE_GRID_CAP = 1 << 26  # cost: mechanism-cap (byte budget of the dot probe's rank bitmap; tests monkeypatch it here)
+#: search.  The same budget sizes the probe's blocks: a block's lane
+#: temporaries fit it, unless the probed operand's nnz asks for more
+#: lanes (:func:`_probe_group`).  A kernel-mechanism cap, not a planner
+#: constant — it tunes how a chosen kernel executes.
+DOT_DENSE_GRID_CAP = 1 << 26  # cost: mechanism-cap (byte budget of the dot probe's rank bitmap and of a probe block's lanes; tests monkeypatch it here)
 
 #: Probe-lane count below this fraction of the probed operand's nnz takes
 #: the bounded (galloping) search: building the rank bitmap would
@@ -149,11 +167,35 @@ def _probe_bounded(indptr: np.ndarray, indices: np.ndarray,
     return hit, (pos if need_pos else None)
 
 
+def _rank_bitmap(indptr: np.ndarray, indices: np.ndarray, inner: np.int64,
+                 need_pos: bool):
+    """The rank bitmap of a CSR structure: one bit per cell of its
+    ``nrows × inner`` grid, set where an entry is stored, and — only when
+    ``need_pos`` — an int32 running count of the set bits up to and
+    including each byte.  Returns ``(bits, rank)`` (``rank`` is ``None``
+    without positions)."""
+    nrows = indptr.size - 1
+    key = expand_rows(indptr, nrows) * inner + indices
+    bits = np.zeros(-(-nrows * int(inner) // 8), dtype=np.uint8)
+    # keys are unique, so adding each entry's bit to its byte sets it
+    # (``add.at`` has a fast path that ``bitwise_or.at`` lacks)
+    np.add.at(bits, key >> 3,
+              np.left_shift(np.uint8(1), (key & 7).astype(np.uint8)))
+    # int32 holds the count: it never exceeds the probed nnz ≤ grid, and a
+    # grid within the budget is below 2**31 cells
+    rank = np.cumsum(np.bitwise_count(bits), dtype=np.int32) \
+        if need_pos else None
+    return bits, rank
+
+
 def _probe_membership(indptr: np.ndarray, indices: np.ndarray,
-                      seek: np.ndarray, inner: np.int64, need_pos: bool):
+                      seek: np.ndarray, inner: np.int64, need_pos: bool,
+                      bitmap=None):
     """Resolve linearised ``row · inner + col`` probe keys against a CSR
     structure through its rank bitmap (the caller checks that it fits
-    :data:`DOT_DENSE_GRID_CAP`).
+    :data:`DOT_DENSE_GRID_CAP`).  ``bitmap`` is :func:`_rank_bitmap`'s
+    output when the caller built it once for several calls (one per
+    block of a probe group); it is built here otherwise.
 
     ``seek`` must be built by the caller as one expression over
     refcount-1 temporaries so NumPy's in-place temporary elision kicks in
@@ -166,13 +208,8 @@ def _probe_membership(indptr: np.ndarray, indices: np.ndarray,
     entry position of each probe.  Entries are stored in key order, so an
     entry's position is the number of set bits before its own.
     """
-    nrows = indptr.size - 1
-    key = expand_rows(indptr, nrows) * inner + indices
-    bits = np.zeros(-(-nrows * int(inner) // 8), dtype=np.uint8)
-    # keys are unique, so adding each entry's bit to its byte sets it
-    # (``add.at`` has a fast path that ``bitwise_or.at`` lacks)
-    np.add.at(bits, key >> 3,
-              np.left_shift(np.uint8(1), (key & 7).astype(np.uint8)))
+    bits, rank = bitmap if bitmap is not None \
+        else _rank_bitmap(indptr, indices, inner, need_pos)
     shift = seek.astype(np.uint8)  # the low byte keeps the bit index
     shift &= 7
     seek >>= 3
@@ -182,39 +219,83 @@ def _probe_membership(indptr: np.ndarray, indices: np.ndarray,
     if not need_pos:
         return hit, None
     # set bits up to and including each byte, less those from the lane's
-    # own bit up; int32 holds it: the count never exceeds the probed
-    # nnz ≤ grid, and a grid within the budget is below 2**31 cells
-    rank = np.cumsum(np.bitwise_count(bits), dtype=np.int32)
+    # own bit up
     return hit, rank[seek] - np.bitwise_count(above)
 
 
+def _blocks(counts: np.ndarray, budget: int):
+    """Split consecutive entries holding ``counts`` lanes each into runs
+    ``[lo, hi)`` of at most ``budget`` lanes; an entry longer than the
+    budget runs alone, so every entry's lanes stay in one run."""
+    ends = np.cumsum(counts)
+    lo = done = 0
+    while lo < counts.size:
+        hi = max(int(np.searchsorted(ends, done + budget, side="right")),
+                 lo + 1)
+        yield lo, hi
+        lo, done = hi, int(ends[hi - 1])
+
+
 def _probe_group(group, lens, starts, indices, need_own, probe_rows,
-                 p_indptr, p_indices, need_probed, inner64):
+                 p_indptr, p_indices, need_probed, inner64, hits=None):
     """Expand the row of one operand that each mask entry in ``group``
     reads (``lens[group]`` entries from ``starts``) and probe each element
     into that entry's row (``probe_rows``) of the other, probed operand.
 
-    Returns ``(t, own_pos, probed_pos)`` for the hit lanes; a position
-    array is ``None`` unless its side's values feed the multiply.
+    The entries are expanded and probed in blocks of consecutive entries
+    (:func:`_blocks`), with a cancellation checkpoint before each; the
+    rank bitmap, when the group uses it, is built once for all of them.
+    A block holds at most ``DOT_DENSE_GRID_CAP // lane_bytes`` lanes —
+    its lane temporaries fit the bitmap's own byte budget — but never
+    fewer than the probed operand's nnz, so a block's fixed cost is spread
+    over at least as much work as the structure it probes.
+
+    With ``hits`` (an int64 array over the mask entries: neither side's
+    values feed the multiply) each entry's hit count is stored at its
+    slot and nothing is returned.  Otherwise returns one
+    ``(t, own_pos, probed_pos)`` per block, in group order, for the hit
+    lanes; a position array is ``None`` unless its side's values feed the
+    multiply.
     """
     counts = lens[group]
-    flat = concat_ranges(starts, counts)
     # the rank bitmap's bytes: a bit a cell, and a 4-byte running count
     # per bitmap byte when the probe needs positions
     nbytes = -(-(p_indptr.size - 1) * int(inner64) // 8)
-    if (flat.size < BOUNDED_PROBE_NNZ_RATIO * p_indices.size
+    bitmap = None
+    if not (int(counts.sum()) < BOUNDED_PROBE_NNZ_RATIO * p_indices.size
             or nbytes * (5 if need_probed else 1) > DOT_DENSE_GRID_CAP):
-        hit, pos = _probe_bounded(p_indptr, p_indices,
-                                  np.repeat(probe_rows, counts),
-                                  indices[flat], need_probed)
-    else:
-        # one expression over refcount-1 temporaries: the multiply and add
-        # elide in place (no extra lanes-sized allocation)
-        seek = np.repeat(probe_rows, counts) * inner64 + indices[flat]
-        hit, pos = _probe_membership(p_indptr, p_indices, seek, inner64,
-                                     need_probed)
-    return (np.repeat(group, counts)[hit], flat[hit] if need_own else None,
-            pos[hit] if need_probed else None)
+        bitmap = _rank_bitmap(p_indptr, p_indices, inner64, need_probed)
+    # the lane arrays a block holds at once: its int64 operand position,
+    # probe key and group id (or count), plus an int32 entry position
+    lane_bytes = 28 if need_probed else 24
+    budget = max(DOT_DENSE_GRID_CAP // lane_bytes, p_indices.size)
+    parts: list = []
+    for lo, hi in _blocks(counts, budget):
+        _cancel.checkpoint()        # deadline/cancel between blocks
+        block = counts[lo:hi]
+        flat = concat_ranges(starts[lo:hi], block)
+        if bitmap is None:
+            hit, pos = _probe_bounded(p_indptr, p_indices,
+                                      np.repeat(probe_rows[lo:hi], block),
+                                      indices[flat], need_probed)
+        else:
+            # one expression over refcount-1 temporaries: the multiply and
+            # add elide in place (no extra lanes-sized allocation)
+            hit, pos = _probe_membership(
+                p_indptr, p_indices,
+                np.repeat(probe_rows[lo:hi], block) * inner64 + indices[flat],
+                inner64, need_probed, bitmap)
+        if hits is not None:
+            # every entry has a lane (its count is positive), so each
+            # reduceat segment is exactly that entry's lanes
+            hits[group[lo:hi]] = np.add.reduceat(
+                hit, np.cumsum(block) - block, dtype=np.int64)
+        else:
+            parts.append((np.repeat(group[lo:hi], block)[hit],
+                          flat[hit] if need_own else None,
+                          pos[hit] if need_probed else None))
+        del flat, hit, pos  # free this block's lanes before the next's
+    return parts
 
 
 @profiled("masked_dot_probe")
@@ -244,11 +325,13 @@ def masked_dot_probe(
 
     Returns ``(t, apos, bpos)``: per structural hit, the mask-entry group
     id and — when the respective side's values feed the multiply — the
-    operand entry positions.  A pure function of the operand *structures*
-    and the mask coordinates, which is what lets the ``mxm-masked-dot``
-    rule keep it in the analysis it memoizes on the mask: a repeated
-    masked multiply over unchanged operands skips every probe and re-runs
-    only the value stage.
+    operand entry positions.  When neither side's values feed it
+    (``pair``), nothing downstream reads a hit but to count it, so the
+    return is instead one int64 hit count per mask entry.  A pure function
+    of the operand *structures* and the mask coordinates, which is what
+    lets the ``mxm-masked-dot`` rule keep it in the analysis it memoizes
+    on the mask: a repeated masked multiply over unchanged operands skips
+    every probe and re-runs only the value stage.
     """
     if lengths is not None:
         la, lb = lengths
@@ -257,6 +340,8 @@ def masked_dot_probe(
         lb = bt_indptr[cols + 1] - bt_indptr[cols]
     cand = np.flatnonzero((la > 0) & (lb > 0)).astype(np.int64)
     inner64 = np.int64(inner)
+    hits = None if need_av or need_bv \
+        else np.zeros(rows.size, dtype=np.int64)
 
     parts: list = []
     if cand.size:
@@ -265,15 +350,18 @@ def masked_dot_probe(
         group_b = cand[~probe_a]
         if group_a.size:
             # expand A-side elements, probe them into B's (j, k) structure
-            parts.append(_probe_group(
+            parts += _probe_group(
                 group_a, la, a_indptr[rows[group_a]], a_indices, need_av,
-                cols[group_a], bt_indptr, bt_indices, need_bv, inner64))
+                cols[group_a], bt_indptr, bt_indices, need_bv, inner64,
+                hits)
         if group_b.size:
             # expand B-side elements, probe them into A's (i, k) structure
-            t, bpos, apos = _probe_group(
+            parts += [(t, apos, bpos) for t, bpos, apos in _probe_group(
                 group_b, lb, bt_indptr[cols[group_b]], bt_indices, need_bv,
-                rows[group_b], a_indptr, a_indices, need_av, inner64)
-            parts.append((t, apos, bpos))
+                rows[group_b], a_indptr, a_indices, need_av, inner64,
+                hits)]
+    if hits is not None:
+        return hits
 
     if parts:
         t_parts, apos_parts, bpos_parts = zip(*parts)
@@ -310,10 +398,13 @@ def masked_dot_reduce(
 
     Returns ``(hit, vals)``: ``hit`` selects, ascending, the mask entries
     whose dot product has a structural contribution, and ``vals`` holds
-    their ⊕-reduced values.  ``pair`` never reads a value array.
+    their ⊕-reduced values.  ``pair`` never reads a value array: its
+    ``probe`` is the hit count per mask entry (:func:`_reduce_counts`).
     """
-    t, apos, bpos = probe
     mult_name = semiring.mult.name
+    if mult_name == "pair":
+        return _reduce_counts(probe, semiring, cast_dtype)
+    t, apos, bpos = probe
 
     # Per-hit multiply.  Within one mask entry, hits arrive in ascending-k
     # order (both operand rows are sorted), which is exactly the
@@ -333,9 +424,7 @@ def masked_dot_reduce(
             # a float sum: replay the sequential order in the accumulator
             return PLUS_MONOID.reduce_dense(t, mult, n_mask)
         return PLUS_MONOID.reduce_groups(t, mult, n_mask)
-    if mult_name == "pair":
-        mult = np.ones(t.size, dtype=np.uint64)
-    elif mult_name == "first":
+    if mult_name == "first":
         av = a_values[apos]
         mult = semiring.mult(av, av)
     elif mult_name == "second":
@@ -344,3 +433,23 @@ def masked_dot_reduce(
     else:
         mult = semiring.mult(a_values[apos], bt_values[bpos])
     return semiring.add.reduce_groups(t, mult, n_mask)
+
+
+def _reduce_counts(hits: np.ndarray, semiring: Semiring,
+                   cast_dtype: Optional[np.dtype]):
+    """``pair``'s value stage, from the hit count per mask entry.
+
+    Each hit multiplies to one, so ``plus`` reduces an entry to its count
+    and ``min``/``any`` to one.  The dtype is the one reducing those ones
+    gives: ones of ``cast_dtype`` summed (the SciPy replay always sums)
+    or ones of uint64 under the semiring's own ⊕ — in both, the dtype
+    ``reduceat`` returns for them (an empty result keeps the ones' own).
+    """
+    hit = np.flatnonzero(hits)
+    ones = np.dtype(np.uint64 if cast_dtype is None else cast_dtype)
+    if hit.size == 0:
+        return hit, np.empty(0, dtype=ones)
+    add = PLUS_MONOID if cast_dtype is not None else semiring.add
+    if add.ufunc is not np.add:
+        return hit, np.ones(hit.size, dtype=ones)
+    return hit, hits[hit].astype(_accumulator(add, ones)[0])

@@ -65,9 +65,9 @@ class _EwiseIntersect:
     An intersection is a subset of each operand — and of a
     non-complemented mask's allowed keys, when the result is only ever
     seen through that mask.  The smallest *sorted* key set among those (a
-    sparse operand, a sparse mask) is walked and every operand probed at
-    it: ``W⟨s(S)⟩ = B div∩ P`` gathers ``B`` and ``P`` at the level's
-    keys, ``W ×∩ P`` gathers ``P`` at ``W``'s.  With every participant
+    sparse operand, a sparse mask) is walked and every operand not walked
+    probed at it: ``W⟨s(S)⟩ = B div∩ P`` gathers ``B`` and ``P`` at the
+    level's keys, ``W ×∩ P`` gathers ``P`` at ``W``'s.  With every participant
     bitmap-resident there is nothing sorted to walk, and the flags are
     ANDed."""
 

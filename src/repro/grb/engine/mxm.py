@@ -259,7 +259,9 @@ class _DotAnalysis:
     stage records entry positions only for those).  The mask's own
     changes need no key: ``Matrix._invalidate`` drops the memo.  ``probe``
     is :func:`~repro.grb._kernels.masked_matmul.masked_dot_probe`'s output,
-    left ``None`` until a dot run fills it."""
+    left ``None`` until a dot run fills it: the ``(t, apos, bpos)`` hits
+    of a valued multiply, or for ``pair`` one hit count per mask entry (a
+    mask-sized array, however many hits there are)."""
 
     key: tuple
     allowed: np.ndarray
@@ -271,8 +273,11 @@ class _DotAnalysis:
     probe: Optional[tuple] = None
 
     def nbytes(self) -> int:
+        probe = self.probe
+        if isinstance(probe, np.ndarray):          # pair: the hit counts
+            probe = (probe,)
         arrays = (self.allowed, self.rows, self.cols, *self.lengths,
-                  *(self.probe or ()))
+                  *(probe or ()))
         return sum(a.nbytes for a in arrays if a is not None)
 
 
@@ -373,7 +378,8 @@ class _MxmMaskedDot:
             if memo.probe is None:
                 # the structure-resolution stage, kept on the memo before
                 # the write-back below can change the mask (which drops
-                # the memo, and so the probe, with it)
+                # the memo, and so the probe, with it); a probe cancelled
+                # between its blocks never reaches the memo
                 memo.probe = _mm.masked_dot_probe(
                     a_ip, a_ix, bt_ip, bt_ix, memo.rows, memo.cols, a.ncols,
                     *mult_uses(sr), lengths=memo.lengths)

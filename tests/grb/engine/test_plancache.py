@@ -110,6 +110,38 @@ class TestHitsAndInvalidation:
         st = plancache.stats()
         assert (st.entries, st.feed_bytes) == (base.entries, base.feed_bytes)
 
+    def test_feed_bytes_count_both_probe_shapes(self, monkeypatch):
+        """The memo keeps a ``pair`` probe as one hit count per mask entry
+        and a valued probe as its ``(t, apos, bpos)`` hits: the stats read
+        both, and count the probe's bytes with the rest of the memo."""
+        monkeypatch.setattr(cost, "DOT_PROBE_COST", 0.0)
+        rng = np.random.default_rng(4)
+        a = _graphish(rng)
+        gc.collect()
+        for name in ("plus.pair", "plus.first"):
+            m = a.dup()
+            base = plancache.stats()
+            c = grb.Matrix(grb.FP64, a.nrows, a.ncols)
+            with engine.force_rule("mxm", "mxm-masked-dot"):
+                grb.mxm(c, a, a, grb.semiring_by_name(name),
+                        mask=grb.structure(m))
+            probe = m._dot.probe
+            if name == "plus.pair":
+                assert isinstance(probe, np.ndarray)
+                assert probe.size == m.nvals and probe.dtype == np.int64
+                held = probe.nbytes
+            else:
+                t, apos, bpos = probe
+                assert bpos is None and t.size == apos.size > 0
+                held = t.nbytes + apos.nbytes
+            st = plancache.stats()
+            assert st.entries == base.entries + 1
+            assert st.feed_bytes - base.feed_bytes == m._dot.nbytes()
+            m._dot.probe = None
+            assert m._dot.nbytes() == st.feed_bytes - base.feed_bytes - held
+            del m
+            gc.collect()
+
     def test_vector_store_version_bumps(self):
         v = grb.Vector.from_coo([0, 2], [1.0, 2.0], 16)  # sparse: 1/8 dense
         seen = {v.store_version}
@@ -192,7 +224,7 @@ class TestRepeatHits:
         re-reads them and finds its analysis memoized on the mask —
         against the same call right after ``invalidate_properties()``,
         which re-derives the operands and pays the chooser's counting and
-        the probe resolution again (measured 10.9-12.0x).  LCC rides along
+        the probe resolution again (measured 77-86x).  LCC rides along
         for the identity check only."""
         warm_g, cold_g = (lg.Graph(kron_small.A.dup(), kron_small.kind)
                           for _ in range(2))

@@ -6,6 +6,7 @@ kernels must agree with it on arbitrary inputs.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import dense_model as dm  # noqa: E402  (path added by tests/conftest.py)
@@ -112,12 +113,48 @@ class TestIntersect:
         assert intersect_walk(big, small)[1]().tolist() == [1, 5]
         mask = grb.structure(
             grb.Vector.from_coo([5], [1.0], 8).set_format("sparse"))
-        driver, keys = intersect_walk(big, small, mask)
+        driver, keys, _ = intersect_walk(big, small, mask)
         assert (driver, keys().tolist()) == ("mask", [5])
         # a complemented mask is no bound, and a bitmap side is no walk
         assert intersect_walk(big, small, ~mask)[0] == "operand"
         assert intersect_walk(big.dup().set_format("bitmap"),
                               small.dup().set_format("bitmap")) is None
+
+
+    @pytest.mark.parametrize("fa, fb, walked", [
+        ("csr", "csr", 0), ("csr", "csr", 1),
+        ("bitmap", "csr", 1), ("csr", "bitmap", 0)])
+    def test_walked_operand_is_read_not_probed(self, fa, fb, walked,
+                                               monkeypatch):
+        """Matrix intersections walked by ``a`` and by ``b``: the walked
+        operand's values are read as stored and only the other one is
+        probed, and the result is the dense model's."""
+        from repro.grb._kernels import ewise
+        rng = np.random.default_rng(walked + 2 * (fa + fb).count("bitmap"))
+        # the walked operand holds fewer entries
+        dens = (0.2, 0.5) if walked == 0 else (0.5, 0.2)
+        a, b_ = (self._matrix(rng, d, f) for d, f in zip(dens, (fa, fb)))
+        walk = intersect_walk(a, b_)
+        assert walk[0] == "operand" and walk[2] == walked
+        probed = []
+        real = ewise._probe
+        monkeypatch.setattr(ewise, "_probe", lambda obj, keys: (
+            probed.append(obj) or real(obj, keys)))
+        keys, vals = intersect(a, b_, b.MINUS, walk)
+        assert probed == [(b_, a)[walked]]
+        pa, va = dm.to_model_matrix(a)
+        pb, vb = dm.to_model_matrix(b_)
+        ep, ev = dm.ewise_mult(pa, va, pb, vb, b.MINUS)
+        np.testing.assert_array_equal(keys, np.flatnonzero(ep))
+        assert vals.tobytes() == ev[ep].tobytes()
+        assert vals.dtype == ev.dtype
+
+    @staticmethod
+    def _matrix(rng, density, fmt):
+        present = rng.random((9, 11)) < density
+        r, c = np.nonzero(present)
+        m = grb.Matrix.from_coo(r, c, rng.integers(-5, 6, r.size), 9, 11)
+        return m.set_format(fmt)
 
 
 class TestSetdiffKeys:

@@ -251,6 +251,195 @@ class TestRankBitmap:
         self._check(dense, np.arange(dense.size, dtype=np.int64))
 
 
+# ---------------------------------------------------------------------------
+# the probe stage in blocks, and pair's hit counts
+# ---------------------------------------------------------------------------
+
+#: every ⊕.⊗ the dot kernel runs
+DOT_SUPPORTED = [f"{add}.{mult}" for add in ("plus", "min", "any")
+                 for mult in ("pair", "times", "first", "second")]
+VALUE_DTYPES = (np.bool_, np.int8, np.int64, np.float32, np.float64)
+ONE_BLOCK = 1 << 40   # every group's lanes fit one block
+
+
+def _typed_matrix(rng, m, n, dtype, density=0.3):
+    """A random ``m × n`` matrix of ``dtype`` values, negatives and
+    explicit zeros (``False``) included."""
+    dense = rng.integers(-3, 4, (m, n)).astype(dtype)
+    if dtype in (np.float32, np.float64):
+        dense = (dense * 0.7).astype(dtype)
+    r, c = np.nonzero(rng.random((m, n)) < density)
+    return grb.Matrix.from_coo(r, c, dense[r, c], m, n)
+
+
+def _old_pair_reduce(t, n_mask, semiring, cast_dtype):
+    """``masked_dot_reduce``'s ``pair`` stage before the probe kept hit
+    counts: a one per hit lane of the group ids ``t``, ⊕-reduced."""
+    if cast_dtype is not None:
+        ones = np.ones(t.size, dtype=cast_dtype)
+        if np.issubdtype(np.dtype(cast_dtype), np.inexact):
+            return grb.monoid.PLUS_MONOID.reduce_dense(t, ones, n_mask)
+        return grb.monoid.PLUS_MONOID.reduce_groups(t, ones, n_mask)
+    return semiring.add.reduce_groups(t, np.ones(t.size, dtype=np.uint64),
+                                      n_mask)
+
+
+def _dot_kernel(a, b, mobj, sr, transpose_b, cap, monkeypatch):
+    """The dot kernel's two stages as ``mxm-masked-dot`` runs them, at a
+    given ``DOT_DENSE_GRID_CAP``: ``(probe, (hit, vals), blocks)``."""
+    from repro.grb.engine.mxm import mult_uses, scipy_dtype
+    a_ip, a_ix, a_vv = a._S().csr()
+    bt_ip, bt_ix, bt_vv = b._S().csr() if transpose_b \
+        else b._S().transpose_csr()
+    beff = b.T if transpose_b else b
+    cast = scipy_dtype(a, beff, sr) if sr.scipy_reducible() else None
+    rows, cols = (x.astype(np.int64) for x in mobj.to_coo()[:2])
+    blocks = []
+    real = mm._blocks
+
+    def spy(counts, budget):
+        runs = list(real(counts, budget))
+        blocks.append(len(runs))
+        return iter(runs)
+
+    with monkeypatch.context() as m:
+        m.setattr(mm, "DOT_DENSE_GRID_CAP", cap)
+        m.setattr(mm, "_blocks", spy)
+        probe = mm.masked_dot_probe(a_ip, a_ix, bt_ip, bt_ix, rows, cols,
+                                    a.ncols, *mult_uses(sr))
+        out = mm.masked_dot_reduce(probe, a_vv, bt_vv, rows.size, sr,
+                                   cast_dtype=cast)
+        if sr.mult.name == "pair":
+            # the oracle: the old reduce over the group ids of every hit
+            # (the structure alone decides them; a valued probe lists them)
+            t = mm.masked_dot_probe(a_ip, a_ix, bt_ip, bt_ix, rows, cols,
+                                    a.ncols, True, False)[0]
+            out = (out, _old_pair_reduce(t, rows.size, sr, cast))
+    return probe, out, blocks
+
+
+def _assert_same_bytes(got, want, ctx):
+    for g, w in zip(got, want):
+        if g is None or w is None:
+            assert g is w, ctx
+            continue
+        assert g.dtype == w.dtype, ctx
+        assert g.tobytes() == w.tobytes(), ctx
+
+
+class TestBlockedProbe:
+    """The probe stage in row blocks is byte-identical to one block, and
+    ``pair``'s hit counts reduce to the old per-hit reduce's bytes."""
+
+    @pytest.mark.parametrize("name", DOT_SUPPORTED)
+    @pytest.mark.parametrize("transpose_b", (False, True))
+    def test_blocks_are_byte_identical(self, name, transpose_b,
+                                       monkeypatch):
+        """Every dot-supported semiring × value dtype × cap: the default
+        (one block here), tiny (many blocks over the rank bitmap) and 0
+        (many blocks of the bounded search)."""
+        sr = grb.semiring_by_name(name)
+        assert mm.dot_supported(sr)
+        for dtype in VALUE_DTYPES:
+            rng = np.random.default_rng(
+                [DOT_SUPPORTED.index(name), transpose_b])
+            a = _typed_matrix(rng, 36, 40, dtype)
+            b = _typed_matrix(rng, 34, 40, dtype) if transpose_b \
+                else _typed_matrix(rng, 40, 34, dtype)
+            mobj = _rand_mask_matrix(rng, 36, 34)
+            ref = _dot_kernel(a, b, mobj, sr, transpose_b, ONE_BLOCK,
+                              monkeypatch)
+            assert max(ref[2]) == 1
+            for cap in (mm.DOT_DENSE_GRID_CAP, 4096, 0):
+                ctx = f"{name} t_b={transpose_b} {np.dtype(dtype)} cap={cap}"
+                probe, out, blocks = _dot_kernel(a, b, mobj, sr, transpose_b,
+                                                 cap, monkeypatch)
+                if cap != mm.DOT_DENSE_GRID_CAP:
+                    assert max(blocks) >= 4, ctx
+                if name.endswith(".pair"):
+                    assert probe.dtype == np.int64, ctx
+                    assert probe.size == mobj.nvals, ctx
+                    _assert_same_bytes((probe,), (ref[0],), ctx)
+                    _assert_same_bytes(out[0], out[1], ctx + " [old]")
+                    _assert_same_bytes(out[0], ref[1][0], ctx)
+                else:
+                    _assert_same_bytes(probe, ref[0], ctx)
+                    _assert_same_bytes(out, ref[1], ctx)
+
+    @pytest.mark.parametrize("cast", (None, np.int64, np.float64))
+    @pytest.mark.parametrize("name", ["plus.pair", "min.pair", "any.pair"])
+    def test_pair_reduce_matches_old(self, name, cast):
+        """``pair`` from the hit counts against the old reduce over one
+        ``t`` per hit lane, empty results included: same hits, value
+        bytes and dtype."""
+        sr = grb.semiring_by_name(name)
+        rng = np.random.default_rng(5)
+        for n_mask in (0, 1, 7, 300):
+            counts = rng.integers(0, 4, n_mask) * (rng.random(n_mask) < 0.6)
+            counts = counts.astype(np.int64)
+            t = np.repeat(np.arange(n_mask, dtype=np.int64), counts)
+            got = mm.masked_dot_reduce(counts, None, None, n_mask, sr,
+                                       cast_dtype=cast)
+            _assert_same_bytes(got, _old_pair_reduce(t, n_mask, sr, cast),
+                               f"{name} cast={cast} n={n_mask}")
+
+    def test_entry_longer_than_the_budget_runs_alone(self):
+        """Runs are consecutive, cover every entry once, keep an entry's
+        lanes together, and hold at most ``budget`` lanes — bar an entry
+        longer than that, which runs on its own."""
+        counts = np.array([3, 1, 40, 2, 2, 2, 9, 1], dtype=np.int64)
+        runs = list(mm._blocks(counts, 8))
+        assert runs == [(0, 2), (2, 3), (3, 6), (6, 7), (7, 8)]
+        for lo, hi in runs:
+            assert counts[lo:hi].sum() <= 8 or hi - lo == 1
+        assert list(mm._blocks(counts, 1)) == [(i, i + 1) for i in range(8)]
+        assert list(mm._blocks(counts, 10**9)) == [(0, 8)]
+        assert list(mm._blocks(counts[:0], 8)) == []
+
+    def test_cancel_between_blocks(self, kron_small, monkeypatch):
+        """kron-small TC cut into many blocks, with the token cancelled
+        once the first block is probed: the count raises ``Cancelled`` at
+        the next block, leaves the memo's probe unfilled, and a retry
+        recomputes the exact count."""
+        from repro.gap import baselines
+        from repro.grb import cancel
+        from repro.lagraph.algorithms import tc
+        a = kron_small.A.pattern()
+        low, up = a.tril(-1), a.triu(1)
+        monkeypatch.setattr(mm, "DOT_DENSE_GRID_CAP", 1 << 21)
+        probed = []
+        real = mm._probe_membership
+
+        def spy(*args):
+            probed.append(1)
+            token.cancel()
+            return real(*args)
+
+        def count():
+            with engine.force_rule("mxm", "mxm-masked-dot"):
+                return tc._masked_pair_count(low, up, low, transpose_b=True)
+
+        token = cancel.CancelToken()
+        monkeypatch.setattr(mm, "_probe_membership", spy)
+        with cancel.cancel_scope(token), pytest.raises(cancel.Cancelled):
+            count()
+        assert len(probed) == 1
+        assert low._dot is not None and low._dot.probe is None
+        monkeypatch.setattr(mm, "_probe_membership", real)
+        blocks = []
+        real_blocks = mm._blocks
+
+        def spy_blocks(counts, budget):
+            runs = list(real_blocks(counts, budget))
+            blocks.extend(runs)
+            return iter(runs)
+
+        monkeypatch.setattr(mm, "_blocks", spy_blocks)
+        assert count() == baselines.triangle_count(kron_small)
+        assert len(blocks) >= 8
+        assert isinstance(low._dot.probe, np.ndarray)
+
+
 class TestCrossFormat:
     @pytest.mark.parametrize("fmt", MATRIX_LAYOUTS)
     def test_all_participants_in_format(self, fmt, monkeypatch):
@@ -523,6 +712,51 @@ class TestRankBitmapRatioGuard:
 
         assert_same_matrix(tc(), bounded())
         assert ab_ratio(tc, bounded) >= 4.0
+
+
+class TestBlockedProbeMemoryGuard:
+    """The probe stage in blocks against the same probe in one block.
+    Allocation peaks are deterministic, so one read of each arm is the
+    measurement (``tracemalloc``, started at the probe stage's entry)."""
+
+    def test_tc_kron_small(self, kron_small, monkeypatch):
+        """Ratio guard: ``sandia_lut``'s ``C⟨s(L)⟩ = L plus.pair Uᵀ`` on
+        kron-small (2.0 M lanes), pinned to ``mxm-masked-dot`` with a fresh
+        ``L.dup()`` mask.  At ``DOT_DENSE_GRID_CAP = 1 << 21`` the 2 MB
+        rank bitmap still fits and the lanes run in 24 blocks; at
+        ``1 << 40`` they all expand at once.  Measured 5.1× (6.1 MB
+        against 30.9 MB)."""
+        import tracemalloc
+        a = kron_small.A.pattern()
+        low, up = a.tril(-1), a.triu(1)
+        sr = grb.semiring_by_name("plus.pair")
+        real = mm.masked_dot_probe
+
+        def probe_peak(cap):
+            peaks = []
+
+            def spy(*args, **kw):
+                tracemalloc.start()
+                try:
+                    return real(*args, **kw)
+                finally:
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.stop()
+
+            out = grb.Matrix(grb.INT64, a.nrows, a.ncols)
+            with monkeypatch.context() as m:
+                m.setattr(mm, "DOT_DENSE_GRID_CAP", cap)
+                m.setattr(mm, "masked_dot_probe", spy)
+                with engine.force_rule("mxm", "mxm-masked-dot"):
+                    grb.mxm(out, low, up, sr, mask=grb.structure(low.dup()),
+                            transpose_b=True)
+            (peak,) = peaks
+            return peak, out
+
+        blocked, c1 = probe_peak(1 << 21)
+        whole, c2 = probe_peak(1 << 40)
+        assert_same_matrix(c1, c2)
+        assert whole / blocked >= 2.0
 
 
 class TestScipyFilterRatioGuard:
