@@ -236,6 +236,16 @@ def _blocks(counts: np.ndarray, budget: int):
         lo, done = hi, int(ends[hi - 1])
 
 
+def _hit_counts(hit: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """Hits per entry, for entries whose lanes are consecutive runs of
+    ``lanes`` in the bool ``hit``: how many hit positions precede each
+    run's end, differenced.  Only the hits and the per-entry arrays are
+    allocated — a ``reduceat`` over ``hit`` would first cast every lane
+    to int64."""
+    ends = np.searchsorted(np.flatnonzero(hit), np.cumsum(lanes))
+    return np.diff(ends, prepend=0)
+
+
 def _probe_group(group, lens, starts, indices, need_own, probe_rows,
                  p_indptr, p_indices, need_probed, inner64, hits=None):
     """Expand the row of one operand that each mask entry in ``group``
@@ -286,10 +296,7 @@ def _probe_group(group, lens, starts, indices, need_own, probe_rows,
                 np.repeat(probe_rows[lo:hi], block) * inner64 + indices[flat],
                 inner64, need_probed, bitmap)
         if hits is not None:
-            # every entry has a lane (its count is positive), so each
-            # reduceat segment is exactly that entry's lanes
-            hits[group[lo:hi]] = np.add.reduceat(
-                hit, np.cumsum(block) - block, dtype=np.int64)
+            hits[group[lo:hi]] = _hit_counts(hit, block)
         else:
             parts.append((np.repeat(group[lo:hi], block)[hit],
                           flat[hit] if need_own else None,

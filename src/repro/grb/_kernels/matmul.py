@@ -225,6 +225,7 @@ def mxv_pull_probe(
     at_indices: np.ndarray,
     frontier_bits: np.ndarray,
     rows: np.ndarray,
+    row_base: Optional[np.ndarray] = None,
 ):
     """The pull step of direction-optimised BFS, natively on CSC arrays.
 
@@ -232,7 +233,10 @@ def mxv_pull_probe(
     *first* entry ``k`` of ``Aᵀ`` row ``r`` (= column ``r`` of ``A``, i.e.
     ``r``'s in-neighbours in ascending order) with ``frontier_bits[k]``
     set.  Returns ``(hit_rows, parents)`` — the discovered candidates and
-    the in-neighbour that discovered each.
+    the in-neighbour that discovered each.  With ``row_base``, candidate
+    ``e`` probes ``frontier_bits[row_base[e] + k]`` instead: a batch of
+    frontiers stacked in one flat bitmap, ``row_base[e]`` the offset of
+    the frontier that candidate belongs to (msbfs's witness step).
 
     Because in-neighbours are scanned ascending, the pick is the *smallest*
     frontier in-neighbour — exactly the ``any.secondi`` choice of the push
@@ -251,7 +255,8 @@ def mxv_pull_probe(
         if unresolved.size == 0:
             break
         k = at_indices[cur[unresolved]]
-        hit = frontier_bits[k]
+        hit = frontier_bits[k if row_base is None
+                            else row_base[unresolved] + k]
         res = unresolved[hit]
         parent[res] = k[hit]
         miss = unresolved[~hit]
@@ -263,7 +268,9 @@ def mxv_pull_probe(
         flat = concat_ranges(cur[unresolved], counts)
         rep = np.repeat(np.arange(unresolved.size, dtype=np.int64), counts)
         kcand = at_indices[flat]
-        valid = np.flatnonzero(frontier_bits[kcand])
+        valid = np.flatnonzero(frontier_bits[
+            kcand if row_base is None
+            else row_base[unresolved][rep] + kcand])
         ents = rep[valid]
         first = np.ones(ents.size, dtype=bool)
         first[1:] = ents[1:] != ents[:-1]

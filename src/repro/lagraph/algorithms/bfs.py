@@ -20,6 +20,11 @@ engine's cost model (:func:`repro.grb.engine.choose_direction`; constants
 ``PUSHPULL_ALPHA`` / ``PUSHPULL_BETA`` in :mod:`repro.grb.engine.cost`),
 so it is forceable and observable like every other planner decision.
 
+Level BFS has no loop of its own: :func:`bfs_level` is row 0 of the
+one-source batched sweep (:func:`~.msbfs.msbfs_levels`, the Alg. 3
+frontier matrix with one row), so a Basic ``bfs(level=True)``, a lone
+served ``BFSLevels`` query and a batch of them all run one loop.
+
 Advanced entry points follow Sec. II-B strictly: they never compute cached
 properties (``bfs_parent`` with ``direction_optimizing=True`` demands a
 cached ``G.AT``) and raise :class:`PropertyMissing` otherwise.  The Basic
@@ -37,12 +42,12 @@ from ...grb import Vector, complement, engine, structure
 from ...grb import cancel as _cancel
 from ..errors import PropertyMissing
 from ..graph import Graph
+from .msbfs import msbfs_levels
 
 __all__ = ["bfs", "bfs_parent_push", "bfs_parent_do", "bfs_parent_auto",
            "bfs_level"]
 
 _ANY_SECONDI = grb.semiring("any", "secondi")
-_ANY_PAIR = grb.semiring("any", "pair")
 
 
 def _check_source(g: Graph, source: int):
@@ -193,24 +198,11 @@ def bfs_parent_auto(g: Graph, source: int) -> Vector:
 def bfs_level(g: Graph, source: int) -> Vector:
     """Level BFS: ``level[v]`` = BFS depth from the source (source = 0).
 
-    Uses the ``any.pair`` semiring — the structural analogue of
-    ``any.secondi`` when only reachability per level is needed.
+    Row 0 of the one-source batched sweep,
+    :func:`~.msbfs.msbfs_levels` — one level loop serves both.
     """
     _check_source(g, source)
-    a = g.A
-    n = g.n
-    level = Vector(grb.INT64, n)
-    q = Vector(grb.BOOL, n)
-    level[source] = 0
-    q[source] = True
-    for depth in range(1, n):
-        _cancel.checkpoint()        # deadline/cancel at the level boundary
-        grb.vxm(q, q, a, _ANY_PAIR,
-                mask=complement(structure(level)), replace=True)
-        if q.nvals == 0:
-            break
-        grb.assign_scalar(level, depth, mask=structure(q))
-    return level
+    return msbfs_levels(g, [source]).extract_row(0)
 
 
 def bfs(g: Graph, source: int, *,

@@ -7,27 +7,34 @@ matrix-matrix multiply.  This module extracts that trick as a standalone
 service kernel: answer many independent BFS queries with one ``mxm`` per
 level instead of one ``vxm`` per level *per source*.
 
-Semantics match the single-source algorithms row by row — bit for bit:
+Semantics, row by row:
 
-* :func:`msbfs_parents` — row ``k`` equals ``bfs_parent_push(g, sources[k])``.
-  The ``any`` monoid of Alg. 1 picks the first candidate in storage order,
-  which (the frontier being sorted) is the *smallest* frontier node adjacent
-  to the discovered node.  Every leg below preserves exactly that choice.
-* :func:`msbfs_levels` — row ``k`` equals ``bfs_level(g, sources[k])``.
+* :func:`msbfs_parents` — row ``k`` equals ``bfs_parent_push(g, sources[k])``
+  bit for bit.  The ``any`` monoid of Alg. 1 picks the first candidate in
+  storage order, which (the frontier being sorted) is the *smallest*
+  frontier node adjacent to the discovered node.  Every leg below
+  preserves exactly that choice.
+* :func:`msbfs_levels` — row ``k`` holds the BFS depths from
+  ``sources[k]``; :func:`~.bfs.bfs_level` is row 0 of the one-source
+  sweep.
 
-One execution strategy, at every batch size (a single source included).
-A frontier expands as the structural ``plus.pair`` product — algebraically
-the literal batched Alg. 1's pattern, and SciPy-reducible, so a level rides
-the planner's compiled (or, on a near-empty level, small-expansion) rule.
-For parents, a light frontier pushes through the ``any.secondi`` product
-instead, whose values are the parents; on a heavy one the witness (which
-frontier node discovered each new node) is recovered *after* the masked
-``plus.pair`` product, only for the newly discovered entries: the parent of
-``(i, j)`` is the first in-neighbour of ``j`` (ascending, i.e. ``Aᵀ`` row
-order) present in row ``i``'s frontier — identical to the ``any.secondi``
-pick.  A few vectorised probe rounds against a dense frontier bitmap
-resolve almost all entries (the early-exit that makes pull steps cheap,
-Sec. VI-A); stragglers fall back to one ragged gather.
+One level loop serves both, at every batch size (a single source
+included); the two differ only in what a level records — the depth, or
+the parent.  A frontier expands as the structural ``plus.pair`` product —
+algebraically the literal batched Alg. 1's pattern, and SciPy-reducible,
+so a level rides the planner's compiled (or, on a near-empty level,
+small-expansion) rule.  For parents, a light frontier pushes through the
+``any.secondi`` product instead, whose values are the parents; on a heavy
+one the witness (which frontier node discovered each new node) is
+recovered *after* the masked ``plus.pair`` product, only for the newly
+discovered entries: the parent of ``(i, j)`` is the first in-neighbour of
+``j`` (ascending, i.e. ``Aᵀ`` row order) present in row ``i``'s frontier —
+identical to the ``any.secondi`` pick.  That probe is ``bfs_parent_auto``'s
+pull kernel, :func:`~repro.grb._kernels.matmul.mxv_pull_probe`, given each
+entry's row offset into the stacked ``ns × n`` frontier bitmap: a few
+vectorised probe rounds resolve almost all entries (the early-exit that
+makes pull steps cheap, Sec. VI-A); stragglers fall back to one ragged
+gather.
 
 Duplicate sources are allowed (rows are computed independently).  Advanced
 mode: nothing is cached on the graph (``Aᵀ`` for the probe comes from the
@@ -47,7 +54,9 @@ stays all the same: on road-small with 4 sources it takes 8.3–9.3 ms where
 the per-level loop with that rule takes 35–41 ms (64 sources: 86–89 vs
 140–154 ms) — a fused level has no ``mxm`` dispatch, depth stamp, masked
 update or output write at all, and the rule only makes the first of those
-cheaper.
+cheaper.  It is also why a lone ``bfs_level`` runs this loop: its own
+per-level ``vxm`` loop took 25.6–26.7 ms on road-small against 7.6–8.7 ms
+for the one-row sweep (medians of 7, 2-vCPU box).
 """
 
 from __future__ import annotations
@@ -61,27 +70,13 @@ from ...grb import Matrix, complement, structure
 from ...grb import cancel as _cancel
 from ...grb.engine import cost as _cost
 from ...grb._kernels.gather import csr_gather_rows
+from ...grb._kernels.matmul import mxv_pull_probe
 from ..graph import Graph
 
 __all__ = ["msbfs_levels", "msbfs_parents", "msbfs"]
 
 _ANY_SECONDI = grb.semiring("any", "secondi")
 _PLUS_PAIR = grb.semiring("plus", "pair")
-_DEPTH = grb.unary.unary_op(
-    "__msbfs_depth", lambda x, depth: np.full(x.shape, depth, dtype=np.int64))
-
-#: Probe rounds against the frontier bitmap before the ragged fallback
-#: (a kernel-mechanism cap; the *chooser* constants live in the engine's
-#: unified cost model — ``MSBFS_PROBE_DENSITY`` (probe vs push) and
-#: ``MSBFS_FUSE_FRONTIER_K`` (level fusion) in
-#: :mod:`repro.grb.engine.cost` — read at call time, monkeypatchable like
-#: every other planner tunable).  The fusion threshold exists because a
-#: high-diameter batch spends hundreds of levels on slim frontiers, and
-#: per-level mxm + mask-write + output-rebuild overhead outweighs the
-#: actual expansion work (1.6–1.9× on the small road grid, 64 sources,
-#: guarded in ``test_direction_optimized.py``); low-diameter graphs blow
-#: past the threshold after a level or two and keep the compiled product.
-PROBE_ROUNDS = 16
 
 
 def _check_sources(g: Graph, sources) -> np.ndarray:
@@ -149,45 +144,93 @@ def _flush_fused(out: Matrix, acc_keys, acc_vals):
     acc_vals.clear()
 
 
-# ---------------------------------------------------------------------------
-# parents
-# ---------------------------------------------------------------------------
+def _witness(g: Graph, bits: np.ndarray, frontier: np.ndarray,
+             keys: np.ndarray, n: int) -> np.ndarray:
+    """Parent of each new entry ``keys``: the first in-neighbour of its
+    column present in its row's previous ``frontier`` (both as sorted
+    ``i * n + j`` keys) — the ``any.secondi`` pick, recovered after a
+    ``plus.pair`` level by :func:`mxv_pull_probe` against the flat
+    ``ns × n`` frontier bitmap ``bits``, set for the probe and cleared
+    after it.  Every entry was discovered *from* that frontier, so every
+    one hits."""
+    at = _transpose_of(g)
+    j = keys % np.int64(n)
+    bits[frontier] = True
+    _, parents = mxv_pull_probe(at.indptr, at.indices, bits, j, keys - j)
+    bits[frontier] = False
+    return parents
 
-def _first_frontier_in_neighbor(at_indptr, at_indices, frontier_bits,
-                                row_base, j):
-    """Parent of each new entry: first in-neighbour of ``j`` in the frontier.
 
-    ``frontier_bits`` is the dense ``ns × n`` frontier bitmap (flattened);
-    ``row_base[e] = i_e * n``.  Every entry is guaranteed a hit (it was just
-    discovered *from* the frontier), so the probe cursors never run past the
-    end of their ``Aᵀ`` rows while unresolved.  After :data:`PROBE_ROUNDS`
-    vectorised rounds (read at call time) the stragglers take one ragged
-    gather over their full in-neighbour lists.
+def _sweep(g: Graph, sources, parents: bool) -> Matrix:
+    """The level loop of both batched sweeps.
+
+    ``out`` starts with one entry per row, at its source, and every level
+    writes the entries it discovers into it under ``¬s(out)``: their
+    depth, or with ``parents`` their BFS-tree parent.  A frontier under
+    ``MSBFS_FUSE_FRONTIER_K`` entries runs as a fused level; otherwise it
+    expands through a masked ``mxm`` — ``plus.pair`` for the pattern, or,
+    for parents under ``MSBFS_PROBE_DENSITY``, ``any.secondi``, whose
+    values are the parents.
     """
-    m = j.size
-    parent = np.empty(m, dtype=np.int64)
-    unresolved = np.arange(m, dtype=np.int64)
-    cur = at_indptr[j].copy()
-    for _ in range(PROBE_ROUNDS):  # cancel: checkpoint-exempt (bounded by PROBE_ROUNDS; caller checkpoints at level boundaries)
-        if unresolved.size == 0:
-            return parent
-        k = at_indices[cur[unresolved]]
-        hit = frontier_bits[row_base[unresolved] + k]
-        res = unresolved[hit]
-        parent[res] = k[hit]
-        cur[unresolved] += 1
-        unresolved = unresolved[~hit]
-    if unresolved.size:
-        # ragged fallback: scan the full in-neighbour lists of the stragglers
-        ent_rep, kcand, _ = csr_gather_rows(at_indptr, at_indices, None,
-                                            j[unresolved])
-        valid = np.flatnonzero(frontier_bits[row_base[unresolved][ent_rep]
-                                             + kcand])
-        ents = ent_rep[valid]
-        first = np.ones(ents.size, dtype=bool)
-        first[1:] = ents[1:] != ents[:-1]
-        parent[unresolved[ents[first]]] = kcand[valid[first]]
-    return parent
+    sources = _check_sources(g, sources)
+    a = g.A
+    n = g.n
+    ns = sources.size
+    batch = np.arange(ns, dtype=np.int64)
+    vals = sources if parents else np.zeros(ns, dtype=np.int64)
+    out = Matrix.from_coo(batch, sources, vals, ns, n, typ=grb.INT64,
+                          dup_op=grb.binary.FIRST)
+    if ns == 0:
+        return out
+    unvisited = complement(structure(out))
+    grid = ns * n
+    keys = batch * np.int64(n) + sources    # the frontier, sorted i·n + j
+    vbits = np.zeros(grid, dtype=bool)      # discovered-set bitmap
+    vbits[keys] = True
+    # the witness probe's frontier bitmap (zero pages until first touched)
+    bits = np.zeros(grid, dtype=bool) if parents else None
+    f = None             # the frontier matrix; None during a fused run
+    acc_keys: list = []  # discoveries accumulated over the fused run
+    acc_vals: list = []
+    for depth in range(1, n):
+        _cancel.checkpoint()        # deadline/cancel at the level boundary
+        if keys.size < _cost.MSBFS_FUSE_FRONTIER_K:
+            # fused level: no mxm, no mask-write, no per-level out rebuild
+            keys, par = _fused_expand(a, keys, n, vbits)
+            if keys.size == 0:
+                break
+            vbits[keys] = True
+            vals = par if parents else np.full(keys.size, depth,
+                                               dtype=np.int64)
+            acc_keys.append(keys)
+            acc_vals.append(vals)
+            f = None
+            continue
+        if f is None:
+            # the frontier (re)enters matrix form: merge the fused run.  A
+            # levels frontier is read as a pattern only: BOOL, a byte a value
+            _flush_fused(out, acc_keys, acc_vals)
+            f = Matrix(grb.INT64 if parents else grb.BOOL, ns, n)
+            f._set_from_keys(keys, vals if parents
+                             else np.ones(keys.size, dtype=bool))
+        push = parents and keys.size < _cost.MSBFS_PROBE_DENSITY * grid
+        # F⟨¬s(out), r⟩ = F ⊕.⊗ A
+        grb.mxm(f, f, a, _ANY_SECONDI if push else _PLUS_PAIR,
+                mask=unvisited, replace=True)
+        if f.nvals == 0:
+            break
+        frontier, keys = keys, f.keys()
+        vbits[keys] = True
+        if push:
+            t = f   # any.secondi: the values are the parents
+        else:
+            vals = _witness(g, bits, frontier, keys, n) if parents \
+                else np.full(keys.size, depth, dtype=np.int64)
+            t = Matrix(grb.INT64, ns, n)
+            t._set_from_keys(keys, vals)
+        grb.update(out, t, mask=structure(t))
+    _flush_fused(out, acc_keys, acc_vals)
+    return out
 
 
 def msbfs_parents(g: Graph, sources: Sequence[int]) -> Matrix:
@@ -210,144 +253,17 @@ def msbfs_parents(g: Graph, sources: Sequence[int]) -> Matrix:
     the end of the run.  All three legs pick the smallest frontier
     in-neighbour, so the output is independent of every switch point.
     """
-    sources = _check_sources(g, sources)
-    if sources.size == 0:
-        return Matrix(grb.INT64, 0, g.n)
-    a = g.A
-    at = _transpose_of(g)
-    n = g.n
-    ns = sources.size
-    grid = ns * n
-    batch = np.arange(ns, dtype=np.int64)
-    p = Matrix.from_coo(batch, sources, sources, ns, n, typ=grb.INT64,
-                        dup_op=grb.binary.FIRST)
-    f = p.dup()
-    bits = np.zeros(grid, dtype=bool)          # current frontier bitmap
-    prev_keys = batch * np.int64(n) + sources
-    bits[prev_keys] = True
-    vbits = np.zeros(grid, dtype=bool)         # discovered-set bitmap
-    vbits[prev_keys] = True
-    f_keys = None        # raw-mode frontier keys (fused run in progress)
-    f_vals = None
-    acc_keys: list = []  # discoveries accumulated over the fused run
-    acc_vals: list = []
-    for _level in range(1, n):
-        _cancel.checkpoint()        # deadline/cancel at the level boundary
-        cur_nvals = f.nvals if f_keys is None else f_keys.size
-        if 0 < cur_nvals < _cost.MSBFS_FUSE_FRONTIER_K:
-            # fused level: no mxm, no mask-write, no per-level P rebuild
-            fk = f.keys() if f_keys is None else f_keys
-            new_keys, new_par = _fused_expand(a, fk, n, vbits)
-            if new_keys.size == 0:
-                break
-            vbits[new_keys] = True
-            acc_keys.append(new_keys)
-            acc_vals.append(new_par)
-            f_keys, f_vals = new_keys, new_par
-            continue
-        if f_keys is not None:
-            # frontier grew back: leave the fused run, restore matrix state
-            _flush_fused(p, acc_keys, acc_vals)
-            f = Matrix(grb.INT64, ns, n)
-            f._set_from_keys(f_keys, f_vals)
-            bits[prev_keys] = False
-            prev_keys = f_keys
-            bits[prev_keys] = True
-            f_keys = f_vals = None
-        probe = f.nvals >= _cost.MSBFS_PROBE_DENSITY * grid
-        if probe:
-            # F⟨¬s(P), r⟩ = F plus.pair A — new-frontier *structure* only;
-            # witnesses recovered below at output scale
-            grb.mxm(f, f, a, _PLUS_PAIR,
-                    mask=complement(structure(p)), replace=True)
-        else:
-            # F⟨¬s(P), r⟩ = F any.secondi A — push, values are the parents
-            grb.mxm(f, f, a, _ANY_SECONDI,
-                    mask=complement(structure(p)), replace=True)
-        if f.nvals == 0:
-            break
-        i = f._S().entry_rows()
-        j = f.indices
-        row_base = i * np.int64(n)
-        if probe:
-            parents = _first_frontier_in_neighbor(at.indptr, at.indices,
-                                                  bits, row_base, j)
-            t = Matrix(grb.INT64, ns, n)
-            t._set_from_keys(row_base + j, parents)
-            grb.update(p, t, mask=structure(t))
-        else:
-            grb.update(p, f, mask=structure(f))
-        # clear only last level's bits: O(frontier), not O(grid), per level
-        bits[prev_keys] = False
-        prev_keys = row_base + j
-        bits[prev_keys] = True
-        vbits[prev_keys] = True
-    _flush_fused(p, acc_keys, acc_vals)
-    return p
+    return _sweep(g, sources, parents=True)
 
-
-# ---------------------------------------------------------------------------
-# levels
-# ---------------------------------------------------------------------------
 
 def msbfs_levels(g: Graph, sources: Sequence[int]) -> Matrix:
     """Batched level BFS: ``L[k, v]`` is the BFS depth of ``v`` from
     ``sources[k]`` (source depth 0); unreached pairs have no entry.
 
-    Returns an ``ns × n`` INT64 matrix whose row ``k`` is identical to
-    ``bfs_level(g, sources[k])``.
+    Returns an ``ns × n`` INT64 matrix; :func:`~.bfs.bfs_level` is its
+    one-row case.
     """
-    sources = _check_sources(g, sources)
-    a = g.A
-    n = g.n
-    ns = sources.size
-    batch = np.arange(ns, dtype=np.int64)
-    lvl = Matrix.from_coo(batch, sources, np.zeros(ns, dtype=np.int64),
-                          ns, n, typ=grb.INT64, dup_op=grb.binary.FIRST)
-    if ns == 0:
-        return lvl
-    f = Matrix.from_coo(batch, sources, np.ones(ns, dtype=np.bool_),
-                        ns, n, dup_op=grb.binary.LOR)
-    vbits = np.zeros(ns * n, dtype=bool)       # discovered-set bitmap
-    vbits[batch * np.int64(n) + sources] = True
-    f_keys = None        # raw-mode frontier keys (fused run in progress)
-    acc_keys: list = []  # discoveries accumulated over the fused run
-    acc_vals: list = []
-    for depth in range(1, n):
-        _cancel.checkpoint()        # deadline/cancel at the level boundary
-        cur_nvals = f.nvals if f_keys is None else f_keys.size
-        if 0 < cur_nvals < _cost.MSBFS_FUSE_FRONTIER_K:
-            # fused level (see MSBFS_FUSE_FRONTIER_K): one gather per level, one
-            # sorted merge per *run* — no mxm, no pattern stamp, no masked
-            # update, no per-level L rebuild
-            fk = f.keys() if f_keys is None else f_keys
-            new_keys, _ = _fused_expand(a, fk, n, vbits)
-            if new_keys.size == 0:
-                break
-            vbits[new_keys] = True
-            acc_keys.append(new_keys)
-            acc_vals.append(np.full(new_keys.size, depth, dtype=np.int64))
-            f_keys = new_keys
-            continue
-        if f_keys is not None:
-            # frontier grew back: leave the fused run, restore matrix state
-            _flush_fused(lvl, acc_keys, acc_vals)
-            f = Matrix(grb.BOOL, ns, n)
-            f._set_from_keys(f_keys, np.ones(f_keys.size, dtype=np.bool_))
-            f_keys = None
-        # F⟨¬s(L), r⟩ = F plus.pair A — only the pattern is consumed
-        grb.mxm(f, f, a, _PLUS_PAIR,
-                mask=complement(structure(lvl)), replace=True)
-        if f.nvals == 0:
-            break
-        vbits[f.keys()] = True
-        # L⟨s(F)⟩ = depth: stamp the depth on the new frontier's pattern
-        # (sparse analogue of bfs_level's assign_scalar, which would expand
-        # the full ns × n key grid per level).
-        t = f.apply(_DEPTH, depth)
-        grb.update(lvl, t, mask=structure(t))
-    _flush_fused(lvl, acc_keys, acc_vals)
-    return lvl
+    return _sweep(g, sources, parents=False)
 
 
 def msbfs(g: Graph, sources: Sequence[int], *,

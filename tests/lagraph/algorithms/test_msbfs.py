@@ -1,12 +1,12 @@
 """Tests for batched multi-source BFS (the serving kernels).
 
-The contract under test is strong: every row of a batched sweep is
-*bit-identical* to the corresponding single-source Advanced-mode call, at
-every batch size — a one-source batch runs the same compiled-product +
-witness-probe loop as a twelve-source one.
+The contract under test is strong: every row of a parents sweep is
+*bit-identical* to the corresponding single-source push call, at every
+batch size — a one-source batch runs the same compiled-product +
+witness-probe loop as a twelve-source one.  ``bfs_level`` *is* the
+one-row levels sweep, so levels rows are checked against the GAP
+reference BFS (``gap.verify.verify_bfs_level``) instead.
 """
-
-import importlib
 
 import numpy as np
 import pytest
@@ -15,12 +15,17 @@ from hypothesis import given, settings
 from helpers import ab_ratio, random_graph_np, random_graphs
 from repro import grb
 from repro import lagraph as lg
+from repro.gap import verify
 from repro.gap.harness import _sources
 from repro.grb._kernels import matmul
 from repro.grb.engine import cost
 
-# the module, not the ``msbfs`` function the package re-exports
-msbfs = importlib.import_module("repro.lagraph.algorithms.msbfs")
+
+def _verify_rows(g, sources, lv):
+    """Every row of a levels sweep against the reference BFS."""
+    assert lv.shape == (len(sources), g.n)
+    for k, s in enumerate(sources):
+        verify.verify_bfs_level(g, int(s), lv.extract_row(k))
 
 
 class TestMsbfsParents:
@@ -67,13 +72,13 @@ class TestMsbfsParents:
 
 
 class TestProbeRoundFallbacks:
-    """The straggler fallbacks of the two witness probes: after their round
-    cap, ``msbfs._first_frontier_in_neighbor`` and ``mxv_pull_probe`` finish
-    with one ragged gather.  The default cap leaves that gather to rare
-    high-degree stragglers, so the caps are forced to 0 (every candidate
-    takes the gather) and 1, with every msbfs level on the probe leg and
-    every ``bfs_parent_auto`` level pulling — the parents must still be the
-    push reference's."""
+    """The straggler fallback of the one witness probe, ``mxv_pull_probe``
+    (msbfs's probe leg and ``bfs_parent_auto``'s pull levels): after
+    ``PULL_PROBE_ROUNDS`` rounds it finishes with one ragged gather.  The
+    default cap leaves that gather to rare high-degree stragglers, so the
+    cap is forced to 0 (every candidate takes the gather) and 1, with
+    every msbfs level on the probe leg and every ``bfs_parent_auto`` level
+    pulling — the parents must still be the push reference's."""
 
     @pytest.fixture(autouse=True)
     def _probe_every_level(self, monkeypatch):
@@ -87,7 +92,6 @@ class TestProbeRoundFallbacks:
     def test_fallback_matches_push(self, request, monkeypatch, graph,
                                    rounds):
         g = request.getfixturevalue(graph)
-        monkeypatch.setattr(msbfs, "PROBE_ROUNDS", rounds)
         monkeypatch.setattr(matmul, "PULL_PROBE_ROUNDS", rounds)
         sources = _sources(g, 4)
         p = lg.msbfs_parents(g, sources)
@@ -109,17 +113,21 @@ class TestMsbfsLevels:
     def test_rows_match_single_source(self, rng, batch, directed):
         g = random_graph_np(rng, n=60, p=0.08, directed=directed)
         sources = rng.integers(0, g.n, size=batch)
-        lv = lg.msbfs_levels(g, sources)
-        for k, s in enumerate(sources):
-            assert lv.extract_row(k).isequal(lg.bfs_level(g, int(s)))
+        _verify_rows(g, sources, lg.msbfs_levels(g, sources))
 
     @given(g=random_graphs(directed=False))
     @settings(max_examples=15)
     def test_random_undirected_match(self, g):
         sources = np.arange(min(g.n, 4), dtype=np.int64)
-        lv = lg.msbfs_levels(g, sources)
-        for k, s in enumerate(sources):
-            assert lv.extract_row(k).isequal(lg.bfs_level(g, int(s)))
+        _verify_rows(g, sources, lg.msbfs_levels(g, sources))
+
+    @given(g=random_graphs(directed=True))
+    @settings(max_examples=15)
+    def test_random_directed_bfs_level_matches_reference(self, g):
+        for s in range(min(g.n, 4)):
+            lv = lg.bfs_level(g, s)
+            assert lv.type == grb.INT64
+            verify.verify_bfs_level(g, s, lv)
 
     @pytest.mark.parametrize("kernel", ["levels", "parents"])
     def test_dense_frontiers_go_bitmap(self, rng, monkeypatch, kernel):
@@ -133,15 +141,15 @@ class TestMsbfsLevels:
         monkeypatch.setattr(cost, "MSBFS_FUSE_FRONTIER_K", 0)
         g = random_graph_np(rng, n=60, p=0.15)
         sources = rng.integers(0, g.n, size=12)
-        if kernel == "levels":
-            out = lg.msbfs_levels(g, sources)
-            single = lg.bfs_level
-        else:
-            out = lg.msbfs_parents(g, sources)
-            single = lg.bfs_parent_push
+        sweep = lg.msbfs_levels if kernel == "levels" else lg.msbfs_parents
+        out = sweep(g, sources)
         assert out.format == "bitmap"
-        for k, s in enumerate(sources):
-            assert out.extract_row(k).isequal(single(g, int(s)))
+        if kernel == "levels":
+            _verify_rows(g, sources, out)
+        else:
+            for k, s in enumerate(sources):
+                assert out.extract_row(k).isequal(
+                    lg.bfs_parent_push(g, int(s)))
 
     def test_basic_wrapper_returns_requested(self, small_directed_graph):
         p, lv = lg.msbfs(small_directed_graph, [0, 1], parent=True, level=True)
@@ -153,7 +161,9 @@ class TestMsbfsLevels:
 class TestBatchRatioGuard:
     """What coalescing buys: one 64-source sweep against the 64 public
     single-source calls it replaces, on kron-small (``ab_ratio``: arms
-    alternate, best of 5, ratio only).  Measured 2.0-2.2x — it was 5x
+    alternate, best of 5, ratio only).  Each ``bfs_level`` call is the
+    same sweep with one row, so this is the batch against 64 one-row
+    batches.  Measured 1.7-2.5x (median 2.05 over 30 reads) — it was 5x
     before the sort-free reduction made a lone ``bfs_level`` 3x faster —
     so what is asserted is that batching does not lose."""
 
@@ -167,27 +177,7 @@ class TestBatchRatioGuard:
         def sequential():
             return [lg.bfs_level(g, int(s)) for s in srcs]
 
-        lv = batched()
-        for k, row in enumerate(sequential()):
-            assert lv.extract_row(k).isequal(row)
+        _verify_rows(g, srcs, batched())
+        for s, row in zip(srcs, sequential()):
+            verify.verify_bfs_level(g, int(s), row)
         assert ab_ratio(batched, sequential) >= 1.0
-
-
-class TestSingletonRatioGuard:
-    """What the serve layer's one-kernel route buys a lone BFS query: a
-    one-source ``msbfs_levels`` against the public ``bfs_level`` call it
-    replaced, on road-small, whose hundreds of near-empty levels are where
-    the two loops differ most.  Measured 3.2-3.4x, floor half of that."""
-
-    def test_one_source_batch_beats_bfs_level_on_road(self, road_small):
-        g = road_small
-        s = int(_sources(g, 1)[0])
-
-        def batched():
-            return lg.msbfs_levels(g, [s])
-
-        def direct():
-            return lg.bfs_level(g, s)
-
-        assert batched().extract_row(0).isequal(direct())
-        assert ab_ratio(batched, direct) >= 1.5
