@@ -4,9 +4,10 @@ Shows the three layers the ``repro.grb.storage`` subsystem adds:
 
 1. per-object storage formats (CSR / bitmap) with the auto-policy
    picking them from observed density, and ``set_format`` to pin one;
-2. the push/pull step chooser (``bfs_parent_auto``): push through sparse
-   frontiers, pull through the store's CSC view + a bitmap frontier on
-   heavy ones — bit-identical to the push-only reference;
+2. the push/pull step chooser (Basic ``bfs()``'s parents, the one-row
+   case of the batched sweep): push through sparse frontiers, pull
+   through the store's CSC view + a bitmap frontier on heavy ones —
+   bit-identical to the push-only reference;
 3. what that buys on the two extreme graph shapes of Table IV: the
    low-diameter RMAT graph and the high-diameter road grid.
 
@@ -50,9 +51,9 @@ for label, g in (
     p_push = lg.bfs_parent_push(g, src)
     t_push = time.perf_counter() - t0
 
-    lg.bfs_parent_auto(g, src)            # warm the cached CSC view
+    lg.bfs(g, src)                        # caches G.AT, warms the CSC view
     t0 = time.perf_counter()
-    p_auto = lg.bfs_parent_auto(g, src)
+    p_auto, _ = lg.bfs(g, src)
     t_auto = time.perf_counter() - t0
 
     assert p_auto.isequal(p_push)         # bit-identical, always
@@ -60,13 +61,13 @@ for label, g in (
     print(f"  direction-optimised (engine): {t_auto:.4f}s "
           f"({t_push / max(t_auto, 1e-9):.1f}x) — identical parents")
 
-# --- batched frontiers and the fused near-empty levels ---------------------
+# --- batched frontiers: the same loop, one row per source ------------------
 g = generators.road(side=side)
 sources = np.flatnonzero(np.diff(g.A.indptr) > 0)[:32]
 t0 = time.perf_counter()
 levels = lg.msbfs_levels(g, sources)
 t_batch = time.perf_counter() - t0
 print(f"\nroad msbfs, {sources.size} sources: {t_batch:.3f}s "
-      f"(near-empty levels fused into raw-array runs)")
+      f"(each row chooses push or pull per level)")
 print(f"  level matrix: {levels.nrows}x{levels.ncols}, "
       f"format={levels.format}, nvals={levels.nvals:,}")

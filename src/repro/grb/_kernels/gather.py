@@ -19,12 +19,11 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     Equivalent to ``np.concatenate([np.arange(s, s+c) ...])`` but vectorised.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
+    ends = np.cumsum(counts)            # end of each range inside the output
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    # offset of each range inside the output
-    out_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    out = np.repeat(starts - out_starts, counts)
+    out = np.repeat(starts - ends + counts, counts)
     out += np.arange(total, dtype=np.int64)
     return out
 

@@ -224,19 +224,18 @@ def mxv_pull_probe(
     at_indptr: np.ndarray,
     at_indices: np.ndarray,
     frontier_bits: np.ndarray,
-    rows: np.ndarray,
-    row_base: Optional[np.ndarray] = None,
+    keys: np.ndarray,
+    n: int,
 ):
     """The pull step of direction-optimised BFS, natively on CSC arrays.
 
-    For each candidate ``r`` in ``rows`` (the unvisited set), find the
-    *first* entry ``k`` of ``Aᵀ`` row ``r`` (= column ``r`` of ``A``, i.e.
-    ``r``'s in-neighbours in ascending order) with ``frontier_bits[k]``
-    set.  Returns ``(hit_rows, parents)`` — the discovered candidates and
-    the in-neighbour that discovered each.  With ``row_base``, candidate
-    ``e`` probes ``frontier_bits[row_base[e] + k]`` instead: a batch of
-    frontiers stacked in one flat bitmap, ``row_base[e]`` the offset of
-    the frontier that candidate belongs to (msbfs's witness step).
+    ``keys`` are candidate cells ``i * n + v`` of a batch of ``n``-node
+    frontiers stacked in the flat bitmap ``frontier_bits`` (one frontier
+    is the batch with ``i = 0``).  For each, find the *first* entry ``k``
+    of ``Aᵀ`` row ``v`` (= ``v``'s in-neighbours in ascending order) with
+    ``frontier_bits[i * n + k]`` set.  Returns ``(keys[found],
+    parents[found])`` — the discovered candidates and the in-neighbour
+    that discovered each.
 
     Because in-neighbours are scanned ascending, the pick is the *smallest*
     frontier in-neighbour — exactly the ``any.secondi`` choice of the push
@@ -246,17 +245,20 @@ def mxv_pull_probe(
     call time) the stragglers take one ragged gather over their remaining
     spans.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cur = at_indptr[rows].astype(np.int64, copy=True)
-    end = at_indptr[rows + 1]
-    parent = np.full(rows.size, -1, dtype=np.int64)
+    if keys.size == 0 or keys[-1] < n:
+        v, base = keys, None    # one frontier: the cells are the node ids
+    else:
+        base = keys // n * n    # i * n (floor division beats int64 ``%``)
+        v = keys - base
+    cur = at_indptr[v].astype(np.int64, copy=True)
+    end = at_indptr[v + 1]
+    parent = np.full(keys.size, -1, dtype=np.int64)
     unresolved = np.flatnonzero(cur < end).astype(np.int64)
     for _ in range(PULL_PROBE_ROUNDS):
         if unresolved.size == 0:
             break
         k = at_indices[cur[unresolved]]
-        hit = frontier_bits[k if row_base is None
-                            else row_base[unresolved] + k]
+        hit = frontier_bits[k if base is None else base[unresolved] + k]
         res = unresolved[hit]
         parent[res] = k[hit]
         miss = unresolved[~hit]
@@ -269,11 +271,10 @@ def mxv_pull_probe(
         rep = np.repeat(np.arange(unresolved.size, dtype=np.int64), counts)
         kcand = at_indices[flat]
         valid = np.flatnonzero(frontier_bits[
-            kcand if row_base is None
-            else row_base[unresolved][rep] + kcand])
+            kcand if base is None else base[unresolved][rep] + kcand])
         ents = rep[valid]
         first = np.ones(ents.size, dtype=bool)
         first[1:] = ents[1:] != ents[:-1]
         parent[unresolved[ents[first]]] = kcand[valid[first]]
     found = parent >= 0
-    return rows[found], parent[found]
+    return keys[found], parent[found]

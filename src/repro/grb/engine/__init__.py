@@ -87,9 +87,10 @@ def preplan(a, *, profile: str = "default") -> dict:
     pays no one-off conversions: the canonical CSR view, the cached
     CSC/transpose arrays (what ``mxm-masked-dot`` feeds as ``Bᵀ`` and the
     pull kernels probe), and — under the ``"msbfs"`` profile — the all-ones
-    pattern operands of the structural multiplies.  Returns a summary dict
-    (also delivered as an ``op="preplan"`` decision record when something
-    consumes them).
+    pattern operands of the structural multiplies (which the batched BFS
+    sweep no longer reads: it probes the CSR and CSC arrays directly).
+    Returns a summary dict (also delivered as an ``op="preplan"``
+    decision record when something consumes them).
     """
     import numpy as np
 

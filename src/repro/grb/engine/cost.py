@@ -2,10 +2,14 @@
 
 Before the engine existed these constants were scattered — the masked-mxm
 chooser lived in ``_kernels/masked_matmul.py``, the Beamer push/pull
-constants in ``lagraph/algorithms/bfs.py``.  Planner rules
-(:mod:`repro.grb.engine.rules`) now read *this* module at decision time, so
-monkeypatching any constant here re-routes every call that consults it —
-the same forcing idiom :mod:`repro.grb.storage.policy` established::
+constants in ``lagraph/algorithms/bfs.py``.  Six remain: the fusion
+switch, three for the masked-mxm chooser and the two Beamer constants,
+which every BFS level reads (``bfs_parent_do``'s, and each row's in the
+batched sweep that also serves Basic ``bfs()`` and ``bfs_level``).
+Planner rules (:mod:`repro.grb.engine.rules`) now read *this* module at
+decision time, so monkeypatching any constant here re-routes every call
+that consults it — the same forcing idiom :mod:`repro.grb.storage.policy`
+established::
 
     monkeypatch.setattr(cost, "DOT_PROBE_COST", 0.0)   # force the dot kernel
     monkeypatch.setattr(cost, "DOT_PROBE_COST", inf)   # ... or rule it out
@@ -34,6 +38,8 @@ issues a masked product on a semiring SciPy cannot run.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ...obs import profile as _profile
@@ -43,8 +49,6 @@ __all__ = [
     "FUSION_ENABLED",
     # masked-mxm chooser
     "DOT_PROBE_COST", "MASKED_MIN_NNZ", "LIVE_ROW_FRACTION",
-    # batched-frontier (msbfs) choosers
-    "MSBFS_PROBE_DENSITY", "MSBFS_FUSE_FRONTIER_K",
     # frontier-direction (Beamer) chooser
     "PUSHPULL_ALPHA", "PUSHPULL_BETA",
     # estimators and choosers
@@ -99,29 +103,6 @@ MASKED_MIN_NNZ = 1 << 15
 LIVE_ROW_FRACTION = 0.75
 
 # ---------------------------------------------------------------------------
-# batched-frontier (msbfs) choosers
-# ---------------------------------------------------------------------------
-
-#: Frontier density (nvals / grid) above which a probe level beats a push
-#: level: the expected number of probes until a hit scales like the
-#: inverse density — the Beamer direction switch of Alg. 2, batched.
-MSBFS_PROBE_DENSITY = 0.05
-#: Frontiers with fewer live entries than this skip the masked ``mxm``
-#: entirely: consecutive near-empty levels run as raw-array neighbour
-#: expansions and merge into the output once per run (1.6–1.9× on the
-#: small road grid, 64 sources; 13× before near-empty levels were written
-#: back in place).  0 disables level fusion.  Every level BFS runs this
-#: loop, a lone ``bfs_level`` included (it is the one-row batch).  The
-#: planner's own small-product rule (``mxm-small-expand``) does not
-#: replace this path, on a measurement: road-small ``msbfs_levels``, 4
-#: sources, 8.3–9.3 ms fused against 35–41 ms for the ``K = 0`` loop *with*
-#: that rule claiming every level (37–44 ms with every product pinned to
-#: ``mxm-scipy``; 64 sources: 86–89 against 140–154 ms) — what a fused
-#: level still skips is three dispatches and a write-back, not a
-#: multiply.
-MSBFS_FUSE_FRONTIER_K = 8192
-
-# ---------------------------------------------------------------------------
 # frontier-direction (push/pull) chooser
 # ---------------------------------------------------------------------------
 
@@ -159,25 +140,39 @@ def choose_masked_method(probes: float, flops: float) -> str:
     return "dot" if probes * DOT_PROBE_COST <= flops else "fallback"
 
 
-def choose_direction(frontier_edges: float, unexplored_edges: float,
-                     frontier_nvals: int, n: int) -> str:
-    """``"push"`` or ``"pull"`` for one frontier-expansion step.
+def choose_direction(frontier_edges, unexplored_edges, frontier_nvals,
+                     n: int):
+    """The push/pull choice of one frontier-expansion step.
 
     The Beamer chooser (GAP's alpha/beta heuristic): push while the
     frontier is light — its out-edges times ``PUSHPULL_ALPHA`` stay below
     the unexplored edges, or it holds fewer than ``n / PUSHPULL_BETA``
-    vertices — pull once it is heavy.  Forceable through those two
-    constants and observable as an ``op="bfs_step"`` decision record, like
-    every other chooser.
+    vertices — pull once it is heavy.  Scalars in, ``"push"`` or
+    ``"pull"`` out; per-row arrays in (one level of a batched sweep),
+    per-row push flags out, each the verdict a one-row call would give.
+    A row whose frontier is empty takes no step: its verdict is moot, and
+    the record counts it neither way.  Forceable through those two
+    constants and observable as one ``op="bfs_step"`` decision record per
+    call, like every other chooser.
     """
-    push = (frontier_edges * PUSHPULL_ALPHA < unexplored_edges
-            or frontier_nvals < n / PUSHPULL_BETA)
-    direction = "push" if push else "pull"
+    # an infinite alpha makes no frontier light by its edges (0 · inf is
+    # not "less" either)
+    light = (frontier_edges * PUSHPULL_ALPHA < unexplored_edges
+             if PUSHPULL_ALPHA < math.inf else False)
+    push = light | (frontier_nvals < n / PUSHPULL_BETA)
     if _profile.deciding():
+        stepping = np.asarray(frontier_nvals) > 0
+        push_rows = int(np.count_nonzero(push & stepping))
+        pull_rows = int(np.count_nonzero(stepping)) - push_rows
+        direction = "pull" if not push_rows else \
+            "push" if not pull_rows else "mixed"
         _profile.decision({
             "op": "bfs_step", "rule": "bfs-" + direction,
             "direction": direction,
-            "frontier_edges": float(frontier_edges),
-            "unexplored_edges": float(unexplored_edges),
-            "frontier_nvals": int(frontier_nvals), "n": int(n)})
-    return direction
+            "push_rows": push_rows, "pull_rows": pull_rows,
+            "frontier_edges": float(np.sum(frontier_edges)),
+            "unexplored_edges": float(np.sum(unexplored_edges)),
+            "frontier_nvals": int(np.sum(frontier_nvals)), "n": int(n)})
+    if isinstance(push, np.ndarray):
+        return push
+    return "push" if push else "pull"

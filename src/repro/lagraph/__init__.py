@@ -17,7 +17,6 @@ from . import algorithms, compat, experimental, utils
 from .algorithms import (
     bfs,
     bfs_level,
-    bfs_parent_auto,
     bfs_parent_do,
     bfs_parent_push,
     betweenness_centrality,
@@ -53,7 +52,7 @@ __all__ = [
     "Graph", "Kind", "ADJACENCY_DIRECTED", "ADJACENCY_UNDIRECTED",
     "kind_name", "BOOLEAN_UNKNOWN",
     "algorithms", "experimental", "utils", "compat",
-    "bfs", "bfs_level", "bfs_parent_auto", "bfs_parent_do",
+    "bfs", "bfs_level", "bfs_parent_do",
     "bfs_parent_push",
     "betweenness_centrality", "betweenness_centrality_batch",
     "connected_components", "fastsv",

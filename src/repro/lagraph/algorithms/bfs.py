@@ -20,10 +20,13 @@ engine's cost model (:func:`repro.grb.engine.choose_direction`; constants
 ``PUSHPULL_ALPHA`` / ``PUSHPULL_BETA`` in :mod:`repro.grb.engine.cost`),
 so it is forceable and observable like every other planner decision.
 
-Level BFS has no loop of its own: :func:`bfs_level` is row 0 of the
-one-source batched sweep (:func:`~.msbfs.msbfs_levels`, the Alg. 3
-frontier matrix with one row), so a Basic ``bfs(level=True)``, a lone
-served ``BFSLevels`` query and a batch of them all run one loop.
+Two level loops serve every BFS.  The sweep below runs Alg. 1 and 2 in
+the paper's notation, one GraphBLAS call at a time (``bfs_parent_push``,
+``bfs_parent_do``).  Basic mode runs the other: :func:`bfs_level` and
+:func:`bfs`'s parents are row 0 of the one-source batched sweep
+(:func:`~.msbfs.msbfs_levels` / :func:`~.msbfs.msbfs_parents`: Alg. 2
+per row on raw arrays, with the same chooser), so a Basic ``bfs()``, a
+lone served BFS query and a batch of them all run one loop.
 
 Advanced entry points follow Sec. II-B strictly: they never compute cached
 properties (``bfs_parent`` with ``direction_optimizing=True`` demands a
@@ -35,17 +38,14 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 from ... import grb
 from ...grb import Vector, complement, engine, structure
 from ...grb import cancel as _cancel
 from ..errors import PropertyMissing
 from ..graph import Graph
-from .msbfs import msbfs_levels
+from .msbfs import msbfs_levels, msbfs_parents
 
-__all__ = ["bfs", "bfs_parent_push", "bfs_parent_do", "bfs_parent_auto",
-           "bfs_level"]
+__all__ = ["bfs", "bfs_parent_push", "bfs_parent_do", "bfs_level"]
 
 _ANY_SECONDI = grb.semiring("any", "secondi")
 
@@ -124,82 +124,11 @@ def bfs_parent_do(g: Graph, source: int) -> Vector:
     return _parent_sweep(g, source, pull)
 
 
-def bfs_parent_auto(g: Graph, source: int) -> Vector:
-    """Storage-engine direction-optimised parents BFS (Basic-mode worker).
-
-    The step chooser of Alg. 2 running directly on the storage layer:
-
-    * **push** levels (sparse frontier) expand through the ``any.secondi``
-      gather kernel — cost ∝ frontier out-degrees;
-    * **pull** levels (heavy frontier) probe each unvisited node's
-      in-neighbours against a *bitmap frontier*, reading ``Aᵀ`` from the
-      store's cached CSC arrays (computed once per store) — cost ∝ a few
-      probes per unvisited node;
-    * the visited set and parents live in dense arrays for the whole sweep,
-      so no per-level masked write-back is paid at all.
-
-    Both step kinds pick the smallest frontier in-neighbour as the parent,
-    so the result is identical — entry for entry — to
-    :func:`bfs_parent_push`, whatever sequence of directions runs.  Unlike
-    :func:`bfs_parent_do` it never demands cached graph properties: the
-    transpose view comes from ``G.AT`` when present, else from the
-    adjacency's own storage.
-    """
-    _check_source(g, source)
-    from ...grb._kernels.matmul import mxv_pull_probe, vxm_sparse
-
-    a = g.A
-    n = g.n
-    at = g.AT if g.AT is not None else None
-    if at is not None:
-        at_indptr, at_indices = at.indptr, at.indices
-    else:
-        at_indptr, at_indices, _ = a._S().transpose_csr()
-    if g.row_degree is not None:
-        out_deg = g.row_degree.to_dense()
-    else:
-        out_deg = np.diff(a.indptr).astype(np.int64)
-    total_edges = float(out_deg.sum())
-
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    parent_dense = np.full(n, -1, dtype=np.int64)
-    parent_dense[source] = source
-    frontier = np.array([source], dtype=np.int64)
-    frontier_bits = np.zeros(n, dtype=bool)
-    scanned = float(out_deg[source])
-    for _level in range(1, n):
-        _cancel.checkpoint()        # deadline/cancel at the level boundary
-        frontier_edges = float(out_deg[frontier].sum())
-        unexplored = max(total_edges - scanned, 0.0)
-        push = engine.choose_direction(frontier_edges, unexplored,
-                                       frontier.size, n) == "push"
-        if push:
-            idx, par = vxm_sparse(frontier,
-                                  np.zeros(frontier.size, dtype=np.int64),
-                                  a.indptr, a.indices, None, n, _ANY_SECONDI)
-            fresh = ~visited[idx]
-            idx, par = idx[fresh], par[fresh]
-        else:
-            frontier_bits[frontier] = True
-            idx, par = mxv_pull_probe(at_indptr, at_indices, frontier_bits,
-                                      np.flatnonzero(~visited))
-            frontier_bits[frontier] = False
-        if idx.size == 0:
-            break
-        visited[idx] = True
-        parent_dense[idx] = par
-        frontier = idx
-        scanned += float(out_deg[idx].sum())
-    reached = np.flatnonzero(visited).astype(np.int64)
-    return Vector.from_coo(reached, parent_dense[reached], n)
-
-
 def bfs_level(g: Graph, source: int) -> Vector:
     """Level BFS: ``level[v]`` = BFS depth from the source (source = 0).
 
     Row 0 of the one-source batched sweep,
-    :func:`~.msbfs.msbfs_levels` — one level loop serves both.
+    :func:`~.msbfs.msbfs_levels`.
     """
     _check_source(g, source)
     return msbfs_levels(g, [source]).extract_row(0)
@@ -215,10 +144,10 @@ def bfs(g: Graph, source: int, *,
     variant needs, picks the variant, and returns ``(parent, level)``
     vectors (``None`` for whichever was not requested).
 
-    Parents come from :func:`bfs_parent_auto` — which, transpose and
-    degree caching included, beats the push-only sweep on every input
-    measured, low-degree ones too — unless ``direction_optimizing=False``
-    forces push-only.
+    Parents come from the one-row direction-optimised sweep,
+    :func:`~.msbfs.msbfs_parents` — which, transpose caching included,
+    beats the push-only sweep on every input measured, low-degree ones
+    too — unless ``direction_optimizing=False`` forces push-only.
     """
     _check_source(g, source)
     p = lv = None
@@ -226,7 +155,7 @@ def bfs(g: Graph, source: int, *,
         if direction_optimizing is None or direction_optimizing:
             g.cache_at()          # Basic mode may compute properties
             g.cache_row_degree()
-            p = bfs_parent_auto(g, source)
+            p = msbfs_parents(g, [source]).extract_row(0)
         else:
             p = bfs_parent_push(g, source)
     if level:

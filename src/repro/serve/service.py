@@ -334,13 +334,12 @@ class GraphService:
           CSC view and row degrees.  The store's cached CSC view is what
           pull-direction kernels and the masked-SpGEMM engine's ``Bᵀ``
           feed read, so neither pays a conversion on the first query.
-        * ``"msbfs"`` — default, plus the all-ones pattern operands the
-          batched-frontier ``plus.pair`` multiplies read are pre-built
-          (they are cached per store version, see
-          :meth:`repro.grb.Matrix.pattern_operand`).  Frontier matrices
-          are per-query operands (CSR or bitmap, by density), so the
-          adjacency-side operands are what registration can usefully
-          pre-build.
+        * ``"msbfs"`` — default, plus the all-ones pattern operands of
+          the structural ``plus.pair`` products (cached per store
+          version, see :meth:`repro.grb.Matrix.pattern_operand`).  The
+          batched BFS sweep no longer reads them — it runs on the raw
+          CSR and cached CSC arrays the default profile builds — and the
+          profile keeps building what it always did.
 
         Beyond operand state, a masked product's analysis is memoized on
         its mask (:mod:`repro.grb.engine.plancache`): the first query pays

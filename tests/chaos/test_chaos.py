@@ -30,7 +30,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_graph_np
+from helpers import bfs_level_reference, random_graph_np
 from repro import lagraph as lg
 from repro import serve
 from repro.serve import resilience
@@ -85,7 +85,7 @@ class TestTransientFaults:
                 fut = svc.submit("g", serve.BFSLevels(0))
                 [(kind, got)] = _collect([fut])
             assert inj.fired == 1
-            assert kind == "ok" and got.isequal(lg.bfs_level(graph, 0))
+            assert kind == "ok" and got.isequal(bfs_level_reference(graph, 0))
             assert svc.stats().retries == 1
         finally:
             svc.shutdown()
@@ -104,7 +104,7 @@ class TestTransientFaults:
             assert len(outcomes) == 48
             for (kind, got), s in zip(outcomes, range(48)):
                 if kind == "ok":
-                    assert got.isequal(lg.bfs_level(graph, s % graph.n))
+                    assert got.isequal(bfs_level_reference(graph, s % graph.n))
                 else:
                     assert isinstance(got, faults.TransientFault)
         finally:
@@ -142,7 +142,7 @@ class TestTransientFaults:
                 outcomes = _collect(futs, timeout=60)
             for (kind, got), s in zip(outcomes, range(16)):
                 if kind == "ok":
-                    assert got.isequal(lg.bfs_level(graph, s % graph.n))
+                    assert got.isequal(bfs_level_reference(graph, s % graph.n))
         finally:
             svc.shutdown()
 
@@ -180,7 +180,7 @@ class TestIsolation:
                 else:
                     assert kind == "ok", \
                         f"innocent sibling {s} caught the poison"
-                    assert got.isequal(lg.bfs_level(graph, s))
+                    assert got.isequal(bfs_level_reference(graph, s))
             assert svc.stats().quarantined == 1
         finally:
             svc.shutdown()
@@ -242,7 +242,7 @@ class TestDeadlineChaos:
                 outcomes = _collect(futs, timeout=60)
             for (kind, got), s in zip(outcomes, range(6)):
                 assert kind == "ok"
-                assert got.isequal(lg.bfs_level(graph, s))
+                assert got.isequal(bfs_level_reference(graph, s))
         finally:
             svc.shutdown()
 
@@ -294,7 +294,7 @@ class TestBreakerChaos:
                 with pytest.raises(faults.FaultInjected):
                     svc.query("g", serve.TriangleCount())
                 got = svc.query("g", serve.BFSLevels(0))
-            assert got.isequal(lg.bfs_level(graph, 0))
+            assert got.isequal(bfs_level_reference(graph, 0))
         finally:
             svc.shutdown()
 
@@ -377,7 +377,7 @@ class TestOtherSites:
             assert inj.fired >= 1
             for (kind, got), s in zip(outcomes, range(6)):
                 assert kind == "ok"
-                assert got.isequal(lg.bfs_level(graph, s))
+                assert got.isequal(bfs_level_reference(graph, s))
         finally:
             svc.shutdown()
 
@@ -401,7 +401,7 @@ class TestNoFaultOverhead:
         try:
             svc.register("g", graph)
             got = svc.query("g", serve.BFSLevels(0))
-            assert got.isequal(lg.bfs_level(graph, 0))
+            assert got.isequal(bfs_level_reference(graph, 0))
         finally:
             svc.shutdown()
 

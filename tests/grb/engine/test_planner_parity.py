@@ -614,17 +614,24 @@ class TestAlgorithmFusionParity:
                 assert fn(g, 0).isequal(ref)
             return {e["direction"] for e in trace.decisions("bfs_step")}
 
+        def one_row(g, s):
+            return lg.msbfs_parents(g, [s]).extract_row(0)
+
+        def basic(g, s):
+            return lg.bfs(g, s)[0]
+
+        runs = (one_row, basic, lg.bfs_parent_do)
         # both thresholds at infinity: no level ever pushes
         monkeypatch.setattr(cost, "PUSHPULL_ALPHA", float("inf"))
         monkeypatch.setattr(cost, "PUSHPULL_BETA", float("inf"))
-        assert directions(lg.bfs_parent_auto) == {"pull"}
-        assert directions(lg.bfs_parent_do) == {"pull"}
+        for fn in runs:
+            assert directions(fn) == {"pull"}, fn
         # alpha=0 pushes while any edge is unexplored (the final drained
         # level may still pull)
         monkeypatch.setattr(cost, "PUSHPULL_ALPHA", 0.0)
         monkeypatch.setattr(cost, "PUSHPULL_BETA", 18.0)
-        assert "push" in directions(lg.bfs_parent_auto)
-        assert "push" in directions(lg.bfs_parent_do)
+        for fn in runs:
+            assert "push" in directions(fn), fn
 
     @pytest.mark.parametrize("fusion", (True, False),
                              ids=("fused", "decomposed"))
@@ -996,7 +1003,7 @@ class TestMxmRuleParity:
             run, f"{fmt_a}/{fmt_b} transpose_b={transpose_b}")
 
     def test_output_aliases_an_operand(self, rng):
-        """``mxm(f, f, a, ...)`` — every level of BC and msbfs
+        """``mxm(f, f, a, ...)`` — every forward level of batched BC
         (``tests/grb/test_aliasing.py`` drives every other writer)."""
         sr = grb.semiring_by_name("plus.first")
         f0, b = _small_product(rng, MXM_VALUES["fp64-subunit-zeros"])
@@ -1096,7 +1103,7 @@ class TestMxmSmallExpandGate:
 
 
 class TestSmallExpandAlgorithmParity:
-    """The three algorithms whose levels ``mxm-small-expand`` claims, as
+    """The two algorithms whose levels ``mxm-small-expand`` claims, as
     routed (the trace shows the rule ran) against every product pinned to
     ``mxm-scipy``."""
 
@@ -1141,19 +1148,6 @@ class TestSmallExpandAlgorithmParity:
         assert "mxm-small-expand" in rules
         np.testing.assert_array_equal(routed.indices, pinned.indices)
         assert routed.values.tobytes() == pinned.values.tobytes()
-
-    @pytest.mark.parametrize("name", ("road", "kron", "islands"))
-    def test_msbfs_levels(self, graphs, name, monkeypatch):
-        from repro import lagraph as lg
-        g = graphs[name]
-        fused = lg.msbfs_levels(g, self._sources(g))
-        # one masked plus.pair mxm per level instead of msbfs's own
-        # raw-array path
-        monkeypatch.setattr(cost, "MSBFS_FUSE_FRONTIER_K", 0)
-        routed, pinned, rules = self._both_ways(
-            lambda: lg.msbfs_levels(g, self._sources(g)))
-        assert "mxm-small-expand" in rules
-        assert routed.isequal(pinned) and routed.isequal(fused)
 
     @pytest.mark.parametrize("name", ("road", "kron", "islands"))
     def test_triangle_count(self, graphs, name):

@@ -134,6 +134,17 @@ def random_graph_np(rng, n=40, p=0.1, directed=True, weighted=False, seed=None):
     return lg.Graph(A, kind)
 
 
+def bfs_level_reference(g, source: int):
+    """The GAP reference BFS's depths (``gap.baselines.bfs_level``) as the
+    INT64 vector ``lagraph.bfs_level`` returns: an answer computed outside
+    the batched sweep that the library and the service both run."""
+    from repro.gap import baselines
+
+    ref = baselines.bfs_level(g, source)
+    reached = np.flatnonzero(ref >= 0)
+    return grb.Vector.from_coo(reached, ref[reached], g.n, typ=grb.INT64)
+
+
 #: Every matrix operand layout a format lattice crosses: each storage format
 #: with its cached transpose (the store's ``_csc`` slot) cold, or pre-built by
 #: ``engine.preplan`` as a registered serving graph arrives.

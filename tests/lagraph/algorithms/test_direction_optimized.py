@@ -1,10 +1,12 @@
-"""Direction-optimised BFS and fused msbfs: parity with the push reference.
+"""Direction-optimised BFS: parity with the push reference.
 
-``bfs_parent_auto`` (push/pull chooser on the storage engine) and the
-fused msbfs parents must be *identical* — entry for entry — to the
-Alg. 1 push implementations, whatever mix of step kinds ran; fused msbfs
-levels must equal the GAP reference BFS's (``bfs_level`` is their
-one-row case, so it cannot be their reference).
+The one raw-array frontier loop (``msbfs._sweep``) runs Alg. 2 per row:
+its one-row case is Basic ``bfs()``'s parents, and its batches serve
+queries.  Its parents must be *identical* — entry for entry — to the
+Alg. 1 push implementation, whatever mix of push and pull levels each row
+ran, and each batch row must equal its one-row sweep; its levels must
+pass the GAP reference check (``bfs_level`` is their one-row case, so it
+cannot be their reference).
 """
 
 from __future__ import annotations
@@ -13,17 +15,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from helpers import (MATRIX_LAYOUTS, ab_ratio, in_layout, random_graph_np,
                      random_graphs)
+from repro import grb
 from repro import lagraph as lg
 from repro.gap import datasets, verify
 from repro.gap.harness import _sources
 from repro.grb.engine import cost
 
-# every chooser tunable (push/pull constants, msbfs fusion threshold)
-# lives in the engine's unified cost model
+# every chooser tunable (the push/pull constants) lives in the engine's
+# unified cost model
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +39,19 @@ def kron():
     return datasets.build("kron", "tiny")
 
 
-class TestBfsParentAuto:
+def one_row(g, s):
+    """The one-row sweep's parents, computing no graph property."""
+    return lg.msbfs_parents(g, [s]).extract_row(0)
+
+
+class TestOneRowParents:
     @given(random_graphs())
     def test_matches_push_on_random_directed(self, g):
-        assert lg.bfs_parent_auto(g, 0).isequal(lg.bfs_parent_push(g, 0))
+        assert one_row(g, 0).isequal(lg.bfs_parent_push(g, 0))
 
     @given(random_graphs(directed=False))
     def test_matches_push_on_random_undirected(self, g):
-        assert lg.bfs_parent_auto(g, 1).isequal(lg.bfs_parent_push(g, 1))
+        assert one_row(g, 1).isequal(lg.bfs_parent_push(g, 1))
 
     @pytest.mark.parametrize("name", ("road", "kron"))
     def test_matches_push_on_suite(self, name, road, kron):
@@ -51,7 +59,7 @@ class TestBfsParentAuto:
         rng = np.random.default_rng(0)
         deg = np.diff(g.A.indptr)
         for s in rng.choice(np.flatnonzero(deg > 0), 6, replace=False):
-            p = lg.bfs_parent_auto(g, int(s))
+            p = one_row(g, int(s))
             assert p.isequal(lg.bfs_parent_push(g, int(s)))
             verify.verify_bfs_parent(g, int(s), p)
 
@@ -59,18 +67,16 @@ class TestBfsParentAuto:
         # force every level through the CSC/bitmap pull probe
         monkeypatch.setattr(cost, "PUSHPULL_ALPHA", float("inf"))
         monkeypatch.setattr(cost, "PUSHPULL_BETA", float("inf"))
-        p_pull = lg.bfs_parent_auto(kron, 0)
-        assert p_pull.isequal(lg.bfs_parent_push(kron, 0))
+        assert one_row(kron, 0).isequal(lg.bfs_parent_push(kron, 0))
 
     def test_push_only_matches_push(self, kron, monkeypatch):
         monkeypatch.setattr(cost, "PUSHPULL_ALPHA", 0.0)   # push always wins
-        p = lg.bfs_parent_auto(kron, 0)
-        assert p.isequal(lg.bfs_parent_push(kron, 0))
+        assert one_row(kron, 0).isequal(lg.bfs_parent_push(kron, 0))
 
     def test_uses_cached_properties_when_present(self, road):
         road.cache_all()
         s = int(np.flatnonzero(np.diff(road.A.indptr) > 0)[0])
-        assert lg.bfs_parent_auto(road, s).isequal(lg.bfs_parent_push(road, s))
+        assert one_row(road, s).isequal(lg.bfs_parent_push(road, s))
 
     @pytest.mark.parametrize("layout", MATRIX_LAYOUTS)
     def test_pull_probe_in_every_layout(self, layout, monkeypatch):
@@ -79,90 +85,106 @@ class TestBfsParentAuto:
         g = random_graph_np(np.random.default_rng(2), n=50, p=0.1)
         ref = lg.bfs_parent_push(g, 3)
         in_layout(g.A, layout)
-        assert g.AT is None                 # the store's own transpose feeds
         monkeypatch.setattr(cost, "PUSHPULL_ALPHA", float("inf"))
         monkeypatch.setattr(cost, "PUSHPULL_BETA", float("inf"))
-        assert lg.bfs_parent_auto(g, 3).isequal(ref)
+        assert one_row(g, 3).isequal(ref)
+        assert g.AT is None                 # the store's own transpose fed
 
     def test_isolated_source(self):
         g = random_graph_np(np.random.default_rng(4), n=20, p=0.0)
-        p = lg.bfs_parent_auto(g, 5)
+        p = one_row(g, 5)
         assert p.nvals == 1 and p[5] == 5
 
-    def test_basic_mode_routes_through_auto(self, kron):
+    def test_basic_mode_routes_through_the_sweep(self, kron):
         p_do, _ = lg.bfs(kron, 0, direction_optimizing=True)
         assert p_do.isequal(lg.bfs_parent_push(kron, 0))
         assert kron.AT is not None          # Basic mode still caches
 
     def test_beats_csr_pinned_push_on_road(self, road_small):
-        """Ratio guard: on the high-diameter grid the direction-optimised
-        sweep over the policy-chosen stores against the Alg. 1 push loop
-        on an adjacency pinned to CSR, which pays a masked write-back per
-        level (measured 2.8-3.0x)."""
+        """Ratio guard: on the high-diameter grid, Basic ``bfs()``'s
+        parents (the one-row sweep over the policy-chosen stores) against
+        the Alg. 1 push loop on an adjacency pinned to CSR, which pays a
+        masked write-back per level."""
         s = int(_sources(road_small, 1)[0])
         pinned = lg.Graph(road_small.A.dup().set_format("csr"),
                           road_small.kind)
 
-        def auto():
-            return lg.bfs_parent_auto(road_small, s)
+        def basic():
+            return lg.bfs(road_small, s)[0]
 
         def push():
             return lg.bfs_parent_push(pinned, s)
 
-        assert auto().isequal(push())
-        assert ab_ratio(auto, push, reps=5) >= 1.4
+        assert basic().isequal(push())
+        assert ab_ratio(basic, push, reps=5) >= 1.4
 
 
-class TestMsbfsFusion:
-    @pytest.mark.parametrize("k", (0, 3, 10**9), ids=("off", "mixed", "always"))
-    def test_parents_identical_at_any_threshold(self, road, k, monkeypatch):
-        monkeypatch.setattr(cost, "MSBFS_FUSE_FRONTIER_K", k)
-        rng = np.random.default_rng(1)
-        srcs = rng.choice(np.flatnonzero(np.diff(road.A.indptr) > 0), 5,
-                          replace=False)
-        P = lg.msbfs_parents(road, srcs)
-        for r, s in enumerate(srcs):
-            assert P.extract_row(r).isequal(
-                lg.bfs_parent_push(road, int(s))), (k, r)
+#: The chooser's three regimes: every level pulls, every level with an
+#: unexplored edge pushes, and the GAP constants.
+DIRECTION_SETTINGS = {
+    "all-pull": {"PUSHPULL_ALPHA": float("inf"),
+                 "PUSHPULL_BETA": float("inf")},
+    "push-heavy": {"PUSHPULL_ALPHA": 0.0},
+    "defaults": {"PUSHPULL_ALPHA": cost.PUSHPULL_ALPHA,
+                 "PUSHPULL_BETA": cost.PUSHPULL_BETA},
+}
 
-    @pytest.mark.parametrize("k", (0, 3, 10**9), ids=("off", "mixed", "always"))
-    def test_levels_identical_at_any_threshold(self, road, k, monkeypatch):
-        monkeypatch.setattr(cost, "MSBFS_FUSE_FRONTIER_K", k)
-        rng = np.random.default_rng(1)
-        srcs = rng.choice(np.flatnonzero(np.diff(road.A.indptr) > 0), 5,
-                          replace=False)
-        L = lg.msbfs_levels(road, srcs)
-        for r, s in enumerate(srcs):
-            verify.verify_bfs_level(road, int(s), L.extract_row(r))
 
-    @given(random_graphs(max_n=12))
-    def test_fully_fused_random_graphs(self, g):
-        srcs = [0, 1, min(2, g.n - 1)]
-        with mock.patch.object(cost, "MSBFS_FUSE_FRONTIER_K", 10**9):
-            P = lg.msbfs_parents(g, srcs)
-            L = lg.msbfs_levels(g, srcs)
-        for r, s in enumerate(srcs):
-            assert P.extract_row(r).isequal(lg.bfs_parent_push(g, int(s)))
-            verify.verify_bfs_level(g, int(s), L.extract_row(r))
+def in_setting(setting):
+    return mock.patch.multiple(cost, **DIRECTION_SETTINGS[setting])
 
-    def test_fused_levels_hold_parity_on_road(self, road_small):
-        """Ratio guard: 64 sources over the 72 x 72 grid, hundreds of
-        levels under the threshold, against the per-level masked ``mxm``
-        loop (threshold 0).  Measured 1.6-1.9x — 13x before in-place
-        write-back made a near-empty level cheap; unchanged by
-        ``mxm-small-expand``, which claims the ~50 of the loop's ~130
-        levels that fit its gate — so parity is asserted."""
-        srcs = _sources(road_small, 64)
 
-        def fused():
-            return lg.msbfs_levels(road_small, srcs)
+@st.composite
+def graphs_and_sources(draw, directed: bool):
+    """A random graph and 0–6 sources drawn with replacement (so
+    duplicates come up), plus every isolated node of the graph."""
+    g = draw(random_graphs(directed=directed))
+    sources = draw(st.lists(st.integers(0, g.n - 1), max_size=6))
+    deg = np.diff(g.A.indptr) + np.diff(g.A.T.indptr)
+    return g, sources + np.flatnonzero(deg == 0).tolist()[:2]
 
-        unfused = mock.patch.object(cost, "MSBFS_FUSE_FRONTIER_K", 0)(fused)
-        assert fused().isequal(unfused())
-        assert ab_ratio(fused, unfused) >= 1 / 1.2
 
-    def test_duplicate_sources_fused(self, road, monkeypatch):
-        monkeypatch.setattr(cost, "MSBFS_FUSE_FRONTIER_K", 10**9)
-        s = int(np.flatnonzero(np.diff(road.A.indptr) > 0)[0])
-        P = lg.msbfs_parents(road, [s, s])
-        assert P.extract_row(0).isequal(P.extract_row(1))
+def check_sweep(g, sources):
+    """Every row of both batched sweeps against its reference and against
+    its own one-row sweep."""
+    P = lg.msbfs_parents(g, sources)
+    L = lg.msbfs_levels(g, sources)
+    assert P.shape == L.shape == (len(sources), g.n)
+    for k, s in enumerate(sources):
+        p = P.extract_row(k)
+        assert p.isequal(lg.bfs_parent_push(g, s)), k
+        assert p.isequal(one_row(g, s)), k
+        lv = L.extract_row(k)
+        verify.verify_bfs_level(g, s, lv)
+        assert lv.isequal(lg.bfs_level(g, s)), k
+
+
+@pytest.mark.parametrize("setting", sorted(DIRECTION_SETTINGS))
+class TestSweepDirections:
+    """The batched sweep under each regime of the per-row chooser."""
+
+    @given(graphs_and_sources(directed=True))
+    def test_random_directed(self, setting, case):
+        with in_setting(setting):
+            check_sweep(*case)
+
+    @given(graphs_and_sources(directed=False))
+    def test_random_undirected(self, setting, case):
+        with in_setting(setting):
+            check_sweep(*case)
+
+    def test_suite_batch_with_duplicates_and_an_isolated_source(
+            self, setting, road, kron):
+        for g in (road, kron):
+            isolated = np.flatnonzero(np.diff(g.A.indptr) == 0)
+            srcs = [int(s) for s in _sources(g, 5)]
+            srcs += srcs[:2] + [int(s) for s in isolated[:1]]
+            with in_setting(setting):
+                check_sweep(g, srcs)
+
+    def test_empty_batch(self, setting, kron):
+        with in_setting(setting):
+            for sweep in (lg.msbfs_parents, lg.msbfs_levels):
+                out = sweep(kron, [])
+                assert out.shape == (0, kron.n) and out.nvals == 0
+                assert out.type == grb.INT64

@@ -2,10 +2,10 @@
 
 The contract under test is strong: every row of a parents sweep is
 *bit-identical* to the corresponding single-source push call, at every
-batch size — a one-source batch runs the same compiled-product +
-witness-probe loop as a twelve-source one.  ``bfs_level`` *is* the
-one-row levels sweep, so levels rows are checked against the GAP
-reference BFS (``gap.verify.verify_bfs_level``) instead.
+batch size — a one-source batch runs the same raw-array frontier loop
+(push gathers and pull probes, chosen per row) as a twelve-source one.
+``bfs_level`` *is* the one-row levels sweep, so levels rows are checked
+against the GAP reference BFS (``gap.verify.verify_bfs_level``) instead.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import ab_ratio, random_graph_np, random_graphs
-from repro import grb
+from repro import grb, obs
 from repro import lagraph as lg
 from repro.gap import verify
 from repro.gap.harness import _sources
@@ -72,18 +72,15 @@ class TestMsbfsParents:
 
 
 class TestProbeRoundFallbacks:
-    """The straggler fallback of the one witness probe, ``mxv_pull_probe``
-    (msbfs's probe leg and ``bfs_parent_auto``'s pull levels): after
+    """The straggler fallback of the pull probe, ``mxv_pull_probe``: after
     ``PULL_PROBE_ROUNDS`` rounds it finishes with one ragged gather.  The
     default cap leaves that gather to rare high-degree stragglers, so the
     cap is forced to 0 (every candidate takes the gather) and 1, with
-    every msbfs level on the probe leg and every ``bfs_parent_auto`` level
-    pulling — the parents must still be the push reference's."""
+    every level of every row pulling — the parents must still be the push
+    reference's, batched and one row at a time (Basic ``bfs()``)."""
 
     @pytest.fixture(autouse=True)
-    def _probe_every_level(self, monkeypatch):
-        monkeypatch.setattr(cost, "MSBFS_FUSE_FRONTIER_K", 0)
-        monkeypatch.setattr(cost, "MSBFS_PROBE_DENSITY", 0.0)
+    def _pull_every_level(self, monkeypatch):
         monkeypatch.setattr(cost, "PUSHPULL_ALPHA", float("inf"))
         monkeypatch.setattr(cost, "PUSHPULL_BETA", float("inf"))
 
@@ -98,8 +95,7 @@ class TestProbeRoundFallbacks:
         for k, s in enumerate(sources):
             ref = lg.bfs_parent_push(g, int(s))
             assert p.extract_row(k).isequal(ref), (graph, rounds, k)
-            assert lg.bfs_parent_auto(g, int(s)).isequal(ref), \
-                (graph, rounds, k)
+            assert lg.bfs(g, int(s))[0].isequal(ref), (graph, rounds, k)
 
 
 class TestMsbfsLevels:
@@ -130,15 +126,12 @@ class TestMsbfsLevels:
             verify.verify_bfs_level(g, s, lv)
 
     @pytest.mark.parametrize("kernel", ["levels", "parents"])
-    def test_dense_frontiers_go_bitmap(self, rng, monkeypatch, kernel):
-        # at serving sizes a low-diameter sweep's frontier and level
-        # matrices cross the density line and become bitmap-resident
-        # (derived arrays read-only, in-place write-back); a 12 x 60 grid
-        # only gets there with the policy's size floor lowered
+    def test_dense_output_goes_bitmap(self, rng, monkeypatch, kernel):
+        # at serving sizes a low-diameter sweep's output crosses the
+        # density line and is built bitmap-resident; a 12 x 60 grid only
+        # gets there with the policy's size floor lowered
         from repro.grb.storage import policy
-        from repro.grb.engine import cost
         monkeypatch.setattr(policy, "MATRIX_BITMAP_MIN_GRID", 1)
-        monkeypatch.setattr(cost, "MSBFS_FUSE_FRONTIER_K", 0)
         g = random_graph_np(rng, n=60, p=0.15)
         sources = rng.integers(0, g.n, size=12)
         sweep = lg.msbfs_levels if kernel == "levels" else lg.msbfs_parents
@@ -156,6 +149,35 @@ class TestMsbfsLevels:
         assert p is not None and lv is not None
         p2, lv2 = lg.msbfs(small_directed_graph, [0], parent=False, level=True)
         assert p2 is None and lv2 is not None
+
+
+class TestDirectionRecords:
+    """A batched level makes one ``choose_direction`` call: one
+    ``bfs_step`` record, counting the rows that push and pull.  A row
+    whose frontier has emptied makes no choice."""
+
+    @pytest.mark.parametrize("pull_only", [False, True])
+    def test_one_record_per_level(self, kron_small, monkeypatch, pull_only):
+        if pull_only:
+            monkeypatch.setattr(cost, "PUSHPULL_ALPHA", float("inf"))
+            monkeypatch.setattr(cost, "PUSHPULL_BETA", float("inf"))
+        sources = _sources(kron_small, 8)
+        with obs.tracing() as trace:
+            lv = lg.msbfs_levels(kron_small, sources)
+        depth = np.array([lv.extract_row(k).values.max()
+                          for k in range(sources.size)])
+        records = trace.decisions("bfs_step")
+        # level d expands the rows reaching depth d - 1; the level after
+        # the deepest finds nothing and ends the sweep
+        assert len(records) == depth.max() + 1
+        for d, e in enumerate(records, start=1):
+            assert e["push_rows"] + e["pull_rows"] == (depth >= d - 1).sum()
+        pulled = sum(e["pull_rows"] for e in records)
+        pushed = sum(e["push_rows"] for e in records)
+        if pull_only:
+            assert pushed == 0
+        else:
+            assert pushed and pulled      # kron's middle levels pull
 
 
 class TestBatchRatioGuard:

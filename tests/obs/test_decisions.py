@@ -177,6 +177,18 @@ class TestContract:
     def test_choose_direction_no_sink_no_record(self, poisoned):
         assert engine.choose_direction(1.0, 1e9, 1, 1000) == "push"
 
+    def test_choose_direction_per_row_one_record(self):
+        # one batched level: per-row verdicts, one record counting them
+        with obs.tracing() as trace:
+            push = engine.choose_direction(
+                np.array([1.0, 1e9, 2.0]), np.array([1e9, 1.0, 1e9]),
+                np.array([1, 999, 2]), 1000)
+        assert push.tolist() == [True, False, True]
+        (e,) = trace.decisions()
+        assert (e["op"], e["rule"], e["direction"]) == (
+            "bfs_step", "bfs-mixed", "mixed")
+        assert (e["push_rows"], e["pull_rows"]) == (2, 1)
+
 
 # ---------------------------------------------------------------------------
 # isolation: sinks are context-local

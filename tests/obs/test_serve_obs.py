@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from helpers import random_graph_np
+from helpers import bfs_level_reference, random_graph_np
 from repro import obs, serve
 from repro import lagraph as lg
 from repro.grb.engine import cost, plancache
@@ -49,7 +49,7 @@ class TestConcurrentSpanIsolation:
                     futs = service.submit_many(
                         name, [serve.BFSLevels(s) for s in range(8)])
                     for s, f in enumerate(futs):
-                        assert f.result(30).isequal(lg.bfs_level(graph, s))
+                        assert f.result(30).isequal(bfs_level_reference(graph, s))
                     service.flush(timeout=30)
             except Exception as e:  # pragma: no cover
                 errs.append(e)

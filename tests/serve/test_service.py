@@ -8,7 +8,7 @@ cached, deduplicated, or recomputed after an invalidation — are
 import numpy as np
 import pytest
 
-from helpers import random_graph_np
+from helpers import bfs_level_reference, random_graph_np
 from repro import grb
 from repro import lagraph as lg
 from repro import serve
@@ -42,7 +42,7 @@ class TestIdentity:
         results = service.query_many(
             "g", [serve.BFSLevels(s) for s in sources])
         for s, res in zip(sources, results):
-            assert res.isequal(lg.bfs_level(served_graph, s))
+            assert res.isequal(bfs_level_reference(served_graph, s))
 
     def test_bfs_parents_match_direct(self, service, served_graph, rng):
         sources = [int(s) for s in rng.integers(0, served_graph.n, size=24)]
@@ -80,7 +80,7 @@ class TestIdentity:
                   [serve.ConnectedComponents()]
         results = service.query_many("g", queries)
         for s, res in zip(sources, results[:10]):
-            assert res.isequal(lg.bfs_level(served_graph, s))
+            assert res.isequal(bfs_level_reference(served_graph, s))
         for s, res in zip(sources, results[10:20]):
             assert res.isequal(lg.bfs_parent_push(served_graph, s))
         assert results[-1].isequal(lg.connected_components(served_graph))
@@ -125,7 +125,7 @@ class TestInvalidation:
         g = random_graph_np(rng, n=30, p=0.1)
         service.register("g", g)
         lv_before = service.query("g", serve.BFSLevels(0))
-        assert lv_before.isequal(lg.bfs_level(g, 0))
+        assert lv_before.isequal(bfs_level_reference(g, 0))
 
         # mutate: drop every edge out of node 0, then declare the mutation
         dense = g.A.to_dense().astype(bool)
@@ -136,7 +136,7 @@ class TestInvalidation:
         assert v == 1
 
         lv_after = service.query("g", serve.BFSLevels(0))
-        assert lv_after.isequal(lg.bfs_level(g, 0))     # fresh, not cached
+        assert lv_after.isequal(bfs_level_reference(g, 0))     # fresh, not cached
         assert lv_after.nvals == 1                      # 0 now reaches nothing
         assert not lv_after.isequal(lv_before)
 
@@ -153,7 +153,7 @@ class TestInvalidation:
         r1 = service.query("g", serve.BFSLevels(0))
         r1._vals[:] = -99              # caller scribbles on its own copy
         r2 = service.query("g", serve.BFSLevels(0))   # memo hit
-        assert r2.isequal(lg.bfs_level(served_graph, 0))
+        assert r2.isequal(bfs_level_reference(served_graph, 0))
 
     def test_update_excludes_inflight_kernels(self, service, rng):
         """registry.update drains kernel reads first: every answer reflects
@@ -161,7 +161,7 @@ class TestInvalidation:
         g = random_graph_np(rng, n=40, p=0.15)
         service.register("g", g)
         sources = list(range(10))
-        pre = {s: lg.bfs_level(g, s) for s in sources}
+        pre = {s: bfs_level_reference(g, s) for s in sources}
 
         def drop_all_edges(gr):
             gr.A = type(gr.A)(gr.A.type, gr.n, gr.n)
@@ -194,8 +194,8 @@ class TestErrorsAndLifecycle:
         futs = service.submit_many(
             "g", [serve.BFSLevels(0), serve.BFSLevels(10**9),
                   serve.BFSLevels(1)])
-        assert futs[0].result(60).isequal(lg.bfs_level(served_graph, 0))
-        assert futs[2].result(60).isequal(lg.bfs_level(served_graph, 1))
+        assert futs[0].result(60).isequal(bfs_level_reference(served_graph, 0))
+        assert futs[2].result(60).isequal(bfs_level_reference(served_graph, 1))
         with pytest.raises(grb.IndexOutOfBounds):
             futs[1].result(60)
 
@@ -235,7 +235,7 @@ class TestErrorsAndLifecycle:
         assert fired and fired[0] >= 1
         # and the service still answers afterwards
         assert service.query("g", serve.BFSLevels(0)).isequal(
-            lg.bfs_level(served_graph, 0))
+            bfs_level_reference(served_graph, 0))
 
     def test_concurrent_submitters(self, service, served_graph):
         import threading
@@ -247,7 +247,7 @@ class TestErrorsAndLifecycle:
                 for _ in range(5):
                     s = int(rng.integers(0, served_graph.n))
                     res = service.query("g", serve.BFSLevels(s))
-                    assert res.isequal(lg.bfs_level(served_graph, s))
+                    assert res.isequal(bfs_level_reference(served_graph, s))
             except Exception as e:  # pragma: no cover
                 errs.append(e)
         threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
@@ -286,7 +286,7 @@ class TestWarmProfiles:
                              warm=True).result(30)
         assert "lazy" in service.registry
         assert g.AT is not None                      # warmed on the way in
-        assert res.isequal(lg.bfs_level(g, 0))
+        assert res.isequal(bfs_level_reference(g, 0))
 
     def test_submit_lazy_registration_ignores_rebind(self, service, rng):
         g1 = random_graph_np(rng, n=30, p=0.1)
@@ -294,7 +294,7 @@ class TestWarmProfiles:
         service.submit("one", serve.BFSLevels(0), graph=g1).result(30)
         # an already bound name ignores the graph argument entirely
         res = service.submit("one", serve.BFSLevels(0), graph=g2).result(30)
-        assert res.isequal(lg.bfs_level(g1, 0))
+        assert res.isequal(bfs_level_reference(g1, 0))
         assert service.registry.get("one") is g1
 
     def test_submit_many_lazy_registration(self, service, rng):
@@ -302,7 +302,7 @@ class TestWarmProfiles:
         futs = service.submit_many(
             "bulk", [serve.BFSLevels(s) for s in (0, 1, 2)], graph=g)
         for s, f in zip((0, 1, 2), futs):
-            assert f.result(30).isequal(lg.bfs_level(g, s))
+            assert f.result(30).isequal(bfs_level_reference(g, s))
 
     def test_concurrent_lazy_registration_single_binding(self, service, rng):
         """Racing lazy submitters must agree on one binding (atomic
@@ -326,6 +326,6 @@ class TestWarmProfiles:
         assert not errs
         winner = service.registry.get("raced")
         assert winner in graphs
-        expect = lg.bfs_level(winner, 0)
+        expect = bfs_level_reference(winner, 0)
         for r in results:
             assert r.isequal(expect)
