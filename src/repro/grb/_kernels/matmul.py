@@ -150,7 +150,6 @@ def mxm_expand(
     b_values: Optional[np.ndarray],
     b_ncols: int,
     semiring: Semiring,
-    rows: Optional[np.ndarray] = None,
     key_keep=None,
     cast_dtype: Optional[np.dtype] = None,
 ):
@@ -159,13 +158,12 @@ def mxm_expand(
     Returns ``(keys, vals)`` with keys linearised as ``i * b_ncols + j``,
     sorted ascending and unique.
 
-    Mask-driven restriction (:mod:`repro.grb._kernels.masked_matmul`):
-    ``rows`` limits the expansion to a subset of A's rows — the rows the
-    mask can still write — skipping dead rows entirely; ``key_keep`` is a
-    ``keys -> bool`` predicate applied to the linearised output
-    coordinates *before* the group-reduce, so contributions the mask would
-    discard in the write-back never pay the reduction sort.  Both default
-    to off, in which case the result is the seed kernel bit for bit.
+    ``key_keep`` is a ``keys -> bool`` predicate (the mask's, from
+    :func:`repro.grb.engine.writeback.mask_key_filter`) applied to the
+    linearised output coordinates *before* the group-reduce, so
+    contributions the mask would discard in the write-back never pay the
+    reduction sort.  It defaults to off, in which case the result is the
+    seed kernel bit for bit.
 
     The ⊕-reduce runs over the output grid ``a_nrows × b_ncols``; when
     ``Monoid.reduce_groups`` takes its sort-free path there (the heavy
@@ -187,24 +185,17 @@ def mxm_expand(
     stays an explicit zero without the second (pattern) product SciPy
     needs for that.
     """
-    if rows is not None:
-        row_rep, a_cols, a_vals_sub = csr_gather_rows(
-            a_indptr, a_indices, a_values, rows)
-        a_rows = rows[row_rep]                # i of each surviving A entry
-    else:
-        a_rows = expand_rows(a_indptr, a_nrows)  # i of each A entry
-        a_cols = a_indices                    # k of each A entry
-        a_vals_sub = a_values
-    # For every A entry, gather B row k.
-    ent_rep, j, b_vals_g = csr_gather_rows(b_indptr, b_indices, b_values, a_cols)
-    i = a_rows[ent_rep]
+    # For every A entry (i, k), gather B row k.
+    ent_rep, j, b_vals_g = csr_gather_rows(b_indptr, b_indices, b_values,
+                                           a_indices)
+    i = expand_rows(a_indptr, a_nrows)[ent_rep]
     keys = i * np.int64(b_ncols) + j
     grid = int(a_nrows) * int(b_ncols)
-    av = a_vals_sub[ent_rep] if a_vals_sub is not None else None
+    av = a_values[ent_rep] if a_values is not None else None
     replay = cast_dtype is not None
     mult = multiply_as(semiring.mult.name, av, b_vals_g, keys.size,
                        cast_dtype) if replay \
-        else _multiply(semiring, av, b_vals_g, i, a_cols[ent_rep], j)
+        else _multiply(semiring, av, b_vals_g, i, a_indices[ent_rep], j)
     if key_keep is not None and (replay or not semiring.add.sort_free(
             mult.dtype, keys.size, grid)):
         keep = key_keep(keys)

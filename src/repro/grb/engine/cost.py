@@ -2,8 +2,8 @@
 
 Before the engine existed these constants were scattered — the masked-mxm
 chooser lived in ``_kernels/masked_matmul.py``, the Beamer push/pull
-constants in ``lagraph/algorithms/bfs.py``.  Six remain: the fusion
-switch, three for the masked-mxm chooser and the two Beamer constants,
+constants in ``lagraph/algorithms/bfs.py``.  Five remain: the fusion
+switch, two for the masked-mxm chooser and the two Beamer constants,
 which every BFS level reads (``bfs_parent_do``'s, and each row's in the
 batched sweep that also serves Basic ``bfs()`` and ``bfs_level``).
 Planner rules (:mod:`repro.grb.engine.rules`) now read *this* module at
@@ -17,11 +17,9 @@ established::
     monkeypatch.setattr(cost, "PUSHPULL_ALPHA", 0.0)   # BFS: push
     monkeypatch.setattr(cost, "FUSION_ENABLED", False) # decompose epilogues
 
-Only one behaviour has no constant to express it and keeps a boolean:
-``FUSION_ENABLED`` (the decomposed test oracle).  A chooser reads these
-constants on every call — the masked-dot analysis memoized on a mask holds
-the exact counts, never a decision — so a monkeypatch takes effect at the
-next call.
+A chooser reads these constants on every call — the masked-dot analysis
+memoized on a mask holds the exact counts, never a decision — so a
+monkeypatch takes effect at the next call.
 
 Kernel *mechanism* caps (e.g. the dense-flag grid cap of the dot probe)
 stay next to their kernels: they tune how a chosen kernel executes, not
@@ -48,7 +46,7 @@ __all__ = [
     # switch
     "FUSION_ENABLED",
     # masked-mxm chooser
-    "DOT_PROBE_COST", "MASKED_MIN_NNZ", "LIVE_ROW_FRACTION",
+    "DOT_PROBE_COST", "MASKED_MIN_NNZ",
     # frontier-direction (Beamer) chooser
     "PUSHPULL_ALPHA", "PUSHPULL_BETA",
     # estimators and choosers
@@ -67,7 +65,7 @@ __all__ = [
 FUSION_ENABLED = True
 
 # ---------------------------------------------------------------------------
-# masked-mxm chooser (dot3 vs mask-restricted fallback)
+# masked-mxm chooser (dot3 vs mask-filtered fallback)
 # ---------------------------------------------------------------------------
 
 #: Cost of one dot probe lane (a rank-bitmap lookup, or a bounded
@@ -92,15 +90,10 @@ FUSION_ENABLED = True
 DOT_PROBE_COST = 1.1
 
 #: Combined operand nnz below which the masked engine stands down entirely
-#: (no chooser, no row restriction): tiny products are cheaper to compute
-#: in full than to analyse.  ``inf`` stands it down for every product —
-#: the unrestricted reference the masked-mxm tests compare against.
+#: (no chooser, no mask filter before the sort): tiny products are cheaper
+#: to compute in full than to analyse.  ``inf`` stands it down for every
+#: product — the unfiltered reference the masked-mxm tests compare against.
 MASKED_MIN_NNZ = 1 << 15
-
-#: Row restriction only engages when the mask leaves at most this fraction
-#: of the output rows alive — slicing the operand to skip a handful of dead
-#: rows costs more than computing them.
-LIVE_ROW_FRACTION = 0.75
 
 # ---------------------------------------------------------------------------
 # frontier-direction (push/pull) chooser

@@ -8,8 +8,8 @@ Rules, in trial order:
   (below that the compiled kernel's per-call set-up is the cost);
 * ``mxm-masked-dot`` — the dot3 masked-SpGEMM kernel, claimed via the
   unified chooser in :mod:`repro.grb.engine.cost`;
-* ``mxm-scipy`` — the compiled plus.times-reducible path, mask-restricted
-  to live rows, its product filtered by the mask before it is ordered;
+* ``mxm-scipy`` — the compiled plus.times-reducible path, its product
+  filtered by the mask before it is ordered;
 * ``mxm-expand`` — the always-applicable flop-expansion reference.
 
 :func:`scipy_mxm` and the operand helpers beside it are the SciPy
@@ -32,7 +32,7 @@ from ..ops.semiring import Semiring
 from . import cost, plancache
 from .plan import Plan
 from .rules import register
-from .writeback import finish, mask_key_filter, mask_live_rows
+from .writeback import finish, mask_key_filter
 
 __all__ = ["scipy_mxm", "scipy_operand", "scipy_dtype", "mult_uses"]
 
@@ -92,7 +92,7 @@ def _cannot_vanish(m: Matrix, mult: str) -> bool:
     return lo >= 1 if mult == "times" else lo > 0
 
 
-def _ordered(prod, rows, key_keep):
+def _ordered(prod, key_keep):
     """Linearised ``(keys, vals)`` of a SciPy product, in key order.
 
     SciPy leaves each row's columns unsorted.  Unfiltered, the rows are
@@ -103,8 +103,7 @@ def _ordered(prod, rows, key_keep):
     if key_keep is None:
         prod.sort_indices()
     prow = expand_rows(prod.indptr.astype(np.int64), prod.shape[0])
-    row_ids = rows[prow] if rows is not None else prow
-    keys = row_ids * np.int64(prod.shape[1]) + prod.indices.astype(np.int64)
+    keys = prow * np.int64(prod.shape[1]) + prod.indices.astype(np.int64)
     if key_keep is None:
         return keys, prod.data
     keep = key_keep(keys)
@@ -113,17 +112,12 @@ def _ordered(prod, rows, key_keep):
     return keys[order], vals[order]
 
 
-def scipy_mxm(a: Matrix, b: Matrix, semiring: Semiring,
-              rows: Optional[np.ndarray] = None, key_keep=None):
+def scipy_mxm(a: Matrix, b: Matrix, semiring: Semiring, key_keep=None):
     """plus.times-reducible ``C = A ⊕.⊗ B`` on SciPy; returns (keys, vals).
 
-    ``rows`` restricts the product to a subset of A's rows (the mask-live
-    rows — dead rows can never survive the write-back, so they are sliced
-    off *before* the ``@``).  The per-(i,j) accumulation order is k-
-    ascending either way, so restricted and full products are bit-identical
-    on the surviving rows.  ``key_keep`` (:func:`mask_key_filter`) drops
-    the entries the mask discards from the unsorted product, so only what
-    the mask keeps is ordered; the result is then exactly ``T⟨M⟩``.
+    ``key_keep`` (:func:`mask_key_filter`) drops the entries the mask
+    discards from the unsorted product, so only what the mask keeps is
+    ordered; the result is then exactly ``T⟨M⟩``.
 
     SciPy prunes a sum that comes out 0, so unless no value-carrying
     operand can produce one (:func:`_cannot_vanish`) the structure comes
@@ -131,19 +125,14 @@ def scipy_mxm(a: Matrix, b: Matrix, semiring: Semiring,
     """
     use_a, use_b = mult_uses(semiring)
     dt = scipy_dtype(a, b, semiring)
-    sa = scipy_operand(a, use_a, dt)
-    if rows is not None:
-        sa = sa[rows]
-    keys, vals = _ordered(sa @ scipy_operand(b, use_b, dt), rows, key_keep)
+    keys, vals = _ordered(
+        scipy_operand(a, use_a, dt) @ scipy_operand(b, use_b, dt), key_keep)
     mult = semiring.mult.name
     if _SCIPY_KEEPS_ZEROS or ((not use_a or _cannot_vanish(a, mult))
                               and (not use_b or _cannot_vanish(b, mult))):
         return keys, vals
-    pa = scipy_operand(a, False, np.int64)
-    if rows is not None:
-        pa = pa[rows]
-    pkeys, _ = _ordered(pa @ scipy_operand(b, False, np.int64), rows,
-                        key_keep)
+    pkeys, _ = _ordered(scipy_operand(a, False, np.int64)
+                        @ scipy_operand(b, False, np.int64), key_keep)
     out = np.zeros(pkeys.size, dtype=vals.dtype)
     out[np.searchsorted(pkeys, keys)] = vals
     return pkeys, out
@@ -181,7 +170,7 @@ def _row_lengths(m: Matrix) -> np.ndarray:
     return np.diff(m._S().csr()[0])
 
 
-def _run_expand(plan: Plan, rows, key_keep):
+def _run_expand(plan: Plan, key_keep):
     """``mxm_expand`` on the plan's operands, then :func:`finish`.
 
     A semiring SciPy could run goes through the kernel's SciPy-replay mode
@@ -197,7 +186,7 @@ def _run_expand(plan: Plan, rows, key_keep):
     keys, vals = mxm_expand(
         a.indptr, a.indices, a.values if use_a else None, a.nrows,
         b.indptr, b.indices, b.values if use_b else None, b.ncols, sr,
-        rows=rows, key_keep=key_keep,
+        key_keep=key_keep,
         cast_dtype=scipy_dtype(a, b, sr) if replay else None)
     return finish(plan, keys, vals, is_vector=False,
                   nrows=a.nrows, ncols=b.ncols)
@@ -224,8 +213,7 @@ class _MxmSmallExpand:
     within the bound (every entry of ``A`` meeting an empty row of ``B``
     aside, a product has at least that many flops): a heavy level
     declines on two integer compares.  The mask is applied to the
-    expansion's keys before the reduce; no row restriction is analysed —
-    there is less product here than the analysis would read.
+    expansion's keys before the reduce.
     """
 
     @staticmethod
@@ -245,7 +233,7 @@ class _MxmSmallExpand:
 
     @staticmethod
     def run(plan: Plan, detail: dict):
-        return _run_expand(plan, None, mask_key_filter(plan.mask))
+        return _run_expand(plan, mask_key_filter(plan.mask))
 
 
 @dataclass(eq=False)
@@ -392,26 +380,16 @@ class _MxmMaskedDot:
                       nrows=a.nrows, ncols=bn_cols)
 
 
-def _live_rows_feed(plan: Plan, nrows: int, ncols: int):
-    """The mask-live row set, computed once per plan (by the claiming
-    rule's ``applies``, re-read by its ``run``)."""
-    if "_rows" not in plan.meta:
-        plan.meta["_rows"] = mask_live_rows(plan.mask, nrows, ncols) \
-            if _mask_engaged(plan) else None
-    return plan.meta["_rows"]
-
-
 @register("mxm", "mxm-scipy")
 class _MxmScipy:
     """Compiled CSR multiply for plus.times-reducible semirings.  When the
-    masked engine engages, the product is restricted to live output rows
-    and filtered by the mask before it is ordered (:func:`scipy_mxm`)."""
+    masked engine engages, the product is filtered by the mask before it
+    is ordered (:func:`scipy_mxm`)."""
 
     @staticmethod
     def applies(plan: Plan):
         a, b = plan.args
         if plan.operator.scipy_reducible() and a.nvals and b.nvals:
-            _live_rows_feed(plan, a.nrows, plan.meta["_bn_cols"])
             return {"method": plan.meta.get("method", "scipy")}
         return None
 
@@ -420,11 +398,9 @@ class _MxmScipy:
         a, b = plan.args
         if plan.transpose_b:
             b = b.T
-        rows = _live_rows_feed(plan, a.nrows, b.ncols)
         key_keep = mask_key_filter(plan.mask) if _mask_engaged(plan) \
             else None
-        keys, vals = scipy_mxm(a, b, plan.operator, rows=rows,
-                               key_keep=key_keep)
+        keys, vals = scipy_mxm(a, b, plan.operator, key_keep=key_keep)
         # a filtered product is T⟨M⟩ already: an out=None plan skips
         # finish's second masked write, as the dot rule's does
         plan.meta["_premasked"] = key_keep is not None
@@ -439,15 +415,10 @@ class _MxmExpand:
 
     @staticmethod
     def applies(plan: Plan):
-        a, _ = plan.args
-        _live_rows_feed(plan, a.nrows, plan.meta["_bn_cols"])
         return {"method": plan.meta.get("method", "expand")}
 
     @staticmethod
     def run(plan: Plan, detail: dict):
-        a, _ = plan.args
-        rows = _live_rows_feed(plan, a.nrows, plan.meta["_bn_cols"])
         return _run_expand(
-            plan, rows,
-            mask_key_filter(plan.mask) if _mask_engaged(plan) else None)
+            plan, mask_key_filter(plan.mask) if _mask_engaged(plan) else None)
 

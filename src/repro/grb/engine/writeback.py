@@ -12,8 +12,8 @@ transaction's shape allow, and rebuilds the store otherwise;
 
 The mask-selection helpers live here too: the write-back's own resolution
 of a mask, and the two ways a kernel applies the same selection early —
-:func:`mask_live_rows` / :func:`mask_rows` (rows a product or gather can
-skip) and :func:`mask_key_filter` (keys dropped before a reduce).
+:func:`mask_rows` (the rows a vector gather reads) and
+:func:`mask_key_filter` (keys dropped before a reduce or a sort).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import cost
 from .plan import Plan
 
 __all__ = ["write_back", "region_write", "finish", "finish_like",
-           "mask_rows", "mask_live_rows", "mask_key_filter"]
+           "mask_rows", "mask_key_filter"]
 
 
 # ---------------------------------------------------------------------------
@@ -74,43 +74,15 @@ def mask_rows(mask: Optional[Mask], nrows: int) -> Optional[np.ndarray]:
     return allowed
 
 
-def mask_live_rows(mask: Optional[Mask], nrows: int,
-                   ncols: int) -> Optional[np.ndarray]:
-    """Output rows a masked write can still touch (``None`` = all of them).
-
-    Non-complemented masks: rows holding at least one allowed mask entry.
-    Complemented masks: rows whose mask row is not yet *full* (a full row
-    blocks every position — BC's ``⟨¬s(P)⟩`` once a source has reached the
-    whole graph).  Dead rows are sliced off before the product is computed.
-    """
-    if mask is None:
-        return None
-    present = mask.allowed_present()
-    if present is not None:
-        counts = present.reshape(nrows, ncols).sum(axis=1)
-    elif mask.structural and getattr(mask.obj, "nrows", None) == nrows:
-        # structural matrix mask: per-row allowed counts are just the
-        # stored-entry counts — O(nrows), no key materialisation
-        counts = np.diff(mask.obj.indptr)
-    else:
-        allowed = mask.allowed_keys()
-        counts = np.bincount(allowed // np.int64(ncols), minlength=nrows)
-    live = (counts < ncols) if mask.complemented else (counts > 0)
-    n_live = int(np.count_nonzero(live))
-    if n_live > cost.LIVE_ROW_FRACTION * nrows:
-        # pruning a sliver of rows costs more (operand slicing) than it saves
-        return None
-    return np.flatnonzero(live).astype(np.int64)
-
-
 def mask_key_filter(mask: Optional[Mask]):
     """``keys -> keep`` predicate matching the write-back's mask selection.
 
-    Applied by the expand kernel *before* its group-reduce so contributions
-    the mask would discard never pay the sort.  Bitmap-resident masks
-    resolve with O(1) flag gathers; everything else searches the sorted
-    allowed-key set (the same machinery :func:`masked_write` uses, so the
-    selection is identical by construction).
+    Applied by the expand kernel *before* its group-reduce, and to a SciPy
+    product before it is ordered, so contributions the mask would discard
+    never pay the sort.  Bitmap-resident masks resolve with O(1) flag
+    gathers; everything else searches the sorted allowed-key set (the same
+    machinery :func:`masked_write` uses, so the selection is identical by
+    construction).
     """
     if mask is None:
         return None

@@ -558,7 +558,12 @@ class Matrix:
         self._set_from_keys(merged_keys, merged_vals)
 
     def row(self, i: int):
-        """Stored (column indices, values) of row ``i`` — zero-copy views."""
+        """Stored (column indices, values) of row ``i`` — zero-copy views.
+        An ``i`` outside ``[0, nrows)`` raises :class:`IndexOutOfBounds`
+        (so does :meth:`extract_row`, and :meth:`extract_col` for ``j``)."""
+        i = int(i)
+        if not 0 <= i < self.nrows:
+            raise IndexOutOfBounds(f"index {i} out of range [0, {self.nrows})")
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.values[lo:hi]
 

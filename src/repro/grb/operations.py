@@ -155,9 +155,9 @@ def mxm(c: Matrix, a: Matrix, b: Matrix, semiring: Semiring, *,
     With a mask, the multiply itself is mask-driven: the planner routes
     non-complemented masks to the dot3 kernel
     (:mod:`repro.grb._kernels.masked_matmul`) when the unified cost model
-    prices it cheaper, and restricts the SciPy / expand fallbacks to
-    mask-live rows either way.  Results are bit-identical to the
-    unmasked-then-write reference on every path.
+    prices it cheaper; otherwise the SciPy / expand fallbacks drop the
+    product entries the mask discards before they are sorted.  Results
+    are bit-identical to the unmasked-then-write reference on every path.
     """
     mask, replace = _resolve_desc(desc, mask, replace, op="mxm",
                                   transposes=True)

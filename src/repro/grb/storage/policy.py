@@ -3,14 +3,17 @@
 Called at mutation and kernel boundaries (``Matrix._set_from_keys`` /
 ``Vector._set_sparse``) to pick a storage format from *observed* structure
 — the pure-Python analogue of SS:GrB's sparsity-control heuristic
-(Sec. VI-A).  The one decision input is density, ``nvals / (nrows *
-ncols)``: high density favours bitmap (O(1) membership, dense value
-access), provided the grid is small enough that dense flag arrays are
-affordable.  Everything else stays CSR, the reference format.  The
-transpose is not a format: every matrix store caches it (``_csc``, see
+(Sec. VI-A).  The one decision input is density, ``nvals / size``
+(a matrix's size is its grid, ``nrows * ncols``): at or above
+:data:`BITMAP_DENSITY` a matrix or vector goes bitmap (O(1) membership,
+dense value access) at any size — a matrix provided its grid is small
+enough that dense flag arrays are affordable
+(:data:`MATRIX_BITMAP_GRID_CAP`).  Everything else stays CSR (sparse
+for a vector), the reference format.  The transpose is not a format:
+every matrix store caches it (``_csc``, see
 :mod:`~repro.grb.storage.base`).
 
-All thresholds are module-level constants, deliberately overridable
+Both thresholds are module-level constants, deliberately overridable
 (tests monkeypatch them to force formats); pinning an
 object with ``set_format`` bypasses the policy entirely.
 """
@@ -31,16 +34,12 @@ __all__ = [
 MATRIX_FORMATS = ("csr", "bitmap")
 VECTOR_FORMATS = ("sparse", "bitmap")
 
-#: Matrix density at/above which bitmap wins (dense flag+value grids).
-MATRIX_BITMAP_DENSITY = 0.25
-#: Grids smaller than this stay CSR — dense arrays buy nothing at toy sizes.
-MATRIX_BITMAP_MIN_GRID = 1 << 12
+#: Density at/above which bitmap wins, for matrices and vectors alike:
+#: dense flag+value arrays cost what the grid (or length) costs, so no size
+#: floor applies.
+BITMAP_DENSITY = 0.25
 #: Never auto-allocate dense grid arrays above this many cells.
 MATRIX_BITMAP_GRID_CAP = 1 << 22
-
-#: Vector density at/above which bitmap wins, at any length: a vector's
-#: dense arrays cost what its length costs, so no size floor applies.
-VECTOR_BITMAP_DENSITY = 0.25
 
 _MATRIX_STORES = {"csr": CSRStore, "bitmap": BitmapStore}
 
@@ -48,8 +47,9 @@ _MATRIX_STORES = {"csr": CSRStore, "bitmap": BitmapStore}
 def matrix_wants_bitmap(nrows: int, ncols: int, nvals: int) -> bool:
     """Whether the policy puts a matrix of this density in a bitmap."""
     grid = int(nrows) * int(ncols)
-    return (MATRIX_BITMAP_MIN_GRID <= grid <= MATRIX_BITMAP_GRID_CAP
-            and nvals >= MATRIX_BITMAP_DENSITY * grid)
+    # an empty shape (grid 0) stays CSR
+    return (0 < grid <= MATRIX_BITMAP_GRID_CAP
+            and nvals >= BITMAP_DENSITY * grid)
 
 
 def select_matrix_format(nrows: int, ncols: int, nvals: int) -> str:
@@ -59,7 +59,7 @@ def select_matrix_format(nrows: int, ncols: int, nvals: int) -> str:
 
 def select_vector_format(size: int, nvals: int) -> str:
     """Format for a vector with the observed density (auto mode)."""
-    return "bitmap" if nvals >= VECTOR_BITMAP_DENSITY * size else "sparse"
+    return "bitmap" if nvals >= BITMAP_DENSITY * size else "sparse"
 
 
 def matrix_store_from_csr(fmt: str, indptr, indices, values,

@@ -36,9 +36,7 @@ multiplies lean on the mask-driven SpGEMM engine
 levels are dot-eligible (structural, non-complemented masks), and the
 forward ``⟨¬s(P)⟩`` expansions drop the product entries that land on
 visited nodes before ordering the rest (the mask filter of ``mxm-scipy``
-and of the expand rules) — most of a late level's product.  The
-complemented-mask row restriction skips only a source whose ``P`` row is
-full, which never happens on a graph with an isolated vertex (kron).
+and of the expand rules) — most of a late level's product.
 """
 
 from __future__ import annotations

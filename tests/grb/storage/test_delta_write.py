@@ -447,9 +447,7 @@ class TestOwnership:
                               grid.reshape(-1))
         assert not bm._store.writable()
 
-    def test_auto_format_rereads_the_density_policy(self, monkeypatch):
-        from repro.grb.storage import policy
-        monkeypatch.setattr(policy, "MATRIX_BITMAP_MIN_GRID", 1)
+    def test_auto_format_rereads_the_density_policy(self):
         full = grb.Matrix.from_dense(np.ones((NROWS, NCOLS)))
         assert full.format == "bitmap" and full.format_pin == "auto"
         # C⟨s(M)⟩ = ∅ erases every entry M names: below the density line

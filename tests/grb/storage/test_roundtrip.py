@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 
 from helpers import sparse_matrices, sparse_vectors
 from repro import grb
-from repro.grb.storage import policy
 
 MATRIX_FORMATS = ("csr", "bitmap")
 VECTOR_FORMATS = ("sparse", "bitmap")
@@ -146,13 +145,12 @@ class TestAutoPolicy:
         np.testing.assert_array_equal(np.flatnonzero(np.diff(m.indptr)),
                                       [0, 1])
 
-    def test_dense_matrix_goes_bitmap(self, monkeypatch):
-        monkeypatch.setattr(policy, "MATRIX_BITMAP_MIN_GRID", 16)
+    def test_dense_matrix_goes_bitmap(self):
+        # density alone decides: a 5 x 5 grid has no size floor to clear
         m = grb.Matrix.from_dense(np.arange(1, 26, dtype=np.float64).reshape(5, 5))
         assert m.format == "bitmap"
 
-    def test_pin_overrides_policy(self, monkeypatch):
-        monkeypatch.setattr(policy, "MATRIX_BITMAP_MIN_GRID", 16)
+    def test_pin_overrides_policy(self):
         m = grb.Matrix.from_dense(np.ones((4, 4)))
         assert m.format == "bitmap"            # policy choice
         m.set_format("csr")

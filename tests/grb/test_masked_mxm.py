@@ -1,7 +1,7 @@
 """Masked-SpGEMM engine equivalence suite.
 
 The contract under test: whatever path :func:`repro.grb.mxm` picks for a
-masked multiply — the dot3 kernel, the mask-restricted SciPy / expand
+masked multiply — the dot3 kernel, the mask-filtered SciPy / expand
 fallbacks, or the pristine seed pipeline (full product + mask write-back) —
 the result is **bit-identical**: same keys, same values, same dtype.
 Covered axes: semiring (⊗ ∈ {pair, times, first, second} × ⊕ ∈ {plus, min,
@@ -44,7 +44,8 @@ def _force_dot(monkeypatch):
 
 
 def _seed_path(monkeypatch):
-    """The masked engine stands down: no chooser, no row restriction."""
+    """The masked engine stands down: no chooser, and no mask filter
+    before the sort (the full product meets the mask at the write-back)."""
     monkeypatch.setattr(cost, "MASKED_MIN_NNZ", float("inf"))
 
 
@@ -499,17 +500,19 @@ class TestCrossFormat:
         assert b._S()._csc is cached
 
 
-class TestRestrictedFallbacks:
-    """Mask-restricted SciPy / expand fallbacks == unrestricted seed path."""
+class TestMaskFilteredFallbacks:
+    """SciPy / expand fallbacks that drop mask-dead entries before the
+    sort == the unfiltered seed path."""
 
     @pytest.mark.parametrize("name", ["plus.times", "min.plus", "any.secondi"])
     @pytest.mark.parametrize("complemented", (False, True))
-    def test_restriction_matches_seed(self, name, complemented, monkeypatch):
+    def test_mask_filter_matches_seed(self, name, complemented, monkeypatch):
         rng = np.random.default_rng(13)
         sr = grb.semiring_by_name(name)
         a = _rand_matrix(rng, 40, 40, density=0.15, negatives=True)
         b = _rand_matrix(rng, 40, 40, density=0.15)
-        # concentrated mask: most rows dead -> the row restriction engages
+        # concentrated mask: most rows dead, so the filter drops most of
+        # the product (or, complemented, keeps most of it)
         rsel = rng.choice(40, 6, replace=False)
         cells = [(int(r), int(c)) for r in rsel for c in range(40)
                  if rng.random() < 0.5]
@@ -529,13 +532,14 @@ class TestRestrictedFallbacks:
         ref = run()
         monkeypatch.undo()
         monkeypatch.setattr(cost, "MASKED_MIN_NNZ", 0)
-        monkeypatch.setattr(cost, "DOT_PROBE_COST", float("inf"))  # isolate restriction
+        monkeypatch.setattr(cost, "DOT_PROBE_COST", float("inf"))  # no dot
         got = run()
         assert_same_matrix(got, ref, f"{name} c={complemented}")
 
-    def test_complement_full_rows_are_skipped_correctly(self, monkeypatch):
+    def test_complement_full_rows_are_filtered_out(self, monkeypatch):
         """Rows whose mask row is full are dead under a complemented mask —
-        skipping them must not change the result."""
+        the filter drops their whole product row, and the result matches
+        the unfiltered seed path byte for byte."""
         rng = np.random.default_rng(17)
         a = _rand_matrix(rng, 12, 12, density=0.4)
         b = _rand_matrix(rng, 12, 12, density=0.4)
@@ -544,7 +548,6 @@ class TestRestrictedFallbacks:
         mobj = grb.Matrix.from_coo(r, c, np.ones(r.size), 12, 12)
         mask = grb.complement(grb.structure(mobj))
         monkeypatch.setattr(cost, "MASKED_MIN_NNZ", 0)
-        monkeypatch.setattr(cost, "LIVE_ROW_FRACTION", 1.0)
         got = grb.Matrix(grb.FP64, 12, 12)
         grb.mxm(got, a, b, grb.semiring_by_name("plus.times"),
                 mask=mask, replace=True)

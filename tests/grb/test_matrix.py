@@ -101,6 +101,17 @@ class TestElementAccess:
         assert c.size == 2
         np.testing.assert_array_equal(c.values, [1.0, 2.0])
 
+    @pytest.mark.parametrize("kind", ["row", "col"])
+    def test_extract_row_col_out_of_range(self, kind):
+        """-1, -2 and n are outside the matrix: no negative wrap-around to
+        another row or column, no empty vector, no numpy IndexError."""
+        a = grb.Matrix.from_coo([0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0], 3, 3)
+        extract = a.extract_row if kind == "row" else a.extract_col
+        for i in (-1, -2, 3, np.int64(3)):
+            with pytest.raises(IndexOutOfBounds):
+                extract(i)
+        assert extract(2)[2] == 3.0
+
 
 class TestStructural:
     def test_transpose_cached_identity(self):

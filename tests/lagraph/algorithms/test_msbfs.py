@@ -126,12 +126,9 @@ class TestMsbfsLevels:
             verify.verify_bfs_level(g, s, lv)
 
     @pytest.mark.parametrize("kernel", ["levels", "parents"])
-    def test_dense_output_goes_bitmap(self, rng, monkeypatch, kernel):
-        # at serving sizes a low-diameter sweep's output crosses the
-        # density line and is built bitmap-resident; a 12 x 60 grid only
-        # gets there with the policy's size floor lowered
-        from repro.grb.storage import policy
-        monkeypatch.setattr(policy, "MATRIX_BITMAP_MIN_GRID", 1)
+    def test_dense_output_goes_bitmap(self, rng, kernel):
+        # a low-diameter sweep's output crosses the density line and is
+        # built bitmap-resident, at any grid size
         g = random_graph_np(rng, n=60, p=0.15)
         sources = rng.integers(0, g.n, size=12)
         sweep = lg.msbfs_levels if kernel == "levels" else lg.msbfs_parents

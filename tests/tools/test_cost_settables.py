@@ -20,11 +20,8 @@ MODULES = ("grb/engine/cost.py", "grb/storage/policy.py")
 PINNED = {
     "grb/engine/cost.py": {
         "FUSION_ENABLED", "DOT_PROBE_COST",
-        "MASKED_MIN_NNZ", "LIVE_ROW_FRACTION", "PUSHPULL_ALPHA",
-        "PUSHPULL_BETA"},
-    "grb/storage/policy.py": {
-        "MATRIX_BITMAP_DENSITY", "MATRIX_BITMAP_MIN_GRID",
-        "MATRIX_BITMAP_GRID_CAP", "VECTOR_BITMAP_DENSITY"},
+        "MASKED_MIN_NNZ", "PUSHPULL_ALPHA", "PUSHPULL_BETA"},
+    "grb/storage/policy.py": {"BITMAP_DENSITY", "MATRIX_BITMAP_GRID_CAP"},
 }
 
 
@@ -81,7 +78,7 @@ def test_every_settable_is_read():
 
 
 def test_settables_are_pinned():
-    """The ratchet: 6 cost and 4 policy knobs."""
+    """The ratchet: 5 cost and 2 policy knobs."""
     got = {module: settables((SRC / module).read_text(), scalar=True)
            for module in MODULES}
     assert got == PINNED
