@@ -7,21 +7,24 @@ Shows the three layers the ``repro.grb.storage`` subsystem adds:
 2. the push/pull step chooser (Basic ``bfs()``'s parents, the one-row
    case of the batched sweep): push through sparse frontiers, pull
    through the store's CSC view + a bitmap frontier on heavy ones —
-   bit-identical to the push-only reference;
-3. what that buys on the two extreme graph shapes of Table IV: the
-   low-diameter RMAT graph and the high-diameter road grid.
+   bit-identical to the GAP reference BFS;
+3. what that buys on the two extreme graph shapes of Table IV, the
+   low-diameter RMAT graph and the high-diameter road grid, against the
+   same sweep forced to push (``cost.PUSHPULL_ALPHA = 0``).
 
 Run:  python examples/direction_optimized_bfs.py [scale] [side]
 """
 
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro import grb
 from repro import lagraph as lg
-from repro.gap import generators
+from repro.gap import baselines, generators
+from repro.grb.engine import cost
 
 scale = int(sys.argv[1]) if len(sys.argv) > 1 else 12
 side = int(sys.argv[2]) if len(sys.argv) > 2 else 72
@@ -47,17 +50,22 @@ for label, g in (
     src = int(np.flatnonzero(np.diff(g.A.indptr) > 0)[0])
     print(f"\n{label}: n={g.n:,}, nvals={g.nvals:,}")
 
-    t0 = time.perf_counter()
-    p_push = lg.bfs_parent_push(g, src)
-    t_push = time.perf_counter() - t0
-
     lg.bfs(g, src)                        # caches G.AT, warms the CSC view
+    with mock.patch.object(cost, "PUSHPULL_ALPHA", 0.0):  # push-heavy
+        t0 = time.perf_counter()
+        p_push, _ = lg.bfs(g, src)
+        t_push = time.perf_counter() - t0
+
     t0 = time.perf_counter()
     p_auto, _ = lg.bfs(g, src)
     t_auto = time.perf_counter() - t0
 
-    assert p_auto.isequal(p_push)         # bit-identical, always
-    print(f"  push-only (fixed CSR):        {t_push:.4f}s")
+    ref = baselines.bfs_parent(g, src)    # the GAP reference BFS
+    for p in (p_push, p_auto):            # bit-identical, always
+        idx, par = p.to_coo()
+        assert np.array_equal(idx, np.flatnonzero(ref >= 0))
+        assert np.array_equal(par, ref[idx])
+    print(f"  push-forced:                  {t_push:.4f}s")
     print(f"  direction-optimised (engine): {t_auto:.4f}s "
           f"({t_push / max(t_auto, 1e-9):.1f}x) — identical parents")
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from repro import grb
 from repro import lagraph as lg
+from repro.gap import baselines
 
 # ---------------------------------------------------------------------------
 # 1. Build a graph.  The adjacency matrix is an ordinary grb.Matrix; the
@@ -55,6 +56,10 @@ h.cache_at()
 h.cache_row_degree()
 parent2 = lg.bfs_parent_do(h, 0)
 print("after caching, advanced BFS parents:", parent2.to_coo()[0].tolist())
+ref = baselines.bfs_parent(h, 0)      # the GAP reference BFS, raw arrays
+idx, par = parent2.to_coo()
+assert np.array_equal(idx, np.flatnonzero(ref >= 0))
+assert np.array_equal(par, ref[idx])
 
 # ---------------------------------------------------------------------------
 # 4. The C calling convention (Secs. II-C/D), for code ported from LAGraph.

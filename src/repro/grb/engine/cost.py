@@ -4,8 +4,8 @@ Before the engine existed these constants were scattered — the masked-mxm
 chooser lived in ``_kernels/masked_matmul.py``, the Beamer push/pull
 constants in ``lagraph/algorithms/bfs.py``.  Five remain: the fusion
 switch, two for the masked-mxm chooser and the two Beamer constants,
-which every BFS level reads (``bfs_parent_do``'s, and each row's in the
-batched sweep that also serves Basic ``bfs()`` and ``bfs_level``).
+which every BFS level reads (each row's in the batched sweep that every
+BFS runs: ``bfs_parent_do``, Basic ``bfs()``, ``bfs_level``, serve).
 Planner rules (:mod:`repro.grb.engine.rules`) now read *this* module at
 decision time, so monkeypatching any constant here re-routes every call
 that consults it — the same forcing idiom :mod:`repro.grb.storage.policy`
@@ -135,18 +135,17 @@ def choose_masked_method(probes: float, flops: float) -> str:
 
 def choose_direction(frontier_edges, unexplored_edges, frontier_nvals,
                      n: int):
-    """The push/pull choice of one frontier-expansion step.
+    """The push/pull choice of one level of the batched BFS sweep.
 
     The Beamer chooser (GAP's alpha/beta heuristic): push while the
     frontier is light — its out-edges times ``PUSHPULL_ALPHA`` stay below
     the unexplored edges, or it holds fewer than ``n / PUSHPULL_BETA``
-    vertices — pull once it is heavy.  Scalars in, ``"push"`` or
-    ``"pull"`` out; per-row arrays in (one level of a batched sweep),
-    per-row push flags out, each the verdict a one-row call would give.
-    A row whose frontier is empty takes no step: its verdict is moot, and
-    the record counts it neither way.  Forceable through those two
-    constants and observable as one ``op="bfs_step"`` decision record per
-    call, like every other chooser.
+    vertices — pull once it is heavy.  Per-row arrays in, per-row push
+    flags out, each the verdict a one-row sweep would give.  A row whose
+    frontier is empty takes no step: its verdict is moot, and the record
+    counts it neither way.  Forceable through those two constants and
+    observable as one ``op="bfs_step"`` decision record per call, like
+    every other chooser.
     """
     # an infinite alpha makes no frontier light by its edges (0 · inf is
     # not "less" either)
@@ -166,6 +165,4 @@ def choose_direction(frontier_edges, unexplored_edges, frontier_nvals,
             "frontier_edges": float(np.sum(frontier_edges)),
             "unexplored_edges": float(np.sum(unexplored_edges)),
             "frontier_nvals": int(np.sum(frontier_nvals)), "n": int(n)})
-    if isinstance(push, np.ndarray):
-        return push
-    return "push" if push else "pull"
+    return push

@@ -90,17 +90,12 @@ class Monoid:
     ufunc:
         NumPy ufunc used for ``reduceat``-based grouped reduction, or ``None``
         for pick-one monoids.
-    terminal_fn:
-        Optional ``terminal_fn(dtype) -> scalar``: a value at which the
-        reduction may stop early (e.g. ``False`` for ``land``).  Only used as
-        metadata; our vectorised kernels do not early-exit.
     """
 
     name: str
     op: BinaryOp
     identity_fn: Optional[Callable[[np.dtype], object]]
     ufunc: Optional[np.ufunc]
-    terminal_fn: Optional[Callable[[np.dtype], object]] = None
 
     def identity(self, dtype: np.dtype):
         if self.identity_fn is None:
@@ -250,21 +245,11 @@ def _accumulator(monoid: Monoid, dtype: np.dtype):
 
 PLUS_MONOID = Monoid("plus", PLUS, lambda dt: dt.type(0), np.add)
 TIMES_MONOID = Monoid("times", TIMES, lambda dt: dt.type(1), np.multiply)
-MIN_MONOID = Monoid(
-    "min", MIN, _min_identity, np.minimum, terminal_fn=_max_identity
-)
-MAX_MONOID = Monoid(
-    "max", MAX, _max_identity, np.maximum, terminal_fn=_min_identity
-)
+MIN_MONOID = Monoid("min", MIN, _min_identity, np.minimum)
+MAX_MONOID = Monoid("max", MAX, _max_identity, np.maximum)
 ANY_MONOID = Monoid("any", ANY, None, None)
-LOR_MONOID = Monoid(
-    "lor", LOR, lambda dt: dt.type(False), np.logical_or,
-    terminal_fn=lambda dt: dt.type(True),
-)
-LAND_MONOID = Monoid(
-    "land", LAND, lambda dt: dt.type(True), np.logical_and,
-    terminal_fn=lambda dt: dt.type(False),
-)
+LOR_MONOID = Monoid("lor", LOR, lambda dt: dt.type(False), np.logical_or)
+LAND_MONOID = Monoid("land", LAND, lambda dt: dt.type(True), np.logical_and)
 LXOR_MONOID = Monoid("lxor", LXOR, lambda dt: dt.type(False), np.logical_xor)
 EQ_MONOID = Monoid("eq", EQ, lambda dt: dt.type(True), np.equal)
 

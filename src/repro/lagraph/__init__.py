@@ -18,7 +18,6 @@ from .algorithms import (
     bfs,
     bfs_level,
     bfs_parent_do,
-    bfs_parent_push,
     betweenness_centrality,
     betweenness_centrality_batch,
     connected_components,
@@ -53,7 +52,6 @@ __all__ = [
     "kind_name", "BOOLEAN_UNKNOWN",
     "algorithms", "experimental", "utils", "compat",
     "bfs", "bfs_level", "bfs_parent_do",
-    "bfs_parent_push",
     "betweenness_centrality", "betweenness_centrality_batch",
     "connected_components", "fastsv",
     "msbfs", "msbfs_levels", "msbfs_parents",

@@ -8,22 +8,24 @@ Alg. 2 (the direction-optimised parents BFS) runs one row of it.
 
 Semantics, row by row:
 
-* :func:`msbfs_parents` — row ``k`` equals ``bfs_parent_push(g, sources[k])``
-  bit for bit.  The ``any`` monoid of Alg. 1 picks the first candidate in
+* :func:`msbfs_parents` — row ``k`` is Alg. 1's parent tree from
+  ``sources[k]``.  Its ``any`` monoid picks the first candidate in
   storage order, which (the frontier being sorted) is the *smallest*
   frontier node adjacent to the discovered node; both step kinds below
-  make exactly that choice.
+  make exactly that choice, so the tree is the same whatever mix of push
+  and pull levels a row runs.
 * :func:`msbfs_levels` — row ``k`` holds the BFS depths from
   ``sources[k]``.
 
 One level loop serves both, at every batch size: :func:`~.bfs.bfs_level`
-and Basic :func:`~.bfs.bfs`'s parents are its one-row case, and a served
-BFS query runs it with however many sources were coalesced.  The sweep
-holds an ``ns·n`` discovered bitmap, a dense INT64 value grid (the depth,
-or the parent) and the frontier as sorted ``i·n + j`` keys.  Each level
-makes one :func:`repro.grb.engine.choose_direction` call over per-row
-arrays — the Beamer/GAP rule and constants of Alg. 2 — so every row makes
-exactly the push/pull decisions of its one-row sweep:
+and :func:`~.bfs.bfs_parent_do` (and so Basic :func:`~.bfs.bfs`) are its
+one-row case, and a served BFS query runs it with however many sources
+were coalesced.  The sweep holds an ``ns·n`` discovered bitmap, a dense
+INT64 value grid (the depth, or the parent) and the frontier as sorted
+``i·n + j`` keys.  Each level makes one
+:func:`repro.grb.engine.choose_direction` call over per-row arrays — the
+Beamer/GAP rule and constants of Alg. 2 — so every row makes exactly the
+push/pull decisions of its one-row sweep:
 
 * **push** rows gather ``A``'s rows at their frontier columns, taken in
   descending order, drop the discovered cells and write the values, so
@@ -164,9 +166,9 @@ def msbfs_parents(g: Graph, sources: Sequence[int]) -> Matrix:
     the sweep rooted at ``sources[k]`` (``P[k, sources[k]] == sources[k]``);
     unreached ``(k, v)`` pairs have no entry.
 
-    Returns an ``ns × n`` INT64 matrix whose row ``k`` is identical to
-    ``bfs_parent_push(g, sources[k])``, whatever mix of push and pull
-    levels each row ran.
+    Returns an ``ns × n`` INT64 matrix; :func:`~.bfs.bfs_parent_do` is
+    its one-row case.  Each row is the tree of Alg. 1's ``any.secondi``
+    push, whatever mix of push and pull levels the row ran.
     """
     return _sweep(g, sources, parents=True)
 

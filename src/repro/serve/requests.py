@@ -89,7 +89,7 @@ class BFSParents(_SingleSource):
 
     def run_direct(self, g):
         from .. import lagraph as lg
-        return lg.bfs_parent_push(g, int(self.source))
+        return lg.msbfs_parents(g, [int(self.source)]).extract_row(0)
 
     @staticmethod
     def run_batch(g, sources):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_graph_np
+from helpers import bfs_parent_reference, random_graph_np
 from repro import grb
 from repro import lagraph as lg
 from repro.gap import baselines, verify
@@ -110,13 +110,13 @@ class TestVerifiers:
     """The verifiers must catch corrupted outputs, not just bless good ones."""
 
     def test_bfs_verifier_rejects_wrong_parent(self, small_directed_graph):
-        p = lg.bfs_parent_push(small_directed_graph, 0)
+        p = bfs_parent_reference(small_directed_graph, 0)
         p[3] = 0   # 0 is not 3's parent (no edge 0→3)
         with pytest.raises(AssertionError):
             verify.verify_bfs_parent(small_directed_graph, 0, p)
 
     def test_bfs_verifier_rejects_missing_node(self, small_directed_graph):
-        p = lg.bfs_parent_push(small_directed_graph, 0)
+        p = bfs_parent_reference(small_directed_graph, 0)
         p.remove_element(3)
         with pytest.raises(AssertionError):
             verify.verify_bfs_parent(small_directed_graph, 0, p)

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import dense_model as dm
-from helpers import MATRIX_LAYOUTS, ab_ratio, in_layout, random_graph_np
+from helpers import (MATRIX_LAYOUTS, ab_ratio, bfs_parent_reference,
+                     in_layout, random_graph_np)
 from repro import grb, obs
 from repro.grb import engine
 from repro.grb.engine import cost
@@ -607,7 +608,7 @@ class TestAlgorithmFusionParity:
         g = graphs["kron"]
         g.cache_at()
         g.cache_row_degree()
-        ref = lg.bfs_parent_push(g, 0)
+        ref = bfs_parent_reference(g, 0)
 
         def directions(fn):
             with obs.tracing() as trace:
@@ -699,12 +700,32 @@ class TestAlgorithmFusionParity:
         assert_same_vector(r, ref)
 
 
+def _bfs_levels(g):
+    """The first two levels of Alg. 2 from node 0 as direct engine calls:
+    a push ``qᵀ⟨¬s(p), r⟩ = qᵀ any.secondi A`` (``vxm``), then a pull
+    ``q⟨¬s(p), r⟩ = Aᵀ any.secondi q`` (``mxv``).  The BFS sweep makes no
+    engine call, so these keep ``vxm-sparse-push`` and ``mxv-gather`` in
+    the lattice.  Returns both levels' frontiers."""
+    any_secondi = grb.semiring("any", "secondi")
+    p = grb.Vector(grb.INT64, g.n)
+    p[0] = 0
+    unvisited = grb.complement(grb.structure(p))
+    push = grb.Vector(grb.INT64, g.n)
+    grb.vxm(push, p, g.A, any_secondi, mask=unvisited, replace=True)
+    grb.update(p, push, mask=grb.structure(push))
+    pull = grb.Vector(grb.INT64, g.n)
+    grb.mxv(pull, g.AT, push, any_secondi, mask=unvisited, replace=True)
+    return push, pull
+
+
 def _algo_results(g, gw, gu):
     from repro import lagraph as lg
     from repro.lagraph.experimental.lcc import local_clustering_coefficient
 
+    push, pull = _bfs_levels(g)
     return {
-        "bfs_push": lg.bfs_parent_push(g, 0),
+        "bfs_push_level": push,
+        "bfs_pull_level": pull,
         "bfs_level": lg.bfs_level(g, 0),
         "sssp_bf": lg.sssp_bellman_ford(gw, 0),
         "sssp_delta": lg.sssp_delta_stepping(gw, 0, 2.0),

@@ -29,10 +29,6 @@ class TestIdentities:
         with pytest.raises(ValueError):
             m.ANY_MONOID.identity(np.dtype(np.int64))
 
-    def test_terminal_values(self):
-        assert m.MIN_MONOID.terminal_fn(np.dtype(np.float64)) == -np.inf
-        assert m.LOR_MONOID.terminal_fn(np.dtype(bool)) == True  # noqa: E712
-
 
 class TestReduceAll:
     def test_plus(self):

@@ -145,6 +145,18 @@ def bfs_level_reference(g, source: int):
     return grb.Vector.from_coo(reached, ref[reached], g.n, typ=grb.INT64)
 
 
+def bfs_parent_reference(g, source: int):
+    """The GAP reference BFS's parents (``gap.baselines.bfs_parent``) as
+    the INT64 vector ``lagraph.bfs_parent_do`` returns.  Both keep the
+    smallest frontier node adjacent to each discovered node, so the trees
+    are identical, not merely equivalent."""
+    from repro.gap import baselines
+
+    ref = baselines.bfs_parent(g, source)
+    reached = np.flatnonzero(ref >= 0)
+    return grb.Vector.from_coo(reached, ref[reached], g.n, typ=grb.INT64)
+
+
 #: Every matrix operand layout a format lattice crosses: each storage format
 #: with its cached transpose (the store's ``_csc`` slot) cold, or pre-built by
 #: ``engine.preplan`` as a registered serving graph arrives.

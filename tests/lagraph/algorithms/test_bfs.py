@@ -4,46 +4,66 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import random_graphs
+from helpers import bfs_parent_reference, random_graph_np, random_graphs
 from repro import grb
 from repro import lagraph as lg
+from repro import obs
 from repro.gap import baselines, verify
 from repro.lagraph.errors import PropertyMissing
 
 
-class TestPushOnly:
+def _check_advanced(g):
+    """``bfs_parent_do``'s tree verifies, and it is the reference's tree,
+    not merely an equivalent one."""
+    g.cache_at()
+    g.cache_row_degree()
+    p = lg.bfs_parent_do(g, 0)
+    verify.verify_bfs_parent(g, 0, p)
+    assert p.isequal(bfs_parent_reference(g, 0))
+
+
+class TestParents:
+    """Basic ``bfs()``'s parents: Alg. 2's tree, which is Alg. 1's."""
+
     def test_diamond(self, small_directed_graph):
-        p = lg.bfs_parent_push(small_directed_graph, 0)
+        p, _ = lg.bfs(small_directed_graph, 0)
         assert p[0] == 0
         assert p[1] == 0 and p[2] == 0
-        assert p[3] in (1, 2)   # the benign race: any valid parent
+        assert p[3] == 1        # any.secondi keeps the smallest frontier node
 
     def test_unreached_nodes_have_no_entry(self):
         A = grb.Matrix.from_coo([0], [1], [True], 3, 3)
         g = lg.Graph(A, lg.ADJACENCY_DIRECTED)
-        p = lg.bfs_parent_push(g, 0)
+        p, _ = lg.bfs(g, 0)
         assert p.nvals == 2 and 2 not in p
 
     def test_isolated_source(self):
         A = grb.Matrix.from_coo([1], [2], [True], 3, 3)
         g = lg.Graph(A, lg.ADJACENCY_DIRECTED)
-        p = lg.bfs_parent_push(g, 0)
+        p, _ = lg.bfs(g, 0)
         assert p.nvals == 1 and p[0] == 0
 
     def test_bad_source(self, small_directed_graph):
         with pytest.raises(grb.IndexOutOfBounds):
-            lg.bfs_parent_push(small_directed_graph, 7)
-
-    def test_needs_no_cached_properties(self, small_directed_graph):
-        assert small_directed_graph.AT is None
-        lg.bfs_parent_push(small_directed_graph, 0)
-        assert small_directed_graph.AT is None  # and computes none
+            lg.bfs(small_directed_graph, 7)
 
     @given(g=random_graphs(directed=True))
     @settings(max_examples=20)
     def test_valid_bfs_tree_on_random_graphs(self, g):
-        p = lg.bfs_parent_push(g, 0)
+        p, _ = lg.bfs(g, 0)
         verify.verify_bfs_parent(g, 0, p)
+
+    @given(g=random_graphs(directed=True))
+    @settings(max_examples=20)
+    def test_identical_to_reference_directed(self, g):
+        p, _ = lg.bfs(g, 0)
+        assert p.isequal(bfs_parent_reference(g, 0))
+
+    @given(g=random_graphs(directed=False))
+    @settings(max_examples=10)
+    def test_identical_to_reference_undirected(self, g):
+        p, _ = lg.bfs(g, 0)
+        assert p.isequal(bfs_parent_reference(g, 0))
 
 
 class TestDirectionOptimizing:
@@ -54,29 +74,54 @@ class TestDirectionOptimizing:
         with pytest.raises(PropertyMissing):
             lg.bfs_parent_do(small_directed_graph, 0)
 
-    def test_matches_push_reachability(self, small_directed_graph):
+    def test_matches_reference(self, small_directed_graph):
         g = small_directed_graph
         g.cache_at()
         g.cache_row_degree()
-        p_push = lg.bfs_parent_push(g, 0)
-        p_do = lg.bfs_parent_do(g, 0)
-        np.testing.assert_array_equal(p_push.indices, p_do.indices)
+        assert lg.bfs_parent_do(g, 0).isequal(bfs_parent_reference(g, 0))
+
+    def test_computes_no_properties(self, small_directed_graph):
+        g = small_directed_graph
+        g.cache_at()
+        g.cache_row_degree()
+        lg.bfs_parent_do(g, 0)
+        assert g.col_degree is None and g.ndiag == -1
+        assert g.A_pattern_is_symmetric == lg.BOOLEAN_UNKNOWN
 
     @given(g=random_graphs(directed=True))
     @settings(max_examples=20)
     def test_valid_tree_on_random_graphs(self, g):
-        g.cache_at()
-        g.cache_row_degree()
-        p = lg.bfs_parent_do(g, 0)
-        verify.verify_bfs_parent(g, 0, p)
+        _check_advanced(g)
 
     @given(g=random_graphs(directed=False))
     @settings(max_examples=15)
     def test_undirected(self, g):
+        _check_advanced(g)
+
+
+class TestOneLoop:
+    """A parents BFS is the raw-array sweep: each level is one push/pull
+    choice (one ``bfs_step`` record) and dispatches no engine call."""
+
+    RUNS = {
+        "bfs_parent_do": lambda g: lg.bfs_parent_do(g, 0),
+        "bfs": lambda g: lg.bfs(g, 0),
+    }
+
+    @pytest.mark.parametrize("run", ["bfs_parent_do", "bfs"])
+    def test_every_level_is_one_choice(self, rng, run):
+        g = random_graph_np(rng, n=60, p=0.06)
         g.cache_at()
         g.cache_row_degree()
-        p = lg.bfs_parent_do(g, 0)
-        verify.verify_bfs_parent(g, 0, p)
+        _, depth = lg.bfs_level(g, 0).to_coo()
+        levels = int(depth.max()) + 1     # the last level finds no frontier
+        assert levels > 3
+        with obs.tracing() as trace:
+            self.RUNS[run](g)
+        records = trace.decisions()
+        assert {e["op"] for e in records} == {"bfs_step"}
+        assert len(records) == levels
+        assert all(e["push_rows"] + e["pull_rows"] == 1 for e in records)
 
 
 class TestLevelBFS:
@@ -100,16 +145,15 @@ class TestBasicMode:
 
     def test_basic_mode_caches_properties(self, small_directed_graph):
         g = small_directed_graph
-        lg.bfs(g, 0, direction_optimizing=True)
+        lg.bfs(g, 0)
         assert g.AT is not None and g.row_degree is not None
 
-    def test_forced_push_does_not_cache(self, small_directed_graph):
+    def test_levels_only_caches_nothing(self, small_directed_graph):
         g = small_directed_graph
-        lg.bfs(g, 0, direction_optimizing=False)
-        assert g.AT is None
+        lg.bfs(g, 0, parent=False, level=True)
+        assert g.AT is None and g.row_degree is None
 
     def test_parent_matches_baseline_reached_set(self, rng):
-        from helpers import random_graph_np
         g = random_graph_np(rng, n=50, p=0.08)
         p, _ = lg.bfs(g, 3)
         ref = baselines.bfs_parent(g, 3)

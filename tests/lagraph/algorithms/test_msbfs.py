@@ -1,9 +1,10 @@
 """Tests for batched multi-source BFS (the serving kernels).
 
 The contract under test is strong: every row of a parents sweep is
-*bit-identical* to the corresponding single-source push call, at every
-batch size — a one-source batch runs the same raw-array frontier loop
-(push gathers and pull probes, chosen per row) as a twelve-source one.
+*bit-identical* to the GAP reference BFS's parents from its source
+(``bfs_parent_reference``), at every batch size — a one-source batch runs
+the same raw-array frontier loop (push gathers and pull probes, chosen
+per row) as a twelve-source one.
 ``bfs_level`` *is* the one-row levels sweep, so levels rows are checked
 against the GAP reference BFS (``gap.verify.verify_bfs_level``) instead.
 """
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import ab_ratio, random_graph_np, random_graphs
+from helpers import (ab_ratio, bfs_parent_reference, random_graph_np,
+                     random_graphs)
 from repro import grb, obs
 from repro import lagraph as lg
 from repro.gap import verify
@@ -37,26 +39,26 @@ class TestMsbfsParents:
 
     @pytest.mark.parametrize("batch", [1, 12])
     @pytest.mark.parametrize("directed", [True, False])
-    def test_rows_match_single_source_push(self, rng, batch, directed):
+    def test_rows_match_reference(self, rng, batch, directed):
         g = random_graph_np(rng, n=60, p=0.08, directed=directed)
         sources = rng.integers(0, g.n, size=batch)
         p = lg.msbfs_parents(g, sources)
         for k, s in enumerate(sources):
-            assert p.extract_row(k).isequal(lg.bfs_parent_push(g, int(s)))
+            assert p.extract_row(k).isequal(bfs_parent_reference(g, int(s)))
 
     @given(g=random_graphs(directed=True))
     @settings(max_examples=15)
-    def test_random_graphs_match_push(self, g):
+    def test_random_graphs_match_reference(self, g):
         sources = np.arange(min(g.n, 5), dtype=np.int64)
         p = lg.msbfs_parents(g, sources)
         for k, s in enumerate(sources):
-            assert p.extract_row(k).isequal(lg.bfs_parent_push(g, int(s)))
+            assert p.extract_row(k).isequal(bfs_parent_reference(g, int(s)))
 
     def test_duplicate_sources_are_independent_rows(self, small_directed_graph):
         p = lg.msbfs_parents(small_directed_graph, [0, 0, 1])
         assert p.extract_row(0).isequal(p.extract_row(1))
         assert p.extract_row(2).isequal(
-            lg.bfs_parent_push(small_directed_graph, 1))
+            bfs_parent_reference(small_directed_graph, 1))
 
     def test_empty_batch(self, small_directed_graph):
         p = lg.msbfs_parents(small_directed_graph, [])
@@ -76,7 +78,7 @@ class TestProbeRoundFallbacks:
     ``PULL_PROBE_ROUNDS`` rounds it finishes with one ragged gather.  The
     default cap leaves that gather to rare high-degree stragglers, so the
     cap is forced to 0 (every candidate takes the gather) and 1, with
-    every level of every row pulling — the parents must still be the push
+    every level of every row pulling — the parents must still be the GAP
     reference's, batched and one row at a time (Basic ``bfs()``)."""
 
     @pytest.fixture(autouse=True)
@@ -86,14 +88,14 @@ class TestProbeRoundFallbacks:
 
     @pytest.mark.parametrize("rounds", [0, 1])
     @pytest.mark.parametrize("graph", ["kron_small", "road_small"])
-    def test_fallback_matches_push(self, request, monkeypatch, graph,
+    def test_fallback_matches_reference(self, request, monkeypatch, graph,
                                    rounds):
         g = request.getfixturevalue(graph)
         monkeypatch.setattr(matmul, "PULL_PROBE_ROUNDS", rounds)
         sources = _sources(g, 4)
         p = lg.msbfs_parents(g, sources)
         for k, s in enumerate(sources):
-            ref = lg.bfs_parent_push(g, int(s))
+            ref = bfs_parent_reference(g, int(s))
             assert p.extract_row(k).isequal(ref), (graph, rounds, k)
             assert lg.bfs(g, int(s))[0].isequal(ref), (graph, rounds, k)
 
@@ -139,7 +141,7 @@ class TestMsbfsLevels:
         else:
             for k, s in enumerate(sources):
                 assert out.extract_row(k).isequal(
-                    lg.bfs_parent_push(g, int(s)))
+                    bfs_parent_reference(g, int(s)))
 
     def test_basic_wrapper_returns_requested(self, small_directed_graph):
         p, lv = lg.msbfs(small_directed_graph, [0, 1], parent=True, level=True)

@@ -166,16 +166,25 @@ class TestContract:
         DRIVERS[op, rule](monkeypatch)()
 
     def test_choose_direction_one_record(self):
+        # one-row levels: the verdict a one-source sweep acts on
         with obs.tracing() as trace:
-            assert engine.choose_direction(1.0, 1e9, 1, 1000) == "push"
-            assert engine.choose_direction(1e9, 1.0, 999, 1000) == "pull"
+            assert engine.choose_direction(
+                np.array([1.0]), np.array([1e9]), np.array([1]),
+                1000).tolist() == [True]
+            assert engine.choose_direction(
+                np.array([1e9]), np.array([1.0]), np.array([999]),
+                1000).tolist() == [False]
         push, pull = trace.decisions()
         assert push["op"] == pull["op"] == "bfs_step"
         assert (push["rule"], push["direction"]) == ("bfs-push", "push")
         assert (pull["rule"], pull["direction"]) == ("bfs-pull", "pull")
+        assert (push["push_rows"], push["pull_rows"]) == (1, 0)
+        assert (pull["push_rows"], pull["pull_rows"]) == (0, 1)
 
     def test_choose_direction_no_sink_no_record(self, poisoned):
-        assert engine.choose_direction(1.0, 1e9, 1, 1000) == "push"
+        assert engine.choose_direction(
+            np.array([1.0]), np.array([1e9]), np.array([1]),
+            1000).tolist() == [True]
 
     def test_choose_direction_per_row_one_record(self):
         # one batched level: per-row verdicts, one record counting them

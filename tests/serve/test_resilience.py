@@ -98,7 +98,7 @@ class TestKernelCancellation:
         with cancel.cancel_scope(tok):
             for call in (
                 lambda: lg.bfs_level(graph, 0),
-                lambda: lg.bfs_parent_push(graph, 0),
+                lambda: lg.bfs(graph, 0),
                 lambda: lg.msbfs_levels(graph, np.array([0, 1])),
                 lambda: lg.sssp_bellman_ford(graph, 0),
             ):

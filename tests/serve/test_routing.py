@@ -2,27 +2,27 @@
 
 Every BFS unit runs its batched sweep, a lone query included: one
 ``msbfs_levels`` / ``msbfs_parents`` call, never the single-source
-``bfs_level`` / ``bfs_parent_push``.  Answers are compared with
-references computed outside that sweep: ``bfs_parent_push`` (Alg. 1) for
-parents, the GAP reference BFS for levels.  ``SSSP`` is never batched: each distinct source is one
-``sssp_bellman_ford`` call, deduplicated and memoized like the whole-graph
-kinds.  The kernels are spied on where the query classes look them up, the
-``repro.lagraph`` package namespace.
+``bfs_level``.  Answers are compared with references computed outside
+that sweep: the GAP reference BFS's parents and levels.  ``SSSP`` is
+never batched: each distinct source is one ``sssp_bellman_ford`` call,
+deduplicated and memoized like the whole-graph kinds.  The kernels are
+spied on where the query classes look them up, the ``repro.lagraph``
+package namespace.
 """
 
 import threading
 
 import pytest
 
-from helpers import bfs_level_reference, random_graph_np
+from helpers import (bfs_level_reference, bfs_parent_reference,
+                     random_graph_np)
 from repro import lagraph as lg
 from repro import serve
 
-KERNELS = ("msbfs_levels", "msbfs_parents", "bfs_level", "bfs_parent_push",
-           "sssp_bellman_ford")
+KERNELS = ("msbfs_levels", "msbfs_parents", "bfs_level", "sssp_bellman_ford")
 #: the per-source reference of each query kind, unspied
 REFERENCE = {serve.BFSLevels: bfs_level_reference,
-             serve.BFSParents: lg.bfs_parent_push,
+             serve.BFSParents: bfs_parent_reference,
              serve.SSSP: lg.sssp_bellman_ford}
 
 

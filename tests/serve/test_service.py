@@ -8,7 +8,8 @@ cached, deduplicated, or recomputed after an invalidation — are
 import numpy as np
 import pytest
 
-from helpers import bfs_level_reference, random_graph_np
+from helpers import (bfs_level_reference, bfs_parent_reference,
+                     random_graph_np)
 from repro import grb
 from repro import lagraph as lg
 from repro import serve
@@ -49,7 +50,16 @@ class TestIdentity:
         results = service.query_many(
             "g", [serve.BFSParents(s) for s in sources])
         for s, res in zip(sources, results):
-            assert res.isequal(lg.bfs_parent_push(served_graph, s))
+            assert res.isequal(bfs_parent_reference(served_graph, s))
+
+    def test_bfs_parents_direct_path_matches_batch(self, served_graph, rng):
+        # the un-batched path is row 0 of the same sweep a batch runs
+        sources = [int(s) for s in rng.integers(0, served_graph.n, size=8)]
+        batch = serve.BFSParents.run_batch(served_graph, sources)
+        for k, s in enumerate(sources):
+            res = serve.BFSParents(s).run_direct(served_graph)
+            assert res.isequal(batch.extract_row(k))
+            assert res.isequal(bfs_parent_reference(served_graph, s))
 
     def test_sssp_matches_direct(self, service, served_weighted, rng):
         sources = [int(s) for s in rng.integers(0, served_weighted.n, size=12)]
@@ -82,7 +92,7 @@ class TestIdentity:
         for s, res in zip(sources, results[:10]):
             assert res.isequal(bfs_level_reference(served_graph, s))
         for s, res in zip(sources, results[10:20]):
-            assert res.isequal(lg.bfs_parent_push(served_graph, s))
+            assert res.isequal(bfs_parent_reference(served_graph, s))
         assert results[-1].isequal(lg.connected_components(served_graph))
 
 
