@@ -47,13 +47,12 @@ def _finalize(src, dst, n, kind: Kind, weighted: bool, seed: int,
         vals = rng.integers(_W_LOW, _W_HIGH + 1, size=src.size).astype(np.float64)
         if symmetrize:
             # symmetric weights, W = min(W, Wᵀ) on the union: fold MIN once
-            # per unordered pair {u, v}, then mirror the upper triangle.
-            # Both halves arrive sorted: the mirror's build merges two runs
+            # per unordered pair {u, v}, then mirror the upper triangle U.
+            # U and Uᵀ share no entry, so their union merges two sorted
+            # patterns (a build of both would sort them again)
             u = Matrix.from_coo(np.minimum(src, dst), np.maximum(src, dst),
                                 vals, n, n, dup_op=grb.binary.MIN)
-            (r, c, w), (rt, ct, wt) = u.to_coo(), u.T.to_coo()
-            a = Matrix.from_coo(np.concatenate((r, rt)), np.concatenate((c, ct)),
-                                np.concatenate((w, wt)), n, n)
+            a = u.ewise_add(u.T, grb.binary.MIN)
         else:
             a = Matrix.from_coo(src, dst, vals, n, n, dup_op=grb.binary.MIN)
     else:

@@ -175,7 +175,8 @@ def format_table4(rows: List[tuple]) -> str:
 def main(argv=None):  # pragma: no cover - CLI convenience
     ap = argparse.ArgumentParser(description="GAP benchmark harness")
     ap.add_argument("--size", default="small", choices=datasets.SIZES)
-    ap.add_argument("--algorithms", nargs="*", default=list(ALGORITHMS))
+    ap.add_argument("--algorithms", nargs="*", default=list(ALGORITHMS),
+                    choices=ALGORITHMS)
     ap.add_argument("--no-check", action="store_true")
     args = ap.parse_args(argv)
     print(format_table4(run_table4(args.size)))

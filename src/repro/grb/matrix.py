@@ -126,7 +126,8 @@ class Matrix:
                 raise IndexOutOfBounds("row index out of range")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise IndexOutOfBounds("column index out of range")
-        sk, sv = build_keys(rows * np.int64(ncols) + cols, values, typ.dtype,
+        sk, sv = build_keys(rows * np.int64(ncols) + cols,
+                            int(nrows) * int(ncols), values, typ.dtype,
                             dup_op, "(row, col) pairs")
         m = cls(typ, nrows, ncols)
         m._set_from_keys(sk, sv)

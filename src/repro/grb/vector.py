@@ -102,8 +102,8 @@ class Vector:
         if indices.size:
             if indices.min() < 0 or indices.max() >= size:
                 raise IndexOutOfBounds("vector index out of range")
-            w._set_sparse(*build_keys(indices, values, typ.dtype, dup_op,
-                                      "indices"))
+            w._set_sparse(*build_keys(indices, size, values, typ.dtype,
+                                      dup_op, "indices"))
         return w
 
     @classmethod

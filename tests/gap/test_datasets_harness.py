@@ -93,6 +93,19 @@ class TestHarness:
         assert "entries in A" in run.stdout       # Table IV
         assert "TC : LAGr" in run.stdout          # Table III
 
+    def test_cli_rejects_unknown_algorithm_before_building(self, capsys,
+                                                           monkeypatch):
+        """A misspelt ``--algorithms`` name is an argparse error, not a
+        traceback after every graph of the size has been built."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a graph for a rejected command line")
+        monkeypatch.setattr(datasets, "build", no_build)
+        monkeypatch.setattr(datasets, "suite_table", no_build)
+        with pytest.raises(SystemExit) as exit_:
+            harness.main(["--size", "medium", "--algorithms", "bfs"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'bfs'" in capsys.readouterr().err
+
     def test_sources_avoid_isolated_nodes(self):
         g = datasets.build("road", "tiny")
         srcs = harness._sources(g, k=4)

@@ -131,15 +131,20 @@ def _reference_finalize(src, dst, n, kind, weighted, seed, symmetrize):
 
 
 class TestBuildIdentity:
-    """Every suite graph equals the reference build, array for array."""
+    """Every suite graph equals the reference build, array for array.
+
+    ``small`` is the first size whose builds reach duplicate runs dozens
+    of tuples long, and whose keys take the build's tagged sort over
+    tens of thousands of positions (``grb/_kernels/build.py``)."""
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("name", sorted(datasets.SUITE))
-    def test_tiny_graph_matches_reference_build(self, name, weighted,
-                                                monkeypatch):
-        got = datasets.build(name, "tiny", weighted=weighted).A
+    @pytest.mark.parametrize("size", ["tiny", "small"])
+    def test_graph_matches_reference_build(self, size, name, weighted,
+                                           monkeypatch):
+        got = datasets.build(name, size, weighted=weighted).A
         monkeypatch.setattr(graphs, "_finalize", _reference_finalize)
-        want = datasets.build(name, "tiny", weighted=weighted).A
+        want = datasets.build(name, size, weighted=weighted).A
         assert got.type == want.type
         for field in ("indptr", "indices", "values"):
             g, w = getattr(got, field), getattr(want, field)

@@ -9,6 +9,8 @@ must equal :func:`helpers.oracle_build` for every registered
 integer overflow and ``bool``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import oracle_build
 from repro import grb
+from repro.grb._kernels.build import stable_order
 from repro.grb.ops import binary
 from repro.grb.ops.binary import BinaryOp
 
@@ -50,20 +53,23 @@ def tuples(draw, nkeys):
             np.array(vals, dtype=dtype))
 
 
-def _matrix_build(keys, vals, op):
-    m = grb.Matrix.from_coo(keys // NCOLS, keys % NCOLS, vals, NROWS, NCOLS,
-                            dup_op=op)
-    r, c, v = m.to_coo()
-    return r * NCOLS + c, v, m.type.dtype
+def _shaped_builds(nrows, ncols):
+    """Builds of linear keys as an ``nrows × ncols`` matrix and as a vector
+    of ``nrows * ncols``; each returns ``(keys, values, dtype)``."""
+    def matrix(keys, vals, op):
+        m = grb.Matrix.from_coo(keys // ncols, keys % ncols, vals, nrows,
+                                ncols, dup_op=op)
+        r, c, v = m.to_coo()
+        return r * np.int64(ncols) + c, v, m.type.dtype
+
+    def vector(keys, vals, op):
+        w = grb.Vector.from_coo(keys, vals, nrows * ncols, dup_op=op)
+        i, v = w.to_coo()
+        return i, v, w.type.dtype
+    return {"matrix": matrix, "vector": vector}
 
 
-def _vector_build(keys, vals, op):
-    w = grb.Vector.from_coo(keys, vals, NROWS * NCOLS, dup_op=op)
-    i, v = w.to_coo()
-    return i, v, w.type.dtype
-
-
-BUILDS = {"matrix": _matrix_build, "vector": _vector_build}
+BUILDS = _shaped_builds(NROWS, NCOLS)
 
 
 def _assert_matches_oracle(build, keys, vals, op):
@@ -131,7 +137,7 @@ def test_fold_edge_cases(kind, case):
 def test_plus_fold_is_not_a_pairwise_sum():
     """The long float run really separates a left fold from ``reduceat``."""
     keys, vals = EDGE_CASES["plus-float-long-runs"][1]
-    _, got, _ = _vector_build(keys, vals, binary.PLUS)
+    _, got, _ = BUILDS["vector"](keys, vals, binary.PLUS)
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.r_[True, np.diff(keys[order]) != 0])
     pairwise = np.add.reduceat(vals[order], starts)
@@ -146,3 +152,129 @@ def test_duplicates_without_dup_op_raise(kind):
     got_keys, got_vals, _ = BUILDS[kind](keys[1:], vals[1:], None)
     np.testing.assert_array_equal(got_keys, [1, 3])
     np.testing.assert_array_equal(got_vals, [2.0, 3.0])
+
+
+# ---------------------------------------------------------------------------
+# the three routes of ``stable_order``: ordered, tagged, fallback
+# ---------------------------------------------------------------------------
+
+def _route(keys, bound):
+    """Which route ``stable_order(keys, bound)`` takes, read by a spy on
+    ``np.argsort`` (only the fallback calls it)."""
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+        order, _ = stable_order(keys, bound)
+    if order is None:
+        return "ordered"
+    return "fallback" if spy.called else "tagged"
+
+
+#: matrix shapes per route; a vector is built over ``nrows * ncols`` keys
+SHAPES = {
+    "ordered": (NROWS, NCOLS),
+    "tagged": (1 << 10, 1 << 10),
+    # 57 key bits + 9 position bits: the tags do not fit in 63
+    "fallback": (1 << 12, 1 << 45),
+}
+
+
+def _route_tuples(route, dtype):
+    """Linear keys and values that take ``route`` at ``SHAPES[route]``:
+    duplicate runs of up to a dozen tuples, interleaved."""
+    rng = np.random.default_rng(11)
+    nrows, ncols = SHAPES[route]
+    if route == "ordered":       # equal neighbours, no key below its left
+        keys = np.repeat(np.arange(6, dtype=np.int64), [3, 1, 0, 5, 2, 4])
+    else:
+        distinct = rng.choice(nrows, 40, replace=False) * np.int64(ncols) \
+            + rng.integers(0, ncols, 40)
+        keys = rng.permutation(np.repeat(distinct, rng.integers(1, 13, 40)))
+    vals = rng.integers(-100, 100, keys.size).astype(dtype)
+    if vals.dtype.kind == "f":
+        vals *= 10.0 ** rng.integers(-12, 12, keys.size)
+    return keys, vals
+
+
+ROUTE_CASES = [("ordered", "matrix"), ("ordered", "vector"),
+               ("tagged", "matrix"), ("tagged", "vector"),
+               ("fallback", "matrix")]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int8])
+@pytest.mark.parametrize("route,kind", ROUTE_CASES)
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
+def test_each_route_matches_oracle(route, kind, op, dtype):
+    nrows, ncols = SHAPES[route]
+    keys, vals = _route_tuples(route, dtype)
+    assert _route(keys, nrows * ncols) == route
+    _assert_matches_oracle(_shaped_builds(nrows, ncols)[kind], keys, vals, op)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("route,kind", ROUTE_CASES)
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
+def test_zero_and_one_tuples(route, kind, op, n):
+    nrows, ncols = SHAPES[route]
+    keys = np.array([nrows * ncols - 1] * n, dtype=np.int64)
+    vals = np.array([-0.5] * n)
+    assert _route(keys, nrows * ncols) == "ordered"
+    _assert_matches_oracle(_shaped_builds(nrows, ncols)[kind], keys, vals, op)
+
+
+@st.composite
+def wide_tuples(draw):
+    """Tuples over a handful of keys drawn from a 2**20 key space."""
+    distinct = draw(st.lists(st.integers(0, (1 << 20) - 1), min_size=1,
+                             max_size=8, unique=True))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=60))
+    vals = draw(st.lists(_elements(np.float64), min_size=len(picks),
+                         max_size=len(picks)))
+    return (np.array(distinct, dtype=np.int64)[picks].reshape(-1),
+            np.array(vals, dtype=np.float64))
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+@pytest.mark.parametrize("op", [binary.PLUS, binary.MINUS, binary.MIN,
+                                binary.FIRST], ids=lambda op: op.name)
+@given(data=wide_tuples())
+def test_wide_key_space_matches_oracle(kind, op, data):
+    keys, vals = data
+    _assert_matches_oracle(_shaped_builds(1 << 10, 1 << 10)[kind], keys,
+                           vals, op)
+
+
+@given(keys=st.lists(st.integers(0, (1 << 40) - 1), max_size=200),
+       bound_bits=st.sampled_from([40, 56, 62, 63]))
+def test_stable_order_is_stable_argsort(keys, bound_bits):
+    keys = np.array(keys, dtype=np.int64)
+    order, sk = stable_order(keys, 1 << bound_bits)
+    want = np.argsort(keys, kind="stable")
+    if order is None:
+        np.testing.assert_array_equal(want, np.arange(keys.size))
+        assert sk is keys
+    else:
+        np.testing.assert_array_equal(order, want)
+        np.testing.assert_array_equal(sk, keys[want])
+
+
+# ---------------------------------------------------------------------------
+# ownership: the ordered route gathers nothing, so it must copy
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dup", [False, True])
+def test_built_objects_own_their_arrays(dup):
+    """A build from sorted caller arrays (the route that skips the sort
+    and the gather) does not alias them: mutating them afterwards leaves
+    the built ``Vector`` and ``Matrix`` unchanged."""
+    idx = np.array([0, 2, 2, 5] if dup else [0, 2, 5, 7], dtype=np.int64)
+    rows = np.zeros(4, dtype=np.int64)
+    vals = np.array([1.0, 2.0, 3.0, 4.0])
+    w = grb.Vector.from_coo(idx, vals, 8, dup_op=binary.PLUS)
+    m = grb.Matrix.from_coo(rows, idx, vals, 1, 8, dup_op=binary.PLUS)
+    want_w, want_m = w.to_coo(), m.to_coo()
+    idx[:] = [7, 6, 4, 3]
+    rows[:] = 1
+    vals[:] = -1.0
+    for got, want in zip(w.to_coo(), want_w):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(m.to_coo(), want_m):
+        np.testing.assert_array_equal(got, want)

@@ -1,5 +1,7 @@
 """Tests for grb.Matrix."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -307,25 +309,35 @@ class TestScipyInterop:
         assert a.nvals == 0 and a.shape == (2, 2)
 
 
-class TestBuildRatioGuard:
-    """The duplicate fold costs what a few array passes do (``ab_ratio``).
+def _kron_small_tuples():
+    """kron-small's symmetrised edge list (the tuples ``gap.generators.kron``
+    builds at scale 12: 130 650 of them, about 25 % duplicates, the
+    longest run in the dozens) with ``[1, 255]`` float weights, and the
+    generator that drew them."""
+    src, dst = rmat_edges(12, 16, GRAPH500_ABCD, seed=1)
+    keep = src != dst
+    rows = np.concatenate((src[keep], dst[keep]))
+    cols = np.concatenate((dst[keep], src[keep]))
+    rng = np.random.default_rng(0)
+    vals = rng.integers(1, 256, size=rows.size).astype(np.float64)
+    return rows, cols, vals, 1 << 12, rng
 
-    kron-small's symmetrised edge list (the tuples ``gap.generators.kron``
-    builds at scale 12: about 20 % of them duplicates, the longest run in
-    the dozens) built with ``dup_op=MIN``, against a build of the same key
-    set with the duplicates removed and the order shuffled.  The fast arm
-    sorts more tuples and folds, so the ratio sits below parity by design;
-    a fold with one ``dup_op`` call per duplicate tuple reads about 0.19.
+
+class TestBuildRatioGuard:
+    """The tuple build's sort and fold cost a few array passes (``ab_ratio``).
+
+    Both guards build kron-small's symmetrised edge list with
+    ``dup_op=MIN``.
     """
 
     def test_duplicate_build_costs_a_few_passes(self):
-        src, dst = rmat_edges(12, 16, GRAPH500_ABCD, seed=1)
-        keep = src != dst
-        rows = np.concatenate((src[keep], dst[keep]))
-        cols = np.concatenate((dst[keep], src[keep]))
-        n = 1 << 12
-        rng = np.random.default_rng(0)
-        vals = rng.integers(1, 256, size=rows.size).astype(np.float64)
+        """The duplicate fold, against a build of the same key set with the
+        duplicates removed and the order shuffled.  The fast arm sorts more
+        tuples and folds, so the ratio sits below parity by design: it
+        reads 0.67-0.81 with the tagged key sort in both arms, as it did
+        with the stable ``argsort`` (0.68-0.73), and a fold with one
+        ``dup_op`` call per duplicate tuple read about 0.19."""
+        rows, cols, vals, n, rng = _kron_small_tuples()
         _, first = np.unique(rows * n + cols, return_index=True)
         first = rng.permutation(first)
         assert first.size < rows.size          # duplicates to fold
@@ -340,3 +352,30 @@ class TestBuildRatioGuard:
 
         assert dup_build().pattern().isequal(unique_build().pattern())
         assert ab_ratio(dup_build, unique_build) >= 0.26
+
+    def test_tagged_sort_beats_stable_argsort(self):
+        """The position-tagged key sort (``grb/_kernels/build.py``) against
+        the stable ``argsort`` it replaced: the same shuffled tuples built
+        at shape ``n × n`` (24 key bits + 17 position bits: tagged) and at
+        ``n × 2**45`` (57 + 17 bits do not fit in 63: the fallback).  The
+        shape alone picks the route; both arms fold the same duplicates."""
+        rows, cols, vals, n, rng = _kron_small_tuples()
+        shuffle = rng.permutation(rows.size)
+        rows, cols, vals = rows[shuffle], cols[shuffle], vals[shuffle]
+        MIN = grb.binary.MIN
+
+        def tagged():
+            return grb.Matrix.from_coo(rows, cols, vals, n, n, dup_op=MIN)
+
+        def fallback():
+            return grb.Matrix.from_coo(rows, cols, vals, n, 1 << 45,
+                                       dup_op=MIN)
+
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            fast = tagged()
+            assert not spy.called
+            slow = fallback()
+            assert spy.call_count == 1          # the key sort only
+        for got, want in zip(fast.to_coo(), slow.to_coo()):
+            np.testing.assert_array_equal(got, want)
+        assert ab_ratio(tagged, fallback) >= 1.3
